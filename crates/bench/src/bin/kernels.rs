@@ -1,6 +1,7 @@
 //! Kernel baseline benchmark: times the four hot BLAS-3 kernels (blocked
-//! vs. retained naive formulations), the fused update+Gram pass, and one
-//! s-step GMRES iteration across panel shapes and thread counts, then
+//! vs. retained naive formulations), the fused update+Gram pass, Gram and
+//! TRSM at the wide stage-2 flush shapes, and one s-step GMRES iteration
+//! across panel shapes and thread counts, then
 //! writes `BENCH_kernels.json` — the perf trajectory every later PR is
 //! measured against.
 //!
@@ -331,6 +332,125 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
     parkit::set_num_threads(0);
 }
 
+/// Gram and TRSM at a stage-2 flush shape — the `bs`-wide panels the
+/// two-stage scheme actually hands these kernels (`bs = m` columns per
+/// right-hand side), far wider than the `s ≤ 16` stage-1 shapes above.
+fn bench_flush_shape(
+    rows: &mut Vec<Row>,
+    n: usize,
+    s: usize,
+    reps: usize,
+    thread_counts: &[usize],
+) {
+    let v = panel(n, s, 1);
+    // A Cholesky factor has no structural zeros; `upper`'s would send four
+    // tiles in five down the zero-skipping path.
+    let r = Matrix::from_fn(s, s, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Less => ((i + 2 * j) % 5) as f64 * 0.1 - 0.25,
+        std::cmp::Ordering::Equal => 1.5 + i as f64 * 0.1,
+        std::cmp::Ordering::Greater => 0.0,
+    });
+    let nf = n as f64;
+    let sf = s as f64;
+    let flops = nf * sf * (sf + 1.0);
+    let gram_bytes = (8 * n * s) as u64;
+    let trsm_bytes = (8 * n * 2 * s) as u64;
+    // Every repetition solves the same panel; restoring it (a 12–28 MB
+    // copy, as long as the solve itself) stays outside the timed region.
+    let mut w = v.clone();
+    let mut time_trsm = |solve: &dyn Fn(&mut Matrix)| {
+        let mut best = f64::INFINITY;
+        for _ in 0..=reps {
+            w.data_mut().copy_from_slice(v.data());
+            let t0 = Instant::now();
+            solve(&mut w);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        best
+    };
+
+    parkit::set_num_threads(1);
+    let naive_gram_s = time_best(reps, || {
+        std::hint::black_box(dense::naive_gram(&v.view()));
+    });
+    let naive_trsm_s = time_trsm(&|w| dense::naive_trsm_right_upper(&mut w.view_mut(), &r));
+    push(
+        rows,
+        "gram",
+        "naive",
+        n,
+        s,
+        0,
+        1,
+        naive_gram_s,
+        flops,
+        gram_bytes,
+        None,
+    );
+    push(
+        rows,
+        "trsm_right_upper",
+        "naive",
+        n,
+        s,
+        0,
+        1,
+        naive_trsm_s,
+        flops,
+        trsm_bytes,
+        None,
+    );
+    let mut base_gram_s = f64::NAN;
+    let mut base_trsm_s = f64::NAN;
+    for &t in thread_counts {
+        parkit::set_num_threads(t);
+        let single = t == 1;
+        let gram_s = time_best(reps, || {
+            std::hint::black_box(dense::gram(&v.view()));
+        });
+        let trsm_s = time_trsm(&|w| dense::trsm_right_upper(&mut w.view_mut(), &r));
+        if single {
+            base_gram_s = gram_s;
+            base_trsm_s = trsm_s;
+        }
+        push(
+            rows,
+            "gram",
+            "blocked",
+            n,
+            s,
+            0,
+            t,
+            gram_s,
+            flops,
+            gram_bytes,
+            Some(if single {
+                ("naive", naive_gram_s)
+            } else {
+                ("blocked_1thread", base_gram_s)
+            }),
+        );
+        push(
+            rows,
+            "trsm_right_upper",
+            "blocked",
+            n,
+            s,
+            0,
+            t,
+            trsm_s,
+            flops,
+            trsm_bytes,
+            Some(if single {
+                ("naive", naive_trsm_s)
+            } else {
+                ("blocked_1thread", base_trsm_s)
+            }),
+        );
+    }
+    parkit::set_num_threads(0);
+}
+
 /// Time one s-step GMRES iteration (basis vector) end to end: a bounded
 /// two-stage solve on a 2D Laplacian, normalized by iterations performed.
 fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usize]) {
@@ -531,6 +651,17 @@ fn main() {
     for &(n, s) in shapes {
         eprintln!("benchmarking {n}x{s} panels ...");
         bench_shape(&mut rows, n, s, reps, &thread_counts);
+    }
+    // The stage-2 flush shapes of the benchmark's own solves: lap2d_t1
+    // (n = 25 600, bs = 60) and lap2d_k4 (n = 14 400, bs = 4·60).
+    let flush_shapes: &[(usize, usize)] = if quick {
+        &[(25_600, 60)]
+    } else {
+        &[(25_600, 60), (14_400, 240)]
+    };
+    for &(n, s) in flush_shapes {
+        eprintln!("benchmarking {n}x{s} flush panels ...");
+        bench_flush_shape(&mut rows, n, s, reps, &thread_counts);
     }
     eprintln!("benchmarking one s-step GMRES iteration ...");
     bench_gmres_iteration(&mut rows, quick, &thread_counts);

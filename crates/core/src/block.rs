@@ -30,6 +30,16 @@
 //! versus a solve that never carried the deflated column from that cycle
 //! on (pinned by `tests/deflation_properties.rs`).
 //!
+//! **Early flush.**  A `k·s`-wide monomial panel grows much faster than an
+//! `s`-wide one, and the two-stage scheme's first stage projects it
+//! against columns that are only pre-processed.  For cycles that start
+//! from a block of more than one vector, [`blockortho::TwoStage`] therefore
+//! answers a refused first-stage panel by completing the second stage on
+//! the pending big panel and taking the panel again, instead of ending
+//! the cycle on a breakdown that rounding — and with it the rank count —
+//! decides.  `k = 1` cycles are single-vector cycles and keep the scalar
+//! solver's behaviour bit for bit.
+//!
 //! Scope notes for wide blocks (`k > 1`): adaptive Ritz harvesting
 //! operates only once the active block has narrowed to one column (the
 //! band Hessenberg of a wide block is not in the Hessenberg form the
@@ -49,7 +59,7 @@ use crate::solver::{
 };
 use crate::timing::{CycleClock, CycleTiming, Phase};
 use blockortho::make_orthogonalizer_with_sketch;
-use dense::Matrix;
+use dense::{MatViewMut, Matrix};
 use distsim::{
     fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardEvent,
     SerialComm,
@@ -282,6 +292,7 @@ impl SStepGmres {
         let mut r_factor = Matrix::zeros(ka * (mb + 1), ka * (mb + 1));
         let mut z = vec![0.0; nloc]; // preconditioned vector
         let mut w = vec![0.0; nloc]; // A·z
+        let mut qy = vec![0.0; nloc * ka]; // Q·Y of the solution update
 
         'outer: while restarts < config.max_restarts && iterations < config.max_iters {
             // Columns already at target leave the block before the cycle
@@ -629,13 +640,18 @@ impl SStepGmres {
             if guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
                 fault::set_phase("update");
                 let _sp = trace::span1("solver", "update", "cols", k_use as u64);
-                let mut qy = vec![0.0; nloc];
+                // Q·Y for all active columns in one row-panel-blocked pass
+                // over the basis; each column is bit for bit the gemv_plus
+                // sweep the scalar path runs.
+                let qy = &mut qy[..nloc * ka];
+                qy.fill(0.0);
+                dense::gemm_nn_plus(
+                    &mut MatViewMut::from_slice(nloc, ka, qy),
+                    &basis.local_cols(0..k_use),
+                    &y,
+                );
                 for (p, &j) in active.iter().enumerate() {
-                    for v in qy.iter_mut() {
-                        *v = 0.0;
-                    }
-                    dense::gemv_plus(&basis.local_cols(0..k_use), y.col(p), &mut qy);
-                    precond.apply(&qy, &mut z);
+                    precond.apply(&qy[p * nloc..(p + 1) * nloc], &mut z);
                     precond_count += 1;
                     for (xi, zi) in x_local.col_mut(j).iter_mut().zip(&z) {
                         *xi += zi;
@@ -1092,6 +1108,34 @@ mod tests {
         // Its history stopped growing at deflation.
         assert_eq!(r.relres_history[1].len(), d1);
         assert!(r.relres_history[0].len() >= r.relres_history[1].len());
+    }
+
+    #[test]
+    fn early_flush_carries_a_wide_block_past_a_refused_panel() {
+        // k = 3, s = 5, bs = m: the fourth 15-wide monomial panel of the
+        // first cycle is refused by the first stage (the three pre-processed
+        // panels before it have drifted too far from orthonormal).  The
+        // two-stage scheme flushes its second stage and takes the panel
+        // again: the cycle keeps all 60 columns and reports no breakdown,
+        // and no column of the basis is generated twice.
+        let a = laplace2d_9pt(16, 16);
+        let b: Vec<Vec<f64>> = (0..3).map(|j| rhs_for(&a, j)).collect();
+        let (x, r) = SStepGmres::new(GmresConfig {
+            restart: 20,
+            step_size: 5,
+            tol: 1e-8,
+            ortho: OrthoKind::TwoStage { big_panel: 20 },
+            ..GmresConfig::default()
+        })
+        .solve_block_serial(&a, &b);
+        assert!(r.converged, "{:?}", r.breakdown);
+        assert_eq!(r.breakdown, None);
+        assert_eq!(r.restarts, 2);
+        assert_eq!(r.health_history[0].usable_cols, 60);
+        assert_eq!(r.spmv_count, r.iterations + 3 * (r.restarts + 1));
+        for j in 0..3 {
+            assert!(block_relres(&a, &x, &b, j) < 1e-8, "col {j}");
+        }
     }
 
     #[test]

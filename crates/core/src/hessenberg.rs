@@ -199,14 +199,7 @@ impl HessenbergRecovery {
                 hk[(i, j)] = self.h[(i, j)];
             }
         }
-        let mut y = Matrix::zeros(k, rhs.ncols());
-        let mut residuals = Vec::with_capacity(rhs.ncols());
-        for q in 0..rhs.ncols() {
-            let (yq, res) = dense::qr_lsq(&hk, rhs.col(q));
-            y.col_mut(q).copy_from_slice(&yq);
-            residuals.push(res);
-        }
-        (y, residuals)
+        dense::band_hessenberg_lsq(&hk, self.width, rhs)
     }
 }
 

@@ -21,6 +21,21 @@
 //! once per *column pair* for the naive dot-product formulation (retained
 //! as [`naive_gram`] etc. for benchmarks and property tests).
 //!
+//! [`trsm_right_upper`] is the one kernel whose columns depend on each
+//! other, and the one the two-stage scheme calls at its widest: the
+//! stage-2 flush normalizes a `bs`-column panel (`bs = m`, 60 columns per
+//! right-hand side), so a row panel is 123–491 KB and lives in L2, not L1.
+//! Inside a row panel it therefore solves **left-looking on `TILE`-column
+//! tiles**: a column tile first receives the updates of all finished
+//! tiles to its left through the same register tile as [`gemm_nn_minus`]
+//! (its four columns stay in L1 while the finished columns stream past
+//! once per *tile*), and only the `TILE×TILE` triangle on the diagonal is
+//! solved column by column.  The earlier column-at-a-time axpy sweep
+//! streamed the finished columns once per *column* and ran at a third of
+//! the Gram kernel's rate at these widths; `BENCH_kernels.json` carries
+//! both at 25 600×60 and 14 400×240 (its `before` block, recorded once on
+//! the commit before the tiled solve, vs the `blocked` rows).
+//!
 //! The tile inner loops live in [`crate::simd`] and are explicit
 //! `std::arch` AVX2+FMA kernels with a portable scalar fallback, selected
 //! once at runtime.  Accumulation kernels ([`gram`], [`gemm_tn`], the
@@ -70,15 +85,6 @@ impl ColPtr {
     unsafe fn col_seg_mut(&self, n: usize, col: usize, r0: usize, r1: usize) -> &mut [f64] {
         std::slice::from_raw_parts_mut(self.0.add(col * n + r0), r1 - r0)
     }
-
-    /// Read-only slice of rows `r0..r1` of column `col`.
-    ///
-    /// # Safety
-    /// The caller must guarantee no live mutable reference overlaps the
-    /// requested segment.
-    unsafe fn col_seg(&self, n: usize, col: usize, r0: usize, r1: usize) -> &[f64] {
-        std::slice::from_raw_parts(self.0.add(col * n + r0), r1 - r0)
-    }
 }
 
 /// Read-side column-major operand source for the tile kernels: rows
@@ -92,10 +98,11 @@ impl ColPtr {
 ///   original reference (this is the fast path for [`gram`]/[`gemm_tn`],
 ///   whose operands are never concurrently mutated);
 /// * [`RawCols`] — backed by a raw pointer, for
-///   [`fused_update_proj_gram`], where a whole-matrix shared slice would
-///   alias the in-place update (same worker) and other workers' disjoint
-///   row writes; each segment is materialized only for rows the worker
-///   owns, after its own mutable segments are dropped.
+///   [`fused_update_proj_gram`] and [`trsm_right_upper`], where a
+///   whole-matrix shared slice would alias the in-place update (same
+///   worker) and other workers' disjoint row writes; each segment is
+///   materialized only for rows the worker owns and columns it does not
+///   hold mutably at that moment.
 trait ColSource: Copy {
     /// Rows `r0..r1` of column `col` as a slice.
     fn seg(&self, col: usize, r0: usize, r1: usize) -> &[f64];
@@ -126,10 +133,11 @@ struct RawCols<'a> {
 
 impl<'a> RawCols<'a> {
     /// # Safety
-    /// For the lifetime `'a`, every row range later passed to `seg` must
-    /// be readable without a live overlapping `&mut`: the fused kernel
-    /// guarantees this by having each worker read only the row ranges it
-    /// owns, after its own mutable segments are dropped.
+    /// For the lifetime `'a`, every segment later asked of `seg` must be
+    /// readable without a live overlapping `&mut`: each worker reads only
+    /// the row ranges it owns — the fused kernel after its own mutable
+    /// segments are dropped, the TRSM only columns other than the ones it
+    /// is writing.
     unsafe fn from_ptr(ptr: *const f64, n: usize, len: usize) -> Self {
         Self {
             ptr,
@@ -369,21 +377,19 @@ pub fn gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
     Matrix::from_col_major(k, s, partial)
 }
 
-/// Update one row block of `V ← V − Q·R`: column tiles of `V` stay hot in
-/// L1 while the matching `Q` tiles stream through.
-///
-/// Per element the subtraction runs over `k` in index order with a single
-/// accumulator, so the result is bitwise-identical to the naive column
-/// sweep ([`naive_gemm_nn_minus`]).
+/// Per-column axpy sweep of `V[r0..r1, jb..jb+jw] −= Q[r0..r1, kb..kend]·R`
+/// with the naive zero skip, in increasing-`k` order: the path for ragged
+/// tiles and for coefficient tiles that contain zeros.
 ///
 /// # Safety
 /// `vcols` must point into an `n`-row column-major matrix with at least
-/// `r.ncols()` columns, and rows `r0..r1` of it must not be aliased.
+/// `jb + jw` columns, and rows `r0..r1` of those columns must not be
+/// aliased (by `q` either).
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
-unsafe fn update_cols_generic(
+unsafe fn update_cols_generic<Q: ColSource>(
     vcols: &ColPtr,
-    qdata: &[f64],
+    q: Q,
     r: &Matrix,
     n: usize,
     r0: usize,
@@ -398,16 +404,69 @@ unsafe fn update_cols_generic(
         for kk in kb..kend {
             let alpha = r[(kk, jb + jj)];
             if alpha != 0.0 {
-                let qk = &qdata[kk * n + r0..kk * n + r1];
-                simd::axpy_minus(alpha, qk, vj);
+                simd::axpy_minus(alpha, q.seg(kk, r0, r1), vj);
             }
         }
     }
 }
 
-unsafe fn update_row_block(
+/// One full coefficient tile of the update:
+/// `V[r0..r1, jb..jb+4] −= Q[r0..r1, kb..kb+4]·R[kb..kb+4, jb..jb+4]`.
+///
+/// A zero coefficient must be *skipped* (not multiplied) to stay
+/// bitwise-faithful to the naive sweep: `x − 0.0·q` can flip a `-0.0` and
+/// poisons `V` when `q` is Inf/NaN.  Zero coefficients only appear in
+/// structured `R` blocks, so the register tile requires all 16 to be
+/// nonzero and anything else takes the skipping column sweep.
+///
+/// # Safety
+/// As [`update_cols_generic`], with `jw = 4`.
+#[inline]
+#[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
+unsafe fn update_tile<Q: ColSource>(
     vcols: &ColPtr,
-    qdata: &[f64],
+    q: Q,
+    r: &Matrix,
+    n: usize,
+    r0: usize,
+    r1: usize,
+    jb: usize,
+    kb: usize,
+) {
+    let all_nonzero = (0..TILE).all(|jj| (0..TILE).all(|kk| r[(kb + kk, jb + jj)] != 0.0));
+    if all_nonzero {
+        let mut v = [
+            vcols.col_seg_mut(n, jb, r0, r1),
+            vcols.col_seg_mut(n, jb + 1, r0, r1),
+            vcols.col_seg_mut(n, jb + 2, r0, r1),
+            vcols.col_seg_mut(n, jb + 3, r0, r1),
+        ];
+        let qs = [
+            q.seg(kb, r0, r1),
+            q.seg(kb + 1, r0, r1),
+            q.seg(kb + 2, r0, r1),
+            q.seg(kb + 3, r0, r1),
+        ];
+        let c = std::array::from_fn(|jj| std::array::from_fn(|kk| r[(kb + kk, jb + jj)]));
+        simd::update_tile4(&mut v, &qs, &c);
+    } else {
+        update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, kb, kb + TILE);
+    }
+}
+
+/// Update one row block of `V ← V − Q·R`: column tiles of `V` stay hot in
+/// L1 while the matching `Q` tiles stream through.
+///
+/// Per element the subtraction runs over `k` in index order with a single
+/// accumulator, so the result is bitwise-identical to the naive column
+/// sweep ([`naive_gemm_nn_minus`]).
+///
+/// # Safety
+/// `vcols` must point into an `n`-row column-major matrix with at least
+/// `r.ncols()` columns, and rows `r0..r1` of it must not be aliased.
+unsafe fn update_row_block<Q: ColSource>(
+    vcols: &ColPtr,
+    q: Q,
     r: &Matrix,
     n: usize,
     r0: usize,
@@ -420,52 +479,14 @@ unsafe fn update_row_block(
         let jw = TILE.min(s - jb);
         if jw == TILE {
             let mut kb = 0;
-            while kb < k {
-                let kw = TILE.min(k - kb);
-                // A zero coefficient must be *skipped* (not multiplied) to
-                // stay bitwise-faithful to the naive sweep: x - 0.0*q can
-                // flip a -0.0 and poisons V when q is Inf/NaN.  Zero
-                // coefficients only appear in structured R blocks, so the
-                // fast tile requires all 16 to be nonzero.
-                let tile_ok = kw == TILE
-                    && (0..TILE).all(|jj| (0..TILE).all(|kk| r[(kb + kk, jb + jj)] != 0.0));
-                if tile_ok {
-                    let mut v = [
-                        vcols.col_seg_mut(n, jb, r0, r1),
-                        vcols.col_seg_mut(n, jb + 1, r0, r1),
-                        vcols.col_seg_mut(n, jb + 2, r0, r1),
-                        vcols.col_seg_mut(n, jb + 3, r0, r1),
-                    ];
-                    let q = [
-                        &qdata[kb * n + r0..kb * n + r1],
-                        &qdata[(kb + 1) * n + r0..(kb + 1) * n + r1],
-                        &qdata[(kb + 2) * n + r0..(kb + 2) * n + r1],
-                        &qdata[(kb + 3) * n + r0..(kb + 3) * n + r1],
-                    ];
-                    let c =
-                        std::array::from_fn(|jj| std::array::from_fn(|kk| r[(kb + kk, jb + jj)]));
-                    simd::update_tile4(&mut v, &q, &c);
-                } else {
-                    // Ragged k remainder or a tile containing zero
-                    // coefficients: per-column axpy sweep with the naive
-                    // skip, still in increasing-k order.
-                    update_cols_generic(
-                        vcols,
-                        qdata,
-                        r,
-                        n,
-                        r0,
-                        r1,
-                        jb,
-                        TILE,
-                        kb,
-                        (kb + TILE).min(k),
-                    );
-                }
+            while kb + TILE <= k {
+                update_tile(vcols, q, r, n, r0, r1, jb, kb);
                 kb += TILE;
             }
+            // Ragged k remainder.
+            update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, kb, k);
         } else {
-            update_cols_generic(vcols, qdata, r, n, r0, r1, jb, jw, 0, k);
+            update_cols_generic(vcols, q, r, n, r0, r1, jb, jw, 0, k);
         }
         jb += TILE;
     }
@@ -488,15 +509,21 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
         return;
     }
     let _span = trace::span2("blas3", "gemm_nn_minus", "n", n as u64, "k", k as u64);
-    let qdata = q.data();
-    let s = v.ncols();
+    update_panel(v, q, r);
+}
+
+/// The row-parallel, row-panel-blocked sweep behind [`gemm_nn_minus`] and
+/// [`gemv_plus`] (dimensions already checked, no trace span).
+fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
+    let n = v.nrows();
+    let q_cols = SliceCols { data: q.data(), n };
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
-    parallel_for_range_bytes(n, 8 * (k + s), |start, end| {
+    parallel_for_range_bytes(n, 8 * (r.nrows() + r.ncols()), |start, end| {
         let mut rb = start;
         while rb < end {
             let re = (rb + ROW_BLOCK).min(end);
             // SAFETY: row ranges of different workers are disjoint.
-            unsafe { update_row_block(&vcols, qdata, r, n, rb, re) };
+            unsafe { update_row_block(&vcols, q_cols, r, n, rb, re) };
             rb = re;
         }
     });
@@ -505,13 +532,22 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
 /// `V ← V·R⁻¹` for tall-skinny `V ∈ R^{n×s}` and upper-triangular
 /// `R ∈ R^{s×s}` (the CholQR normalization TRSM).
 ///
-/// Every row of `V` solves independently against `R`, so the sweep is
+/// Every row of `V` solves independently against `R`, so the solve is
 /// row-parallel and makes a **single pass** over `V`: workers own disjoint
-/// row ranges and process them in `ROW_BLOCK`-row panels that stay in cache
-/// for the whole `s²/2` column recurrence (the previous implementation was
-/// a serial column sweep with `s` full passes over `V`).  The per-element
-/// operation order matches the naive sweep, so results are
-/// bitwise-identical to [`naive_trsm_right_upper`].
+/// row ranges and process them in `ROW_BLOCK`-row panels.  Inside a panel
+/// the column recurrence `q_j = (v_j − Σ_{i<j} q_i r_{ij}) / r_{jj}` is
+/// **left-looking on `TILE`-column tiles**: column tile `J` first takes the
+/// update from every finished tile `I < J` through the same register tile
+/// as [`gemm_nn_minus`] (the four `V` columns stay in L1 while the finished
+/// columns stream past once per tile, not once per column), then solves
+/// its own `TILE×TILE` triangle by axpy and scale.  At the flush widths of
+/// the two-stage scheme (`s = 60…240`, a panel of 123–491 KB) this is what
+/// keeps the solve from running at axpy rate out of L2.  A ragged last
+/// tile takes the plain column sweep.
+///
+/// Per element the operations are still "subtract `r_ij·q_i` for ascending
+/// `i`, then scale", multiply-then-subtract with no FMA, so results are
+/// bitwise-identical to [`naive_trsm_right_upper`] on every backend.
 ///
 /// Panics if `R` has a zero diagonal entry.
 pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
@@ -528,23 +564,39 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
     let _span = trace::span2("blas3", "trsm", "n", n as u64, "s", s as u64);
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
     parallel_for_range_bytes(n, 8 * s, |start, end| {
+        // SAFETY: `done` is only asked for rows this worker owns, and only
+        // for columns left of the ones it holds mutably at that moment.
+        let done = unsafe { RawCols::from_ptr(vcols.0, n, n * s) };
         let mut rb = start;
         while rb < end {
             let re = (rb + ROW_BLOCK).min(end);
-            // Column recurrence on one resident row panel:
-            //   q_j = (v_j − Σ_{i<j} q_i r_{ij}) / r_{jj}
-            for j in 0..s {
-                // SAFETY: this worker owns rows rb..re exclusively; the
-                // mutable column j and read columns i < j are disjoint.
-                let vj = unsafe { vcols.col_seg_mut(n, j, rb, re) };
-                for i in 0..j {
-                    let alpha = r[(i, j)];
-                    if alpha != 0.0 {
-                        let qi = unsafe { vcols.col_seg(n, i, rb, re) };
-                        simd::axpy_minus(alpha, qi, vj);
+            let mut jb = 0;
+            while jb < s {
+                let jw = TILE.min(s - jb);
+                // Columns left of `solved_from` are already subtracted
+                // from this tile; a ragged tile subtracts them itself.
+                let solved_from = if jw == TILE {
+                    for kb in (0..jb).step_by(TILE) {
+                        // SAFETY: this worker owns rows rb..re; columns
+                        // kb..kb+4 (read) lie left of jb..jb+4 (written).
+                        unsafe { update_tile(&vcols, done, r, n, rb, re, jb, kb) };
                     }
+                    jb
+                } else {
+                    0
+                };
+                for j in jb..jb + jw {
+                    // SAFETY: as above; column j is the only one written.
+                    let vj = unsafe { vcols.col_seg_mut(n, j, rb, re) };
+                    for i in solved_from..j {
+                        let alpha = r[(i, j)];
+                        if alpha != 0.0 {
+                            simd::axpy_minus(alpha, done.seg(i, rb, re), vj);
+                        }
+                    }
+                    simd::scal(1.0 / r[(j, j)], vj);
                 }
-                simd::scal(1.0 / r[(j, j)], vj);
+                jb += TILE;
             }
             rb = re;
         }
@@ -600,7 +652,7 @@ pub fn fused_update_proj_gram(
                 let re = (rb + ROW_BLOCK).min(end);
                 if k > 0 {
                     // SAFETY: row ranges of different workers are disjoint.
-                    unsafe { update_row_block(&vcols, qdata, p, n, rb, re) };
+                    unsafe { update_row_block(&vcols, q_cols, p, n, rb, re) };
                     tn_row_block(q_cols, v_read, rb, re, k, s, c_acc, false);
                 }
                 tn_row_block(v_read, v_read, rb, re, s, s, g_acc, true);
@@ -753,16 +805,32 @@ pub fn gemm_small(a: &Matrix, b: &Matrix) -> Matrix {
     gemm_nn(a, b)
 }
 
+/// `V ← V + Q·Y` for tall-skinny `Q ∈ R^{n×k}`, small `Y ∈ R^{k×s}` and
+/// tall-skinny `V ∈ R^{n×s}` updated in place (the block solution update
+/// `X ← X + Q·Ŷ`; [`gemv_plus`] is its one-column case).
+///
+/// Runs as the row-panel-blocked update `V ← V − Q·(−Y)`, so the `V` panel
+/// stays in L1 while `Q` streams past once for all `s` columns.  Negation
+/// is exact, hence per element this is bit for bit the column sweep
+/// `v_p += y_jp·q_j` for ascending `j`, zero `y_jp` skipped.  Like
+/// [`gemv_plus`] it opens no trace span.
+pub fn gemm_nn_plus(v: &mut MatViewMut<'_>, q: &MatView<'_>, y: &Matrix) {
+    assert_eq!(q.nrows(), v.nrows(), "gemm_nn_plus: row mismatch");
+    assert_eq!(q.ncols(), y.nrows(), "gemm_nn_plus: inner dim mismatch");
+    assert_eq!(y.ncols(), v.ncols(), "gemm_nn_plus: col mismatch");
+    let mut neg_y = y.clone();
+    neg_y.scale(-1.0);
+    update_panel(v, q, &neg_y);
+}
+
 /// `y ← y + A·x` for tall `A ∈ R^{n×k}` and small `x ∈ R^k`
-/// (used for the solution update `x ← x + V_m ŷ`).
+/// (used for the solution update `x ← x + V_m ŷ`): [`gemm_nn_plus`] on one
+/// column, bit for bit the column sweep `y += x_j·a_j` for ascending `j`,
+/// zero `x_j` skipped.
 pub fn gemv_plus(a: &MatView<'_>, x: &[f64], y: &mut [f64]) {
-    assert_eq!(a.ncols(), x.len(), "gemv_plus: inner dimension mismatch");
     assert_eq!(a.nrows(), y.len(), "gemv_plus: output length mismatch");
-    for (j, &xj) in x.iter().enumerate() {
-        if xj != 0.0 {
-            crate::blas1::axpy(xj, a.col(j), y);
-        }
-    }
+    let x = Matrix::from_col_major(x.len(), 1, x.to_vec());
+    gemm_nn_plus(&mut MatViewMut::from_slice(y.len(), 1, y), a, &x);
 }
 
 #[cfg(test)]
@@ -1009,6 +1077,43 @@ mod tests {
         gemv_plus(&a.view(), &x, &mut y);
         for i in 0..1_234 {
             assert!((y[i] - reference[(i, 0)]).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep() {
+        // The solution updates run `y += A·x` as `y −= A·(−x)`: the scalar
+        // solver through gemv_plus, the block solver through gemm_nn_plus
+        // on all right-hand sides at once.  Both must reproduce the plain
+        // ascending-column sweep bit for bit, zero coefficients skipped.
+        for n in [1usize, ROW_BLOCK - 1, 2 * ROW_BLOCK + 7] {
+            let a = test_panel(n, 9);
+            let x = Matrix::from_fn(9, 4, |k, p| {
+                if (k + p) % 4 == 0 {
+                    0.0
+                } else {
+                    (k as f64 - 3.5) * 0.3 + p as f64 * 0.11
+                }
+            });
+            let y0 = test_panel(n, 4);
+            let mut sweep = y0.clone();
+            for p in 0..4 {
+                for (k, &xk) in x.col(p).iter().enumerate() {
+                    if xk != 0.0 {
+                        for (yi, ai) in sweep.col_mut(p).iter_mut().zip(a.col(k)) {
+                            *yi += xk * ai;
+                        }
+                    }
+                }
+            }
+            let mut by_gemv = y0.clone();
+            for p in 0..4 {
+                gemv_plus(&a.view(), x.col(p), by_gemv.col_mut(p));
+            }
+            assert_eq!(by_gemv, sweep, "gemv_plus, n = {n}");
+            let mut by_panel = y0.clone();
+            gemm_nn_plus(&mut by_panel.view_mut(), &a.view(), &x);
+            assert_eq!(by_panel, sweep, "gemm_nn_plus, n = {n}");
         }
     }
 }

@@ -42,13 +42,13 @@ pub mod tri;
 
 pub use blas1::{axpy, dot, nrm2, scal};
 pub use blas3::{
-    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_small, gemm_tn, gemv_plus, gram,
-    naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
+    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_small, gemm_tn, gemv_plus,
+    gram, naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
     ROW_BLOCK, TILE,
 };
 pub use chol::{cholesky_upper, shifted_cholesky_upper, CholeskyError};
 pub use eig::{hessenberg_eigvals, sym_eig_jacobi, sym_eigvals, HessEigError};
-pub use lsq::{givens_rotation, hessenberg_lsq, qr_lsq};
+pub use lsq::{band_hessenberg_lsq, givens_rotation, hessenberg_lsq};
 pub use matrix::{MatView, MatViewMut, Matrix};
 pub use measure::{
     cond_2, frobenius_norm, orthogonality_error, singular_values, spectral_norm_sym,

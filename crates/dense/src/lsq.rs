@@ -4,12 +4,12 @@
 //! `ŷ = argmin_y ‖γ e₁ − H_{1:m+1,1:m} y‖₂` over the (m+1)×m upper-Hessenberg
 //! matrix (Fig. 1, Line 16 of the paper).  The standard approach — applied
 //! redundantly on every rank since `H` is tiny — is a QR factorization of
-//! `H` by Givens rotations.  A general dense QR least-squares solver is also
-//! provided for the s-step variant where the projected matrix is formed as
-//! `H = R T R⁻¹` and need not be exactly Hessenberg in finite precision.
+//! `H` by Givens rotations.  With a block of `width` right-hand sides the
+//! projected matrix is *band* Hessenberg (lower bandwidth `width`) and the
+//! same idea uses Householder reflectors of length `width + 1`
+//! ([`band_hessenberg_lsq`]).
 
 use crate::matrix::Matrix;
-use crate::qr::householder_qr;
 use crate::tri::tri_solve_upper;
 
 /// Compute the Givens rotation `(c, s)` such that
@@ -74,16 +74,99 @@ pub fn hessenberg_lsq(h: &Matrix, beta: f64) -> (Vec<f64>, f64) {
     (y, residual)
 }
 
-/// General dense least squares `min_y ‖b − A y‖₂` via Householder QR
-/// (for `A ∈ R^{p×q}`, `p ≥ q`, full column rank).
+/// `x ← (I − tau·v·vᵀ)·x` for one Householder reflector.
+fn reflect(v: &[f64], tau: f64, x: &mut [f64]) {
+    let t = tau * v.iter().zip(x.iter()).map(|(vi, xi)| vi * xi).sum::<f64>();
+    for (xi, vi) in x.iter_mut().zip(v) {
+        *xi -= t * vi;
+    }
+}
+
+/// Solve the band-Hessenberg least-squares problems
+/// `min_y ‖rhs[:, q] − H y‖₂` for every column `q` of `rhs` at once, where
+/// `H` is `(k+width)×k` with lower bandwidth `width` (`H[i, j] = 0` for
+/// `i > j + width`) — the projected problem of block GMRES with `width`
+/// right-hand sides.
+///
+/// One QR factorization of `H` serves all right-hand sides: column `j` is
+/// reduced by a Householder reflector over rows `j..=j+width`, applied on
+/// the fly to the remaining columns and to the whole of `rhs`, followed by
+/// one back substitution per right-hand side — `O(k²·width)` in total.
+///
+/// Returns `(Y, residual_norms)` with `Y` of shape `k × rhs.ncols()`; the
+/// residual norm of column `q` is the norm of the last `width` entries of
+/// the rotated right-hand side, as in [`hessenberg_lsq`] (its `width = 1`
+/// case, up to the choice of reflectors over rotations).
+///
+/// Panics if `H` is exactly rank-deficient.
+pub fn band_hessenberg_lsq(h: &Matrix, width: usize, rhs: &Matrix) -> (Matrix, Vec<f64>) {
+    let k = h.ncols();
+    assert!(width >= 1, "band_hessenberg_lsq: width must be at least 1");
+    assert_eq!(
+        h.nrows(),
+        k + width,
+        "band_hessenberg_lsq: H must be (k+width) x k"
+    );
+    assert_eq!(
+        rhs.nrows(),
+        k + width,
+        "band_hessenberg_lsq: rhs must have k+width rows"
+    );
+    let mut r = h.clone();
+    let mut g = rhs.clone();
+    let mut v = vec![0.0; width + 1];
+    for j in 0..k {
+        let rows = j..=j + width;
+        let col = &mut r.col_mut(j)[rows.clone()];
+        let alpha = col[0];
+        let tail2: f64 = col[1..].iter().map(|x| x * x).sum();
+        if tail2 == 0.0 {
+            // Nothing below the diagonal to annihilate.
+            continue;
+        }
+        let beta = -(alpha * alpha + tail2).sqrt().copysign(alpha);
+        let tau = (beta - alpha) / beta;
+        let scale = 1.0 / (alpha - beta);
+        v[0] = 1.0;
+        for (vi, ci) in v[1..].iter_mut().zip(&mut col[1..]) {
+            *vi = *ci * scale;
+            *ci = 0.0;
+        }
+        col[0] = beta;
+        for c in (j + 1)..k {
+            reflect(&v, tau, &mut r.col_mut(c)[rows.clone()]);
+        }
+        for q in 0..g.ncols() {
+            reflect(&v, tau, &mut g.col_mut(q)[rows.clone()]);
+        }
+    }
+    let mut rtop = Matrix::zeros(k, k);
+    for j in 0..k {
+        rtop.col_mut(j)[..=j].copy_from_slice(&r.col(j)[..=j]);
+    }
+    let mut y = Matrix::zeros(k, g.ncols());
+    let mut residuals = Vec::with_capacity(g.ncols());
+    for q in 0..g.ncols() {
+        let gq = g.col(q);
+        y.col_mut(q)
+            .copy_from_slice(&tri_solve_upper(&rtop, &gq[..k]));
+        residuals.push(crate::blas1::nrm2(&gq[k..]));
+    }
+    (y, residuals)
+}
+
+/// General dense least squares `min_y ‖b − A y‖₂` via an explicit-Q
+/// Householder QR (for `A ∈ R^{p×q}`, `p ≥ q`, full column rank): the
+/// structure-blind oracle the Hessenberg solvers are tested against.
 ///
 /// Returns `(y, residual_norm)`.
-pub fn qr_lsq(a: &Matrix, b: &[f64]) -> (Vec<f64>, f64) {
+#[cfg(test)]
+fn qr_lsq(a: &Matrix, b: &[f64]) -> (Vec<f64>, f64) {
     let p = a.nrows();
     let q = a.ncols();
     assert!(p >= q, "qr_lsq: need at least as many rows as columns");
     assert_eq!(b.len(), p, "qr_lsq: rhs length mismatch");
-    let (qmat, rmat) = householder_qr(a);
+    let (qmat, rmat) = crate::qr::householder_qr(a);
     // y solves R y = Qᵀ b.
     let mut qtb = vec![0.0; q];
     for (j, entry) in qtb.iter_mut().enumerate() {
@@ -166,6 +249,115 @@ mod tests {
             assert!((a - e).abs() < 1e-10, "{a} vs {e}");
         }
         assert!((res_fast - res_ref).abs() < 1e-10);
+    }
+
+    /// A well-conditioned `(k+width)×k` band-Hessenberg matrix.
+    fn band_hessenberg(k: usize, width: usize) -> Matrix {
+        Matrix::from_fn(k + width, k, |i, j| {
+            if i > j + width {
+                0.0
+            } else if i == j {
+                2.0 + ((i * 5) % 7) as f64 * 0.1
+            } else if i == j + width {
+                1.0 + ((j * 3) % 5) as f64 * 0.1
+            } else {
+                let d = (i as f64 - j as f64).abs();
+                (((i * 7 + j * 3) % 11) as f64 * 0.1 - 0.5) / (1.0 + d)
+            }
+        })
+    }
+
+    /// `width` right-hand sides shaped like the block solver's (nonzero
+    /// only in the leading `width` rows) plus one dense column.
+    fn band_rhs(k: usize, width: usize) -> Matrix {
+        Matrix::from_fn(k + width, width + 1, |i, q| {
+            if q == width || i < width {
+                ((i * 3 + q * 5) % 7) as f64 * 0.3 - 0.8 + if i == q { 2.0 } else { 0.0 }
+            } else {
+                0.0
+            }
+        })
+    }
+
+    fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
+        let diff: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
+        crate::blas1::nrm2(&diff) / crate::blas1::nrm2(b).max(f64::MIN_POSITIVE)
+    }
+
+    #[test]
+    fn band_lsq_matches_the_dense_qr_oracle() {
+        for width in 1..=4usize {
+            for k in [0, 1, width, 5 * width, 59 * width] {
+                let h = band_hessenberg(k, width);
+                let rhs = band_rhs(k, width);
+                let (y, res) = band_hessenberg_lsq(&h, width, &rhs);
+                assert_eq!((y.nrows(), y.ncols()), (k, width + 1));
+                for (q, &res_q) in res.iter().enumerate() {
+                    let (y_ref, res_ref) = qr_lsq(&h, rhs.col(q));
+                    let scale = crate::blas1::nrm2(rhs.col(q));
+                    assert!(
+                        rel_diff(y.col(q), &y_ref) <= 1e-12,
+                        "width {width} k {k} rhs {q}: Y off by {:e}",
+                        rel_diff(y.col(q), &y_ref)
+                    );
+                    assert!(
+                        (res_q - res_ref).abs() <= 1e-12 * scale,
+                        "width {width} k {k} rhs {q}: residual {res_q} vs {res_ref}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_lsq_sees_through_a_numerically_rank_deficient_trailing_column() {
+        // A trailing column 2⁻⁴⁶ times the size of the others: κ(H) ~ 1e14,
+        // rank-deficient to working precision, yet only by scaling — which
+        // a Householder QR must see through to full relative accuracy (an
+        // absolute threshold on the reflector or the pivot would not).
+        for width in 1..=4usize {
+            let k = 5 * width;
+            let mut h = band_hessenberg(k, width);
+            for x in h.col_mut(k - 1) {
+                *x *= (2.0f64).powi(-46);
+            }
+            let rhs = band_rhs(k, width);
+            let (y, res) = band_hessenberg_lsq(&h, width, &rhs);
+            assert!(y.max_abs() > 1e10, "the case must be ill-scaled");
+            for (q, &res_q) in res.iter().enumerate() {
+                let (y_ref, res_ref) = qr_lsq(&h, rhs.col(q));
+                assert!(rel_diff(y.col(q), &y_ref) <= 1e-12, "width {width} rhs {q}");
+                let scale = crate::blas1::nrm2(rhs.col(q));
+                assert!(
+                    (res_q - res_ref).abs() <= 1e-12 * scale,
+                    "width {width} rhs {q}: residual {res_q} vs {res_ref}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_lsq_at_width_one_agrees_with_the_givens_solver() {
+        for k in [1usize, 6, 59] {
+            let h = band_hessenberg(k, 1);
+            let beta = 1.7;
+            let mut rhs = Matrix::zeros(k + 1, 1);
+            rhs[(0, 0)] = beta;
+            let (y, res) = band_hessenberg_lsq(&h, 1, &rhs);
+            let (y_ref, res_ref) = hessenberg_lsq(&h, beta);
+            assert!(rel_diff(y.col(0), &y_ref) <= 1e-12, "k {k}");
+            assert!((res[0] - res_ref).abs() <= 1e-12 * beta, "k {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero diagonal")]
+    fn band_lsq_rejects_an_exactly_rank_deficient_matrix() {
+        let mut h = band_hessenberg(4, 2);
+        for x in h.col_mut(3) {
+            *x = 0.0;
+        }
+        band_hessenberg_lsq(&h, 2, &band_rhs(4, 2));
     }
 
     #[test]

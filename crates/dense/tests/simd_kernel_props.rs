@@ -6,10 +6,13 @@
 //! cross-checked against each other (bitwise for the update/TRSM class,
 //! tolerance for the Gram/projection class).
 //!
-//! The final test is the multithread scaling smoke check on a bench-sized
-//! panel: with ≥ 2 hardware threads the 8-thread blocked Gram must beat
-//! the 1-thread time; on a single hardware thread (where scaling is
-//! physically impossible) the pool's dispatch overhead must stay bounded.
+//! The tiled TRSM has its own battery at the stage-2 flush widths, where
+//! the left-looking register tile (rather than the ragged column sweep)
+//! does nearly all the work.
+//!
+//! Nothing here asserts on wall-clock time: multithread scaling is checked
+//! by `BENCH_SCALING_CHECK=1 cargo run -p bench --release --bin kernels`
+//! (CI's `kernel-bench` job), not by tier-1.
 
 use dense::{Matrix, SimdLevel, ROW_BLOCK, TILE};
 use proptest::prelude::*;
@@ -216,44 +219,55 @@ fn gram_class_backends_agree_within_ulp_envelope() {
     parkit::set_num_threads(0);
 }
 
-/// Multithread scaling smoke check on a bench-sized panel (the PR's bug
-/// signature: 8-thread Gram used to be *slower* than 1-thread).  Real
-/// speedup is only physically possible with ≥ 2 hardware threads; on a
-/// single-core host the assertion degrades to a dispatch-overhead bound.
-#[test]
-fn eight_thread_gram_beats_or_matches_one_thread() {
-    let _guard = global_lock();
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let v = panel(200_000, 8, 5);
-    let time_gram = || {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(dense::gram(&v.view()));
-            best = best.min(t0.elapsed().as_secs_f64());
+/// Upper-triangular factor with structural zeros: whole 4×4 coefficient
+/// tiles that are zero-free (the register-tile path), tiles with a few
+/// zeros and all-zero tiles (the skipping path), in one matrix.
+fn upper_with_zeros(s: usize, seed: usize) -> Matrix {
+    Matrix::from_fn(s, s, |i, j| {
+        if i > j {
+            0.0
+        } else if i == j {
+            1.4 + ((i + seed) % 3) as f64 * 0.3
+        } else if (i / TILE + j / TILE + seed).is_multiple_of(3) {
+            // A zero-free tile.
+            ((2 * i + j + seed) % 5) as f64 * 0.12 + 0.05
+        } else if (i / TILE + 2 * (j / TILE) + seed).is_multiple_of(5) {
+            0.0
+        } else {
+            ((2 * i + j + seed) % 5) as f64 * 0.12 - 0.24
         }
-        best
-    };
-    parkit::set_num_threads(1);
-    let _warm = time_gram();
-    let t1 = time_gram();
-    parkit::set_num_threads(8);
-    let t8 = time_gram();
-    parkit::set_num_threads(0);
-    if hw >= 2 {
-        assert!(
-            t8 < t1,
-            "8-thread gram must beat 1-thread on {hw} hardware threads: {t8:.6}s vs {t1:.6}s"
-        );
-    } else {
-        assert!(
-            t8 <= 2.5 * t1,
-            "pool dispatch overhead out of bounds on one hardware thread: \
-             8-thread {t8:.6}s vs 1-thread {t1:.6}s"
-        );
+    })
+}
+
+#[test]
+fn tiled_trsm_is_bitwise_naive_at_flush_widths_on_both_backends() {
+    let _guard = global_lock();
+    let widths = (1usize..=9).chain([20, 59, 60, 61, 240]);
+    for s in widths {
+        // Neither a multiple of the register tile nor of the row panel.
+        for n in [TILE + 1, ROW_BLOCK + 3, 2 * ROW_BLOCK + 2 * TILE + 1] {
+            let v = panel(n, s, s + n);
+            for r in [upper(s, 4), upper_with_zeros(s, s)] {
+                let mut t_ref = v.clone();
+                dense::naive_trsm_right_upper(&mut t_ref.view_mut(), &r);
+                for backend in [Some(SimdLevel::Scalar), None] {
+                    dense::set_simd_override(backend);
+                    for lanes in [1usize, 2, 8] {
+                        parkit::set_num_threads(lanes);
+                        let mut t = v.clone();
+                        dense::trsm_right_upper(&mut t.view_mut(), &r);
+                        assert!(
+                            t == t_ref,
+                            "tiled trsm diverged from naive: n={n} s={s} lanes={lanes} \
+                             backend={backend:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
+    dense::set_simd_override(None);
+    parkit::set_num_threads(0);
 }
 
 proptest! {

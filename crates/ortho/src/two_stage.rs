@@ -21,6 +21,22 @@
 //!
 //! With `bs = s` the scheme degenerates to one-stage BCGS-PIP2; with
 //! `bs = m` it reaches the paper's best configuration.
+//!
+//! **Early flush (block cycles).**  The first stage's Pythagorean Gram
+//! `VᵀV − PᵀP` is only as good as the orthonormality of the stored columns
+//! it projects against, and the pre-processed columns of the pending big
+//! panel lose a little of it with every panel.  A cycle that starts from a
+//! block of `k > 1` vectors (block GMRES) submits `k·s`-wide monomial
+//! panels whose growth amplifies that loss until the Gram matrix goes
+//! indefinite, although the panel itself is well inside the Cholesky
+//! bound; whether it does is then decided by how an all-reduce rounds.
+//! When the plain first stage refuses a panel of such a cycle and a big
+//! panel is pending, the scheme therefore runs the second stage on it
+//! *now* and takes the same raw panel again against the orthonormal
+//! columns, before it resorts to the shifted remedy: one extra reduce, and
+//! the cycle keeps its Krylov space.  Single-vector cycles (the first
+//! panel is one column) keep the behaviour their pinned iteration counts
+//! and breakdown scenarios were recorded with.
 
 use crate::error::OrthoError;
 use crate::kernels::bcgs_pip;
@@ -54,6 +70,8 @@ pub struct TwoStage {
     big_start: usize,
     /// End (exclusive) of the columns pre-processed so far.
     processed_end: usize,
+    /// Width of the cycle's first panel: the block of starting vectors.
+    start_width: usize,
     /// Representation of each stored basis column in the final basis
     /// (identity for columns of completed big panels; the stage-2 T factor
     /// for columns that were pre-processed when used as MPK inputs).
@@ -78,6 +96,7 @@ impl TwoStage {
             total_cols,
             big_start: 0,
             processed_end: 0,
+            start_width: 0,
             coeffs: Matrix::identity(total_cols),
             events: Vec::new(),
             first_stage: FirstStage::Pip,
@@ -266,6 +285,9 @@ impl BlockOrthogonalizer for TwoStage {
         // back to the same shifted-CholQR remedy the second stage uses,
         // spending the extra reduces only on the offending panel.
         let prev = 0..new.start;
+        if new.start == 0 {
+            self.start_width = new.end;
+        }
         let stage1_span = trace::span2(
             "ortho",
             "stage1_panel",
@@ -276,7 +298,25 @@ impl BlockOrthogonalizer for TwoStage {
         );
         match self.first_stage {
             FirstStage::Pip => {
-                let (p, r_new) = match bcgs_pip(basis, prev.clone(), new.clone()) {
+                let mut plain = bcgs_pip(basis, prev.clone(), new.clone());
+                if matches!(plain, Err(OrthoError::CholeskyBreakdown { .. }))
+                    && self.start_width > 1
+                    && self.big_start < new.start
+                {
+                    // Early flush (see the module docs): the refused panel
+                    // is untouched, so it can be taken again as it is.
+                    trace::instant2(
+                        "ortho",
+                        "early_flush",
+                        "start",
+                        new.start as u64,
+                        "cols",
+                        (new.end - new.start) as u64,
+                    );
+                    self.flush_big_panel(basis, r)?;
+                    plain = bcgs_pip(basis, prev.clone(), new.clone());
+                }
+                let (p, r_new) = match plain {
                     Ok(factors) => factors,
                     Err(OrthoError::CholeskyBreakdown { .. }) => {
                         trace::instant2(
@@ -383,6 +423,7 @@ impl BlockOrthogonalizer for TwoStage {
     fn reset(&mut self) {
         self.big_start = 0;
         self.processed_end = 0;
+        self.start_width = 0;
         self.coeffs = Matrix::identity(self.total_cols);
         self.events.clear();
         if let Some(state) = &mut self.sketch_state {

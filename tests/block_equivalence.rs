@@ -13,7 +13,7 @@
 //! (`DISTSIM_TEST_RANKS`, comma-separated, extends the sweep like the
 //! other distributed batteries).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use distsim::{run_ranks, Communicator, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
@@ -21,6 +21,17 @@ use ssgmres::{
     BasisStrategy, BlockSolveResult, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres,
     SolveResult, StepPolicy,
 };
+
+/// `parkit`'s thread-count override is process-global and the tests of this
+/// file run on parallel threads: every test holds this lock, so that one
+/// test's `set_num_threads` sweep cannot change the lane count — and with
+/// it the reduction order — between two solves another test compares.
+fn thread_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
     (0..a.nrows())
@@ -117,6 +128,7 @@ fn assert_block_matches_scalar(
 
 #[test]
 fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
+    let _lock = thread_lock();
     let a = laplace2d_9pt(18, 18);
     let b = rhs_for(&a, 0);
     for ortho in [
@@ -152,6 +164,7 @@ fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
 
 #[test]
 fn k1_equivalence_survives_auto_stepping_and_guards() {
+    let _lock = thread_lock();
     // Auto step policy exercises the controller/health plumbing; enabled
     // guards route the norm reduce through the guarded path — the block
     // solver must follow both bitwise at k = 1.
@@ -181,6 +194,7 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
 
 #[test]
 fn k1_equivalence_is_bitwise_on_every_thread_count() {
+    let _lock = thread_lock();
     // The pool width changes intra-reduce accumulation order in the fused
     // kernels; the scalar/block identity must hold at *each* width, and
     // the solves themselves must be width-invariant (the workspace-wide
@@ -220,6 +234,7 @@ fn k1_equivalence_is_bitwise_on_every_thread_count() {
 
 #[test]
 fn k1_equivalence_is_bitwise_on_every_rank_count() {
+    let _lock = thread_lock();
     let (nx, ny) = (18, 18);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();
@@ -262,6 +277,7 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
 
 #[test]
 fn wide_block_schedule_is_rank_count_invariant() {
+    let _lock = thread_lock();
     // Beyond k = 1: across rank counts the solve follows the same
     // contract the scalar solver pins in `distributed_equivalence.rs` —
     // the cycle-granular *schedule* (restart count, step history,
@@ -271,10 +287,34 @@ fn wide_block_schedule_is_rank_count_invariant() {
     // residual values agree to reduction-reordering accuracy (summation
     // order inside an allreduce legitimately depends on the rank count,
     // which can also move the panel-granular in-cycle early exit).
-    let (nx, ny) = (16, 16);
-    let a = laplace2d_9pt(nx, ny);
-    let n = a.nrows();
+    let a = laplace2d_9pt(16, 16);
     let bs: Vec<Vec<f64>> = (0..3).map(|j| rhs_for(&a, j)).collect();
+    assert_wide_block_schedule_is_rank_count_invariant(&a, &bs);
+}
+
+#[test]
+fn wide_block_schedule_is_rank_count_invariant_on_generic_rhs() {
+    let _lock = thread_lock();
+    // `rhs_for`'s right-hand sides are 17-periodic in the row index and
+    // drive the k·s-wide monomial panels to the edge of the first stage's
+    // Cholesky bound (the solver's early flush carries those cycles).
+    // Generic right-hand sides cover the plain regime: no panel is refused
+    // and no remedial pass runs.
+    let a = laplace2d_9pt(16, 16);
+    let bs: Vec<Vec<f64>> = (0..3)
+        .map(|j| {
+            (0..a.nrows())
+                .map(|i| {
+                    (0.37 * i as f64 + 1.3 * j as f64).sin() + ((i * i + 3 * j) % 11) as f64 * 0.1
+                })
+                .collect()
+        })
+        .collect();
+    assert_wide_block_schedule_is_rank_count_invariant(&a, &bs);
+}
+
+fn assert_wide_block_schedule_is_rank_count_invariant(a: &Csr, bs: &[Vec<f64>]) {
+    let n = a.nrows();
     let config = GmresConfig {
         restart: 20,
         step_size: 5,
@@ -283,7 +323,7 @@ fn wide_block_schedule_is_rank_count_invariant() {
         ..GmresConfig::default()
     };
     let solver = SStepGmres::new(config.clone());
-    let (x_serial, r_serial) = solver.solve_block_serial(&a, &bs);
+    let (x_serial, r_serial) = solver.solve_block_serial(a, bs);
     assert!(r_serial.converged, "{:?}", r_serial.breakdown);
     for nranks in ranks_under_test() {
         let part = block_row_partition(n, nranks);
@@ -291,7 +331,7 @@ fn wide_block_schedule_is_rank_count_invariant() {
             let rank = comm.rank();
             let (lo, hi) = part.range(rank);
             let comm_dyn: Arc<dyn Communicator> = comm;
-            let dist = DistCsr::from_global(comm_dyn, &a, &part);
+            let dist = DistCsr::from_global(comm_dyn, a, &part);
             let mut bm = dense::Matrix::zeros(hi - lo, 3);
             let mut x = dense::Matrix::zeros(hi - lo, 3);
             for (j, b) in bs.iter().enumerate() {

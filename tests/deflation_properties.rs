@@ -21,12 +21,23 @@
 //! (swept here) and simulated rank counts (`DISTSIM_TEST_RANKS` extends
 //! the sweep; `tests/block_equivalence.rs` pins the rank axis as well).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use distsim::{run_ranks, Communicator, DistCsr};
 use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_5pt, laplace2d_9pt, Csr};
 use ssgmres::{BlockOptions, GmresConfig, Identity, OrthoKind, SStepGmres};
+
+/// `parkit`'s thread-count override is process-global and the tests of this
+/// file run on parallel threads: every test holds this lock, so that one
+/// test's `set_num_threads` sweep cannot change the lane count — and with
+/// it the reduction order — between two solves another test compares.
+fn thread_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct ThreadGuard;
 impl Drop for ThreadGuard {
@@ -88,6 +99,7 @@ proptest! {
         s in 3usize..6,
         scheme in 0usize..2,
     ) {
+        let _lock = thread_lock();
         let loose = loose % k;
         let a = laplace2d_9pt(nx, nx);
         let n = a.nrows();
@@ -157,6 +169,7 @@ proptest! {
         nx in 12usize..16,
         s in 3usize..6,
     ) {
+        let _lock = thread_lock();
         // Deflation decisions read only replicated reduce results, so the
         // worker-pool width must not move a single deflation by a single
         // cycle — and the solve itself stays bitwise width-invariant.
@@ -197,6 +210,7 @@ proptest! {
 
 #[test]
 fn deflation_schedule_is_deterministic_across_rank_counts() {
+    let _lock = thread_lock();
     let (nx, ny) = (14, 14);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();
