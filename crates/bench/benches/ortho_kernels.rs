@@ -31,12 +31,6 @@ fn bench_intra_kernels(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("householder_qr", s), |b| {
         b.iter(|| dense::householder_qr(&v))
     });
-    group.bench_function(BenchmarkId::new("mixed_precision_cholqr", s), |b| {
-        b.iter(|| {
-            let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-            blockortho::kernels::mixed_precision_cholqr(&mut basis, 0..s).unwrap()
-        })
-    });
     group.finish();
 }
 

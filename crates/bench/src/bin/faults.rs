@@ -358,7 +358,7 @@ fn main() {
             "sdc-norm: the unguarded solver must *believe* it converged"
         );
         assert!(
-            norm_un.r.final_relres <= unguarded.tol,
+            norm_un.r.final_relres[0] <= unguarded.tol,
             "sdc-norm: the reported residual must claim success"
         );
         assert!(

@@ -98,7 +98,7 @@ fn record(
         breakdown: r.breakdown.is_some(),
         allreduces_total: r.comm_total.allreduces,
         allreduces_ortho: r.comm_ortho.allreduces,
-        final_relres: r.final_relres,
+        final_relres: r.final_relres[0],
     });
 }
 

@@ -70,7 +70,7 @@ fn main() {
             label.to_string(),
             format!("{}", result.iterations),
             format!("{}", result.comm_ortho.allreduces),
-            format!("{:.1e}", result.final_relres),
+            format!("{:.1e}", result.final_relres[0]),
             format!("{:.1e}", err),
             if result.converged {
                 "yes".into()

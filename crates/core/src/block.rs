@@ -1,24 +1,38 @@
-//! Block (multi-RHS) restarted s-step GMRES: one matrix-powers pass, one
-//! orthogonalization, and one all-reduce serve `k` right-hand sides at
-//! once.
+//! The restart-cycle engine: restarted s-step GMRES for a block of `k`
+//! right-hand sides, where one matrix-powers pass, one orthogonalization,
+//! and one all-reduce serve all `k` at once.
+//!
+//! This is the only restart loop in the crate.  [`SStepGmres::solve_block`]
+//! runs it on an `nloc × k` block; the single-RHS [`SStepGmres::solve`] and
+//! its `solve_serial*` / `solve_from_rows` wrappers wrap their slices as
+//! `nloc × 1` views and run the same loop at `k = 1`.  The loop is a
+//! sequence of phases — residual → MPK panel → ortho panel → Hessenberg
+//! check → ortho finish → projected solve → update → health/controller —
+//! each a method of the per-solve state that owns exactly one trace span
+//! and one `CycleTiming` bucket.
 //!
 //! The paper's premise is that synchronization dominates s-step GMRES at
-//! scale, so every reduce must do more work.  [`SStepGmres::solve_block`]
-//! pushes that one axis further: the Krylov basis is built for a **block**
-//! `B` of `k` columns (the structure of `bgmres`/`bfgmres` in phist),
-//! interleaved so block step `t` occupies basis columns
-//! `t·k .. (t+1)·k`.  Each MPK panel then carries `k·s` columns through
-//! the *unchanged* [`blockortho`] schemes and fused
-//! `proj_and_gram`/`update_and_gram` kernels — the per-cycle reduce
-//! **count** is independent of `k` (panel cadence is preserved by
-//! [`OrthoKind::for_block_width`]) while each reduce carries the k-scaled
-//! payload.  Reduces are paid per *batch*, not per RHS.
+//! scale, so every reduce must do more work.  The block loop pushes that
+//! one axis further: the Krylov basis is built for a **block** `B` of `k`
+//! columns (the structure of `bgmres`/`bfgmres` in phist), interleaved so
+//! block step `t` occupies basis columns `t·k .. (t+1)·k`.  Each MPK panel
+//! then carries `k·s` columns through the *unchanged* [`blockortho`]
+//! schemes and fused `proj_and_gram`/`update_and_gram` kernels — the
+//! per-cycle reduce **count** is independent of `k` (panel cadence is
+//! preserved by [`blockortho::OrthoKind::for_block_width`]) while each
+//! reduce carries the k-scaled payload.  Reduces are paid per *batch*, not
+//! per RHS.
 //!
-//! **Single-RHS equivalence.**  At `k = 1` every operation below is the
-//! identical kernel call, in the identical order, with the identical
-//! operands as [`SStepGmres::solve`] — the solve is **bitwise identical**
-//! including `relres_history`, `step_history`, and the full
-//! [`CommStatsSnapshot`] (pinned by `tests/block_equivalence.rs`).
+//! **The single-RHS case.**  Three selections are made on the *observed*
+//! active width, not on the entry point: one active column solves its
+//! projected problem by Givens rotations against `β·e₁`
+//! ([`HessenbergRecovery::least_squares`]) rather than the banded QR,
+//! reduces its residual norm through the guarded single-word reduce, and
+//! harvests Ritz shifts from its (then square) Hessenberg block.  A block
+//! that deflates down to one column takes the same branches.
+//! `tests/block_equivalence.rs` pins that scalar `solve` and a one-column
+//! `solve_block` agree bit for bit, histories and both
+//! [`CommStatsSnapshot`] ledgers included.
 //!
 //! **Deflation.**  Convergence is tracked per column ("On the backward
 //! stability of s-step GMRES", arXiv 2409.03079, motivates the per-column
@@ -37,8 +51,8 @@
 //! answers a refused first-stage panel by completing the second stage on
 //! the pending big panel and taking the panel again, instead of ending
 //! the cycle on a breakdown that rounding — and with it the rank count —
-//! decides.  `k = 1` cycles are single-vector cycles and keep the scalar
-//! solver's behaviour bit for bit.
+//! decides.  Single-vector cycles go from the refusal to the shifted
+//! remedy.
 //!
 //! Scope notes for wide blocks (`k > 1`): adaptive Ritz harvesting
 //! operates only once the active block has narrowed to one column (the
@@ -46,22 +60,19 @@
 //! double-shift QR eigensolver consumes); `Newton`/`Scheduled` shifts
 //! apply per block step for every width.  Detection guards screen Gram
 //! reduces and checksum halos for any width, but the agreement probe and
-//! the full poison/rollback ladder stay single-RHS (`k = 1` runs the
-//! scalar guard path verbatim).
+//! the full poison/rollback ladder are exercised at one active column.
 
 use crate::basis::{BasisStrategy, KrylovBasis};
-use crate::control::{self, CycleHealth, StepController};
+use crate::control::{self, AutoStep, CycleHealth, StepController, StepDecision, StepPolicy};
 use crate::hessenberg::HessenbergRecovery;
 use crate::precond::{Identity, Preconditioner};
 use crate::shifts;
-use crate::solver::{
-    apply_rescue_basis, build_health, compute_residual, cycle_fault_delta, global_norm, SStepGmres,
-};
-use crate::timing::{CycleClock, CycleTiming, Phase};
-use blockortho::make_orthogonalizer_with_sketch;
-use dense::{MatViewMut, Matrix};
+use crate::solver::{GmresConfig, SStepGmres, SolveResult};
+use crate::timing::{CycleClock, Phase};
+use blockortho::{make_orthogonalizer_with_sketch, BlockOrthogonalizer, OrthoError};
+use dense::{MatView, MatViewMut, Matrix};
 use distsim::{
-    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardEvent,
+    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
     SerialComm,
 };
 use sparse::{block_row_partition, Csr, RowPartition, RowSource};
@@ -73,78 +84,11 @@ use std::sync::Arc;
 pub struct BlockOptions {
     /// Absolute per-column convergence targets on `‖b_j − A·x_j‖₂`.
     ///
-    /// `None` (the default) uses the relative criterion of the scalar
-    /// solver per column: `tol · ‖r₀_j‖`.  Explicit targets make a
-    /// continued solve comparable to a warm-started one — the deflation
-    /// property tests use them to align thresholds across runs.
+    /// `None` (the default) uses the relative criterion per column:
+    /// `tol · ‖r₀_j‖`.  Explicit targets make a continued solve comparable
+    /// to a warm-started one — the deflation property tests use them to
+    /// align thresholds across runs.
     pub abs_targets: Option<Vec<f64>>,
-}
-
-/// Outcome of a block solve: the scalar [`crate::SolveResult`] observables,
-/// with the per-column quantities widened to one entry per right-hand side.
-#[derive(Debug, Clone)]
-pub struct BlockSolveResult {
-    /// Whether **every** column's residual dropped below its target.
-    pub converged: bool,
-    /// Per-column convergence flags.
-    pub col_converged: Vec<bool>,
-    /// Total Krylov basis columns generated (the block analogue of the
-    /// paper's "# iters": `k_active · s` per MPK panel).
-    pub iterations: usize,
-    /// Number of restart cycles performed.
-    pub restarts: usize,
-    /// Final true relative residual `‖b_j − A·x_j‖ / ‖r₀_j‖` per column
-    /// (`0.0` for an identically zero right-hand side).
-    pub final_relres: Vec<f64>,
-    /// Breakdown diagnostic, if an orthogonalization breakdown occurred.
-    pub breakdown: Option<String>,
-    /// Number of sparse matrix–vector products performed.
-    pub spmv_count: usize,
-    /// Number of preconditioner applications performed.
-    pub precond_count: usize,
-    /// Communication performed by the whole solve (this rank).
-    pub comm_total: CommStatsSnapshot,
-    /// Communication attributable to block orthogonalization only.
-    pub comm_ortho: CommStatsSnapshot,
-    /// True relative residual per column after each restart cycle the
-    /// column was **active** in (a deflated column's history simply stops
-    /// growing).  `relres_history[j]` of a `k = 1` solve is bitwise the
-    /// scalar solver's `relres_history`.
-    pub relres_history: Vec<Vec<f64>>,
-    /// Number of completed restart cycles after which each column left the
-    /// active block (`Some(0)` = converged before the first cycle; `None` =
-    /// still active when the solve ended).
-    pub deflated_at: Vec<Option<usize>>,
-    /// Original column indices in the order they deflated.  Within one
-    /// cycle, columns deflate in ascending column order — the order is
-    /// deterministic and bitwise-reproducible across thread and rank
-    /// counts because the residual norms it is derived from are.
-    pub deflation_order: Vec<usize>,
-    /// Newton shifts in effect for each started cycle (empty = monomial).
-    pub shift_history: Vec<Vec<f64>>,
-    /// The most recent successful Ritz-shift harvest (harvesting runs once
-    /// the active block is one column wide; see the module docs).
-    pub last_harvest: Option<Vec<f64>>,
-    /// Distinct shifted-CholQR fallback episodes across all cycles.
-    pub ortho_fallbacks: usize,
-    /// Effective step size of each started cycle.
-    pub step_history: Vec<usize>,
-    /// Per-cycle health reports; `kappa_per_col` holds the per-column
-    /// condition estimates and `kappa_est` aggregates them over the
-    /// columns that survived the cycle's deflation check.
-    pub health_history: Vec<CycleHealth>,
-    /// Number of step-shrink rescues [`StepPolicy::Auto`] took.
-    pub rescues: usize,
-    /// Per-cycle wall-time breakdown (one entry per started cycle).
-    pub cycle_timings: Vec<CycleTiming>,
-    /// Every fault the detection guards caught, in detection order.
-    pub fault_events: Vec<GuardEvent>,
-    /// Faults detected by the guards across the whole solve.
-    pub faults_detected: usize,
-    /// Of those, faults recovered in place or by cycle rollback.
-    pub faults_recovered: usize,
-    /// Faults that defeated every rung of the recovery ladder.
-    pub faults_unrecovered: usize,
 }
 
 impl SStepGmres {
@@ -155,14 +99,14 @@ impl SStepGmres {
     /// (`nloc × k`; `x_local` is the initial guess and is overwritten).
     /// One MPK pass, one orthogonalization panel, and one all-reduce serve
     /// all `k` columns; converged columns deflate out at restart
-    /// boundaries.  At `k = 1` this is bitwise [`SStepGmres::solve`].
+    /// boundaries.
     pub fn solve_block(
         &self,
         a: &DistCsr,
         precond: &dyn Preconditioner,
         b_local: &Matrix,
         x_local: &mut Matrix,
-    ) -> BlockSolveResult {
+    ) -> SolveResult {
         self.solve_block_with(a, precond, b_local, x_local, &BlockOptions::default())
     }
 
@@ -174,664 +118,28 @@ impl SStepGmres {
         b_local: &Matrix,
         x_local: &mut Matrix,
         opts: &BlockOptions,
-    ) -> BlockSolveResult {
-        let config = self.config();
-        let mb = config.restart;
-        let s_req = config.step_size;
-        let nloc = a.local_matrix().nrows();
-        let kb = b_local.ncols();
-        assert!(kb >= 1, "block solve needs at least one right-hand side");
-        assert_eq!(b_local.nrows(), nloc, "rhs row count mismatch");
-        assert_eq!(x_local.nrows(), nloc, "solution row count mismatch");
-        assert_eq!(x_local.ncols(), kb, "solution column count mismatch");
-        if let Some(t) = &opts.abs_targets {
-            assert_eq!(t.len(), kb, "one absolute target per column");
-        }
-        let comm = a.comm().clone();
-        let stats_start = comm.stats().snapshot();
-        let mut comm_ortho = CommStatsSnapshot::default();
-        let guard: Option<Arc<GuardContext>> = if config.guards.any_enabled() {
-            Some(GuardContext::new(config.guards))
+    ) -> SolveResult {
+        self.solve_views(a, precond, b_local.view(), x_local.view_mut(), opts)
+    }
+
+    /// The engine behind every entry point, on borrowed views so the
+    /// single-RHS adapters pass their slices through without a copy.
+    pub(crate) fn solve_views(
+        &self,
+        a: &DistCsr,
+        precond: &dyn Preconditioner,
+        b_local: MatView<'_>,
+        x_local: MatViewMut<'_>,
+        opts: &BlockOptions,
+    ) -> SolveResult {
+        let mut solve = Solve::start(self.config(), a, precond, b_local, x_local, opts);
+        if solve.r0_norms.iter().all(|&r0| r0 == 0.0) {
+            // Nothing to solve, and no restart boundary to deflate at.
+            solve.report.col_converged.fill(true);
         } else {
-            None
-        };
-
-        let mut iterations = 0usize;
-        let mut restarts = 0usize;
-        let mut spmv_count = 0usize;
-        let mut precond_count = 0usize;
-        let mut breakdown: Option<String> = None;
-        let mut current_basis = config.basis.initial_basis();
-        let mut cycles_started = 0usize;
-        let mut shift_history: Vec<Vec<f64>> = Vec::new();
-        let mut relres_history: Vec<Vec<f64>> = vec![Vec::new(); kb];
-        // Aggregate (max over active columns) relative residual per cycle:
-        // the block-level signal stagnation detection runs on.  At k = 1
-        // it is exactly the scalar relres_history.
-        let mut agg_relres_history: Vec<f64> = Vec::new();
-        let mut last_harvest: Option<Vec<f64>> = None;
-        let mut ortho_fallbacks = 0usize;
-        let mut controller = StepController::new(config.step_policy.clone(), s_req, mb);
-        let mut step_history: Vec<usize> = Vec::new();
-        let mut health_history: Vec<CycleHealth> = Vec::new();
-        let mut cycle_timings: Vec<CycleTiming> = Vec::new();
-
-        // Per-column bookkeeping, indexed by *original* column.
-        let mut deflated_at: Vec<Option<usize>> = vec![None; kb];
-        let mut deflation_order: Vec<usize> = Vec::new();
-        let mut col_converged = vec![false; kb];
-        // Columns still in the active block, in ascending original order.
-        let mut active: Vec<usize> = (0..kb).collect();
-
-        // Initial residual block and per-column norms (one k-word reduce —
-        // the k = 1 case is the scalar solver's single-word norm reduce).
-        fault::set_phase("residual");
-        let mut residuals: Vec<Vec<f64>> = (0..kb)
-            .map(|j| {
-                compute_residual(
-                    a,
-                    x_local.col(j),
-                    b_local.col(j),
-                    &mut spmv_count,
-                    guard.as_deref(),
-                )
-            })
-            .collect();
-        let r0_norms = block_norms(&residuals, &active, comm.as_ref(), guard.as_deref());
-        let mut gammas: Vec<f64> = r0_norms.clone();
-        if r0_norms.iter().all(|&v| v == 0.0) {
-            fault::set_phase("");
-            return BlockSolveResult {
-                converged: true,
-                col_converged: vec![true; kb],
-                iterations: 0,
-                restarts: 0,
-                final_relres: vec![0.0; kb],
-                breakdown: None,
-                spmv_count,
-                precond_count,
-                comm_total: comm.stats().snapshot().since(&stats_start),
-                comm_ortho,
-                relres_history,
-                deflated_at,
-                deflation_order,
-                shift_history: Vec::new(),
-                last_harvest: None,
-                ortho_fallbacks: 0,
-                step_history: Vec::new(),
-                health_history: Vec::new(),
-                rescues: 0,
-                cycle_timings: Vec::new(),
-                fault_events: Vec::new(),
-                faults_detected: 0,
-                faults_recovered: 0,
-                faults_unrecovered: 0,
-            };
+            solve.run();
         }
-        let targets: Vec<f64> = match &opts.abs_targets {
-            Some(t) => t.clone(),
-            None => r0_norms.iter().map(|&r0| config.tol * r0).collect(),
-        };
-        if let Some(ctx) = &guard {
-            ctx.stage_agreement(aggregate_norm(&gammas, &active));
-        }
-        let mut consecutive_breakdowns = 0usize;
-        let mut no_progress_cycles = 0usize;
-
-        // Reusable buffers, sized for the current active width (reallocated
-        // only when deflation narrows the block).
-        let mut ka = active.len();
-        let mut basis = DistMultiVector::zeros(
-            comm.clone(),
-            a.global_rows(),
-            nloc,
-            a.row_offset(),
-            ka * (mb + 1),
-        );
-        basis.set_guard(guard.clone());
-        let mut r_factor = Matrix::zeros(ka * (mb + 1), ka * (mb + 1));
-        let mut z = vec![0.0; nloc]; // preconditioned vector
-        let mut w = vec![0.0; nloc]; // A·z
-        let mut qy = vec![0.0; nloc * ka]; // Q·Y of the solution update
-
-        'outer: while restarts < config.max_restarts && iterations < config.max_iters {
-            // Columns already at target leave the block before the cycle
-            // starts (the scalar loop-top convergence check).
-            deflate_converged(
-                &mut active,
-                &gammas,
-                &targets,
-                restarts,
-                &mut deflated_at,
-                &mut deflation_order,
-                &mut col_converged,
-            );
-            if active.is_empty() {
-                break;
-            }
-            if active.len() != ka {
-                ka = active.len();
-                basis = DistMultiVector::zeros(
-                    comm.clone(),
-                    a.global_rows(),
-                    nloc,
-                    a.row_offset(),
-                    ka * (mb + 1),
-                );
-                basis.set_guard(guard.clone());
-                r_factor = Matrix::zeros(ka * (mb + 1), ka * (mb + 1));
-            }
-            let total = ka * (mb + 1);
-            if let BasisStrategy::Scheduled { per_cycle } = &config.basis {
-                current_basis = BasisStrategy::scheduled_basis(per_cycle, cycles_started);
-            }
-            let s = controller.step_for_cycle(cycles_started);
-            shift_history.push(match &current_basis {
-                KrylovBasis::Monomial => Vec::new(),
-                KrylovBasis::Newton { shifts } => shifts.clone(),
-            });
-            step_history.push(s);
-            cycles_started += 1;
-            let fault_base = guard.as_ref().map(|c| c.counts()).unwrap_or_default();
-            let mut clock = CycleClock::start(cycles_started - 1, s);
-            let _cycle_span = trace::span2(
-                "solver",
-                "cycle",
-                "cycle",
-                (cycles_started - 1) as u64,
-                "step",
-                s as u64,
-            );
-            // Start a new cycle: columns 0..ka = the scaled residual block.
-            for entry in r_factor.data_mut().iter_mut() {
-                *entry = 0.0;
-            }
-            for (p, &j) in active.iter().enumerate() {
-                basis.local_mut().col_mut(p).copy_from_slice(&residuals[j]);
-                basis.scale_col(p, 1.0 / gammas[j]);
-            }
-            let mut ortho = make_orthogonalizer_with_sketch(
-                config.ortho.for_block_width(ka),
-                total,
-                config.sketch,
-            );
-            let mut hess = HessenbergRecovery::with_block_width(total, ka);
-            // Submit the residual block as the first panel so every scheme
-            // sees its panels starting at column 0.
-            let before = comm.stats().snapshot();
-            clock.lap(Phase::Other);
-            fault::set_phase("ortho");
-            let first = {
-                let _sp = trace::span2("solver", "ortho", "start", 0, "cols", ka as u64);
-                ortho.orthogonalize_panel(&mut basis, 0..ka, &mut r_factor)
-            };
-            comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-            clock.lap(Phase::Ortho);
-            let mut cycle_breakdown: Option<String> = None;
-            if let Err(e) = first {
-                let msg = format!("initial block: {e}");
-                breakdown = Some(msg.clone());
-                let faults = cycle_fault_delta(&guard, &fault_base);
-                if let Some(ctx) = &guard {
-                    ctx.resolve_poisoned(faults.poisoned, false);
-                }
-                health_history.push(build_health(
-                    &config.step_policy,
-                    cycles_started - 1,
-                    s,
-                    0,
-                    f64::INFINITY,
-                    vec![f64::INFINITY; ka],
-                    ortho.fallback_count(),
-                    ortho.fallback_events().to_vec(),
-                    Some(msg),
-                    None,
-                    &agg_relres_history,
-                    &faults,
-                ));
-                cycle_timings.push(clock.finish());
-                break 'outer;
-            }
-            let mut cols = ka; // basis columns filled and submitted
-            let mut cycle_converged_est = false;
-
-            while cols < total && iterations < config.max_iters {
-                let sb = s.min((total - cols) / ka); // block steps this panel
-                let width = sb * ka;
-                // --- Matrix-powers kernel: ka·sb new columns. ---
-                {
-                    let _sp =
-                        trace::span2("solver", "mpk", "start", cols as u64, "k", width as u64);
-                    fault::set_phase("mpk");
-                    for t in 0..sb {
-                        for q in 0..ka {
-                            let input = cols - ka + t * ka + q;
-                            if t == 0 {
-                                // The panel-start block had already been
-                                // handed to the orthogonalizer.
-                                hess.mark_submitted_input(input);
-                            }
-                            precond.apply(basis.local().col(input), &mut z);
-                            precond_count += 1;
-                            a.spmv_guarded(&z, &mut w, guard.as_deref());
-                            spmv_count += 1;
-                            // Shifts apply per block step, not per column.
-                            let theta = current_basis.shift(input / ka);
-                            if theta != 0.0 {
-                                let u = basis.local().col(input).to_vec();
-                                for (wi, ui) in w.iter_mut().zip(&u) {
-                                    *wi -= theta * ui;
-                                }
-                            }
-                            basis.local_mut().col_mut(input + ka).copy_from_slice(&w);
-                        }
-                    }
-                }
-                iterations += width;
-                clock.lap(Phase::Mpk);
-                // --- Block orthogonalization of the new panel. ---
-                let before = comm.stats().snapshot();
-                fault::set_phase("ortho");
-                let status = {
-                    let _sp = trace::span2(
-                        "solver",
-                        "ortho",
-                        "start",
-                        cols as u64,
-                        "cols",
-                        width as u64,
-                    );
-                    ortho.orthogonalize_panel(&mut basis, cols..cols + width, &mut r_factor)
-                };
-                comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-                clock.lap(Phase::Ortho);
-                match status {
-                    Ok(()) => {
-                        consecutive_breakdowns = 0;
-                    }
-                    Err(e) => {
-                        let msg = format!("panel {}..{}: {e}", cols, cols + width);
-                        breakdown = Some(msg.clone());
-                        cycle_breakdown = Some(msg);
-                        consecutive_breakdowns += 1;
-                        break;
-                    }
-                }
-                cols += width;
-                // --- Convergence estimate on the finalized prefix. ---
-                let finalized = ortho.finalized_cols().unwrap_or(cols).min(cols);
-                if finalized >= 2 * ka {
-                    let hess_span = trace::span1("solver", "hess", "cols", finalized as u64);
-                    hess.recover_upto(
-                        finalized - ka,
-                        &r_factor,
-                        ortho.stored_basis_coeffs(),
-                        &current_basis,
-                    );
-                    let done = if ka == 1 {
-                        // Scalar convention (β·e₁ right-hand side), bitwise
-                        // the single-RHS solver.
-                        let (_, res_est) = hess.least_squares(finalized - 1, gammas[active[0]]);
-                        res_est <= targets[active[0]]
-                    } else {
-                        let rhs = block_ls_rhs(&r_factor, &active, &gammas, finalized - ka, ka);
-                        let (_, res_est) = hess.block_least_squares(finalized - ka, &rhs);
-                        active
-                            .iter()
-                            .enumerate()
-                            .all(|(p, &j)| res_est[p] <= targets[j])
-                    };
-                    drop(hess_span);
-                    clock.lap(Phase::Hess);
-                    if done {
-                        cycle_converged_est = true;
-                        break;
-                    }
-                } else {
-                    clock.lap(Phase::Hess);
-                }
-            }
-
-            // --- Complete delayed orthogonalization and the projected solve. ---
-            let before = comm.stats().snapshot();
-            fault::set_phase("ortho");
-            let finish_status = {
-                let _sp = trace::span("solver", "ortho_finish");
-                ortho.finish(&mut basis, &mut r_factor)
-            };
-            if let Err(e) = finish_status {
-                let msg = format!("finish: {e}");
-                if breakdown.is_none() {
-                    breakdown = Some(msg.clone());
-                }
-                if cycle_breakdown.is_none() {
-                    cycle_breakdown = Some(msg);
-                }
-                consecutive_breakdowns += 1;
-            }
-            comm_ortho = comm_ortho.merge(&comm.stats().snapshot().since(&before));
-            clock.lap(Phase::Ortho);
-            let cycle_fallbacks = ortho.fallback_count();
-            let cycle_events = ortho.fallback_events().to_vec();
-            ortho_fallbacks += cycle_fallbacks;
-            let finalized = ortho.finalized_cols().unwrap_or(cols).min(cols);
-            let mut k_use = finalized.saturating_sub(ka);
-            if let Some(ctx) = &guard {
-                if ctx.take_alarm() {
-                    let msg =
-                        "cross-rank divergence: agreement probe on the replicated residual norm"
-                            .to_string();
-                    if breakdown.is_none() {
-                        breakdown = Some(msg.clone());
-                    }
-                    if cycle_breakdown.is_none() {
-                        cycle_breakdown = Some(msg);
-                    }
-                    fault::set_phase("residual");
-                    let fresh = block_norms(&residuals, &active, comm.as_ref(), guard.as_deref());
-                    for (p, &j) in active.iter().enumerate() {
-                        gammas[j] = fresh[p];
-                    }
-                    ctx.stage_agreement(aggregate_norm(&gammas, &active));
-                    k_use = 0;
-                }
-            }
-            let blocks_done = (finalized / ka).min(s + 1);
-            if k_use == 0 {
-                no_progress_cycles += 1;
-                let faults = cycle_fault_delta(&guard, &fault_base);
-                let per_col = control::block_r_diag_condition(&r_factor, ka, blocks_done);
-                let all_active = vec![true; ka];
-                let health = build_health(
-                    &config.step_policy,
-                    cycles_started - 1,
-                    s,
-                    0,
-                    control::active_kappa_max(&per_col, &all_active),
-                    per_col,
-                    cycle_fallbacks,
-                    cycle_events,
-                    cycle_breakdown.clone(),
-                    None,
-                    &agg_relres_history,
-                    &faults,
-                );
-                let decision = controller.observe(&health);
-                health_history.push(health);
-                if decision.shrunk() {
-                    trace::instant2(
-                        "solver",
-                        "step_shrink",
-                        "cycle",
-                        (cycles_started - 1) as u64,
-                        "step",
-                        s as u64,
-                    );
-                }
-                cycle_timings.push(clock.finish());
-                let giving_up =
-                    !decision.shrunk() && (no_progress_cycles >= 2 || consecutive_breakdowns >= 3);
-                if let Some(ctx) = &guard {
-                    ctx.resolve_poisoned(faults.poisoned, !giving_up);
-                }
-                if giving_up {
-                    break 'outer;
-                }
-                if matches!(config.basis, BasisStrategy::Adaptive(_)) {
-                    current_basis = KrylovBasis::Monomial;
-                }
-                apply_rescue_basis(
-                    &config.basis,
-                    &controller,
-                    &mut current_basis,
-                    &last_harvest,
-                );
-                restarts += 1;
-                continue;
-            }
-            no_progress_cycles = 0;
-            let hess_span = trace::span1("solver", "hess", "cols", k_use as u64);
-            hess.recover_upto(
-                k_use,
-                &r_factor,
-                ortho.stored_basis_coeffs(),
-                &current_basis,
-            );
-            // Ritz-shift harvesting consumes a square Hessenberg block, so
-            // it runs once the active block is one column wide (where it is
-            // bitwise the scalar path); wide blocks skip it.
-            let (cap, rtol, min_h) = match &config.basis {
-                BasisStrategy::Adaptive(a) => (
-                    if a.max_shifts == 0 {
-                        s_req
-                    } else {
-                        a.max_shifts
-                    },
-                    a.dedup_rtol,
-                    a.min_hessenberg,
-                ),
-                _ => (s_req, shifts::DEFAULT_DEDUP_RTOL, 2),
-            };
-            let harvest = if ka == 1 && k_use >= min_h.max(1) {
-                shifts::harvest_newton_shifts(&hess, k_use, cap, rtol)
-            } else {
-                None
-            };
-            if let Some(h) = &harvest {
-                last_harvest = Some(h.clone());
-            }
-            if matches!(config.basis, BasisStrategy::Adaptive(_)) {
-                current_basis = match harvest {
-                    Some(shifts) => KrylovBasis::Newton { shifts },
-                    None => KrylovBasis::Monomial,
-                };
-            }
-            let y = if ka == 1 {
-                let (y, _) = hess.least_squares(k_use, gammas[active[0]]);
-                Matrix::from_col_major(k_use, 1, y)
-            } else {
-                let rhs = block_ls_rhs(&r_factor, &active, &gammas, k_use, ka);
-                let (y, _) = hess.block_least_squares(k_use, &rhs);
-                y
-            };
-            drop(hess_span);
-            clock.lap(Phase::Hess);
-            // Solution update: x_j ← x_j + M⁻¹·(Q_{0..k_use}·y_j).
-            if guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
-                fault::set_phase("update");
-                let _sp = trace::span1("solver", "update", "cols", k_use as u64);
-                // Q·Y for all active columns in one row-panel-blocked pass
-                // over the basis; each column is bit for bit the gemv_plus
-                // sweep the scalar path runs.
-                let qy = &mut qy[..nloc * ka];
-                qy.fill(0.0);
-                dense::gemm_nn_plus(
-                    &mut MatViewMut::from_slice(nloc, ka, qy),
-                    &basis.local_cols(0..k_use),
-                    &y,
-                );
-                for (p, &j) in active.iter().enumerate() {
-                    precond.apply(&qy[p * nloc..(p + 1) * nloc], &mut z);
-                    precond_count += 1;
-                    for (xi, zi) in x_local.col_mut(j).iter_mut().zip(&z) {
-                        *xi += zi;
-                    }
-                }
-            } else {
-                let msg =
-                    "projected solution non-finite (poisoned cycle); update skipped".to_string();
-                if breakdown.is_none() {
-                    breakdown = Some(msg.clone());
-                }
-                if cycle_breakdown.is_none() {
-                    cycle_breakdown = Some(msg);
-                }
-                consecutive_breakdowns += 1;
-            }
-            restarts += 1;
-            clock.lap(Phase::Update);
-            // True residuals for the next cycle / convergence verification.
-            {
-                let _sp = trace::span("solver", "residual");
-                fault::set_phase("residual");
-                for &j in &active {
-                    residuals[j] = compute_residual(
-                        a,
-                        x_local.col(j),
-                        b_local.col(j),
-                        &mut spmv_count,
-                        guard.as_deref(),
-                    );
-                }
-                let fresh = block_norms(&residuals, &active, comm.as_ref(), guard.as_deref());
-                for (p, &j) in active.iter().enumerate() {
-                    gammas[j] = fresh[p];
-                }
-                if let Some(ctx) = &guard {
-                    ctx.stage_agreement(aggregate_norm(&gammas, &active));
-                }
-            }
-            for &j in &active {
-                relres_history[j].push(gammas[j] / r0_norms[j]);
-            }
-            let agg = aggregate_relres(&gammas, &r0_norms, &active);
-            agg_relres_history.push(agg);
-            clock.lap(Phase::Residual);
-            // Cycle health.  The deflation check runs *first*: a column
-            // that just met its target is excluded from the κ aggregate
-            // (when survivors remain), so the Auto policy never rescues on
-            // a deflated column's stale conditioning.
-            let survivors: Vec<bool> = active.iter().map(|&j| gammas[j] > targets[j]).collect();
-            let faults = cycle_fault_delta(&guard, &fault_base);
-            let per_col = control::block_r_diag_condition(&r_factor, ka, blocks_done);
-            let health = build_health(
-                &config.step_policy,
-                cycles_started - 1,
-                s,
-                k_use,
-                control::active_kappa_max(&per_col, &survivors),
-                per_col,
-                cycle_fallbacks,
-                cycle_events,
-                cycle_breakdown.clone(),
-                Some(agg),
-                &agg_relres_history,
-                &faults,
-            );
-            let decision = controller.observe(&health);
-            health_history.push(health);
-            if let Some(ctx) = &guard {
-                let all_finite = active.iter().all(|&j| gammas[j].is_finite());
-                ctx.resolve_poisoned(faults.poisoned, all_finite);
-            }
-            if decision.shrunk() {
-                trace::instant2(
-                    "solver",
-                    "step_shrink",
-                    "cycle",
-                    (cycles_started - 1) as u64,
-                    "step",
-                    s as u64,
-                );
-            }
-            cycle_timings.push(clock.finish());
-            // Deflate at the restart boundary (the scalar bottom-of-cycle
-            // convergence break).
-            let width_before = active.len();
-            deflate_converged(
-                &mut active,
-                &gammas,
-                &targets,
-                restarts,
-                &mut deflated_at,
-                &mut deflation_order,
-                &mut col_converged,
-            );
-            if active.is_empty() {
-                break;
-            }
-            if consecutive_breakdowns >= 3 {
-                break;
-            }
-            apply_rescue_basis(
-                &config.basis,
-                &controller,
-                &mut current_basis,
-                &last_harvest,
-            );
-            let _ = cycle_converged_est; // estimate is re-verified by the true residuals above
-            if active.len() != width_before {
-                ka = active.len();
-                basis = DistMultiVector::zeros(
-                    comm.clone(),
-                    a.global_rows(),
-                    nloc,
-                    a.row_offset(),
-                    ka * (mb + 1),
-                );
-                basis.set_guard(guard.clone());
-                r_factor = Matrix::zeros(ka * (mb + 1), ka * (mb + 1));
-            }
-        }
-        // Trailing convergence sweep (the scalar `if gamma <= target`).
-        deflate_converged(
-            &mut active,
-            &gammas,
-            &targets,
-            restarts,
-            &mut deflated_at,
-            &mut deflation_order,
-            &mut col_converged,
-        );
-        let converged = active.is_empty();
-        fault::set_phase("");
-        let (fault_events, faults_detected, faults_recovered, faults_unrecovered) = match &guard {
-            Some(ctx) => {
-                let pending = ctx.counts().poisoned;
-                if pending > 0 {
-                    ctx.resolve_poisoned(pending, converged);
-                }
-                let c = ctx.counts();
-                (ctx.events(), c.detected, c.recovered, c.unrecovered)
-            }
-            None => (Vec::new(), 0, 0, 0),
-        };
-
-        let final_relres = (0..kb)
-            .map(|j| {
-                if r0_norms[j] == 0.0 {
-                    0.0
-                } else {
-                    gammas[j] / r0_norms[j]
-                }
-            })
-            .collect();
-        BlockSolveResult {
-            converged,
-            col_converged,
-            iterations,
-            restarts,
-            final_relres,
-            breakdown,
-            spmv_count,
-            precond_count,
-            comm_total: comm.stats().snapshot().since(&stats_start),
-            comm_ortho,
-            relres_history,
-            deflated_at,
-            deflation_order,
-            shift_history,
-            last_harvest,
-            ortho_fallbacks,
-            step_history,
-            health_history,
-            rescues: controller.shrinks(),
-            cycle_timings,
-            fault_events,
-            faults_detected,
-            faults_recovered,
-            faults_unrecovered,
-        }
+        solve.finish()
     }
 
     /// Block solve with the operator assembled from a **row provider** (the
@@ -845,7 +153,7 @@ impl SStepGmres {
         precond: &dyn Preconditioner,
         b_local: &Matrix,
         x_local: &mut Matrix,
-    ) -> BlockSolveResult {
+    ) -> SolveResult {
         let dist = DistCsr::from_row_source(comm, part, rows);
         self.solve_block(&dist, precond, b_local, x_local)
     }
@@ -853,7 +161,7 @@ impl SStepGmres {
     /// Solve `A·X = B` on a single rank from `X = 0`, without a
     /// preconditioner.  `b_cols` holds one right-hand side per entry;
     /// returns the solution block (`n × k`) and the solve statistics.
-    pub fn solve_block_serial(&self, a: &Csr, b_cols: &[Vec<f64>]) -> (Matrix, BlockSolveResult) {
+    pub fn solve_block_serial(&self, a: &Csr, b_cols: &[Vec<f64>]) -> (Matrix, SolveResult) {
         self.solve_block_serial_preconditioned(a, b_cols, &Identity)
     }
 
@@ -864,7 +172,7 @@ impl SStepGmres {
         a: &Csr,
         b_cols: &[Vec<f64>],
         precond: &dyn Preconditioner,
-    ) -> (Matrix, BlockSolveResult) {
+    ) -> (Matrix, SolveResult) {
         let comm = SerialComm::new();
         let part = block_row_partition(a.nrows(), 1);
         let dist = DistCsr::from_global(comm, a, &part);
@@ -879,7 +187,7 @@ impl SStepGmres {
         &self,
         rows: &S,
         b_cols: &[Vec<f64>],
-    ) -> (Matrix, BlockSolveResult) {
+    ) -> (Matrix, SolveResult) {
         let comm = SerialComm::new();
         let part = block_row_partition(rows.nrows(), 1);
         let b = cols_to_matrix(rows.nrows(), b_cols);
@@ -887,6 +195,812 @@ impl SStepGmres {
         let result = self.solve_block_from_rows(comm, &part, rows, &Identity, &b, &mut x);
         (x, result)
     }
+}
+
+/// State of one solve, carried across its restart cycles.
+struct Solve<'a> {
+    config: &'a GmresConfig,
+    a: &'a DistCsr,
+    precond: &'a dyn Preconditioner,
+    b: MatView<'a>,
+    x: MatViewMut<'a>,
+    /// Fault-detection guards: allocated only when the policy enables any
+    /// of them, so the default path stays bitwise the unguarded solver.
+    guard: Option<Arc<GuardContext>>,
+    stats_start: CommStatsSnapshot,
+    /// The report under construction: counters and histories accumulate in
+    /// place, [`Solve::finish`] fills in the verdict.
+    report: SolveResult,
+
+    // Per-column state, indexed by *original* column.
+    residuals: Vec<Vec<f64>>,
+    r0_norms: Vec<f64>,
+    gammas: Vec<f64>,
+    targets: Vec<f64>,
+    /// Columns still in the active block, in ascending original order.
+    active: Vec<usize>,
+
+    // Policy state.  The controller observes every cycle's health (all
+    // signals are replicated, so its decisions cost no communication).
+    current_basis: KrylovBasis,
+    controller: StepController,
+    /// Aggregate (max over active columns) relative residual per cycle: the
+    /// block-level signal stagnation detection runs on.
+    agg_relres_history: Vec<f64>,
+    consecutive_breakdowns: usize,
+    no_progress_cycles: usize,
+
+    // Reusable buffers; `basis`/`r_factor` are re-sized at the top of a
+    // cycle when deflation has narrowed the active block.
+    basis: DistMultiVector,
+    r_factor: Matrix,
+    z: Vec<f64>, // preconditioned vector
+    w: Vec<f64>, // A·z
+}
+
+/// State of one restart cycle.
+struct Cycle {
+    index: usize,
+    step: usize,
+    /// Active block width the cycle started with.
+    ka: usize,
+    /// Per-cycle wall-time breakdown: plain clock reads, always on.
+    clock: CycleClock,
+    _span: trace::Span,
+    ortho: Box<dyn BlockOrthogonalizer>,
+    hess: HessenbergRecovery,
+    /// Basis columns filled and accepted by the orthogonalizer.
+    cols: usize,
+    breakdown: Option<String>,
+    /// Guard counters when the cycle began (all zero when guards are off).
+    fault_base: GuardCounts,
+}
+
+impl Cycle {
+    /// Leading basis columns whose R-factor entries are final.
+    fn finalized(&self) -> usize {
+        self.ortho
+            .finalized_cols()
+            .unwrap_or(self.cols)
+            .min(self.cols)
+    }
+}
+
+impl<'a> Solve<'a> {
+    fn start(
+        config: &'a GmresConfig,
+        a: &'a DistCsr,
+        precond: &'a dyn Preconditioner,
+        b: MatView<'a>,
+        x: MatViewMut<'a>,
+        opts: &BlockOptions,
+    ) -> Self {
+        let nloc = a.local_matrix().nrows();
+        let kb = b.ncols();
+        assert!(kb >= 1, "block solve needs at least one right-hand side");
+        assert_eq!(b.nrows(), nloc, "rhs row count mismatch");
+        assert_eq!(x.nrows(), nloc, "solution row count mismatch");
+        assert_eq!(x.ncols(), kb, "solution column count mismatch");
+        if let Some(t) = &opts.abs_targets {
+            assert_eq!(t.len(), kb, "one absolute target per column");
+        }
+        let stats_start = a.comm().stats().snapshot();
+        let guard = config
+            .guards
+            .any_enabled()
+            .then(|| GuardContext::new(config.guards));
+        // The big buffers first, ahead of the residual vectors: the measured
+        // solve time moves by ~15 % with the allocator's relative placement
+        // of these buffers (CHANGES.md, Issue 14), and this is the order the
+        // benchmark baseline was recorded with.
+        let (basis, r_factor) = cycle_buffers(a, &guard, kb * (config.restart + 1));
+        let mut solve = Solve {
+            config,
+            a,
+            precond,
+            b,
+            x,
+            stats_start,
+            guard,
+            report: SolveResult {
+                col_converged: vec![false; kb],
+                relres_history: vec![Vec::new(); kb],
+                deflated_at: vec![None; kb],
+                ..SolveResult::default()
+            },
+            residuals: vec![Vec::new(); kb],
+            r0_norms: Vec::new(),
+            gammas: vec![0.0; kb],
+            targets: Vec::new(),
+            active: (0..kb).collect(),
+            current_basis: config.basis.initial_basis(),
+            controller: StepController::new(
+                config.step_policy.clone(),
+                config.step_size,
+                config.restart,
+            ),
+            agg_relres_history: Vec::new(),
+            consecutive_breakdowns: 0,
+            no_progress_cycles: 0,
+            basis,
+            r_factor,
+            z: vec![0.0; nloc],
+            w: vec![0.0; nloc],
+        };
+        // r₀ with the initial guess `x`.
+        solve.refresh_residuals();
+        solve.r0_norms = solve.gammas.clone();
+        solve.targets = match &opts.abs_targets {
+            Some(t) => t.clone(),
+            None => solve.r0_norms.iter().map(|&r0| config.tol * r0).collect(),
+        };
+        solve
+    }
+
+    /// The restart loop.
+    fn run(&mut self) {
+        let config = self.config;
+        'outer: while self.report.restarts < config.max_restarts
+            && self.report.iterations < config.max_iters
+        {
+            // Columns at target leave the block at the restart boundary
+            // (an identically zero right-hand side before the first cycle);
+            // the sweep after the loop catches the last cycle's.
+            self.deflate_converged();
+            if self.active.is_empty() {
+                break;
+            }
+            let mut cy = self.begin_cycle();
+            // The residual block is the first panel, so every scheme sees
+            // its panels starting at column 0.
+            let ka = cy.ka;
+            if let Err(e) = self.ortho_panel(&mut cy, ka) {
+                self.fatal_first_panel(cy, e);
+                break 'outer;
+            }
+            let total = ka * (config.restart + 1);
+            while cy.cols < total && self.report.iterations < config.max_iters {
+                let sb = cy.step.min((total - cy.cols) / ka); // block steps this panel
+                self.mpk_panel(&mut cy, sb);
+                if let Err(e) = self.ortho_panel(&mut cy, sb * ka) {
+                    // Abandon this cycle; use what has been finalized.
+                    let msg = format!("panel {}..{}: {e}", cy.cols, cy.cols + sb * ka);
+                    self.panel_breakdown(&mut cy, msg);
+                    self.consecutive_breakdowns += 1;
+                    break;
+                }
+                self.consecutive_breakdowns = 0;
+                // An estimate only: the true residuals below re-verify it.
+                if self.hessenberg_check(&mut cy) {
+                    break;
+                }
+            }
+            let k_use = self.ortho_finish(&mut cy);
+            if k_use == 0 {
+                if self.abandon_cycle(cy) {
+                    break 'outer;
+                }
+                continue;
+            }
+            self.no_progress_cycles = 0;
+            let y = self.solve_projected(&mut cy, k_use);
+            self.update(&mut cy, k_use, &y);
+            let relres = self.residual(&mut cy);
+            // Cycle health.  The deflation check runs *first*: a column
+            // that just met its target is excluded from the κ aggregate
+            // (when survivors remain), so the Auto policy never rescues on
+            // a deflated column's stale conditioning.
+            let survivors: Vec<bool> = self
+                .active
+                .iter()
+                .map(|&j| self.gammas[j] > self.targets[j])
+                .collect();
+            let (_, poisoned) = self.close_cycle(cy, k_use, &survivors, Some(relres));
+            if let Some(ctx) = &self.guard {
+                // Verdict on this cycle's poisoned operations: the true
+                // residual just recomputed is the ground truth.  A finite
+                // norm means the rollback ladder absorbed the damage; a
+                // non-finite one means the corruption reached state we
+                // could not rebuild.
+                let all_finite = self.active.iter().all(|&j| self.gammas[j].is_finite());
+                ctx.resolve_poisoned(poisoned, all_finite);
+            }
+            if self.consecutive_breakdowns >= 3 {
+                break;
+            }
+            self.keep_rescue_shifts();
+        }
+        self.deflate_converged();
+    }
+
+    /// Close the report: the verdict, the guards' final word, and the
+    /// whole-solve totals.
+    fn finish(self) -> SolveResult {
+        let mut report = self.report;
+        let converged = report.col_converged.iter().all(|&c| c);
+        fault::set_phase("");
+        if let Some(ctx) = &self.guard {
+            // Any poisoned operations still pending (e.g. the solve ran out
+            // of cycles mid-rollback) get their verdict from the outcome.
+            let pending = ctx.counts().poisoned;
+            if pending > 0 {
+                ctx.resolve_poisoned(pending, converged);
+            }
+            let c = ctx.counts();
+            report.fault_events = ctx.events();
+            report.faults_detected = c.detected;
+            report.faults_recovered = c.recovered;
+            report.faults_unrecovered = c.unrecovered;
+        }
+        report.converged = converged;
+        report.final_relres = (self.gammas.iter().zip(&self.r0_norms))
+            .map(|(&g, &r0)| if r0 == 0.0 { 0.0 } else { g / r0 })
+            .collect();
+        report.comm_total = self.a.comm().stats().snapshot().since(&self.stats_start);
+        report.rescues = self.controller.shrinks();
+        report
+    }
+
+    // ----- phases, in cycle order ------------------------------------------
+
+    /// True residuals `b_j − A·x_j` of the active columns and their norms
+    /// (one reduce of `active.len()` words).
+    fn refresh_residuals(&mut self) {
+        fault::set_phase("residual");
+        for &j in &self.active {
+            self.residuals[j] = compute_residual(
+                self.a,
+                self.x.col(j),
+                self.b.col(j),
+                &mut self.report.spmv_count,
+                self.guard.as_deref(),
+            );
+        }
+        self.refresh_norms();
+    }
+
+    /// Reduce the active residual norms into `gammas`.  The residual norm
+    /// drives every replicated control decision, so its aggregate is staged
+    /// for the cross-rank agreement probe of the next guarded reduce.
+    fn refresh_norms(&mut self) {
+        let fresh = block_norms(
+            &self.residuals,
+            &self.active,
+            self.a.comm().as_ref(),
+            self.guard.as_deref(),
+        );
+        for (&j, norm) in self.active.iter().zip(fresh) {
+            self.gammas[j] = norm;
+        }
+        if let Some(ctx) = &self.guard {
+            ctx.stage_agreement(aggregate_norm(&self.gammas, &self.active));
+        }
+    }
+
+    /// Remove converged columns from the active block, in ascending
+    /// original order, recording when and in what order they left.
+    fn deflate_converged(&mut self) {
+        let (gammas, targets, report) = (&self.gammas, &self.targets, &mut self.report);
+        self.active.retain(|&j| {
+            let converged = gammas[j] <= targets[j];
+            if converged {
+                report.deflated_at[j] = Some(report.restarts);
+                report.deflation_order.push(j);
+                report.col_converged[j] = true;
+            }
+            !converged
+        });
+    }
+
+    /// Open a cycle: select its basis and effective step and record both
+    /// (the records are what `BasisStrategy::Scheduled` and
+    /// `StepPolicy::Scheduled` replay), size the buffers for the active
+    /// width, and load the scaled residual block into columns `0..ka`.
+    fn begin_cycle(&mut self) -> Cycle {
+        let config = self.config;
+        let index = self.report.step_history.len();
+        let ka = self.active.len();
+        let total = ka * (config.restart + 1);
+        if self.basis.local_cols_count() != total {
+            // Deflation narrowed the block since the last cycle.
+            (self.basis, self.r_factor) = cycle_buffers(self.a, &self.guard, total);
+        }
+        if let BasisStrategy::Scheduled { per_cycle } = &config.basis {
+            self.current_basis = BasisStrategy::scheduled_basis(per_cycle, index);
+        }
+        let step = self.controller.step_for_cycle(index);
+        self.report.shift_history.push(match &self.current_basis {
+            KrylovBasis::Monomial => Vec::new(),
+            KrylovBasis::Newton { shifts } => shifts.clone(),
+        });
+        self.report.step_history.push(step);
+        let mut cy = Cycle {
+            index,
+            step,
+            ka,
+            fault_base: self.guard.as_ref().map(|c| c.counts()).unwrap_or_default(),
+            clock: CycleClock::start(index, step),
+            _span: trace::span2(
+                "solver",
+                "cycle",
+                "cycle",
+                index as u64,
+                "step",
+                step as u64,
+            ),
+            ortho: make_orthogonalizer_with_sketch(
+                config.ortho.for_block_width(ka),
+                total,
+                config.sketch,
+            ),
+            hess: HessenbergRecovery::with_block_width(total, ka),
+            cols: 0,
+            breakdown: None,
+        };
+        self.r_factor.data_mut().fill(0.0);
+        for (p, &j) in self.active.iter().enumerate() {
+            self.basis
+                .local_mut()
+                .col_mut(p)
+                .copy_from_slice(&self.residuals[j]);
+            self.basis.scale_col(p, 1.0 / self.gammas[j]);
+        }
+        cy.clock.lap(Phase::Other);
+        cy
+    }
+
+    /// Matrix-powers kernel: `sb` block steps, i.e. `ka·sb` new basis
+    /// columns behind the accepted prefix.
+    fn mpk_panel(&mut self, cy: &mut Cycle, sb: usize) {
+        let ka = cy.ka;
+        {
+            let _sp = trace::span2(
+                "solver",
+                "mpk",
+                "start",
+                cy.cols as u64,
+                "k",
+                (sb * ka) as u64,
+            );
+            fault::set_phase("mpk");
+            for t in 0..sb {
+                for q in 0..ka {
+                    let input = cy.cols - ka + t * ka + q;
+                    if t == 0 {
+                        // The panel-start block had already been handed to
+                        // the orthogonalizer.
+                        cy.hess.mark_submitted_input(input);
+                    }
+                    self.precond
+                        .apply(self.basis.local().col(input), &mut self.z);
+                    self.report.precond_count += 1;
+                    self.a
+                        .spmv_guarded(&self.z, &mut self.w, self.guard.as_deref());
+                    self.report.spmv_count += 1;
+                    // Shifts apply per block step, not per column.
+                    let theta = self.current_basis.shift(input / ka);
+                    if theta != 0.0 {
+                        for (wi, ui) in self.w.iter_mut().zip(self.basis.local().col(input)) {
+                            *wi -= theta * ui;
+                        }
+                    }
+                    self.basis
+                        .local_mut()
+                        .col_mut(input + ka)
+                        .copy_from_slice(&self.w);
+                }
+            }
+        }
+        self.report.iterations += sb * ka;
+        cy.clock.lap(Phase::Mpk);
+    }
+
+    /// Hand basis columns `cols..cols + width` to the orthogonalizer; on
+    /// success they join the cycle's accepted prefix.
+    fn ortho_panel(&mut self, cy: &mut Cycle, width: usize) -> Result<(), OrthoError> {
+        let before = self.a.comm().stats().snapshot();
+        fault::set_phase("ortho");
+        let status = {
+            let _sp = trace::span2(
+                "solver",
+                "ortho",
+                "start",
+                cy.cols as u64,
+                "cols",
+                width as u64,
+            );
+            cy.ortho.orthogonalize_panel(
+                &mut self.basis,
+                cy.cols..cy.cols + width,
+                &mut self.r_factor,
+            )
+        };
+        self.charge_ortho_comm(&before);
+        cy.clock.lap(Phase::Ortho);
+        if status.is_ok() {
+            cy.cols += width;
+        }
+        status
+    }
+
+    /// Convergence estimate on the finalized prefix: whether every active
+    /// column's projected residual already meets its target.
+    fn hessenberg_check(&mut self, cy: &mut Cycle) -> bool {
+        let finalized = cy.finalized();
+        let mut done = false;
+        if finalized >= 2 * cy.ka {
+            let _sp = trace::span1("solver", "hess", "cols", finalized as u64);
+            let (_, estimates) = self.projected_solve(cy, finalized - cy.ka);
+            done = (self.active.iter().zip(estimates)).all(|(&j, est)| est <= self.targets[j]);
+        }
+        cy.clock.lap(Phase::Hess);
+        done
+    }
+
+    /// Complete delayed orthogonalization.  Returns the number of usable
+    /// MPK inputs (`0` = nothing to update the solution from).
+    fn ortho_finish(&mut self, cy: &mut Cycle) -> usize {
+        let before = self.a.comm().stats().snapshot();
+        fault::set_phase("ortho");
+        let status = {
+            let _sp = trace::span("solver", "ortho_finish");
+            cy.ortho.finish(&mut self.basis, &mut self.r_factor)
+        };
+        if let Err(e) = status {
+            self.note_breakdown(cy, format!("finish: {e}"));
+            self.consecutive_breakdowns += 1;
+        }
+        self.charge_ortho_comm(&before);
+        cy.clock.lap(Phase::Ortho);
+        self.report.ortho_fallbacks += cy.ortho.fallback_count();
+        if self.guard.as_ref().is_some_and(|ctx| ctx.take_alarm()) {
+            // A replicated scalar diverged across ranks: nothing this cycle
+            // computed can be trusted to be consistent.  Abandon the cycle
+            // (no solution update) and resynchronize the replicated
+            // residual norms with a fresh reduce of the untouched local
+            // residuals.
+            let msg = "cross-rank divergence: agreement probe on the replicated residual norm";
+            self.note_breakdown(cy, msg.to_string());
+            fault::set_phase("residual");
+            self.refresh_norms();
+            return 0;
+        }
+        cy.finalized().saturating_sub(cy.ka)
+    }
+
+    /// Recover the Hessenberg block over the `k_use` usable inputs, harvest
+    /// Ritz shifts from it, and solve the projected least-squares problem.
+    fn solve_projected(&mut self, cy: &mut Cycle, k_use: usize) -> Matrix {
+        let y = {
+            let _sp = trace::span1("solver", "hess", "cols", k_use as u64);
+            let (y, _) = self.projected_solve(cy, k_use);
+            self.harvest_shifts(cy, k_use);
+            y
+        };
+        cy.clock.lap(Phase::Hess);
+        y
+    }
+
+    /// Solution update `x_j ← x_j + M⁻¹·(Q_{0..k_use}·y_j)`.
+    fn update(&mut self, cy: &mut Cycle, k_use: usize, y: &Matrix) {
+        // A poisoned cycle can smuggle NaN into the projected solution
+        // without tripping the Cholesky; with guards on, never let it reach
+        // x, where it would be unrecoverable — skip the update and let the
+        // breakdown verdict shrink the step instead.  (Unguarded solves let
+        // corruption flow through, which is exactly the silent failure the
+        // fault campaign demonstrates.)
+        if self.guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
+            fault::set_phase("update");
+            let _sp = trace::span1("solver", "update", "cols", k_use as u64);
+            let (nloc, ka) = (self.z.len(), cy.ka);
+            // Q·Y for all active columns in one row-panel-blocked pass over
+            // the basis.
+            let mut qy = vec![0.0; nloc * ka];
+            dense::gemm_nn_plus(
+                &mut MatViewMut::from_slice(nloc, ka, &mut qy),
+                &self.basis.local_cols(0..k_use),
+                y,
+            );
+            for (p, &j) in self.active.iter().enumerate() {
+                self.precond
+                    .apply(&qy[p * nloc..(p + 1) * nloc], &mut self.z);
+                self.report.precond_count += 1;
+                for (xi, zi) in self.x.col_mut(j).iter_mut().zip(&self.z) {
+                    *xi += zi;
+                }
+            }
+        } else {
+            let msg = "projected solution non-finite (poisoned cycle); update skipped";
+            self.note_breakdown(cy, msg.to_string());
+            self.consecutive_breakdowns += 1;
+        }
+        self.report.restarts += 1;
+        cy.clock.lap(Phase::Update);
+    }
+
+    /// True residuals for the next cycle / convergence verification.
+    /// Returns the cycle's block-level relative residual.
+    fn residual(&mut self, cy: &mut Cycle) -> f64 {
+        {
+            let _sp = trace::span("solver", "residual");
+            self.refresh_residuals();
+        }
+        for &j in &self.active {
+            self.report.relres_history[j].push(self.gammas[j] / self.r0_norms[j]);
+        }
+        let agg = aggregate_relres(&self.gammas, &self.r0_norms, &self.active);
+        self.agg_relres_history.push(agg);
+        cy.clock.lap(Phase::Residual);
+        agg
+    }
+
+    /// Health report, controller decision, and time breakdown of a finished
+    /// cycle.  Every signal is local or replicated (R-factor diagonal,
+    /// fallback events, residuals already reduced), so this costs zero
+    /// additional global reductions.  Returns the decision and the number
+    /// of operations the cycle left poisoned, for the caller's verdict.
+    fn close_cycle(
+        &mut self,
+        cy: Cycle,
+        usable_cols: usize,
+        survivors: &[bool],
+        relres: Option<f64>,
+    ) -> (StepDecision, usize) {
+        let (health, faults) = self.cycle_health(&cy, usable_cols, survivors, relres);
+        let decision = self.controller.observe(&health);
+        self.report.health_history.push(health);
+        if decision.shrunk() {
+            trace::instant2(
+                "solver",
+                "step_shrink",
+                "cycle",
+                cy.index as u64,
+                "step",
+                cy.step as u64,
+            );
+        }
+        self.report.cycle_timings.push(cy.clock.finish());
+        (decision, faults.poisoned)
+    }
+
+    // ----- cycle exits that produce no update --------------------------------
+
+    /// The residual block itself could not be normalized; no step size
+    /// rescues this.  Record the cycle's health for observability (the
+    /// controller is not consulted) — the caller stops the solve.
+    fn fatal_first_panel(&mut self, mut cy: Cycle, e: OrthoError) {
+        self.panel_breakdown(&mut cy, format!("initial block: {e}"));
+        let (health, faults) = self.cycle_health(&cy, 0, &vec![true; cy.ka], None);
+        if let Some(ctx) = &self.guard {
+            // Whatever was poisoned this cycle stays unrecovered.
+            ctx.resolve_poisoned(faults.poisoned, false);
+        }
+        self.report.health_history.push(health);
+        self.report.cycle_timings.push(cy.clock.finish());
+    }
+
+    /// Nothing usable was generated in this cycle: without an update the
+    /// next cycle would start from the same residual, so give up after
+    /// repeated empty cycles — unless the Auto policy can still rescue by
+    /// shrinking the step.  Returns whether the solve gives up.
+    fn abandon_cycle(&mut self, cy: Cycle) -> bool {
+        self.no_progress_cycles += 1;
+        let all_active = vec![true; cy.ka];
+        let (decision, poisoned) = self.close_cycle(cy, 0, &all_active, None);
+        let giving_up = !decision.shrunk()
+            && (self.no_progress_cycles >= 2 || self.consecutive_breakdowns >= 3);
+        if let Some(ctx) = &self.guard {
+            // The abandoned cycle *is* the rollback rung of the ladder:
+            // poisoned payloads were discarded with the cycle and the next
+            // one restarts from the last good residual — unless the solver
+            // is giving up entirely.
+            ctx.resolve_poisoned(poisoned, !giving_up);
+        }
+        if giving_up {
+            return true;
+        }
+        // An empty cycle yields no Hessenberg to harvest from; the adaptive
+        // policy retries the next cycle with the monomial basis (the shifts
+        // may be what broke the panel).
+        if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
+            self.current_basis = KrylovBasis::Monomial;
+        }
+        self.keep_rescue_shifts();
+        self.report.restarts += 1;
+        false
+    }
+
+    // ----- helpers ---------------------------------------------------------------
+
+    fn charge_ortho_comm(&mut self, before: &CommStatsSnapshot) {
+        let spent = self.a.comm().stats().snapshot().since(before);
+        self.report.comm_ortho = self.report.comm_ortho.merge(&spent);
+    }
+
+    /// A panel the orthogonalizer refused ends the cycle's panel loop; its
+    /// message replaces the diagnostic of any earlier cycle.
+    fn panel_breakdown(&mut self, cy: &mut Cycle, msg: String) {
+        self.report.breakdown = Some(msg.clone());
+        cy.breakdown = Some(msg);
+    }
+
+    /// Record a late-cycle breakdown unless one is already on record.
+    fn note_breakdown(&mut self, cy: &mut Cycle, msg: String) {
+        self.report.breakdown.get_or_insert_with(|| msg.clone());
+        cy.breakdown.get_or_insert(msg);
+    }
+
+    /// Recover the Hessenberg block over `k` inputs and solve the projected
+    /// least-squares problem; returns `(Y, residual estimates)`.  One active
+    /// column keeps the Givens solve against `β·e₁`; wider blocks take the
+    /// banded QR with the residual block's R-factor coordinates.
+    fn projected_solve(&self, cy: &mut Cycle, k: usize) -> (Matrix, Vec<f64>) {
+        cy.hess.recover_upto(
+            k,
+            &self.r_factor,
+            cy.ortho.stored_basis_coeffs(),
+            &self.current_basis,
+        );
+        if cy.ka == 1 {
+            let (y, estimate) = cy.hess.least_squares(k, self.gammas[self.active[0]]);
+            (Matrix::from_col_major(k, 1, y), vec![estimate])
+        } else {
+            let rhs = block_ls_rhs(&self.r_factor, &self.active, &self.gammas, k, cy.ka);
+            cy.hess.block_least_squares(k, &rhs)
+        }
+    }
+
+    /// Harvest Ritz shifts from this cycle's Hessenberg block.  The block
+    /// is replicated (recovered from the replicated R factor), so every
+    /// rank computes identical shifts with zero extra communication; only
+    /// the adaptive policy acts on the result, but the harvest is recorded
+    /// for every strategy so a warm-up solve can serve as a shift oracle.
+    /// Harvesting consumes a square Hessenberg block, so it runs while the
+    /// active block is one column wide.
+    fn harvest_shifts(&mut self, cy: &Cycle, k_use: usize) {
+        // The harvest cap follows the *requested* step size even when a
+        // rescue shrank the effective one — exactly the manual warm-up
+        // oracle's shape, so a reduced-step cycle yields enough shifts to
+        // probe back up to the requested step.
+        let s_req = self.config.step_size;
+        let (cap, rtol, min_h) = match &self.config.basis {
+            BasisStrategy::Adaptive(a) => (
+                if a.max_shifts == 0 {
+                    s_req
+                } else {
+                    a.max_shifts
+                },
+                a.dedup_rtol,
+                a.min_hessenberg,
+            ),
+            _ => (s_req, shifts::DEFAULT_DEDUP_RTOL, 2),
+        };
+        let harvest = if cy.ka == 1 && k_use >= min_h.max(1) {
+            shifts::harvest_newton_shifts(&cy.hess, k_use, cap, rtol)
+        } else {
+            None
+        };
+        if let Some(h) = &harvest {
+            self.report.last_harvest = Some(h.clone());
+        }
+        if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
+            self.current_basis = match harvest {
+                Some(shifts) => KrylovBasis::Newton { shifts },
+                None => KrylovBasis::Monomial,
+            };
+        }
+    }
+
+    /// Once an Auto rescue is active, keep the most recent harvested Newton
+    /// shifts in effect for strategies that would otherwise re-run the
+    /// basis that broke (the automated form of the README's warm-up shift
+    /// oracle).  Adaptive re-harvests on its own and Scheduled must replay
+    /// verbatim, so both are left alone; non-Auto policies never activate a
+    /// rescue.
+    fn keep_rescue_shifts(&mut self) {
+        let fixed_basis = matches!(
+            self.config.basis,
+            BasisStrategy::Monomial | BasisStrategy::Newton { .. }
+        );
+        if !fixed_basis || !self.controller.rescue_active() {
+            return;
+        }
+        if let Some(shifts) = self.report.last_harvest.as_ref().filter(|s| !s.is_empty()) {
+            self.current_basis = KrylovBasis::Newton {
+                shifts: shifts.clone(),
+            };
+        }
+    }
+
+    /// Assemble the cycle's [`CycleHealth`] from its raw signals, with the
+    /// guard activity attributable to it.  Non-Auto policies assess with
+    /// [`AutoStep::default`] thresholds so `health_history` reads the same
+    /// everywhere.
+    fn cycle_health(
+        &self,
+        cy: &Cycle,
+        usable_cols: usize,
+        survivors: &[bool],
+        relres: Option<f64>,
+    ) -> (CycleHealth, GuardCounts) {
+        let auto = match &self.config.step_policy {
+            StepPolicy::Auto(a) => a.clone(),
+            _ => AutoStep::default(),
+        };
+        let faults = match &self.guard {
+            Some(ctx) => {
+                let (now, base) = (ctx.counts(), &cy.fault_base);
+                GuardCounts {
+                    detected: now.detected - base.detected,
+                    recovered: now.recovered - base.recovered,
+                    poisoned: now.poisoned - base.poisoned,
+                    unrecovered: now.unrecovered - base.unrecovered,
+                    retries: now.retries - base.retries,
+                }
+            }
+            None => GuardCounts::default(),
+        };
+        let blocks_done = (cy.finalized() / cy.ka).min(cy.step + 1);
+        let kappa_per_col = control::block_r_diag_condition(&self.r_factor, cy.ka, blocks_done);
+        let kappa_est = control::active_kappa_max(&kappa_per_col, survivors);
+        let fallbacks = cy.ortho.fallback_count();
+        let stagnated = relres.is_some()
+            && control::residual_stagnated(
+                &self.agg_relres_history,
+                auto.stagnation_window,
+                auto.stagnation_factor,
+            );
+        // Poisoned operations have no final verdict at assessment time (the
+        // rollback has not been retried yet), so the health report treats
+        // them as unrecovered: the controller must react to the damage
+        // *this* cycle.
+        let faults_unrecovered = faults.poisoned + faults.unrecovered;
+        let verdict = control::assess_cycle(
+            &auto,
+            cy.breakdown.is_some(),
+            usable_cols,
+            kappa_est,
+            fallbacks,
+            stagnated,
+            faults_unrecovered,
+        );
+        let health = CycleHealth {
+            cycle: cy.index,
+            step: cy.step,
+            usable_cols,
+            kappa_est,
+            fallbacks,
+            fallback_events: cy.ortho.fallback_events().to_vec(),
+            breakdown: cy.breakdown.clone(),
+            relres,
+            stagnated,
+            kappa_per_col,
+            verdict,
+            faults_detected: faults.detected,
+            faults_recovered: faults.recovered,
+            faults_unrecovered,
+        };
+        (health, faults)
+    }
+}
+
+/// The Krylov basis (guards attached) and its replicated R factor, both
+/// `total` columns wide.
+fn cycle_buffers(
+    a: &DistCsr,
+    guard: &Option<Arc<GuardContext>>,
+    total: usize,
+) -> (DistMultiVector, Matrix) {
+    let nloc = a.local_matrix().nrows();
+    let mut basis = DistMultiVector::zeros(
+        a.comm().clone(),
+        a.global_rows(),
+        nloc,
+        a.row_offset(),
+        total,
+    );
+    basis.set_guard(guard.clone());
+    (basis, Matrix::zeros(total, total))
 }
 
 /// Pack per-column right-hand sides into the `nloc × k` local block.
@@ -900,25 +1014,41 @@ fn cols_to_matrix(nloc: usize, cols: &[Vec<f64>]) -> Matrix {
     b
 }
 
+/// `r = b − A·x` on the local blocks.  With an active guard the halo
+/// exchange inside the SpMV is checksummed; a corrupted or lost frame
+/// poisons the residual with NaN so the norm guard downstream trips.
+fn compute_residual(
+    a: &DistCsr,
+    x: &[f64],
+    b: &[f64],
+    spmv_count: &mut usize,
+    guard: Option<&GuardContext>,
+) -> Vec<f64> {
+    let mut ax = vec![0.0; x.len()];
+    a.spmv_guarded(x, &mut ax, guard);
+    *spmv_count += 1;
+    b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect()
+}
+
 /// Global 2-norms of the active residual columns in **one** all-reduce of
-/// `active.len()` words.  At one active column this delegates to the scalar
-/// solver's [`global_norm`] — including its guarded-reduce path — so a
-/// `k = 1` block solve is bitwise the single-RHS solve.
+/// `active.len()` words.  One active column goes through the guard's
+/// duplicated-word reduce when screening is on.
 fn block_norms(
     residuals: &[Vec<f64>],
     active: &[usize],
     comm: &dyn Communicator,
     guard: Option<&GuardContext>,
 ) -> Vec<f64> {
-    if active.len() == 1 {
-        return vec![global_norm(&residuals[active[0]], comm, guard)];
-    }
-    let mut buf: Vec<f64> = active
+    let mut sq: Vec<f64> = active
         .iter()
         .map(|&j| dense::dot(&residuals[j], &residuals[j]))
         .collect();
-    comm.allreduce_sum(&mut buf);
-    buf.iter().map(|v| v.max(0.0).sqrt()).collect()
+    let screened = guard.filter(|ctx| ctx.policy().gram_screen || ctx.policy().agreement);
+    if let ([local_sq], Some(ctx)) = (sq.as_slice(), screened) {
+        return vec![ctx.norm_reduce(comm, *local_sq)];
+    }
+    comm.allreduce_sum(&mut sq);
+    sq.iter().map(|v| v.max(0.0).sqrt()).collect()
 }
 
 /// The replicated scalar staged for the cross-rank agreement probe: the
@@ -963,29 +1093,6 @@ fn block_ls_rhs(
         }
     }
     rhs
-}
-
-/// Remove converged columns from the active block, in ascending original
-/// order, recording when and in what order they left.
-fn deflate_converged(
-    active: &mut Vec<usize>,
-    gammas: &[f64],
-    targets: &[f64],
-    completed_cycles: usize,
-    deflated_at: &mut [Option<usize>],
-    deflation_order: &mut Vec<usize>,
-    col_converged: &mut [bool],
-) {
-    active.retain(|&j| {
-        if gammas[j] <= targets[j] {
-            deflated_at[j] = Some(completed_cycles);
-            deflation_order.push(j);
-            col_converged[j] = true;
-            false
-        } else {
-            true
-        }
-    });
 }
 
 #[cfg(test)]

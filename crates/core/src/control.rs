@@ -147,10 +147,10 @@ pub struct CycleHealth {
     pub relres: Option<f64>,
     /// Whether the residual history qualified as stagnated at this cycle.
     pub stagnated: bool,
-    /// Per-column condition estimates of a **block** cycle's interleaved R
-    /// factor (one entry per column active when the cycle started; see
-    /// [`block_r_diag_condition`]).  Empty for single-RHS solves, where
-    /// `kappa_est` is the whole story.  `kappa_est` aggregates these with
+    /// Per-column condition estimates of the cycle's interleaved R factor
+    /// (one entry per column active when the cycle started — a single one
+    /// for a single-RHS solve; see [`block_r_diag_condition`]).
+    /// `kappa_est` aggregates these with
     /// [`active_kappa_max`] over the columns that *survive* the cycle's
     /// deflation check, so the Auto policy never shrinks or blocks a probe
     /// on a deflated column's stale conditioning.
@@ -205,35 +205,17 @@ pub fn residual_stagnated(relres_history: &[f64], window: usize, factor: f64) ->
     !matches!(last.partial_cmp(&bound), Some(std::cmp::Ordering::Less))
 }
 
-/// Condition estimate of the leading `cols`-column basis from the R
-/// factor's diagonal: `max |R_ii| / min |R_ii|`.  Replicated input, so
-/// every rank computes the identical value with no communication.
-pub fn r_diag_condition(r: &Matrix, cols: usize) -> f64 {
-    if cols == 0 {
-        return f64::INFINITY;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi: f64 = 0.0;
-    for i in 0..cols {
-        let d = r[(i, i)].abs();
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    if lo == 0.0 || !lo.is_finite() || !hi.is_finite() {
-        f64::INFINITY
-    } else {
-        hi / lo
-    }
-}
-
-/// Per-column condition estimates of a **block** cycle's R factor.
+/// Per-column condition estimates of a cycle's Krylov basis from the R
+/// factor's diagonal: `max |R_ii| / min |R_ii|` per right-hand-side column.
+/// Replicated input, so every rank computes the identical values with no
+/// communication.
 ///
-/// The block solver interleaves its `block_width` right-hand-side columns:
+/// The solver interleaves its `block_width` right-hand-side columns:
 /// column `j` of the block occupies basis columns `j`, `block_width + j`,
 /// `2·block_width + j`, … so its per-column conditioning is the
 /// max/min ratio over exactly those diagonal entries of `R`, scanned over
-/// the leading `blocks` diagonal blocks.  At `block_width = 1` the single
-/// entry is bitwise [`r_diag_condition`]`(r, blocks)`.
+/// the leading `blocks` diagonal blocks (at `block_width = 1`, the leading
+/// `blocks` diagonal entries).
 pub fn block_r_diag_condition(r: &Matrix, block_width: usize, blocks: usize) -> Vec<f64> {
     assert!(block_width >= 1, "block width must be at least 1");
     let mut out = Vec::with_capacity(block_width);
@@ -630,11 +612,8 @@ mod tests {
         r[(5, 5)] = 1e-6; // block 2, column 1
         let per_col = block_r_diag_condition(&r, 2, 3);
         assert_eq!(per_col, vec![1e3, 1e6]);
-        // Width 1 is bitwise the scalar estimate.
-        assert_eq!(
-            block_r_diag_condition(&r, 1, 6),
-            vec![r_diag_condition(&r, 6)]
-        );
+        // Width 1 scans the whole leading diagonal.
+        assert_eq!(block_r_diag_condition(&r, 1, 6), vec![1e6]);
         // Zero blocks: no information, infinite estimate.
         assert_eq!(
             block_r_diag_condition(&r, 2, 0),
@@ -658,6 +637,7 @@ mod tests {
     fn r_diag_condition_estimates_from_the_diagonal() {
         let mut r = Matrix::identity(4);
         r[(2, 2)] = 1e-6;
+        let r_diag_condition = |r: &Matrix, cols| block_r_diag_condition(r, 1, cols)[0];
         assert_eq!(r_diag_condition(&r, 2), 1.0);
         assert_eq!(r_diag_condition(&r, 4), 1e6);
         r[(3, 3)] = 0.0;

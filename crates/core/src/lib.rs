@@ -20,6 +20,15 @@
 //! Krylov basis) so every global reduction is recorded and the same code
 //! path runs single-rank or multi-rank.
 //!
+//! There is one restart loop — the cycle engine of [`block`], written for a
+//! block of `k` right-hand sides — and one report type, [`SolveResult`].
+//! [`solver`] holds the configuration, the report, and the single-RHS entry
+//! points, which are zero-copy `k = 1` calls into the engine; [`basis`] /
+//! [`shifts`] choose the matrix-powers basis, [`control`] the per-cycle step
+//! size, [`hessenberg`] recovers the projected problem, [`timing`] is the
+//! per-cycle clock, and [`service`] batches independent requests into block
+//! solves.
+//!
 //! ```
 //! use sparse::laplace2d_5pt;
 //! use ssgmres::{GmresConfig, SStepGmres};
@@ -48,7 +57,7 @@ pub mod solver;
 pub mod timing;
 
 pub use basis::{AdaptiveBasis, BasisStrategy, KrylovBasis};
-pub use block::{BlockOptions, BlockSolveResult};
+pub use block::BlockOptions;
 pub use control::{AutoStep, CycleHealth, CycleVerdict, StepController, StepDecision, StepPolicy};
 pub use hessenberg::HessenbergRecovery;
 pub use precond::{

@@ -12,7 +12,6 @@
 //! | [`cholqr`] | 1 | 2 (Gram read + TRSM) |
 //! | [`cholqr2`] | 2 | 4 |
 //! | [`shifted_cholqr`] | 1 | 2 |
-//! | [`mixed_precision_cholqr`] | 1 | 2 |
 //! | [`bcgs`] | 1 | 2 (proj read + update) |
 //! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) |
 //! | [`bcgs_pip2_fused`] | 2 | 5 (vs 6 for two `bcgs_pip` calls) |
@@ -108,39 +107,6 @@ pub fn shifted_cholqr(
     })?;
     basis.scale_right(cols, &r);
     Ok((r, shift))
-}
-
-/// Mixed-precision Cholesky QR: the Gram matrix is accumulated in
-/// double-double arithmetic (the high and low parts are reduced together),
-/// then factorized in working precision.
-///
-/// **1 global reduce** (of twice the words of plain CholQR).
-pub fn mixed_precision_cholqr(
-    basis: &mut DistMultiVector,
-    cols: Range<usize>,
-) -> Result<Matrix, OrthoError> {
-    let s = cols.end - cols.start;
-    let _span = trace::span1("ortho", "mixed_precision_cholqr", "s", s as u64);
-    let view = basis.local_cols(cols.clone());
-    let (hi, lo) = crate::dd::dd_gram_local(&view);
-    let mut buf = Vec::with_capacity(2 * s * s);
-    buf.extend_from_slice(&hi);
-    buf.extend_from_slice(&lo);
-    basis.comm().allreduce_sum(&mut buf);
-    let mut g = Matrix::zeros(s, s);
-    for j in 0..s {
-        for i in 0..=j {
-            let v = buf[j * s + i] + buf[s * s + j * s + i];
-            g[(i, j)] = v;
-            g[(j, i)] = v;
-        }
-    }
-    let r = dense::cholesky_upper(&g).map_err(|e| OrthoError::CholeskyBreakdown {
-        context: "mixed-precision CholQR",
-        pivot: e.pivot,
-    })?;
-    basis.scale_right(cols, &r);
-    Ok(r)
 }
 
 /// Block classical Gram–Schmidt projection (Fig. 2a): project the panel
@@ -391,25 +357,6 @@ mod tests {
         let (r, shift) = shifted_cholqr(&mut b2, 0..3).unwrap();
         assert!(shift > 0.0);
         assert!(r[(2, 2)] > 0.0);
-    }
-
-    #[test]
-    fn mixed_precision_cholqr_matches_cholqr_on_benign_input() {
-        let v = panel(300, 4);
-        let mut a = basis_from(&v);
-        let mut b = basis_from(&v);
-        let ra = cholqr(&mut a, 0..4).unwrap();
-        let rb = mixed_precision_cholqr(&mut b, 0..4).unwrap();
-        for j in 0..4 {
-            for i in 0..4 {
-                assert!((ra[(i, j)] - rb[(i, j)]).abs() < 1e-10 * ra.max_abs());
-            }
-        }
-        // The dd Gram buys extra stability: on a panel with kappa ~ 1e9 the
-        // plain CholQR Gram matrix is at the edge of positive definiteness
-        // while the dd-accumulated one is still clean.  (Both may succeed;
-        // we only require the mixed-precision one to produce a better Q.)
-        assert!(orthogonality_error(&b.local().cols(0..4)) < 1e-10);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 pub mod bcgs2;
 pub mod bcgs_pip2;
 pub mod cgs;
-pub mod dd;
 pub mod error;
 pub mod kernels;
 pub mod sketched;
@@ -44,9 +43,7 @@ pub use bcgs2::{Bcgs2CholQr2, Bcgs2Columnwise};
 pub use bcgs_pip2::{BcgsPip, BcgsPip2};
 pub use cgs::{Cgs2Columnwise, MgsColumnwise};
 pub use error::OrthoError;
-pub use kernels::{
-    bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2, mixed_precision_cholqr, shifted_cholqr,
-};
+pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2, shifted_cholqr};
 pub use sketched::RandCholQr;
 pub use traits::{
     distinct_fallback_episodes, make_orthogonalizer, make_orthogonalizer_with_sketch,

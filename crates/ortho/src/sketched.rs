@@ -17,7 +17,7 @@
 //! numerically full rank — the sketched schemes keep going at `κ` where
 //! shifted CholQR is already falling back, at identical reduce counts.
 //!
-//! [`SketchState`] owns the realized operator and the replicated sketch
+//! `SketchState` owns the realized operator and the replicated sketch
 //! `S·Q` of the stored basis, maintained *locally* through the same linear
 //! updates the basis itself undergoes (sketching is linear), so no extra
 //! communication is ever needed.  Two schemes build on it:

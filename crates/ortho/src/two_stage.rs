@@ -14,7 +14,7 @@
 //! Fig. 5 lines 18–19.  **1 additional global reduce per `bs` columns**, and
 //! all its local BLAS-3 work runs on blocks of `bs` columns instead of `s`,
 //! which is where the data-reuse gain comes from.  When the big panel
-//! violates condition (9) the stage falls back to [`shifted_bcgs_pip2`],
+//! violates condition (9) the stage falls back to `shifted_bcgs_pip2`,
 //! whose re-orthogonalization fuses the vector update with the next inner
 //! products ([`DistMultiVector::update_and_gram`]) — 2 reduces and one
 //! fewer pass over the `n×bs` panel than the unfused remedy.

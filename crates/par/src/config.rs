@@ -54,7 +54,7 @@ pub fn num_threads_for(len: usize) -> usize {
 }
 
 /// Like [`num_threads_for`], but sized from cache geometry instead of item
-/// count: each thread's chunk must cover at least [`MIN_GRAIN_BYTES`] of
+/// count: each thread's chunk must cover at least `MIN_GRAIN_BYTES` (128 KiB) of
 /// traversed data (`len * bytes_per_item`).
 ///
 /// The row-blocked `dense` kernels use this with `bytes_per_item` = bytes

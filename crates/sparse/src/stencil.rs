@@ -15,7 +15,7 @@
 //! materializing the matrix — this is what the streamed distributed
 //! assembly (`distsim::DistCsr::from_row_source`) consumes, keeping peak
 //! per-rank memory at `O(nnz/P + halo)` — and the classic replicated
-//! constructor, which is now just [`rows::assemble`] over the row source
+//! constructor, which is now just [`crate::rows::assemble`] over the row source
 //! (so the two forms are bitwise identical by construction).
 
 use crate::csr::Csr;

@@ -51,7 +51,7 @@ fn main() {
             label,
             result.iterations,
             result.restarts,
-            result.final_relres,
+            result.final_relres[0],
             result.converged,
             max_err,
             baseline_iters as f64 / result.iterations as f64,

@@ -53,7 +53,7 @@ fn main() {
         "standard GMRES + CGS2",
         res_std.iterations,
         res_std.comm_ortho.allreduces,
-        res_std.final_relres,
+        res_std.final_relres[0],
         max_err(&x_std)
     );
     println!(
@@ -61,7 +61,7 @@ fn main() {
         "s-step GMRES + two-stage",
         res_two.iterations,
         res_two.comm_ortho.allreduces,
-        res_two.final_relres,
+        res_two.final_relres[0],
         max_err(&x_two)
     );
     let reduction = res_std.comm_ortho.allreduces as f64 / res_two.comm_ortho.allreduces as f64;

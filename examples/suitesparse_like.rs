@@ -73,7 +73,7 @@ fn solve_all(name: &str, a: &Csr) {
             label,
             result.iterations,
             result.comm_ortho.allreduces,
-            result.final_relres,
+            result.final_relres[0],
             result.converged
         );
     }

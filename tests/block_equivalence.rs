@@ -1,58 +1,33 @@
-//! Block/single-RHS equivalence battery: the contract that makes
-//! `SStepGmres::solve_block` safe to adopt incrementally.
+//! Block/single-RHS equivalence battery.
 //!
-//! A one-column block solve is not "numerically close to" the scalar
-//! solver — it **is** the scalar solver: every kernel call, reduce, and
-//! branch happens in the identical order with the identical operands, so
+//! `SStepGmres::solve` is a zero-copy k = 1 call into the one cycle engine
+//! behind `solve_block`, so a scalar solve and a one-column block solve of
+//! the same system run the identical kernel calls, reduces, and branches:
 //! solution bits, every per-cycle history, and the full communication
-//! ledger (`CommStatsSnapshot` implements `PartialEq`) must match
-//! exactly.  The battery pins that across orthogonalization schemes,
+//! ledger (`CommStatsSnapshot` implements `PartialEq`) must match exactly —
+//! the adapter projects nothing away and copies nothing in.  The battery
+//! pins that across orthogonalization schemes,
 //! basis strategies, step policies, detection guards, thread-pool widths
 //! (explicitly here; the CI test matrix additionally sweeps
 //! `TWOSTAGE_NUM_THREADS`), and simulated rank counts
 //! (`DISTSIM_TEST_RANKS`, comma-separated, extends the sweep like the
 //! other distributed batteries).
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+mod common;
 
+use common::{ranks_under_test, thread_lock};
 use distsim::{run_ranks, Communicator, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{
-    BasisStrategy, BlockSolveResult, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres,
-    SolveResult, StepPolicy,
+    BasisStrategy, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres, SolveResult,
+    StepPolicy,
 };
-
-/// `parkit`'s thread-count override is process-global and the tests of this
-/// file run on parallel threads: every test holds this lock, so that one
-/// test's `set_num_threads` sweep cannot change the lane count — and with
-/// it the reduction order — between two solves another test compares.
-fn thread_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::sync::Arc;
 
 fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
     (0..a.nrows())
         .map(|i| ((i * 7 + seed * 13) % 17) as f64 * 0.25 - 2.0)
         .collect()
-}
-
-/// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
-/// (comma-separated), the same hook the CI test matrix drives.
-fn ranks_under_test() -> Vec<usize> {
-    let mut ranks = vec![2usize, 3];
-    if let Ok(spec) = std::env::var("DISTSIM_TEST_RANKS") {
-        for tok in spec.split(',') {
-            if let Ok(r) = tok.trim().parse::<usize>() {
-                if r >= 1 && !ranks.contains(&r) {
-                    ranks.push(r);
-                }
-            }
-        }
-    }
-    ranks
 }
 
 /// The full bitwise contract between a scalar solve and the k = 1 block
@@ -63,22 +38,25 @@ fn assert_block_matches_scalar(
     x_scalar: &[f64],
     scalar: &SolveResult,
     x_block: &[f64],
-    block: &BlockSolveResult,
+    block: &SolveResult,
 ) {
     assert_eq!(x_scalar, x_block, "{tag}: solution bits diverge");
     assert_eq!(scalar.converged, block.converged, "{tag}: converged");
-    assert_eq!(vec![scalar.converged], block.col_converged, "{tag}");
+    assert_eq!(scalar.col_converged, block.col_converged, "{tag}");
     assert_eq!(scalar.iterations, block.iterations, "{tag}: iterations");
     assert_eq!(scalar.restarts, block.restarts, "{tag}: restarts");
+    assert_eq!(scalar.final_relres.len(), 1, "{tag}: one column");
     assert_eq!(
-        scalar.final_relres.to_bits(),
+        scalar.final_relres[0].to_bits(),
         block.final_relres[0].to_bits(),
         "{tag}: final relres bits"
     );
     assert_eq!(
-        scalar.relres_history, block.relres_history[0],
+        scalar.relres_history, block.relres_history,
         "{tag}: relres history"
     );
+    assert_eq!(scalar.deflated_at, block.deflated_at, "{tag}: deflation");
+    assert_eq!(scalar.deflation_order, block.deflation_order, "{tag}");
     assert_eq!(
         scalar.shift_history, block.shift_history,
         "{tag}: shift history"
@@ -103,25 +81,15 @@ fn assert_block_matches_scalar(
         scalar.comm_ortho, block.comm_ortho,
         "{tag}: ortho communication ledger"
     );
-    // Health decisions must agree cycle by cycle (the block report adds
-    // the per-column condition vector on top of the scalar fields).
     assert_eq!(
-        scalar.health_history.len(),
-        block.health_history.len(),
-        "{tag}: health history length"
+        scalar.health_history, block.health_history,
+        "{tag}: cycle health"
     );
-    for (hs, hb) in scalar.health_history.iter().zip(&block.health_history) {
-        assert_eq!(hs.verdict, hb.verdict, "{tag}: cycle verdict");
+    for h in &block.health_history {
         assert_eq!(
-            hs.kappa_est.to_bits(),
-            hb.kappa_est.to_bits(),
-            "{tag}: kappa bits"
-        );
-        assert_eq!(hb.kappa_per_col.len(), 1, "{tag}: one column, one kappa");
-        assert_eq!(
-            hb.kappa_per_col[0].to_bits(),
-            hb.kappa_est.to_bits(),
-            "{tag}: block kappa aggregates its only column"
+            h.kappa_per_col,
+            vec![h.kappa_est],
+            "{tag}: kappa aggregates its only column"
         );
     }
 }
@@ -224,7 +192,6 @@ fn k1_equivalence_is_bitwise_on_every_thread_count() {
         );
         per_width.push((x_scalar, x_block.col(0).to_vec()));
     }
-    parkit::set_num_threads(0); // restore the automatic default
     let (x1_scalar, x1_block) = &per_width[0];
     for (xs, xb) in &per_width[1..] {
         assert_eq!(x1_scalar, xs, "scalar solve must be width-invariant");
@@ -246,7 +213,7 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
         ortho: OrthoKind::TwoStage { big_panel: 24 },
         ..GmresConfig::default()
     };
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[2, 3]) {
         let part = block_row_partition(n, nranks);
         let outcomes = run_ranks(nranks, |comm| {
             let rank = comm.rank();
@@ -272,6 +239,69 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
                 block,
             );
         }
+    }
+}
+
+#[test]
+fn scalar_solve_continues_from_a_nonzero_initial_guess() {
+    let _lock = thread_lock();
+    // The scalar entry point hands `x_local` to the engine as a view: a
+    // nonzero guess must be read (not zeroed) and updated in place.  One
+    // capped cycle from zero, then one more capped cycle from its own `x`
+    // through scalar `solve` and through k = 1 `solve_block`: same bits,
+    // and a residual strictly below the first cycle's (a zeroed guess
+    // would reproduce the first cycle instead).
+    let a = laplace2d_9pt(18, 18);
+    let n = a.nrows();
+    let b = rhs_for(&a, 4);
+    let solver = SStepGmres::new(GmresConfig {
+        restart: 20,
+        step_size: 5,
+        tol: 1e-12,
+        max_restarts: 1,
+        ortho: OrthoKind::TwoStage { big_panel: 20 },
+        ..GmresConfig::default()
+    });
+    let relres = |x: &[f64]| {
+        let ax = a.spmv_alloc(x);
+        let rn: f64 = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum();
+        let bn: f64 = b.iter().map(|v| v * v).sum();
+        (rn / bn).sqrt()
+    };
+    for nranks in [1usize, 2] {
+        let part = block_row_partition(n, nranks);
+        let outcomes = run_ranks(nranks, |comm| {
+            let (lo, hi) = part.range(comm.rank());
+            let comm_dyn: Arc<dyn Communicator> = comm;
+            let dist = DistCsr::from_global(comm_dyn, &a, &part);
+            let mut x_first = vec![0.0; hi - lo];
+            let first = solver.solve(&dist, &Identity, &b[lo..hi], &mut x_first);
+            assert!(!first.converged && first.restarts == 1, "cap must bind");
+            let mut x_scalar = x_first.clone();
+            let scalar = solver.solve(&dist, &Identity, &b[lo..hi], &mut x_scalar);
+            let bm = dense::Matrix::from_col_major(hi - lo, 1, b[lo..hi].to_vec());
+            let mut x_block = dense::Matrix::from_col_major(hi - lo, 1, x_first.clone());
+            let block = solver.solve_block(&dist, &Identity, &bm, &mut x_block);
+            (x_first, x_scalar, scalar, x_block, block)
+        });
+        let (mut x_first, mut x_cont) = (Vec::new(), Vec::new());
+        for (rank, (xf, x_scalar, scalar, x_block, block)) in outcomes.iter().enumerate() {
+            assert_block_matches_scalar(
+                &format!("continued, nranks {nranks} rank {rank}"),
+                x_scalar,
+                scalar,
+                x_block.col(0),
+                block,
+            );
+            x_first.extend_from_slice(xf);
+            x_cont.extend_from_slice(x_scalar);
+        }
+        assert!(
+            relres(&x_cont) < relres(&x_first),
+            "nranks {nranks}: continuation {} must improve on {}",
+            relres(&x_cont),
+            relres(&x_first)
+        );
     }
 }
 
@@ -325,7 +355,7 @@ fn assert_wide_block_schedule_is_rank_count_invariant(a: &Csr, bs: &[Vec<f64>]) 
     let solver = SStepGmres::new(config.clone());
     let (x_serial, r_serial) = solver.solve_block_serial(a, bs);
     assert!(r_serial.converged, "{:?}", r_serial.breakdown);
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[2, 3]) {
         let part = block_row_partition(n, nranks);
         let outcomes = run_ranks(nranks, |comm| {
             let rank = comm.rank();

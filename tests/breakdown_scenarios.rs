@@ -12,11 +12,14 @@
 //! simulated rank counts (including the `DISTSIM_TEST_RANKS` CI sweep),
 //! because every signal it reads is replicated.
 
+mod common;
+
 use blockortho::{make_orthogonalizer, OrthoError, OrthoKind};
+use common::{ranks_under_test, rhs_ones, thread_lock};
 use dense::Matrix;
 use distsim::{run_ranks, Communicator, DistCsr, DistMultiVector, SerialComm};
 use proptest::prelude::*;
-use sparse::{block_row_partition, elasticity3d, laplace2d_9pt, Csr};
+use sparse::{block_row_partition, elasticity3d, laplace2d_9pt};
 use ssgmres::{
     BasisStrategy, CycleVerdict, GmresConfig, Identity, OrthoKind as SolverOrthoKind, SStepGmres,
     SolveResult, StepPolicy,
@@ -169,12 +172,9 @@ fn single_column_panels_are_never_silent() {
 // Solver-level scenarios
 // ---------------------------------------------------------------------------
 
-fn rhs_ones(a: &Csr) -> Vec<f64> {
-    a.spmv_alloc(&vec![1.0; a.nrows()])
-}
-
 #[test]
 fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
+    let _lock = thread_lock();
     // elasticity3d at s = 12: the monomial panel is decisively rank
     // deficient (s = 8 now sits on the knife edge of the SIMD Gram
     // kernels' last ulps).  Whatever the scheme and step policy, the solver must
@@ -244,6 +244,7 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
 
 #[test]
 fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
+    let _lock = thread_lock();
     // Monomial basis on a 9-pt Laplacian at s = 10: the panel's condition
     // number grows exponentially in s, crossing the Cholesky-on-Gram
     // crossover while the panel stays numerically full rank.  The plain
@@ -306,6 +307,7 @@ fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
 
 #[test]
 fn step_size_equal_to_restart_edge_works_under_both_policies() {
+    let _lock = thread_lock();
     // s = restart: one matrix-powers panel spans the whole cycle.  Both
     // policies must handle it; with clean cycles Auto realizes the same
     // steps as Fixed.  (s = 6 keeps the monomial panel solvable — at
@@ -371,30 +373,6 @@ fn decision_trace(r: &SolveResult) -> (Vec<(usize, Option<CycleVerdict>, usize)>
     (cycles, r.converged)
 }
 
-/// Restore the global thread-count override even if an assertion unwinds.
-struct ThreadGuard;
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        parkit::set_num_threads(0);
-    }
-}
-
-/// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
-/// (comma-separated), the same hook the CI test matrix drives.
-fn ranks_under_test() -> Vec<usize> {
-    let mut ranks = vec![2usize, 3];
-    if let Ok(spec) = std::env::var("DISTSIM_TEST_RANKS") {
-        for tok in spec.split(',') {
-            if let Ok(r) = tok.trim().parse::<usize>() {
-                if r >= 1 && !ranks.contains(&r) {
-                    ranks.push(r);
-                }
-            }
-        }
-    }
-    ranks
-}
-
 fn auto_config(restart: usize, s: usize) -> GmresConfig {
     GmresConfig {
         restart,
@@ -422,13 +400,13 @@ proptest! {
         nx in 4usize..6,
         s in 6usize..9,
     ) {
+        let _lock = thread_lock();
         // The controller reads only replicated signals; worker-thread
         // chunking may change the last ulps of local kernels but must not
         // change what the controller decides.
         let a = elasticity3d(nx, nx, nx);
         let b = rhs_ones(&a);
         let solver = SStepGmres::new(auto_config(32, s));
-        let _guard = ThreadGuard;
         let mut baseline = None;
         for threads in [1usize, 2, 4] {
             parkit::set_num_threads(threads);
@@ -449,6 +427,7 @@ proptest! {
         nx in 4usize..6,
         s in 6usize..9,
     ) {
+        let _lock = thread_lock();
         // Every health signal the controller consumes is replicated, so
         // within one distributed run ALL ranks must take bitwise-identical
         // decisions — a single diverging rank would change its collective
@@ -465,7 +444,7 @@ proptest! {
         let (_, serial) = SStepGmres::new(config.clone()).solve_serial(&a, &b);
         let (serial_trace, serial_conv) = decision_trace(&serial);
         prop_assert!(serial_conv, "serial run must converge");
-        for nranks in ranks_under_test() {
+        for nranks in ranks_under_test(&[2, 3]) {
             let part = block_row_partition(n, nranks);
             let records = run_ranks(nranks, |comm| {
                 let (lo, hi) = part.range(comm.rank());

@@ -19,15 +19,14 @@
 //!   split accumulators are accurate enough that s = 8 now sits on the
 //!   knife edge, so the battery pins the decisively deficient s = 10.)
 
-use sparse::{elasticity3d, laplace2d_9pt, Csr};
+mod common;
+
+use common::rhs_ones;
+use sparse::{elasticity3d, laplace2d_9pt};
 use ssgmres::{
     AutoStep, BasisStrategy, CycleVerdict, GmresConfig, OrthoKind, SStepGmres, SolveResult,
     StepPolicy,
 };
-
-fn rhs_ones(a: &Csr) -> Vec<f64> {
-    a.spmv_alloc(&vec![1.0; a.nrows()])
-}
 
 fn max_err(x: &[f64]) -> f64 {
     x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max)

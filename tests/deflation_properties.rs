@@ -21,46 +21,14 @@
 //! (swept here) and simulated rank counts (`DISTSIM_TEST_RANKS` extends
 //! the sweep; `tests/block_equivalence.rs` pins the rank axis as well).
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+mod common;
 
+use common::{ranks_under_test, thread_lock};
 use distsim::{run_ranks, Communicator, DistCsr};
 use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_5pt, laplace2d_9pt, Csr};
 use ssgmres::{BlockOptions, GmresConfig, Identity, OrthoKind, SStepGmres};
-
-/// `parkit`'s thread-count override is process-global and the tests of this
-/// file run on parallel threads: every test holds this lock, so that one
-/// test's `set_num_threads` sweep cannot change the lane count — and with
-/// it the reduction order — between two solves another test compares.
-fn thread_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-struct ThreadGuard;
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        parkit::set_num_threads(0);
-    }
-}
-
-/// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
-/// (comma-separated), the same hook the CI test matrix drives.
-fn ranks_under_test() -> Vec<usize> {
-    let mut ranks = vec![2usize, 3];
-    if let Ok(spec) = std::env::var("DISTSIM_TEST_RANKS") {
-        for tok in spec.split(',') {
-            if let Ok(r) = tok.trim().parse::<usize>() {
-                if r >= 1 && !ranks.contains(&r) {
-                    ranks.push(r);
-                }
-            }
-        }
-    }
-    ranks
-}
+use std::sync::Arc;
 
 fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
@@ -192,7 +160,6 @@ proptest! {
             ortho: OrthoKind::TwoStage { big_panel: 18 },
             ..GmresConfig::default()
         });
-        let _guard = ThreadGuard;
         let mut baseline: Option<Schedule> = None;
         for threads in [1usize, 2, 4] {
             parkit::set_num_threads(threads);
@@ -235,7 +202,7 @@ fn deflation_schedule_is_deterministic_across_rank_counts() {
         !serial.deflation_order.is_empty(),
         "the loose column must deflate mid-solve"
     );
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[2, 3]) {
         let part = block_row_partition(n, nranks);
         let schedules = run_ranks(nranks, |comm| {
             let rank = comm.rank();

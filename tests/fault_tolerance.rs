@@ -24,6 +24,9 @@
 //! Rank counts sweep `DISTSIM_TEST_RANKS` (comma-separated) like the other
 //! distributed batteries.
 
+mod common;
+
+use common::ranks_under_test;
 use distsim::{
     run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultyComm, GuardPolicy, OpKind, Target,
 };
@@ -31,22 +34,6 @@ use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 use std::sync::Arc;
-
-/// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`
-/// (comma-separated), the same hook the CI test matrix drives.
-fn ranks_under_test() -> Vec<usize> {
-    let mut ranks = vec![2usize, 3];
-    if let Ok(spec) = std::env::var("DISTSIM_TEST_RANKS") {
-        for tok in spec.split(',') {
-            if let Ok(r) = tok.trim().parse::<usize>() {
-                if r >= 1 && !ranks.contains(&r) {
-                    ranks.push(r);
-                }
-            }
-        }
-    }
-    ranks
-}
 
 /// Run one distributed solve, optionally wrapping every rank's
 /// communicator in a [`FaultyComm`] driven by `plan`.  Returns each rank's
@@ -146,7 +133,7 @@ proptest! {
             ..GmresConfig::default()
         };
         let plan = FaultPlan::none();
-        for nranks in ranks_under_test() {
+        for nranks in ranks_under_test(&[2, 3]) {
             let plain = solve_dist(&a, &b, nranks, &config, None);
             let wrapped = solve_dist(&a, &b, nranks, &config, Some(&plan));
             for (rank, ((xp, rp), (xw, rw))) in plain.iter().zip(&wrapped).enumerate() {
@@ -179,7 +166,7 @@ fn guards_at_zero_faults_add_zero_reductions_and_stay_bitwise() {
         guards: GuardPolicy::all(),
         ..base_config()
     };
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[2, 3]) {
         let off = solve_dist(&a, &b, nranks, &unguarded, None);
         let on = solve_dist(&a, &b, nranks, &guarded, None);
         for (rank, ((xo, ro), (xg, rg))) in off.iter().zip(&on).enumerate() {
@@ -228,7 +215,7 @@ fn gram_bitflip_is_detected_and_repaired_in_place() {
             bit: 62,
         },
     );
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[2, 3]) {
         if nranks < 2 {
             continue;
         }

@@ -2,6 +2,9 @@
 //! classes with every orthogonalization scheme and preconditioner
 //! combination, checking solutions against the known exact answer.
 
+mod common;
+
+use common::rhs_ones;
 use sparse::{
     elasticity3d, laplace2d_5pt, laplace2d_9pt, laplace3d_7pt, scale_rows_cols_by_max,
     suitesparse_surrogate, Csr, SUITE_SPARSE_SET,
@@ -10,10 +13,6 @@ use ssgmres::{
     standard_gmres_config, BasisStrategy, BlockJacobiGaussSeidel, GmresConfig, Jacobi, KrylovBasis,
     MulticolorGaussSeidel, OrthoKind, SStepGmres,
 };
-
-fn rhs_ones(a: &Csr) -> Vec<f64> {
-    a.spmv_alloc(&vec![1.0; a.nrows()])
-}
 
 fn max_err(x: &[f64]) -> f64 {
     x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max)

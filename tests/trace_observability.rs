@@ -6,35 +6,13 @@
 //! across thread-pool widths and simulated rank counts (extendable via
 //! `DISTSIM_TEST_RANKS=6,8` as in the other sweep batteries).
 
+mod common;
+
+use common::{ranks_under_test, rhs_ones, thread_lock};
 use distsim::{run_ranks, Communicator, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// The enable flag, capacity, and ring registry of `trace` are process
-/// globals; tests that toggle them must not interleave (integration tests
-/// run on parallel threads within one binary).
-fn trace_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`.
-fn ranks_under_test() -> Vec<usize> {
-    let mut ranks = vec![1usize, 2, 4];
-    if let Ok(spec) = std::env::var("DISTSIM_TEST_RANKS") {
-        for tok in spec.split(',') {
-            if let Ok(r) = tok.trim().parse::<usize>() {
-                if r >= 1 && !ranks.contains(&r) {
-                    ranks.push(r);
-                }
-            }
-        }
-    }
-    ranks
-}
+use std::sync::Arc;
 
 fn config() -> GmresConfig {
     GmresConfig {
@@ -58,9 +36,9 @@ fn assert_identical(tag: &str, x0: &[f64], r0: &SolveResult, x1: &[f64], r1: &So
 
 #[test]
 fn toggling_tracing_keeps_serial_solves_bitwise_identical() {
-    let _guard = trace_lock();
+    let _guard = thread_lock();
     let a = laplace2d_9pt(18, 18);
-    let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+    let b = rhs_ones(&a);
     let solver = SStepGmres::new(config());
 
     trace::set_enabled(false);
@@ -83,12 +61,12 @@ fn toggling_tracing_keeps_serial_solves_bitwise_identical() {
 
 #[test]
 fn toggling_tracing_keeps_distributed_solves_bitwise_identical() {
-    let _guard = trace_lock();
+    let _guard = thread_lock();
     let (nx, ny) = (16, 16);
     let rows = Laplace2d9ptRows { nx, ny };
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();
-    let b = a.spmv_alloc(&vec![1.0; n]);
+    let b = rhs_ones(&a);
     let nranks = 3;
     let part = block_row_partition(n, nranks);
     let run = || {
@@ -132,9 +110,9 @@ fn spans_balance_across_thread_and_rank_sweeps() {
     if trace::compiled_out() {
         return;
     }
-    let _guard = trace_lock();
+    let _guard = thread_lock();
     let a = laplace2d_9pt(14, 14);
-    let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+    let b = rhs_ones(&a);
     let rows = Laplace2d9ptRows { nx: 14, ny: 14 };
     let n = a.nrows();
 
@@ -152,9 +130,8 @@ fn spans_balance_across_thread_and_rank_sweeps() {
             "threads {threads}: unbalanced spans left open"
         );
     }
-    parkit::set_num_threads(0);
 
-    for nranks in ranks_under_test() {
+    for nranks in ranks_under_test(&[1, 2, 4]) {
         let part = block_row_partition(n, nranks);
         trace::clear();
         trace::set_enabled(true);
@@ -182,11 +159,11 @@ fn chrome_timeline_validates_and_has_one_lane_per_rank() {
     if trace::compiled_out() {
         return;
     }
-    let _guard = trace_lock();
+    let _guard = thread_lock();
     let (nx, ny) = (12, 12);
     let rows = Laplace2d9ptRows { nx, ny };
     let a = laplace2d_9pt(nx, ny);
-    let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+    let b = rhs_ones(&a);
     let nranks = 3;
     let part = block_row_partition(a.nrows(), nranks);
 
@@ -225,9 +202,9 @@ fn chrome_timeline_validates_and_has_one_lane_per_rank() {
 
 #[test]
 fn cycle_timings_partition_every_cycle() {
-    let _guard = trace_lock();
+    let _guard = thread_lock();
     let a = laplace2d_9pt(16, 16);
-    let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+    let b = rhs_ones(&a);
     trace::set_enabled(!trace::compiled_out());
     let (_, result) = SStepGmres::new(config()).solve_serial(&a, &b);
     trace::set_enabled(false);
