@@ -34,7 +34,7 @@ use sparse::{laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr, 
 use ssgmres::{
     AdaptiveBasis, BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres, SolveResult,
 };
-use std::fmt::Write as _;
+use trace::JsonWriter;
 
 struct Row {
     matrix: String,
@@ -49,13 +49,6 @@ struct Row {
     allreduces_total: usize,
     allreduces_ortho: usize,
     num_shifts: usize,
-}
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
 }
 
 fn config(s: usize, restart: usize, basis: BasisStrategy, max_iters: usize) -> GmresConfig {
@@ -166,54 +159,36 @@ fn run_matrix(rows: &mut Vec<Row>, name: &str, a: &Csr, svals: &[usize], max_ite
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
+fn to_json(rows: &[Row], quick: bool) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "basis_compare")
+        .field("quick", quick)
+        .key("results")
+        .begin_array();
+    for r in rows {
+        w.begin_object()
+            .field("matrix", &r.matrix)
+            .field("n", r.n)
+            .field("s", r.s)
+            .field("basis", r.basis)
+            .field("kappa", r.kappa)
+            .field("iterations", r.iterations)
+            .field("restarts", r.restarts)
+            .field("converged", r.converged)
+            .field("ortho_fallbacks", r.ortho_fallbacks)
+            .field("allreduces_total", r.allreduces_total)
+            .field("allreduces_ortho", r.allreduces_ortho)
+            .field("num_shifts", r.num_shifts)
+            .end_object();
     }
-}
-
-fn write_json(rows: &[Row], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"basis_compare\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"matrix\": \"{}\", \"n\": {}, \"s\": {}, \"basis\": \"{}\", \"kappa\": {}, \"iterations\": {}, \"restarts\": {}, \"converged\": {}, \"ortho_fallbacks\": {}, \"allreduces_total\": {}, \"allreduces_ortho\": {}, \"num_shifts\": {}}}",
-            r.matrix,
-            r.n,
-            r.s,
-            r.basis,
-            json_f64(r.kappa),
-            r.iterations,
-            r.restarts,
-            r.converged,
-            r.ortho_fallbacks,
-            r.allreduces_total,
-            r.allreduces_ortho,
-            r.num_shifts
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
-    let args = match bench::cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("basis_compare: {e}");
-            eprintln!("usage: basis_compare [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
-    let quick = quick();
+    let args = bench::cli::begin("basis_compare", true);
+    let quick = bench::quick();
     let svals: &[usize] = if quick { &[2, 8] } else { &[2, 4, 6, 8, 10] };
     let (lap_nx, surrogate_n, max_iters) = if quick {
         (30usize, Some(1_200usize), 10_000usize)
@@ -222,12 +197,8 @@ fn main() {
     };
     let mut rows = Vec::new();
 
-    if let Some(path) = &args.matrix {
+    if let Some((name, a)) = args.load_matrix() {
         // File mode: sweep the provided matrix only, streamed from disk.
-        let (name, a) = bench::cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("basis_compare: {e}");
-            std::process::exit(2);
-        });
         eprintln!("matrix {name} ({} rows, {} nnz) ...", a.nrows(), a.nnz());
         let part = bench::cli::partition_rows(&a, args.partition, 4);
         eprintln!(
@@ -290,8 +261,7 @@ fn main() {
         &table,
     );
 
-    let json = write_json(&rows, quick);
-    std::fs::write("BENCH_basis.json", &json).expect("write BENCH_basis.json");
+    bench::emit("BENCH_basis.json", &to_json(&rows, quick));
     eprintln!("wrote BENCH_basis.json ({} rows)", rows.len());
 
     // Headline acceptance check: s = 8 on the Laplace stencil, the adaptive
@@ -313,5 +283,5 @@ fn main() {
             "acceptance: adaptive basis must be strictly better conditioned at s=8 on laplace2d"
         );
     }
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

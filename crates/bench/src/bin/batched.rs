@@ -24,15 +24,8 @@
 use perfmodel::{block_ortho_reduce_count, SchemeKind};
 use sparse::{laplace2d_9pt, Csr};
 use ssgmres::{BatchConfig, BatchedSolver, GmresConfig, OrthoKind, SStepGmres, SolveTicket};
-use std::fmt::Write as _;
 use std::time::Duration;
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
+use trace::JsonWriter;
 
 fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
     (0..n)
@@ -49,14 +42,6 @@ struct ScalingRow {
     ortho_allreduces: usize,
     ortho_allreduce_words: usize,
     words_per_call: f64,
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn scaling_config(restart: usize, s: usize, big_panel: usize) -> GmresConfig {
@@ -130,7 +115,8 @@ fn run_scaling(
 }
 
 fn main() {
-    let quick = quick();
+    let args = bench::cli::begin("batched", false);
+    let quick = bench::quick();
     // restart 20 on the 24x24 grid keeps the widest block's basis
     // (k·(m+1) columns of a block Krylov space with correlated columns)
     // comfortably clear of the shifted-CholQR fallback threshold at every
@@ -231,42 +217,47 @@ fn main() {
     assert_eq!((batches, columns), (1, service_k));
 
     // --- Report. ---
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"batched\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"problem\": {{\"matrix\": \"laplace2d_9pt\", \"n\": {n}, \"restart\": {restart}, \"s\": {s}, \"big_panel\": {big_panel}}},"
-    );
-    let _ = writeln!(out, "  \"k1_bitwise_equivalent\": {equivalent},");
-    let _ = writeln!(out, "  \"reduce_ratio_k4_vs_k1\": {},", json_f64(ratio));
-    out.push_str("  \"scaling\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"k\": {}, \"restarts\": {}, \"iterations\": {}, \"allreduces\": {}, \"allreduce_words\": {}, \"ortho_allreduces\": {}, \"ortho_allreduce_words\": {}, \"words_per_call\": {}}}",
-            r.k,
-            r.restarts,
-            r.iterations,
-            r.allreduces,
-            r.allreduce_words,
-            r.ortho_allreduces,
-            r.ortho_allreduce_words,
-            json_f64(r.words_per_call)
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    let amortization = individual_reduces as f64 / batch_reduces as f64;
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "batched")
+        .field("quick", quick)
+        .key("problem")
+        .begin_object()
+        .field("matrix", "laplace2d_9pt")
+        .field("n", n)
+        .field("restart", restart)
+        .field("s", s)
+        .field("big_panel", big_panel)
+        .end_object()
+        .field("k1_bitwise_equivalent", equivalent)
+        .field("reduce_ratio_k4_vs_k1", ratio)
+        .key("scaling")
+        .begin_array();
+    for r in &rows {
+        w.begin_object()
+            .field("k", r.k)
+            .field("restarts", r.restarts)
+            .field("iterations", r.iterations)
+            .field("allreduces", r.allreduces)
+            .field("allreduce_words", r.allreduce_words)
+            .field("ortho_allreduces", r.ortho_allreduces)
+            .field("ortho_allreduce_words", r.ortho_allreduce_words)
+            .field("words_per_call", r.words_per_call)
+            .end_object();
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"service\": {{\"batch_size\": {service_k}, \"batch_reduces\": {batch_reduces}, \"individual_reduces\": {individual_reduces}, \"amortization\": {}}}",
-        json_f64(individual_reduces as f64 / batch_reduces as f64)
-    );
-    out.push_str("}\n");
-    std::fs::write("BENCH_batched.json", &out).expect("write BENCH_batched.json");
+    w.end_array()
+        .key("service")
+        .begin_object()
+        .field("batch_size", service_k)
+        .field("batch_reduces", batch_reduces)
+        .field("individual_reduces", individual_reduces)
+        .field("amortization", amortization)
+        .end_object()
+        .end_object();
+    bench::emit("BENCH_batched.json", &w.finish());
     eprintln!(
-        "wrote BENCH_batched.json (reduce ratio k4/k1 = {ratio:.3}, service amortization = {:.2}x)",
-        individual_reduces as f64 / batch_reduces as f64
+        "wrote BENCH_batched.json (reduce ratio k4/k1 = {ratio:.3}, service amortization = {amortization:.2}x)"
     );
+    args.finish();
 }

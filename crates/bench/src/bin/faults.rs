@@ -43,18 +43,11 @@ use distsim::{
 };
 use sparse::{elasticity3d, Csr, RowPartition};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
+use trace::JsonWriter;
 
 const NRANKS: usize = 2;
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
 
 /// Campaign guard policy: everything on, with a short halo patience so a
 /// dropped-message cell pays milliseconds, not the default five seconds.
@@ -168,35 +161,13 @@ struct CampaignRow {
     relres: f64,
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
-    let args = match cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("faults: {e}");
-            eprintln!(
-                "usage: faults [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    cli::start_tracing(&args.trace);
-    let quick = quick();
+    let args = cli::begin("faults", true);
+    let quick = bench::quick();
 
     // Campaign matrix: elasticity3d (headline) or the provided file.
-    let (name, a, s, headline) = match &args.matrix {
-        Some(path) => {
-            let (name, a) = cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-                eprintln!("faults: {e}");
-                std::process::exit(2);
-            });
+    let (name, a, s, headline) = match args.load_matrix() {
+        Some((name, a)) => {
             let s = 8.min(a.nrows() / 4).max(2);
             (name, a, s, false)
         }
@@ -279,8 +250,41 @@ fn main() {
         );
     }
 
+    // ---- Report, part 1: everything known before the fault cells -----
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "faults")
+        .field("quick", quick)
+        .field("matrix", &name)
+        .field("n", a.nrows())
+        .field("s", s)
+        .field("nranks", NRANKS);
+    w.key("partition")
+        .begin_object()
+        .field("kind", args.partition.label())
+        .key("per_rank_nnz")
+        .begin_array();
+    for nnz in &per_rank {
+        w.value(nnz);
+    }
+    w.end_array().field("imbalance", imbalance).end_object();
+    w.key("baseline")
+        .begin_object()
+        .field("iterations", base_g.r.iterations)
+        .field("reductions", base_g.r.comm_total.allreduces)
+        .field("guards_added_reductions", added_reductions)
+        .field("guards_bitwise_transparent", true)
+        .end_object();
+    w.key("overhead")
+        .begin_object()
+        .field("runs", runs)
+        .field("unguarded_ms", med_un * 1e3)
+        .field("guarded_ms", med_g * 1e3)
+        .field("ratio", overhead_ratio)
+        .field("asserted_below", 1.05)
+        .end_object();
+
     // ---- Headline SDC cells (built-in matrix only) --------------------
-    let mut headline_json = String::new();
     if headline {
         assert!(
             base_g.r.restarts > 1,
@@ -384,23 +388,38 @@ fn main() {
         assert_eq!(norm_g.x, norm_g2.x, "headline cell must replay bitwise");
         assert_eq!(norm_g.r.iterations, norm_g2.r.iterations);
 
-        let _ = write!(
-            headline_json,
-            "  \"headline\": {{\n    \"matrix\": \"{name}\", \"s\": {s}, \"nranks\": {NRANKS},\n    \"sdc_gram\": {{\"injected\": {}, \"detected\": {}, \"recovered\": {}, \"unrecovered\": {}, \"converged\": {}, \"iteration_overhead\": 0, \"repair_bitwise\": true, \"unguarded_converged\": {}, \"unguarded_iter_overhead\": {}, \"unguarded_relres\": {}}},\n    \"sdc_norm\": {{\"detected\": {}, \"converged\": {}, \"guarded_relres\": {}, \"unguarded_converged\": {}, \"unguarded_silent\": true, \"unguarded_relres\": {}, \"wrong_answer\": true}},\n    \"replay_bitwise\": true\n  }},\n",
-            gram_g.injected,
-            gram_g.r.faults_detected,
-            gram_g.r.faults_recovered,
-            gram_g.r.faults_unrecovered,
-            gram_g.converged_all,
-            gram_un.converged_all,
-            gram_un.r.iterations as isize - base_un.r.iterations as isize,
-            json_f64(gram_un_relres),
-            norm_g.r.faults_detected,
-            norm_g.converged_all,
-            json_f64(norm_g_relres),
-            norm_un.converged_all,
-            json_f64(norm_un_relres),
-        );
+        w.key("headline")
+            .begin_object()
+            .field("matrix", &name)
+            .field("s", s)
+            .field("nranks", NRANKS);
+        w.key("sdc_gram")
+            .begin_object()
+            .field("injected", gram_g.injected)
+            .field("detected", gram_g.r.faults_detected)
+            .field("recovered", gram_g.r.faults_recovered)
+            .field("unrecovered", gram_g.r.faults_unrecovered)
+            .field("converged", gram_g.converged_all)
+            .field("iteration_overhead", 0usize)
+            .field("repair_bitwise", true)
+            .field("unguarded_converged", gram_un.converged_all)
+            .field(
+                "unguarded_iter_overhead",
+                gram_un.r.iterations as isize - base_un.r.iterations as isize,
+            )
+            .field("unguarded_relres", gram_un_relres)
+            .end_object();
+        w.key("sdc_norm")
+            .begin_object()
+            .field("detected", norm_g.r.faults_detected)
+            .field("converged", norm_g.converged_all)
+            .field("guarded_relres", norm_g_relres)
+            .field("unguarded_converged", norm_un.converged_all)
+            .field("unguarded_silent", true)
+            .field("unguarded_relres", norm_un_relres)
+            .field("wrong_answer", true)
+            .end_object();
+        w.field("replay_bitwise", true).end_object();
     }
 
     // ---- Seeded campaign grid: kind × rate × phase --------------------
@@ -521,57 +540,26 @@ fn main() {
         &table,
     );
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"faults\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"matrix\": \"{name}\", \"n\": {}, \"s\": {s}, \"nranks\": {NRANKS},",
-        a.nrows()
-    );
-    let _ = writeln!(
-        out,
-        "  \"partition\": {{\"kind\": \"{}\", \"per_rank_nnz\": {per_rank:?}, \"imbalance\": {}}},",
-        args.partition.label(),
-        json_f64(imbalance)
-    );
-    let _ = writeln!(
-        out,
-        "  \"baseline\": {{\"iterations\": {}, \"reductions\": {}, \"guards_added_reductions\": {added_reductions}, \"guards_bitwise_transparent\": true}},",
-        base_g.r.iterations, base_g.r.comm_total.allreduces
-    );
-    let _ = writeln!(
-        out,
-        "  \"overhead\": {{\"runs\": {runs}, \"unguarded_ms\": {}, \"guarded_ms\": {}, \"ratio\": {}, \"asserted_below\": 1.05}},",
-        json_f64(med_un * 1e3),
-        json_f64(med_g * 1e3),
-        json_f64(overhead_ratio)
-    );
-    out.push_str(&headline_json);
-    out.push_str("  \"campaign\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"kind\": \"{}\", \"rate\": {}, \"phase\": \"{}\", \"seed\": {}, \"injected\": {}, \"detected\": {}, \"recovered\": {}, \"unrecovered\": {}, \"retries\": {}, \"converged\": {}, \"iterations\": {}, \"iteration_overhead\": {}, \"relres\": {}}}",
-            r.kind,
-            r.rate,
-            r.phase,
-            r.seed,
-            r.injected,
-            r.detected,
-            r.recovered,
-            r.unrecovered,
-            r.retries,
-            r.converged,
-            r.iterations,
-            r.iter_overhead,
-            json_f64(r.relres)
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    w.key("campaign").begin_array();
+    for r in &rows {
+        w.begin_object()
+            .field("kind", r.kind)
+            .field("rate", r.rate)
+            .field("phase", r.phase)
+            .field("seed", r.seed)
+            .field("injected", r.injected)
+            .field("detected", r.detected)
+            .field("recovered", r.recovered)
+            .field("unrecovered", r.unrecovered)
+            .field("retries", r.retries)
+            .field("converged", r.converged)
+            .field("iterations", r.iterations)
+            .field("iteration_overhead", r.iter_overhead)
+            .field("relres", r.relres)
+            .end_object();
     }
-    out.push_str("  ],\n  \"replay_bitwise\": true\n}\n");
-    std::fs::write("BENCH_faults.json", &out).expect("write BENCH_faults.json");
+    w.end_array().field("replay_bitwise", true).end_object();
+    bench::emit("BENCH_faults.json", &w.finish());
     eprintln!("wrote BENCH_faults.json ({} campaign cells)", rows.len());
-    cli::finish_tracing(&args.trace);
+    args.finish();
 }

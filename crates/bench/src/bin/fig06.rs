@@ -12,15 +12,7 @@ use distsim::{DistMultiVector, SerialComm};
 use testmat::logscaled_matrix;
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig06: {e}");
-            eprintln!("usage: fig06 [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
+    let args = bench::cli::begin("fig06", false);
     let (n, seeds) = match scale() {
         Scale::Paper => (100_000usize, 10u64),
         Scale::Small => (10_000usize, 3u64),
@@ -93,5 +85,5 @@ fn main() {
         "\nExpected shape (paper): err(CholQR) ~ kappa^2*eps, breakdown past kappa ~ 1e8,\n\
          cond(Q1) = O(1) and err(CholQR2) = O(eps) for kappa < 1e8."
     );
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

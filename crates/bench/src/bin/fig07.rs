@@ -11,15 +11,7 @@ use dense::{cond_2, orthogonality_error};
 use testmat::{glued_matrix, GluedSpec};
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig07: {e}");
-            eprintln!("usage: fig07 [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
+    let args = bench::cli::begin("fig07", false);
     let (n, panels) = match scale() {
         Scale::Paper => (100_000usize, 8usize),
         Scale::Small => (10_000usize, 6usize),
@@ -75,5 +67,5 @@ fn main() {
         "\nExpected shape (paper): for kappa < 1e8 the post-PIP basis stays O(1) conditioned\n\
          and BCGS-PIP2 reaches O(eps); beyond that the Cholesky factorization breaks down."
     );
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

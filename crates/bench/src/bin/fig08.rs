@@ -15,15 +15,7 @@ use distsim::{DistMultiVector, SerialComm};
 use testmat::{glued_matrix, GluedSpec};
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig08: {e}");
-            eprintln!("usage: fig08 [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
+    let args = bench::cli::begin("fig08", false);
     let (n, m, bs, s) = match scale() {
         Scale::Paper => (100_000usize, 180usize, 60usize, 5usize),
         Scale::Small => (8_000usize, 60usize, 20usize, 5usize),
@@ -90,5 +82,5 @@ fn main() {
         "Expected shape (paper): the stored-basis condition number stays O(1)-ish thanks to the\n\
          pre-processing even though kappa(V) grows geometrically, and the final error is O(eps)."
     );
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

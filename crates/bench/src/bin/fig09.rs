@@ -14,15 +14,7 @@ use sparse::{scale_rows_cols_by_max, suitesparse_surrogate, SUITE_SPARSE_SET};
 use testmat::random_unit_vector;
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig09: {e}");
-            eprintln!("usage: fig09 [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
+    let args = bench::cli::begin("fig09", false);
     let (n_override, m) = match scale() {
         Scale::Paper => (Some(200_000usize), 60usize),
         Scale::Small => (Some(5_000usize), 60usize),
@@ -111,5 +103,5 @@ fn main() {
          (well below 1/sqrt(eps)) for most matrices and the final error is O(eps); the two\n\
          hardest matrices (HTC_336_4438, Ga41As41H72 in the paper) can exceed the bound."
     );
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

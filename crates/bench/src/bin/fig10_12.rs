@@ -10,15 +10,7 @@ use bench::{print_table, secs};
 use perfmodel::{ortho_cycle_cost, KernelCosts, MachineModel, SchemeKind};
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fig10_12: {e}");
-            eprintln!("usage: fig10_12 [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
+    let args = bench::cli::begin("fig10_12", false);
     let machine = MachineModel::summit_node();
     let m = 60;
     let s = 5;
@@ -81,5 +73,5 @@ fn main() {
          dominate at scale; BCGS-PIP2 removes most of them; the two-stage scheme further\n\
          shrinks both the reduce time and the update time (larger blocks, fewer launches)."
     );
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

@@ -20,17 +20,7 @@ use sparse::{laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{standard_gmres_config, GmresConfig, MulticolorGaussSeidel, OrthoKind, SStepGmres};
 
 fn main() {
-    let args = match cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fig13: {e}");
-            eprintln!(
-                "usage: fig13 [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    cli::start_tracing(&args.trace);
+    let args = cli::begin("fig13", true);
     let nx_small = match scale() {
         Scale::Paper => 300usize,
         Scale::Small => 120usize,
@@ -44,14 +34,8 @@ fn main() {
     // operator from the stencil row source; the replicated matrix is kept
     // for the right-hand side and the (local-block) Gauss–Seidel
     // preconditioner.  With `--matrix` the loaded file is used for both.
-    let (name, a, stencil) = match &args.matrix {
-        Some(path) => match cli::load_matrix_streamed(path) {
-            Ok((name, a)) => (name, a, None),
-            Err(e) => {
-                eprintln!("fig13: {e}");
-                std::process::exit(2);
-            }
-        },
+    let (name, a, stencil) = match args.load_matrix() {
+        Some((name, a)) => (name, a, None),
         None => (
             format!("2D Laplace {nx_small}x{nx_small}"),
             laplace2d_9pt(nx_small, nx_small),
@@ -165,5 +149,5 @@ fn main() {
          iteration, so the orthogonalization speedups persist while the total-time speedups are\n\
          somewhat diluted relative to the unpreconditioned runs."
     );
-    cli::finish_tracing(&args.trace);
+    args.finish();
 }

@@ -27,8 +27,8 @@
 
 use dense::Matrix;
 use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
-use std::fmt::Write as _;
 use std::time::Instant;
+use trace::JsonWriter;
 
 /// One measured configuration, serialized as a JSON object.
 struct Row {
@@ -45,13 +45,6 @@ struct Row {
     baseline: Option<&'static str>,
     /// `baseline_secs / secs` for the same shape and thread count.
     speedup: Option<f64>,
-}
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
 }
 
 /// Best-of-k wall time of `f`, with one untimed warmup call.
@@ -570,66 +563,40 @@ fn scaling_check(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
-fn json_escape_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.9}")
-    } else {
-        "null".to_string()
+fn to_json(rows: &[Row], quick: bool) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "kernels")
+        .field("quick", quick)
+        .field("pool_lanes", parkit::pool_lanes())
+        .field("hardware_threads", hardware_threads())
+        .field("simd", dense::simd_label())
+        .field("tile", dense::TILE)
+        .field("row_block", dense::ROW_BLOCK)
+        .key("results")
+        .begin_array();
+    for r in rows {
+        w.begin_object()
+            .field("kernel", r.kernel)
+            .field("variant", r.variant)
+            .field("n", r.n)
+            .field("s", r.s)
+            .field("k", r.k)
+            .field("threads", r.threads)
+            .field("secs", r.secs)
+            .field("gflops", r.gflops)
+            .field("bytes_moved", r.bytes_moved)
+            .field("baseline", r.baseline)
+            .field("speedup", r.speedup)
+            .end_object();
     }
-}
-
-fn write_json(rows: &[Row], quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"kernels\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"pool_lanes\": {},", parkit::pool_lanes());
-    let _ = writeln!(out, "  \"hardware_threads\": {},", hardware_threads());
-    let _ = writeln!(out, "  \"simd\": \"{}\",", dense::simd_label());
-    let _ = writeln!(out, "  \"tile\": {},", dense::TILE);
-    let _ = writeln!(out, "  \"row_block\": {},", dense::ROW_BLOCK);
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = match r.speedup {
-            Some(sp) => json_escape_f64(sp),
-            None => "null".to_string(),
-        };
-        let baseline = match r.baseline {
-            Some(b) => format!("\"{b}\""),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            out,
-            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"n\": {}, \"s\": {}, \"k\": {}, \"threads\": {}, \"secs\": {}, \"gflops\": {}, \"bytes_moved\": {}, \"baseline\": {}, \"speedup\": {}}}",
-            r.kernel,
-            r.variant,
-            r.n,
-            r.s,
-            r.k,
-            r.threads,
-            json_escape_f64(r.secs),
-            json_escape_f64(r.gflops),
-            r.bytes_moved,
-            baseline,
-            speedup
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("kernels: {e}");
-            eprintln!("usage: kernels [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&trace_out);
-    let quick = quick();
+    let args = bench::cli::begin("kernels", false);
+    let quick = bench::quick();
     let reps = if quick { 3 } else { 10 };
     // Thread sweep: 1 plus powers of two up to the pool width, so the
     // row-parallel TRSM's scaling is visible in the JSON on multi-core
@@ -691,8 +658,7 @@ fn main() {
         .collect();
     bench::print_table("kernel baselines", &header, &table);
 
-    let json = write_json(&rows, quick);
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
+    bench::emit("BENCH_kernels.json", &to_json(&rows, quick));
     eprintln!("wrote BENCH_kernels.json ({} rows)", rows.len());
 
     // Headline acceptance numbers on the 200k×8 shape.
@@ -722,10 +688,10 @@ fn main() {
             ),
             Err(msg) => {
                 eprintln!("scaling check FAILED: {msg}");
-                bench::cli::finish_tracing(&trace_out);
+                args.finish();
                 std::process::exit(1);
             }
         }
     }
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
 }

@@ -34,17 +34,9 @@ use perfmodel::{
 };
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{CycleTiming, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
-}
+use trace::JsonWriter;
 
 /// Assert that two solves of the same problem are indistinguishable: same
 /// bits in the solution, same work, same communication — counter by
@@ -86,14 +78,6 @@ fn assert_breakdown_sums(tag: &str, timings: &[CycleTiming]) {
     }
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.9}")
-    } else {
-        "null".to_string()
-    }
-}
-
 struct ModelJoin {
     measured_cycle_words: usize,
     predicted_cycle_words: usize,
@@ -104,7 +88,7 @@ struct ModelJoin {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn write_json(
+fn to_json(
     quick: bool,
     n: usize,
     m: usize,
@@ -114,101 +98,72 @@ fn write_json(
     spans: &[trace::AggRow],
     join: &ModelJoin,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"profile\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"problem\": {{\"n\": {n}, \"m\": {m}, \"s\": {s}, \"big_panel\": {bs}}},"
-    );
     let total_ns: u64 = timings.iter().map(|t| t.total_ns).sum();
     let sync_ns: u64 = timings.iter().map(|t| t.sync_ns).sum();
-    let _ = writeln!(
-        out,
-        "  \"sync_fraction\": {},",
-        json_f64(sync_ns as f64 / total_ns.max(1) as f64)
-    );
-    out.push_str("  \"cycles\": [\n");
-    for (i, t) in timings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cycle\": {}, \"step\": {}, \"mpk_ns\": {}, \"ortho_ns\": {}, \"hess_ns\": {}, \"update_ns\": {}, \"residual_ns\": {}, \"other_ns\": {}, \"total_ns\": {}, \"sync_ns\": {}}}",
-            t.cycle,
-            t.step,
-            t.mpk_ns,
-            t.ortho_ns,
-            t.hess_ns,
-            t.update_ns,
-            t.residual_ns,
-            t.other_ns,
-            t.total_ns,
-            t.sync_ns
-        );
-        out.push_str(if i + 1 == timings.len() { "\n" } else { ",\n" });
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "profile")
+        .field("quick", quick)
+        .key("problem")
+        .begin_object()
+        .field("n", n)
+        .field("m", m)
+        .field("s", s)
+        .field("big_panel", bs)
+        .end_object()
+        .field("sync_fraction", sync_ns as f64 / total_ns.max(1) as f64)
+        .key("cycles")
+        .begin_array();
+    for t in timings {
+        w.begin_object()
+            .field("cycle", t.cycle)
+            .field("step", t.step)
+            .field("mpk_ns", t.mpk_ns)
+            .field("ortho_ns", t.ortho_ns)
+            .field("hess_ns", t.hess_ns)
+            .field("update_ns", t.update_ns)
+            .field("residual_ns", t.residual_ns)
+            .field("other_ns", t.other_ns)
+            .field("total_ns", t.total_ns)
+            .field("sync_ns", t.sync_ns)
+            .end_object();
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"spans\": [\n");
-    for (i, row) in spans.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cat\": \"{}\", \"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}",
-            row.cat, row.name, row.count, row.total_ns, row.max_ns
-        );
-        out.push_str(if i + 1 == spans.len() { "\n" } else { ",\n" });
+    w.end_array().key("spans").begin_array();
+    for row in spans {
+        w.begin_object()
+            .field("cat", &row.cat)
+            .field("name", &row.name)
+            .field("count", row.count)
+            .field("total_ns", row.total_ns)
+            .field("max_ns", row.max_ns)
+            .end_object();
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"model_vs_measured\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"ortho_cycle_words_measured\": {},",
-        join.measured_cycle_words
-    );
-    let _ = writeln!(
-        out,
-        "    \"ortho_cycle_words_predicted\": {},",
-        join.predicted_cycle_words
-    );
-    let _ = writeln!(
-        out,
-        "    \"ortho_cycle_reduces_measured\": {},",
-        join.measured_cycle_reduces
-    );
-    let _ = writeln!(
-        out,
-        "    \"ortho_cycle_reduces_predicted\": {},",
-        join.predicted_cycle_reduces
-    );
-    let _ = writeln!(
-        out,
-        "    \"solve_secs_measured\": {},",
-        json_f64(join.measured_solve_secs)
-    );
-    let _ = writeln!(
-        out,
-        "    \"solve_secs_vortex_model\": {},",
-        json_f64(join.modeled_solve_secs)
-    );
-    let _ = writeln!(
-        out,
-        "    \"measured_over_model\": {}",
-        json_f64(join.measured_solve_secs / join.modeled_solve_secs)
-    );
-    out.push_str("  }\n}\n");
-    out
+    w.end_array()
+        .key("model_vs_measured")
+        .begin_object()
+        .field("ortho_cycle_words_measured", join.measured_cycle_words)
+        .field("ortho_cycle_words_predicted", join.predicted_cycle_words)
+        .field("ortho_cycle_reduces_measured", join.measured_cycle_reduces)
+        .field(
+            "ortho_cycle_reduces_predicted",
+            join.predicted_cycle_reduces,
+        )
+        .field("solve_secs_measured", join.measured_solve_secs)
+        .field("solve_secs_vortex_model", join.modeled_solve_secs)
+        .field(
+            "measured_over_model",
+            join.measured_solve_secs / join.modeled_solve_secs,
+        )
+        .end_object()
+        .end_object();
+    w.finish()
 }
 
 fn main() {
-    let trace_out = match bench::cli::parse_trace_arg(std::env::args().skip(1)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("profile: {e}");
-            eprintln!("usage: profile [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    let trace_out = Some(trace_out.unwrap_or_else(|| PathBuf::from("TRACE_profile.json")));
-    let quick = quick();
+    let mut args = bench::cli::begin("profile", false);
+    args.trace
+        .get_or_insert_with(|| "TRACE_profile.json".into());
+    let quick = bench::quick();
     let nx = if quick { 48 } else { 96 };
     let (m, s, bs) = (60usize, 5usize, 30usize);
     let a = laplace2d_9pt(nx, nx);
@@ -238,7 +193,7 @@ fn main() {
         "sync attribution must be exactly 0 with tracing disabled"
     );
 
-    bench::cli::start_tracing(&trace_out);
+    args.start_tracing();
     let t0 = Instant::now();
     let (x_on, r_on) = solver.solve_serial(&a, &b);
     let secs_on = t0.elapsed().as_secs_f64();
@@ -368,9 +323,10 @@ fn main() {
         &table,
     );
 
-    let json = write_json(quick, n, m, s, bs, &r_on.cycle_timings, &spans, &join);
-    trace::validate_json(&json).expect("BENCH_profile.json must be valid JSON");
-    std::fs::write("BENCH_profile.json", &json).expect("write BENCH_profile.json");
+    bench::emit(
+        "BENCH_profile.json",
+        &to_json(quick, n, m, s, bs, &r_on.cycle_timings, &spans, &join),
+    );
     eprintln!(
         "wrote BENCH_profile.json ({} cycles, {} span kinds, sync fraction {:.1}%)",
         r_on.cycle_timings.len(),
@@ -384,6 +340,6 @@ fn main() {
                 .max(1) as f64
     );
 
-    bench::cli::finish_tracing(&trace_out);
+    args.finish();
     parkit::set_num_threads(0);
 }

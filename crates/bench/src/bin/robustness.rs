@@ -34,8 +34,8 @@ use sparse::{mm, SUITE_SPARSE_SET};
 use ssgmres::{
     BasisStrategy, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy,
 };
-use std::fmt::Write as _;
 use std::sync::Arc;
+use trace::JsonWriter;
 
 struct Row {
     matrix: String,
@@ -53,13 +53,6 @@ struct Row {
     allreduces_total: usize,
     allreduces_ortho: usize,
     final_relres: f64,
-}
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
 }
 
 fn config(s: usize, restart: usize, policy: StepPolicy, max_iters: usize) -> GmresConfig {
@@ -173,81 +166,64 @@ fn distributed_check(
     (per_rank, imbalance, converged)
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
+fn to_json(
     rows: &[Row],
     quick: bool,
     partition: PartitionKind,
     dist: Option<&(String, Vec<usize>, f64, bool)>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"robustness\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"partition\": \"{}\",", partition.label());
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "robustness")
+        .field("quick", quick)
+        .field("partition", partition.label());
     if let Some((name, per_rank, imbalance, converged)) = dist {
-        let _ = writeln!(
-            out,
-            "  \"distributed\": {{\"matrix\": \"{name}\", \"nranks\": {}, \"per_rank_nnz\": {per_rank:?}, \"imbalance\": {}, \"converged\": {converged}}},",
-            per_rank.len(),
-            json_f64(*imbalance)
-        );
+        w.key("distributed")
+            .begin_object()
+            .field("matrix", name)
+            .field("nranks", per_rank.len())
+            .key("per_rank_nnz")
+            .begin_array();
+        for nnz in per_rank {
+            w.value(nnz);
+        }
+        w.end_array()
+            .field("imbalance", imbalance)
+            .field("converged", converged)
+            .end_object();
     }
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"matrix\": \"{}\", \"n\": {}, \"s\": {}, \"policy\": \"{}\", \"converged\": {}, \"iterations\": {}, \"restarts\": {}, \"rescues\": {}, \"min_step\": {}, \"max_step\": {}, \"ortho_fallbacks\": {}, \"breakdown\": {}, \"allreduces_total\": {}, \"allreduces_ortho\": {}, \"final_relres\": {}}}",
-            r.matrix,
-            r.n,
-            r.s,
-            r.policy,
-            r.converged,
-            r.iterations,
-            r.restarts,
-            r.rescues,
-            r.min_step,
-            r.max_step,
-            r.ortho_fallbacks,
-            r.breakdown,
-            r.allreduces_total,
-            r.allreduces_ortho,
-            json_f64(r.final_relres)
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    w.key("results").begin_array();
+    for r in rows {
+        w.begin_object()
+            .field("matrix", &r.matrix)
+            .field("n", r.n)
+            .field("s", r.s)
+            .field("policy", r.policy)
+            .field("converged", r.converged)
+            .field("iterations", r.iterations)
+            .field("restarts", r.restarts)
+            .field("rescues", r.rescues)
+            .field("min_step", r.min_step)
+            .field("max_step", r.max_step)
+            .field("ortho_fallbacks", r.ortho_fallbacks)
+            .field("breakdown", r.breakdown)
+            .field("allreduces_total", r.allreduces_total)
+            .field("allreduces_ortho", r.allreduces_ortho)
+            .field("final_relres", r.final_relres)
+            .end_object();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
-    let args = match cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("robustness: {e}");
-            eprintln!("usage: robustness [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]");
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
-    let quick = quick();
+    let args = cli::begin("robustness", true);
+    let quick = bench::quick();
     let mut rows = Vec::new();
     let dist_summary: Option<(String, Vec<usize>, f64, bool)>;
 
-    if let Some(path) = &args.matrix {
+    if let Some((name, a)) = args.load_matrix() {
         // File mode: the sweep runs on the provided matrix only.
-        let (name, a) = cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("robustness: {e}");
-            std::process::exit(2);
-        });
         eprintln!("matrix {name} ({} rows, {} nnz) ...", a.nrows(), a.nnz());
         let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
         let svals: Vec<usize> = (if quick { vec![8] } else { vec![5, 8] })
@@ -267,8 +243,15 @@ fn main() {
         }
         let restart = 30.min(a.nrows());
         let s = svals[0].min(restart);
-        let (per_rank, imbalance, converged) =
-            distributed_check(&name, &a, &b, s, restart, args.partition, Some(path));
+        let (per_rank, imbalance, converged) = distributed_check(
+            &name,
+            &a,
+            &b,
+            s,
+            restart,
+            args.partition,
+            args.matrix.as_deref(),
+        );
         eprintln!(
             "  distributed ({} partition): per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}",
             args.partition.label()
@@ -397,8 +380,10 @@ fn main() {
         &table,
     );
 
-    let json = write_json(&rows, quick, args.partition, dist_summary.as_ref());
-    std::fs::write("BENCH_robustness.json", &json).expect("write BENCH_robustness.json");
+    bench::emit(
+        "BENCH_robustness.json",
+        &to_json(&rows, quick, args.partition, dist_summary.as_ref()),
+    );
     eprintln!("wrote BENCH_robustness.json ({} rows)", rows.len());
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

@@ -34,7 +34,7 @@ use blockortho::{make_orthogonalizer, OrthoError, OrthoKind};
 use dense::Matrix;
 use distsim::{run_ranks, DistMultiVector, SerialComm};
 use sparse::Csr;
-use std::fmt::Write as _;
+use trace::JsonWriter;
 
 const QUICK_KAPPAS: &[f64] = &[1e2, 1e10];
 const FULL_KAPPAS: &[f64] = &[1e2, 1e6, 1e9, 1e10, 1e12];
@@ -53,13 +53,6 @@ struct Row {
     events: usize,
     allreduces: usize,
     allreduce_words: usize,
-}
-
-fn quick() -> bool {
-    matches!(
-        std::env::var("BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true") | Ok("yes")
-    )
 }
 
 /// The scheme grid at one step size: plain vs sketched, both families.
@@ -205,82 +198,59 @@ fn distributed_check(v: &Matrix, s: usize, part: Option<&sparse::RowPartition>) 
     (serial.allreduces, serial.err)
 }
 
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_json(
+fn to_json(
     rows: &[Row],
     quick: bool,
     partition: PartitionKind,
     dist: Option<&(String, usize, f64)>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"sketch\",");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(out, "  \"partition\": \"{}\",", partition.label());
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "sketch")
+        .field("quick", quick)
+        .field("partition", partition.label());
     if let Some((name, reduces, err)) = dist {
-        let _ = writeln!(
-            out,
-            "  \"distributed\": {{\"input\": \"{name}\", \"nranks\": 2, \"allreduces\": {reduces}, \"orthogonality_error\": {}}},",
-            json_f64(*err)
-        );
+        w.key("distributed")
+            .begin_object()
+            .field("input", name)
+            .field("nranks", 2usize)
+            .field("allreduces", reduces)
+            .field("orthogonality_error", err)
+            .end_object();
     }
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"input\": \"{}\", \"kappa\": {}, \"n\": {}, \"cols\": {}, \"s\": {}, \"scheme\": \"{}\", \"ok\": {}, \"orthogonality_error\": {}, \"reconstruction_error\": {}, \"episodes\": {}, \"fallback_events\": {}, \"allreduces\": {}, \"allreduce_words\": {}}}",
-            r.input,
-            json_f64(r.kappa),
-            r.n,
-            r.cols,
-            r.s,
-            r.scheme,
-            r.ok,
-            json_f64(r.err),
-            json_f64(r.recon),
-            r.episodes,
-            r.events,
-            r.allreduces,
-            r.allreduce_words
-        );
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+    w.key("results").begin_array();
+    for r in rows {
+        w.begin_object()
+            .field("input", &r.input)
+            .field("kappa", r.kappa)
+            .field("n", r.n)
+            .field("cols", r.cols)
+            .field("s", r.s)
+            .field("scheme", &r.scheme)
+            .field("ok", r.ok)
+            .field("orthogonality_error", r.err)
+            .field("reconstruction_error", r.recon)
+            .field("episodes", r.episodes)
+            .field("fallback_events", r.events)
+            .field("allreduces", r.allreduces)
+            .field("allreduce_words", r.allreduce_words)
+            .end_object();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 fn main() {
-    let args = match cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("sketch: {e}");
-            eprintln!(
-                "usage: sketch [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
-    let quick = quick();
+    let args = cli::begin("sketch", true);
+    let quick = bench::quick();
     let mut rows = Vec::new();
     let dist_summary: Option<(String, usize, f64)>;
 
     let svals: &[usize] = if quick { &[4] } else { &[4, 8] };
 
-    if let Some(path) = &args.matrix {
+    if let Some((name, a)) = args.load_matrix() {
         // File mode: the sweep runs on the operator's monomial Krylov
         // basis; κ is whatever the operator produces (recorded per row).
-        let (name, a) = cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("sketch: {e}");
-            std::process::exit(2);
-        });
         let cols = 24.min(a.nrows());
         eprintln!(
             "matrix {name} ({} rows, {} nnz): monomial basis of {cols} columns ...",
@@ -454,8 +424,10 @@ fn main() {
         .collect();
     bench::print_table("sketch: κ × s × scheme stability sweep", &header, &table);
 
-    let json = write_json(&rows, quick, args.partition, dist_summary.as_ref());
-    std::fs::write("BENCH_sketch.json", &json).expect("write BENCH_sketch.json");
+    bench::emit(
+        "BENCH_sketch.json",
+        &to_json(&rows, quick, args.partition, dist_summary.as_ref()),
+    );
     eprintln!("wrote BENCH_sketch.json ({} rows)", rows.len());
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

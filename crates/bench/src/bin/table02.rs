@@ -15,17 +15,7 @@ use sparse::{laplace2d_5pt, Csr, Laplace2d5ptRows};
 use ssgmres::{standard_gmres_config, GmresConfig, OrthoKind, SStepGmres, SolveResult};
 
 fn main() {
-    let args = match bench::cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("table02: {e}");
-            eprintln!(
-                "usage: table02 [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
+    let args = bench::cli::begin("table02", true);
     let nx_small = match scale() {
         Scale::Paper => 400usize,
         Scale::Small => 160usize,
@@ -35,11 +25,8 @@ fn main() {
     // The measured part runs either the built-in 2D Laplace surrogate or a
     // real Matrix Market file (`--matrix`), with the solution pinned to all
     // ones in both cases so the error column stays meaningful.
-    let (name, a): (String, Csr) = match &args.matrix {
-        Some(path) => bench::cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("table02: {e}");
-            std::process::exit(2);
-        }),
+    let (name, a): (String, Csr) = match args.load_matrix() {
+        Some(loaded) => loaded,
         None => (
             format!("2D Laplace {nx_small}x{nx_small}"),
             laplace2d_5pt(nx_small, nx_small),
@@ -186,5 +173,5 @@ fn main() {
         "\nExpected shape (paper Table II): Ortho time decreases monotonically with bs,\n\
          best total time at bs = m = 60; SpMV time is essentially unchanged."
     );
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

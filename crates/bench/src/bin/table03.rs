@@ -16,26 +16,11 @@ use bench::{print_table, secs, speedup};
 use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
 
 fn main() {
-    let args = match bench::cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("table03: {e}");
-            eprintln!(
-                "usage: table03 [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
+    let args = bench::cli::begin("table03", true);
     let machine = MachineModel::summit_node();
     let s = 5;
     let m = 60;
-    let loaded = args.matrix.as_ref().map(|path| {
-        bench::cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("table03: {e}");
-            std::process::exit(2);
-        })
-    });
+    let loaded = args.load_matrix();
     // Paper iteration counts for the four variants (Table III); for a real
     // operator the counts depend on its spectrum, so file mode models one
     // restart cycle per variant instead.
@@ -128,5 +113,5 @@ fn main() {
          paper reports ortho speedups of 1.8x/3.1x (1 node) growing to 2.1x/5.4x (32 nodes)\n\
          for s-step/two-stage over standard GMRES."
     );
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

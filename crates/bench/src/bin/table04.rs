@@ -29,14 +29,10 @@ struct Workload {
     small: Csr,
 }
 
-fn workloads(args: &bench::cli::MatrixArgs) -> Vec<Workload> {
+fn workloads(args: &bench::cli::Args) -> Vec<Workload> {
     // A real Matrix Market operator replaces the whole surrogate set: its
     // actual size and density drive both the measured solves and the model.
-    if let Some(path) = &args.matrix {
-        let (name, a) = bench::cli::load_matrix_streamed(path).unwrap_or_else(|e| {
-            eprintln!("table04: {e}");
-            std::process::exit(2);
-        });
+    if let Some((name, a)) = args.load_matrix() {
         let nnz_per_row = a.nnz() as f64 / a.nrows().max(1) as f64;
         return vec![Workload {
             name,
@@ -92,17 +88,7 @@ fn workloads(args: &bench::cli::MatrixArgs) -> Vec<Workload> {
 }
 
 fn main() {
-    let args = match bench::cli::parse_matrix_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("table04: {e}");
-            eprintln!(
-                "usage: table04 [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
-            );
-            std::process::exit(2);
-        }
-    };
-    bench::cli::start_tracing(&args.trace);
+    let args = bench::cli::begin("table04", true);
     let s = 5;
     let m = 60;
     let machine = MachineModel::summit_node();
@@ -245,5 +231,5 @@ fn main() {
          speedups of ~1.3-1.8x, ~1.8-2.5x and ~2.2-2.9x; denser matrices (dielFilterV2real,\n\
          ML_Geer) spend relatively more time in SpMV, so their total speedups are at the lower end."
     );
-    bench::cli::finish_tracing(&args.trace);
+    args.finish();
 }

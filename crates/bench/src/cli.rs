@@ -17,9 +17,10 @@ use sparse::{
 use std::path::{Path, PathBuf};
 
 /// How the distributed experiments partition rows across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionKind {
     /// Equal row counts per rank (the historical default).
+    #[default]
     Block,
     /// Nonzero-balanced boundaries from a cheap counting pass
     /// ([`sparse::nnz_counting_pass`]).
@@ -36,9 +37,13 @@ impl PartitionKind {
     }
 }
 
-/// Parsed matrix-related arguments shared by the experiment binaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixArgs {
+/// An experiment binary's parsed command line.  [`begin`] hands it out
+/// together with the obligation to call [`Args::finish`] at the end of
+/// `main`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Args {
+    /// The binary's name, for its error messages.
+    bin: &'static str,
     /// A Matrix Market file to run instead of the built-in problems.
     pub matrix: Option<PathBuf>,
     /// Row-partition strategy for the distributed checks.
@@ -48,30 +53,19 @@ pub struct MatrixArgs {
     pub trace: Option<PathBuf>,
 }
 
-impl Default for MatrixArgs {
-    fn default() -> Self {
-        Self {
-            matrix: None,
-            partition: PartitionKind::Block,
-            trace: None,
-        }
-    }
-}
-
-/// Parse `--matrix <path.mtx>`, `--partition <block|nnz>`, and
-/// `--trace <out.json>` from an argument iterator (unrecognized arguments
-/// are an error, so typos fail loudly instead of silently running the
-/// default problem set).
-pub fn parse_matrix_args<I: Iterator<Item = String>>(args: I) -> Result<MatrixArgs, String> {
-    let mut out = MatrixArgs::default();
-    let mut args = args;
+/// Parse `--trace <out.json>` and, when the binary takes them
+/// (`matrix_flags`), `--matrix <path.mtx>` and `--partition <block|nnz>`.
+/// Anything else is an error, so typos fail loudly instead of silently
+/// running the default problem set.
+fn parse_args<I: Iterator<Item = String>>(mut args: I, matrix_flags: bool) -> Result<Args, String> {
+    let mut out = Args::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--matrix" => {
+            "--matrix" if matrix_flags => {
                 let path = args.next().ok_or("--matrix requires a path argument")?;
                 out.matrix = Some(PathBuf::from(path));
             }
-            "--partition" => {
+            "--partition" if matrix_flags => {
                 let kind = args.next().ok_or("--partition requires block|nnz")?;
                 out.partition = match kind.as_str() {
                     "block" => PartitionKind::Block,
@@ -89,65 +83,77 @@ pub fn parse_matrix_args<I: Iterator<Item = String>>(args: I) -> Result<MatrixAr
     Ok(out)
 }
 
-/// Parse only `--trace <out.json>` — for the figure/table binaries that take
-/// no matrix arguments but still support timeline capture.
-pub fn parse_trace_arg<I: Iterator<Item = String>>(args: I) -> Result<Option<PathBuf>, String> {
-    let mut out = None;
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace" => {
-                let path = args.next().ok_or("--trace requires a path argument")?;
-                out = Some(PathBuf::from(path));
-            }
-            other => return Err(format!("unknown argument '{other}'")),
+/// The usage line of binary `bin`.
+fn usage(bin: &str, matrix_flags: bool) -> String {
+    let matrix = if matrix_flags {
+        " [--matrix <path.mtx>] [--partition block|nnz]"
+    } else {
+        ""
+    };
+    format!("usage: {bin}{matrix} [--trace out.json]")
+}
+
+/// The one preamble of every experiment binary: parse the process's
+/// command line (exit status 2 with `bin`'s usage line on an error) and
+/// start tracing when `--trace` was given.
+#[must_use = "call `finish()` at the end of main to write the --trace timeline"]
+pub fn begin(bin: &'static str, matrix_flags: bool) -> Args {
+    let mut args = parse_args(std::env::args().skip(1), matrix_flags).unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        eprintln!("{}", usage(bin, matrix_flags));
+        std::process::exit(2);
+    });
+    args.bin = bin;
+    args.start_tracing();
+    args
+}
+
+impl Args {
+    /// The `--matrix` file, when one was given, read by
+    /// [`load_matrix_streamed`]; a file that cannot be read ends the run
+    /// with exit status 2.
+    pub fn load_matrix(&self) -> Option<(String, Csr)> {
+        let path = self.matrix.as_ref()?;
+        Some(load_matrix_streamed(path).unwrap_or_else(|e| {
+            eprintln!("{}: {e}", self.bin);
+            std::process::exit(2);
+        }))
+    }
+
+    /// Turn the tracing layer on (with a generous ring) when `--trace` was
+    /// given.  [`begin`] has already done this; `profile`, which runs an
+    /// untraced solve first, calls it again where its traced part starts.
+    pub fn start_tracing(&self) {
+        if self.trace.is_none() {
+            return;
         }
+        if trace::compiled_out() {
+            eprintln!("--trace requested but the trace crate was built with the `off` feature");
+            return;
+        }
+        trace::set_capacity(1 << 20);
+        trace::set_enabled(true);
+        trace::set_thread_label("main");
     }
-    Ok(out)
-}
 
-/// Turn the tracing layer on (with a generous ring) when the binary was
-/// given `--trace`.  Call once at the top of `main`.
-pub fn start_tracing(trace: &Option<PathBuf>) {
-    if trace.is_none() {
-        return;
-    }
-    if trace::compiled_out() {
-        eprintln!("--trace requested but the trace crate was built with the `off` feature");
-        return;
-    }
-    trace::set_capacity(1 << 20);
-    trace::set_enabled(true);
-    trace::set_thread_label("main");
-}
-
-/// Stop tracing, render the recorded timeline as Chrome trace-event JSON,
-/// and write it to the `--trace` path.  Call once at the end of `main`.
-pub fn finish_tracing(trace: &Option<PathBuf>) {
-    let Some(path) = trace else { return };
-    if trace::compiled_out() {
-        return;
-    }
-    trace::set_enabled(false);
-    let timeline = trace::collect();
-    let stats = trace::stats();
-    let json = timeline.to_chrome_json();
-    if let Err(e) = trace::validate_json(&json) {
-        eprintln!("internal error: trace JSON failed validation: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!(
+    /// Stop tracing and write the recorded timeline as Chrome trace-event
+    /// JSON to the `--trace` path.
+    pub fn finish(self) {
+        let Some(path) = &self.trace else { return };
+        if trace::compiled_out() {
+            return;
+        }
+        trace::set_enabled(false);
+        let timeline = trace::collect();
+        let stats = trace::stats();
+        crate::emit(path, &timeline.to_chrome_json());
+        eprintln!(
             "wrote {} ({} events on {} threads, {} dropped) — open at https://ui.perfetto.dev",
             path.display(),
             stats.events,
             timeline.threads.len(),
             stats.dropped
-        ),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        );
     }
 }
 
@@ -205,47 +211,45 @@ pub fn partition_imbalance(a: &Csr, part: &RowPartition) -> f64 {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str], matrix_flags: bool) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string()), matrix_flags)
+    }
+
     #[test]
     fn parses_both_flags_in_any_order() {
-        let args = ["--partition", "nnz", "--matrix", "a.mtx"]
-            .iter()
-            .map(|s| s.to_string());
-        let parsed = parse_matrix_args(args).unwrap();
+        let parsed = parse(&["--partition", "nnz", "--matrix", "a.mtx"], true).unwrap();
         assert_eq!(parsed.partition, PartitionKind::Nnz);
         assert_eq!(parsed.matrix.as_deref(), Some(Path::new("a.mtx")));
-        assert_eq!(
-            parse_matrix_args(std::iter::empty()).unwrap(),
-            MatrixArgs::default()
-        );
+        assert_eq!(parse(&[], true).unwrap(), Args::default());
     }
 
     #[test]
     fn rejects_unknown_arguments_and_kinds() {
-        assert!(parse_matrix_args(["--oops".to_string()].into_iter()).is_err());
-        assert!(
-            parse_matrix_args(["--partition".to_string(), "fancy".to_string()].into_iter())
-                .is_err()
-        );
-        assert!(parse_matrix_args(["--matrix".to_string()].into_iter()).is_err());
-        assert!(parse_trace_arg(["--trace".to_string()].into_iter()).is_err());
-        assert!(
-            parse_trace_arg(["--matrix".to_string(), "a.mtx".to_string()].into_iter()).is_err()
-        );
+        assert!(parse(&["--oops"], true).is_err());
+        assert!(parse(&["--partition", "fancy"], true).is_err());
+        assert!(parse(&["--matrix"], true).is_err());
+        assert!(parse(&["--trace"], false).is_err());
+        assert!(parse(&["--matrix", "a.mtx"], false).is_err());
+        assert!(parse(&["--partition", "nnz"], false).is_err());
     }
 
     #[test]
     fn parses_the_trace_flag_in_both_parsers() {
-        let full = parse_matrix_args(
-            ["--trace", "out.json", "--partition", "nnz"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .unwrap();
+        let full = parse(&["--trace", "out.json", "--partition", "nnz"], true).unwrap();
         assert_eq!(full.trace.as_deref(), Some(Path::new("out.json")));
         assert_eq!(full.partition, PartitionKind::Nnz);
-        let only = parse_trace_arg(["--trace", "t.json"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(only.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(parse_trace_arg(std::iter::empty()).unwrap(), None);
+        let only = parse(&["--trace", "t.json"], false).unwrap();
+        assert_eq!(only.trace.as_deref(), Some(Path::new("t.json")));
+        assert_eq!(parse(&[], false).unwrap(), Args::default());
+    }
+
+    #[test]
+    fn usage_names_exactly_the_accepted_flags() {
+        assert_eq!(usage("fig06", false), "usage: fig06 [--trace out.json]");
+        assert_eq!(
+            usage("sketch", true),
+            "usage: sketch [--matrix <path.mtx>] [--partition block|nnz] [--trace out.json]"
+        );
     }
 
     #[test]

@@ -18,18 +18,24 @@
 //! | `kernels` | Kernel baselines — blocked vs. naive BLAS-3 (`BENCH_kernels.json`) |
 //! | `profile` | Observability — traced solve, per-cycle sync-vs-compute breakdown, model-vs-measured report (`BENCH_profile.json`, `TRACE_profile.json`) |
 //! | `faults` | Robustness — seeded fault-injection campaign: detection/recovery grid, guard overhead, silent-SDC headline (`BENCH_faults.json`) |
+//! | `robustness` | Robustness — fixed vs. self-rescuing step policy on the hard matrices (`BENCH_robustness.json`) |
+//! | `sketch` | Extension — κ × s × scheme stability sweep of the sketched orthogonalization family (`BENCH_sketch.json`) |
+//! | `batched` | Extension — block right-hand sides: k = 1 equivalence, flat reduce count across widths, service amortization (`BENCH_batched.json`) |
 //!
-//! Every binary accepts `--trace <out.json>` and then writes a Chrome
-//! trace-event timeline of the run (open at <https://ui.perfetto.dev>).
+//! Every binary opens with [`cli::begin`]: it accepts `--trace <out.json>`
+//! and then writes a Chrome trace-event timeline of the run (open at
+//! <https://ui.perfetto.dev>), and rejects arguments it does not know.  The
+//! seven JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
+//! write their artifact through [`trace::JsonWriter`] and [`emit`].
 //!
 //! Every binary prints a plain-text table with the same rows/series as the
 //! paper and accepts the environment variable `REPRO_SCALE` (default
 //! `small`) — set `REPRO_SCALE=paper` to run the numerical studies at the
 //! paper's full problem sizes (slower).
 //!
-//! The Criterion benchmarks in `benches/` measure the kernels themselves
-//! (CholQR/HHQR/BCGS-PIP, SpMV/GEMM, two-stage vs. one-stage, one GMRES
-//! iteration).
+//! Kernel timings live in `--bin kernels`; measured time-to-solution and
+//! the per-layer numbers under it live in the repository's `benchmark/`
+//! package.
 
 pub mod cli;
 
@@ -47,6 +53,29 @@ pub fn scale() -> Scale {
     match std::env::var("REPRO_SCALE").as_deref() {
         Ok("paper") | Ok("PAPER") | Ok("full") => Scale::Paper,
         _ => Scale::Small,
+    }
+}
+
+/// CI mode of the JSON-writing binaries: `BENCH_QUICK` ∈ {`1`, `true`,
+/// `yes`} selects the reduced sweep.
+pub fn quick() -> bool {
+    matches!(
+        std::env::var("BENCH_QUICK").as_deref(),
+        Ok("1") | Ok("true") | Ok("yes")
+    )
+}
+
+/// The one exit of every JSON artifact: check `text` with
+/// [`trace::validate_json`], then write it to `path` (exit status 1 when
+/// the file cannot be written).
+pub fn emit(path: impl AsRef<std::path::Path>, text: &str) {
+    let path = path.as_ref();
+    if let Err(e) = trace::validate_json(text) {
+        panic!("{}: refusing to write malformed JSON: {e}", path.display());
+    }
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 

@@ -84,7 +84,7 @@ use std::sync::Arc;
 pub struct BlockOptions {
     /// Absolute per-column convergence targets on `‖b_j − A·x_j‖₂`.
     ///
-    /// `None` (the default) uses the relative criterion per column:
+    /// `None` (the default) uses the relative target per column:
     /// `tol · ‖r₀_j‖`.  Explicit targets make a continued solve comparable
     /// to a warm-started one — the deflation property tests use them to
     /// align thresholds across runs.

@@ -349,17 +349,6 @@ impl StepController {
         }
     }
 
-    /// Whether the Auto policy could still shrink below the current
-    /// effective step — false at the [`AutoStep::min_step`] floor and for
-    /// non-Auto policies.  Introspection only: the solver reacts to
-    /// [`StepDecision::shrunk`], which is equivalent on breakdown cycles.
-    pub fn can_shrink(&self) -> bool {
-        match &self.policy {
-            StepPolicy::Auto(auto) => self.s_eff > auto.min_step.max(1),
-            _ => false,
-        }
-    }
-
     /// True once any rescue (shrink) has happened in this solve.
     pub fn rescue_active(&self) -> bool {
         self.rescue_active
@@ -459,7 +448,6 @@ mod tests {
             StepDecision::Hold
         );
         assert_eq!(c.step_for_cycle(1), 8);
-        assert!(!c.can_shrink());
         assert!(!c.rescue_active());
     }
 
@@ -478,7 +466,6 @@ mod tests {
             c.observe(&health(2, CycleVerdict::Breakdown, false)),
             StepDecision::Shrink { from: 2, to: 1 }
         );
-        assert!(!c.can_shrink());
         assert_eq!(
             c.observe(&health(1, CycleVerdict::Breakdown, false)),
             StepDecision::Hold

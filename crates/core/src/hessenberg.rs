@@ -49,16 +49,11 @@ pub struct HessenbergRecovery {
 }
 
 impl HessenbergRecovery {
-    /// Create the recovery bookkeeping for a cycle with at most `m`
-    /// generated columns (basis of `m+1` columns).
-    pub fn new(m: usize) -> Self {
-        Self::with_block_width(m + 1, 1)
-    }
-
     /// Create the recovery bookkeeping for a **block** cycle: a basis of
     /// `total_cols` columns built from an initial residual block of
     /// `width` columns (so at most `total_cols − width` MPK input columns
-    /// exist).  `with_block_width(m + 1, 1)` is exactly [`new`](Self::new).
+    /// exist).  `with_block_width(m + 1, 1)` is the single right-hand-side
+    /// case: at most `m` generated columns in a basis of `m + 1`.
     pub fn with_block_width(total_cols: usize, width: usize) -> Self {
         assert!(width >= 1, "block width must be at least 1");
         assert!(
@@ -241,7 +236,7 @@ mod tests {
             w.col_mut(c + 1).copy_from_slice(&next);
         }
         let (q, r) = dense::householder_qr(&w);
-        let mut rec = HessenbergRecovery::new(m);
+        let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         // All inputs are raw (t_c = R[:, c]).
         rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
         // Reference H = Q_{:,0:m}ᵀ A Q_{:,0:m}, extended Hessenberg.
@@ -274,7 +269,7 @@ mod tests {
                 r[(i, j)] = 1.0 / (1.0 + (i + 2 * j) as f64);
             }
         }
-        let mut rec = HessenbergRecovery::new(m);
+        let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         for c in 0..m {
             rec.mark_submitted_input(c);
         }
@@ -298,8 +293,8 @@ mod tests {
             }
         }
         let theta = 2.5;
-        let mut rec_mono = HessenbergRecovery::new(m);
-        let mut rec_newton = HessenbergRecovery::new(m);
+        let mut rec_mono = HessenbergRecovery::with_block_width(m + 1, 1);
+        let mut rec_newton = HessenbergRecovery::with_block_width(m + 1, 1);
         for c in 0..m {
             rec_mono.mark_submitted_input(c);
             rec_newton.mark_submitted_input(c);
@@ -334,7 +329,7 @@ mod tests {
                 };
             }
         }
-        let mut rec = HessenbergRecovery::new(m);
+        let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
         let mut prev = f64::INFINITY;
         for k in 1..=m {
@@ -347,14 +342,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot solve beyond recovered")]
     fn least_squares_beyond_recovery_panics() {
-        let rec = HessenbergRecovery::new(4);
+        let rec = HessenbergRecovery::with_block_width(5, 1);
         rec.least_squares(2, 1.0);
     }
 
     #[test]
     fn width_one_recovery_is_bitwise_the_scalar_recovery() {
-        // with_block_width(m + 1, 1) must run the identical recurrence as
-        // new(m): same inputs, same operations, same bits.
+        // At width 1 the band recurrence is the scalar one, and the two
+        // least-squares routes read the same recovered matrix.
         let m = 7;
         let mut r = Matrix::zeros(m + 1, m + 1);
         for j in 0..=m {
@@ -365,25 +360,21 @@ mod tests {
         let basis = KrylovBasis::Newton {
             shifts: vec![1.25, -0.5],
         };
-        let mut scalar = HessenbergRecovery::new(m);
-        let mut block = HessenbergRecovery::with_block_width(m + 1, 1);
-        assert_eq!(block.width(), 1);
+        let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
+        assert_eq!(rec.width(), 1);
         for c in [0, 3, 5] {
-            scalar.mark_submitted_input(c);
-            block.mark_submitted_input(c);
+            rec.mark_submitted_input(c);
         }
-        scalar.recover_upto(m, &r, None, &basis);
-        block.recover_upto(m, &r, None, &basis);
-        assert_eq!(scalar.matrix().data(), block.matrix().data());
+        rec.recover_upto(m, &r, None, &basis);
         // The block least-squares with the scalar convention's rhs (β·e₁)
         // solves the same projected problem (different factorization path,
         // so close — the solver keeps the bitwise scalar route at kb = 1).
         let beta = 2.0;
         let k = m - 1;
-        let (y_s, res_s) = scalar.least_squares(k, beta);
+        let (y_s, res_s) = rec.least_squares(k, beta);
         let mut rhs = Matrix::zeros(k + 1, 1);
         rhs[(0, 0)] = beta;
-        let (y_b, res_b) = block.block_least_squares(k, &rhs);
+        let (y_b, res_b) = rec.block_least_squares(k, &rhs);
         assert!((res_s - res_b[0]).abs() < 1e-12 * (1.0 + res_s.abs()));
         for (a, b) in y_s.iter().zip(y_b.col(0)) {
             assert!((a - b).abs() < 1e-12);

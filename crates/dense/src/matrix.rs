@@ -202,14 +202,6 @@ impl Matrix {
         self.cols(cols).to_owned_matrix()
     }
 
-    /// Copy `src` into the column block starting at column `start`.
-    pub fn set_cols(&mut self, start: usize, src: &Matrix) {
-        assert_eq!(src.nrows, self.nrows, "set_cols: row mismatch");
-        assert!(start + src.ncols <= self.ncols, "set_cols: out of bounds");
-        let dst = &mut self.data[start * self.nrows..(start + src.ncols) * self.nrows];
-        dst.copy_from_slice(&src.data);
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.ncols, self.nrows);
@@ -400,13 +392,6 @@ impl<'a> MatViewMut<'a> {
     pub fn to_owned_matrix(&self) -> Matrix {
         Matrix::from_col_major(self.nrows, self.ncols, self.data.to_vec())
     }
-
-    /// Overwrite this view's contents with those of `src` (same shape).
-    pub fn copy_from(&mut self, src: &MatView<'_>) {
-        assert_eq!(self.nrows, src.nrows, "copy_from: row mismatch");
-        assert_eq!(self.ncols, src.ncols, "copy_from: col mismatch");
-        self.data.copy_from_slice(src.data);
-    }
 }
 
 #[cfg(test)]
@@ -473,15 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn set_cols_and_cols_owned_round_trip() {
-        let mut m = Matrix::zeros(3, 4);
-        let block = Matrix::from_fn(3, 2, |i, j| (i + 10 * j) as f64);
-        m.set_cols(1, &block);
-        let back = m.cols_owned(1..3);
-        assert_eq!(back, block);
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 7 + j) as f64);
         assert_eq!(m.transpose().transpose(), m);
@@ -505,13 +481,5 @@ mod tests {
     fn cols_out_of_bounds_panics() {
         let m = Matrix::zeros(2, 2);
         let _ = m.cols(1..3);
-    }
-
-    #[test]
-    fn viewmut_copy_from() {
-        let src = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f64);
-        let mut dst = Matrix::zeros(3, 2);
-        dst.view_mut().copy_from(&src.view());
-        assert_eq!(dst, src);
     }
 }

@@ -187,11 +187,6 @@ impl DistCsr {
         self.local.nrows()
     }
 
-    /// Number of ghost columns this rank receives per SpMV.
-    pub fn num_ghosts(&self) -> usize {
-        self.plan.recv_words()
-    }
-
     /// The halo-exchange plan (ghost list, per-peer send/receive volumes) —
     /// what the performance model's message-volume terms are validated
     /// against.
@@ -311,7 +306,6 @@ mod tests {
         let dist = DistCsr::from_global(SerialComm::new(), &a, &part);
         assert_eq!(dist.global_rows(), a.nrows());
         assert_eq!(dist.row_offset(), 0);
-        assert_eq!(dist.num_ghosts(), 0);
         assert_eq!(dist.local_matrix(), &a, "serial local block is the matrix");
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut y = vec![0.0; a.nrows()];

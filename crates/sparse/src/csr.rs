@@ -1,7 +1,5 @@
 //! Compressed sparse row (CSR) matrices and the parallel SpMV kernel.
 
-use parkit::{chunk_ranges, num_threads_for};
-
 /// A `(row, col, value)` entry used to assemble a [`Csr`] matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Triplet {
@@ -286,21 +284,6 @@ impl Csr {
         self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
-    /// Infinity norm (maximum absolute row sum).
-    pub fn inf_norm(&self) -> f64 {
-        let nthreads = num_threads_for(self.nrows);
-        let ranges = chunk_ranges(self.nrows, nthreads);
-        let mut best = 0.0f64;
-        for r in ranges {
-            for i in r.start..r.end {
-                let (_, vals) = self.row(i);
-                let s: f64 = vals.iter().map(|v| v.abs()).sum();
-                best = best.max(s);
-            }
-        }
-        best
-    }
-
     /// Whether the sparsity pattern and values are numerically symmetric to
     /// within `tol` (used to classify the SuiteSparse surrogates).
     pub fn is_symmetric(&self, tol: f64) -> bool {
@@ -512,7 +495,6 @@ mod tests {
     fn norms() {
         let a = small();
         assert!((a.frobenius_norm() - (4.0 * 3.0 + 1.0 * 4.0f64).sqrt()).abs() < 1e-14);
-        assert_eq!(a.inf_norm(), 4.0);
     }
 
     #[test]

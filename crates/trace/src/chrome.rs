@@ -7,27 +7,9 @@
 //! resolution survives).  Open the file at <https://ui.perfetto.dev> or in
 //! `chrome://tracing`.
 
+use crate::json::push_json_str;
 use crate::{Event, EventKind, Trace};
 use std::fmt::Write as _;
-
-/// Append `value` as a JSON string literal (with escaping) to `out`.
-fn push_json_str(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Microseconds with nanosecond resolution, as a JSON number.
 fn push_us(out: &mut String, ns: u64) {

@@ -49,8 +49,8 @@ mod chrome;
 mod json;
 mod report;
 
-pub use json::validate_json;
-pub use report::{AggRow, CounterRow};
+pub use json::{validate_json, JsonValue, JsonWriter};
+pub use report::AggRow;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -137,14 +137,6 @@ struct AggCell {
     max_ns: u64,
 }
 
-struct CounterCell {
-    cat: &'static str,
-    name: &'static str,
-    count: u64,
-    sum: f64,
-    last: f64,
-}
-
 struct Inner {
     label: String,
     ring: Vec<Event>,
@@ -153,7 +145,6 @@ struct Inner {
     /// capacity)` live events end at index `pushed % capacity`.
     pushed: u64,
     agg: Vec<AggCell>,
-    counters: Vec<CounterCell>,
 }
 
 impl Inner {
@@ -203,27 +194,6 @@ impl Inner {
             });
         }
     }
-
-    fn record_counter(&mut self, ev: Event, value: f64) {
-        self.push(ev);
-        if let Some(cell) = self
-            .counters
-            .iter_mut()
-            .find(|c| c.cat == ev.cat && c.name == ev.name)
-        {
-            cell.count += 1;
-            cell.sum += value;
-            cell.last = value;
-        } else {
-            self.counters.push(CounterCell {
-                cat: ev.cat,
-                name: ev.name,
-                count: 1,
-                sum: value,
-                last: value,
-            });
-        }
-    }
 }
 
 struct ThreadBuf {
@@ -260,7 +230,6 @@ fn with_buf<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
                     capacity,
                     pushed: 0,
                     agg: Vec::new(),
-                    counters: Vec::new(),
                 }),
             });
             registry()
@@ -453,17 +422,14 @@ pub fn counter(cat: &'static str, name: &'static str, value: f64) {
     let ts_ns = now_ns();
     with_buf(|buf| {
         let mut inner = buf.inner.lock().expect("trace buffer poisoned");
-        inner.record_counter(
-            Event {
-                kind: EventKind::Counter { value },
-                ts_ns,
-                cat,
-                name,
-                args: [("", 0); 2],
-                nargs: 0,
-            },
-            value,
-        );
+        inner.push(Event {
+            kind: EventKind::Counter { value },
+            ts_ns,
+            cat,
+            name,
+            args: [("", 0); 2],
+            nargs: 0,
+        });
     });
 }
 
@@ -568,7 +534,6 @@ pub fn clear() {
         inner.capacity = capacity;
         inner.pushed = 0;
         inner.agg.clear();
-        inner.counters.clear();
     }
 }
 
@@ -583,8 +548,6 @@ pub struct ThreadTrace {
     pub dropped: u64,
     /// Exact per-(cat, name) span aggregates (immune to ring drops).
     pub spans: Vec<AggRow>,
-    /// Exact per-(cat, name) counter aggregates.
-    pub counters: Vec<CounterRow>,
 }
 
 /// A full trace: every thread's timeline, collected by [`collect`].
@@ -599,7 +562,7 @@ pub fn collect() -> Trace {
     let mut threads = Vec::new();
     for buf in registry().lock().expect("trace registry poisoned").iter() {
         let inner = buf.inner.lock().expect("trace buffer poisoned");
-        if inner.pushed == 0 && inner.agg.is_empty() && inner.counters.is_empty() {
+        if inner.pushed == 0 && inner.agg.is_empty() {
             continue;
         }
         threads.push(ThreadTrace {
@@ -616,17 +579,6 @@ pub fn collect() -> Trace {
                     count: c.count,
                     total_ns: c.total_ns,
                     max_ns: c.max_ns,
-                })
-                .collect(),
-            counters: inner
-                .counters
-                .iter()
-                .map(|c| CounterRow {
-                    cat: c.cat.to_string(),
-                    name: c.name.to_string(),
-                    count: c.count,
-                    sum: c.sum,
-                    last: c.last,
                 })
                 .collect(),
         });
@@ -764,16 +716,20 @@ mod tests {
         instant2("c", "mark2", "peer", 1, "words", 64);
         set_enabled(false);
         let trace = collect();
-        let counters: Vec<_> = trace
+        let samples: Vec<_> = trace
             .threads
             .iter()
-            .flat_map(|t| t.counters.iter())
-            .filter(|c| c.name == "queue")
+            .flat_map(|t| t.events.iter())
+            .filter(|e| e.name == "queue")
+            .map(|e| e.kind)
             .collect();
-        assert_eq!(counters.len(), 1);
-        assert_eq!(counters[0].count, 2);
-        assert_eq!(counters[0].sum, 8.0);
-        assert_eq!(counters[0].last, 5.0);
+        assert_eq!(
+            samples,
+            [
+                EventKind::Counter { value: 3.0 },
+                EventKind::Counter { value: 5.0 }
+            ]
+        );
         let instants = trace
             .threads
             .iter()

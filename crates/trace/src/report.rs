@@ -20,19 +20,6 @@ pub struct AggRow {
     pub max_ns: u64,
 }
 
-/// Exact aggregate for one `(cat, name)` counter.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CounterRow {
-    pub cat: String,
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of sampled values.
-    pub sum: f64,
-    /// Most recent sample.
-    pub last: f64,
-}
-
 impl Trace {
     /// Span aggregates summed across threads, sorted by descending total
     /// time (ties by `(cat, name)` for determinism).
@@ -61,27 +48,6 @@ impl Trace {
         rows
     }
 
-    /// Counter aggregates summed across threads, sorted by `(cat, name)`.
-    pub fn merged_counters(&self) -> Vec<CounterRow> {
-        let mut rows: Vec<CounterRow> = Vec::new();
-        for thread in &self.threads {
-            for row in &thread.counters {
-                if let Some(merged) = rows
-                    .iter_mut()
-                    .find(|r| r.cat == row.cat && r.name == row.name)
-                {
-                    merged.count += row.count;
-                    merged.sum += row.sum;
-                    merged.last = row.last;
-                } else {
-                    rows.push(row.clone());
-                }
-            }
-        }
-        rows.sort_by(|a, b| a.cat.cmp(&b.cat).then_with(|| a.name.cmp(&b.name)));
-        rows
-    }
-
     /// Total span time in category `cat`, summed across all threads.
     pub fn category_ns(&self, cat: &str) -> u64 {
         self.threads
@@ -90,11 +56,6 @@ impl Trace {
             .filter(|r| r.cat == cat)
             .map(|r| r.total_ns)
             .sum()
-    }
-
-    /// Events dropped to ring wrap-around, summed across all threads.
-    pub fn total_dropped(&self) -> u64 {
-        self.threads.iter().map(|t| t.dropped).sum()
     }
 }
 
