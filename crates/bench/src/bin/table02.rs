@@ -120,7 +120,9 @@ fn main() {
         bench::cli::partition_imbalance(&a, &part)
     );
 
-    // --- Part 2: modeled times at the paper's scale. ---
+    // --- Part 2: modeled times at the paper's scale: its restart length and
+    // step size, whatever a small `--matrix` clipped part 1 to. ---
+    let (m, s) = (60, 5);
     let machine = MachineModel::vortex_node();
     let nranks = 4;
     let problem = ProblemSpec::laplace2d(2000, 5, nranks);
@@ -129,9 +131,11 @@ fn main() {
     let iters_sstep = 60_255;
     let iters_two_stage = |bs: usize| 60_251usize.div_ceil(bs.max(s)) * bs.max(s);
     let mut rows = Vec::new();
+    let mut times = Vec::new();
     let mut baseline_total = 0.0;
     let mut add = |label: String, scheme: SchemeKind, iters: usize, baseline_total: &mut f64| {
         let t = solver_time(scheme, &problem, &machine, nranks, s, m, iters, 0);
+        times.push(t);
         if *baseline_total == 0.0 {
             *baseline_total = t.total();
         }
@@ -172,6 +176,21 @@ fn main() {
     println!(
         "\nExpected shape (paper Table II): Ortho time decreases monotonically with bs,\n\
          best total time at bs = m = 60; SpMV time is essentially unchanged."
+    );
+    // The two-stage rows are the last four, in increasing bs.
+    let two_stage = &times[times.len() - 4..];
+    assert!(
+        two_stage.windows(2).all(|w| w[1].ortho < w[0].ortho),
+        "modelled Ortho time must decrease monotonically with bs"
+    );
+    let best = times
+        .iter()
+        .map(|t| t.total())
+        .fold(f64::INFINITY, f64::min);
+    assert_eq!(
+        two_stage[3].total(),
+        best,
+        "modelled best total time must be at bs = m"
     );
     args.finish();
 }

@@ -69,7 +69,7 @@ use crate::precond::{Identity, Preconditioner};
 use crate::shifts;
 use crate::solver::{GmresConfig, SStepGmres, SolveResult};
 use crate::timing::{CycleClock, Phase};
-use blockortho::{make_orthogonalizer_with_sketch, BlockOrthogonalizer, OrthoError};
+use blockortho::{make_orthogonalizer, BlockOrthogonalizer, OrthoError};
 use dense::{MatView, MatViewMut, Matrix};
 use distsim::{
     fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
@@ -528,11 +528,7 @@ impl<'a> Solve<'a> {
                 "step",
                 step as u64,
             ),
-            ortho: make_orthogonalizer_with_sketch(
-                config.ortho.for_block_width(ka),
-                total,
-                config.sketch,
-            ),
+            ortho: make_orthogonalizer(config.ortho.for_block_width(ka), total),
             hess: HessenbergRecovery::with_block_width(total, ka),
             cols: 0,
             breakdown: None,

@@ -71,7 +71,7 @@ pub use timing::CycleTiming;
 // `distsim` directly.
 pub use distsim::{
     FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardContext, GuardCounts,
-    GuardEvent, GuardPolicy, SketchConfig, Target,
+    GuardEvent, GuardPolicy, Target,
 };
 
 // Re-export the orthogonalization selector (and the per-stage fallback

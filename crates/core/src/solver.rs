@@ -11,9 +11,7 @@ use crate::precond::{Identity, Preconditioner};
 use crate::timing::CycleTiming;
 use blockortho::OrthoKind;
 use dense::{MatView, MatViewMut};
-use distsim::{
-    CommStatsSnapshot, Communicator, DistCsr, GuardEvent, GuardPolicy, SerialComm, SketchConfig,
-};
+use distsim::{CommStatsSnapshot, Communicator, DistCsr, GuardEvent, GuardPolicy, SerialComm};
 use sparse::{block_row_partition, Csr, RowPartition, RowSource};
 use std::sync::Arc;
 
@@ -46,11 +44,6 @@ pub struct GmresConfig {
     /// [`distsim::GuardContext`] is allocated and every collective is
     /// bitwise the unguarded operation.
     pub guards: GuardPolicy,
-    /// Sketch operator configuration used by the sketched orthogonalization
-    /// kinds ([`OrthoKind::RandCholQr`], [`OrthoKind::TwoStageSketched`]);
-    /// ignored by the unsketched kinds.  Fixing the seed makes sketched
-    /// runs bitwise replayable.
-    pub sketch: SketchConfig,
 }
 
 impl Default for GmresConfig {
@@ -65,7 +58,6 @@ impl Default for GmresConfig {
             basis: BasisStrategy::Monomial,
             step_policy: StepPolicy::Fixed,
             guards: GuardPolicy::default(),
-            sketch: SketchConfig::default(),
         }
     }
 }

@@ -42,10 +42,8 @@
 //!
 //! Everything here is gated on [`GuardPolicy`]; with all guards disabled
 //! (the default) no `GuardContext` is ever allocated and the solver's
-//! communication is bitwise identical to the unguarded build.  The
-//! `guards-off` cargo feature additionally pins [`GuardPolicy::any_enabled`]
-//! to `false` at compile time so the whole layer folds away, mirroring the
-//! `trace` crate's `off` feature.
+//! communication is bitwise the unguarded operation
+//! (`tests/fault_tolerance.rs` pins guarded ≡ unguarded at zero faults).
 
 use crate::comm::Communicator;
 use std::collections::{BTreeMap, HashMap};
@@ -95,13 +93,8 @@ impl GuardPolicy {
         }
     }
 
-    /// Whether any guard is active.  Compiled to `false` under the
-    /// `guards-off` cargo feature, so guarded call sites fold down to
-    /// their unguarded bodies.
+    /// Whether any guard is active.
     pub fn any_enabled(&self) -> bool {
-        if cfg!(feature = "guards-off") {
-            return false;
-        }
         self.gram_screen || self.halo_checksum || self.agreement
     }
 }
@@ -893,16 +886,9 @@ mod tests {
         assert_eq!(counts.poisoned, 1);
     }
 
-    #[cfg(not(feature = "guards-off"))]
     #[test]
     fn any_enabled_reflects_the_policy() {
         assert!(!GuardPolicy::default().any_enabled());
         assert!(GuardPolicy::all().any_enabled());
-    }
-
-    #[cfg(feature = "guards-off")]
-    #[test]
-    fn guards_off_feature_pins_any_enabled_false() {
-        assert!(!GuardPolicy::all().any_enabled());
     }
 }

@@ -40,8 +40,8 @@
 //! * [`GuardPolicy`] / [`GuardContext`] — low-overhead detection guards
 //!   (Gram-symmetry screening, duplicated norm words, cross-rank
 //!   agreement probes, checksummed halo frames) with bounded collective
-//!   retry and NaN-poisoning for cycle-level rollback.  The `guards-off`
-//!   cargo feature compiles the whole layer out, like `trace`'s `off`.
+//!   retry and NaN-poisoning for cycle-level rollback.  Off by default at
+//!   run time.
 //!
 //! Determinism: collective reductions combine per-rank contributions in
 //! rank order, so a given rank count always produces bitwise-identical

@@ -21,18 +21,47 @@ use std::ops::Range;
 
 /// Which intra-block kernel the first factorization of BCGS2 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntraKernel {
+pub enum IntraKernel {
+    /// CholQR2 — the original s-step GMRES orthogonalization (5 reduces
+    /// per panel).
     CholQr2,
+    /// Column-wise CGS2 (HHQR-class baseline, `O(s)` reduces per panel).
     Columnwise,
 }
 
-/// Shared implementation of the BCGS2 family.
+/// The BCGS2 skeleton around its intra-block kernel.
 #[derive(Debug)]
-struct Bcgs2 {
+pub struct Bcgs2 {
     intra: IntraKernel,
 }
 
 impl Bcgs2 {
+    /// Create the scheme with the given intra-block kernel.
+    pub fn new(intra: IntraKernel) -> Self {
+        Self { intra }
+    }
+
+    /// The first intra-block factorization of the panel `new`.
+    fn intra_factor(
+        &self,
+        basis: &mut DistMultiVector,
+        new: Range<usize>,
+    ) -> Result<Matrix, OrthoError> {
+        match self.intra {
+            IntraKernel::CholQr2 => cholqr2(basis, new),
+            IntraKernel::Columnwise => columnwise_cgs2(basis, new.start, new),
+        }
+    }
+}
+
+impl BlockOrthogonalizer for Bcgs2 {
+    fn name(&self) -> &'static str {
+        match self.intra {
+            IntraKernel::CholQr2 => "BCGS2 with CholQR2",
+            IntraKernel::Columnwise => "BCGS2 with column-wise CGS2",
+        }
+    }
+
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -43,20 +72,14 @@ impl Bcgs2 {
         let s = new.end - new.start;
         if prev.is_empty() {
             // First panel: intra-block factorization only (Fig. 2b, j = 1).
-            let r_new = match self.intra {
-                IntraKernel::CholQr2 => cholqr2(basis, new.clone())?,
-                IntraKernel::Columnwise => columnwise_cgs2(basis, new.start, new.clone())?,
-            };
+            let r_new = self.intra_factor(basis, new.clone())?;
             write_block(r, 0, new, &Matrix::zeros(0, s), &r_new);
             return Ok(());
         }
         // First inter-block BCGS projection.
         let p1 = bcgs(basis, prev.clone(), new.clone());
         // First intra-block factorization.
-        let r1 = match self.intra {
-            IntraKernel::CholQr2 => cholqr2(basis, new.clone())?,
-            IntraKernel::Columnwise => columnwise_cgs2(basis, new.start, new.clone())?,
-        };
+        let r1 = self.intra_factor(basis, new.clone())?;
         // Second inter-block BCGS projection (reorthogonalization).
         let p2 = bcgs(basis, prev.clone(), new.clone());
         // Second intra-block factorization (always CholQR, Fig. 2b line 13).
@@ -70,84 +93,6 @@ impl Bcgs2 {
         let r_new = dense::tri_matmul_upper(&t, &r1);
         write_block(r, prev.start, new, &r_prev, &r_new);
         Ok(())
-    }
-}
-
-/// BCGS2 with CholQR2 — the original s-step GMRES orthogonalization
-/// (5 reduces per panel).
-#[derive(Debug)]
-pub struct Bcgs2CholQr2 {
-    inner: Bcgs2,
-}
-
-impl Bcgs2CholQr2 {
-    /// Create the scheme.
-    pub fn new() -> Self {
-        Self {
-            inner: Bcgs2 {
-                intra: IntraKernel::CholQr2,
-            },
-        }
-    }
-}
-
-impl Default for Bcgs2CholQr2 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BlockOrthogonalizer for Bcgs2CholQr2 {
-    fn name(&self) -> &'static str {
-        "BCGS2 with CholQR2"
-    }
-
-    fn orthogonalize_panel(
-        &mut self,
-        basis: &mut DistMultiVector,
-        new: Range<usize>,
-        r: &mut Matrix,
-    ) -> Result<(), OrthoError> {
-        self.inner.orthogonalize_panel(basis, new, r)
-    }
-}
-
-/// BCGS2 with a column-wise CGS2 intra-block kernel (HHQR-class baseline,
-/// `O(s)` reduces per panel).
-#[derive(Debug)]
-pub struct Bcgs2Columnwise {
-    inner: Bcgs2,
-}
-
-impl Bcgs2Columnwise {
-    /// Create the scheme.
-    pub fn new() -> Self {
-        Self {
-            inner: Bcgs2 {
-                intra: IntraKernel::Columnwise,
-            },
-        }
-    }
-}
-
-impl Default for Bcgs2Columnwise {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BlockOrthogonalizer for Bcgs2Columnwise {
-    fn name(&self) -> &'static str {
-        "BCGS2 with column-wise CGS2"
-    }
-
-    fn orthogonalize_panel(
-        &mut self,
-        basis: &mut DistMultiVector,
-        new: Range<usize>,
-        r: &mut Matrix,
-    ) -> Result<(), OrthoError> {
-        self.inner.orthogonalize_panel(basis, new, r)
     }
 }
 
@@ -181,7 +126,7 @@ mod tests {
     #[test]
     fn bcgs2_cholqr2_orthogonality_and_reconstruction() {
         let v = test_matrix(500, 15);
-        let (q, r) = run(&mut Bcgs2CholQr2::new(), &v, 5);
+        let (q, r) = run(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5);
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..15 {
@@ -194,7 +139,7 @@ mod tests {
     #[test]
     fn bcgs2_columnwise_orthogonality_and_reconstruction() {
         let v = test_matrix(400, 12);
-        let (q, r) = run(&mut Bcgs2Columnwise::new(), &v, 4);
+        let (q, r) = run(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 4);
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..12 {
@@ -209,7 +154,7 @@ mod tests {
         let v = test_matrix(300, 10);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(10, 10);
-        let mut scheme = Bcgs2CholQr2::new();
+        let mut scheme = Bcgs2::new(IntraKernel::CholQr2);
         scheme
             .orthogonalize_panel(&mut basis, 0..5, &mut r)
             .unwrap();
@@ -229,7 +174,7 @@ mod tests {
         let v = test_matrix(300, 10);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(10, 10);
-        let mut scheme = Bcgs2Columnwise::new();
+        let mut scheme = Bcgs2::new(IntraKernel::Columnwise);
         scheme
             .orthogonalize_panel(&mut basis, 0..5, &mut r)
             .unwrap();
@@ -250,7 +195,7 @@ mod tests {
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(4, 4);
         let before = basis.comm().stats().snapshot();
-        Bcgs2CholQr2::new()
+        Bcgs2::new(IntraKernel::CholQr2)
             .orthogonalize_panel(&mut basis, 0..4, &mut r)
             .unwrap();
         let delta = basis.comm().stats().snapshot().since(&before);
@@ -263,8 +208,14 @@ mod tests {
         // must deliver O(eps) orthogonality.
         let v = testmat::logscaled_matrix(400, 10, 1e6, 5);
         for (name, q) in [
-            ("cholqr2", run(&mut Bcgs2CholQr2::new(), &v, 5).0),
-            ("columnwise", run(&mut Bcgs2Columnwise::new(), &v, 5).0),
+            (
+                "cholqr2",
+                run(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5).0,
+            ),
+            (
+                "columnwise",
+                run(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 5).0,
+            ),
         ] {
             let err = orthogonality_error(&q.view());
             assert!(err < 1e-12, "{name}: {err}");

@@ -34,9 +34,11 @@
 //! | [`bcgs_pip2_fused`] | 2 | (p + k·s)·k·s each |
 //! | sketched pre-conditioning | 1 | rows·nnz·k·s sketch slots |
 //!
-//! The closed forms live in `perfmodel::block_ortho_cycle_words` and are
-//! pinned against measured `CommStats` for k ∈ {1, 2, 4} by
-//! `crates/perfmodel/tests/comm_volume_validation.rs`.
+//! `perfmodel::ortho_cost` lists these reduces once per scheme (its
+//! `schedule`); `perfmodel::block_ortho_cycle_words` sums their words, and
+//! `crates/perfmodel/tests/comm_volume_validation.rs` pins counts and words
+//! against measured `CommStats` for k ∈ {1, 2, 4}, m ∈ {20, 60} and every
+//! two-stage `bs` of the paper's Table II sweep.
 //!
 //! The pass savings of [`bcgs_pip2_fused`] hinge on
 //! [`DistMultiVector::update_and_gram`] being a *genuine* single
@@ -51,6 +53,7 @@
 //! and return the small replicated factors.
 
 use crate::error::OrthoError;
+use crate::traits::{FallbackEvent, FallbackStage};
 use dense::Matrix;
 use distsim::DistMultiVector;
 use std::ops::Range;
@@ -232,6 +235,36 @@ pub fn bcgs_pip2_fused(
     let t_prev = dense::gemm_nn(&y, &r1).add(&p1);
     let t_new = dense::tri_matmul_upper(&r2, &r1);
     Ok((t_prev, t_new, applied_shift))
+}
+
+/// The remedy every scheme takes when a plain kernel's Cholesky breaks down
+/// on `cols`: mark the episode in the trace under `instant`, run the shifted
+/// [`bcgs_pip2_fused`] (which succeeds for any numerically full-rank panel;
+/// **2 global reduces**, a breakdown of either pass reported under
+/// `context`), and log a [`FallbackEvent`] for `stage` with the shift the
+/// first pass applied.  Returns `(T_prev, T_new)` with
+/// `V = Q_prev·T_prev + Q_new·T_new`.
+pub(crate) fn shifted_remedy(
+    basis: &mut DistMultiVector,
+    prev: Range<usize>,
+    cols: Range<usize>,
+    stage: FallbackStage,
+    instant: &'static str,
+    context: &'static str,
+    events: &mut Vec<FallbackEvent>,
+) -> Result<(Matrix, Matrix), OrthoError> {
+    trace::instant2(
+        "ortho",
+        instant,
+        "start",
+        cols.start as u64,
+        "cols",
+        (cols.end - cols.start) as u64,
+    );
+    let (t_prev, t_new, shift) =
+        bcgs_pip2_fused(basis, prev, cols.clone(), true, context, context)?;
+    events.push(FallbackEvent { stage, cols, shift });
+    Ok((t_prev, t_new))
 }
 
 /// Column-wise classical Gram–Schmidt with reorthogonalization (CGS2),

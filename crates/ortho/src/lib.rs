@@ -39,15 +39,15 @@ pub mod sketched;
 pub mod traits;
 pub mod two_stage;
 
-pub use bcgs2::{Bcgs2CholQr2, Bcgs2Columnwise};
+pub use bcgs2::{Bcgs2, IntraKernel};
 pub use bcgs_pip2::{BcgsPip, BcgsPip2};
 pub use cgs::{Cgs2Columnwise, MgsColumnwise};
 pub use error::OrthoError;
 pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2, shifted_cholqr};
 pub use sketched::RandCholQr;
 pub use traits::{
-    distinct_fallback_episodes, make_orthogonalizer, make_orthogonalizer_with_sketch,
-    BlockOrthogonalizer, FallbackEvent, FallbackStage, OrthoKind,
+    distinct_fallback_episodes, make_orthogonalizer, BlockOrthogonalizer, FallbackEvent,
+    FallbackStage, OrthoKind,
 };
 pub use two_stage::{FirstStage, TwoStage};
 

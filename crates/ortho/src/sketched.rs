@@ -41,7 +41,7 @@
 //! [`DistMultiVector::sketch`]: distsim::DistMultiVector::sketch
 
 use crate::error::OrthoError;
-use crate::kernels::bcgs_pip;
+use crate::kernels::{bcgs_pip, shifted_remedy};
 use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage};
 use dense::Matrix;
 use distsim::{DistMultiVector, SketchConfig, SketchOp};
@@ -67,8 +67,6 @@ pub(crate) enum PreprocessOutcome {
     RankDeficient {
         /// Sketch `S·V` of the raw panel (already paid for — reuse it).
         sv: Matrix,
-        /// First numerically zero diagonal of the sketched QR factor.
-        pivot: usize,
     },
 }
 
@@ -168,8 +166,8 @@ impl SketchState {
         // means the projected panel lost full rank even under the sketch's
         // bounded distortion — no triangular solve can repair that.
         let tol = 32.0 * f64::EPSILON * r_s.max_abs();
-        if let Some(pivot) = (0..s).find(|&i| r_s[(i, i)] <= tol) {
-            return PreprocessOutcome::RankDeficient { sv, pivot };
+        if (0..s).any(|i| r_s[(i, i)] <= tol) {
+            return PreprocessOutcome::RankDeficient { sv };
         }
         if !prev.is_empty() {
             basis.update(prev, new.clone(), &p1);
@@ -238,23 +236,6 @@ impl RandCholQr {
     }
 }
 
-/// The shifted remedial path shared with the unsketched family: fused
-/// shifted BCGS-PIP2, 2 reduces.
-fn shifted_remedy(
-    basis: &mut DistMultiVector,
-    prev: Range<usize>,
-    new: Range<usize>,
-) -> Result<(Matrix, Matrix, f64), OrthoError> {
-    crate::kernels::bcgs_pip2_fused(
-        basis,
-        prev,
-        new,
-        true,
-        "sketched panel (shifted fallback)",
-        "sketched panel (reorthogonalization)",
-    )
-}
-
 impl BlockOrthogonalizer for RandCholQr {
     fn name(&self) -> &'static str {
         "randomized CholQR"
@@ -294,21 +275,15 @@ impl BlockOrthogonalizer for RandCholQr {
                         // The polish found the preconditioned panel still
                         // indefinite (borderline rank): shifted remedy on
                         // the preconditioned columns, composed with R_s.
-                        trace::instant2(
-                            "ortho",
+                        let (t_prev, t_new) = shifted_remedy(
+                            basis,
+                            prev.clone(),
+                            new.clone(),
+                            FallbackStage::SketchPrecondition,
                             "fallback_sketch",
-                            "start",
-                            new.start as u64,
-                            "cols",
-                            (new.end - new.start) as u64,
-                        );
-                        let (t_prev, t_new, shift) =
-                            shifted_remedy(basis, prev.clone(), new.clone())?;
-                        self.events.push(FallbackEvent {
-                            stage: FallbackStage::SketchPrecondition,
-                            cols: new.clone(),
-                            shift,
-                        });
+                            "sketched panel (shifted fallback)",
+                            &mut self.events,
+                        )?;
                         let r_prev = crate::bcgs_pip2::p2_times_r_plus_p1(&t_prev, &r_s, &p1);
                         let r_new = dense::tri_matmul_upper(&t_new, &r_s);
                         crate::bcgs_pip2::write_block(r, 0, new.clone(), &r_prev, &r_new);
@@ -317,24 +292,19 @@ impl BlockOrthogonalizer for RandCholQr {
                     Err(other) => return Err(other),
                 }
             }
-            PreprocessOutcome::RankDeficient { sv, pivot } => {
+            PreprocessOutcome::RankDeficient { sv } => {
                 // The raw panel lost full rank under the sketch: same
                 // shifted remedy the unsketched family uses, on the raw
                 // columns.  Errors propagate — reported, never silent.
-                trace::instant2(
-                    "ortho",
+                let (t_prev, t_new) = shifted_remedy(
+                    basis,
+                    prev.clone(),
+                    new.clone(),
+                    FallbackStage::SketchPrecondition,
                     "fallback_sketch",
-                    "start",
-                    new.start as u64,
-                    "pivot",
-                    pivot as u64,
-                );
-                let (t_prev, t_new, shift) = shifted_remedy(basis, prev.clone(), new.clone())?;
-                self.events.push(FallbackEvent {
-                    stage: FallbackStage::SketchPrecondition,
-                    cols: new.clone(),
-                    shift,
-                });
+                    "sketched panel (shifted fallback)",
+                    &mut self.events,
+                )?;
                 crate::bcgs_pip2::write_block(r, 0, new.clone(), &t_prev, &t_new);
                 state.refresh_block(&sv, prev, new, &t_prev, &t_new);
             }

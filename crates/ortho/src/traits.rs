@@ -1,8 +1,9 @@
 //! The [`BlockOrthogonalizer`] trait and the scheme selector.
 
+use crate::bcgs2::{Bcgs2, IntraKernel};
 use crate::error::OrthoError;
 use dense::Matrix;
-use distsim::DistMultiVector;
+use distsim::{DistMultiVector, SketchConfig};
 use std::ops::Range;
 
 /// Which stage of a (possibly multi-stage) scheme had to take a remedial
@@ -226,26 +227,16 @@ impl OrthoKind {
     }
 }
 
-/// Construct the orthogonalizer for `kind` with the default
-/// [`SketchConfig`](distsim::SketchConfig) for the sketched kinds.
+/// Construct the orthogonalizer for `kind`; the sketched kinds are built
+/// with the default [`SketchConfig`].
 ///
 /// `total_cols` is the total number of basis columns of a restart cycle
 /// (`m + 1`); delayed schemes need it to size their bookkeeping.
 pub fn make_orthogonalizer(kind: OrthoKind, total_cols: usize) -> Box<dyn BlockOrthogonalizer> {
-    make_orthogonalizer_with_sketch(kind, total_cols, distsim::SketchConfig::default())
-}
-
-/// [`make_orthogonalizer`] with an explicit sketch configuration for the
-/// sketched kinds (`RandCholQr`, `TwoStageSketched`); the unsketched kinds
-/// ignore it.  The solver passes `GmresConfig::sketch` through here.
-pub fn make_orthogonalizer_with_sketch(
-    kind: OrthoKind,
-    total_cols: usize,
-    sketch: distsim::SketchConfig,
-) -> Box<dyn BlockOrthogonalizer> {
+    let sketch = SketchConfig::default();
     match kind {
-        OrthoKind::Bcgs2CholQr2 => Box::new(crate::bcgs2::Bcgs2CholQr2::new()),
-        OrthoKind::Bcgs2Columnwise => Box::new(crate::bcgs2::Bcgs2Columnwise::new()),
+        OrthoKind::Bcgs2CholQr2 => Box::new(Bcgs2::new(IntraKernel::CholQr2)),
+        OrthoKind::Bcgs2Columnwise => Box::new(Bcgs2::new(IntraKernel::Columnwise)),
         OrthoKind::BcgsPip2 => Box::new(crate::bcgs_pip2::BcgsPip2::new()),
         OrthoKind::BcgsPip => Box::new(crate::bcgs_pip2::BcgsPip::new()),
         OrthoKind::TwoStage { big_panel } => {

@@ -14,8 +14,9 @@
 //! Fig. 5 lines 18–19.  **1 additional global reduce per `bs` columns**, and
 //! all its local BLAS-3 work runs on blocks of `bs` columns instead of `s`,
 //! which is where the data-reuse gain comes from.  When the big panel
-//! violates condition (9) the stage falls back to `shifted_bcgs_pip2`,
-//! whose re-orthogonalization fuses the vector update with the next inner
+//! violates condition (9) the stage falls back to the shifted
+//! [`bcgs_pip2_fused`](crate::kernels::bcgs_pip2_fused), whose
+//! re-orthogonalization fuses the vector update with the next inner
 //! products ([`DistMultiVector::update_and_gram`]) — 2 reduces and one
 //! fewer pass over the `n×bs` panel than the unfused remedy.
 //!
@@ -39,7 +40,7 @@
 //! and breakdown scenarios were recorded with.
 
 use crate::error::OrthoError;
-use crate::kernels::bcgs_pip;
+use crate::kernels::{bcgs_pip, shifted_remedy};
 use crate::sketched::{PreprocessOutcome, SketchState};
 use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage};
 use dense::Matrix;
@@ -155,23 +156,15 @@ impl TwoStage {
         // al. cited in the paper's related work — and compose the factors.
         let (t_prev, t_bp) = match bcgs_pip(basis, prev.clone(), bp.clone()) {
             Ok(factors) => factors,
-            Err(OrthoError::CholeskyBreakdown { .. }) => {
-                trace::instant2(
-                    "ortho",
-                    "fallback_stage2",
-                    "start",
-                    bp.start as u64,
-                    "cols",
-                    (bp.end - bp.start) as u64,
-                );
-                let (t_prev, t_bp, shift) = shifted_bcgs_pip2(basis, prev.clone(), bp.clone())?;
-                self.events.push(FallbackEvent {
-                    stage: FallbackStage::BigPanelFlush,
-                    cols: bp.clone(),
-                    shift,
-                });
-                (t_prev, t_bp)
-            }
+            Err(OrthoError::CholeskyBreakdown { .. }) => shifted_remedy(
+                basis,
+                prev.clone(),
+                bp.clone(),
+                FallbackStage::BigPanelFlush,
+                "fallback_stage2",
+                "two-stage second stage (shifted fallback)",
+                &mut self.events,
+            )?,
             Err(other) => return Err(other),
         };
         // The flush rewrote the stored big-panel columns as
@@ -219,33 +212,13 @@ impl TwoStage {
     }
 }
 
-/// Shifted BCGS-PIP2, used when a plain BCGS-PIP on a panel (first stage)
-/// or big panel (second stage) breaks down: a first pass built on the
-/// shifted Cholesky factorization (which succeeds for any numerically
-/// full-rank panel), then a re-orthogonalization whose vector update and
-/// inner products are fused into one pass over the panel with
-/// [`DistMultiVector::update_and_gram`].  The factor sets are composed so
-/// the caller still sees a single `(T_prev, T_bp)` pair with
-/// `Q̂ = Q_prev·T_prev + Q_new·T_bp`.
-///
-/// **2 global reduces**, 5 passes over the `n×bs` panel (the unfused
-/// formulation took 6: separate update, normalization and `proj_and_gram`
-/// sweeps in the second pass).  The third element of the result is the
-/// Cholesky shift the first pass applied (recorded in the caller's
-/// [`FallbackEvent`]).
-fn shifted_bcgs_pip2(
-    basis: &mut DistMultiVector,
-    prev: Range<usize>,
-    bp: Range<usize>,
-) -> Result<(Matrix, Matrix, f64), OrthoError> {
-    crate::kernels::bcgs_pip2_fused(
-        basis,
-        prev,
-        bp,
-        true,
-        "two-stage second stage (shifted fallback)",
-        "two-stage second stage (reorthogonalization)",
-    )
+/// The flush policy: the second stage runs once the `accumulated`
+/// pre-processed columns reach the `threshold` (`bs`, scaled by the block
+/// width), and on whatever is pending when the cycle ends.  The one
+/// definition both [`TwoStage`] and the `perfmodel` reduce schedule call, so
+/// the model cannot price big panels the scheme does not run.
+pub fn flush_due(accumulated: usize, threshold: usize, end_of_cycle: bool) -> bool {
+    accumulated >= threshold || end_of_cycle
 }
 
 /// Copy the sub-block `R[rows, cols]` into an owned matrix.
@@ -318,32 +291,15 @@ impl BlockOrthogonalizer for TwoStage {
                 }
                 let (p, r_new) = match plain {
                     Ok(factors) => factors,
-                    Err(OrthoError::CholeskyBreakdown { .. }) => {
-                        trace::instant2(
-                            "ortho",
-                            "fallback_stage1",
-                            "start",
-                            new.start as u64,
-                            "cols",
-                            (new.end - new.start) as u64,
-                        );
-                        let (p, r_new, shift) = shifted_bcgs_pip2(basis, prev.clone(), new.clone())
-                            .map_err(|e| match e {
-                                OrthoError::CholeskyBreakdown { pivot, .. } => {
-                                    OrthoError::CholeskyBreakdown {
-                                        context: "two-stage first stage (panel pre-processing)",
-                                        pivot,
-                                    }
-                                }
-                                other => other,
-                            })?;
-                        self.events.push(FallbackEvent {
-                            stage: FallbackStage::PanelPreprocess,
-                            cols: new.clone(),
-                            shift,
-                        });
-                        (p, r_new)
-                    }
+                    Err(OrthoError::CholeskyBreakdown { .. }) => shifted_remedy(
+                        basis,
+                        prev.clone(),
+                        new.clone(),
+                        FallbackStage::PanelPreprocess,
+                        "fallback_stage1",
+                        "two-stage first stage (panel pre-processing)",
+                        &mut self.events,
+                    )?,
                     Err(other) => return Err(other),
                 };
                 crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p, &r_new);
@@ -357,36 +313,22 @@ impl BlockOrthogonalizer for TwoStage {
                     PreprocessOutcome::Factored { p1, r_s } => {
                         crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p1, &r_s);
                     }
-                    PreprocessOutcome::RankDeficient { sv, .. } => {
+                    PreprocessOutcome::RankDeficient { sv } => {
                         // The raw panel lost full rank even under the
                         // sketch's bounded distortion: take the shifted
                         // remedial path on the raw columns and tag the
                         // episode with the sketch stage.
-                        trace::instant2(
-                            "ortho",
+                        let (p, r_new) = shifted_remedy(
+                            basis,
+                            prev.clone(),
+                            new.clone(),
+                            FallbackStage::SketchPrecondition,
                             "fallback_stage1",
-                            "start",
-                            new.start as u64,
-                            "cols",
-                            (new.end - new.start) as u64,
-                        );
-                        let (p, r_new, shift) = shifted_bcgs_pip2(basis, prev.clone(), new.clone())
-                            .map_err(|e| match e {
-                                OrthoError::CholeskyBreakdown { pivot, .. } => {
-                                    OrthoError::CholeskyBreakdown {
-                                        context: "two-stage sketched first stage",
-                                        pivot,
-                                    }
-                                }
-                                other => other,
-                            })?;
+                            "two-stage sketched first stage",
+                            &mut self.events,
+                        )?;
                         state.refresh_block(&sv, prev.clone(), new.clone(), &p, &r_new);
                         crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p, &r_new);
-                        self.events.push(FallbackEvent {
-                            stage: FallbackStage::SketchPrecondition,
-                            cols: new.clone(),
-                            shift,
-                        });
                     }
                 }
             }
@@ -395,10 +337,11 @@ impl BlockOrthogonalizer for TwoStage {
         // Close the first-stage span before a possible big-panel flush, so
         // stage-2 time is not attributed to the panel that triggered it.
         drop(stage1_span);
-        // Second stage once enough columns have accumulated.
-        if self.processed_end - self.big_start >= self.big_panel
-            || self.processed_end >= self.total_cols
-        {
+        if flush_due(
+            self.processed_end - self.big_start,
+            self.big_panel,
+            self.processed_end >= self.total_cols,
+        ) {
             self.flush_big_panel(basis, r)?;
         }
         Ok(())
@@ -612,7 +555,19 @@ mod tests {
         pre.orthogonalize_panel(&mut basis, 0..4, &mut r0).unwrap();
         let stored = basis.local().clone(); // columns 4..10 still raw
         let before = basis.comm().stats().snapshot();
-        let (t_prev, t_bp, _shift) = shifted_bcgs_pip2(&mut basis, 0..4, 4..10).unwrap();
+        let mut events = Vec::new();
+        let (t_prev, t_bp) = shifted_remedy(
+            &mut basis,
+            0..4,
+            4..10,
+            FallbackStage::BigPanelFlush,
+            "fallback_stage2",
+            "test",
+            &mut events,
+        )
+        .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].cols, 4..10);
         let delta = basis.comm().stats().snapshot().since(&before);
         assert_eq!(delta.allreduces, 2, "shifted fallback must stay 2 reduces");
         assert!(dense::orthogonality_error(&basis.local().cols(0..10)) < 1e-12);

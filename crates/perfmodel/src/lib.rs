@@ -12,12 +12,15 @@
 //! * [`kernels`] — per-kernel cost functions (tall-skinny GEMM, TRSM, SpMV,
 //!   dot/axpy, all-reduce, halo exchange) built on the roofline of the
 //!   machine description;
-//! * [`ortho_cost`] — the kernel-by-kernel assembly of one restart cycle of
-//!   each block orthogonalization scheme (BCGS2+CholQR2, BCGS-PIP2,
-//!   two-stage, column-wise CGS2), faithfully following the kernel sequences
-//!   implemented in the `blockortho` crate — a unit test cross-checks the
-//!   modeled synchronization counts against the counts measured by actually
-//!   running the schemes;
+//! * [`ortho_cost`] — one restart cycle of each block orthogonalization
+//!   scheme (BCGS2+CholQR2, BCGS-PIP2, two-stage, column-wise CGS2 and the
+//!   sketched kinds) as **one list of all-reduce steps** in the order the
+//!   `blockortho` crate issues them; reduce count, reduced words and
+//!   modelled time are the length, the word sum and the cost sum of that
+//!   list, and the two-stage flush is decided by the predicate `TwoStage`
+//!   itself calls ([`blockortho::two_stage::flush_due`]).
+//!   `tests/comm_volume_validation.rs` checks counts and words against
+//!   `CommStats` measured by running the schemes;
 //! * [`solver_cost`] — full solver time estimates (SpMV + preconditioner +
 //!   orthogonalization + small redundant work) used by the Table II/III/IV
 //!   and Fig. 10–13 harness binaries.

@@ -1,12 +1,18 @@
 //! Per-cycle cost assembly for each block orthogonalization scheme.
 //!
-//! The kernel sequences below mirror, one for one, the implementations in
-//! the `blockortho` crate (and Figs. 2–5 of the paper).  A unit test
-//! cross-checks the modeled number of global reductions against the counts
-//! measured by actually running each scheme through the `distsim`
-//! communicator statistics.
+//! A scheme's restart cycle is stated once, by `schedule`, as the list of
+//! its all-reduces (`Step`s) in the order the `blockortho` crate issues them
+//! (Figs. 2–5 of the paper).  Every public quantity is a fold over that
+//! list: the reduce count is its length, the reduced words the sum of
+//! `Step::words`, the modelled time the sum of `Step::cost` — so the three
+//! cannot disagree.  The two-stage kinds close a big panel where
+//! [`blockortho::two_stage::flush_due`] says so, the predicate `TwoStage`
+//! itself calls.  `tests/comm_volume_validation.rs` checks counts and words
+//! against `distsim` communicator statistics of real runs over the paper's
+//! Table II shapes; the paper's closed forms are the unit tests' oracle.
 
 use crate::kernels::KernelCosts;
+use blockortho::two_stage::flush_due;
 
 /// The orthogonalization schemes whose performance the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,68 +107,166 @@ impl OrthoBreakdown {
     }
 }
 
-/// Cost of one BCGS-PIP call on a panel of `s` columns against `k` previous
-/// columns.
-fn pip_cost(costs: &KernelCosts<'_>, k: usize, s: usize) -> OrthoBreakdown {
-    OrthoBreakdown {
-        // Fused [Q, V]ᵀV: projection + Gram in one pass over the panel.
-        dot_products: costs.gemm_tn(k, s) + costs.gemm_tn(s, s),
-        vector_updates: costs.gemm_update(k, s) + costs.trsm(s),
-        small_work: costs.small_factorization(s),
-        allreduce: costs.allreduce((k + s) * s),
-        reduces: 1,
+/// One all-reduce of a restart cycle, with the local work that goes with
+/// it.  `prev` counts the columns the panel is projected against, `width`
+/// the columns of the panel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// BCGS projection (`QᵀV` + update).
+    Bcgs { prev: usize, width: usize },
+    /// CholQR of the panel.
+    CholQr { width: usize },
+    /// BCGS-PIP: projection + Gram fused in one pass (`[Q, V]ᵀV`), update,
+    /// TRSM.
+    Pip { prev: usize, width: usize },
+    /// Sketched pre-conditioning: one reduce of the `rows·nnz·width` sketch
+    /// slots, the replicated sketch-space least squares + Householder QR
+    /// (the projection coefficients come *locally* from the replicated
+    /// `S·Q`, so the reduce carries no `prev·width` block), then the
+    /// projection update and triangular scaling of the panel.
+    Sketch {
+        prev: usize,
+        width: usize,
+        rows: usize,
+        nnz: usize,
+    },
+    /// Norm of one column (column-wise CGS2's normalization).
+    ColNorm,
+}
+
+impl Step {
+    /// `f64` words this step all-reduces.
+    fn words(&self) -> usize {
+        match *self {
+            Step::Bcgs { prev, width } => prev * width,
+            Step::CholQr { width } => width * width,
+            Step::Pip { prev, width } => (prev + width) * width,
+            Step::Sketch {
+                width, rows, nnz, ..
+            } => sketch_reduce_words(rows, nnz, width),
+            Step::ColNorm => 1,
+        }
+    }
+
+    /// Modeled time of this step.
+    fn cost(&self, costs: &KernelCosts<'_>) -> OrthoBreakdown {
+        let (dot_products, vector_updates, small_work) = match *self {
+            Step::Bcgs { prev, width } => (
+                costs.gemm_tn(prev, width),
+                costs.gemm_update(prev, width),
+                0.0,
+            ),
+            Step::CholQr { width } => (
+                costs.gemm_tn(width, width),
+                costs.trsm(width),
+                costs.small_factorization(width),
+            ),
+            Step::Pip { prev, width } => (
+                costs.gemm_tn(prev, width) + costs.gemm_tn(width, width),
+                costs.gemm_update(prev, width) + costs.trsm(width),
+                costs.small_factorization(width),
+            ),
+            Step::Sketch { prev, width, .. } => (
+                0.0,
+                costs.gemm_update(prev, width) + costs.trsm(width),
+                costs.small_factorization(width),
+            ),
+            Step::ColNorm => (costs.dot_local(), costs.axpy(), 0.0),
+        };
+        OrthoBreakdown {
+            dot_products,
+            vector_updates,
+            small_work,
+            allreduce: costs.allreduce(self.words()),
+            reduces: 1,
+        }
     }
 }
 
-/// Cost of the sketched pre-conditioning of a panel of `s` columns against
-/// `k` previous columns: one allreduce of the `rows·nnz·s` sketch slots,
-/// the replicated sketch-space least squares + Householder QR of the small
-/// sketched panel (the projection coefficients are computed *locally* from
-/// the replicated `S·Q`, so the reduce carries no `k·s` projection block),
-/// and the projection update + triangular scaling of the panel.
-fn sketch_precondition_cost(
-    costs: &KernelCosts<'_>,
-    k: usize,
-    s: usize,
-    rows: usize,
-    nnz: usize,
-) -> OrthoBreakdown {
-    OrthoBreakdown {
-        dot_products: 0.0,
-        vector_updates: costs.gemm_update(k, s) + costs.trsm(s),
-        small_work: costs.small_factorization(s),
-        allreduce: costs.allreduce(sketch_reduce_words(rows, nnz, s)),
-        reduces: 1,
+/// The all-reduces of one restart cycle of `m` block steps with step size
+/// `s` and `k` right-hand sides, in the order the `blockortho` schemes
+/// issue them (Figs. 2–5 of the paper) — the one place the model enumerates
+/// panels per scheme.
+///
+/// The cycle is replayed from its residual block (`k` columns) and the
+/// steps of that first panel are dropped: it is cycle setup, identical for
+/// every scheme.  Each later panel carries `k·s` columns; column-wise CGS2
+/// takes the `k·m` generated columns one at a time whatever `s` is.  The
+/// two-stage kinds close a big panel where
+/// [`blockortho::two_stage::flush_due`] says `TwoStage` does, with the
+/// threshold `k·bs` that `OrthoKind::for_block_width` hands it.
+fn schedule(scheme: SchemeKind, m: usize, s: usize, k: usize) -> Vec<Step> {
+    assert!(k >= 1, "block width must be at least 1");
+    let (panels, panel_width) = if scheme == SchemeKind::StandardCgs2 {
+        (k * m, 1)
+    } else {
+        (m / s, k * s)
+    };
+    let mut steps = Vec::new();
+    let mut prev = 0; // columns before the current panel
+    let mut big_start = 0; // columns before the current big panel
+    for j in 0..=panels {
+        let width = if j == 0 { k } else { panel_width };
+        let (bcgs, cholqr, pip) = (
+            Step::Bcgs { prev, width },
+            Step::CholQr { width },
+            Step::Pip { prev, width },
+        );
+        let sketch = |rows, nnz| Step::Sketch {
+            prev,
+            width,
+            rows,
+            nnz,
+        };
+        let bs = match scheme {
+            SchemeKind::StandardCgs2 => {
+                steps.extend([bcgs, bcgs, Step::ColNorm]);
+                None
+            }
+            SchemeKind::Bcgs2CholQr2 => {
+                // BCGS + CholQR2 + BCGS + CholQR (Fig. 2b).
+                steps.extend([bcgs, cholqr, cholqr, bcgs, cholqr]);
+                None
+            }
+            SchemeKind::BcgsPip2 => {
+                steps.extend([pip, pip]);
+                None
+            }
+            SchemeKind::RandCholQr { rows, nnz } => {
+                steps.extend([sketch(rows, nnz), pip]);
+                None
+            }
+            SchemeKind::TwoStage { bs } => {
+                steps.push(pip);
+                Some(bs)
+            }
+            SchemeKind::TwoStageSketched { bs, rows, nnz } => {
+                steps.push(sketch(rows, nnz));
+                Some(bs)
+            }
+        };
+        prev += width;
+        if let Some(bs) = bs {
+            let pending = prev - big_start;
+            if flush_due(pending, k * bs, j == panels) {
+                steps.push(Step::Pip {
+                    prev: big_start,
+                    width: pending,
+                });
+                big_start = prev;
+            }
+        }
+        if j == 0 {
+            steps.clear();
+        }
     }
-}
-
-/// Cost of one BCGS projection (`QᵀV` + update) of a panel of `s` columns
-/// against `k` previous columns.
-fn bcgs_cost(costs: &KernelCosts<'_>, k: usize, s: usize) -> OrthoBreakdown {
-    OrthoBreakdown {
-        dot_products: costs.gemm_tn(k, s),
-        vector_updates: costs.gemm_update(k, s),
-        small_work: 0.0,
-        allreduce: costs.allreduce(k * s),
-        reduces: 1,
-    }
-}
-
-/// Cost of one CholQR of `s` columns.
-fn cholqr_cost(costs: &KernelCosts<'_>, s: usize) -> OrthoBreakdown {
-    OrthoBreakdown {
-        dot_products: costs.gemm_tn(s, s),
-        vector_updates: costs.trsm(s),
-        small_work: costs.small_factorization(s),
-        allreduce: costs.allreduce(s * s),
-        reduces: 1,
-    }
+    steps
 }
 
 /// Orthogonalization cost of one restart cycle of `m` generated basis
 /// vectors with step size `s` (panels of `s` columns; the initial residual
 /// column is ignored — its cost is identical for every scheme and
-/// negligible).
+/// negligible): the sum of the steps' costs, in schedule order.
 pub fn ortho_cycle_cost(
     scheme: SchemeKind,
     costs: &KernelCosts<'_>,
@@ -170,283 +274,51 @@ pub fn ortho_cycle_cost(
     s: usize,
 ) -> OrthoBreakdown {
     let mut acc = OrthoBreakdown::default();
-    match scheme {
-        SchemeKind::StandardCgs2 => {
-            // One column at a time: two projection passes + normalization.
-            for c in 1..=m {
-                let k = c; // previous columns
-                acc.add(&bcgs_cost(costs, k, 1));
-                acc.add(&bcgs_cost(costs, k, 1));
-                acc.add(&OrthoBreakdown {
-                    dot_products: costs.dot_local(),
-                    vector_updates: costs.axpy(),
-                    small_work: 0.0,
-                    allreduce: costs.allreduce(1),
-                    reduces: 1,
-                });
-            }
-        }
-        SchemeKind::Bcgs2CholQr2 => {
-            let panels = m / s;
-            for j in 0..panels {
-                let k = j * s + 1;
-                // BCGS + CholQR2 + BCGS + CholQR (Fig. 2b).
-                acc.add(&bcgs_cost(costs, k, s));
-                acc.add(&cholqr_cost(costs, s));
-                acc.add(&cholqr_cost(costs, s));
-                acc.add(&bcgs_cost(costs, k, s));
-                acc.add(&cholqr_cost(costs, s));
-            }
-        }
-        SchemeKind::BcgsPip2 => {
-            let panels = m / s;
-            for j in 0..panels {
-                let k = j * s + 1;
-                acc.add(&pip_cost(costs, k, s));
-                acc.add(&pip_cost(costs, k, s));
-            }
-        }
-        SchemeKind::TwoStage { bs } => {
-            let panels = m / s;
-            let mut big_start = 0usize; // columns before the current big panel
-            let mut pending = 1usize; // pre-processed columns awaiting stage 2 (starts with the residual column)
-            for j in 0..panels {
-                let k = j * s + 1;
-                // First stage: one BCGS-PIP against everything stored.
-                acc.add(&pip_cost(costs, k, s));
-                pending += s;
-                if pending > bs || j == panels - 1 {
-                    // Second stage on the accumulated big panel.
-                    let width = pending;
-                    acc.add(&pip_cost(costs, big_start, width));
-                    big_start += width;
-                    pending = 0;
-                }
-            }
-        }
-        SchemeKind::RandCholQr { rows, nnz } => {
-            let panels = m / s;
-            for j in 0..panels {
-                let k = j * s + 1;
-                // Sketched pre-conditioning + one BCGS-PIP polish.
-                acc.add(&sketch_precondition_cost(costs, k, s, rows, nnz));
-                acc.add(&pip_cost(costs, k, s));
-            }
-        }
-        SchemeKind::TwoStageSketched { bs, rows, nnz } => {
-            let panels = m / s;
-            let mut big_start = 0usize;
-            let mut pending = 1usize;
-            for j in 0..panels {
-                let k = j * s + 1;
-                // First stage: sketched pre-conditioning of the panel.
-                acc.add(&sketch_precondition_cost(costs, k, s, rows, nnz));
-                pending += s;
-                if pending > bs || j == panels - 1 {
-                    let width = pending;
-                    acc.add(&pip_cost(costs, big_start, width));
-                    big_start += width;
-                    pending = 0;
-                }
-            }
-        }
+    for step in schedule(scheme, m, s, 1) {
+        acc.add(&step.cost(costs));
     }
     acc
 }
 
 /// Number of global reductions one restart cycle of `m` basis vectors needs
-/// (closed form, used to sanity-check the assembled model and quoted in the
-/// reports).
+/// — [`block_ortho_reduce_count`] at `k = 1`.
 pub fn ortho_reduce_count(scheme: SchemeKind, m: usize, s: usize) -> usize {
-    match scheme {
-        SchemeKind::StandardCgs2 => 3 * m,
-        SchemeKind::Bcgs2CholQr2 => 5 * (m / s),
-        SchemeKind::BcgsPip2 => 2 * (m / s),
-        SchemeKind::TwoStage { bs } | SchemeKind::TwoStageSketched { bs, .. } => {
-            let panels = m / s;
-            let big_panels = m.div_ceil(bs); // ceil
-            panels + big_panels
-        }
-        SchemeKind::RandCholQr { .. } => 2 * (m / s),
-    }
+    block_ortho_reduce_count(scheme, m, s, 1)
 }
 
 /// Total number of `f64` words all-reduced by the orthogonalization of one
-/// restart cycle — the message-*volume* companion of
-/// [`ortho_reduce_count`], mirroring exactly the `allreduce(words)` terms
-/// [`ortho_cycle_cost`] feeds the machine model:
-///
-/// * CGS2 column `c`: two `k`-word projections plus a one-word norm,
-///   `k = c` previous columns;
-/// * BCGS2 + CholQR2 panel: two `k·s`-word projections and three `s²`-word
-///   Gram matrices;
-/// * BCGS-PIP2 panel: two fused `(k + s)·s`-word reduces;
-/// * two-stage: one fused `(k + s)·s`-word reduce per panel plus one
-///   `(k' + w)·w`-word reduce per flushed big panel of `w` columns.
-///
-/// `tests/comm_volume_validation.rs` asserts these analytic volumes against
-/// the `CommStats::allreduce_words` measured from running the real schemes
-/// on the `distsim` substrate.
+/// restart cycle — [`block_ortho_cycle_words`] at `k = 1`, and exactly the
+/// `allreduce(words)` terms [`ortho_cycle_cost`] feeds the machine model.
 pub fn ortho_cycle_words(scheme: SchemeKind, m: usize, s: usize) -> usize {
-    let mut words = 0usize;
-    match scheme {
-        SchemeKind::StandardCgs2 => {
-            for c in 1..=m {
-                words += 2 * c + 1;
-            }
-        }
-        SchemeKind::Bcgs2CholQr2 => {
-            for j in 0..m / s {
-                let k = j * s + 1;
-                words += 2 * k * s + 3 * s * s;
-            }
-        }
-        SchemeKind::BcgsPip2 => {
-            for j in 0..m / s {
-                let k = j * s + 1;
-                words += 2 * (k + s) * s;
-            }
-        }
-        SchemeKind::TwoStage { bs } => {
-            let panels = m / s;
-            let mut big_start = 0usize;
-            let mut pending = 1usize; // the residual column awaits stage 2
-            for j in 0..panels {
-                let k = j * s + 1;
-                words += (k + s) * s;
-                pending += s;
-                if pending > bs || j == panels - 1 {
-                    words += (big_start + pending) * pending;
-                    big_start += pending;
-                    pending = 0;
-                }
-            }
-        }
-        SchemeKind::RandCholQr { rows, nnz } => {
-            for j in 0..m / s {
-                let k = j * s + 1;
-                // Sketch-only pre-conditioning reduce + fused polish.
-                words += sketch_reduce_words(rows, nnz, s);
-                words += (k + s) * s;
-            }
-        }
-        SchemeKind::TwoStageSketched { bs, rows, nnz } => {
-            let panels = m / s;
-            let mut big_start = 0usize;
-            let mut pending = 1usize;
-            for j in 0..panels {
-                words += sketch_reduce_words(rows, nnz, s);
-                pending += s;
-                if pending > bs || j == panels - 1 {
-                    words += (big_start + pending) * pending;
-                    big_start += pending;
-                    pending = 0;
-                }
-            }
-        }
-    }
-    words
+    block_ortho_cycle_words(scheme, m, s, 1)
 }
 
 /// Number of global reductions one restart cycle of a **block** solve with
-/// `k` right-hand sides needs — the closed form behind the batched-solver
-/// headline.  `m` and `s` stay in block steps (each MPK panel carries
-/// `k·s` columns); `bs` stays in *scalar* columns, matching
-/// `OrthoKind::for_block_width` scaling the flush threshold to `k·bs`.
+/// `k` right-hand sides needs: the number of steps of the schedule.  `m`
+/// and `s` stay in block steps (each MPK panel carries `k·s` columns); `bs`
+/// stays in *scalar* columns.
 ///
-/// For every panel-blocked scheme the count is **independent of `k`**:
-/// the panel schedule is `m / s` panels regardless of width, and the
-/// two-stage pending counter starts at `k` and grows by `k·s` per panel,
-/// so `pending > k·bs` fires on exactly the panels the scalar cadence
-/// fires on.  Only column-wise CGS2 scales with `k` (it pays 3 reduces
-/// per *column*, honestly reported here).  At `k = 1` this is exactly
-/// [`ortho_reduce_count`].
+/// For every panel-blocked scheme the count is **independent of `k`**: the
+/// schedule has `m / s` panels regardless of width, and the two-stage
+/// accumulated width and its threshold both scale by `k`, so the flush
+/// fires on exactly the panels the scalar cadence fires on.  Only
+/// column-wise CGS2 scales with `k` (it pays 3 reduces per *column*,
+/// honestly reported here).
 pub fn block_ortho_reduce_count(scheme: SchemeKind, m: usize, s: usize, k: usize) -> usize {
-    assert!(k >= 1, "block width must be at least 1");
-    match scheme {
-        SchemeKind::StandardCgs2 => 3 * k * m,
-        SchemeKind::Bcgs2CholQr2 => 5 * (m / s),
-        SchemeKind::BcgsPip2 => 2 * (m / s),
-        SchemeKind::TwoStage { bs } | SchemeKind::TwoStageSketched { bs, .. } => {
-            m / s + m.div_ceil(bs)
-        }
-        SchemeKind::RandCholQr { .. } => 2 * (m / s),
-    }
+    schedule(scheme, m, s, k).len()
 }
 
-/// Total `f64` words all-reduced by one **block** restart cycle — the
-/// volume companion of [`block_ortho_reduce_count`], generalizing
-/// [`ortho_cycle_words`] over the block width: panels are `k·s` columns
-/// against `k·(j·s + 1)` previous columns, the two-stage pending counter
-/// starts at the `k` residual columns, and sketched reduces carry
-/// `rows·nnz·k·s` slot words (`rows` is the realized sketch height,
-/// `rows_per_col · k·(m + 1)`).  While the reduce *count* stays flat in
-/// `k`, the words grow ~`k²` — the latency-vs-bandwidth trade the batched
-/// solver makes, validated against measured `CommStats` for
-/// `k ∈ {1, 2, 4}` in `tests/comm_volume_validation.rs`.  At `k = 1` this
-/// is exactly [`ortho_cycle_words`].
+/// Total `f64` words all-reduced by one **block** restart cycle: the sum of
+/// the steps' words.  Sketched reduces carry `rows·nnz·k·s` slot words
+/// (`rows` is the realized sketch height, `rows_per_col · k·(m + 1)`).
+/// While the reduce *count* stays flat in `k`, the words grow ~`k²` — the
+/// latency-vs-bandwidth trade the batched solver makes.
+///
+/// `tests/comm_volume_validation.rs` asserts counts and words against the
+/// `CommStats` measured from running the real schemes on the `distsim`
+/// substrate, over m ∈ {20, 60}, bs ∈ {5, …, 60} and k ∈ {1, 2, 4}.
 pub fn block_ortho_cycle_words(scheme: SchemeKind, m: usize, s: usize, k: usize) -> usize {
-    assert!(k >= 1, "block width must be at least 1");
-    let mut words = 0usize;
-    let w = k * s; // panel width in columns
-    match scheme {
-        SchemeKind::StandardCgs2 => {
-            // Column-wise over the k·m generated columns; the k residual
-            // columns are the cycle setup, as in the scalar form.
-            for c in k..k * (m + 1) {
-                words += 2 * c + 1;
-            }
-        }
-        SchemeKind::Bcgs2CholQr2 => {
-            for j in 0..m / s {
-                let p = k * (j * s + 1);
-                words += 2 * p * w + 3 * w * w;
-            }
-        }
-        SchemeKind::BcgsPip2 => {
-            for j in 0..m / s {
-                let p = k * (j * s + 1);
-                words += 2 * (p + w) * w;
-            }
-        }
-        SchemeKind::TwoStage { bs } => {
-            let panels = m / s;
-            let mut big_start = 0usize;
-            let mut pending = k; // the residual block awaits stage 2
-            for j in 0..panels {
-                let p = k * (j * s + 1);
-                words += (p + w) * w;
-                pending += w;
-                if pending > k * bs || j == panels - 1 {
-                    words += (big_start + pending) * pending;
-                    big_start += pending;
-                    pending = 0;
-                }
-            }
-        }
-        SchemeKind::RandCholQr { rows, nnz } => {
-            for j in 0..m / s {
-                let p = k * (j * s + 1);
-                words += sketch_reduce_words(rows, nnz, w);
-                words += (p + w) * w;
-            }
-        }
-        SchemeKind::TwoStageSketched { bs, rows, nnz } => {
-            let panels = m / s;
-            let mut big_start = 0usize;
-            let mut pending = k;
-            for j in 0..panels {
-                words += sketch_reduce_words(rows, nnz, w);
-                pending += w;
-                if pending > k * bs || j == panels - 1 {
-                    words += (big_start + pending) * pending;
-                    big_start += pending;
-                    pending = 0;
-                }
-            }
-        }
-    }
-    words
+    schedule(scheme, m, s, k).iter().map(Step::words).sum()
 }
 
 #[cfg(test)]
@@ -456,6 +328,20 @@ mod tests {
 
     fn costs(machine: &MachineModel, nranks: usize) -> KernelCosts<'_> {
         KernelCosts::new(machine, 4_000_000 / nranks.max(1), nranks)
+    }
+
+    /// The paper's per-cycle reduce counts in closed form — the oracle the
+    /// schedule is checked against (the two-stage form holds for `bs` a
+    /// multiple of `s`).
+    fn closed_form_reduces(scheme: SchemeKind, m: usize, s: usize, k: usize) -> usize {
+        match scheme {
+            SchemeKind::StandardCgs2 => 3 * k * m,
+            SchemeKind::Bcgs2CholQr2 => 5 * (m / s),
+            SchemeKind::BcgsPip2 | SchemeKind::RandCholQr { .. } => 2 * (m / s),
+            SchemeKind::TwoStage { bs } | SchemeKind::TwoStageSketched { bs, .. } => {
+                m / s + m.div_ceil(bs)
+            }
+        }
     }
 
     #[test]
@@ -470,6 +356,7 @@ mod tests {
             SchemeKind::BcgsPip2,
             SchemeKind::TwoStage { bs: 60 },
             SchemeKind::TwoStage { bs: 20 },
+            SchemeKind::TwoStage { bs: 5 },
             SchemeKind::RandCholQr { rows: 488, nnz: 4 },
             SchemeKind::TwoStageSketched {
                 bs: 20,
@@ -477,26 +364,20 @@ mod tests {
                 nnz: 4,
             },
         ] {
-            let assembled = ortho_cycle_cost(
-                scheme,
-                &c,
-                m,
-                if scheme == SchemeKind::StandardCgs2 {
-                    1
-                } else {
-                    s
-                },
+            let closed = closed_form_reduces(scheme, m, s, 1);
+            assert_eq!(
+                ortho_cycle_cost(scheme, &c, m, s).reduces,
+                closed,
+                "{scheme:?}"
             );
-            let closed = ortho_reduce_count(
-                scheme,
-                m,
-                if scheme == SchemeKind::StandardCgs2 {
-                    1
-                } else {
-                    s
-                },
-            );
-            assert_eq!(assembled.reduces, closed, "{scheme:?}");
+            assert_eq!(ortho_reduce_count(scheme, m, s), closed, "{scheme:?}");
+            for k in [2usize, 4] {
+                assert_eq!(
+                    block_ortho_reduce_count(scheme, m, s, k),
+                    closed_form_reduces(scheme, m, s, k),
+                    "{scheme:?} at k = {k}"
+                );
+            }
         }
     }
 
@@ -622,19 +503,14 @@ mod tests {
                 nnz: 4,
             },
         ] {
-            let step = if scheme == SchemeKind::StandardCgs2 {
-                1
-            } else {
-                s
-            };
             assert_eq!(
-                block_ortho_reduce_count(scheme, m, step, 1),
-                ortho_reduce_count(scheme, m, step),
+                block_ortho_reduce_count(scheme, m, s, 1),
+                ortho_reduce_count(scheme, m, s),
                 "{scheme:?}: counts"
             );
             assert_eq!(
-                block_ortho_cycle_words(scheme, m, step, 1),
-                ortho_cycle_words(scheme, m, step),
+                block_ortho_cycle_words(scheme, m, s, 1),
+                ortho_cycle_words(scheme, m, s),
                 "{scheme:?}: words"
             );
         }

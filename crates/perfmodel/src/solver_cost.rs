@@ -107,10 +107,6 @@ pub fn solver_time(
     let local_rows = problem.n / nranks;
     let local_nnz = problem.nnz / nranks;
     let costs = KernelCosts::new(machine, local_rows, nranks);
-    let step = match scheme {
-        SchemeKind::StandardCgs2 => 1,
-        _ => s,
-    };
     // Per-iteration SpMV + preconditioner.
     let t_spmv_once = costs.spmv(
         local_nnz,
@@ -127,7 +123,7 @@ pub fn solver_time(
     // Orthogonalization: per restart cycle of m vectors, scaled by the
     // number of cycles actually executed.
     let cycles = iterations as f64 / m as f64;
-    let ortho_cycle = ortho_cycle_cost(scheme, &costs, m, step);
+    let ortho_cycle = ortho_cycle_cost(scheme, &costs, m, s);
     let ortho = cycles * ortho_cycle.total();
     // Other work per cycle: residual recomputation (1 SpMV + axpy + norm),
     // solution update (GEMV over m columns + axpy), replicated least squares.

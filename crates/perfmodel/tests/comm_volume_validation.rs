@@ -14,16 +14,75 @@
 //!   the negotiated halo plan produces and `CommStats` records per SpMV.
 
 use blockortho::{make_orthogonalizer, OrthoKind};
-use distsim::{run_ranks, DistCsr, DistMultiVector, SerialComm};
-use perfmodel::{ortho_cycle_words, ortho_reduce_count, ProblemSpec, SchemeKind};
+use distsim::{run_ranks, CommStatsSnapshot, DistCsr, DistMultiVector, SerialComm};
+use perfmodel::{
+    block_ortho_cycle_words, block_ortho_reduce_count, ortho_cycle_cost, ortho_cycle_words,
+    ortho_reduce_count, KernelCosts, MachineModel, ProblemSpec, SchemeKind,
+};
 use sparse::{block_row_partition, Laplace2d9ptRows};
 
 /// Well-conditioned basis so no scheme takes a breakdown detour (which
-/// would legitimately spend extra reduces).
+/// would legitimately spend extra reduces).  Seeded Gaussian columns stay
+/// benign at the 244 columns of a k = 4, m = 60 cycle; a short periodic
+/// pattern repeats columns there and trips the sketched rank screen.
 fn test_basis(n: usize, cols: usize) -> dense::Matrix {
-    dense::Matrix::from_fn(n, cols, |i, j| {
-        ((i * 7 + j * 3) % 13) as f64 * 0.2 + if i == j { 3.0 } else { 0.0 }
-    })
+    testmat::random_dense(n, cols, 17)
+}
+
+/// The second step sizes of the validation grid (the paper's Table II sweep
+/// and the values between).
+const BS_GRID: [usize; 7] = [5, 10, 15, 20, 30, 40, 60];
+
+/// Every scheme of the validation grid at restart length `m` and block
+/// width `k`, each with its orthogonalizer: the one-stage kinds once, both
+/// two-stage kinds at every `bs` of [`BS_GRID`].
+fn grid(m: usize, k: usize) -> Vec<(OrthoKind, SchemeKind)> {
+    // rows = rows_per_col (8, the default) · total_cols.
+    let (rows, nnz) = (8 * k * (m + 1), 4);
+    let mut pairs = vec![
+        (OrthoKind::Bcgs2CholQr2, SchemeKind::Bcgs2CholQr2),
+        (OrthoKind::BcgsPip2, SchemeKind::BcgsPip2),
+        (OrthoKind::RandCholQr, SchemeKind::RandCholQr { rows, nnz }),
+    ];
+    for bs in BS_GRID {
+        pairs.push((
+            OrthoKind::TwoStage { big_panel: bs }.for_block_width(k),
+            SchemeKind::TwoStage { bs },
+        ));
+        pairs.push((
+            OrthoKind::TwoStageSketched { big_panel: bs }.for_block_width(k),
+            SchemeKind::TwoStageSketched { bs, rows, nnz },
+        ));
+    }
+    pairs
+}
+
+/// Run one `k`-wide restart cycle of `kind` — the residual block, then
+/// `m / s` panels of `k·s` columns, the schedule `SStepGmres::solve_block`
+/// drives — and return the communication of everything after the residual
+/// block (which is identical for every scheme; the model folds it into
+/// cycle setup).
+fn measured_cycle(kind: OrthoKind, m: usize, s: usize, k: usize) -> CommStatsSnapshot {
+    let total = k * (m + 1);
+    let mut basis = DistMultiVector::from_matrix(SerialComm::new(), test_basis(500, total));
+    let mut r = dense::Matrix::zeros(total, total);
+    let mut ortho = make_orthogonalizer(kind, total);
+    ortho.orthogonalize_panel(&mut basis, 0..k, &mut r).unwrap();
+    let before = basis.comm().stats().snapshot();
+    let mut col = k;
+    while col < total {
+        ortho
+            .orthogonalize_panel(&mut basis, col..col + k * s, &mut r)
+            .unwrap();
+        col += k * s;
+    }
+    ortho.finish(&mut basis, &mut r).unwrap();
+    assert_eq!(
+        ortho.fallback_count(),
+        0,
+        "{kind:?}: basis must stay benign"
+    );
+    basis.comm().stats().snapshot().since(&before)
 }
 
 #[test]
@@ -60,141 +119,81 @@ fn fused_kernel_reduce_volume_matches_the_pip_model_term() {
 #[test]
 fn measured_cycle_reduce_words_match_the_analytic_volumes() {
     // Run every scheme through a full cycle on the distsim substrate and
-    // compare the measured all-reduced words against ortho_cycle_words
-    // (and the counts against ortho_reduce_count, as before).
-    let m = 20;
-    let pairs: [(OrthoKind, SchemeKind, usize); 7] = [
-        (OrthoKind::Cgs2, SchemeKind::StandardCgs2, 1),
-        (OrthoKind::Bcgs2CholQr2, SchemeKind::Bcgs2CholQr2, 5),
-        (OrthoKind::BcgsPip2, SchemeKind::BcgsPip2, 5),
-        (
-            OrthoKind::TwoStage { big_panel: 20 },
-            SchemeKind::TwoStage { bs: 20 },
-            5,
-        ),
-        (
-            OrthoKind::TwoStage { big_panel: 10 },
-            SchemeKind::TwoStage { bs: 10 },
-            5,
-        ),
-        (
-            OrthoKind::RandCholQr,
-            // rows = rows_per_col (8, the default) · total_cols (m + 1).
-            SchemeKind::RandCholQr { rows: 168, nnz: 4 },
-            5,
-        ),
-        (
-            OrthoKind::TwoStageSketched { big_panel: 10 },
-            SchemeKind::TwoStageSketched {
-                bs: 10,
-                rows: 168,
-                nnz: 4,
-            },
-            5,
-        ),
-    ];
-    let v = test_basis(300, m + 1);
-    for (kind, scheme, s) in pairs {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = dense::Matrix::zeros(m + 1, m + 1);
-        let mut ortho = make_orthogonalizer(kind, m + 1);
-        // The initial residual column is identical for every scheme; the
-        // model folds it into cycle setup, so it is excluded here too.
-        ortho.orthogonalize_panel(&mut basis, 0..1, &mut r).unwrap();
-        let before = basis.comm().stats().snapshot();
-        let mut col = 1;
-        while col < m + 1 {
-            ortho
-                .orthogonalize_panel(&mut basis, col..col + s, &mut r)
-                .unwrap();
-            col += s;
+    // compare the measured all-reduce count and words against the model's
+    // schedule — and the count the cost assembly carries against the same.
+    let machine = MachineModel::summit_node();
+    let costs = KernelCosts::new(&machine, 1_000_000, 6);
+    for m in [20usize, 60] {
+        let mut pairs: Vec<_> = grid(m, 1).into_iter().map(|(o, c)| (o, c, 5)).collect();
+        pairs.push((OrthoKind::Cgs2, SchemeKind::StandardCgs2, 1));
+        for (kind, scheme, s) in pairs {
+            let delta = measured_cycle(kind, m, s, 1);
+            assert_eq!(
+                delta.allreduces,
+                ortho_reduce_count(scheme, m, s),
+                "{scheme:?} m={m} reduce count"
+            );
+            assert_eq!(
+                delta.allreduce_words,
+                ortho_cycle_words(scheme, m, s),
+                "{scheme:?} m={m} reduce volume"
+            );
+            assert_eq!(
+                ortho_cycle_cost(scheme, &costs, m, s).reduces,
+                ortho_reduce_count(scheme, m, s),
+                "{scheme:?} m={m}: reduces priced vs reduces counted"
+            );
         }
-        ortho.finish(&mut basis, &mut r).unwrap();
-        let delta = basis.comm().stats().snapshot().since(&before);
-        assert_eq!(
-            delta.allreduces,
-            ortho_reduce_count(scheme, m, s),
-            "{scheme:?} reduce count"
-        );
-        assert_eq!(
-            delta.allreduce_words,
-            ortho_cycle_words(scheme, m, s),
-            "{scheme:?} reduce volume"
-        );
     }
 }
 
 #[test]
 fn measured_block_cycle_reduce_words_match_the_analytic_volumes() {
     // The block generalization of the cycle volumes: a k-wide block cycle
-    // runs k·s-column panels over a k·(m + 1)-column basis (the schedule
-    // `SStepGmres::solve_block` drives, with `OrthoKind::for_block_width`
-    // scaling the two-stage flush threshold).  For k ∈ {1, 2, 4} the
-    // measured reduce counts and words must equal the closed forms —
-    // exactly, not approximately — on both a plain and a sketched scheme,
-    // and the counts must be identical across k.
-    use perfmodel::{block_ortho_cycle_words, block_ortho_reduce_count};
-    let m = 20;
+    // runs k·s-column panels over a k·(m + 1)-column basis, with
+    // `OrthoKind::for_block_width` scaling the two-stage flush threshold.
+    // For k ∈ {1, 2, 4} the measured reduce counts and words must equal the
+    // model's — exactly, not approximately — and the counts must be
+    // identical across k.
     let s = 5;
-    for k in [1usize, 2, 4] {
-        let total = k * (m + 1);
-        let v = test_basis(300, total);
-        let pairs: [(OrthoKind, SchemeKind); 4] = [
-            (OrthoKind::BcgsPip2, SchemeKind::BcgsPip2),
-            (
-                OrthoKind::TwoStage { big_panel: 10 }.for_block_width(k),
-                SchemeKind::TwoStage { bs: 10 },
-            ),
-            (
-                OrthoKind::RandCholQr,
-                // rows = rows_per_col (8, the default) · total_cols.
-                SchemeKind::RandCholQr {
-                    rows: 8 * total,
-                    nnz: 4,
-                },
-            ),
-            (
-                OrthoKind::TwoStageSketched { big_panel: 10 }.for_block_width(k),
-                SchemeKind::TwoStageSketched {
-                    bs: 10,
-                    rows: 8 * total,
-                    nnz: 4,
-                },
-            ),
-        ];
-        for (kind, scheme) in pairs {
-            let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-            let mut r = dense::Matrix::zeros(total, total);
-            let mut ortho = make_orthogonalizer(kind, total);
-            // The initial residual block is cycle setup, as in the scalar
-            // validation above.
-            ortho.orthogonalize_panel(&mut basis, 0..k, &mut r).unwrap();
-            let before = basis.comm().stats().snapshot();
-            let mut col = k;
-            while col < total {
-                ortho
-                    .orthogonalize_panel(&mut basis, col..col + k * s, &mut r)
-                    .unwrap();
-                col += k * s;
+    for m in [20usize, 60] {
+        for k in [1usize, 2, 4] {
+            for (kind, scheme) in grid(m, k) {
+                let delta = measured_cycle(kind, m, s, k);
+                assert_eq!(
+                    delta.allreduces,
+                    block_ortho_reduce_count(scheme, m, s, k),
+                    "{scheme:?} m={m} k={k} reduce count"
+                );
+                assert_eq!(
+                    delta.allreduces,
+                    block_ortho_reduce_count(scheme, m, s, 1),
+                    "{scheme:?} m={m} k={k}: count must be k-independent"
+                );
+                assert_eq!(
+                    delta.allreduce_words,
+                    block_ortho_cycle_words(scheme, m, s, k),
+                    "{scheme:?} m={m} k={k} reduce volume"
+                );
             }
-            ortho.finish(&mut basis, &mut r).unwrap();
-            let delta = basis.comm().stats().snapshot().since(&before);
-            assert_eq!(
-                delta.allreduces,
-                block_ortho_reduce_count(scheme, m, s, k),
-                "{scheme:?} k={k} reduce count"
-            );
-            assert_eq!(
-                delta.allreduces,
-                block_ortho_reduce_count(scheme, m, s, 1),
-                "{scheme:?} k={k}: count must be k-independent"
-            );
-            assert_eq!(
-                delta.allreduce_words,
-                block_ortho_cycle_words(scheme, m, s, k),
-                "{scheme:?} k={k} reduce volume"
-            );
         }
+    }
+}
+
+#[test]
+fn two_stage_with_bs_equal_to_s_is_priced_as_bcgs_pip2() {
+    // "With bs = s the scheme degenerates to one-stage BCGS-PIP2"
+    // (`blockortho::two_stage`): every panel is flushed at once, so the
+    // assembled schedule must carry BCGS-PIP2's 2 reduces per panel.
+    let machine = MachineModel::vortex_node();
+    let costs = KernelCosts::new(&machine, 1_000_000, 4);
+    for (m, s) in [(60usize, 5usize), (20, 5), (60, 4), (60, 1)] {
+        let two_stage = ortho_cycle_cost(SchemeKind::TwoStage { bs: s }, &costs, m, s);
+        assert_eq!(two_stage.reduces, 2 * (m / s), "m={m} s={s}");
+        assert_eq!(
+            two_stage.reduces,
+            ortho_cycle_cost(SchemeKind::BcgsPip2, &costs, m, s).reduces
+        );
     }
 }
 
