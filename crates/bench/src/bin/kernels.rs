@@ -1,6 +1,8 @@
 //! Kernel baseline benchmark: times the four hot BLAS-3 kernels (blocked
 //! vs. retained naive formulations), the fused update+Gram pass, Gram and
-//! TRSM at the wide stage-2 flush shapes, and one s-step GMRES iteration
+//! TRSM at the wide stage-2 flush shapes, the SpMV on the two benchmark
+//! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
+//! asserted bit-identical), and one s-step GMRES iteration
 //! across panel shapes and thread counts, then
 //! writes `BENCH_kernels.json` — the perf trajectory every later PR is
 //! measured against.
@@ -444,6 +446,54 @@ fn bench_flush_shape(
     parkit::set_num_threads(0);
 }
 
+/// SpMV on one operator: the reference `Csr::spmv` against the
+/// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs, at one thread.  Bytes
+/// are the benchmark's model (`sparse.spmv_gbs`): 12 B per nonzero (value +
+/// 32-bit index) and 16 B per row (row pointer + output).  The two outputs
+/// must agree bit for bit; no timing is asserted.
+fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: usize) {
+    let (n, nnz) = (a.nrows(), a.nnz());
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let (mut y_csr, mut y_sliced) = (vec![0.0; n], vec![0.0; n]);
+    parkit::set_num_threads(1);
+    let csr_s = time_best(reps, || a.spmv(std::hint::black_box(&x), &mut y_csr));
+    let sliced = sparse::SlicedCsr::from_csr(a);
+    let sliced_s = time_best(reps, || {
+        sliced.spmv(std::hint::black_box(&x), &mut y_sliced)
+    });
+    parkit::set_num_threads(0);
+    assert!(
+        y_csr
+            .iter()
+            .zip(&y_sliced)
+            .all(|(p, q)| p.to_bits() == q.to_bits()),
+        "{kernel}: SlicedCsr::spmv must return the bits of Csr::spmv"
+    );
+    let flops = 2.0 * nnz as f64;
+    let bytes = (12 * nnz + 16 * n) as u64;
+    push(rows, kernel, "csr", n, 0, 0, 1, csr_s, flops, bytes, None);
+    push(
+        rows,
+        kernel,
+        "sliced",
+        n,
+        0,
+        0,
+        1,
+        sliced_s,
+        flops,
+        bytes,
+        Some(("csr", csr_s)),
+    );
+    for (variant, secs) in [("csr", csr_s), ("sliced", sliced_s)] {
+        eprintln!(
+            "  {kernel} {variant}: {:.0} us, {:.1} GB/s",
+            secs * 1e6,
+            bytes as f64 / secs * 1e-9
+        );
+    }
+}
+
 /// Time one s-step GMRES iteration (basis vector) end to end: a bounded
 /// two-stage solve on a 2D Laplacian, normalized by iterations performed.
 fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usize]) {
@@ -630,6 +680,17 @@ fn main() {
         eprintln!("benchmarking {n}x{s} flush panels ...");
         bench_flush_shape(&mut rows, n, s, reps, &thread_counts);
     }
+    // The benchmark's two operators at their `geer_t1`/`lap2d_t1` sizes.
+    eprintln!("benchmarking SpMV ...");
+    let geer = sparse::suitelike::spec_by_name("ML_Geer").expect("ML_Geer is in the set");
+    let geer = sparse::suitesparse_surrogate(geer, Some(40_000), 1);
+    bench_spmv(&mut rows, "spmv_ml_geer", geer, 10 * reps);
+    bench_spmv(
+        &mut rows,
+        "spmv_laplace2d_9pt",
+        sparse::laplace2d_9pt(160, 160),
+        10 * reps,
+    );
     eprintln!("benchmarking one s-step GMRES iteration ...");
     bench_gmres_iteration(&mut rows, quick, &thread_counts);
 

@@ -235,7 +235,7 @@ struct Solve<'a> {
     basis: DistMultiVector,
     r_factor: Matrix,
     z: Vec<f64>, // preconditioned vector
-    w: Vec<f64>, // A·z
+    w: Vec<f64>, // A·x of a residual
 }
 
 /// State of one restart cycle.
@@ -452,6 +452,7 @@ impl<'a> Solve<'a> {
                 self.a,
                 self.x.col(j),
                 self.b.col(j),
+                &mut self.w,
                 &mut self.report.spmv_count,
                 self.guard.as_deref(),
             );
@@ -567,23 +568,20 @@ impl<'a> Solve<'a> {
                         // the orthogonalizer.
                         cy.hess.mark_submitted_input(input);
                     }
-                    self.precond
-                        .apply(self.basis.local().col(input), &mut self.z);
+                    // The product lands in its basis column.
+                    let (done, mut rest) = self.basis.local_mut().split_at_col(input + ka);
+                    let (u, w) = (done.col(input), rest.col_mut(0));
+                    self.precond.apply(u, &mut self.z);
                     self.report.precond_count += 1;
-                    self.a
-                        .spmv_guarded(&self.z, &mut self.w, self.guard.as_deref());
+                    self.a.spmv_guarded(&self.z, w, self.guard.as_deref());
                     self.report.spmv_count += 1;
                     // Shifts apply per block step, not per column.
                     let theta = self.current_basis.shift(input / ka);
                     if theta != 0.0 {
-                        for (wi, ui) in self.w.iter_mut().zip(self.basis.local().col(input)) {
+                        for (wi, ui) in w.iter_mut().zip(u) {
                             *wi -= theta * ui;
                         }
                     }
-                    self.basis
-                        .local_mut()
-                        .col_mut(input + ka)
-                        .copy_from_slice(&self.w);
                 }
             }
         }
@@ -1013,17 +1011,18 @@ fn cols_to_matrix(nloc: usize, cols: &[Vec<f64>]) -> Matrix {
 /// `r = b − A·x` on the local blocks.  With an active guard the halo
 /// exchange inside the SpMV is checksummed; a corrupted or lost frame
 /// poisons the residual with NaN so the norm guard downstream trips.
+/// `ax` is scratch for the product.
 fn compute_residual(
     a: &DistCsr,
     x: &[f64],
     b: &[f64],
+    ax: &mut [f64],
     spmv_count: &mut usize,
     guard: Option<&GuardContext>,
 ) -> Vec<f64> {
-    let mut ax = vec![0.0; x.len()];
-    a.spmv_guarded(x, &mut ax, guard);
+    a.spmv_guarded(x, ax, guard);
     *spmv_count += 1;
-    b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect()
+    b.iter().zip(&*ax).map(|(bi, axi)| bi - axi).collect()
 }
 
 /// Global 2-norms of the active residual columns in **one** all-reduce of

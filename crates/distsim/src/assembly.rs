@@ -215,30 +215,42 @@ pub(crate) fn normalize_local_block(local: Csr, lo: usize, ghost_globals: &[usiz
         };
     }
     // Per-row stable sort by the remapped column, merging duplicates.
+    // Generators, `Csr::from_triplets` and `assemble_rows` deliver sorted
+    // unique rows, and the remap keeps them so unless a ghost column
+    // precedes an owned one: such a row is already its own normal form and
+    // only moves down over what earlier rows merged away.
     let mut out_rowptr = vec![0usize; nloc + 1];
     let mut write = 0usize;
     let mut row_buf: Vec<(usize, f64)> = Vec::new();
     for i in 0..nloc {
         let (start, end) = (rowptr[i], rowptr[i + 1]);
-        row_buf.clear();
-        row_buf.extend(
-            colind[start..end]
-                .iter()
-                .copied()
-                .zip(vals[start..end].iter().copied()),
-        );
-        row_buf.sort_by_key(|&(c, _)| c);
-        let mut k = 0;
-        while k < row_buf.len() {
-            let col = row_buf[k].0;
-            let mut acc = 0.0;
-            while k < row_buf.len() && row_buf[k].0 == col {
-                acc += row_buf[k].1;
-                k += 1;
+        if colind[start..end].windows(2).all(|w| w[0] < w[1]) {
+            if write != start {
+                colind.copy_within(start..end, write);
+                vals.copy_within(start..end, write);
             }
-            colind[write] = col;
-            vals[write] = acc;
-            write += 1;
+            write += end - start;
+        } else {
+            row_buf.clear();
+            row_buf.extend(
+                colind[start..end]
+                    .iter()
+                    .copied()
+                    .zip(vals[start..end].iter().copied()),
+            );
+            row_buf.sort_by_key(|&(c, _)| c);
+            let mut k = 0;
+            while k < row_buf.len() {
+                let col = row_buf[k].0;
+                let mut acc = 0.0;
+                while k < row_buf.len() && row_buf[k].0 == col {
+                    acc += row_buf[k].1;
+                    k += 1;
+                }
+                colind[write] = col;
+                vals[write] = acc;
+                write += 1;
+            }
         }
         out_rowptr[i + 1] = write;
     }
@@ -327,33 +339,60 @@ mod tests {
         plan_halo_exchange(comm.as_ref(), &part, vec![1]);
     }
 
+    /// The replicated path's normalization: remap every entry of `local`
+    /// (global rows `lo..`) as a triplet and let `Csr::from_triplets` sort
+    /// and merge.
+    fn from_triplets_remap(local: &Csr, lo: usize, ghosts: &[usize]) -> Csr {
+        let nloc = local.nrows();
+        let mut triplets = Vec::new();
+        for row in 0..nloc {
+            let (cols, vals) = local.row(row);
+            for (&c, &val) in cols.iter().zip(vals) {
+                let col = if (lo..lo + nloc).contains(&c) {
+                    c - lo
+                } else {
+                    nloc + ghosts.binary_search(&c).unwrap()
+                };
+                triplets.push(Triplet { row, col, val });
+            }
+        }
+        Csr::from_triplets(nloc, nloc + ghosts.len(), &triplets)
+    }
+
     #[test]
     fn normalize_matches_from_triplets_remap() {
         // The replicated path's normalization (triplet remap + from_triplets)
         // and the streamed path's must produce identical storage.
         let a = laplace2d_5pt(5, 5);
         let (lo, hi) = (10, 15);
-        let nloc = hi - lo;
         let local = a.row_block(lo, hi);
         let ghosts = local_ghosts(&local, lo, hi);
-        let streamed = normalize_local_block(local, lo, &ghosts);
-        let mut triplets = Vec::new();
-        for i in lo..hi {
-            let (cols, vals) = a.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let col = if (lo..hi).contains(&c) {
-                    c - lo
-                } else {
-                    nloc + ghosts.binary_search(&c).unwrap()
-                };
-                triplets.push(Triplet {
-                    row: i - lo,
-                    col,
-                    val: v,
-                });
-            }
-        }
-        let replicated = Csr::from_triplets(nloc, nloc + ghosts.len(), &triplets);
-        assert_eq!(streamed, replicated);
+        let replicated = from_triplets_remap(&local, lo, &ghosts);
+        assert_eq!(normalize_local_block(local, lo, &ghosts), replicated);
+    }
+
+    #[test]
+    fn rows_kept_as_they_are_match_rows_that_are_sorted_and_merged() {
+        // Global rows 4..8 of a 12-column matrix.  Rows 0 and 3 stay
+        // strictly increasing under the remap and are kept as they are; row
+        // 1 is sorted by global column but its ghost 1 precedes the owned 5,
+        // so the remap unsorts it; row 2 holds column 6 twice — and the
+        // merge makes row 3 move down by one entry.
+        let local = Csr::from_raw(
+            4,
+            12,
+            vec![0, 3, 6, 9, 12],
+            vec![4, 6, 9, 1, 5, 10, 6, 6, 7, 5, 7, 11],
+            (1..=12).map(f64::from).collect(),
+        );
+        let ghosts = local_ghosts(&local, 4, 8);
+        assert_eq!(ghosts, vec![1, 9, 10, 11]);
+        let replicated = from_triplets_remap(&local, 4, &ghosts);
+        let norm = normalize_local_block(local, 4, &ghosts);
+        assert_eq!(norm, replicated);
+        assert_eq!(norm.row(0), (&[0, 2, 5][..], &[1.0, 2.0, 3.0][..]));
+        assert_eq!(norm.row(1), (&[1, 4, 6][..], &[5.0, 4.0, 6.0][..]));
+        assert_eq!(norm.row(2), (&[2, 3][..], &[15.0, 9.0][..]));
+        assert_eq!(norm.row(3), (&[1, 3, 7][..], &[10.0, 11.0, 12.0][..]));
     }
 }

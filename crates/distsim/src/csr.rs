@@ -19,12 +19,28 @@
 //! site exercises the streamed code and the two constructions are bitwise
 //! identical.  [`DistCsr::spmv`] executes the plan with point-to-point
 //! messages (counted in [`CommStats`](crate::CommStats)) and then runs the
-//! purely local CSR SpMV.
+//! purely local SpMV.
+//!
+//! The normalized local block is held in one form only, the
+//! slice-interleaved [`SlicedCsr`] with 32-bit column indices (12 bytes per
+//! nonzero instead of CSR's 16, four rows in flight per stream); its
+//! product is bit for bit `Csr::spmv`'s, so nothing downstream can tell.
 
 use crate::assembly::{local_ghosts, normalize_local_block, plan_halo_exchange, HaloPlan};
 use crate::comm::Communicator;
-use sparse::{Csr, RowPartition, RowSource};
-use std::sync::Arc;
+use crate::guard::GuardContext;
+use sparse::{Csr, RowPartition, RowSource, SlicedCsr};
+use std::sync::{Arc, Mutex};
+
+/// Buffers of the halo exchange, sized by the first product and reused by
+/// every later one.
+#[derive(Debug, Default)]
+struct HaloScratch {
+    /// `x` extended by the ghost values: `[owned | ghost]`.
+    x_ext: Vec<f64>,
+    /// The owned values one peer needs, packed for sending.
+    payload: Vec<f64>,
+}
 
 /// A CSR matrix distributed over a communicator in 1D block-row layout.
 #[derive(Debug)]
@@ -34,8 +50,10 @@ pub struct DistCsr {
     row_offset: usize,
     /// Local row block; columns `0..local_rows` are owned, columns
     /// `local_rows..` are ghosts in the order of `plan.ghost_globals`.
-    local: Csr,
+    local: SlicedCsr,
     plan: HaloPlan,
+    /// Untouched on a single rank, which multiplies `x` where it lies.
+    scratch: Mutex<HaloScratch>,
 }
 
 impl DistCsr {
@@ -76,13 +94,15 @@ impl DistCsr {
         );
         let ghosts = local_ghosts(&local_block, lo, hi);
         let plan = plan_halo_exchange(comm.as_ref(), part, ghosts);
-        let local = normalize_local_block(local_block, lo, plan.ghost_globals());
+        let local =
+            SlicedCsr::from_csr(normalize_local_block(local_block, lo, plan.ghost_globals()));
         Self {
             comm,
             global_rows: n,
             row_offset: lo,
             local,
             plan,
+            scratch: Mutex::default(),
         }
     }
 
@@ -177,8 +197,9 @@ impl DistCsr {
         self.row_offset
     }
 
-    /// The local row block (columns `0..local_rows()` owned, then ghosts).
-    pub fn local_matrix(&self) -> &Csr {
+    /// The local row block (columns `0..local_rows()` owned, then ghosts)
+    /// in its operator format; [`SlicedCsr::to_csr`] gives row access.
+    pub fn local_matrix(&self) -> &SlicedCsr {
         &self.local
     }
 
@@ -197,46 +218,7 @@ impl DistCsr {
     /// Distributed `y = A·x` on the local blocks: halo exchange
     /// (point-to-point, counted) followed by the local SpMV.
     pub fn spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
-        let nloc = self.local.nrows();
-        assert_eq!(x_local.len(), nloc, "spmv: x length mismatch");
-        assert_eq!(y_local.len(), nloc, "spmv: y length mismatch");
-        if self.comm.size() == 1 {
-            let _span = trace::span1("spmv", "local", "rows", nloc as u64);
-            self.local.spmv(x_local, y_local);
-            return;
-        }
-        // Post all sends first (mailboxes are non-blocking), then receive.
-        {
-            let _span = trace::span1(
-                "spmv",
-                "halo_pack_send",
-                "peers",
-                self.plan.send.len() as u64,
-            );
-            for block in &self.plan.send {
-                let payload: Vec<f64> = block.local_indices.iter().map(|&i| x_local[i]).collect();
-                self.comm.send(block.peer, &payload);
-            }
-        }
-        let mut x_ext = vec![0.0; nloc + self.plan.recv_words()];
-        x_ext[..nloc].copy_from_slice(x_local);
-        {
-            let _span = trace::span1("spmv", "halo_wait", "peers", self.plan.recv.len() as u64);
-            for block in &self.plan.recv {
-                let data = self.comm.recv(block.peer);
-                assert_eq!(
-                    data.len(),
-                    block.len,
-                    "halo exchange: peer {} sent {} values, expected {}",
-                    block.peer,
-                    data.len(),
-                    block.len
-                );
-                x_ext[nloc + block.start..nloc + block.start + block.len].copy_from_slice(&data);
-            }
-        }
-        let _span = trace::span1("spmv", "local", "rows", nloc as u64);
-        self.local.spmv(&x_ext, y_local);
+        self.spmv_guarded(x_local, y_local, None);
     }
 
     /// [`spmv`](Self::spmv) with an optional checksummed halo exchange.
@@ -250,19 +232,20 @@ impl DistCsr {
     /// unrecoverable message poisons the affected ghost values with NaN,
     /// which cascades into the next Gram reduce as a breakdown and hands
     /// the cycle to the solver's rollback ladder.
-    pub fn spmv_guarded(
-        &self,
-        x_local: &[f64],
-        y_local: &mut [f64],
-        guard: Option<&crate::guard::GuardContext>,
-    ) {
-        let ctx = match guard {
-            Some(ctx) if ctx.policy().halo_checksum && self.comm.size() > 1 => ctx,
-            _ => return self.spmv(x_local, y_local),
-        };
+    pub fn spmv_guarded(&self, x_local: &[f64], y_local: &mut [f64], guard: Option<&GuardContext>) {
         let nloc = self.local.nrows();
         assert_eq!(x_local.len(), nloc, "spmv: x length mismatch");
         assert_eq!(y_local.len(), nloc, "spmv: y length mismatch");
+        if self.comm.size() == 1 {
+            let _span = trace::span1("spmv", "local", "rows", nloc as u64);
+            self.local.spmv(x_local, y_local);
+            return;
+        }
+        let comm = self.comm.as_ref();
+        let guard = guard.filter(|ctx| ctx.policy().halo_checksum);
+        let mut scratch = self.scratch.lock().expect("halo scratch poisoned");
+        let HaloScratch { x_ext, payload } = &mut *scratch;
+        // Post all sends first (mailboxes are non-blocking), then receive.
         {
             let _span = trace::span1(
                 "spmv",
@@ -271,24 +254,43 @@ impl DistCsr {
                 self.plan.send.len() as u64,
             );
             for block in &self.plan.send {
-                let payload: Vec<f64> = block.local_indices.iter().map(|&i| x_local[i]).collect();
-                ctx.send_halo(self.comm.as_ref(), block.peer, &payload);
+                payload.clear();
+                payload.extend(block.local_indices.iter().map(|&i| x_local[i]));
+                match guard {
+                    Some(ctx) => ctx.send_halo(comm, block.peer, payload),
+                    None => comm.send(block.peer, payload),
+                }
             }
         }
-        let mut x_ext = vec![0.0; nloc + self.plan.recv_words()];
+        x_ext.resize(self.local.ncols(), 0.0);
         x_ext[..nloc].copy_from_slice(x_local);
         {
             let _span = trace::span1("spmv", "halo_wait", "peers", self.plan.recv.len() as u64);
             for block in &self.plan.recv {
                 let ghosts = &mut x_ext[nloc + block.start..nloc + block.start + block.len];
-                match ctx.recv_halo(self.comm.as_ref(), block.peer, block.len) {
+                let data = match guard {
+                    Some(ctx) => ctx.recv_halo(comm, block.peer, block.len),
+                    None => {
+                        let data = comm.recv(block.peer);
+                        assert_eq!(
+                            data.len(),
+                            block.len,
+                            "halo exchange: peer {} sent {} values, expected {}",
+                            block.peer,
+                            data.len(),
+                            block.len
+                        );
+                        Some(data)
+                    }
+                };
+                match data {
                     Some(data) => ghosts.copy_from_slice(&data),
                     None => ghosts.fill(f64::NAN),
                 }
             }
         }
         let _span = trace::span1("spmv", "local", "rows", nloc as u64);
-        self.local.spmv(&x_ext, y_local);
+        self.local.spmv(x_ext, y_local);
     }
 }
 
@@ -306,7 +308,11 @@ mod tests {
         let dist = DistCsr::from_global(SerialComm::new(), &a, &part);
         assert_eq!(dist.global_rows(), a.nrows());
         assert_eq!(dist.row_offset(), 0);
-        assert_eq!(dist.local_matrix(), &a, "serial local block is the matrix");
+        assert_eq!(
+            dist.local_matrix().to_csr(),
+            a,
+            "serial local block is the matrix"
+        );
         let x: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut y = vec![0.0; a.nrows()];
         dist.spmv(&x, &mut y);

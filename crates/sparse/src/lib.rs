@@ -2,9 +2,14 @@
 //!
 //! The sparse-matrix substrate of the two-stage GMRES reproduction:
 //!
-//! * [`csr::Csr`] — compressed sparse row storage with a parallel
-//!   sparse-matrix–vector product ([`csr::Csr::spmv`]), the only sparse
-//!   kernel the s-step GMRES matrix-powers kernel needs;
+//! * [`csr::Csr`] — compressed sparse row storage, the assembly and
+//!   interchange type (row access for preconditioners, coloring and I/O);
+//!   its one-row-at-a-time [`csr::Csr::spmv`] is the reference product;
+//! * [`sliced::SlicedCsr`] — the same nonzeros re-laid for the product
+//!   (slices of four rows interleaved, `u32` column indices): the operator
+//!   format `distsim::DistCsr` holds, whose `spmv` — the only sparse kernel
+//!   the s-step matrix-powers kernel needs — returns the bits of
+//!   `Csr::spmv` (`tests/sliced_spmv_props.rs`);
 //! * [`stencil`] — generators for the model problems of the evaluation
 //!   section: 2D Laplace on 5-point and 9-point stencils, 3D Laplace on a
 //!   7-point stencil, and a 3-dof 3D elasticity-like operator;
@@ -31,6 +36,7 @@ pub mod mm;
 pub mod partition;
 pub mod rows;
 pub mod scaling;
+pub mod sliced;
 pub mod stencil;
 pub mod suitelike;
 
@@ -46,6 +52,7 @@ pub use partition::{
 };
 pub use rows::{assemble, assemble_rows, RowSource};
 pub use scaling::scale_rows_cols_by_max;
+pub use sliced::SlicedCsr;
 pub use stencil::{
     elasticity3d, laplace2d_5pt, laplace2d_9pt, laplace3d_7pt, Elasticity3dRows, Laplace2d5ptRows,
     Laplace2d9ptRows, Laplace3d7ptRows,

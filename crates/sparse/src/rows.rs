@@ -105,11 +105,7 @@ pub fn assemble_rows<S: RowSource>(source: &S, rows: std::ops::Range<usize>) -> 
     let mut cols = Vec::with_capacity(nnz);
     let mut vals = Vec::with_capacity(nnz);
     for i in rows {
-        scratch_c.clear();
-        scratch_v.clear();
-        source.emit_row(i, &mut scratch_c, &mut scratch_v);
-        cols.extend_from_slice(&scratch_c);
-        vals.extend_from_slice(&scratch_v);
+        source.emit_row(i, &mut cols, &mut vals);
     }
     assert_eq!(
         cols.len(),
