@@ -21,11 +21,14 @@
 //!    one orthogonalization cycle must equal [`perfmodel::ortho_cycle_words`]
 //!    exactly (counts against [`perfmodel::ortho_reduce_count`]).
 //! 4. **Sync-vs-compute attribution** — every cycle's phase breakdown must
-//!    sum to within 5% of its measured wall time, and the cycle's `"comm"`
-//!    span time bounds its sync share.
+//!    sum to within 5% of its measured wall time, the cycle's `"comm"` span
+//!    time bounds its sync share, and the traced solve's own JSON report
+//!    ([`SolveResult::write_json`]) validates.
 //!
-//! Outputs: `BENCH_profile.json` (flat aggregated report) and the timeline
-//! (`TRACE_profile.json` unless overridden with `--trace`).
+//! Outputs: `BENCH_profile.json` (the traced solve's report — whole-solve
+//! scalars and one `cycles[]` row per restart cycle — beside the aggregated
+//! span table and the model join) and the timeline (`TRACE_profile.json`
+//! unless overridden with `--trace`).
 
 use blockortho::make_orthogonalizer;
 use distsim::{run_ranks, Communicator, DistCsr, SerialComm};
@@ -33,7 +36,7 @@ use perfmodel::{
     ortho_cycle_words, ortho_reduce_count, solver_time, MachineModel, ProblemSpec, SchemeKind,
 };
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
-use ssgmres::{CycleTiming, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
+use ssgmres::{CycleTiming, GmresConfig, Identity, OrthoKind, Phase, SStepGmres, SolveResult};
 use std::sync::Arc;
 use std::time::Instant;
 use trace::JsonWriter;
@@ -55,23 +58,21 @@ fn assert_solves_identical(tag: &str, x0: &[f64], r0: &SolveResult, x1: &[f64], 
     );
 }
 
-/// Check the acceptance bound on one cycle's breakdown: the six phase
-/// buckets must sum to within 5% of the measured cycle wall time.
+/// Check the acceptance bound on one cycle's breakdown: the phase buckets
+/// must sum to within 5% of the measured cycle wall time.
 fn assert_breakdown_sums(tag: &str, timings: &[CycleTiming]) {
-    for t in timings {
+    for (cycle, t) in timings.iter().enumerate() {
         let total = t.total_ns.max(1);
         let diff = t.segments_ns().abs_diff(t.total_ns);
         assert!(
             diff as f64 <= 0.05 * total as f64,
-            "{tag}: cycle {} breakdown sums to {} ns but measured {} ns",
-            t.cycle,
+            "{tag}: cycle {cycle} breakdown sums to {} ns but measured {} ns",
             t.segments_ns(),
             t.total_ns
         );
         assert!(
             t.sync_ns <= t.total_ns,
-            "{tag}: cycle {} sync {} ns exceeds total {} ns",
-            t.cycle,
+            "{tag}: cycle {cycle} sync {} ns exceeds total {} ns",
             t.sync_ns,
             t.total_ns
         );
@@ -94,12 +95,12 @@ fn to_json(
     m: usize,
     s: usize,
     bs: usize,
-    timings: &[CycleTiming],
+    solve: &SolveResult,
     spans: &[trace::AggRow],
     join: &ModelJoin,
 ) -> String {
-    let total_ns: u64 = timings.iter().map(|t| t.total_ns).sum();
-    let sync_ns: u64 = timings.iter().map(|t| t.sync_ns).sum();
+    let total_ns: u64 = solve.cycle_timings.iter().map(|t| t.total_ns).sum();
+    let sync_ns: u64 = solve.cycle_timings.iter().map(|t| t.sync_ns).sum();
     let mut w = JsonWriter::new();
     w.begin_object()
         .field("bench", "profile")
@@ -111,24 +112,9 @@ fn to_json(
         .field("s", s)
         .field("big_panel", bs)
         .end_object()
-        .field("sync_fraction", sync_ns as f64 / total_ns.max(1) as f64)
-        .key("cycles")
-        .begin_array();
-    for t in timings {
-        w.begin_object()
-            .field("cycle", t.cycle)
-            .field("step", t.step)
-            .field("mpk_ns", t.mpk_ns)
-            .field("ortho_ns", t.ortho_ns)
-            .field("hess_ns", t.hess_ns)
-            .field("update_ns", t.update_ns)
-            .field("residual_ns", t.residual_ns)
-            .field("other_ns", t.other_ns)
-            .field("total_ns", t.total_ns)
-            .field("sync_ns", t.sync_ns)
-            .end_object();
-    }
-    w.end_array().key("spans").begin_array();
+        .field("sync_fraction", sync_ns as f64 / total_ns.max(1) as f64);
+    solve.write_json(&mut w);
+    w.key("spans").begin_array();
     for row in spans {
         w.begin_object()
             .field("cat", &row.cat)
@@ -296,25 +282,22 @@ fn main() {
         "solver sync attribution ({total_sync_ns} ns) cannot exceed all comm span time ({comm_span_ns} ns)"
     );
 
-    let header = [
-        "cycle", "step", "MPK", "ortho", "hess", "update", "residual", "sync", "total",
-    ];
+    let mut header = vec!["cycle", "step"];
+    header.extend(Phase::ALL.iter().map(|p| p.label()));
+    header.extend(["sync", "total", "reduces", "kappa"]);
     let pct = |part: u64, total: u64| format!("{:.0}%", 100.0 * part as f64 / total.max(1) as f64);
-    let table: Vec<Vec<String>> = r_on
-        .cycle_timings
-        .iter()
-        .map(|t| {
-            vec![
-                t.cycle.to_string(),
-                t.step.to_string(),
-                pct(t.mpk_ns, t.total_ns),
-                pct(t.ortho_ns, t.total_ns),
-                pct(t.hess_ns, t.total_ns),
-                pct(t.update_ns, t.total_ns),
-                pct(t.residual_ns, t.total_ns),
+    let table: Vec<Vec<String>> = (r_on.health_history.iter().zip(&r_on.cycle_timings))
+        .enumerate()
+        .map(|(cycle, (h, t))| {
+            let mut row = vec![cycle.to_string(), h.step.to_string()];
+            row.extend(Phase::ALL.iter().map(|&p| pct(t[p], t.total_ns)));
+            row.extend([
                 pct(t.sync_ns, t.total_ns),
                 format!("{:.2}ms", t.total_ns as f64 / 1e6),
-            ]
+                h.comm_ortho.allreduces.to_string(),
+                bench::sci(h.kappa_est),
+            ]);
+            row
         })
         .collect();
     bench::print_table(
@@ -325,7 +308,7 @@ fn main() {
 
     bench::emit(
         "BENCH_profile.json",
-        &to_json(quick, n, m, s, bs, &r_on.cycle_timings, &spans, &join),
+        &to_json(quick, n, m, s, bs, &r_on, &spans, &join),
     );
     eprintln!(
         "wrote BENCH_profile.json ({} cycles, {} span kinds, sync fraction {:.1}%)",

@@ -85,8 +85,8 @@ fn record(
         iterations: r.iterations,
         restarts: r.restarts,
         rescues: r.rescues,
-        min_step: r.step_history.iter().copied().min().unwrap_or(s),
-        max_step: r.step_history.iter().copied().max().unwrap_or(s),
+        min_step: r.steps().iter().copied().min().unwrap_or(s),
+        max_step: r.steps().iter().copied().max().unwrap_or(s),
         ortho_fallbacks: r.ortho_fallbacks,
         breakdown: r.breakdown.is_some(),
         allreduces_total: r.comm_total.allreduces,
@@ -154,7 +154,7 @@ fn distributed_check(
         let dist = DistCsr::from_partitioned(comm_dyn, &part, block);
         let mut x = vec![0.0; hi - lo];
         let r = SStepGmres::new(conf.clone()).solve(&dist, &Identity, &b[lo..hi], &mut x);
-        (r.converged, r.step_history)
+        (r.converged, r.steps())
     });
     let converged = results.iter().all(|(c, _)| *c);
     for (_, steps) in &results[1..] {
@@ -328,10 +328,10 @@ fn main() {
         let base = config(12, 32, StepPolicy::Fixed, 20_000);
         let replay = SStepGmres::new(GmresConfig {
             basis: BasisStrategy::Scheduled {
-                per_cycle: auto_result.shift_history.clone(),
+                per_cycle: auto_result.shifts(),
             },
             step_policy: StepPolicy::Scheduled {
-                per_cycle: auto_result.step_history.clone(),
+                per_cycle: auto_result.steps(),
             },
             ..base
         })

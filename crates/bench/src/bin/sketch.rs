@@ -143,17 +143,21 @@ fn monomial_basis(a: &Csr, cols: usize) -> Matrix {
 /// Distributed spot-check: the sketched two-stage on 2 simulated ranks
 /// must realize the identical operator on every rank, spend the same
 /// reduce schedule as the serial run, and land at the same orthogonality.
-fn distributed_check(v: &Matrix, s: usize, part: Option<&sparse::RowPartition>) -> (usize, f64) {
-    let serial = run_cell(
-        "spot",
-        0.0,
-        v,
-        s,
-        OrthoKind::TwoStageSketched { big_panel: 2 * s },
-    );
-    assert!(serial.ok, "serial spot-check failed");
+/// A basis the scheme refuses (a loaded operator's monomial basis can be
+/// numerically rank deficient) is an `Err` with the breakdown, for the
+/// caller to record.
+fn distributed_check(
+    v: &Matrix,
+    s: usize,
+    part: Option<&sparse::RowPartition>,
+) -> Result<(usize, f64), String> {
+    let kind = OrthoKind::TwoStageSketched { big_panel: 2 * s };
+    let serial = run_cell("spot", 0.0, v, s, kind);
+    if !serial.ok {
+        return Err("the serial reference run broke down".to_string());
+    }
     let nranks = 2;
-    let results = run_ranks(nranks, |comm| {
+    let results = run_ranks(nranks, |comm| -> Result<_, OrthoError> {
         let rank = comm.rank();
         let (lo, hi) = match part {
             Some(p) => p.range(rank),
@@ -170,24 +174,24 @@ fn distributed_check(v: &Matrix, s: usize, part: Option<&sparse::RowPartition>) 
             }
         }
         let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        let mut scheme =
-            make_orthogonalizer(OrthoKind::TwoStageSketched { big_panel: 2 * s }, v.ncols());
+        let mut scheme = make_orthogonalizer(kind, v.ncols());
         let before = basis.comm().stats().snapshot();
         let mut start = 0;
         while start < v.ncols() {
             let end = (start + s).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .expect("distributed panel");
+            // A breakdown is decided on replicated data, so every rank
+            // leaves the schedule at the same collective.
+            scheme.orthogonalize_panel(&mut basis, start..end, &mut r)?;
             start = end;
         }
-        scheme
-            .finish(&mut basis, &mut r)
-            .expect("distributed finish");
+        scheme.finish(&mut basis, &mut r)?;
         let delta = basis.comm().stats().snapshot().since(&before);
-        (delta.allreduces, scheme.fallback_count(), r.max_abs())
+        Ok((delta.allreduces, scheme.fallback_count(), r.max_abs()))
     });
-    for (reduces, episodes, rmax) in &results {
+    for (rank, result) in results.iter().enumerate() {
+        let (reduces, episodes, rmax) = result
+            .as_ref()
+            .map_err(|e| format!("rank {rank} of {nranks}: {e}"))?;
         assert_eq!(
             *reduces, serial.allreduces,
             "distributed reduce schedule diverged from serial"
@@ -195,29 +199,33 @@ fn distributed_check(v: &Matrix, s: usize, part: Option<&sparse::RowPartition>) 
         assert_eq!(*episodes, serial.episodes, "episode count diverged");
         assert!(rmax.is_finite());
     }
-    (serial.allreduces, serial.err)
+    Ok((serial.allreduces, serial.err))
 }
 
 fn to_json(
     rows: &[Row],
     quick: bool,
     partition: PartitionKind,
-    dist: Option<&(String, usize, f64)>,
+    dist: &(String, Result<(usize, f64), String>),
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
         .field("bench", "sketch")
         .field("quick", quick)
         .field("partition", partition.label());
-    if let Some((name, reduces, err)) = dist {
-        w.key("distributed")
-            .begin_object()
-            .field("input", name)
-            .field("nranks", 2usize)
+    let (name, outcome) = dist;
+    w.key("distributed")
+        .begin_object()
+        .field("input", name)
+        .field("nranks", 2usize)
+        .field("ok", outcome.is_ok());
+    match outcome {
+        Ok((reduces, err)) => w
             .field("allreduces", reduces)
-            .field("orthogonality_error", err)
-            .end_object();
-    }
+            .field("orthogonality_error", err),
+        Err(breakdown) => w.field("breakdown", breakdown),
+    };
+    w.end_object();
     w.key("results").begin_array();
     for r in rows {
         w.begin_object()
@@ -244,7 +252,7 @@ fn main() {
     let args = cli::begin("sketch", true);
     let quick = bench::quick();
     let mut rows = Vec::new();
-    let dist_summary: Option<(String, usize, f64)>;
+    let dist_summary: (String, Result<(usize, f64), String>);
 
     let svals: &[usize] = if quick { &[4] } else { &[4, 8] };
 
@@ -265,12 +273,18 @@ fn main() {
             }
         }
         let part = cli::partition_rows(&a, args.partition, 2);
-        let (reduces, err) = distributed_check(&v, svals[0], Some(&part));
-        eprintln!(
-            "  distributed ({} partition): {reduces} allreduces, orthogonality {err:.2e}",
-            args.partition.label()
-        );
-        dist_summary = Some((name, reduces, err));
+        let outcome = distributed_check(&v, svals[0], Some(&part));
+        match &outcome {
+            Ok((reduces, err)) => eprintln!(
+                "  distributed ({} partition): {reduces} allreduces, orthogonality {err:.2e}",
+                args.partition.label()
+            ),
+            Err(breakdown) => eprintln!(
+                "  distributed ({} partition): breakdown: {breakdown}",
+                args.partition.label()
+            ),
+        }
+        dist_summary = (name, outcome);
     } else {
         // Built-in engineered bracket: log-scaled singular values and glued
         // matrices at each target κ.  Glued inputs stay in the quick sweep:
@@ -307,9 +321,10 @@ fn main() {
 
         // Distributed spot-check at the headline κ.
         let spot = testmat::logscaled_matrix(n, cols, 1e10, 7);
-        let (reduces, err) = distributed_check(&spot, svals[0], None);
+        let (reduces, err) = distributed_check(&spot, svals[0], None)
+            .expect("the sketched two-stage must take the headline basis on 2 ranks");
         eprintln!("  distributed: {reduces} allreduces, orthogonality {err:.2e}");
-        dist_summary = Some(("logscaled@1e10".to_string(), reduces, err));
+        dist_summary = ("logscaled@1e10".to_string(), Ok((reduces, err)));
 
         // ---- Acceptance assertions (built-in sweep only) ----
         // (a) Sketched cells deliver O(ε) orthogonality over the whole
@@ -426,7 +441,7 @@ fn main() {
 
     bench::emit(
         "BENCH_sketch.json",
-        &to_json(&rows, quick, args.partition, dist_summary.as_ref()),
+        &to_json(&rows, quick, args.partition, &dist_summary),
     );
     eprintln!("wrote BENCH_sketch.json ({} rows)", rows.len());
     args.finish();

@@ -89,9 +89,6 @@ fn run_binary(exe: &str, tag: &str, expect_artifact: &str, expect_content: &str)
 
 /// The matrix name reaches the artifacts as a JSON string: a file stem with
 /// a quote or a backslash in it must arrive escaped, not break the document.
-/// (`sketch` writes its name through the same call but is not driven here:
-/// the 24-column monomial basis of this 36-row fixture is rank deficient and
-/// its distributed spot check reports the Cholesky breakdown by panicking.)
 #[test]
 fn hostile_matrix_names_still_yield_valid_json() {
     let dir = scratch("hostile");
@@ -110,6 +107,7 @@ fn hostile_matrix_names_still_yield_valid_json() {
                 "BENCH_basis.json",
             ),
             (env!("CARGO_BIN_EXE_faults"), "faults", "BENCH_faults.json"),
+            (env!("CARGO_BIN_EXE_sketch"), "sketch", "BENCH_sketch.json"),
         ] {
             let json = run_in(&dir, exe, tag, &matrix, artifact);
             assert!(

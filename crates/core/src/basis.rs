@@ -49,7 +49,7 @@ pub enum BasisStrategy {
     /// Replay a recorded per-cycle shift schedule: cycle `c` uses
     /// `per_cycle[c]` (the last entry is reused past the end; an empty
     /// entry means monomial).  Feeding a previous adaptive solve's
-    /// [`crate::SolveResult::shift_history`] back through this variant
+    /// [`crate::SolveResult::shifts`] back through this variant
     /// reproduces that solve bitwise — the property the cross-crate
     /// regression tests pin — and lets offline-computed shift schedules be
     /// injected.

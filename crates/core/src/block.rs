@@ -8,8 +8,10 @@
 //! `nloc × 1` views and run the same loop at `k = 1`.  The loop is a
 //! sequence of phases — residual → MPK panel → ortho panel → Hessenberg
 //! check → ortho finish → projected solve → update → health/controller —
-//! each a method of the per-solve state that owns exactly one trace span
-//! and one `CycleTiming` bucket.
+//! each a method of the per-solve state whose body runs inside the one
+//! bracket `Solve::phase`: the bracket tags the rank thread for fault
+//! plans, opens the phase's trace span and charges its time bucket, all
+//! under the same [`Phase::label`], so the three cannot drift apart.
 //!
 //! The paper's premise is that synchronization dominates s-step GMRES at
 //! scale, so every reduce must do more work.  The block loop pushes that
@@ -66,9 +68,9 @@ use crate::basis::{BasisStrategy, KrylovBasis};
 use crate::control::{self, AutoStep, CycleHealth, StepController, StepDecision, StepPolicy};
 use crate::hessenberg::HessenbergRecovery;
 use crate::precond::{Identity, Preconditioner};
+use crate::report::{Phase, PhaseClock};
 use crate::shifts;
 use crate::solver::{GmresConfig, SStepGmres, SolveResult};
-use crate::timing::{CycleClock, Phase};
 use blockortho::{make_orthogonalizer, BlockOrthogonalizer, OrthoError};
 use dense::{MatView, MatViewMut, Matrix};
 use distsim::{
@@ -244,8 +246,13 @@ struct Cycle {
     step: usize,
     /// Active block width the cycle started with.
     ka: usize,
+    /// Newton shifts the cycle started with (a harvest replaces the
+    /// solve's before the cycle closes).
+    shifts: Vec<f64>,
+    /// Communicator traffic of the cycle's `Ortho` phases so far.
+    comm_ortho: CommStatsSnapshot,
     /// Per-cycle wall-time breakdown: plain clock reads, always on.
-    clock: CycleClock,
+    clock: PhaseClock,
     _span: trace::Span,
     ortho: Box<dyn BlockOrthogonalizer>,
     hess: HessenbergRecovery,
@@ -327,7 +334,9 @@ impl<'a> Solve<'a> {
             z: vec![0.0; nloc],
             w: vec![0.0; nloc],
         };
-        // r₀ with the initial guess `x`.
+        // r₀ with the initial guess `x`: outside any cycle, so it tags
+        // itself.
+        fault::set_phase(Phase::Residual.label());
         solve.refresh_residuals();
         solve.r0_norms = solve.gammas.clone();
         solve.targets = match &opts.abs_targets {
@@ -437,16 +446,50 @@ impl<'a> Solve<'a> {
             .map(|(&g, &r0)| if r0 == 0.0 { 0.0 } else { g / r0 })
             .collect();
         report.comm_total = self.a.comm().stats().snapshot().since(&self.stats_start);
+        let cycles = report.health_history.iter();
+        report.comm_ortho = cycles.fold(CommStatsSnapshot::default(), |sum, h| {
+            sum.merge(&h.comm_ortho)
+        });
         report.rescues = self.controller.shrinks();
         report
     }
 
     // ----- phases, in cycle order ------------------------------------------
 
+    /// The bracket every phase body runs in, and the one place a phase is
+    /// named: tags the rank thread for fault plans, opens the phase's
+    /// `"solver"` span, runs `body`, and charges the cycle with the time
+    /// since the previous phase ended — for [`Phase::Ortho`] also with the
+    /// communicator traffic of the body.
+    fn phase<T>(
+        &mut self,
+        cy: &mut Cycle,
+        phase: Phase,
+        span_args: &[(&'static str, u64)],
+        body: impl FnOnce(&mut Self, &mut Cycle) -> T,
+    ) -> T {
+        let name = phase.label();
+        fault::set_phase(name);
+        let comm_before = (phase == Phase::Ortho).then(|| self.a.comm().stats().snapshot());
+        let out = {
+            let _span = match *span_args {
+                [] => trace::span("solver", name),
+                [(k, v)] => trace::span1("solver", name, k, v),
+                [(k0, v0), (k1, v1), ..] => trace::span2("solver", name, k0, v0, k1, v1),
+            };
+            body(self, cy)
+        };
+        if let Some(before) = comm_before {
+            let spent = self.a.comm().stats().snapshot().since(&before);
+            cy.comm_ortho = cy.comm_ortho.merge(&spent);
+        }
+        cy.clock.lap(phase);
+        out
+    }
+
     /// True residuals `b_j − A·x_j` of the active columns and their norms
     /// (one reduce of `active.len()` words).
     fn refresh_residuals(&mut self) {
-        fault::set_phase("residual");
         for &j in &self.active {
             self.residuals[j] = compute_residual(
                 self.a,
@@ -493,13 +536,13 @@ impl<'a> Solve<'a> {
         });
     }
 
-    /// Open a cycle: select its basis and effective step and record both
-    /// (the records are what `BasisStrategy::Scheduled` and
-    /// `StepPolicy::Scheduled` replay), size the buffers for the active
+    /// Open a cycle: select its basis and effective step (both end up in
+    /// the cycle's health record, which is what `BasisStrategy::Scheduled`
+    /// and `StepPolicy::Scheduled` replay), size the buffers for the active
     /// width, and load the scaled residual block into columns `0..ka`.
     fn begin_cycle(&mut self) -> Cycle {
         let config = self.config;
-        let index = self.report.step_history.len();
+        let index = self.report.health_history.len();
         let ka = self.active.len();
         let total = ka * (config.restart + 1);
         if self.basis.local_cols_count() != total {
@@ -510,17 +553,17 @@ impl<'a> Solve<'a> {
             self.current_basis = BasisStrategy::scheduled_basis(per_cycle, index);
         }
         let step = self.controller.step_for_cycle(index);
-        self.report.shift_history.push(match &self.current_basis {
-            KrylovBasis::Monomial => Vec::new(),
-            KrylovBasis::Newton { shifts } => shifts.clone(),
-        });
-        self.report.step_history.push(step);
         let mut cy = Cycle {
             index,
             step,
             ka,
+            shifts: match &self.current_basis {
+                KrylovBasis::Monomial => Vec::new(),
+                KrylovBasis::Newton { shifts } => shifts.clone(),
+            },
+            comm_ortho: CommStatsSnapshot::default(),
             fault_base: self.guard.as_ref().map(|c| c.counts()).unwrap_or_default(),
-            clock: CycleClock::start(index, step),
+            clock: PhaseClock::start(),
             _span: trace::span2(
                 "solver",
                 "cycle",
@@ -534,15 +577,16 @@ impl<'a> Solve<'a> {
             cols: 0,
             breakdown: None,
         };
-        self.r_factor.data_mut().fill(0.0);
-        for (p, &j) in self.active.iter().enumerate() {
-            self.basis
-                .local_mut()
-                .col_mut(p)
-                .copy_from_slice(&self.residuals[j]);
-            self.basis.scale_col(p, 1.0 / self.gammas[j]);
-        }
-        cy.clock.lap(Phase::Other);
+        self.phase(&mut cy, Phase::Other, &[], |s, _| {
+            s.r_factor.data_mut().fill(0.0);
+            for (p, &j) in s.active.iter().enumerate() {
+                s.basis
+                    .local_mut()
+                    .col_mut(p)
+                    .copy_from_slice(&s.residuals[j]);
+                s.basis.scale_col(p, 1.0 / s.gammas[j]);
+            }
+        });
         cy
     }
 
@@ -550,16 +594,8 @@ impl<'a> Solve<'a> {
     /// columns behind the accepted prefix.
     fn mpk_panel(&mut self, cy: &mut Cycle, sb: usize) {
         let ka = cy.ka;
-        {
-            let _sp = trace::span2(
-                "solver",
-                "mpk",
-                "start",
-                cy.cols as u64,
-                "k",
-                (sb * ka) as u64,
-            );
-            fault::set_phase("mpk");
+        let span_args = [("start", cy.cols as u64), ("k", (sb * ka) as u64)];
+        self.phase(cy, Phase::Mpk, &span_args, |s, cy| {
             for t in 0..sb {
                 for q in 0..ka {
                     let input = cy.cols - ka + t * ka + q;
@@ -569,14 +605,14 @@ impl<'a> Solve<'a> {
                         cy.hess.mark_submitted_input(input);
                     }
                     // The product lands in its basis column.
-                    let (done, mut rest) = self.basis.local_mut().split_at_col(input + ka);
+                    let (done, mut rest) = s.basis.local_mut().split_at_col(input + ka);
                     let (u, w) = (done.col(input), rest.col_mut(0));
-                    self.precond.apply(u, &mut self.z);
-                    self.report.precond_count += 1;
-                    self.a.spmv_guarded(&self.z, w, self.guard.as_deref());
-                    self.report.spmv_count += 1;
+                    s.precond.apply(u, &mut s.z);
+                    s.report.precond_count += 1;
+                    s.a.spmv_guarded(&s.z, w, s.guard.as_deref());
+                    s.report.spmv_count += 1;
                     // Shifts apply per block step, not per column.
-                    let theta = self.current_basis.shift(input / ka);
+                    let theta = s.current_basis.shift(input / ka);
                     if theta != 0.0 {
                         for (wi, ui) in w.iter_mut().zip(u) {
                             *wi -= theta * ui;
@@ -584,68 +620,45 @@ impl<'a> Solve<'a> {
                     }
                 }
             }
-        }
-        self.report.iterations += sb * ka;
-        cy.clock.lap(Phase::Mpk);
+            s.report.iterations += sb * ka;
+        });
     }
 
     /// Hand basis columns `cols..cols + width` to the orthogonalizer; on
     /// success they join the cycle's accepted prefix.
     fn ortho_panel(&mut self, cy: &mut Cycle, width: usize) -> Result<(), OrthoError> {
-        let before = self.a.comm().stats().snapshot();
-        fault::set_phase("ortho");
-        let status = {
-            let _sp = trace::span2(
-                "solver",
-                "ortho",
-                "start",
-                cy.cols as u64,
-                "cols",
-                width as u64,
-            );
-            cy.ortho.orthogonalize_panel(
-                &mut self.basis,
-                cy.cols..cy.cols + width,
-                &mut self.r_factor,
-            )
-        };
-        self.charge_ortho_comm(&before);
-        cy.clock.lap(Phase::Ortho);
-        if status.is_ok() {
+        let span_args = [("start", cy.cols as u64), ("cols", width as u64)];
+        self.phase(cy, Phase::Ortho, &span_args, |s, cy| {
+            let new = cy.cols..cy.cols + width;
+            cy.ortho
+                .orthogonalize_panel(&mut s.basis, new, &mut s.r_factor)?;
             cy.cols += width;
-        }
-        status
+            Ok(())
+        })
     }
 
     /// Convergence estimate on the finalized prefix: whether every active
     /// column's projected residual already meets its target.
     fn hessenberg_check(&mut self, cy: &mut Cycle) -> bool {
         let finalized = cy.finalized();
-        let mut done = false;
-        if finalized >= 2 * cy.ka {
-            let _sp = trace::span1("solver", "hess", "cols", finalized as u64);
-            let (_, estimates) = self.projected_solve(cy, finalized - cy.ka);
-            done = (self.active.iter().zip(estimates)).all(|(&j, est)| est <= self.targets[j]);
-        }
-        cy.clock.lap(Phase::Hess);
-        done
+        self.phase(cy, Phase::Hess, &[("cols", finalized as u64)], |s, cy| {
+            if finalized < 2 * cy.ka {
+                return false;
+            }
+            let (_, estimates) = s.projected_solve(cy, finalized - cy.ka);
+            (s.active.iter().zip(estimates)).all(|(&j, est)| est <= s.targets[j])
+        })
     }
 
     /// Complete delayed orthogonalization.  Returns the number of usable
     /// MPK inputs (`0` = nothing to update the solution from).
     fn ortho_finish(&mut self, cy: &mut Cycle) -> usize {
-        let before = self.a.comm().stats().snapshot();
-        fault::set_phase("ortho");
-        let status = {
-            let _sp = trace::span("solver", "ortho_finish");
-            cy.ortho.finish(&mut self.basis, &mut self.r_factor)
-        };
-        if let Err(e) = status {
-            self.note_breakdown(cy, format!("finish: {e}"));
-            self.consecutive_breakdowns += 1;
-        }
-        self.charge_ortho_comm(&before);
-        cy.clock.lap(Phase::Ortho);
+        self.phase(cy, Phase::Ortho, &[], |s, cy| {
+            if let Err(e) = cy.ortho.finish(&mut s.basis, &mut s.r_factor) {
+                s.note_breakdown(cy, format!("finish: {e}"));
+                s.consecutive_breakdowns += 1;
+            }
+        });
         self.report.ortho_fallbacks += cy.ortho.fallback_count();
         if self.guard.as_ref().is_some_and(|ctx| ctx.take_alarm()) {
             // A replicated scalar diverged across ranks: nothing this cycle
@@ -655,8 +668,7 @@ impl<'a> Solve<'a> {
             // residuals.
             let msg = "cross-rank divergence: agreement probe on the replicated residual norm";
             self.note_breakdown(cy, msg.to_string());
-            fault::set_phase("residual");
-            self.refresh_norms();
+            self.phase(cy, Phase::Residual, &[], |s, _| s.refresh_norms());
             return 0;
         }
         cy.finalized().saturating_sub(cy.ka)
@@ -665,67 +677,60 @@ impl<'a> Solve<'a> {
     /// Recover the Hessenberg block over the `k_use` usable inputs, harvest
     /// Ritz shifts from it, and solve the projected least-squares problem.
     fn solve_projected(&mut self, cy: &mut Cycle, k_use: usize) -> Matrix {
-        let y = {
-            let _sp = trace::span1("solver", "hess", "cols", k_use as u64);
-            let (y, _) = self.projected_solve(cy, k_use);
-            self.harvest_shifts(cy, k_use);
+        self.phase(cy, Phase::Hess, &[("cols", k_use as u64)], |s, cy| {
+            let (y, _) = s.projected_solve(cy, k_use);
+            s.harvest_shifts(cy, k_use);
             y
-        };
-        cy.clock.lap(Phase::Hess);
-        y
+        })
     }
 
     /// Solution update `x_j ← x_j + M⁻¹·(Q_{0..k_use}·y_j)`.
     fn update(&mut self, cy: &mut Cycle, k_use: usize, y: &Matrix) {
-        // A poisoned cycle can smuggle NaN into the projected solution
-        // without tripping the Cholesky; with guards on, never let it reach
-        // x, where it would be unrecoverable — skip the update and let the
-        // breakdown verdict shrink the step instead.  (Unguarded solves let
-        // corruption flow through, which is exactly the silent failure the
-        // fault campaign demonstrates.)
-        if self.guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
-            fault::set_phase("update");
-            let _sp = trace::span1("solver", "update", "cols", k_use as u64);
-            let (nloc, ka) = (self.z.len(), cy.ka);
-            // Q·Y for all active columns in one row-panel-blocked pass over
-            // the basis.
-            let mut qy = vec![0.0; nloc * ka];
-            dense::gemm_nn_plus(
-                &mut MatViewMut::from_slice(nloc, ka, &mut qy),
-                &self.basis.local_cols(0..k_use),
-                y,
-            );
-            for (p, &j) in self.active.iter().enumerate() {
-                self.precond
-                    .apply(&qy[p * nloc..(p + 1) * nloc], &mut self.z);
-                self.report.precond_count += 1;
-                for (xi, zi) in self.x.col_mut(j).iter_mut().zip(&self.z) {
-                    *xi += zi;
+        self.phase(cy, Phase::Update, &[("cols", k_use as u64)], |s, cy| {
+            // A poisoned cycle can smuggle NaN into the projected solution
+            // without tripping the Cholesky; with guards on, never let it
+            // reach x, where it would be unrecoverable — skip the update
+            // and let the breakdown verdict shrink the step instead.
+            // (Unguarded solves let corruption flow through, which is
+            // exactly the silent failure the fault campaign demonstrates.)
+            if s.guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
+                let (nloc, ka) = (s.z.len(), cy.ka);
+                // Q·Y for all active columns in one row-panel-blocked pass
+                // over the basis.
+                let mut qy = vec![0.0; nloc * ka];
+                dense::gemm_nn_plus(
+                    &mut MatViewMut::from_slice(nloc, ka, &mut qy),
+                    &s.basis.local_cols(0..k_use),
+                    y,
+                );
+                for (p, &j) in s.active.iter().enumerate() {
+                    s.precond.apply(&qy[p * nloc..(p + 1) * nloc], &mut s.z);
+                    s.report.precond_count += 1;
+                    for (xi, zi) in s.x.col_mut(j).iter_mut().zip(&s.z) {
+                        *xi += zi;
+                    }
                 }
+            } else {
+                let msg = "projected solution non-finite (poisoned cycle); update skipped";
+                s.note_breakdown(cy, msg.to_string());
+                s.consecutive_breakdowns += 1;
             }
-        } else {
-            let msg = "projected solution non-finite (poisoned cycle); update skipped";
-            self.note_breakdown(cy, msg.to_string());
-            self.consecutive_breakdowns += 1;
-        }
-        self.report.restarts += 1;
-        cy.clock.lap(Phase::Update);
+            s.report.restarts += 1;
+        });
     }
 
     /// True residuals for the next cycle / convergence verification.
     /// Returns the cycle's block-level relative residual.
     fn residual(&mut self, cy: &mut Cycle) -> f64 {
-        {
-            let _sp = trace::span("solver", "residual");
-            self.refresh_residuals();
-        }
-        for &j in &self.active {
-            self.report.relres_history[j].push(self.gammas[j] / self.r0_norms[j]);
-        }
-        let agg = aggregate_relres(&self.gammas, &self.r0_norms, &self.active);
-        self.agg_relres_history.push(agg);
-        cy.clock.lap(Phase::Residual);
-        agg
+        self.phase(cy, Phase::Residual, &[], |s, _| {
+            s.refresh_residuals();
+            for &j in &s.active {
+                s.report.relres_history[j].push(s.gammas[j] / s.r0_norms[j]);
+            }
+            let agg = aggregate_relres(&s.gammas, &s.r0_norms, &s.active);
+            s.agg_relres_history.push(agg);
+            agg
+        })
     }
 
     /// Health report, controller decision, and time breakdown of a finished
@@ -735,12 +740,12 @@ impl<'a> Solve<'a> {
     /// of operations the cycle left poisoned, for the caller's verdict.
     fn close_cycle(
         &mut self,
-        cy: Cycle,
+        mut cy: Cycle,
         usable_cols: usize,
         survivors: &[bool],
         relres: Option<f64>,
     ) -> (StepDecision, usize) {
-        let (health, faults) = self.cycle_health(&cy, usable_cols, survivors, relres);
+        let (health, faults) = self.cycle_health(&mut cy, usable_cols, survivors, relres);
         let decision = self.controller.observe(&health);
         self.report.health_history.push(health);
         if decision.shrunk() {
@@ -764,7 +769,8 @@ impl<'a> Solve<'a> {
     /// controller is not consulted) — the caller stops the solve.
     fn fatal_first_panel(&mut self, mut cy: Cycle, e: OrthoError) {
         self.panel_breakdown(&mut cy, format!("initial block: {e}"));
-        let (health, faults) = self.cycle_health(&cy, 0, &vec![true; cy.ka], None);
+        let all_active = vec![true; cy.ka];
+        let (health, faults) = self.cycle_health(&mut cy, 0, &all_active, None);
         if let Some(ctx) = &self.guard {
             // Whatever was poisoned this cycle stays unrecovered.
             ctx.resolve_poisoned(faults.poisoned, false);
@@ -805,11 +811,6 @@ impl<'a> Solve<'a> {
     }
 
     // ----- helpers ---------------------------------------------------------------
-
-    fn charge_ortho_comm(&mut self, before: &CommStatsSnapshot) {
-        let spent = self.a.comm().stats().snapshot().since(before);
-        self.report.comm_ortho = self.report.comm_ortho.merge(&spent);
-    }
 
     /// A panel the orthogonalizer refused ends the cycle's panel loop; its
     /// message replaces the diagnostic of any earlier cycle.
@@ -906,13 +907,14 @@ impl<'a> Solve<'a> {
         }
     }
 
-    /// Assemble the cycle's [`CycleHealth`] from its raw signals, with the
-    /// guard activity attributable to it.  Non-Auto policies assess with
+    /// Assemble the cycle's [`CycleHealth`] from its raw signals (taking
+    /// the cycle's shifts and orthogonalization traffic), with the guard
+    /// activity attributable to it.  Non-Auto policies assess with
     /// [`AutoStep::default`] thresholds so `health_history` reads the same
     /// everywhere.
     fn cycle_health(
         &self,
-        cy: &Cycle,
+        cy: &mut Cycle,
         usable_cols: usize,
         survivors: &[bool],
         relres: Option<f64>,
@@ -922,16 +924,7 @@ impl<'a> Solve<'a> {
             _ => AutoStep::default(),
         };
         let faults = match &self.guard {
-            Some(ctx) => {
-                let (now, base) = (ctx.counts(), &cy.fault_base);
-                GuardCounts {
-                    detected: now.detected - base.detected,
-                    recovered: now.recovered - base.recovered,
-                    poisoned: now.poisoned - base.poisoned,
-                    unrecovered: now.unrecovered - base.unrecovered,
-                    retries: now.retries - base.retries,
-                }
-            }
+            Some(ctx) => ctx.counts().since(&cy.fault_base),
             None => GuardCounts::default(),
         };
         let blocks_done = (cy.finalized() / cy.ka).min(cy.step + 1);
@@ -959,8 +952,9 @@ impl<'a> Solve<'a> {
             faults_unrecovered,
         );
         let health = CycleHealth {
-            cycle: cy.index,
             step: cy.step,
+            shifts: std::mem::take(&mut cy.shifts),
+            comm_ortho: std::mem::take(&mut cy.comm_ortho),
             usable_cols,
             kappa_est,
             fallbacks,

@@ -22,13 +22,14 @@
 //! * [`StepPolicy::Fixed`] (the default) never deviates from the
 //!   configured step — it is pinned bitwise-identical to the pre-controller
 //!   solver — and [`StepPolicy::Scheduled`] replays a recorded
-//!   [`crate::SolveResult::step_history`] verbatim, which is how the test
+//!   [`crate::SolveResult::steps`] schedule verbatim, which is how the test
 //!   suite proves Auto's decisions cost nothing: an Auto solve replayed
 //!   through `Scheduled` steps + `Scheduled` shifts is bitwise identical,
 //!   communication counts included.
 
 use blockortho::FallbackEvent;
 use dense::Matrix;
+use distsim::CommStatsSnapshot;
 
 /// How the solver chooses the effective matrix-powers step size per cycle.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -43,9 +44,10 @@ pub enum StepPolicy {
     /// Replay a recorded per-cycle step schedule: cycle `c` runs at
     /// `per_cycle[c]` (the last entry is reused past the end; entries are
     /// clamped to `[1, restart]`).  Feeding a previous solve's
-    /// [`crate::SolveResult::step_history`] back through this variant,
-    /// together with [`crate::BasisStrategy::Scheduled`] for its
-    /// `shift_history`, reproduces that solve bitwise.
+    /// [`crate::SolveResult::steps`] back through this variant, together
+    /// with [`crate::BasisStrategy::Scheduled`] for its
+    /// [`shifts`](crate::SolveResult::shifts), reproduces that solve
+    /// bitwise.
     Scheduled {
         /// Effective step per restart cycle.
         per_cycle: Vec<usize>,
@@ -120,14 +122,22 @@ pub enum CycleVerdict {
     Breakdown,
 }
 
-/// Health report of one restart cycle, assembled by the solver from
-/// replicated data only (no additional communication).
+/// What one restart cycle decided and counted, assembled by the solver
+/// from replicated data only (no additional communication).  A cycle's
+/// index is its position in [`crate::SolveResult::health_history`].
+///
+/// Every field is bitwise reproducible across runs, thread counts and
+/// traced/untraced solves — wall times live in [`crate::CycleTiming`] — so
+/// two solves that should agree are compared with `==` on this type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleHealth {
-    /// Index of the cycle (0-based, in started order).
-    pub cycle: usize,
     /// Effective step size the cycle ran at.
     pub step: usize,
+    /// Newton shifts in effect for the cycle (empty = monomial basis).
+    pub shifts: Vec<f64>,
+    /// Communication the cycle's block orthogonalization performed (this
+    /// rank): every panel plus the delayed `finish`.
+    pub comm_ortho: CommStatsSnapshot,
     /// Usable basis columns the cycle produced (`k_use`; 0 = empty cycle).
     pub usable_cols: usize,
     /// Condition estimate of the cycle's Krylov panel: the ratio of the
@@ -418,8 +428,9 @@ mod tests {
 
     fn health(step: usize, verdict: CycleVerdict, stagnated: bool) -> CycleHealth {
         CycleHealth {
-            cycle: 0,
             step,
+            shifts: Vec::new(),
+            comm_ortho: CommStatsSnapshot::default(),
             usable_cols: if verdict == CycleVerdict::Breakdown {
                 0
             } else {

@@ -25,8 +25,9 @@
 //! [`solver`] holds the configuration, the report, and the single-RHS entry
 //! points, which are zero-copy `k = 1` calls into the engine; [`basis`] /
 //! [`shifts`] choose the matrix-powers basis, [`control`] the per-cycle step
-//! size, [`hessenberg`] recovers the projected problem, [`timing`] is the
-//! per-cycle clock, and [`service`] batches independent requests into block
+//! size, [`hessenberg`] recovers the projected problem, [`report`] names
+//! the phases of a cycle and holds the per-cycle clock and the JSON form of
+//! the report, and [`service`] batches independent requests into block
 //! solves.
 //!
 //! ```
@@ -51,10 +52,10 @@ pub mod block;
 pub mod control;
 pub mod hessenberg;
 pub mod precond;
+pub mod report;
 pub mod service;
 pub mod shifts;
 pub mod solver;
-pub mod timing;
 
 pub use basis::{AdaptiveBasis, BasisStrategy, KrylovBasis};
 pub use block::BlockOptions;
@@ -63,9 +64,9 @@ pub use hessenberg::HessenbergRecovery;
 pub use precond::{
     BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Polynomial, Preconditioner,
 };
+pub use report::{CycleTiming, Phase};
 pub use service::{BatchConfig, BatchedSolve, BatchedSolver, SolveTicket};
 pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};
-pub use timing::CycleTiming;
 // Fault-injection and detection-guard surface, re-exported so solver users
 // configure `GmresConfig::guards` / wrap a communicator without naming
 // `distsim` directly.

@@ -8,7 +8,7 @@ use crate::basis::BasisStrategy;
 use crate::block::BlockOptions;
 use crate::control::{CycleHealth, StepPolicy};
 use crate::precond::{Identity, Preconditioner};
-use crate::timing::CycleTiming;
+use crate::report::CycleTiming;
 use blockortho::OrthoKind;
 use dense::{MatView, MatViewMut};
 use distsim::{CommStatsSnapshot, Communicator, DistCsr, GuardEvent, GuardPolicy, SerialComm};
@@ -98,7 +98,8 @@ pub struct SolveResult {
     pub precond_count: usize,
     /// Communication performed by the whole solve (this rank).
     pub comm_total: CommStatsSnapshot,
-    /// Communication attributable to block orthogonalization only.
+    /// Communication attributable to block orthogonalization only: the
+    /// merge of every cycle's [`CycleHealth::comm_ortho`].
     pub comm_ortho: CommStatsSnapshot,
     /// True relative residual per column after each restart cycle the
     /// column was **active** in (a deflated column's history simply stops
@@ -113,10 +114,6 @@ pub struct SolveResult {
     /// deterministic and bitwise-reproducible across thread and rank
     /// counts because the residual norms it is derived from are.
     pub deflation_order: Vec<usize>,
-    /// Newton shifts in effect for each started cycle (empty = monomial).
-    /// Feeding this back through [`BasisStrategy::Scheduled`] replays the
-    /// solve bitwise.
-    pub shift_history: Vec<Vec<f64>>,
     /// The most recent successful Ritz-shift harvest (recorded for every
     /// strategy; only [`BasisStrategy::Adaptive`] acts on it).  Lets a
     /// short warm-up solve serve as a shift oracle for a later fixed-shift
@@ -128,25 +125,22 @@ pub struct SolveResult {
     /// episodes — a big-panel fallback over an already-remediated panel is
     /// not counted twice).
     pub ortho_fallbacks: usize,
-    /// Effective step size of each started cycle.  Feeding this back
-    /// through [`StepPolicy::Scheduled`] (together with `shift_history`
-    /// through [`BasisStrategy::Scheduled`]) replays the solve bitwise.
-    pub step_history: Vec<usize>,
-    /// Per-cycle health reports (one per started cycle): per-column panel
-    /// condition estimates from the R diagonal (`kappa_per_col`, aggregated
-    /// into `kappa_est` over the columns that survived the cycle's
-    /// deflation check), per-stage fallback events, breakdown message,
-    /// residual, stagnation flag, and verdict.  Recorded for every policy;
-    /// only [`StepPolicy::Auto`] acts on it.
+    /// What each started cycle decided and counted, in cycle order: step,
+    /// shifts, orthogonalization traffic, per-column panel condition
+    /// estimates from the R diagonal (`kappa_per_col`, aggregated into
+    /// `kappa_est` over the columns that survived the cycle's deflation
+    /// check), per-stage fallback events, breakdown message, residual,
+    /// stagnation flag, and verdict.  Bitwise reproducible, so solves that
+    /// should agree compare it with `==`.  Recorded for every policy; only
+    /// [`StepPolicy::Auto`] acts on it.
     pub health_history: Vec<CycleHealth>,
     /// Number of step-shrink rescues [`StepPolicy::Auto`] took (0 under
     /// `Fixed`/`Scheduled`).
     pub rescues: usize,
-    /// Per-cycle wall-time breakdown (one entry per started cycle, aligned
-    /// with `step_history`/`health_history`): matrix-powers kernel, block
-    /// orthogonalization, Hessenberg recovery, solution update, residual
-    /// check, and — when the [`trace`] layer is enabled — the cycle's
-    /// synchronization share measured from `"comm"`-category spans.
+    /// What the clock measured in each started cycle (entry `c` belongs to
+    /// `health_history[c]`): wall time per [`crate::Phase`] and — when the
+    /// [`trace`] layer is enabled — the cycle's synchronization share
+    /// measured from `"comm"`-category spans.
     pub cycle_timings: Vec<CycleTiming>,
     /// Every fault the detection guards caught during the solve, in
     /// detection order (empty when guards are disabled).
@@ -160,6 +154,22 @@ pub struct SolveResult {
     /// can still report `converged` with these at zero only if recovery
     /// truly succeeded everywhere.
     pub faults_unrecovered: usize,
+}
+
+impl SolveResult {
+    /// Effective step size of each started cycle — the schedule
+    /// [`StepPolicy::Scheduled`] takes.  Replayed together with
+    /// [`shifts`](Self::shifts) it reproduces the solve bitwise.
+    pub fn steps(&self) -> Vec<usize> {
+        self.health_history.iter().map(|h| h.step).collect()
+    }
+
+    /// Newton shifts in effect for each started cycle (empty = monomial) —
+    /// the schedule [`BasisStrategy::Scheduled`] takes.
+    pub fn shifts(&self) -> Vec<Vec<f64>> {
+        let cycles = self.health_history.iter();
+        cycles.map(|h| h.shifts.clone()).collect()
+    }
 }
 
 /// The restarted s-step GMRES solver.
@@ -288,6 +298,7 @@ impl SStepGmres {
 mod tests {
     use super::*;
     use crate::precond::{BlockJacobiGaussSeidel, Jacobi};
+    use crate::report::Phase;
     use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt};
 
     fn relres(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
@@ -566,17 +577,15 @@ mod tests {
         });
         let (_, r) = solver.solve_serial(&a, &b);
         assert!(r.converged);
-        assert_eq!(r.cycle_timings.len(), r.step_history.len());
+        assert_eq!(r.cycle_timings.len(), r.restarts);
         for (c, t) in r.cycle_timings.iter().enumerate() {
-            assert_eq!(t.cycle, c);
-            assert_eq!(t.step, r.step_history[c]);
             assert!(t.total_ns > 0);
             // The lap pattern partitions the cycle body: the phase buckets
             // must account for the whole cycle (finish() charges the tail,
             // so the sum matches the total exactly).
             assert_eq!(t.segments_ns(), t.total_ns);
-            assert!(t.mpk_ns > 0, "cycle {c} recorded no MPK time");
-            assert!(t.ortho_ns > 0, "cycle {c} recorded no ortho time");
+            assert!(t[Phase::Mpk] > 0, "cycle {c} recorded no MPK time");
+            assert!(t[Phase::Ortho] > 0, "cycle {c} recorded no ortho time");
             assert!(t.sync_ns <= t.total_ns);
             assert_eq!(t.compute_ns(), t.total_ns - t.sync_ns);
         }
@@ -595,13 +604,11 @@ mod tests {
         });
         let (_, r) = solver.solve_serial(&a, &b);
         assert!(r.converged);
-        assert_eq!(r.step_history.len(), r.health_history.len());
-        assert_eq!(r.step_history.len(), r.shift_history.len());
-        assert!(r.step_history.iter().all(|&s| s == 5), "Fixed never moves");
+        assert_eq!(r.health_history.len(), r.restarts);
         assert_eq!(r.rescues, 0);
-        for (c, h) in r.health_history.iter().enumerate() {
-            assert_eq!(h.cycle, c);
-            assert_eq!(h.step, 5);
+        for h in &r.health_history {
+            assert_eq!(h.step, 5, "Fixed never moves");
+            assert!(h.shifts.is_empty(), "monomial basis");
             assert!(h.kappa_est.is_finite() && h.kappa_est >= 1.0);
             assert_eq!(h.fallbacks, 0);
             assert!(h.breakdown.is_none());

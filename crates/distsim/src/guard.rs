@@ -184,6 +184,19 @@ pub struct GuardCounts {
     pub retries: usize,
 }
 
+impl GuardCounts {
+    /// The guard activity between `earlier` and these counts.
+    pub fn since(&self, earlier: &GuardCounts) -> GuardCounts {
+        GuardCounts {
+            detected: self.detected - earlier.detected,
+            recovered: self.recovered - earlier.recovered,
+            poisoned: self.poisoned - earlier.poisoned,
+            unrecovered: self.unrecovered - earlier.unrecovered,
+            retries: self.retries - earlier.retries,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct HaloState {
     /// Next sequence number per destination peer.

@@ -55,13 +55,6 @@ impl Bcgs2 {
 }
 
 impl BlockOrthogonalizer for Bcgs2 {
-    fn name(&self) -> &'static str {
-        match self.intra {
-            IntraKernel::CholQr2 => "BCGS2 with CholQR2",
-            IntraKernel::Columnwise => "BCGS2 with column-wise CGS2",
-        }
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -99,6 +92,7 @@ impl BlockOrthogonalizer for Bcgs2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orthogonalize_with;
     use dense::orthogonality_error;
     use distsim::SerialComm;
 
@@ -109,24 +103,10 @@ mod tests {
         })
     }
 
-    fn run(scheme: &mut dyn BlockOrthogonalizer, v: &Matrix, panel: usize) -> (Matrix, Matrix) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        let mut start = 0;
-        while start < v.ncols() {
-            let end = (start + panel).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .unwrap();
-            start = end;
-        }
-        (basis.local().clone(), r)
-    }
-
     #[test]
     fn bcgs2_cholqr2_orthogonality_and_reconstruction() {
         let v = test_matrix(500, 15);
-        let (q, r) = run(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5);
+        let (q, r) = orthogonalize_with(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5).unwrap();
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..15 {
@@ -139,7 +119,7 @@ mod tests {
     #[test]
     fn bcgs2_columnwise_orthogonality_and_reconstruction() {
         let v = test_matrix(400, 12);
-        let (q, r) = run(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 4);
+        let (q, r) = orthogonalize_with(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 4).unwrap();
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..12 {
@@ -210,11 +190,15 @@ mod tests {
         for (name, q) in [
             (
                 "cholqr2",
-                run(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5).0,
+                orthogonalize_with(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5)
+                    .unwrap()
+                    .0,
             ),
             (
                 "columnwise",
-                run(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 5).0,
+                orthogonalize_with(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 5)
+                    .unwrap()
+                    .0,
             ),
         ] {
             let err = orthogonality_error(&q.view());

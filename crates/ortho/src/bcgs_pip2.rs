@@ -37,10 +37,6 @@ impl BcgsPip {
 }
 
 impl BlockOrthogonalizer for BcgsPip {
-    fn name(&self) -> &'static str {
-        "BCGS-PIP"
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -72,10 +68,6 @@ impl BcgsPip2 {
 }
 
 impl BlockOrthogonalizer for BcgsPip2 {
-    fn name(&self) -> &'static str {
-        "BCGS-PIP2"
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -130,27 +122,9 @@ pub(crate) fn write_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orthogonalize_with;
     use dense::orthogonality_error;
     use distsim::{DistMultiVector, SerialComm};
-
-    fn run_scheme(
-        scheme: &mut dyn BlockOrthogonalizer,
-        v: &Matrix,
-        panel: usize,
-    ) -> (Matrix, Matrix) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        let mut start = 0;
-        while start < v.ncols() {
-            let end = (start + panel).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .unwrap();
-            start = end;
-        }
-        scheme.finish(&mut basis, &mut r).unwrap();
-        (basis.local().clone(), r)
-    }
 
     fn test_matrix(n: usize, c: usize) -> Matrix {
         Matrix::from_fn(n, c, |i, j| {
@@ -162,7 +136,7 @@ mod tests {
     fn pip2_produces_machine_precision_orthogonality() {
         let v = test_matrix(600, 12);
         let mut scheme = BcgsPip2::new();
-        let (q, r) = run_scheme(&mut scheme, &v, 4);
+        let (q, r) = orthogonalize_with(&mut scheme, &v, 4).unwrap();
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..12 {
@@ -186,9 +160,9 @@ mod tests {
         // PIP2 but still a valid factorization.
         let v = testmat::logscaled_matrix(500, 10, 1e5, 3);
         let mut pip = BcgsPip::new();
-        let (q1, r1) = run_scheme(&mut pip, &v, 5);
+        let (q1, r1) = orthogonalize_with(&mut pip, &v, 5).unwrap();
         let mut pip2 = BcgsPip2::new();
-        let (q2, _) = run_scheme(&mut pip2, &v, 5);
+        let (q2, _) = orthogonalize_with(&mut pip2, &v, 5).unwrap();
         let e1 = orthogonality_error(&q1.view());
         let e2 = orthogonality_error(&q2.view());
         assert!(e2 < 1e-13, "PIP2 error {e2}");

@@ -27,10 +27,6 @@ impl Cgs2Columnwise {
 }
 
 impl BlockOrthogonalizer for Cgs2Columnwise {
-    fn name(&self) -> &'static str {
-        "column-wise CGS2"
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -71,10 +67,6 @@ impl MgsColumnwise {
 }
 
 impl BlockOrthogonalizer for MgsColumnwise {
-    fn name(&self) -> &'static str {
-        "column-wise MGS"
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -133,16 +125,9 @@ mod tests {
         })
     }
 
+    /// Standard GMRES processes one column at a time.
     fn run(scheme: &mut dyn BlockOrthogonalizer, v: &Matrix) -> (Matrix, Matrix) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        // Standard GMRES processes one column at a time.
-        for c in 0..v.ncols() {
-            scheme
-                .orthogonalize_panel(&mut basis, c..c + 1, &mut r)
-                .unwrap();
-        }
-        (basis.local().clone(), r)
+        crate::orthogonalize_with(scheme, v, 1).unwrap()
     }
 
     #[test]

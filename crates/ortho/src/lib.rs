@@ -51,35 +51,44 @@ pub use traits::{
 };
 pub use two_stage::{FirstStage, TwoStage};
 
-/// Convenience: orthogonalize an owned dense matrix with a given scheme on a
-/// serial communicator, returning `(Q, R)`.
+/// Feed an owned dense matrix through `scheme` on a serial communicator,
+/// returning `(Q, R)`.
 ///
 /// The matrix is processed panel by panel with `panel_cols` columns per
-/// panel (the first panel additionally contains column 0), mimicking how the
-/// s-step solver feeds the orthogonalizer.  Used by the numerical-study
-/// binaries (Figs. 6–8) and by tests.
-pub fn orthogonalize_matrix(
-    kind: OrthoKind,
+/// panel (the last one may be narrower), then [`finish`]ed — how the s-step
+/// solver feeds its orthogonalizer.  Takes the scheme by reference so the
+/// caller can read its fallback events afterwards.
+///
+/// [`finish`]: BlockOrthogonalizer::finish
+pub fn orthogonalize_with(
+    scheme: &mut dyn BlockOrthogonalizer,
     matrix: &dense::Matrix,
     panel_cols: usize,
 ) -> Result<(dense::Matrix, dense::Matrix), OrthoError> {
     use distsim::{DistMultiVector, SerialComm};
     let ncols = matrix.ncols();
     assert!(panel_cols >= 1, "panel width must be at least 1");
-    let comm = SerialComm::new();
-    let mut basis = DistMultiVector::from_matrix(comm, matrix.clone());
+    let mut basis = DistMultiVector::from_matrix(SerialComm::new(), matrix.clone());
     let mut r = dense::Matrix::zeros(ncols, ncols);
-    let mut ortho = make_orthogonalizer(kind, ncols);
     let mut start = 0usize;
-    // The very first panel starts at column 0 (there is no previously
-    // orthogonalized block).
     while start < ncols {
         let end = (start + panel_cols).min(ncols);
-        ortho.orthogonalize_panel(&mut basis, start..end, &mut r)?;
+        scheme.orthogonalize_panel(&mut basis, start..end, &mut r)?;
         start = end;
     }
-    ortho.finish(&mut basis, &mut r)?;
+    scheme.finish(&mut basis, &mut r)?;
     Ok((basis.local().clone(), r))
+}
+
+/// [`orthogonalize_with`] a freshly built scheme of the given kind.  Used
+/// by the numerical-study binaries (Figs. 6–8) and by tests.
+pub fn orthogonalize_matrix(
+    kind: OrthoKind,
+    matrix: &dense::Matrix,
+    panel_cols: usize,
+) -> Result<(dense::Matrix, dense::Matrix), OrthoError> {
+    let mut scheme = make_orthogonalizer(kind, matrix.ncols());
+    orthogonalize_with(scheme.as_mut(), matrix, panel_cols)
 }
 
 #[cfg(test)]

@@ -91,11 +91,6 @@ impl SketchState {
         self.sq.cols_owned(cols)
     }
 
-    /// Forget every stored column sketch (start of a new restart cycle).
-    pub(crate) fn reset(&mut self) {
-        self.sq = Matrix::zeros(self.op.rows(), self.sq.ncols());
-    }
-
     /// Sketch-precondition the panel `new` against `prev` with **one
     /// global reduce** (the sketch itself): obtain `S·V`, solve the small
     /// replicated least-squares problem `P1 = argmin ‖S·V − S·Q_prev·P1‖`
@@ -237,10 +232,6 @@ impl RandCholQr {
 }
 
 impl BlockOrthogonalizer for RandCholQr {
-    fn name(&self) -> &'static str {
-        "randomized CholQR"
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -315,13 +306,6 @@ impl BlockOrthogonalizer for RandCholQr {
     fn fallback_events(&self) -> &[FallbackEvent] {
         &self.events
     }
-
-    fn reset(&mut self) {
-        if let Some(state) = &mut self.state {
-            state.reset();
-        }
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -331,19 +315,9 @@ mod tests {
     use distsim::SerialComm;
 
     fn run(v: &Matrix, panel: usize, config: SketchConfig) -> (Matrix, Matrix, RandCholQr) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
         let mut scheme = RandCholQr::new(config, v.ncols());
-        let mut start = 0;
-        while start < v.ncols() {
-            let end = (start + panel).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .unwrap();
-            start = end;
-        }
-        scheme.finish(&mut basis, &mut r).unwrap();
-        (basis.local().clone(), r, scheme)
+        let (q, r) = crate::orthogonalize_with(&mut scheme, v, panel).unwrap();
+        (q, r, scheme)
     }
 
     fn test_matrix(n: usize, c: usize) -> Matrix {
@@ -439,23 +413,6 @@ mod tests {
                 let _ = e.to_string(); // reported, never silent
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_events_and_is_reusable() {
-        let v = test_matrix(200, 8);
-        let (_, _, mut scheme) = run(&v, 4, SketchConfig::default());
-        scheme.reset();
-        assert!(scheme.fallback_events().is_empty());
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(8, 8);
-        scheme
-            .orthogonalize_panel(&mut basis, 0..4, &mut r)
-            .unwrap();
-        scheme
-            .orthogonalize_panel(&mut basis, 4..8, &mut r)
-            .unwrap();
-        assert!(orthogonality_error(&basis.local().cols(0..8)) < 1e-12);
     }
 
     #[test]

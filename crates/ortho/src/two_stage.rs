@@ -233,13 +233,6 @@ fn extract_block(r: &Matrix, rows: Range<usize>, cols: Range<usize>) -> Matrix {
 }
 
 impl BlockOrthogonalizer for TwoStage {
-    fn name(&self) -> &'static str {
-        match self.first_stage {
-            FirstStage::Pip => "two-stage BCGS-PIP",
-            FirstStage::Sketched(_) => "two-stage BCGS-PIP (sketched first stage)",
-        }
-    }
-
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -362,17 +355,6 @@ impl BlockOrthogonalizer for TwoStage {
     fn fallback_events(&self) -> &[FallbackEvent] {
         &self.events
     }
-
-    fn reset(&mut self) {
-        self.big_start = 0;
-        self.processed_end = 0;
-        self.start_width = 0;
-        self.coeffs = Matrix::identity(self.total_cols);
-        self.events.clear();
-        if let Some(state) = &mut self.sketch_state {
-            state.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,20 +370,13 @@ mod tests {
         })
     }
 
+    fn run_scheme(mut scheme: TwoStage, v: &Matrix, panel: usize) -> (Matrix, Matrix, TwoStage) {
+        let (q, r) = crate::orthogonalize_with(&mut scheme, v, panel).unwrap();
+        (q, r, scheme)
+    }
+
     fn run(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, TwoStage) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        let mut scheme = TwoStage::new(bs, v.ncols());
-        let mut start = 0;
-        while start < v.ncols() {
-            let end = (start + panel).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .unwrap();
-            start = end;
-        }
-        scheme.finish(&mut basis, &mut r).unwrap();
-        (basis.local().clone(), r, scheme)
+        run_scheme(TwoStage::new(bs, v.ncols()), v, panel)
     }
 
     #[test]
@@ -524,25 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state_for_a_new_cycle() {
-        let v = test_matrix(200, 8);
-        let (_, _, mut scheme) = run(&v, 4, 8);
-        scheme.reset();
-        assert_eq!(scheme.stored_basis_coeffs().unwrap(), &Matrix::identity(8));
-        // The scheme is reusable after reset.
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(8, 8);
-        scheme
-            .orthogonalize_panel(&mut basis, 0..4, &mut r)
-            .unwrap();
-        scheme
-            .orthogonalize_panel(&mut basis, 4..8, &mut r)
-            .unwrap();
-        scheme.finish(&mut basis, &mut r).unwrap();
-        assert!(orthogonality_error(&basis.local().cols(0..8)) < 1e-12);
-    }
-
-    #[test]
     fn shifted_fallback_uses_two_reduces_and_composes_factors() {
         // The second stage's robust path: orthogonalize a prefix, then run
         // the shifted+fused re-orthogonalization on a trailing block and
@@ -618,27 +574,15 @@ mod tests {
         );
         // The remedy worked: the basis is orthonormal to machine precision.
         assert!(orthogonality_error(&basis.local().cols(0..8)) < 1e-12);
-        // Reset clears the episode log with the rest of the state.
-        scheme.reset();
-        assert!(scheme.fallback_events().is_empty());
-        assert_eq!(scheme.fallback_count(), 0);
     }
 
     fn run_sketched(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, TwoStage) {
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(v.ncols(), v.ncols());
-        let mut scheme =
-            TwoStage::with_sketched_first_stage(bs, v.ncols(), distsim::SketchConfig::default());
-        let mut start = 0;
-        while start < v.ncols() {
-            let end = (start + panel).min(v.ncols());
-            scheme
-                .orthogonalize_panel(&mut basis, start..end, &mut r)
-                .unwrap();
-            start = end;
-        }
-        scheme.finish(&mut basis, &mut r).unwrap();
-        (basis.local().clone(), r, scheme)
+        let sketch = distsim::SketchConfig::default();
+        run_scheme(
+            TwoStage::with_sketched_first_stage(bs, v.ncols(), sketch),
+            v,
+            panel,
+        )
     }
 
     #[test]
@@ -732,29 +676,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sketched_reset_clears_sketch_state_for_a_new_cycle() {
-        let v = test_matrix(200, 8);
-        let (_, _, mut scheme) = run_sketched(&v, 4, 8);
-        scheme.reset();
-        assert!(scheme.fallback_events().is_empty());
-        // Reuse across a cycle with a *different* basis: stale sketch
-        // state would poison the projections.
-        let w = test_matrix(200, 8).add(&Matrix::from_fn(200, 8, |i, j| {
-            ((i * 7 + j) % 5) as f64 * 0.21
-        }));
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), w.clone());
-        let mut r = Matrix::zeros(8, 8);
-        scheme
-            .orthogonalize_panel(&mut basis, 0..4, &mut r)
-            .unwrap();
-        scheme
-            .orthogonalize_panel(&mut basis, 4..8, &mut r)
-            .unwrap();
-        scheme.finish(&mut basis, &mut r).unwrap();
-        assert!(orthogonality_error(&basis.local().cols(0..8)) < 1e-12);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! This crate provides the minimal data-parallel substrate used by every
 //! compute kernel in the two-stage GMRES reproduction: chunked parallel
-//! `for` loops over index ranges and mutable slices, and parallel
-//! map-reduce.  It is deliberately small — the kernels in this workspace
-//! only need "split the rows into `p` contiguous chunks and run them on
-//! `p` threads" style parallelism, which maps directly onto
-//! `std::thread::scope`.
+//! `for` loops over index ranges and mutable slices, and chunk-ordered
+//! parallel reductions.  It is deliberately small — the kernels in this
+//! workspace only need "split the rows into `p` contiguous chunks and run
+//! them on `p` threads" style parallelism.
 //!
 //! Design points (following the HPC-Rust guidance used for this project):
 //!
@@ -19,9 +18,10 @@
 //!   lanes in deterministic contiguous ownership bands (with stealing for
 //!   balance), so the same lane touches the same row ranges across
 //!   successive kernel calls and panels stay hot in its core's cache.
-//!   Nested or concurrent submissions (e.g. from simulated `distsim`
-//!   ranks) transparently fall back to scoped spawns, so any thread may
-//!   open a parallel region at any time.
+//!   A nested or concurrent submission (e.g. from simulated `distsim`
+//!   ranks) that finds the pool busy runs its chunks inline on the
+//!   submitting thread, so any thread may open a parallel region at any
+//!   time and there is one dispatch path, not two.
 //! * **Deterministic chunking.**  A given `(len, nthreads)` pair always
 //!   produces the same chunk boundaries, and reductions combine per-chunk
 //!   partials in chunk order, so results do not depend on which pool lane
@@ -34,7 +34,7 @@
 //!   ([`pool_lanes`] reports it).
 //!
 //! ```
-//! use parkit::{parallel_for_chunks, parallel_map_reduce};
+//! use parkit::{parallel_for_chunks, parallel_sum};
 //!
 //! let mut v = vec![0.0f64; 1000];
 //! parallel_for_chunks(&mut v, |chunk, offset| {
@@ -42,8 +42,7 @@
 //!         *x = (offset + i) as f64;
 //!     }
 //! });
-//! let sum = parallel_map_reduce(0..1000, 0.0f64, |i| i as f64, |a, b| a + b);
-//! assert_eq!(sum, v.iter().sum::<f64>());
+//! assert_eq!(parallel_sum(&v), v.iter().sum::<f64>());
 //! ```
 
 mod chunk;
@@ -55,13 +54,11 @@ mod reduce;
 pub use chunk::{chunk_ranges, ChunkRange};
 pub use config::{max_threads, num_threads_for, num_threads_for_bytes, set_num_threads};
 pub use parallel::{
-    parallel_for_chunks, parallel_for_chunks_with, parallel_for_range, parallel_for_range_bytes,
-    parallel_join, parallel_zip_chunks,
+    parallel_for_chunks, parallel_for_range, parallel_for_range_bytes, parallel_zip_chunks,
 };
 pub use pool::pool_lanes;
 pub use reduce::{
-    parallel_map_reduce, parallel_reduce_chunks, parallel_reduce_ranges,
-    parallel_reduce_ranges_bytes, parallel_sum,
+    parallel_reduce_chunks, parallel_reduce_ranges, parallel_reduce_ranges_bytes, parallel_sum,
 };
 
 #[cfg(test)]
@@ -76,7 +73,6 @@ mod tests {
                 *x = (offset + i) as f64;
             }
         });
-        let sum = parallel_map_reduce(0..1000, 0.0f64, |i| i as f64, |a, b| a + b);
-        assert_eq!(sum, v.iter().sum::<f64>());
+        assert_eq!(parallel_sum(&v), v.iter().sum::<f64>());
     }
 }

@@ -37,36 +37,6 @@ where
     });
 }
 
-/// Like [`parallel_for_chunks`] but each worker first builds per-chunk
-/// state with `init()` and passes it to its `body`.
-///
-/// This is the idiom for kernels that need scratch buffers (e.g. a local
-/// Gram-matrix accumulator) without allocating inside the hot loop.
-pub fn parallel_for_chunks_with<T, S, I, F>(data: &mut [T], init: I, body: F)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    S: Send,
-    F: Fn(&mut S, &mut [T], usize) + Sync,
-{
-    let len = data.len();
-    let nthreads = num_threads_for(len);
-    if nthreads <= 1 {
-        let mut state = init();
-        body(&mut state, data, 0);
-        return;
-    }
-    let ranges = chunk_ranges(len, nthreads);
-    let base = SendPtr(data.as_mut_ptr());
-    run_chunks(ranges.len(), &|i| {
-        let r = ranges[i];
-        // SAFETY: chunk ranges are disjoint and within `data`.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.len()) };
-        let mut state = init();
-        body(&mut state, chunk, r.start);
-    });
-}
-
 /// Run `body(start, end)` over contiguous sub-ranges of `0..len` in parallel.
 ///
 /// Useful when the body indexes several shared read-only arrays rather than
@@ -106,22 +76,6 @@ where
         let r = ranges[i];
         body(r.start, r.end);
     });
-}
-
-/// Run two independent closures in parallel and return both results.
-pub fn parallel_join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        let ra = handle.join().expect("parallel_join worker panicked");
-        (ra, rb)
-    })
 }
 
 /// Run `body(out_chunk, in_chunk, offset)` over aligned chunks of an output
@@ -184,22 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn for_chunks_with_builds_state_per_worker() {
-        let mut v = vec![1.0f64; 4096];
-        parallel_for_chunks_with(
-            &mut v,
-            || vec![0.0f64; 4],
-            |scratch, chunk, _| {
-                scratch[0] = 2.0;
-                for x in chunk.iter_mut() {
-                    *x *= scratch[0];
-                }
-            },
-        );
-        assert!(v.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
     fn for_range_covers_whole_range() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
@@ -212,13 +150,6 @@ mod tests {
     #[test]
     fn for_range_empty_is_noop() {
         parallel_for_range(0, |_, _| panic!("must not be called"));
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = parallel_join(|| 21 * 2, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 
     #[test]
@@ -245,7 +176,7 @@ mod tests {
     #[test]
     fn nested_regions_complete() {
         // A body that itself opens a parallel region must not deadlock: the
-        // inner submission falls back to scoped spawns.
+        // inner submission finds the pool busy and runs inline.
         let _guard = crate::config::test_override_lock();
         crate::set_num_threads(4);
         let mut outer = vec![0.0f64; 8192];

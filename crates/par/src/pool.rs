@@ -44,8 +44,9 @@
 //!
 //! If the pool is busy (a second thread — e.g. a simulated `distsim` rank —
 //! submits while a region is in flight) or a region is re-entered from
-//! inside a pooled worker, submission falls back to the original scoped
-//! spawn path, which is always safe.
+//! inside a pooled worker, the submitter runs its chunks inline, in chunk
+//! order: a busy pool has no idle lane to give it, and spawning threads of
+//! its own would cost more than the kernels it dispatches.
 
 use crate::config::max_threads;
 use std::cell::UnsafeCell;
@@ -121,8 +122,8 @@ struct Pool {
     /// misses).
     done_lock: Mutex<()>,
     done: Condvar,
-    /// Serializes job submission; `try_lock` failure routes concurrent
-    /// submitters to the scoped fallback.
+    /// Serializes job submission; on `try_lock` failure a concurrent
+    /// submitter runs its region inline.
     submit: Mutex<()>,
 }
 
@@ -273,21 +274,11 @@ fn worker_loop(pool: &'static Pool, lane: usize) {
     }
 }
 
-/// Scoped-spawn fallback used when the pool is busy (nested or concurrent
-/// submission) — the original per-region implementation.
-fn run_scoped(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
-    let _span = trace::span1("pool", "scoped", "nchunks", nchunks as u64);
-    std::thread::scope(|scope| {
-        for i in 1..nchunks {
-            scope.spawn(move || body(i));
-        }
-        body(0);
-    });
-}
-
 /// Execute `body(0..nchunks)` with each chunk index run exactly once,
-/// distributed over the persistent pool (the calling thread participates).
-/// Returns after every chunk has completed.
+/// distributed over the persistent pool (the calling thread participates),
+/// or inline on the calling thread when the pool has no workers or is busy
+/// with another submitter's region.  Returns after every chunk has
+/// completed.
 pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
     if nchunks == 0 {
         return;
@@ -298,14 +289,12 @@ pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
     }
     let pool = pool();
     let workers = pool.workers.load(Ordering::Relaxed);
-    if workers == 0 {
+    let free_pool = (workers > 0).then(|| pool.submit.try_lock().ok()).flatten();
+    let Some(submit_guard) = free_pool else {
         for i in 0..nchunks {
             body(i);
         }
         return;
-    }
-    let Ok(submit_guard) = pool.submit.try_lock() else {
-        return run_scoped(nchunks, body);
     };
     let t_dispatch = trace::enabled().then(trace::now_ns);
     let participants = nchunks.min(workers + 1);
@@ -484,7 +473,7 @@ mod tests {
     #[test]
     fn concurrent_submitters_all_complete() {
         // Simulated distsim ranks submit in parallel; losers of the submit
-        // race must fall back and still finish.
+        // race run inline and must still finish every chunk.
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

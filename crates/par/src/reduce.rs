@@ -15,7 +15,6 @@
 use crate::chunk::chunk_ranges;
 use crate::config::{num_threads_for, num_threads_for_bytes};
 use crate::pool::{run_chunks, SendPtr};
-use std::ops::Range;
 
 /// Parallel reduction over contiguous index sub-ranges of `0..len`.
 ///
@@ -99,48 +98,6 @@ where
     acc
 }
 
-/// Parallel map-reduce over an index range.
-///
-/// Each index `i` in `range` is mapped with `map(i)` and the results are
-/// folded with `combine`, starting from `identity` within each chunk and then
-/// across chunks in chunk order.
-pub fn parallel_map_reduce<T, M, C>(range: Range<usize>, identity: T, map: M, combine: C) -> T
-where
-    T: Send,
-    M: Fn(usize) -> T + Sync,
-    C: Fn(T, T) -> T + Sync,
-{
-    let len = range.end.saturating_sub(range.start);
-    let start0 = range.start;
-    // Chunks fold without an identity (chunk ranges are never empty), so
-    // `T` does not need to be `Sync`; the caller's identity seeds only the
-    // final chunk-order fold.
-    let folded = parallel_reduce_ranges(
-        len,
-        None::<T>,
-        |start, end| {
-            let mut acc: Option<T> = None;
-            for i in start0 + start..start0 + end {
-                let v = map(i);
-                acc = Some(match acc {
-                    Some(a) => combine(a, v),
-                    None => v,
-                });
-            }
-            acc
-        },
-        |a, b| match (a, b) {
-            (Some(x), Some(y)) => Some(combine(x, y)),
-            (x, None) => x,
-            (None, y) => y,
-        },
-    );
-    match folded {
-        Some(p) => combine(identity, p),
-        None => identity,
-    }
-}
-
 /// Parallel reduction over contiguous chunks of a read-only slice.
 ///
 /// `map_chunk(chunk, offset)` produces one partial result per chunk; the
@@ -173,26 +130,6 @@ pub fn parallel_sum(data: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_reduce_matches_serial() {
-        let serial: u64 = (0..100_000u64).map(|i| i * i).sum();
-        let par = parallel_map_reduce(0..100_000, 0u64, |i| (i as u64) * (i as u64), |a, b| a + b);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn map_reduce_empty_range_is_identity() {
-        let r = parallel_map_reduce(10..10, 7i64, |_| 1, |a, b| a + b);
-        assert_eq!(r, 7);
-    }
-
-    #[test]
-    fn map_reduce_respects_range_start() {
-        let par = parallel_map_reduce(5_000..10_000, 0u64, |i| i as u64, |a, b| a + b);
-        let serial: u64 = (5_000..10_000u64).sum();
-        assert_eq!(par, serial);
-    }
 
     #[test]
     fn reduce_chunks_matches_iter_sum() {

@@ -202,7 +202,6 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
                 ..GmresConfig::default()
             });
             let (x, r) = solver.solve_serial(&a, &b);
-            assert_eq!(r.step_history.len(), r.health_history.len());
             if r.converged {
                 let err = x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
                 assert!(
@@ -298,9 +297,9 @@ fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
         );
         assert_eq!(r.rescues, 0, "{ortho:?}: expected to hold the full step");
         assert!(
-            r.step_history.iter().all(|&s| s == 10),
+            r.steps().iter().all(|&s| s == 10),
             "{ortho:?}: step halved anyway: {:?}",
-            r.step_history
+            r.steps()
         );
     }
 }
@@ -330,10 +329,10 @@ fn step_size_equal_to_restart_edge_works_under_both_policies() {
     let (x_auto, r_auto) = run(StepPolicy::auto());
     assert!(r_fixed.converged, "{r_fixed:?}");
     assert!(r_auto.converged, "{r_auto:?}");
-    assert!(r_fixed.step_history.iter().all(|&s| s == 6));
+    assert!(r_fixed.steps().iter().all(|&s| s == 6));
     if r_auto.rescues == 0 {
         assert_eq!(x_fixed, x_auto, "healthy Auto must match Fixed bitwise");
-        assert_eq!(r_fixed.step_history, r_auto.step_history);
+        assert_eq!(r_fixed.steps(), r_auto.steps());
     }
 }
 
@@ -358,8 +357,8 @@ fn step_size_equal_to_restart_edge_works_under_both_policies() {
 /// post-rescue luck falls.
 fn decision_trace(r: &SolveResult) -> (Vec<(usize, Option<CycleVerdict>, usize)>, bool) {
     let mut cycles = Vec::new();
-    for (i, h) in r.health_history.iter().enumerate() {
-        let shifts = r.shift_history[i].len();
+    for h in &r.health_history {
+        let shifts = h.shifts.len();
         let rescued = shifts > 0;
         let near_tol = matches!(h.relres, Some(v) if v < 1e-10);
         if rescued || near_tol {
@@ -455,8 +454,8 @@ proptest! {
                 // The full decision record, shift values included — within
                 // one run these are replicated and must match bitwise.
                 (
-                    r.step_history.clone(),
-                    r.shift_history.clone(),
+                    r.steps(),
+                    r.shifts(),
                     r.health_history
                         .iter()
                         .map(|h| (h.verdict, h.fallbacks, h.stagnated, h.usable_cols))
@@ -490,7 +489,7 @@ proptest! {
             // the same first shrink target.
             if serial.rescues > 0 {
                 prop_assert!(*rescues > 0, "nranks {nranks}: rescue missing");
-                prop_assert_eq!(records[0].0[1], serial.step_history[1]);
+                prop_assert_eq!(records[0].0[1], serial.steps()[1]);
             }
         }
     }

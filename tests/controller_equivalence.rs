@@ -9,7 +9,7 @@
 //!   to `Fixed` — solution bits, residual/shift/step histories, and every
 //!   communication counter.
 //! * `Auto`'s decisions cost **zero additional reductions**: replaying an
-//!   Auto solve's recorded `step_history` + `shift_history` through the
+//!   Auto solve's recorded `steps()` + `shifts()` through the
 //!   decision-free `Scheduled` policies reproduces the solve bitwise,
 //!   communication counts included — so at equal realized step sizes the
 //!   reduce/word counts are exactly those of a controller-less solve.
@@ -41,8 +41,8 @@ fn assert_bitwise_equal(tag: &str, xa: &[f64], ra: &SolveResult, xb: &[f64], rb:
     assert_eq!(ra.restarts, rb.restarts, "{tag}");
     assert_eq!(ra.final_relres, rb.final_relres, "{tag}");
     assert_eq!(ra.relres_history, rb.relres_history, "{tag}");
-    assert_eq!(ra.shift_history, rb.shift_history, "{tag}");
-    assert_eq!(ra.step_history, rb.step_history, "{tag}");
+    assert_eq!(ra.shifts(), rb.shifts(), "{tag}");
+    assert_eq!(ra.steps(), rb.steps(), "{tag}");
     assert_eq!(ra.spmv_count, rb.spmv_count, "{tag}");
     assert_eq!(ra.comm_total, rb.comm_total, "{tag}: total communication");
     assert_eq!(ra.comm_ortho, rb.comm_ortho, "{tag}: ortho communication");
@@ -62,13 +62,13 @@ fn fixed_is_the_default_policy_and_replays_through_scheduled() {
     };
     let (x_fixed, r_fixed) = SStepGmres::new(config.clone()).solve_serial(&a, &b);
     assert!(r_fixed.converged);
-    assert!(r_fixed.step_history.iter().all(|&s| s == 5));
+    assert!(r_fixed.steps().iter().all(|&s| s == 5));
     assert_eq!(r_fixed.rescues, 0);
     // A Scheduled replay of Fixed's step history is the same solve: the
     // policy machinery adds nothing once the realized steps are equal.
     let (x_replay, r_replay) = SStepGmres::new(GmresConfig {
         step_policy: StepPolicy::Scheduled {
-            per_cycle: r_fixed.step_history.clone(),
+            per_cycle: r_fixed.steps(),
         },
         ..config
     })
@@ -154,7 +154,7 @@ fn auto_reduce_counts_equal_fixed_under_an_equal_step_budget() {
     };
     let fixed = run(StepPolicy::Fixed);
     let auto = run(StepPolicy::auto());
-    assert_eq!(fixed.step_history, auto.step_history, "realized steps");
+    assert_eq!(fixed.steps(), auto.steps(), "realized steps");
     assert_eq!(fixed.iterations, auto.iterations);
     assert_eq!(
         fixed.comm_total, auto.comm_total,
@@ -192,20 +192,21 @@ fn auto_rescues_elasticity3d_at_requested_s10_with_no_manual_oracle() {
     assert!(max_err(&x) < 1e-5, "max err {}", max_err(&x));
     assert!(auto.rescues >= 1, "a rescue must have happened");
     assert_eq!(
-        auto.step_history[0], 10,
+        auto.steps()[0],
+        10,
         "first cycle runs at the requested step"
     );
     assert!(
-        auto.step_history.iter().any(|&s| s < 10),
+        auto.steps().iter().any(|&s| s < 10),
         "the rescue must have shrunk the step: {:?}",
-        auto.step_history
+        auto.steps()
     );
     // The rescue re-harvested Newton shifts at the reduced step: some
     // later cycle runs shifted (the automated warm-up oracle).
     assert!(
-        auto.shift_history.iter().any(|s| !s.is_empty()),
+        auto.shifts().iter().any(|s| !s.is_empty()),
         "rescue must activate harvested shifts: {:?}",
-        auto.shift_history
+        auto.shifts()
     );
 }
 
@@ -213,7 +214,7 @@ fn auto_rescues_elasticity3d_at_requested_s10_with_no_manual_oracle() {
 fn auto_rescue_replays_bitwise_through_scheduled_steps_and_shifts() {
     // The controller's entire effect must flow through the step sizes and
     // shifts it selects.  Replaying a rescued Auto solve's recorded
-    // step_history + shift_history through the decision-free Scheduled
+    // steps() + shifts() through the decision-free Scheduled
     // policies reproduces it bitwise — communication counters included,
     // which proves Auto's reduce/word counts at equal realized steps are
     // exactly those of a controller-less solve (zero overhead).
@@ -232,10 +233,10 @@ fn auto_rescue_replays_bitwise_through_scheduled_steps_and_shifts() {
     assert!(r_auto.converged && r_auto.rescues >= 1, "{r_auto:?}");
     let (x_replay, r_replay) = SStepGmres::new(GmresConfig {
         basis: BasisStrategy::Scheduled {
-            per_cycle: r_auto.shift_history.clone(),
+            per_cycle: r_auto.shifts(),
         },
         step_policy: StepPolicy::Scheduled {
-            per_cycle: r_auto.step_history.clone(),
+            per_cycle: r_auto.steps(),
         },
         ..config
     })
@@ -272,30 +273,25 @@ fn auto_probes_back_up_to_the_requested_step_after_clean_cycles() {
     .solve_serial(&a, &b)
     .1;
     assert!(r.rescues >= 1);
-    let regrown = r
-        .step_history
+    let steps = r.steps();
+    let regrown = steps
         .iter()
         .enumerate()
         .skip(1)
-        .find(|&(i, &s)| s == 12 && r.step_history[i - 1] < 12);
-    let (i, _) = regrown
-        .unwrap_or_else(|| panic!("the step must probe back up to 12: {:?}", r.step_history));
+        .find(|&(i, &s)| s == 12 && steps[i - 1] < 12);
+    let (i, _) = regrown.unwrap_or_else(|| panic!("the step must probe back up to 12: {steps:?}"));
     assert_ne!(
         r.health_history[i].verdict,
         CycleVerdict::Breakdown,
         "the regrown cycle must survive on the harvested shifts"
     );
     assert!(
-        !r.shift_history[i].is_empty(),
+        !r.health_history[i].shifts.is_empty(),
         "the regrown cycle must run the harvested Newton shifts"
     );
     // Growth is gradual: each step is at most double its predecessor.
-    for w in r.step_history.windows(2) {
-        assert!(
-            w[1] <= w[0] * 2,
-            "probe must double at most: {:?}",
-            r.step_history
-        );
+    for w in steps.windows(2) {
+        assert!(w[1] <= w[0] * 2, "probe must double at most: {steps:?}");
     }
 }
 
@@ -367,8 +363,8 @@ fn custom_auto_knobs_are_honored() {
     .solve_serial(&a, &b)
     .1;
     assert!(
-        r.step_history.iter().all(|&s| s >= 4),
+        r.steps().iter().all(|&s| s >= 4),
         "min_step floor violated: {:?}",
-        r.step_history
+        r.steps()
     );
 }

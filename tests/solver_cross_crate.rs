@@ -192,15 +192,15 @@ fn adaptive_solve_matches_scheduled_replay_bitwise() {
     let (x_ad, r_ad) = SStepGmres::new(config.clone()).solve_serial(&a, &b);
     assert!(r_ad.converged, "{r_ad:?}");
     assert!(
-        r_ad.shift_history.iter().any(|s| !s.is_empty()),
+        r_ad.shifts().iter().any(|s| !s.is_empty()),
         "adaptive run must have harvested shifts at least once: {:?}",
-        r_ad.shift_history
+        r_ad.shifts()
     );
     // First cycle is the monomial warm-up.
-    assert!(r_ad.shift_history[0].is_empty());
+    assert!(r_ad.shifts()[0].is_empty());
     let (x_replay, r_replay) = SStepGmres::new(GmresConfig {
         basis: BasisStrategy::Scheduled {
-            per_cycle: r_ad.shift_history.clone(),
+            per_cycle: r_ad.shifts(),
         },
         ..config
     })
@@ -209,7 +209,7 @@ fn adaptive_solve_matches_scheduled_replay_bitwise() {
     assert_eq!(r_replay.iterations, r_ad.iterations);
     assert_eq!(r_replay.restarts, r_ad.restarts);
     assert_eq!(r_replay.relres_history, r_ad.relres_history);
-    assert_eq!(r_replay.shift_history, r_ad.shift_history);
+    assert_eq!(r_replay.shifts(), r_ad.shifts());
     assert_eq!(r_replay.comm_total, r_ad.comm_total);
     assert_eq!(r_replay.comm_ortho, r_ad.comm_ortho);
 }
