@@ -31,9 +31,7 @@
 //! the adaptive Newton basis has strictly lower `kappa` than monomial.
 
 use sparse::{laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr, SUITE_SPARSE_SET};
-use ssgmres::{
-    AdaptiveBasis, BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres, SolveResult,
-};
+use ssgmres::{BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres, SolveResult};
 use trace::JsonWriter;
 
 struct Row {
@@ -73,10 +71,7 @@ fn warmup_shifts(a: &Csr, b: &[f64], s: usize, restart: usize) -> Option<Vec<f64
         ..config(
             s.min(4),
             restart,
-            BasisStrategy::Adaptive(AdaptiveBasis {
-                max_shifts: s,
-                ..AdaptiveBasis::default()
-            }),
+            BasisStrategy::Adaptive { max_shifts: s },
             10_000,
         )
     })

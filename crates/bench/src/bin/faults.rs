@@ -65,7 +65,7 @@ fn config(s: usize, guards: GuardPolicy) -> GmresConfig {
         tol: 1e-6,
         max_iters: 6_000,
         ortho: OrthoKind::BcgsPip2,
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         guards,
         ..GmresConfig::default()
     }

@@ -81,7 +81,7 @@ fn main() {
         };
         let solver = SStepGmres::new(config);
         let (_, plain) = match &stencil {
-            Some(rows) => solver.solve_serial_from_rows(rows, &b),
+            Some(rows) => solver.solve_serial(rows, &b),
             None => solver.solve_serial(&a, &b),
         };
         let (_, precond) = solver.solve_serial_preconditioned(&a, &b, &gs);

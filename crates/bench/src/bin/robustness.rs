@@ -110,7 +110,7 @@ fn run_cell(
         .solve_serial(a, b)
         .1;
     record(rows, name, a, s, "fixed", &fixed);
-    let auto = SStepGmres::new(config(s, restart, StepPolicy::auto(), max_iters))
+    let auto = SStepGmres::new(config(s, restart, StepPolicy::Auto, max_iters))
         .solve_serial(a, b)
         .1;
     record(rows, name, a, s, "auto", &auto);
@@ -138,7 +138,7 @@ fn distributed_check(
     let part = cli::partition_rows(a, partition, nranks);
     let per_rank = cli::per_rank_nnz(a, &part);
     let imbalance = cli::partition_imbalance(a, &part);
-    let conf = config(s, restart, StepPolicy::auto(), 20_000);
+    let conf = config(s, restart, StepPolicy::Auto, 20_000);
     let results = run_ranks(nranks, |comm| {
         let rank = comm.rank();
         let (lo, hi) = part.range(rank);

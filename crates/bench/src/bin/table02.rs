@@ -44,7 +44,7 @@ fn main() {
             Some(_) => SStepGmres::new(config).solve_serial(&a, &b),
             // Surrogate mode streams the operator from its row provider, so
             // no global matrix is materialized for the solve itself.
-            None => SStepGmres::new(config).solve_serial_from_rows(
+            None => SStepGmres::new(config).solve_serial(
                 &Laplace2d5ptRows {
                     nx: nx_small,
                     ny: nx_small,

@@ -127,10 +127,6 @@ impl Args {
         if self.trace.is_none() {
             return;
         }
-        if trace::compiled_out() {
-            eprintln!("--trace requested but the trace crate was built with the `off` feature");
-            return;
-        }
         trace::set_capacity(1 << 20);
         trace::set_enabled(true);
         trace::set_thread_label("main");
@@ -140,9 +136,6 @@ impl Args {
     /// JSON to the `--trace` path.
     pub fn finish(self) {
         let Some(path) = &self.trace else { return };
-        if trace::compiled_out() {
-            return;
-        }
         trace::set_enabled(false);
         let timeline = trace::collect();
         let stats = trace::stats();

@@ -37,6 +37,8 @@
 //! the per-layer numbers under it live in the repository's `benchmark/`
 //! package.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 /// Experiment scale selected through the `REPRO_SCALE` environment variable.

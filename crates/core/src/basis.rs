@@ -42,10 +42,14 @@ pub enum BasisStrategy {
     },
     /// Monomial warm-up cycle, then Newton shifts harvested from the most
     /// recent cycle's Hessenberg matrix, re-harvested after every restart.
-    /// Falls back to monomial whenever the recovered Hessenberg block is
-    /// smaller than [`AdaptiveBasis::min_hessenberg`] or the eigensolve
-    /// fails.
-    Adaptive(AdaptiveBasis),
+    /// Falls back to monomial whenever the recovered Hessenberg block has
+    /// fewer than four columns (the Ritz values are then too crude to help)
+    /// or the eigensolve fails.
+    Adaptive {
+        /// Cap on the number of shifts kept (`0` = the solver's step size
+        /// `s`, so the shift list cycles once per matrix-powers panel).
+        max_shifts: usize,
+    },
     /// Replay a recorded per-cycle shift schedule: cycle `c` uses
     /// `per_cycle[c]` (the last entry is reused past the end; an empty
     /// entry means monomial).  Feeding a previous adaptive solve's
@@ -59,35 +63,10 @@ pub enum BasisStrategy {
     },
 }
 
-/// Tuning knobs of the adaptive Newton-basis policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveBasis {
-    /// Minimum number of recovered Hessenberg columns required before a
-    /// harvest is attempted (below it the Ritz values are too crude to
-    /// help; the cycle keeps the monomial basis).
-    pub min_hessenberg: usize,
-    /// Cap on the number of shifts kept (`0` = the solver's step size `s`,
-    /// so the shift list cycles once per matrix-powers panel).
-    pub max_shifts: usize,
-    /// Relative tolerance for collapsing clustered Ritz values
-    /// ([`crate::shifts::dedupe_points`]).
-    pub dedup_rtol: f64,
-}
-
-impl Default for AdaptiveBasis {
-    fn default() -> Self {
-        Self {
-            min_hessenberg: 4,
-            max_shifts: 0,
-            dedup_rtol: crate::shifts::DEFAULT_DEDUP_RTOL,
-        }
-    }
-}
-
 impl BasisStrategy {
-    /// Convenience constructor for the default adaptive policy.
+    /// The adaptive policy with one shift per matrix-powers step.
     pub fn adaptive() -> Self {
-        BasisStrategy::Adaptive(AdaptiveBasis::default())
+        BasisStrategy::Adaptive { max_shifts: 0 }
     }
 
     /// A short label for reports.
@@ -95,7 +74,7 @@ impl BasisStrategy {
         match self {
             BasisStrategy::Monomial => "monomial",
             BasisStrategy::Newton { .. } => "newton",
-            BasisStrategy::Adaptive(_) => "adaptive",
+            BasisStrategy::Adaptive { .. } => "adaptive",
             BasisStrategy::Scheduled { .. } => "scheduled",
         }
     }
@@ -103,7 +82,7 @@ impl BasisStrategy {
     /// The basis used by the first restart cycle under this strategy.
     pub(crate) fn initial_basis(&self) -> KrylovBasis {
         match self {
-            BasisStrategy::Monomial | BasisStrategy::Adaptive(_) => KrylovBasis::Monomial,
+            BasisStrategy::Monomial | BasisStrategy::Adaptive { .. } => KrylovBasis::Monomial,
             BasisStrategy::Newton { shifts } => KrylovBasis::Newton {
                 shifts: shifts.clone(),
             },

@@ -3,9 +3,13 @@
 //! and one all-reduce serve all `k` at once.
 //!
 //! This is the only restart loop in the crate.  [`SStepGmres::solve_block`]
-//! runs it on an `nloc × k` block; the single-RHS [`SStepGmres::solve`] and
-//! its `solve_serial*` / `solve_from_rows` wrappers wrap their slices as
-//! `nloc × 1` views and run the same loop at `k = 1`.  The loop is a
+//! (and [`SStepGmres::solve_block_with`], which adds [`BlockOptions`]) runs
+//! it on an `nloc × k` block; the single-RHS [`SStepGmres::solve`] wraps its
+//! slices as `nloc × 1` views and runs the same loop at `k = 1`.  Those
+//! three take a [`DistCsr`]; [`SStepGmres::solve_serial`],
+//! [`SStepGmres::solve_serial_preconditioned`] and
+//! [`SStepGmres::solve_block_serial`] are the single-rank sugar that builds
+//! one from any [`RowSource`] first — six entry points in all.  The loop is a
 //! sequence of phases — residual → MPK panel → ortho panel → Hessenberg
 //! check → ortho finish → projected solve → update → health/controller —
 //! each a method of the per-solve state whose body runs inside the one
@@ -65,7 +69,7 @@
 //! the full poison/rollback ladder are exercised at one active column.
 
 use crate::basis::{BasisStrategy, KrylovBasis};
-use crate::control::{self, AutoStep, CycleHealth, StepController, StepDecision, StepPolicy};
+use crate::control::{self, CycleHealth, StepController, StepDecision};
 use crate::hessenberg::HessenbergRecovery;
 use crate::precond::{Identity, Preconditioner};
 use crate::report::{Phase, PhaseClock};
@@ -77,7 +81,7 @@ use distsim::{
     fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
     SerialComm,
 };
-use sparse::{block_row_partition, Csr, RowPartition, RowSource};
+use sparse::{block_row_partition, RowSource};
 use std::sync::Arc;
 
 /// Per-solve options of the block path that have no [`crate::GmresConfig`]
@@ -144,57 +148,22 @@ impl SStepGmres {
         solve.finish()
     }
 
-    /// Block solve with the operator assembled from a **row provider** (the
-    /// block analogue of [`SStepGmres::solve_from_rows`]): no rank ever
-    /// materializes the global matrix.
-    pub fn solve_block_from_rows<S: RowSource>(
-        &self,
-        comm: Arc<dyn Communicator>,
-        part: &RowPartition,
-        rows: &S,
-        precond: &dyn Preconditioner,
-        b_local: &Matrix,
-        x_local: &mut Matrix,
-    ) -> SolveResult {
-        let dist = DistCsr::from_row_source(comm, part, rows);
-        self.solve_block(&dist, precond, b_local, x_local)
-    }
-
     /// Solve `A·X = B` on a single rank from `X = 0`, without a
-    /// preconditioner.  `b_cols` holds one right-hand side per entry;
-    /// returns the solution block (`n × k`) and the solve statistics.
-    pub fn solve_block_serial(&self, a: &Csr, b_cols: &[Vec<f64>]) -> (Matrix, SolveResult) {
-        self.solve_block_serial_preconditioned(a, b_cols, &Identity)
-    }
-
-    /// [`solve_block_serial`](Self::solve_block_serial) with a right
-    /// preconditioner.
-    pub fn solve_block_serial_preconditioned(
+    /// preconditioner.  `a` is any [`RowSource`] (a `Csr`, or a row provider
+    /// the operator is streamed from); `b_cols` holds one right-hand side
+    /// per entry.  Returns the solution block (`n × k`) and the solve
+    /// statistics.
+    pub fn solve_block_serial<S: RowSource>(
         &self,
-        a: &Csr,
+        a: &S,
         b_cols: &[Vec<f64>],
-        precond: &dyn Preconditioner,
     ) -> (Matrix, SolveResult) {
         let comm = SerialComm::new();
         let part = block_row_partition(a.nrows(), 1);
-        let dist = DistCsr::from_global(comm, a, &part);
+        let dist = DistCsr::from_row_source(comm, &part, a);
         let b = cols_to_matrix(a.nrows(), b_cols);
         let mut x = Matrix::zeros(a.nrows(), b_cols.len());
-        let result = self.solve_block(&dist, precond, &b, &mut x);
-        (x, result)
-    }
-
-    /// Single-rank block solve streamed from a row provider.
-    pub fn solve_block_serial_from_rows<S: RowSource>(
-        &self,
-        rows: &S,
-        b_cols: &[Vec<f64>],
-    ) -> (Matrix, SolveResult) {
-        let comm = SerialComm::new();
-        let part = block_row_partition(rows.nrows(), 1);
-        let b = cols_to_matrix(rows.nrows(), b_cols);
-        let mut x = Matrix::zeros(rows.nrows(), b_cols.len());
-        let result = self.solve_block_from_rows(comm, &part, rows, &Identity, &b, &mut x);
+        let result = self.solve_block(&dist, &Identity, &b, &mut x);
         (x, result)
     }
 }
@@ -472,11 +441,7 @@ impl<'a> Solve<'a> {
         fault::set_phase(name);
         let comm_before = (phase == Phase::Ortho).then(|| self.a.comm().stats().snapshot());
         let out = {
-            let _span = match *span_args {
-                [] => trace::span("solver", name),
-                [(k, v)] => trace::span1("solver", name, k, v),
-                [(k0, v0), (k1, v1), ..] => trace::span2("solver", name, k0, v0, k1, v1),
-            };
+            let _span = trace::span("solver", name, span_args);
             body(self, cy)
         };
         if let Some(before) = comm_before {
@@ -564,13 +529,10 @@ impl<'a> Solve<'a> {
             comm_ortho: CommStatsSnapshot::default(),
             fault_base: self.guard.as_ref().map(|c| c.counts()).unwrap_or_default(),
             clock: PhaseClock::start(),
-            _span: trace::span2(
+            _span: trace::span(
                 "solver",
                 "cycle",
-                "cycle",
-                index as u64,
-                "step",
-                step as u64,
+                &[("cycle", index as u64), ("step", step as u64)],
             ),
             ortho: make_orthogonalizer(config.ortho.for_block_width(ka), total),
             hess: HessenbergRecovery::with_block_width(total, ka),
@@ -749,13 +711,10 @@ impl<'a> Solve<'a> {
         let decision = self.controller.observe(&health);
         self.report.health_history.push(health);
         if decision.shrunk() {
-            trace::instant2(
+            trace::instant(
                 "solver",
                 "step_shrink",
-                "cycle",
-                cy.index as u64,
-                "step",
-                cy.step as u64,
+                &[("cycle", cy.index as u64), ("step", cy.step as u64)],
             );
         }
         self.report.cycle_timings.push(cy.clock.finish());
@@ -802,7 +761,7 @@ impl<'a> Solve<'a> {
         // An empty cycle yields no Hessenberg to harvest from; the adaptive
         // policy retries the next cycle with the monomial basis (the shifts
         // may be what broke the panel).
-        if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
+        if matches!(self.config.basis, BasisStrategy::Adaptive { .. }) {
             self.current_basis = KrylovBasis::Monomial;
         }
         self.keep_rescue_shifts();
@@ -858,27 +817,20 @@ impl<'a> Solve<'a> {
         // oracle's shape, so a reduced-step cycle yields enough shifts to
         // probe back up to the requested step.
         let s_req = self.config.step_size;
-        let (cap, rtol, min_h) = match &self.config.basis {
-            BasisStrategy::Adaptive(a) => (
-                if a.max_shifts == 0 {
-                    s_req
-                } else {
-                    a.max_shifts
-                },
-                a.dedup_rtol,
-                a.min_hessenberg,
-            ),
-            _ => (s_req, shifts::DEFAULT_DEDUP_RTOL, 2),
+        let (max_shifts, min_h) = match self.config.basis {
+            BasisStrategy::Adaptive { max_shifts } => (max_shifts, shifts::ADAPTIVE_MIN_HESSENBERG),
+            _ => (0, 2),
         };
-        let harvest = if cy.ka == 1 && k_use >= min_h.max(1) {
-            shifts::harvest_newton_shifts(&cy.hess, k_use, cap, rtol)
+        let cap = if max_shifts == 0 { s_req } else { max_shifts };
+        let harvest = if cy.ka == 1 && k_use >= min_h {
+            shifts::harvest_newton_shifts(&cy.hess, k_use, cap)
         } else {
             None
         };
         if let Some(h) = &harvest {
             self.report.last_harvest = Some(h.clone());
         }
-        if matches!(self.config.basis, BasisStrategy::Adaptive(_)) {
+        if matches!(self.config.basis, BasisStrategy::Adaptive { .. }) {
             self.current_basis = match harvest {
                 Some(shifts) => KrylovBasis::Newton { shifts },
                 None => KrylovBasis::Monomial,
@@ -909,9 +861,7 @@ impl<'a> Solve<'a> {
 
     /// Assemble the cycle's [`CycleHealth`] from its raw signals (taking
     /// the cycle's shifts and orthogonalization traffic), with the guard
-    /// activity attributable to it.  Non-Auto policies assess with
-    /// [`AutoStep::default`] thresholds so `health_history` reads the same
-    /// everywhere.
+    /// activity attributable to it.
     fn cycle_health(
         &self,
         cy: &mut Cycle,
@@ -919,10 +869,6 @@ impl<'a> Solve<'a> {
         survivors: &[bool],
         relres: Option<f64>,
     ) -> (CycleHealth, GuardCounts) {
-        let auto = match &self.config.step_policy {
-            StepPolicy::Auto(a) => a.clone(),
-            _ => AutoStep::default(),
-        };
         let faults = match &self.guard {
             Some(ctx) => ctx.counts().since(&cy.fault_base),
             None => GuardCounts::default(),
@@ -931,19 +877,13 @@ impl<'a> Solve<'a> {
         let kappa_per_col = control::block_r_diag_condition(&self.r_factor, cy.ka, blocks_done);
         let kappa_est = control::active_kappa_max(&kappa_per_col, survivors);
         let fallbacks = cy.ortho.fallback_count();
-        let stagnated = relres.is_some()
-            && control::residual_stagnated(
-                &self.agg_relres_history,
-                auto.stagnation_window,
-                auto.stagnation_factor,
-            );
+        let stagnated = relres.is_some() && control::residual_stagnated(&self.agg_relres_history);
         // Poisoned operations have no final verdict at assessment time (the
         // rollback has not been retried yet), so the health report treats
         // them as unrecovered: the controller must react to the damage
         // *this* cycle.
         let faults_unrecovered = faults.poisoned + faults.unrecovered;
         let verdict = control::assess_cycle(
-            &auto,
             cy.breakdown.is_some(),
             usable_cols,
             kappa_est,
@@ -1089,7 +1029,7 @@ mod tests {
     use super::*;
     use crate::solver::GmresConfig;
     use blockortho::OrthoKind;
-    use sparse::{laplace2d_5pt, laplace2d_9pt};
+    use sparse::{laplace2d_5pt, laplace2d_9pt, Csr};
 
     fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
         (0..a.nrows())
@@ -1275,7 +1215,7 @@ mod tests {
             ..GmresConfig::default()
         });
         let (x_rep, r_rep) = solver.solve_block_serial(&a, &b);
-        let (x_str, r_str) = solver.solve_block_serial_from_rows(&rows, &b);
+        let (x_str, r_str) = solver.solve_block_serial(&rows, &b);
         assert!(r_rep.converged && r_str.converged);
         assert_eq!(x_rep.data(), x_str.data(), "bitwise identical blocks");
         assert_eq!(r_rep.comm_total, r_str.comm_total);

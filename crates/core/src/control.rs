@@ -13,12 +13,11 @@
 //!   orthogonalizer's [`FallbackEvent`]s, the true-residual history), so
 //!   monitoring costs **zero additional global reductions**;
 //! * under [`StepPolicy::Auto`] the [`StepController`] **halves** the
-//!   effective step on a breakdown cycle (down to [`AutoStep::min_step`];
-//!   at `s = 1` the solver degenerates to safe standard GMRES panels),
-//!   lets the solver re-harvest Newton shifts from the surviving
-//!   reduced-step cycle, and **probes back up** (doubling, capped at the
-//!   requested `s`) after [`AutoStep::grow_after`] consecutive clean
-//!   cycles;
+//!   effective step on a breakdown cycle (down to `s = 1`, where the
+//!   solver degenerates to safe standard GMRES panels), lets the solver
+//!   re-harvest Newton shifts from the surviving reduced-step cycle, and
+//!   **probes back up** (doubling, capped at the requested `s`) after two
+//!   consecutive clean cycles;
 //! * [`StepPolicy::Fixed`] (the default) never deviates from the
 //!   configured step — it is pinned bitwise-identical to the pre-controller
 //!   solver — and [`StepPolicy::Scheduled`] replays a recorded
@@ -40,7 +39,7 @@ pub enum StepPolicy {
     Fixed,
     /// Monitor per-cycle health and shrink/regrow the effective step
     /// (see [`StepController`]).
-    Auto(AutoStep),
+    Auto,
     /// Replay a recorded per-cycle step schedule: cycle `c` runs at
     /// `per_cycle[c]` (the last entry is reused past the end; entries are
     /// clamped to `[1, restart]`).  Feeding a previous solve's
@@ -55,56 +54,38 @@ pub enum StepPolicy {
 }
 
 impl StepPolicy {
-    /// Convenience constructor for the default self-rescuing policy.
-    pub fn auto() -> Self {
-        StepPolicy::Auto(AutoStep::default())
-    }
-
     /// A short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             StepPolicy::Fixed => "fixed",
-            StepPolicy::Auto(_) => "auto",
+            StepPolicy::Auto => "auto",
             StepPolicy::Scheduled { .. } => "scheduled",
         }
     }
 }
 
-/// Tuning knobs of the self-rescuing step policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AutoStep {
-    /// Floor for the effective step size (default 1: standard GMRES
-    /// panels, the safest configuration the s-step solver degenerates to).
-    pub min_step: usize,
-    /// Consecutive clean cycles required before probing the step back up
-    /// (one doubling per probe, capped at the requested step).
-    pub grow_after: usize,
-    /// R-diagonal condition estimate above which a cycle is *distressed*
-    /// (the panel is approaching the `O(1/sqrt(eps))` Cholesky bound and a
-    /// probe upward would likely break; default `1e8`).
-    pub kappa_threshold: f64,
-    /// Number of completed cycles over which residual stagnation is
-    /// measured.
-    pub stagnation_window: usize,
-    /// A cycle is *stagnated* when the relative residual failed to drop
-    /// below `stagnation_factor` times its value `stagnation_window`
-    /// cycles ago (default 0.9: less than 10% total progress).  Stagnation
-    /// shrinks the step: per the backward-stability analysis, a
-    /// better-conditioned (shorter) basis raises the attainable accuracy.
-    pub stagnation_factor: f64,
-}
+// Thresholds of the self-rescuing step policy.  Every cycle is assessed
+// with them, whatever the policy, so `health_history` reads the same
+// everywhere; only [`StepPolicy::Auto`] acts on the verdict.
 
-impl Default for AutoStep {
-    fn default() -> Self {
-        Self {
-            min_step: 1,
-            grow_after: 2,
-            kappa_threshold: 1e8,
-            stagnation_window: 4,
-            stagnation_factor: 0.9,
-        }
-    }
-}
+/// Floor for the effective step size: standard GMRES panels, the safest
+/// configuration the s-step solver degenerates to.
+const MIN_STEP: usize = 1;
+/// Consecutive clean cycles required before probing the step back up (one
+/// doubling per probe, capped at the requested step).
+const GROW_AFTER: usize = 2;
+/// R-diagonal condition estimate above which a cycle is *distressed*: the
+/// panel is approaching the `O(1/sqrt(eps))` Cholesky bound and a probe
+/// upward would likely break.
+const KAPPA_THRESHOLD: f64 = 1e8;
+/// Number of completed cycles over which residual stagnation is measured.
+const STAGNATION_WINDOW: usize = 4;
+/// A cycle is *stagnated* when the relative residual failed to drop below
+/// this factor times its value [`STAGNATION_WINDOW`] cycles ago (less than
+/// 10% total progress).  Stagnation shrinks the step: per the
+/// backward-stability analysis, a better-conditioned (shorter) basis raises
+/// the attainable accuracy.
+const STAGNATION_FACTOR: f64 = 0.9;
 
 /// Classification of one restart cycle's health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,11 +160,8 @@ pub struct CycleHealth {
     pub verdict: CycleVerdict,
 }
 
-/// Classify a cycle from its raw signals (thresholds from `auto`; the
-/// solver uses [`AutoStep::default`] for reporting under non-Auto
-/// policies, so `health_history` is populated consistently everywhere).
+/// Classify a cycle from its raw signals.
 pub fn assess_cycle(
-    auto: &AutoStep,
     broke_down: bool,
     usable_cols: usize,
     kappa_est: f64,
@@ -192,7 +170,7 @@ pub fn assess_cycle(
     faults_unrecovered: usize,
 ) -> CycleVerdict {
     // NaN condition estimates count as over the threshold.
-    let kappa_bad = kappa_est > auto.kappa_threshold || kappa_est.is_nan();
+    let kappa_bad = kappa_est > KAPPA_THRESHOLD || kappa_est.is_nan();
     if broke_down || usable_cols == 0 {
         CycleVerdict::Breakdown
     } else if fallbacks > 0 || kappa_bad || stagnated || faults_unrecovered > 0 {
@@ -203,14 +181,15 @@ pub fn assess_cycle(
 }
 
 /// Whether the relative-residual history is stagnating: the latest value
-/// failed to drop below `factor` times the value `window` completed cycles
-/// earlier (non-finite values count as stagnation).
-pub fn residual_stagnated(relres_history: &[f64], window: usize, factor: f64) -> bool {
-    if relres_history.len() < window + 1 {
+/// failed to drop below `STAGNATION_FACTOR` times the value
+/// `STAGNATION_WINDOW` completed cycles earlier (non-finite values count as
+/// stagnation).
+pub fn residual_stagnated(relres_history: &[f64]) -> bool {
+    if relres_history.len() < STAGNATION_WINDOW + 1 {
         return false;
     }
     let last = relres_history[relres_history.len() - 1];
-    let bound = factor * relres_history[relres_history.len() - 1 - window];
+    let bound = STAGNATION_FACTOR * relres_history[relres_history.len() - 1 - STAGNATION_WINDOW];
     // "Did not improve" — a NaN residual (either side) is stagnation too.
     !matches!(last.partial_cmp(&bound), Some(std::cmp::Ordering::Less))
 }
@@ -347,7 +326,7 @@ impl StepController {
     pub fn step_for_cycle(&self, cycle: usize) -> usize {
         match &self.policy {
             StepPolicy::Fixed => self.requested,
-            StepPolicy::Auto(_) => self.s_eff,
+            StepPolicy::Auto => self.s_eff,
             StepPolicy::Scheduled { per_cycle } => {
                 let raw = per_cycle
                     .get(cycle)
@@ -371,29 +350,27 @@ impl StepController {
 
     /// Observe a finished cycle and decide the next cycle's step.
     pub fn observe(&mut self, health: &CycleHealth) -> StepDecision {
-        let auto = match &self.policy {
-            StepPolicy::Auto(auto) => auto.clone(),
-            _ => return StepDecision::Hold,
-        };
-        let floor = auto.min_step.max(1);
+        if !matches!(self.policy, StepPolicy::Auto) {
+            return StepDecision::Hold;
+        }
         match health.verdict {
             CycleVerdict::Breakdown => {
                 self.clean_streak = 0;
-                self.shrink_to(floor, health.step)
+                self.shrink(health.step)
             }
             CycleVerdict::Distressed => {
                 self.clean_streak = 0;
                 if health.stagnated {
                     // Conditioning-limited progress: a shorter basis raises
                     // the attainable accuracy (arXiv 2409.03079).
-                    self.shrink_to(floor, health.step)
+                    self.shrink(health.step)
                 } else {
                     StepDecision::Hold
                 }
             }
             CycleVerdict::Clean => {
                 self.clean_streak += 1;
-                if self.s_eff < self.requested && self.clean_streak >= auto.grow_after {
+                if self.s_eff < self.requested && self.clean_streak >= GROW_AFTER {
                     let from = self.s_eff;
                     self.s_eff = (self.s_eff * 2).min(self.requested);
                     self.clean_streak = 0;
@@ -408,11 +385,11 @@ impl StepController {
         }
     }
 
-    fn shrink_to(&mut self, floor: usize, from: usize) -> StepDecision {
-        if self.s_eff <= floor {
+    fn shrink(&mut self, from: usize) -> StepDecision {
+        if self.s_eff <= MIN_STEP {
             return StepDecision::Hold;
         }
-        self.s_eff = (self.s_eff / 2).max(floor);
+        self.s_eff = (self.s_eff / 2).max(MIN_STEP);
         self.shrinks += 1;
         self.rescue_active = true;
         StepDecision::Shrink {
@@ -464,7 +441,7 @@ mod tests {
 
     #[test]
     fn auto_halves_on_breakdown_down_to_one_then_holds() {
-        let mut c = StepController::new(StepPolicy::auto(), 8, 30);
+        let mut c = StepController::new(StepPolicy::Auto, 8, 30);
         assert_eq!(
             c.observe(&health(8, CycleVerdict::Breakdown, false)),
             StepDecision::Shrink { from: 8, to: 4 }
@@ -487,7 +464,7 @@ mod tests {
 
     #[test]
     fn auto_probes_back_up_after_consecutive_clean_cycles() {
-        let mut c = StepController::new(StepPolicy::auto(), 8, 30);
+        let mut c = StepController::new(StepPolicy::Auto, 8, 30);
         c.observe(&health(8, CycleVerdict::Breakdown, false));
         assert_eq!(c.step_for_cycle(1), 4);
         // One clean cycle is not enough (grow_after = 2).
@@ -509,7 +486,7 @@ mod tests {
 
     #[test]
     fn distress_resets_the_clean_streak_and_blocks_probing() {
-        let mut c = StepController::new(StepPolicy::auto(), 8, 30);
+        let mut c = StepController::new(StepPolicy::Auto, 8, 30);
         c.observe(&health(8, CycleVerdict::Breakdown, false));
         c.observe(&health(4, CycleVerdict::Clean, false));
         assert_eq!(
@@ -529,7 +506,7 @@ mod tests {
 
     #[test]
     fn stagnation_shrinks_even_without_breakdown() {
-        let mut c = StepController::new(StepPolicy::auto(), 8, 30);
+        let mut c = StepController::new(StepPolicy::Auto, 8, 30);
         assert_eq!(
             c.observe(&health(8, CycleVerdict::Distressed, true)),
             StepDecision::Shrink { from: 8, to: 4 }
@@ -554,51 +531,50 @@ mod tests {
 
     #[test]
     fn assessment_maps_signals_to_verdicts() {
-        let auto = AutoStep::default();
         assert_eq!(
-            assess_cycle(&auto, true, 5, 1.0, 0, false, 0),
+            assess_cycle(true, 5, 1.0, 0, false, 0),
             CycleVerdict::Breakdown
         );
         assert_eq!(
-            assess_cycle(&auto, false, 0, 1.0, 0, false, 0),
+            assess_cycle(false, 0, 1.0, 0, false, 0),
             CycleVerdict::Breakdown
         );
         assert_eq!(
-            assess_cycle(&auto, false, 5, 1.0, 1, false, 0),
+            assess_cycle(false, 5, 1.0, 1, false, 0),
             CycleVerdict::Distressed
         );
         assert_eq!(
-            assess_cycle(&auto, false, 5, 1e9, 0, false, 0),
+            assess_cycle(false, 5, 1e9, 0, false, 0),
             CycleVerdict::Distressed
         );
         assert_eq!(
-            assess_cycle(&auto, false, 5, f64::INFINITY, 0, false, 0),
+            assess_cycle(false, 5, f64::INFINITY, 0, false, 0),
             CycleVerdict::Distressed
         );
         assert_eq!(
-            assess_cycle(&auto, false, 5, 1.0, 0, true, 0),
+            assess_cycle(false, 5, 1.0, 0, true, 0),
             CycleVerdict::Distressed
         );
         assert_eq!(
-            assess_cycle(&auto, false, 5, 1e3, 0, false, 0),
+            assess_cycle(false, 5, 1e3, 0, false, 0),
             CycleVerdict::Clean
         );
         // An unrecovered fault is never a clean cycle: the controller must
         // not probe the step up off the back of a poisoned rollback.
         assert_eq!(
-            assess_cycle(&auto, false, 5, 1e3, 0, false, 1),
+            assess_cycle(false, 5, 1e3, 0, false, 1),
             CycleVerdict::Distressed
         );
     }
 
     #[test]
     fn stagnation_detector_needs_a_full_window() {
-        assert!(!residual_stagnated(&[0.5, 0.49], 4, 0.9));
+        assert!(!residual_stagnated(&[0.5, 0.49]));
         // 5 entries, window 4: 0.49 vs 0.9 * 0.5 — no real progress.
-        assert!(residual_stagnated(&[0.5, 0.5, 0.5, 0.5, 0.49], 4, 0.9));
-        assert!(!residual_stagnated(&[0.5, 0.4, 0.3, 0.2, 0.1], 4, 0.9));
+        assert!(residual_stagnated(&[0.5, 0.5, 0.5, 0.5, 0.49]));
+        assert!(!residual_stagnated(&[0.5, 0.4, 0.3, 0.2, 0.1]));
         // Non-finite residuals count as stagnation.
-        assert!(residual_stagnated(&[0.5, 0.5, 0.5, 0.5, f64::NAN], 4, 0.9));
+        assert!(residual_stagnated(&[0.5, 0.5, 0.5, 0.5, f64::NAN]));
     }
 
     #[test]

@@ -23,7 +23,13 @@
 //! There is one restart loop — the cycle engine of [`block`], written for a
 //! block of `k` right-hand sides — and one report type, [`SolveResult`].
 //! [`solver`] holds the configuration, the report, and the single-RHS entry
-//! points, which are zero-copy `k = 1` calls into the engine; [`basis`] /
+//! points, which are zero-copy `k = 1` calls into the engine.  There are six
+//! entry points: [`SStepGmres::solve`], [`SStepGmres::solve_block`] and
+//! [`SStepGmres::solve_block_with`] take a [`distsim::DistCsr`] (build it
+//! with `DistCsr::from_row_source` to stream a rank's rows), and
+//! [`SStepGmres::solve_serial`], [`SStepGmres::solve_serial_preconditioned`]
+//! and [`SStepGmres::solve_block_serial`] are single-rank sugar over any
+//! [`sparse::RowSource`].  [`basis`] /
 //! [`shifts`] choose the matrix-powers basis, [`control`] the per-cycle step
 //! size, [`hessenberg`] recovers the projected problem, [`report`] names
 //! the phases of a cycle and holds the per-cycle clock and the JSON form of
@@ -47,6 +53,8 @@
 //! assert_eq!(solution.len(), a.nrows());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod basis;
 pub mod block;
 pub mod control;
@@ -57,9 +65,9 @@ pub mod service;
 pub mod shifts;
 pub mod solver;
 
-pub use basis::{AdaptiveBasis, BasisStrategy, KrylovBasis};
+pub use basis::{BasisStrategy, KrylovBasis};
 pub use block::BlockOptions;
-pub use control::{AutoStep, CycleHealth, CycleVerdict, StepController, StepDecision, StepPolicy};
+pub use control::{CycleHealth, CycleVerdict, StepController, StepDecision, StepPolicy};
 pub use hessenberg::HessenbergRecovery;
 pub use precond::{
     BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Polynomial, Preconditioner,

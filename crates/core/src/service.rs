@@ -118,7 +118,7 @@ impl BatchedSolver {
 
     /// [`new`](Self::new) with a right preconditioner applied to every
     /// batch.
-    pub fn with_preconditioner(
+    fn with_preconditioner(
         a: Csr,
         config: GmresConfig,
         batch: BatchConfig,

@@ -44,10 +44,15 @@ pub type SpectralPoint = (f64, f64);
 /// the same cluster (and an imaginary part is considered zero).
 pub const DEFAULT_DEDUP_RTOL: f64 = 1e-8;
 
+/// Recovered Hessenberg columns [`crate::BasisStrategy::Adaptive`] needs
+/// before it acts on a harvest (below it the Ritz values are too crude to
+/// help; the cycle keeps the monomial basis).
+pub(crate) const ADAPTIVE_MIN_HESSENBERG: usize = 4;
+
 /// Ritz values of the leading `k×k` block of a recovered `(m+1)×m`
 /// Hessenberg matrix.  Returns `None` when `k == 0` or the QR iteration
 /// fails (the caller falls back to the monomial basis).
-pub fn ritz_values(hess: &HessenbergRecovery, k: usize) -> Option<Vec<SpectralPoint>> {
+fn ritz_values(hess: &HessenbergRecovery, k: usize) -> Option<Vec<SpectralPoint>> {
     let k = k.min(hess.recovered());
     if k == 0 {
         return None;
@@ -242,7 +247,8 @@ pub fn newton_shifts(ritz: &[SpectralPoint], max_shifts: usize, rtol: f64) -> Op
 }
 
 /// Harvest Leja-ordered Newton shifts from a recovered Hessenberg matrix:
-/// [`ritz_values`] of the leading `k×k` block, then [`newton_shifts`].
+/// the Ritz values of the leading `k×k` block, then [`newton_shifts`] at
+/// [`DEFAULT_DEDUP_RTOL`].
 ///
 /// `None` when the block is empty, the eigensolve fails, or no nonzero
 /// shift survives deduplication — the adaptive solver falls back to the
@@ -251,9 +257,8 @@ pub fn harvest_newton_shifts(
     hess: &HessenbergRecovery,
     k: usize,
     max_shifts: usize,
-    rtol: f64,
 ) -> Option<Vec<f64>> {
-    newton_shifts(&ritz_values(hess, k)?, max_shifts, rtol)
+    newton_shifts(&ritz_values(hess, k)?, max_shifts, DEFAULT_DEDUP_RTOL)
 }
 
 /// Condition number of the (column-normalized) `s+1`-column Krylov basis

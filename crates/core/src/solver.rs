@@ -11,9 +11,8 @@ use crate::precond::{Identity, Preconditioner};
 use crate::report::CycleTiming;
 use blockortho::OrthoKind;
 use dense::{MatView, MatViewMut};
-use distsim::{CommStatsSnapshot, Communicator, DistCsr, GuardEvent, GuardPolicy, SerialComm};
-use sparse::{block_row_partition, Csr, RowPartition, RowSource};
-use std::sync::Arc;
+use distsim::{CommStatsSnapshot, DistCsr, GuardEvent, GuardPolicy, SerialComm};
+use sparse::{block_row_partition, RowSource};
 
 /// Configuration of the (s-step) GMRES solver.
 #[derive(Debug, Clone)]
@@ -187,21 +186,17 @@ impl SStepGmres {
             config.step_size <= config.restart,
             "step size cannot exceed the restart length"
         );
-        if let StepPolicy::Auto(auto) = &config.step_policy {
-            assert!(auto.min_step >= 1, "auto step floor must be at least 1");
-            assert!(
-                auto.min_step <= config.step_size,
-                "auto step floor cannot exceed the requested step size"
-            );
-            assert!(auto.grow_after >= 1, "grow_after must be at least 1");
-            assert!(
-                auto.stagnation_window >= 1,
-                "stagnation window must be at least 1"
-            );
-            assert!(
-                auto.stagnation_factor > 0.0 && auto.stagnation_factor <= 1.0,
-                "stagnation factor must be in (0, 1]"
-            );
+        // `!(tol > 0)` also refuses NaN, against which no residual compares
+        // as converged.
+        assert!(
+            config.tol > 0.0,
+            "tolerance must be positive, got {}",
+            config.tol
+        );
+        if let OrthoKind::TwoStage { big_panel } | OrthoKind::TwoStageSketched { big_panel } =
+            config.ortho
+        {
+            assert!(big_panel >= 1, "big panel size must be at least 1");
         }
         Self { config }
     }
@@ -213,62 +208,32 @@ impl SStepGmres {
 
     /// Solve `A·x = b` on a single rank, starting from `x = 0`, without a
     /// preconditioner.  Returns the solution and the solve statistics.
-    pub fn solve_serial(&self, a: &Csr, b: &[f64]) -> (Vec<f64>, SolveResult) {
+    ///
+    /// `a` is any [`RowSource`] — a `Csr`, or a row provider (stencil or
+    /// surrogate generator) from which the operator is streamed without a
+    /// global matrix ever being assembled.
+    pub fn solve_serial<S: RowSource>(&self, a: &S, b: &[f64]) -> (Vec<f64>, SolveResult) {
         self.solve_serial_preconditioned(a, b, &Identity)
     }
 
     /// Solve `A·x = b` on a single rank with a right preconditioner.
-    pub fn solve_serial_preconditioned(
+    pub fn solve_serial_preconditioned<S: RowSource>(
         &self,
-        a: &Csr,
+        a: &S,
         b: &[f64],
         precond: &dyn Preconditioner,
     ) -> (Vec<f64>, SolveResult) {
         let comm = SerialComm::new();
         let part = block_row_partition(a.nrows(), 1);
-        let dist = DistCsr::from_global(comm, a, &part);
+        let dist = DistCsr::from_row_source(comm, &part, a);
         let mut x = vec![0.0; a.nrows()];
         let result = self.solve(&dist, precond, b, &mut x);
         (x, result)
     }
 
-    /// Solve `A·x = b` on a single rank, assembling the operator by
-    /// streaming it from a row provider instead of a replicated CSR.
-    pub fn solve_serial_from_rows<S: RowSource>(
-        &self,
-        rows: &S,
-        b: &[f64],
-    ) -> (Vec<f64>, SolveResult) {
-        let comm = SerialComm::new();
-        let part = block_row_partition(rows.nrows(), 1);
-        let mut x = vec![0.0; rows.nrows()];
-        let result = self.solve_from_rows(comm, &part, rows, &Identity, b, &mut x);
-        (x, result)
-    }
-
-    /// Solve `A·x = b` with the operator assembled from a **row provider**
-    /// rather than a replicated `&Csr`: the distributed matrix is built by
-    /// streaming this rank's rows ([`DistCsr::from_row_source`]), so no
-    /// rank ever materializes the global matrix — peak construction memory
-    /// is `O(nnz/P + halo)` per rank.
-    ///
-    /// Collective: every rank of `comm` must call it with the same `part`
-    /// and an equivalent row provider.  `b_local` and `x_local` are this
-    /// rank's blocks of the right-hand side and solution.
-    pub fn solve_from_rows<S: RowSource>(
-        &self,
-        comm: Arc<dyn Communicator>,
-        part: &RowPartition,
-        rows: &S,
-        precond: &dyn Preconditioner,
-        b_local: &[f64],
-        x_local: &mut [f64],
-    ) -> SolveResult {
-        let dist = DistCsr::from_row_source(comm, part, rows);
-        self.solve(&dist, precond, b_local, x_local)
-    }
-
-    /// Solve `A·x = b` on the communicator `a` lives on.
+    /// Solve `A·x = b` on the communicator `a` lives on (build `a` with
+    /// [`DistCsr::from_row_source`] to stream this rank's rows from a row
+    /// provider, so no rank materializes the global matrix).
     ///
     /// `b_local` and `x_local` are the local blocks of the right-hand side
     /// and the solution (used as the initial guess and overwritten).  The
@@ -299,7 +264,7 @@ mod tests {
     use super::*;
     use crate::precond::{BlockJacobiGaussSeidel, Jacobi};
     use crate::report::Phase;
-    use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt};
+    use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt, Csr};
 
     fn relres(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
         let ax = a.spmv_alloc(x);
@@ -488,7 +453,7 @@ mod tests {
             ..GmresConfig::default()
         });
         let (x_rep, r_rep) = solver.solve_serial(&a, &b);
-        let (x_str, r_str) = solver.solve_serial_from_rows(&rows, &b);
+        let (x_str, r_str) = solver.solve_serial(&rows, &b);
         assert!(r_rep.converged && r_str.converged);
         assert_eq!(r_rep.iterations, r_str.iterations);
         assert_eq!(x_rep, x_str, "solutions must be bitwise identical");
@@ -541,27 +506,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "step size cannot exceed")]
     fn invalid_config_is_rejected() {
-        SStepGmres::new(GmresConfig {
-            restart: 4,
-            step_size: 8,
-            ..GmresConfig::default()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "auto step floor cannot exceed")]
-    fn auto_floor_above_step_size_is_rejected() {
-        SStepGmres::new(GmresConfig {
-            restart: 30,
-            step_size: 4,
-            step_policy: crate::control::StepPolicy::Auto(crate::control::AutoStep {
-                min_step: 6,
-                ..crate::control::AutoStep::default()
-            }),
-            ..GmresConfig::default()
-        });
+        // Every row must be refused by `new`, before any rank has reduced
+        // anything, with a message naming what is wrong.
+        let base = GmresConfig::default;
+        let rows = [
+            (
+                "step size cannot exceed",
+                GmresConfig {
+                    restart: 4,
+                    step_size: 8,
+                    ..base()
+                },
+            ),
+            (
+                "tolerance must be positive",
+                GmresConfig {
+                    tol: f64::NAN,
+                    ..base()
+                },
+            ),
+            (
+                "tolerance must be positive",
+                GmresConfig { tol: 0.0, ..base() },
+            ),
+            (
+                "tolerance must be positive",
+                GmresConfig {
+                    tol: -1e-6,
+                    ..base()
+                },
+            ),
+            (
+                "big panel size must be at least 1",
+                GmresConfig {
+                    ortho: OrthoKind::TwoStage { big_panel: 0 },
+                    ..base()
+                },
+            ),
+            (
+                "big panel size must be at least 1",
+                GmresConfig {
+                    ortho: OrthoKind::TwoStageSketched { big_panel: 0 },
+                    ..base()
+                },
+            ),
+        ];
+        for (expected, config) in rows {
+            let shown = format!("{config:?}");
+            let panic = std::panic::catch_unwind(|| SStepGmres::new(config))
+                .expect_err(&format!("accepted {shown}"));
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            let msg = msg.or(panic.downcast_ref::<&str>().copied()).unwrap_or("");
+            assert!(msg.contains(expected), "{shown}: panicked with {msg:?}");
+        }
     }
 
     #[test]

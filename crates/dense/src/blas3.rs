@@ -297,7 +297,7 @@ fn tn_row_block<A: ColSource, B: ColSource>(
 pub fn gram(v: &MatView<'_>) -> Matrix {
     let n = v.nrows();
     let s = v.ncols();
-    let _span = trace::span2("blas3", "gram", "n", n as u64, "s", s as u64);
+    let _span = trace::span("blas3", "gram", &[("n", n as u64), ("s", s as u64)]);
     if s == 0 {
         return Matrix::zeros(0, 0);
     }
@@ -345,7 +345,7 @@ pub fn gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
     let n = a.nrows();
     let k = a.ncols();
     let s = b.ncols();
-    let _span = trace::span2("blas3", "gemm_tn", "n", n as u64, "k", k as u64);
+    let _span = trace::span("blas3", "gemm_tn", &[("n", n as u64), ("k", k as u64)]);
     if k == 0 || s == 0 {
         return Matrix::zeros(k, s);
     }
@@ -508,7 +508,11 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     if k == 0 || v.ncols() == 0 || n == 0 {
         return;
     }
-    let _span = trace::span2("blas3", "gemm_nn_minus", "n", n as u64, "k", k as u64);
+    let _span = trace::span(
+        "blas3",
+        "gemm_nn_minus",
+        &[("n", n as u64), ("k", k as u64)],
+    );
     update_panel(v, q, r);
 }
 
@@ -561,7 +565,7 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
     if n == 0 || s == 0 {
         return;
     }
-    let _span = trace::span2("blas3", "trsm", "n", n as u64, "s", s as u64);
+    let _span = trace::span("blas3", "trsm", &[("n", n as u64), ("s", s as u64)]);
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
     parallel_for_range_bytes(n, 8 * s, |start, end| {
         // SAFETY: `done` is only asked for rows this worker owns, and only
@@ -623,13 +627,10 @@ pub fn fused_update_proj_gram(
     assert_eq!(q.nrows(), n, "fused_update_proj_gram: row mismatch");
     assert_eq!(p.nrows(), k, "fused_update_proj_gram: inner dim mismatch");
     assert_eq!(p.ncols(), s, "fused_update_proj_gram: col mismatch");
-    let _span = trace::span2(
+    let _span = trace::span(
         "blas3",
         "fused_update_proj_gram",
-        "n",
-        n as u64,
-        "k",
-        k as u64,
+        &[("n", n as u64), ("k", k as u64)],
     );
     let qdata = q.data();
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
@@ -797,12 +798,6 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     c
-}
-
-/// Alias of [`gemm_nn`] kept for call-site readability when both operands
-/// are small (`s×s`-sized) matrices.
-pub fn gemm_small(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_nn(a, b)
 }
 
 /// `V ← V + Q·Y` for tall-skinny `Q ∈ R^{n×k}`, small `Y ∈ R^{k×s}` and

@@ -28,6 +28,8 @@
 //! Everything is `f64`; the mixed-precision (double-double) Gram
 //! accumulation lives in the `blockortho` crate where it is used.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod blas1;
 pub mod blas3;
 pub mod chol;
@@ -42,8 +44,8 @@ pub mod tri;
 
 pub use blas1::{axpy, dot, nrm2, scal};
 pub use blas3::{
-    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_small, gemm_tn, gemv_plus,
-    gram, naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
+    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_tn, gemv_plus, gram,
+    naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
     ROW_BLOCK, TILE,
 };
 pub use chol::{cholesky_upper, shifted_cholesky_upper, CholeskyError};

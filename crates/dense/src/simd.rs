@@ -4,9 +4,8 @@
 //! explicit AVX2(+FMA) `std::arch` implementation and a portable scalar
 //! fallback at runtime ([`simd_level`]), so the same binary runs at full
 //! width on an AVX2 x86_64 host and correctly everywhere else.  The
-//! selection is cached after the first query; `DENSE_SIMD=scalar` in the
-//! environment or [`set_simd_override`] (tests, benchmarks) force the
-//! fallback.
+//! selection is cached after the first query; [`set_simd_override`] (tests,
+//! benchmarks) forces the fallback.
 //!
 //! # Numerical contracts
 //!
@@ -59,13 +58,6 @@ fn hardware_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-fn detect() -> SimdLevel {
-    if std::env::var("DENSE_SIMD").is_ok_and(|v| v.eq_ignore_ascii_case("scalar")) {
-        return SimdLevel::Scalar;
-    }
-    hardware_level()
-}
-
 /// The SIMD backend the tile kernels currently dispatch to.
 pub fn simd_level() -> SimdLevel {
     match OVERRIDE.load(Ordering::Relaxed) {
@@ -78,7 +70,7 @@ pub fn simd_level() -> SimdLevel {
         SCALAR => SimdLevel::Scalar,
         AVX2 => SimdLevel::Avx2,
         _ => {
-            let level = detect();
+            let level = hardware_level();
             DETECTED.store(
                 match level {
                     SimdLevel::Scalar => SCALAR,

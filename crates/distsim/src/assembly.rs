@@ -76,7 +76,8 @@ impl HaloPlan {
 
     /// Number of peers this rank sends to per SpMV (the per-rank message
     /// count of the halo exchange).
-    pub fn send_neighbors(&self) -> usize {
+    #[cfg(test)]
+    fn send_neighbors(&self) -> usize {
         self.send.len()
     }
 

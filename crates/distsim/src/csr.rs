@@ -237,7 +237,7 @@ impl DistCsr {
         assert_eq!(x_local.len(), nloc, "spmv: x length mismatch");
         assert_eq!(y_local.len(), nloc, "spmv: y length mismatch");
         if self.comm.size() == 1 {
-            let _span = trace::span1("spmv", "local", "rows", nloc as u64);
+            let _span = trace::span("spmv", "local", &[("rows", nloc as u64)]);
             self.local.spmv(x_local, y_local);
             return;
         }
@@ -247,11 +247,10 @@ impl DistCsr {
         let HaloScratch { x_ext, payload } = &mut *scratch;
         // Post all sends first (mailboxes are non-blocking), then receive.
         {
-            let _span = trace::span1(
+            let _span = trace::span(
                 "spmv",
                 "halo_pack_send",
-                "peers",
-                self.plan.send.len() as u64,
+                &[("peers", self.plan.send.len() as u64)],
             );
             for block in &self.plan.send {
                 payload.clear();
@@ -265,7 +264,11 @@ impl DistCsr {
         x_ext.resize(self.local.ncols(), 0.0);
         x_ext[..nloc].copy_from_slice(x_local);
         {
-            let _span = trace::span1("spmv", "halo_wait", "peers", self.plan.recv.len() as u64);
+            let _span = trace::span(
+                "spmv",
+                "halo_wait",
+                &[("peers", self.plan.recv.len() as u64)],
+            );
             for block in &self.plan.recv {
                 let ghosts = &mut x_ext[nloc + block.start..nloc + block.start + block.len];
                 let data = match guard {
@@ -289,7 +292,7 @@ impl DistCsr {
                 }
             }
         }
-        let _span = trace::span1("spmv", "local", "rows", nloc as u64);
+        let _span = trace::span("spmv", "local", &[("rows", nloc as u64)]);
         self.local.spmv(x_ext, y_local);
     }
 }

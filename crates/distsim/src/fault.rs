@@ -407,7 +407,11 @@ impl FaultyComm {
     }
 
     fn record(&self, op: OpKind, seq: u64, kind: FaultKind, words: usize) {
-        trace::instant2("fault", kind.label(), "op", op.index() as u64, "seq", seq);
+        trace::instant(
+            "fault",
+            kind.label(),
+            &[("op", op.index() as u64), ("seq", seq)],
+        );
         self.events
             .lock()
             .expect("fault event log poisoned")

@@ -269,7 +269,7 @@ impl GuardContext {
     }
 
     fn record(&self, guard: &'static str, outcome: &'static str, detail: String) {
-        trace::instant("guard", guard);
+        trace::instant("guard", guard, &[]);
         self.detected.fetch_add(1, Ordering::Relaxed);
         match outcome {
             "recovered" => {
@@ -561,7 +561,7 @@ pub fn encode_halo_frame(seq: u64, payload: &[f64]) -> Vec<f64> {
 
 /// Decode a guarded halo frame; `None` when the checksum does not match
 /// (a flipped bit anywhere in the frame, including the control words).
-pub fn decode_halo_frame(frame: &[f64]) -> Option<(u64, &[f64])> {
+fn decode_halo_frame(frame: &[f64]) -> Option<(u64, &[f64])> {
     if frame.len() < 2 {
         return None;
     }

@@ -48,6 +48,8 @@
 //! results; serial and multi-rank runs agree to rounding (the summation
 //! *order* differs, the reduction *structure* does not).
 
+#![forbid(unsafe_code)]
+
 pub mod assembly;
 pub mod comm;
 pub mod csr;

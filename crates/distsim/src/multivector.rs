@@ -188,7 +188,7 @@ impl DistMultiVector {
         assert!(prev.end <= new.start, "prev must precede new");
         let k = prev.end - prev.start;
         let s = new.end - new.start;
-        let _span = trace::span2("mv", "proj_and_gram", "k", k as u64, "s", s as u64);
+        let _span = trace::span("mv", "proj_and_gram", &[("k", k as u64), ("s", s as u64)]);
         let p_local = dense::gemm_tn(&self.local.cols(prev), &self.local.cols(new.clone()));
         let g_local = dense::gram(&self.local.cols(new));
         let mut buf = Vec::with_capacity(k * s + s * s);
@@ -244,7 +244,7 @@ impl DistMultiVector {
         assert!(prev.end <= new.start, "prev must precede new");
         let k = prev.end - prev.start;
         let s = new.end - new.start;
-        let _span = trace::span2("mv", "update_and_gram", "k", k as u64, "s", s as u64);
+        let _span = trace::span("mv", "update_and_gram", &[("k", k as u64), ("s", s as u64)]);
         let (head, mut tail) = self.local.split_at_col(new.start);
         let q = head.cols(prev);
         let mut v = tail.cols_mut(0..s);
@@ -274,7 +274,7 @@ impl DistMultiVector {
             "sketch operator was realized for a different row dimension"
         );
         let s = cols.end - cols.start;
-        let _span = trace::span2("mv", "sketch", "c", op.rows() as u64, "s", s as u64);
+        let _span = trace::span("mv", "sketch", &[("c", op.rows() as u64), ("s", s as u64)]);
         let mut buf = vec![0.0; op.slots() * s];
         op.fill_slots(&mut buf, &self.local.cols(cols), self.row_offset);
         self.reduce(&mut buf, Screen::None);
@@ -302,7 +302,7 @@ impl DistMultiVector {
         );
         let k = prev.end - prev.start;
         let s = new.end - new.start;
-        let _span = trace::span2("mv", "sketch_and_proj", "k", k as u64, "s", s as u64);
+        let _span = trace::span("mv", "sketch_and_proj", &[("k", k as u64), ("s", s as u64)]);
         let p_local = dense::gemm_tn(&self.local.cols(prev), &self.local.cols(new.clone()));
         let mut buf = vec![0.0; k * s + op.slots() * s];
         buf[..k * s].copy_from_slice(p_local.data());
@@ -361,12 +361,13 @@ impl DistMultiVector {
     }
 
     /// Gather the full global matrix onto every rank (one allgather; test
-    /// and diagnostic helper — O(n·c) words, not for hot paths).
+    /// helper — O(n·c) words).
     ///
     /// Requires every rank to own the same number of rows or the layouts
     /// produced by [`from_matrix`](Self::from_matrix)/`block_row_partition`; rows are
     /// reassembled by each rank's `row_offset`.
-    pub fn gather_global(&self) -> Matrix {
+    #[cfg(test)]
+    fn gather_global(&self) -> Matrix {
         let size = self.comm.size();
         if size == 1 {
             return self.local.clone();

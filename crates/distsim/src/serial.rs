@@ -37,18 +37,18 @@ impl Communicator for SerialComm {
     }
 
     fn allreduce_sum(&self, buf: &mut [f64]) {
-        let _span = trace::span1("comm", "allreduce", "words", buf.len() as u64);
+        let _span = trace::span("comm", "allreduce", &[("words", buf.len() as u64)]);
         self.stats.record_allreduce(buf.len());
     }
 
     fn allreduce_sum_retry(&self, buf: &mut [f64]) {
-        let _span = trace::span1("comm", "allreduce_retry", "words", buf.len() as u64);
+        let _span = trace::span("comm", "allreduce_retry", &[("words", buf.len() as u64)]);
         self.stats.record_allreduce_retry(buf.len());
     }
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
         assert_eq!(root, 0, "serial communicator has only rank 0");
-        let _span = trace::span1("comm", "broadcast", "words", buf.len() as u64);
+        let _span = trace::span("comm", "broadcast", &[("words", buf.len() as u64)]);
         self.stats.record_broadcast(buf.len());
     }
 
@@ -58,13 +58,13 @@ impl Communicator for SerialComm {
             send.len(),
             "serial allgather: recv must hold exactly one contribution"
         );
-        let _span = trace::span1("comm", "allgather", "words", send.len() as u64);
+        let _span = trace::span("comm", "allgather", &[("words", send.len() as u64)]);
         recv.copy_from_slice(send);
         self.stats.record_allgather(send.len());
     }
 
     fn barrier(&self) {
-        let _span = trace::span("comm", "barrier");
+        let _span = trace::span("comm", "barrier", &[]);
         self.stats.record_barrier();
     }
 

@@ -220,7 +220,7 @@ impl Communicator for ThreadComm {
     }
 
     fn allreduce_sum(&self, buf: &mut [f64]) {
-        let _span = trace::span1("comm", "allreduce", "words", buf.len() as u64);
+        let _span = trace::span("comm", "allreduce", &[("words", buf.len() as u64)]);
         self.stats.record_allreduce(buf.len());
         let contribution = buf.to_vec();
         self.shared
@@ -228,7 +228,7 @@ impl Communicator for ThreadComm {
     }
 
     fn allreduce_sum_retry(&self, buf: &mut [f64]) {
-        let _span = trace::span1("comm", "allreduce_retry", "words", buf.len() as u64);
+        let _span = trace::span("comm", "allreduce_retry", &[("words", buf.len() as u64)]);
         self.stats.record_allreduce_retry(buf.len());
         let contribution = buf.to_vec();
         self.shared
@@ -237,7 +237,7 @@ impl Communicator for ThreadComm {
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
         assert!(root < self.size(), "broadcast root {root} out of range");
-        let _span = trace::span1("comm", "broadcast", "words", buf.len() as u64);
+        let _span = trace::span("comm", "broadcast", &[("words", buf.len() as u64)]);
         self.stats.record_broadcast(buf.len());
         let contribution = buf.to_vec();
         self.shared
@@ -250,14 +250,14 @@ impl Communicator for ThreadComm {
             send.len() * self.size(),
             "allgather: recv must hold one contribution per rank"
         );
-        let _span = trace::span1("comm", "allgather", "words", send.len() as u64);
+        let _span = trace::span("comm", "allgather", &[("words", send.len() as u64)]);
         self.stats.record_allgather(send.len());
         self.shared
             .collective(self.rank, CollKind::Allgather, send, recv);
     }
 
     fn barrier(&self) {
-        let _span = trace::span("comm", "barrier");
+        let _span = trace::span("comm", "barrier", &[]);
         self.stats.record_barrier();
         self.shared
             .collective(self.rank, CollKind::Barrier, &[], &mut []);
@@ -266,13 +266,10 @@ impl Communicator for ThreadComm {
     fn send(&self, to: usize, data: &[f64]) {
         assert!(to < self.size(), "send: rank {to} out of range");
         assert_ne!(to, self.rank, "send: cannot message self");
-        let _span = trace::span2(
+        let _span = trace::span(
             "comm",
             "send",
-            "peer",
-            to as u64,
-            "words",
-            data.len() as u64,
+            &[("peer", to as u64), ("words", data.len() as u64)],
         );
         self.stats.record_p2p(to, data.len());
         self.shared.post(self.rank, to, data.to_vec());
@@ -288,7 +285,7 @@ impl Communicator for ThreadComm {
     fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Vec<f64>, CommError> {
         assert!(from < self.size(), "recv: rank {from} out of range");
         assert_ne!(from, self.rank, "recv: cannot message self");
-        let _span = trace::span1("comm", "recv", "peer", from as u64);
+        let _span = trace::span("comm", "recv", &[("peer", from as u64)]);
         self.shared.take_timeout(from, self.rank, timeout)
     }
 

@@ -65,7 +65,7 @@ use std::ops::Range;
 /// numerically positive definite, i.e. `κ(V) ≳ 1/√ε` (condition (1) of the
 /// paper).
 pub fn cholqr(basis: &mut DistMultiVector, cols: Range<usize>) -> Result<Matrix, OrthoError> {
-    let _span = trace::span1("ortho", "cholqr", "s", (cols.end - cols.start) as u64);
+    let _span = trace::span("ortho", "cholqr", &[("s", (cols.end - cols.start) as u64)]);
     let g = basis.gram(cols.clone());
     let r = dense::cholesky_upper(&g).map_err(|e| OrthoError::CholeskyBreakdown {
         context: "CholQR",
@@ -95,11 +95,10 @@ pub fn shifted_cholqr(
     basis: &mut DistMultiVector,
     cols: Range<usize>,
 ) -> Result<(Matrix, f64), OrthoError> {
-    let _span = trace::span1(
+    let _span = trace::span(
         "ortho",
         "shifted_cholqr",
-        "s",
-        (cols.end - cols.start) as u64,
+        &[("s", (cols.end - cols.start) as u64)],
     );
     let g = basis.gram(cols.clone());
     let (r, shift) = dense::shifted_cholesky_upper(&g, basis.global_rows()).map_err(|e| {
@@ -135,13 +134,13 @@ pub fn bcgs_pip(
     prev: Range<usize>,
     new: Range<usize>,
 ) -> Result<(Matrix, Matrix), OrthoError> {
-    let _span = trace::span2(
+    let _span = trace::span(
         "ortho",
         "bcgs_pip",
-        "k",
-        (prev.end - prev.start) as u64,
-        "s",
-        (new.end - new.start) as u64,
+        &[
+            ("k", (prev.end - prev.start) as u64),
+            ("s", (new.end - new.start) as u64),
+        ],
     );
     let (p, g) = basis.proj_and_gram(prev.clone(), new.clone());
     // Pythagorean update of the Gram matrix of the projected panel.
@@ -187,13 +186,13 @@ pub fn bcgs_pip2_fused(
     first_context: &'static str,
     second_context: &'static str,
 ) -> Result<(Matrix, Matrix, f64), OrthoError> {
-    let _span = trace::span2(
+    let _span = trace::span(
         "ortho",
         "bcgs_pip2_fused",
-        "k",
-        (prev.end - prev.start) as u64,
-        "s",
-        (new.end - new.start) as u64,
+        &[
+            ("k", (prev.end - prev.start) as u64),
+            ("s", (new.end - new.start) as u64),
+        ],
     );
     // Reduce 1: projection and Gram of the raw panel.
     let (p1, g1) = basis.proj_and_gram(prev.clone(), new.clone());
@@ -253,13 +252,13 @@ pub(crate) fn shifted_remedy(
     context: &'static str,
     events: &mut Vec<FallbackEvent>,
 ) -> Result<(Matrix, Matrix), OrthoError> {
-    trace::instant2(
+    trace::instant(
         "ortho",
         instant,
-        "start",
-        cols.start as u64,
-        "cols",
-        (cols.end - cols.start) as u64,
+        &[
+            ("start", cols.start as u64),
+            ("cols", (cols.end - cols.start) as u64),
+        ],
     );
     let (t_prev, t_new, shift) =
         bcgs_pip2_fused(basis, prev, cols.clone(), true, context, context)?;
@@ -282,13 +281,13 @@ pub fn columnwise_cgs2(
     against_start: usize,
     new: Range<usize>,
 ) -> Result<Matrix, OrthoError> {
-    let _span = trace::span2(
+    let _span = trace::span(
         "ortho",
         "columnwise_cgs2",
-        "k",
-        against_start as u64,
-        "s",
-        (new.end - new.start) as u64,
+        &[
+            ("k", against_start as u64),
+            ("s", (new.end - new.start) as u64),
+        ],
     );
     let nrows_r = new.end - against_start;
     let ncols_r = new.end - new.start;

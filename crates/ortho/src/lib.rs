@@ -30,6 +30,8 @@
 //! the factors, with `R` indexed by global basis column.  Diagonal blocks of
 //! `R` have positive diagonals.
 
+#![forbid(unsafe_code)]
+
 pub mod bcgs2;
 pub mod bcgs_pip2;
 pub mod cgs;

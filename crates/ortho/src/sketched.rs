@@ -244,13 +244,13 @@ impl BlockOrthogonalizer for RandCholQr {
         let state = self
             .state
             .get_or_insert_with(|| SketchState::new(&config, basis.global_rows(), total_cols));
-        let _span = trace::span2(
+        let _span = trace::span(
             "ortho",
             "sketched_panel",
-            "start",
-            new.start as u64,
-            "cols",
-            (new.end - new.start) as u64,
+            &[
+                ("start", new.start as u64),
+                ("cols", (new.end - new.start) as u64),
+            ],
         );
         match state.preprocess(basis, prev.clone(), new.clone()) {
             PreprocessOutcome::Factored { p1, r_s } => {

@@ -140,13 +140,13 @@ impl TwoStage {
         if bp.is_empty() {
             return Ok(());
         }
-        let _span = trace::span2(
+        let _span = trace::span(
             "ortho",
             "stage2_flush",
-            "start",
-            bp.start as u64,
-            "cols",
-            (bp.end - bp.start) as u64,
+            &[
+                ("start", bp.start as u64),
+                ("cols", (bp.end - bp.start) as u64),
+            ],
         );
         let prev = 0..bp.start;
         // Second-stage BCGS-PIP of the pre-processed big panel.  If the big
@@ -254,13 +254,13 @@ impl BlockOrthogonalizer for TwoStage {
         if new.start == 0 {
             self.start_width = new.end;
         }
-        let stage1_span = trace::span2(
+        let stage1_span = trace::span(
             "ortho",
             "stage1_panel",
-            "start",
-            new.start as u64,
-            "cols",
-            (new.end - new.start) as u64,
+            &[
+                ("start", new.start as u64),
+                ("cols", (new.end - new.start) as u64),
+            ],
         );
         match self.first_stage {
             FirstStage::Pip => {
@@ -271,13 +271,13 @@ impl BlockOrthogonalizer for TwoStage {
                 {
                     // Early flush (see the module docs): the refused panel
                     // is untouched, so it can be taken again as it is.
-                    trace::instant2(
+                    trace::instant(
                         "ortho",
                         "early_flush",
-                        "start",
-                        new.start as u64,
-                        "cols",
-                        (new.end - new.start) as u64,
+                        &[
+                            ("start", new.start as u64),
+                            ("cols", (new.end - new.start) as u64),
+                        ],
                     );
                     self.flush_big_panel(basis, r)?;
                     plain = bcgs_pip(basis, prev.clone(), new.clone());

@@ -45,6 +45,8 @@
 //! assert_eq!(parallel_sum(&v), v.iter().sum::<f64>());
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod chunk;
 mod config;
 mod parallel;

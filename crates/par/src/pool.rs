@@ -248,19 +248,19 @@ fn worker_loop(pool: &'static Pool, lane: usize) {
                 *pool.slot.nchunks.get(),
             )
         };
+        // SAFETY: `func` points at the submitter's region body, which the
+        // submitter keeps borrowed until this lane acknowledges below (it
+        // waits for `remaining` to reach zero before `run_chunks` returns).
         let body = unsafe { &*func };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let t0 = trace::enabled().then(trace::now_ns);
             let claimed = run_band(pool, participants, nchunks, lane, body);
             if let Some(t0) = t0 {
-                trace::complete_span2(
+                trace::complete_span(
                     "pool",
                     "chunks",
                     t0,
-                    "claimed",
-                    claimed,
-                    "nchunks",
-                    nchunks as u64,
+                    &[("claimed", claimed), ("nchunks", nchunks as u64)],
                 );
             }
         }));
@@ -298,16 +298,23 @@ pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
     };
     let t_dispatch = trace::enabled().then(trace::now_ns);
     let participants = nchunks.min(workers + 1);
-    // Publish the job.  The lifetime transmute is sound because this
-    // function does not return until every participant acknowledges
-    // (below), so no worker can hold the pointer past the borrow.
+    // Publish the job.
     let ptr: *const (dyn Fn(usize) + Sync + '_) = body;
+    // SAFETY: the transmute only erases the borrow's lifetime for storage
+    // in the slot.  This function does not return until every participant
+    // acknowledges (below), so no worker can hold the pointer past the
+    // borrow.
     let ptr: *const (dyn Fn(usize) + Sync + 'static) = unsafe {
         std::mem::transmute::<
             *const (dyn Fn(usize) + Sync + '_),
             *const (dyn Fn(usize) + Sync + 'static),
         >(ptr)
     };
+    // SAFETY: holding `submit_guard` makes this thread the unique writer of
+    // the slot, and no worker reads it now: every participant of the
+    // previous job acknowledged before its submitter released `submit`, and
+    // this job's participants only read after the release store of
+    // `gen_word` below.
     unsafe {
         *pool.slot.func.get() = Some(ptr);
         *pool.slot.nchunks.get() = nchunks;
@@ -333,7 +340,7 @@ pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
         handle.unpark();
     }
     if let Some(t0) = t_dispatch {
-        trace::complete_span1("pool", "dispatch", t0, "nchunks", nchunks as u64);
+        trace::complete_span("pool", "dispatch", t0, &[("nchunks", nchunks as u64)]);
     }
     // Participate as the last band (catching panics so workers are never
     // left holding a dangling job pointer while we unwind).
@@ -341,14 +348,11 @@ pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
         let t0 = trace::enabled().then(trace::now_ns);
         let claimed = run_band(pool, participants, nchunks, participants - 1, body);
         if let Some(t0) = t0 {
-            trace::complete_span2(
+            trace::complete_span(
                 "pool",
                 "chunks",
                 t0,
-                "claimed",
-                claimed,
-                "nchunks",
-                nchunks as u64,
+                &[("claimed", claimed), ("nchunks", nchunks as u64)],
             );
         }
     }));
@@ -367,7 +371,7 @@ pub(crate) fn run_chunks(nchunks: usize, body: &(dyn Fn(usize) + Sync)) {
             drop(done_guard);
         }
         if let Some(t0) = t0 {
-            trace::complete_span1("pool", "barrier_wait", t0, "nchunks", nchunks as u64);
+            trace::complete_span("pool", "barrier_wait", t0, &[("nchunks", nchunks as u64)]);
         }
     }
     drop(submit_guard);

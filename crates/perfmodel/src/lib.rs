@@ -30,6 +30,8 @@
 //! GPUs), but the reproduction targets *relative* behaviour: which scheme
 //! wins, by what factor, and how the gap changes with node count.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod machine;
 pub mod ortho_cost;

@@ -87,7 +87,9 @@ impl Strategy for Range<f64> {
     }
 }
 
-/// Deterministic per-test generator, seeded by the test's name.
+/// Deterministic per-test generator, seeded by the test's name.  Public
+/// only because [`proptest!`] expands to a call of it in the caller's crate.
+#[doc(hidden)]
 pub fn rng_for_test(name: &str) -> StdRng {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {

@@ -30,6 +30,8 @@
 //!   uses across MPI ranks) and halo/ghost-column analysis for the
 //!   neighborhood exchange of a distributed SpMV.
 
+#![forbid(unsafe_code)]
+
 pub mod coloring;
 pub mod csr;
 pub mod mm;

@@ -204,8 +204,8 @@ pub fn read_matrix_market_info(path: &Path) -> Result<MmInfo, MmError> {
     read_matrix_market_info_from(BufReader::new(file))
 }
 
-/// Header/size reader over any buffered input (exposed for tests).
-pub fn read_matrix_market_info_from<R: BufRead>(reader: R) -> Result<MmInfo, MmError> {
+/// Header/size reader over any buffered input.
+fn read_matrix_market_info_from<R: BufRead>(reader: R) -> Result<MmInfo, MmError> {
     Ok(MmParser::new(reader)?.info)
 }
 
@@ -215,8 +215,8 @@ pub fn read_matrix_market(path: &Path) -> Result<Csr, MmError> {
     read_matrix_market_from(BufReader::new(file))
 }
 
-/// Read Matrix Market data from any buffered reader (exposed for tests).
-pub fn read_matrix_market_from<R: BufRead>(reader: R) -> Result<Csr, MmError> {
+/// Read Matrix Market data from any buffered reader.
+fn read_matrix_market_from<R: BufRead>(reader: R) -> Result<Csr, MmError> {
     let parser = MmParser::new(reader)?;
     let symmetric = parser.info.is_symmetric();
     let mut triplets = Vec::with_capacity(if symmetric {
@@ -253,8 +253,8 @@ pub fn read_matrix_market_row_block(path: &Path, rows: Range<usize>) -> Result<C
     read_matrix_market_row_block_from(BufReader::new(file), rows)
 }
 
-/// Streaming row-block reader over any buffered input (exposed for tests).
-pub fn read_matrix_market_row_block_from<R: BufRead>(
+/// Streaming row-block reader over any buffered input.
+fn read_matrix_market_row_block_from<R: BufRead>(
     reader: R,
     rows: Range<usize>,
 ) -> Result<Csr, MmError> {

@@ -16,6 +16,8 @@
 //! Each generator takes an explicit RNG seed so the "min/avg/max over ten
 //! seeds" curves of the paper are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod glued;
 pub mod logscaled;
 pub mod random;

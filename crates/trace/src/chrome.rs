@@ -102,9 +102,9 @@ impl Trace {
     }
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
-    use crate::{clear, collect, instant, set_enabled, span2, test_lock, validate_json};
+    use crate::{clear, collect, instant, set_enabled, span, test_lock, validate_json};
 
     #[test]
     fn chrome_export_is_valid_json_with_expected_phases() {
@@ -113,10 +113,10 @@ mod tests {
         clear();
         set_enabled(true);
         {
-            let _s = span2("comm", "send", "peer", 3, "words", 640);
+            let _s = span("comm", "send", &[("peer", 3), ("words", 640)]);
         }
         crate::counter("pool", "lanes", 8.0);
-        instant("solver", "restart \"quoted\"\n");
+        instant("solver", "restart \"quoted\"\n", &[]);
         set_enabled(false);
         let json = collect().to_chrome_json();
         validate_json(&json).expect("chrome export must parse");

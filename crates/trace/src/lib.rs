@@ -23,11 +23,10 @@
 //!   volume versus begin/end pairs.  A per-thread open-span counter still
 //!   makes balance checkable: [`stats`] reports `open_spans`, which must be
 //!   zero whenever no region is in flight.
-//! * **Provably zero-cost when off.**  At runtime a single relaxed atomic
-//!   load guards every entry point: a disabled [`span`] never reads the
-//!   clock, never touches thread-local state, and returns an inert guard.
-//!   With the `off` cargo feature, [`enabled`] is a `const false` and the
-//!   optimizer deletes the instrumentation entirely.
+//! * **One off-switch.**  A single relaxed atomic load ([`enabled`], off
+//!   until [`set_enabled`]) guards every entry point: a disabled [`span`]
+//!   never reads the clock, never touches thread-local state, and returns
+//!   an inert guard.
 //!
 //! Timestamps come from one process-wide monotonic epoch
 //! ([`std::time::Instant`]), so spans from different threads (pool lanes,
@@ -36,7 +35,7 @@
 //! ```
 //! trace::set_enabled(true);
 //! {
-//!     let _s = trace::span("demo", "work");
+//!     let _s = trace::span("demo", "work", &[("items", 3)]);
 //!     // ... traced work ...
 //! }
 //! trace::set_enabled(false);
@@ -44,6 +43,8 @@
 //! let json = t.to_chrome_json();
 //! assert!(trace::validate_json(&json).is_ok());
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod chrome;
 mod json;
@@ -65,25 +66,13 @@ static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
 /// Whether recording is active.  The hot-path guard: one relaxed atomic
-/// load, or a compile-time `false` with the `off` feature.
+/// load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// True when the `off` cargo feature compiled all recording out.
-pub const fn compiled_out() -> bool {
-    cfg!(feature = "off")
-}
-
-/// Turn recording on or off at runtime.  A no-op under the `off` feature.
+/// Turn recording on or off at runtime.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -127,6 +116,18 @@ pub struct Event {
     /// Up to two named integer arguments (`nargs` are valid).
     pub args: [(&'static str, u64); 2],
     pub nargs: u8,
+}
+
+/// A named integer argument of a probe (shown in the timeline UI).
+type Arg = (&'static str, u64);
+
+/// The first two of `args`, in an event's fixed-size form.
+#[inline]
+fn pack(args: &[Arg]) -> ([Arg; 2], u8) {
+    let mut out = [("", 0); 2];
+    let n = args.len().min(2);
+    out[..n].copy_from_slice(&args[..n]);
+    (out, n as u8)
 }
 
 struct AggCell {
@@ -245,59 +246,22 @@ fn with_buf<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
 /// Name the current thread's timeline track (e.g. `"rank 3"`).  Overrides
 /// the OS thread name captured when the thread first recorded.
 pub fn set_thread_label(label: &str) {
-    if compiled_out() {
-        return;
-    }
     with_buf(|buf| {
         buf.inner.lock().expect("trace buffer poisoned").label = label.to_string();
     });
 }
 
-/// RAII span guard: created by [`span`]/[`span1`]/[`span2`], records one
-/// complete event when dropped.  Must be dropped on the thread that created
-/// it (enforced by `!Send`).
+/// RAII span guard: created by [`span`], records one complete event when
+/// dropped.  Must be dropped on the thread that created it (enforced by
+/// `!Send`).
 pub struct Span {
     t0: u64,
     cat: &'static str,
     name: &'static str,
-    args: [(&'static str, u64); 2],
+    args: [Arg; 2],
     nargs: u8,
     armed: bool,
     _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Span {
-    #[inline]
-    fn open(
-        cat: &'static str,
-        name: &'static str,
-        args: [(&'static str, u64); 2],
-        nargs: u8,
-    ) -> Self {
-        if !enabled() {
-            return Span {
-                t0: 0,
-                cat,
-                name,
-                args,
-                nargs,
-                armed: false,
-                _not_send: std::marker::PhantomData,
-            };
-        }
-        with_buf(|buf| {
-            buf.depth.fetch_add(1, Ordering::Relaxed);
-        });
-        Span {
-            t0: now_ns(),
-            cat,
-            name,
-            args,
-            nargs,
-            armed: true,
-            _not_send: std::marker::PhantomData,
-        }
-    }
 }
 
 impl Drop for Span {
@@ -325,29 +289,29 @@ impl Drop for Span {
     }
 }
 
-/// Open a span; it closes (and records) when the returned guard drops.
+/// Open a span; it closes (and records) when the returned guard drops.  At
+/// most the first two of `args` are recorded.
 #[inline]
-pub fn span(cat: &'static str, name: &'static str) -> Span {
-    Span::open(cat, name, [("", 0); 2], 0)
-}
-
-/// [`span`] with one named integer argument (shown in the timeline UI).
-#[inline]
-pub fn span1(cat: &'static str, name: &'static str, key: &'static str, value: u64) -> Span {
-    Span::open(cat, name, [(key, value), ("", 0)], 1)
-}
-
-/// [`span`] with two named integer arguments.
-#[inline]
-pub fn span2(
-    cat: &'static str,
-    name: &'static str,
-    k0: &'static str,
-    v0: u64,
-    k1: &'static str,
-    v1: u64,
-) -> Span {
-    Span::open(cat, name, [(k0, v0), (k1, v1)], 2)
+pub fn span(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) -> Span {
+    let armed = enabled();
+    let (args, nargs) = pack(args);
+    let t0 = if armed {
+        with_buf(|buf| {
+            buf.depth.fetch_add(1, Ordering::Relaxed);
+        });
+        now_ns()
+    } else {
+        0
+    };
+    Span {
+        t0,
+        cat,
+        name,
+        args,
+        nargs,
+        armed,
+        _not_send: std::marker::PhantomData,
+    }
 }
 
 /// Record an already-closed span from an explicit start timestamp (taken
@@ -355,19 +319,17 @@ pub fn span2(
 /// chunks a pool lane claimed) are only known at close; does not touch the
 /// open-span depth counter.
 #[inline]
-pub fn complete_span2(
+pub fn complete_span(
     cat: &'static str,
     name: &'static str,
     start_ns: u64,
-    k0: &'static str,
-    v0: u64,
-    k1: &'static str,
-    v1: u64,
+    args: &[(&'static str, u64)],
 ) {
     if !enabled() {
         return;
     }
     let dur_ns = now_ns().saturating_sub(start_ns);
+    let (args, nargs) = pack(args);
     with_buf(|buf| {
         let mut inner = buf.inner.lock().expect("trace buffer poisoned");
         inner.record_span(
@@ -376,37 +338,8 @@ pub fn complete_span2(
                 ts_ns: start_ns,
                 cat,
                 name,
-                args: [(k0, v0), (k1, v1)],
-                nargs: 2,
-            },
-            dur_ns,
-        );
-    });
-}
-
-/// One-argument variant of [`complete_span2`].
-#[inline]
-pub fn complete_span1(
-    cat: &'static str,
-    name: &'static str,
-    start_ns: u64,
-    key: &'static str,
-    value: u64,
-) {
-    if !enabled() {
-        return;
-    }
-    let dur_ns = now_ns().saturating_sub(start_ns);
-    with_buf(|buf| {
-        let mut inner = buf.inner.lock().expect("trace buffer poisoned");
-        inner.record_span(
-            Event {
-                kind: EventKind::Span { dur_ns },
-                ts_ns: start_ns,
-                cat,
-                name,
-                args: [(key, value), ("", 0)],
-                nargs: 1,
+                args,
+                nargs,
             },
             dur_ns,
         );
@@ -435,18 +368,12 @@ pub fn counter(cat: &'static str, name: &'static str, value: f64) {
 
 /// Record a point-in-time marker with up to two named integer arguments.
 #[inline]
-pub fn instant2(
-    cat: &'static str,
-    name: &'static str,
-    k0: &'static str,
-    v0: u64,
-    k1: &'static str,
-    v1: u64,
-) {
+pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
     if !enabled() {
         return;
     }
     let ts_ns = now_ns();
+    let (args, nargs) = pack(args);
     with_buf(|buf| {
         let mut inner = buf.inner.lock().expect("trace buffer poisoned");
         inner.push(Event {
@@ -454,28 +381,8 @@ pub fn instant2(
             ts_ns,
             cat,
             name,
-            args: [(k0, v0), (k1, v1)],
-            nargs: 2,
-        });
-    });
-}
-
-/// Record a point-in-time marker.
-#[inline]
-pub fn instant(cat: &'static str, name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let ts_ns = now_ns();
-    with_buf(|buf| {
-        let mut inner = buf.inner.lock().expect("trace buffer poisoned");
-        inner.push(Event {
-            kind: EventKind::Instant,
-            ts_ns,
-            cat,
-            name,
-            args: [("", 0); 2],
-            nargs: 0,
+            args,
+            nargs,
         });
     });
 }
@@ -487,9 +394,6 @@ pub fn instant(cat: &'static str, name: &'static str) {
 /// synchronization time.  Returns 0 while disabled (the accumulator simply
 /// stops growing).
 pub fn thread_category_ns(cat: &str) -> u64 {
-    if compiled_out() {
-        return 0;
-    }
     with_buf(|buf| {
         let inner = buf.inner.lock().expect("trace buffer poisoned");
         inner
@@ -587,7 +491,7 @@ pub fn collect() -> Trace {
     Trace { threads }
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -597,20 +501,6 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[cfg(test)]
-mod off_tests {
-    #[test]
-    fn compiled_out_matches_feature() {
-        assert_eq!(super::compiled_out(), cfg!(feature = "off"));
-        #[cfg(feature = "off")]
-        {
-            super::set_enabled(true);
-            assert!(!super::enabled());
-            super::set_enabled(false);
-        }
-    }
-}
-
-#[cfg(all(test, not(feature = "off")))]
 mod tests {
     use super::*;
 
@@ -624,10 +514,10 @@ mod tests {
         let _guard = test_lock();
         reset();
         {
-            let _s = span("t", "noop");
+            let _s = span("t", "noop", &[]);
         }
         counter("t", "c", 1.0);
-        instant("t", "i");
+        instant("t", "i", &[]);
         assert_eq!(stats(), TraceStats::default());
     }
 
@@ -637,9 +527,9 @@ mod tests {
         reset();
         set_enabled(true);
         {
-            let _outer = span("t", "outer");
+            let _outer = span("t", "outer", &[("a", 1), ("b", 2), ("c", 3)]);
             assert_eq!(stats().open_spans, 1);
-            let _inner = span1("t", "inner", "k", 7);
+            let _inner = span("t", "inner", &[("k", 7)]);
             assert_eq!(stats().open_spans, 2);
         }
         set_enabled(false);
@@ -652,6 +542,8 @@ mod tests {
         assert_eq!(me[0].name, "inner");
         assert_eq!(me[0].args[0], ("k", 7));
         assert_eq!(me[1].name, "outer");
+        // A third argument is not recorded.
+        assert_eq!((me[1].args, me[1].nargs), ([("a", 1), ("b", 2)], 2));
         match (me[0].kind, me[1].kind) {
             (EventKind::Span { dur_ns: d0 }, EventKind::Span { dur_ns: d1 }) => {
                 // Outer contains inner.
@@ -671,7 +563,7 @@ mod tests {
         clear();
         set_enabled(true);
         for _ in 0..100 {
-            let _s = span("wrap", "tick");
+            let _s = span("wrap", "tick", &[]);
         }
         set_enabled(false);
         let st = stats();
@@ -697,7 +589,7 @@ mod tests {
         set_enabled(true);
         let before = thread_category_ns("cat-a");
         {
-            let _s = span("cat-a", "sleepy");
+            let _s = span("cat-a", "sleepy", &[]);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let after = thread_category_ns("cat-a");
@@ -712,8 +604,8 @@ mod tests {
         set_enabled(true);
         counter("c", "queue", 3.0);
         counter("c", "queue", 5.0);
-        instant("c", "mark");
-        instant2("c", "mark2", "peer", 1, "words", 64);
+        instant("c", "mark", &[]);
+        instant("c", "mark2", &[("peer", 1), ("words", 64)]);
         set_enabled(false);
         let trace = collect();
         let samples: Vec<_> = trace
@@ -749,7 +641,7 @@ mod tests {
             for r in 0..3u64 {
                 scope.spawn(move || {
                     set_thread_label(&format!("worker {r}"));
-                    let _s = span1("mt", "lane", "lane", r);
+                    let _s = span("mt", "lane", &[("lane", r)]);
                 });
             }
         });

@@ -59,7 +59,7 @@ impl Trace {
     }
 }
 
-#[cfg(all(test, not(feature = "off")))]
+#[cfg(test)]
 mod tests {
     use crate::{clear, collect, set_enabled, span, test_lock};
 
@@ -73,13 +73,13 @@ mod tests {
             for _ in 0..2 {
                 scope.spawn(|| {
                     for _ in 0..5 {
-                        let _s = span("merge", "work");
+                        let _s = span("merge", "work", &[]);
                     }
                 });
             }
         });
         {
-            let _s = span("merge", "work");
+            let _s = span("merge", "work", &[]);
         }
         set_enabled(false);
         let trace = collect();

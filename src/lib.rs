@@ -20,6 +20,8 @@
 //! See the `examples/` directory for runnable entry points and the `bench`
 //! crate for the per-table/figure experiment harness.
 
+#![forbid(unsafe_code)]
+
 pub use blockortho;
 pub use dense;
 pub use distsim;

@@ -102,10 +102,7 @@ fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
         OrthoKind::RandCholQr,
         OrthoKind::TwoStageSketched { big_panel: 10 },
     ] {
-        for basis in [
-            BasisStrategy::Monomial,
-            BasisStrategy::Adaptive(Default::default()),
-        ] {
+        for basis in [BasisStrategy::Monomial, BasisStrategy::adaptive()] {
             let tag = format!("{ortho:?}/{basis:?}");
             let config = GmresConfig {
                 restart: 30,
@@ -139,7 +136,7 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
         step_size: 6,
         tol: 1e-9,
         ortho: OrthoKind::TwoStage { big_panel: 12 },
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         guards: GuardPolicy {
             gram_screen: true,
             agreement: true,

@@ -190,7 +190,7 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
         SolverOrthoKind::TwoStage { big_panel: 32 },
     ] {
         let mut fixed_converged = false;
-        for policy in [StepPolicy::Fixed, StepPolicy::auto()] {
+        for policy in [StepPolicy::Fixed, StepPolicy::Auto] {
             let solver = SStepGmres::new(GmresConfig {
                 restart: 32,
                 step_size: 12,
@@ -230,7 +230,7 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
             // so the step-shrink count is only pinned when Fixed actually
             // failed; convergence is pinned unconditionally.
             if matches!(scheme, SolverOrthoKind::TwoStage { .. })
-                && matches!(policy, StepPolicy::Auto(_))
+                && matches!(policy, StepPolicy::Auto)
             {
                 assert!(r.converged, "Auto + two-stage must rescue: {r:?}");
                 if !fixed_converged {
@@ -262,7 +262,7 @@ fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
             max_iters: 20_000,
             ortho,
             basis: BasisStrategy::Monomial,
-            step_policy: StepPolicy::auto(),
+            step_policy: StepPolicy::Auto,
             ..GmresConfig::default()
         });
         solver.solve_serial(&a, &b)
@@ -326,7 +326,7 @@ fn step_size_equal_to_restart_edge_works_under_both_policies() {
         .solve_serial(&a, &b)
     };
     let (x_fixed, r_fixed) = run(StepPolicy::Fixed);
-    let (x_auto, r_auto) = run(StepPolicy::auto());
+    let (x_auto, r_auto) = run(StepPolicy::Auto);
     assert!(r_fixed.converged, "{r_fixed:?}");
     assert!(r_auto.converged, "{r_auto:?}");
     assert!(r_fixed.steps().iter().all(|&s| s == 6));
@@ -386,7 +386,7 @@ fn auto_config(restart: usize, s: usize) -> GmresConfig {
         // decisions pinned here are the rescue decisions, not luck.
         ortho: SolverOrthoKind::TwoStage { big_panel: 8 },
         basis: BasisStrategy::Monomial,
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         ..GmresConfig::default()
     }
 }

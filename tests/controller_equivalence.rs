@@ -24,8 +24,7 @@ mod common;
 use common::rhs_ones;
 use sparse::{elasticity3d, laplace2d_9pt};
 use ssgmres::{
-    AutoStep, BasisStrategy, CycleVerdict, GmresConfig, OrthoKind, SStepGmres, SolveResult,
-    StepPolicy,
+    BasisStrategy, CycleVerdict, GmresConfig, OrthoKind, SStepGmres, SolveResult, StepPolicy,
 };
 
 fn max_err(x: &[f64]) -> f64 {
@@ -105,7 +104,7 @@ fn auto_with_all_healthy_signals_is_bitwise_identical_to_fixed() {
         .solve_serial(&a, &b)
     };
     let (x_fixed, r_fixed) = run(StepPolicy::Fixed);
-    let (x_auto, r_auto) = run(StepPolicy::auto());
+    let (x_auto, r_auto) = run(StepPolicy::Auto);
     assert!(r_fixed.converged && r_auto.converged);
     assert!(
         r_auto
@@ -153,7 +152,7 @@ fn auto_reduce_counts_equal_fixed_under_an_equal_step_budget() {
         .1
     };
     let fixed = run(StepPolicy::Fixed);
-    let auto = run(StepPolicy::auto());
+    let auto = run(StepPolicy::Auto);
     assert_eq!(fixed.steps(), auto.steps(), "realized steps");
     assert_eq!(fixed.iterations, auto.iterations);
     assert_eq!(
@@ -184,7 +183,7 @@ fn auto_rescues_elasticity3d_at_requested_s10_with_no_manual_oracle() {
     );
     // Auto: same configuration, one flag flipped, no oracle anywhere.
     let (x, auto) = SStepGmres::new(GmresConfig {
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         ..config
     })
     .solve_serial(&a, &b);
@@ -226,7 +225,7 @@ fn auto_rescue_replays_bitwise_through_scheduled_steps_and_shifts() {
         tol: 1e-8,
         ortho: OrthoKind::TwoStage { big_panel: 32 },
         basis: BasisStrategy::Monomial,
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         ..GmresConfig::default()
     };
     let (x_auto, r_auto) = SStepGmres::new(config.clone()).solve_serial(&a, &b);
@@ -267,7 +266,7 @@ fn auto_probes_back_up_to_the_requested_step_after_clean_cycles() {
         max_iters: 50_000,
         ortho: OrthoKind::TwoStage { big_panel: 16 },
         basis: BasisStrategy::Monomial,
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         ..GmresConfig::default()
     })
     .solve_serial(&a, &b)
@@ -314,7 +313,7 @@ fn auto_at_step_one_degenerates_to_safe_standard_gmres_panels() {
         .solve_serial(&a, &b)
     };
     let (x_fixed, r_fixed) = run(StepPolicy::Fixed);
-    let (x_auto, r_auto) = run(StepPolicy::auto());
+    let (x_auto, r_auto) = run(StepPolicy::Auto);
     assert!(r_fixed.converged && r_auto.converged);
     assert_eq!(r_auto.rescues, 0);
     assert_bitwise_equal("s=1 auto vs fixed", &x_fixed, &r_fixed, &x_auto, &r_auto);
@@ -334,37 +333,11 @@ fn auto_composes_with_the_adaptive_basis_strategy() {
         tol: 1e-8,
         ortho: OrthoKind::TwoStage { big_panel: 32 },
         basis: BasisStrategy::adaptive(),
-        step_policy: StepPolicy::auto(),
+        step_policy: StepPolicy::Auto,
         ..GmresConfig::default()
     })
     .solve_serial(&a, &b);
     assert!(r.converged, "{r:?}");
     assert!(max_err(&x) < 1e-5);
     assert!(r.rescues >= 1);
-}
-
-#[test]
-fn custom_auto_knobs_are_honored() {
-    // A floor above 1 stops the shrink cascade early.
-    let a = elasticity3d(5, 5, 5);
-    let b = rhs_ones(&a);
-    let r = SStepGmres::new(GmresConfig {
-        restart: 16,
-        step_size: 10,
-        tol: 1e-8,
-        ortho: OrthoKind::TwoStage { big_panel: 16 },
-        basis: BasisStrategy::Monomial,
-        step_policy: StepPolicy::Auto(AutoStep {
-            min_step: 4,
-            ..AutoStep::default()
-        }),
-        ..GmresConfig::default()
-    })
-    .solve_serial(&a, &b)
-    .1;
-    assert!(
-        r.steps().iter().all(|&s| s >= 4),
-        "min_step floor violated: {:?}",
-        r.steps()
-    );
 }

@@ -357,10 +357,7 @@ fn warmup_shift_oracle_rescues_step_sizes_the_monomial_basis_cannot_run() {
         tol: 1e-30,
         max_restarts: 1,
         ortho: OrthoKind::TwoStage { big_panel: 24 },
-        basis: BasisStrategy::Adaptive(ssgmres::AdaptiveBasis {
-            max_shifts: s,
-            ..ssgmres::AdaptiveBasis::default()
-        }),
+        basis: BasisStrategy::Adaptive { max_shifts: s },
         ..GmresConfig::default()
     })
     .solve_serial(&a, &b)

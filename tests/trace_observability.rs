@@ -49,7 +49,7 @@ fn toggling_tracing_keeps_serial_solves_bitwise_identical() {
         "sync attribution must be exactly 0 with tracing disabled"
     );
 
-    trace::set_enabled(!trace::compiled_out());
+    trace::set_enabled(true);
     let (x_on, r_on) = solver.solve_serial(&a, &b);
     trace::set_enabled(false);
     assert_identical("disabled vs enabled", &x_off, &r_off, &x_on, &r_on);
@@ -82,7 +82,7 @@ fn toggling_tracing_keeps_distributed_solves_bitwise_identical() {
 
     trace::set_enabled(false);
     let off = run();
-    trace::set_enabled(!trace::compiled_out());
+    trace::set_enabled(true);
     let on = run();
     trace::set_enabled(false);
 
@@ -107,9 +107,6 @@ fn toggling_tracing_keeps_distributed_solves_bitwise_identical() {
 
 #[test]
 fn spans_balance_across_thread_and_rank_sweeps() {
-    if trace::compiled_out() {
-        return;
-    }
     let _guard = thread_lock();
     let a = laplace2d_9pt(14, 14);
     let b = rhs_ones(&a);
@@ -156,9 +153,6 @@ fn spans_balance_across_thread_and_rank_sweeps() {
 
 #[test]
 fn chrome_timeline_validates_and_has_one_lane_per_rank() {
-    if trace::compiled_out() {
-        return;
-    }
     let _guard = thread_lock();
     let (nx, ny) = (12, 12);
     let rows = Laplace2d9ptRows { nx, ny };
@@ -205,7 +199,7 @@ fn cycle_timings_partition_every_cycle() {
     let _guard = thread_lock();
     let a = laplace2d_9pt(16, 16);
     let b = rhs_ones(&a);
-    trace::set_enabled(!trace::compiled_out());
+    trace::set_enabled(true);
     let (_, result) = SStepGmres::new(config()).solve_serial(&a, &b);
     trace::set_enabled(false);
     assert!(result.converged);
@@ -254,9 +248,6 @@ fn sync_time_is_zero_untraced_and_attributed_per_rank_when_traced() {
             r.cycle_timings.iter().all(|t| t.sync_ns == 0),
             "rank {rank}: no comm span closes untraced, so no cycle may own sync time"
         );
-    }
-    if trace::compiled_out() {
-        return;
     }
     trace::set_enabled(true);
     let traced = run();
