@@ -50,15 +50,35 @@
 //! versus a solve that never carried the deflated column from that cycle
 //! on (pinned by `tests/deflation_properties.rs`).
 //!
-//! **Early flush.**  A `k·s`-wide monomial panel grows much faster than an
-//! `s`-wide one, and the two-stage scheme's first stage projects it
-//! against columns that are only pre-processed.  For cycles that start
-//! from a block of more than one vector, [`blockortho::TwoStage`] therefore
+//! **Convergence check.**  After every panel the engine estimates each
+//! active column's residual from the projected problem over all accepted
+//! columns.  On final columns (every one-stage scheme, and a two-stage
+//! cycle right after a flush) the estimate is the check: the cycle ends
+//! when every column meets its target.  With a two-stage big panel pending
+//! — all of the cycle at `bs = m` — the Hessenberg block is recovered from
+//! the first-stage `R` in stored-basis coordinates (see
+//! [`crate::hessenberg`]).  That basis is well conditioned but not
+//! orthonormal (Carson & Ma, arXiv 2409.03079, tie the accuracy of s-step
+//! GMRES to the conditioning of the basis it is recovered from), so the
+//! estimate only *triggers*: when every estimate, carried one more panel
+//! at the rate of the last one (`est · min(1, est / est_prev)`, the rate
+//! measured since the last check on final columns), meets its target, the
+//! engine completes the big panel now through
+//! [`BlockOrthogonalizer::finish`] and the check on the final columns that
+//! follows decides.  The flush runs in the [`Phase::Ortho`] bracket and
+//! marks a `converge_flush` trace instant.  Away from convergence the
+//! trigger does not fire and a cycle keeps its one flush; near it the
+//! two-stage scheme stops where a one-stage scheme would, instead of
+//! running to the end of the big panel.  Everything it reads is
+//! replicated, so every rank takes the same decision.
+//!
+//! **Early flush.**  A monomial panel grows fast — a `k·s`-wide one
+//! fastest — and the two-stage scheme's first stage projects it against
+//! columns that are only pre-processed.  [`blockortho::TwoStage`] therefore
 //! answers a refused first-stage panel by completing the second stage on
 //! the pending big panel and taking the panel again, instead of ending
 //! the cycle on a breakdown that rounding — and with it the rank count —
-//! decides.  Single-vector cycles go from the refusal to the shifted
-//! remedy.
+//! decides.
 //!
 //! Scope notes for wide blocks (`k > 1`): adaptive Ritz harvesting
 //! operates only once the active block has narrowed to one column (the
@@ -227,9 +247,25 @@ struct Cycle {
     hess: HessenbergRecovery,
     /// Basis columns filled and accepted by the orthogonalizer.
     cols: usize,
+    /// The last stage-1 residual estimate of each active column, which sets
+    /// the rate the next one is carried forward at; `None` before the first
+    /// and after every check on final columns.
+    estimates: Option<Vec<f64>>,
     breakdown: Option<String>,
     /// Guard counters when the cycle began (all zero when guards are off).
     fault_base: GuardCounts,
+}
+
+/// What the convergence check after a panel concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// The estimate on final columns meets every active target.
+    Converged,
+    /// The stage-1 estimate will meet them within a panel: complete the
+    /// pending big panel now and check again on final columns.
+    Flush,
+    /// Keep extending the basis.
+    Continue,
 }
 
 impl Cycle {
@@ -337,6 +373,9 @@ impl<'a> Solve<'a> {
                 break 'outer;
             }
             let total = ka * (config.restart + 1);
+            // Cleared when a flush the convergence check asked for broke
+            // down: the cycle then ends on what was final before it.
+            let mut finish_pending = true;
             while cy.cols < total && self.report.iterations < config.max_iters {
                 let sb = cy.step.min((total - cy.cols) / ka); // block steps this panel
                 self.mpk_panel(&mut cy, sb);
@@ -349,11 +388,19 @@ impl<'a> Solve<'a> {
                 }
                 self.consecutive_breakdowns = 0;
                 // An estimate only: the true residuals below re-verify it.
-                if self.hessenberg_check(&mut cy) {
+                let mut check = self.hessenberg_check(&mut cy);
+                if check == Check::Flush {
+                    finish_pending = self.converge_flush(&mut cy);
+                    if !finish_pending {
+                        break;
+                    }
+                    check = self.hessenberg_check(&mut cy);
+                }
+                if check == Check::Converged {
                     break;
                 }
             }
-            let k_use = self.ortho_finish(&mut cy);
+            let k_use = self.ortho_finish(&mut cy, finish_pending);
             if k_use == 0 {
                 if self.abandon_cycle(cy) {
                     break 'outer;
@@ -537,6 +584,7 @@ impl<'a> Solve<'a> {
             ortho: make_orthogonalizer(config.ortho.for_block_width(ka), total),
             hess: HessenbergRecovery::with_block_width(total, ka),
             cols: 0,
+            estimates: None,
             breakdown: None,
         };
         self.phase(&mut cy, Phase::Other, &[], |s, _| {
@@ -558,13 +606,14 @@ impl<'a> Solve<'a> {
         let ka = cy.ka;
         let span_args = [("start", cy.cols as u64), ("k", (sb * ka) as u64)];
         self.phase(cy, Phase::Mpk, &span_args, |s, cy| {
+            let finalized = cy.finalized();
             for t in 0..sb {
                 for q in 0..ka {
                     let input = cy.cols - ka + t * ka + q;
                     if t == 0 {
                         // The panel-start block had already been handed to
                         // the orthogonalizer.
-                        cy.hess.mark_submitted_input(input);
+                        cy.hess.mark_submitted_input(input, finalized);
                     }
                     // The product lands in its basis column.
                     let (done, mut rest) = s.basis.local_mut().split_at_col(input + ka);
@@ -599,26 +648,58 @@ impl<'a> Solve<'a> {
         })
     }
 
-    /// Convergence estimate on the finalized prefix: whether every active
-    /// column's projected residual already meets its target.
-    fn hessenberg_check(&mut self, cy: &mut Cycle) -> bool {
-        let finalized = cy.finalized();
-        self.phase(cy, Phase::Hess, &[("cols", finalized as u64)], |s, cy| {
-            if finalized < 2 * cy.ka {
-                return false;
+    /// Convergence estimate over every accepted column.  On final columns
+    /// it is the verdict: whether every active column's projected residual
+    /// meets its target.  With columns still pending it is a stage-1
+    /// estimate and only a trigger: [`Check::Flush`] when every estimate,
+    /// carried one more panel at the rate of the last one, meets its target.
+    fn hessenberg_check(&mut self, cy: &mut Cycle) -> Check {
+        let (cols, ka) = (cy.cols, cy.ka);
+        self.phase(cy, Phase::Hess, &[("cols", cols as u64)], |s, cy| {
+            if cols < 2 * ka {
+                return Check::Continue;
             }
-            let (_, estimates) = s.projected_solve(cy, finalized - cy.ka);
-            (s.active.iter().zip(estimates)).all(|(&j, est)| est <= s.targets[j])
+            let (_, estimates) = s.projected_solve(cy, cols - ka);
+            let targets = s.active.iter().map(|&j| s.targets[j]);
+            let final_cols = cy.finalized() == cols;
+            let met = if final_cols {
+                // A new stored basis starts behind these columns, and with
+                // it a new rate.
+                cy.estimates = None;
+                targets.zip(&estimates).all(|(target, &est)| est <= target)
+            } else {
+                let last = cy.estimates.as_deref().unwrap_or(&estimates);
+                let met = (targets.zip(&estimates).zip(last))
+                    .all(|((target, &est), &before)| est * (est / before).min(1.0) <= target);
+                cy.estimates = Some(estimates);
+                met
+            };
+            match (met, final_cols) {
+                (false, _) => Check::Continue,
+                (true, true) => Check::Converged,
+                (true, false) => Check::Flush,
+            }
         })
     }
 
-    /// Complete delayed orthogonalization.  Returns the number of usable
-    /// MPK inputs (`0` = nothing to update the solution from).
-    fn ortho_finish(&mut self, cy: &mut Cycle) -> usize {
+    /// The flush a [`Check::Flush`] asks for: complete the pending big panel
+    /// now, so that the check on final columns can decide.  Returns whether
+    /// it succeeded.
+    fn converge_flush(&mut self, cy: &mut Cycle) -> bool {
+        let pending = (cy.cols - cy.finalized()) as u64;
+        self.phase(cy, Phase::Ortho, &[("cols", pending)], |s, cy| {
+            trace::instant("solver", "converge_flush", &[("cols", pending)]);
+            s.complete_ortho(cy)
+        })
+    }
+
+    /// Complete delayed orthogonalization (unless a flush of this cycle
+    /// already broke down: `flush` false).  Returns the number of usable MPK
+    /// inputs (`0` = nothing to update the solution from).
+    fn ortho_finish(&mut self, cy: &mut Cycle, flush: bool) -> usize {
         self.phase(cy, Phase::Ortho, &[], |s, cy| {
-            if let Err(e) = cy.ortho.finish(&mut s.basis, &mut s.r_factor) {
-                s.note_breakdown(cy, format!("finish: {e}"));
-                s.consecutive_breakdowns += 1;
+            if flush {
+                s.complete_ortho(cy);
             }
         });
         self.report.ortho_fallbacks += cy.ortho.fallback_count();
@@ -778,6 +859,17 @@ impl<'a> Solve<'a> {
         cy.breakdown = Some(msg);
     }
 
+    /// Run the orthogonalizer's delayed work on everything pending; a
+    /// failure is the cycle's breakdown.  Returns whether it succeeded.
+    fn complete_ortho(&mut self, cy: &mut Cycle) -> bool {
+        let done = cy.ortho.finish(&mut self.basis, &mut self.r_factor);
+        if let Err(e) = &done {
+            self.note_breakdown(cy, format!("finish: {e}"));
+            self.consecutive_breakdowns += 1;
+        }
+        done.is_ok()
+    }
+
     /// Record a late-cycle breakdown unless one is already on record.
     fn note_breakdown(&mut self, cy: &mut Cycle, msg: String) {
         self.report.breakdown.get_or_insert_with(|| msg.clone());
@@ -789,6 +881,8 @@ impl<'a> Solve<'a> {
     /// column keeps the Givens solve against `β·e₁`; wider blocks take the
     /// banded QR with the residual block's R-factor coordinates.
     fn projected_solve(&self, cy: &mut Cycle, k: usize) -> (Matrix, Vec<f64>) {
+        let finalized = cy.finalized();
+        cy.hess.rewind(finalized);
         cy.hess.recover_upto(
             k,
             &self.r_factor,

@@ -14,13 +14,29 @@
 //!
 //! * `u_c` was the raw Krylov vector stored in column `c` → `t_c = R[:, c]`;
 //! * `u_c` was the column `c` *after* it had been handed to the
-//!   orthogonalizer (a panel-start column) → `t_c` is the orthogonalizer's
-//!   stored-basis coefficient column (identity for one-stage schemes, the
-//!   second-stage `T` factor for the two-stage scheme).
+//!   orthogonalizer (a panel-start column) while it was still pending → `t_c`
+//!   is the orthogonalizer's stored-basis coefficient column (identity for
+//!   one-stage schemes, the second-stage `T` factor for the two-stage scheme
+//!   once its big panel is flushed);
+//! * `u_c` was handed to the orthogonalizer and was already *final* when
+//!   the kernel read it (a two-stage big panel flushed before the next panel
+//!   started from its last column) → `u_c = Q_c`, so `t_c = e_c` whatever
+//!   the flush wrote into the coefficient column.
 //!
 //! From `A·u_c = w_{c+1} + θ_c·u_c` and `W = Q·R` it follows that
 //! `H·t_c = R[:, c+1] + θ_c·t_c`, and since `t_c` is upper triangular with a
 //! nonzero diagonal this determines the Hessenberg columns one at a time.
+//!
+//! **Stored-basis coordinates.**  The same recurrence holds for the columns
+//! a delayed scheme has only pre-processed, with `Q` read as the *stored*
+//! basis (final columns, then the pending pre-processed ones), `R` as the
+//! first-stage factor and the coefficient column of a pending input as
+//! `e_c` — which is what a two-stage scheme reports before its flush.  That
+//! basis is well conditioned but not orthonormal, so a least-squares
+//! residual over it is an estimate.  A flush rewrites `R` and the
+//! coefficients of exactly the columns it finalizes; [`HessenbergRecovery`]
+//! forgets the columns that read them and recovers them again in the final
+//! basis, and no others.
 //!
 //! **Block generalization.**  With a block right-hand side of `kb` columns
 //! the matrix-powers kernel maps input column `c` to output column `c + kb`
@@ -33,6 +49,16 @@
 use crate::basis::KrylovBasis;
 use dense::Matrix;
 
+// What basis column `c` held when the matrix-powers kernel read it as an
+// input, which decides its representation `t_c` (see the module docs).
+/// The raw Krylov vector: `t_c = R[:, c]`.
+const RAW: u8 = 0;
+/// Handed to the orthogonalizer, not yet final: `t_c` is the stored-basis
+/// coefficient column.
+const PENDING: u8 = 1;
+/// Handed to the orthogonalizer and already final: `t_c = e_c`.
+const FINAL: u8 = 2;
+
 /// Incremental Hessenberg recovery for one restart cycle.
 #[derive(Debug)]
 pub struct HessenbergRecovery {
@@ -41,9 +67,17 @@ pub struct HessenbergRecovery {
     h: Matrix,
     /// Number of columns of `h` recovered so far.
     recovered: usize,
-    /// Whether basis column `c` had already been handed to the
-    /// orthogonalizer when it was used as an MPK input.
-    submitted_before_mpk: Vec<bool>,
+    /// Number of leading basis columns that were final when `h` was last
+    /// recovered; the columns after them were read in stored-basis
+    /// coordinates.
+    finalized: usize,
+    /// What each basis column held when it was used as an MPK input
+    /// ([`RAW`], [`PENDING`] or [`FINAL`]).  Bytes with `RAW` = 0, so the
+    /// vector is allocated zeroed: the allocator places a zeroed block
+    /// elsewhere than a filled one, and on the `lap2d_k4` benchmark
+    /// workload that placement alone moves a whole one-stage solve by
+    /// 15 %.
+    inputs: Vec<u8>,
     /// Block width `kb` of the right-hand-side block (1 = single RHS).
     width: usize,
 }
@@ -63,7 +97,8 @@ impl HessenbergRecovery {
         Self {
             h: Matrix::zeros(total_cols, total_cols - width),
             recovered: 0,
-            submitted_before_mpk: vec![false; total_cols],
+            finalized: 0,
+            inputs: vec![RAW; total_cols],
             width,
         }
     }
@@ -75,9 +110,24 @@ impl HessenbergRecovery {
 
     /// Record that column `c` had already been submitted to the
     /// orthogonalizer when the matrix-powers kernel used it as a starting
-    /// vector (i.e. `c` is a panel-start input).
-    pub fn mark_submitted_input(&mut self, c: usize) {
-        self.submitted_before_mpk[c] = true;
+    /// vector (i.e. `c` is a panel-start input), at a time when the leading
+    /// `finalized` columns were final.
+    pub fn mark_submitted_input(&mut self, c: usize, finalized: usize) {
+        self.inputs[c] = if c < finalized { FINAL } else { PENDING };
+    }
+
+    /// Bring the recovery up to date with the orthogonalizer's boundary of
+    /// final columns: when it has moved, a flush rewrote the `R` entries and
+    /// coefficient columns of the columns it finalized, so every Hessenberg
+    /// column that read one — those from the old boundary minus the block
+    /// width on — is recovered again.  Columns before that stay as they are.
+    pub(crate) fn rewind(&mut self, finalized: usize) {
+        if finalized != self.finalized {
+            self.recovered = self
+                .recovered
+                .min(self.finalized.saturating_sub(self.width));
+            self.finalized = finalized;
+        }
     }
 
     /// Number of Hessenberg columns recovered so far.
@@ -92,9 +142,11 @@ impl HessenbergRecovery {
     }
 
     /// Recover Hessenberg columns up to (excluding) `upto`, given the current
-    /// (final for those columns) `R` factor, the orthogonalizer's stored
-    /// basis coefficients (`None` = identity), and the Krylov basis
-    /// (for its shifts).
+    /// `R` factor, the orthogonalizer's stored basis coefficients (`None` =
+    /// identity), and the Krylov basis (for its shifts).  Columns that read
+    /// entries not yet final come out in stored-basis coordinates; the
+    /// solver rewinds the recovery first whenever the final boundary may
+    /// have moved.
     ///
     /// Panics if a diagonal coefficient needed for the recurrence is zero —
     /// that can only happen after an orthogonalization breakdown, which the
@@ -110,21 +162,21 @@ impl HessenbergRecovery {
         let kb = self.width;
         while self.recovered < upto {
             let c = self.recovered;
-            // Representation of the MPK input u_c in the final basis.
+            // Representation of the MPK input u_c in the (stored) basis.
             let mut t = vec![0.0; c + 1];
-            if self.submitted_before_mpk[c] {
-                match coeffs {
-                    Some(cm) => {
-                        for (i, ti) in t.iter_mut().enumerate() {
-                            *ti = cm[(i, c)];
-                        }
+            match (self.inputs[c], coeffs) {
+                (RAW, _) => {
+                    for (i, ti) in t.iter_mut().enumerate() {
+                        *ti = r[(i, c)];
                     }
-                    None => t[c] = 1.0,
                 }
-            } else {
-                for (i, ti) in t.iter_mut().enumerate() {
-                    *ti = r[(i, c)];
+                (PENDING, Some(cm)) => {
+                    for (i, ti) in t.iter_mut().enumerate() {
+                        *ti = cm[(i, c)];
+                    }
                 }
+                // PENDING with identity coefficients, or FINAL.
+                _ => t[c] = 1.0,
             }
             // Shifts are per *block step*: input column c belongs to block
             // step c / kb (at kb = 1 this is c itself).
@@ -271,7 +323,7 @@ mod tests {
         }
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         for c in 0..m {
-            rec.mark_submitted_input(c);
+            rec.mark_submitted_input(c, 0);
         }
         rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
         for c in 0..m {
@@ -279,6 +331,44 @@ mod tests {
                 assert!((rec.matrix()[(i, c)] - r[(i, c + 1)]).abs() < 1e-15);
             }
         }
+    }
+
+    #[test]
+    fn inputs_final_before_use_ignore_the_flush_coefficients() {
+        // A column the kernel read after its big panel was flushed is Q_c
+        // itself: its representation is e_c, not the T column the flush
+        // wrote for the pre-processed vector it replaced.  Pending inputs
+        // read that column.
+        let m = 5;
+        let mut r = Matrix::zeros(m + 1, m + 1);
+        for j in 0..=m {
+            for i in 0..=j {
+                r[(i, j)] = 1.0 / (1.0 + (i + 2 * j) as f64);
+            }
+        }
+        let t = Matrix::from_fn(m + 1, m + 1, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => 0.25,
+            std::cmp::Ordering::Equal => 2.0,
+            std::cmp::Ordering::Greater => 0.0,
+        });
+        let recover = |finalized| {
+            let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
+            for c in 0..m {
+                rec.mark_submitted_input(c, finalized);
+            }
+            rec.recover_upto(m, &r, Some(&t), &KrylovBasis::Monomial);
+            rec
+        };
+        let identity = {
+            let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
+            for c in 0..m {
+                rec.mark_submitted_input(c, 0);
+            }
+            rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
+            rec
+        };
+        assert_eq!(recover(m + 1).matrix(), identity.matrix());
+        assert_ne!(recover(0).matrix(), identity.matrix());
     }
 
     #[test]
@@ -296,8 +386,8 @@ mod tests {
         let mut rec_mono = HessenbergRecovery::with_block_width(m + 1, 1);
         let mut rec_newton = HessenbergRecovery::with_block_width(m + 1, 1);
         for c in 0..m {
-            rec_mono.mark_submitted_input(c);
-            rec_newton.mark_submitted_input(c);
+            rec_mono.mark_submitted_input(c, 0);
+            rec_newton.mark_submitted_input(c, 0);
         }
         rec_mono.recover_upto(m, &r, None, &KrylovBasis::Monomial);
         rec_newton.recover_upto(
@@ -363,7 +453,7 @@ mod tests {
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         assert_eq!(rec.width(), 1);
         for c in [0, 3, 5] {
-            rec.mark_submitted_input(c);
+            rec.mark_submitted_input(c, 0);
         }
         rec.recover_upto(m, &r, None, &basis);
         // The block least-squares with the scalar convention's rhs (β·e₁)

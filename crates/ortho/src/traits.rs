@@ -96,16 +96,22 @@ pub trait BlockOrthogonalizer {
     ) -> Result<(), OrthoError>;
 
     /// Complete any delayed orthogonalization (no-op for one-stage schemes).
+    ///
+    /// It may run before the last panel: every column submitted so far is
+    /// then final, and later panels continue behind them as in a fresh
+    /// stretch of the same cycle.
     fn finish(&mut self, _basis: &mut DistMultiVector, _r: &mut Matrix) -> Result<(), OrthoError> {
         Ok(())
     }
 
-    /// For column `c` of the basis, the representation (in the *final*
-    /// orthonormal basis, valid after [`finish`](Self::finish)) of the
-    /// vector that was stored in column `c` at the time it was used as a
-    /// matrix-powers starting vector.  `None` means the stored column was
-    /// already final (identity coefficients) — true for every one-stage
-    /// scheme.
+    /// For column `c` of the basis, the representation of the vector column
+    /// `c` held while it was pending (submitted, not yet final): in the
+    /// *final* orthonormal basis once the column is final, the identity
+    /// column `e_c` — its stored-basis coordinates — before.  A column that
+    /// was already final when the matrix-powers kernel read it is `e_c`
+    /// whatever this holds; the caller records which columns those are.
+    /// `None` means identity coefficients throughout — true for every
+    /// one-stage scheme.
     fn stored_basis_coeffs(&self) -> Option<&Matrix> {
         None
     }

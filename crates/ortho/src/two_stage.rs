@@ -23,21 +23,24 @@
 //! With `bs = s` the scheme degenerates to one-stage BCGS-PIP2; with
 //! `bs = m` it reaches the paper's best configuration.
 //!
-//! **Early flush (block cycles).**  The first stage's Pythagorean Gram
+//! **Early flush (every block width).**  The first stage's Pythagorean Gram
 //! `VᵀV − PᵀP` is only as good as the orthonormality of the stored columns
 //! it projects against, and the pre-processed columns of the pending big
-//! panel lose a little of it with every panel.  A cycle that starts from a
-//! block of `k > 1` vectors (block GMRES) submits `k·s`-wide monomial
-//! panels whose growth amplifies that loss until the Gram matrix goes
-//! indefinite, although the panel itself is well inside the Cholesky
-//! bound; whether it does is then decided by how an all-reduce rounds.
-//! When the plain first stage refuses a panel of such a cycle and a big
-//! panel is pending, the scheme therefore runs the second stage on it
-//! *now* and takes the same raw panel again against the orthonormal
-//! columns, before it resorts to the shifted remedy: one extra reduce, and
-//! the cycle keeps its Krylov space.  Single-vector cycles (the first
-//! panel is one column) keep the behaviour their pinned iteration counts
-//! and breakdown scenarios were recorded with.
+//! panel lose a little of it with every panel.  Monomial panels — `k·s`
+//! wide in a block cycle, `s` wide late in a long single-vector big panel —
+//! amplify that loss until the Gram matrix goes indefinite, although the
+//! panel itself is well inside the Cholesky bound; whether it does is then
+//! decided by how an all-reduce rounds.  When the plain first stage refuses
+//! a panel and a big panel is pending, the scheme therefore runs the second
+//! stage on it *now* and takes the same raw panel again against the
+//! orthonormal columns, before it resorts to the shifted remedy: one extra
+//! reduce, and the cycle keeps its Krylov space.
+//!
+//! The second stage may also run before the last panel at the caller's
+//! request: [`finish`](BlockOrthogonalizer::finish) flushes whatever is
+//! pending, and later panels start a new big panel behind it (the solver
+//! does this when its stage-1 residual estimate says the cycle is about to
+//! converge).
 
 use crate::error::OrthoError;
 use crate::kernels::{bcgs_pip, shifted_remedy};
@@ -71,11 +74,9 @@ pub struct TwoStage {
     big_start: usize,
     /// End (exclusive) of the columns pre-processed so far.
     processed_end: usize,
-    /// Width of the cycle's first panel: the block of starting vectors.
-    start_width: usize,
-    /// Representation of each stored basis column in the final basis
-    /// (identity for columns of completed big panels; the stage-2 T factor
-    /// for columns that were pre-processed when used as MPK inputs).
+    /// Representation in the final basis of the vector each column held
+    /// while pending: the identity until the column's big panel is flushed,
+    /// then the stage-2 T factor.
     coeffs: Matrix,
     /// Shifted-CholQR fallbacks taken (either stage) since construction or
     /// the last reset, with the stage, panel, and shift magnitude of each.
@@ -97,7 +98,6 @@ impl TwoStage {
             total_cols,
             big_start: 0,
             processed_end: 0,
-            start_width: 0,
             coeffs: Matrix::identity(total_cols),
             events: Vec::new(),
             first_stage: FirstStage::Pip,
@@ -251,9 +251,6 @@ impl BlockOrthogonalizer for TwoStage {
         // back to the same shifted-CholQR remedy the second stage uses,
         // spending the extra reduces only on the offending panel.
         let prev = 0..new.start;
-        if new.start == 0 {
-            self.start_width = new.end;
-        }
         let stage1_span = trace::span(
             "ortho",
             "stage1_panel",
@@ -266,7 +263,6 @@ impl BlockOrthogonalizer for TwoStage {
             FirstStage::Pip => {
                 let mut plain = bcgs_pip(basis, prev.clone(), new.clone());
                 if matches!(plain, Err(OrthoError::CholeskyBreakdown { .. }))
-                    && self.start_width > 1
                     && self.big_start < new.start
                 {
                     // Early flush (see the module docs): the refused panel

@@ -253,14 +253,14 @@ fn auto_rescue_replays_bitwise_through_scheduled_steps_and_shifts() {
 fn auto_probes_back_up_to_the_requested_step_after_clean_cycles() {
     // With an unreachable tolerance the solve keeps cycling after the
     // rescue: two clean cycles at the reduced step must regrow the step
-    // (doubling per probe) until the requested s = 12 is reached again —
+    // (doubling per probe) until the requested s = 16 is reached again —
     // and the regrown cycle must complete on the harvested shifts instead
     // of breaking down like the monomial first cycle did.
     let a = elasticity3d(5, 5, 5);
     let b = rhs_ones(&a);
     let r = SStepGmres::new(GmresConfig {
         restart: 16,
-        step_size: 12,
+        step_size: 16,
         tol: 1e-30,
         max_restarts: 8,
         max_iters: 50_000,
@@ -277,8 +277,8 @@ fn auto_probes_back_up_to_the_requested_step_after_clean_cycles() {
         .iter()
         .enumerate()
         .skip(1)
-        .find(|&(i, &s)| s == 12 && steps[i - 1] < 12);
-    let (i, _) = regrown.unwrap_or_else(|| panic!("the step must probe back up to 12: {steps:?}"));
+        .find(|&(i, &s)| s == 16 && steps[i - 1] < 16);
+    let (i, _) = regrown.unwrap_or_else(|| panic!("the step must probe back up to 16: {steps:?}"));
     assert_ne!(
         r.health_history[i].verdict,
         CycleVerdict::Breakdown,
