@@ -1,21 +1,19 @@
-//! Fig. 13 — time-per-iteration breakdown of s-step GMRES with a local
-//! Gauss–Seidel preconditioner (block Jacobi with multicolor Gauss–Seidel in
-//! each block), 2D Laplace n = 2000², bs = m.
+//! Fig. 13 — time breakdown of s-step GMRES with a local Gauss–Seidel
+//! preconditioner (block Jacobi with multicolor Gauss–Seidel in each
+//! block), 2D Laplace (the paper's n = 2000²), bs = m.
 //!
-//! Part 1 verifies on a scaled-down problem that the multicolor
-//! Gauss–Seidel-preconditioned solver converges in fewer iterations for
-//! every orthogonalization variant; part 2 prints the modeled per-iteration
-//! breakdown (SpMV, preconditioner, orthogonalization) with the speedups
-//! over standard GMRES annotated as in the paper's figure.
+//! Real solves of a scaled-down problem on this host, with and without the
+//! preconditioner: iteration counts, and the measured MPK (SpMV plus
+//! preconditioner), ortho and total seconds of each preconditioned solve
+//! with its speedups over standard GMRES, as the paper's figure annotates.
 //!
-//! With `--matrix <path.mtx>` part 1 runs on that file instead of the
+//! With `--matrix <path.mtx>` the solves run on that file instead of the
 //! built-in stencil (streamed via `load_matrix_streamed`), and
 //! `--partition block|nnz` selects the row partition for the report line
 //! printed before the solves.
 
 use bench::cli;
-use bench::{print_table, scale, speedup, Scale};
-use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
+use bench::{print_table, scale, timed_solve, Scale, SolveSecs};
 use sparse::{laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{standard_gmres_config, GmresConfig, MulticolorGaussSeidel, OrthoKind, SStepGmres};
 
@@ -29,7 +27,6 @@ fn main() {
     let m = 60;
     let gs_sweeps = 2;
 
-    // --- Part 1: real solves with and without the preconditioner. ---
     // For the built-in problem the unpreconditioned solves stream the
     // operator from the stencil row source; the replicated matrix is kept
     // for the right-hand side and the (local-block) Gauss–Seidel
@@ -58,6 +55,7 @@ fn main() {
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
     let gs = MulticolorGaussSeidel::new(&a, gs_sweeps);
     let mut measured = Vec::new();
+    let mut baseline = None;
     let variants: [(&str, Option<OrthoKind>); 4] = [
         ("standard", None),
         ("s-step", Some(OrthoKind::Bcgs2CholQr2)),
@@ -84,66 +82,32 @@ fn main() {
             Some(rows) => solver.solve_serial(rows, &b),
             None => solver.solve_serial(&a, &b),
         };
-        let (_, precond) = solver.solve_serial_preconditioned(&a, &b, &gs);
-        measured.push(vec![
+        let (_, precond, secs) = timed_solve(|| solver.solve_serial_preconditioned(&a, &b, &gs));
+        let baseline = *baseline.get_or_insert(secs);
+        let mut row = vec![
             label.to_string(),
             format!("{}", plain.iterations),
             format!("{}", precond.iterations),
             format!("{}", gs.num_colors()),
-            if precond.converged {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
+            if precond.converged { "yes" } else { "NO" }.into(),
+        ];
+        row.extend(secs.cells(&baseline));
+        measured.push(row);
     }
+    let mut header = vec![
+        "variant",
+        "iters (no precond)",
+        "iters (GS precond)",
+        "colors",
+        "converged",
+    ];
+    header.extend(SolveSecs::HEADER);
     print_table(
-        &format!("Fig. 13 (part 1): measured solves, {name}, multicolor Gauss-Seidel ({gs_sweeps} sweeps)"),
-        &["variant", "iters (no precond)", "iters (GS precond)", "colors", "converged"],
+        &format!("Fig. 13: measured solves, {name}, multicolor Gauss-Seidel ({gs_sweeps} sweeps); times of the preconditioned solve"),
+        &header,
         &measured,
     );
 
-    // --- Part 2: modeled per-iteration breakdown at the paper's scale. ---
-    let machine = MachineModel::summit_node();
-    let nranks = 16 * machine.gpus_per_node;
-    let problem = ProblemSpec::laplace2d(2000, 9, nranks);
-    let schemes: [(&str, SchemeKind); 4] = [
-        ("standard", SchemeKind::StandardCgs2),
-        ("s-step", SchemeKind::Bcgs2CholQr2),
-        ("bcgs-pip2", SchemeKind::BcgsPip2),
-        ("two-stage", SchemeKind::TwoStage { bs: m }),
-    ];
-    let times: Vec<_> = schemes
-        .iter()
-        .map(|(_, scheme)| solver_time(*scheme, &problem, &machine, nranks, s, m, m, gs_sweeps))
-        .collect();
-    let baseline = &times[0];
-    let mut rows = Vec::new();
-    for ((label, _), t) in schemes.iter().zip(&times) {
-        let per_iter = 1.0e3 / m as f64;
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.3}", t.spmv * per_iter),
-            format!("{:.3}", t.precond * per_iter),
-            format!("{:.3}", t.ortho * per_iter),
-            format!("{:.3}", t.total() * per_iter),
-            speedup(baseline.ortho, t.ortho),
-            speedup(baseline.total(), t.total()),
-        ]);
-    }
-    print_table(
-        "Fig. 13 (part 2): modeled time per iteration (ms) with Gauss-Seidel preconditioning, 96 GPUs",
-        &[
-            "variant",
-            "SpMV (ms)",
-            "precond (ms)",
-            "Ortho (ms)",
-            "Total (ms)",
-            "ortho speedup",
-            "total speedup",
-        ],
-        &rows,
-    );
     println!(
         "\nExpected shape (paper Fig. 13): the preconditioner adds a scheme-independent cost per\n\
          iteration, so the orthogonalization speedups persist while the total-time speedups are\n\

@@ -1,5 +1,6 @@
 //! End-to-end observability profile: proves the tracing layer is free and
-//! joins what it measures against the analytic performance model.
+//! joins the orthogonalization traffic it measures against the `perfmodel`
+//! all-reduce schedule.
 //!
 //! ```sh
 //! cargo run -p bench --release --bin profile                    # full run
@@ -17,7 +18,7 @@
 //!    records one labelled lane per rank (allreduce waits, halo pack/send,
 //!    p2p receives), written as Chrome trace-event JSON for
 //!    <https://ui.perfetto.dev>.
-//! 3. **Model-vs-measured words** — the words the tracing run measures for
+//! 3. **Schedule-vs-measured words** — the words the tracing run measures for
 //!    one orthogonalization cycle must equal [`perfmodel::ortho_cycle_words`]
 //!    exactly (counts against [`perfmodel::ortho_reduce_count`]).
 //! 4. **Sync-vs-compute attribution** — every cycle's phase breakdown must
@@ -27,14 +28,12 @@
 //!
 //! Outputs: `BENCH_profile.json` (the traced solve's report — whole-solve
 //! scalars and one `cycles[]` row per restart cycle — beside the aggregated
-//! span table and the model join) and the timeline (`TRACE_profile.json`
+//! span table and the schedule join) and the timeline (`TRACE_profile.json`
 //! unless overridden with `--trace`).
 
 use blockortho::make_orthogonalizer;
 use distsim::{run_ranks, Communicator, DistCsr, SerialComm};
-use perfmodel::{
-    ortho_cycle_words, ortho_reduce_count, solver_time, MachineModel, ProblemSpec, SchemeKind,
-};
+use perfmodel::{ortho_cycle_words, ortho_reduce_count, SchemeKind};
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{CycleTiming, GmresConfig, Identity, OrthoKind, Phase, SStepGmres, SolveResult};
 use std::sync::Arc;
@@ -85,7 +84,6 @@ struct ModelJoin {
     measured_cycle_reduces: usize,
     predicted_cycle_reduces: usize,
     measured_solve_secs: f64,
-    modeled_solve_secs: f64,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -135,11 +133,6 @@ fn to_json(
             join.predicted_cycle_reduces,
         )
         .field("solve_secs_measured", join.measured_solve_secs)
-        .field("solve_secs_vortex_model", join.modeled_solve_secs)
-        .field(
-            "measured_over_model",
-            join.measured_solve_secs / join.modeled_solve_secs,
-        )
         .end_object()
         .end_object();
     w.finish()
@@ -221,8 +214,8 @@ fn main() {
     }
     assert_eq!(trace::stats().open_spans, 0, "rank spans must be balanced");
 
-    // --- Part 3: measured ortho words vs the analytic model. ---
-    eprintln!("part 3: one orthogonalization cycle vs perfmodel volumes ...");
+    // --- Part 3: measured ortho words vs the all-reduce schedule. ---
+    eprintln!("part 3: one orthogonalization cycle vs the perfmodel schedule ...");
     let scheme = SchemeKind::TwoStage { bs };
     let v = dense::Matrix::from_fn(300.max(3 * (m + 1)), m + 1, |i, j| {
         ((i * 7 + j * 3) % 13) as f64 * 0.2 + if i == j { 3.0 } else { 0.0 }
@@ -247,17 +240,6 @@ fn main() {
         measured_cycle_reduces: delta.allreduces,
         predicted_cycle_reduces: ortho_reduce_count(scheme, m, s),
         measured_solve_secs: secs_on,
-        modeled_solve_secs: solver_time(
-            scheme,
-            &ProblemSpec::laplace2d(nx, 9, 1),
-            &MachineModel::vortex_node(),
-            1,
-            s,
-            m,
-            r_on.iterations,
-            0,
-        )
-        .total(),
     };
     assert_eq!(
         join.measured_cycle_words, join.predicted_cycle_words,

@@ -1,46 +1,27 @@
-//! Table IV — time per iteration of the four solver variants for the 3D
-//! model problems and the SuiteSparse matrices, on 16 Summit nodes
-//! (96 GPUs).
+//! Table IV — solve times of the four solver variants for the 3D model
+//! problems and the SuiteSparse matrices (the paper ran it on 16 Summit
+//! nodes, 96 GPUs).
 //!
-//! Part 1 runs real (scaled-down) solves on the generated surrogates to
-//! verify convergence and compare iteration counts across variants; part 2
-//! prints the modeled per-iteration times at the paper's problem sizes with
-//! the speedup annotations of the paper's table.
+//! Real (scaled-down) solves of the generated surrogates on this host:
+//! iteration and reduce counts, convergence, and the measured MPK, ortho
+//! and total seconds of each variant with its speedups over standard GMRES
+//! on the same matrix.
 //!
 //! With `--matrix <path.mtx>` the whole surrogate set is replaced by the
-//! real operator from the file: part 1 solves it directly and part 2 models
-//! the per-iteration times from its actual size and density.
-//! `--partition block|nnz` selects the row split reported for the
-//! distributed runs.
+//! real operator from the file.  `--partition block|nnz` selects the row
+//! split reported for the distributed runs.
 
-use bench::{print_table, scale, speedup, Scale};
-use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
+use bench::{print_table, scale, timed_solve, Scale, SolveSecs};
 use sparse::{
     elasticity3d, laplace3d_7pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr,
     SUITE_SPARSE_SET,
 };
 use ssgmres::{standard_gmres_config, GmresConfig, OrthoKind, SStepGmres};
 
-struct Workload {
-    name: String,
-    description: &'static str,
-    n_paper: usize,
-    nnz_per_row: f64,
-    small: Csr,
-}
-
-fn workloads(args: &bench::cli::Args) -> Vec<Workload> {
-    // A real Matrix Market operator replaces the whole surrogate set: its
-    // actual size and density drive both the measured solves and the model.
-    if let Some((name, a)) = args.load_matrix() {
-        let nnz_per_row = a.nnz() as f64 / a.nrows().max(1) as f64;
-        return vec![Workload {
-            name,
-            description: "Matrix Market file",
-            n_paper: a.nrows(),
-            nnz_per_row,
-            small: a,
-        }];
+fn workloads(args: &bench::cli::Args) -> Vec<(String, Csr)> {
+    // A real Matrix Market operator replaces the whole surrogate set.
+    if let Some(loaded) = args.load_matrix() {
+        return vec![loaded];
     }
     let small_grid = match scale() {
         Scale::Paper => 40usize,
@@ -51,20 +32,14 @@ fn workloads(args: &bench::cli::Args) -> Vec<Workload> {
         Scale::Small => 4_000usize,
     };
     let mut out = vec![
-        Workload {
-            name: "Laplace3D".into(),
-            description: "Structured 3D model, SPD",
-            n_paper: 100usize.pow(3),
-            nnz_per_row: 6.9,
-            small: laplace3d_7pt(small_grid, small_grid, small_grid),
-        },
-        Workload {
-            name: "Elasticity3D".into(),
-            description: "Structured 3D model, SPD",
-            n_paper: 3 * 100usize.pow(3),
-            nnz_per_row: 5.7,
-            small: elasticity3d(small_grid / 2, small_grid / 2, small_grid / 2),
-        },
+        (
+            "Laplace3D".to_string(),
+            laplace3d_7pt(small_grid, small_grid, small_grid),
+        ),
+        (
+            "Elasticity3D".to_string(),
+            elasticity3d(small_grid / 2, small_grid / 2, small_grid / 2),
+        ),
     ];
     for name in [
         "atmosmodl",
@@ -76,13 +51,7 @@ fn workloads(args: &bench::cli::Args) -> Vec<Workload> {
         let spec = SUITE_SPARSE_SET.iter().find(|s| s.name == name).unwrap();
         let raw = suitesparse_surrogate(spec, Some(small_n), 5);
         let (scaled, _, _) = scale_rows_cols_by_max(&raw);
-        out.push(Workload {
-            name: spec.name.to_string(),
-            description: spec.description,
-            n_paper: spec.n,
-            nnz_per_row: spec.nnz_per_row,
-            small: scaled,
-        });
+        out.push((spec.name.to_string(), scaled));
     }
     out
 }
@@ -91,30 +60,21 @@ fn main() {
     let args = bench::cli::begin("table04", true);
     let s = 5;
     let m = 60;
-    let machine = MachineModel::summit_node();
-    let nranks = 16 * machine.gpus_per_node; // 96 GPUs
-    let variants: [(&str, SchemeKind, Option<OrthoKind>); 4] = [
-        ("standard", SchemeKind::StandardCgs2, None),
-        (
-            "s-step",
-            SchemeKind::Bcgs2CholQr2,
-            Some(OrthoKind::Bcgs2CholQr2),
-        ),
-        ("bcgs-pip2", SchemeKind::BcgsPip2, Some(OrthoKind::BcgsPip2)),
-        (
-            "two-stage",
-            SchemeKind::TwoStage { bs: 60 },
-            Some(OrthoKind::TwoStage { big_panel: 60 }),
-        ),
+    let variants: [(&str, Option<OrthoKind>); 4] = [
+        ("standard", None),
+        ("s-step", Some(OrthoKind::Bcgs2CholQr2)),
+        ("bcgs-pip2", Some(OrthoKind::BcgsPip2)),
+        ("two-stage", Some(OrthoKind::TwoStage { big_panel: 60 })),
     ];
 
-    // --- Part 1: real (scaled-down) solves. ---
-    let mut measured = Vec::new();
-    for w in workloads(&args) {
-        let b = w.small.spmv_alloc(&vec![1.0; w.small.nrows()]);
-        let m = m.min(w.small.nrows());
+    let workloads = workloads(&args);
+    let mut rows = Vec::new();
+    for (name, a) in &workloads {
+        let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+        let m = m.min(a.nrows());
         let s = s.min(m);
-        for (label, _, ortho) in &variants {
+        let mut baseline = None;
+        for (label, ortho) in &variants {
             let config = match ortho {
                 None => GmresConfig {
                     restart: m,
@@ -141,95 +101,58 @@ fn main() {
                     }
                 }
             };
-            let (_, result) = SStepGmres::new(config).solve_serial(&w.small, &b);
-            measured.push(vec![
-                w.name.to_string(),
-                format!("{}", w.small.nrows()),
+            let (_, result, secs) = timed_solve(|| SStepGmres::new(config).solve_serial(a, &b));
+            let baseline = *baseline.get_or_insert(secs);
+            let mut row = vec![
+                name.clone(),
+                format!("{}", a.nrows()),
                 label.to_string(),
                 format!("{}", result.iterations),
                 format!("{}", result.comm_ortho.allreduces),
-                if result.converged {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]);
+                if result.converged { "yes" } else { "NO" }.into(),
+            ];
+            row.extend(secs.cells(&baseline));
+            rows.push(row);
         }
     }
+    let mut header = vec![
+        "matrix",
+        "n (small)",
+        "variant",
+        "# iters",
+        "ortho reduces",
+        "converged",
+    ];
+    header.extend(SolveSecs::HEADER);
     print_table(
         if args.matrix.is_some() {
-            "Table IV (part 1): measured solves on the Matrix Market operator"
+            "Table IV: measured solves on the Matrix Market operator"
         } else {
-            "Table IV (part 1): measured solves on scaled-down surrogates"
+            "Table IV: measured solves on scaled-down surrogates"
         },
-        &[
-            "matrix",
-            "n (small)",
-            "variant",
-            "# iters",
-            "ortho reduces",
-            "converged",
-        ],
-        &measured,
+        &header,
+        &rows,
     );
     if args.matrix.is_some() {
         // How the distributed runs would split the real operator's rows
         // under the chosen partition strategy.
-        for w in workloads(&args) {
-            let part = bench::cli::partition_rows(&w.small, args.partition, 4.min(w.small.nrows()));
+        for (_, a) in &workloads {
+            let part = bench::cli::partition_rows(a, args.partition, 4.min(a.nrows()));
             println!(
                 "\npartition {} over {} ranks: per-rank nnz {:?}, imbalance {:.2}",
                 args.partition.label(),
                 part.nranks(),
-                bench::cli::per_rank_nnz(&w.small, &part),
-                bench::cli::partition_imbalance(&w.small, &part)
+                bench::cli::per_rank_nnz(a, &part),
+                bench::cli::partition_imbalance(a, &part)
             );
         }
     }
-
-    // --- Part 2: modeled time per iteration at the paper's sizes. ---
-    let mut rows = Vec::new();
-    for w in workloads(&args) {
-        let problem = ProblemSpec::from_density(&w.name, w.n_paper, w.nnz_per_row, nranks);
-        // Per-iteration times do not depend on the iteration count; use one
-        // restart cycle worth of iterations.
-        let iters = m;
-        let times: Vec<_> = variants
-            .iter()
-            .map(|(_, scheme, _)| solver_time(*scheme, &problem, &machine, nranks, s, m, iters, 0))
-            .collect();
-        let baseline = &times[0];
-        for ((label, _, _), t) in variants.iter().zip(&times) {
-            let per_iter = 1.0e3 / iters as f64;
-            rows.push(vec![
-                format!("{} ({})", w.name, w.description),
-                label.to_string(),
-                format!("{:.3}", t.spmv * per_iter),
-                format!("{:.3}", t.ortho * per_iter),
-                format!("{:.3}", t.total() * per_iter),
-                speedup(baseline.ortho, t.ortho),
-                speedup(baseline.total(), t.total()),
-            ]);
-        }
-    }
-    print_table(
-        "Table IV (part 2): modeled time per iteration (ms) on 16 Summit nodes / 96 GPUs",
-        &[
-            "matrix",
-            "variant",
-            "SpMV (ms)",
-            "Ortho (ms)",
-            "Total (ms)",
-            "ortho speedup",
-            "total speedup",
-        ],
-        &rows,
-    );
     println!(
         "\nExpected shape (paper Table IV): orthogonalization speedups over standard GMRES of\n\
          ~1.8-2.8x (s-step), ~3.5-5.2x (BCGS-PIP2) and ~5.4-9x (two-stage), with total-time\n\
-         speedups of ~1.3-1.8x, ~1.8-2.5x and ~2.2-2.9x; denser matrices (dielFilterV2real,\n\
-         ML_Geer) spend relatively more time in SpMV, so their total speedups are at the lower end."
+         speedups of ~1.3-1.8x, ~1.8-2.5x and ~2.2-2.9x on 96 GPUs, where the all-reduce\n\
+         latency the s-step schemes save is large; denser matrices (dielFilterV2real, ML_Geer)\n\
+         spend relatively more time in SpMV, so their total speedups are at the lower end."
     );
     args.finish();
 }

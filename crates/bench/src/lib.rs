@@ -10,13 +10,11 @@
 //! | `fig08` | Fig. 8 — two-stage condition number / error on glued matrices |
 //! | `fig09` | Fig. 9 — condition growth of MPK-generated bases |
 //! | `table02` | Table II — time-to-solution vs. second step size `bs` |
-//! | `table03` | Table III — strong scaling of the four solver variants |
-//! | `fig10_12` | Figs. 10–12 — orthogonalization time breakdowns |
-//! | `table04` | Table IV — time/iteration for 3D model problems & SuiteSparse surrogates |
-//! | `fig13` | Fig. 13 — time/iteration with a Gauss–Seidel preconditioner |
+//! | `table04` | Table IV — solve times for 3D model problems & SuiteSparse surrogates |
+//! | `fig13` | Fig. 13 — solve times with a Gauss–Seidel preconditioner |
 //! | `basis_compare` | Extension — monomial vs. Newton vs. adaptive basis conditioning (`BENCH_basis.json`) |
 //! | `kernels` | Kernel baselines — blocked vs. naive BLAS-3 (`BENCH_kernels.json`) |
-//! | `profile` | Observability — traced solve, per-cycle sync-vs-compute breakdown, model-vs-measured report (`BENCH_profile.json`, `TRACE_profile.json`) |
+//! | `profile` | Observability — traced solve, per-cycle sync-vs-compute breakdown, schedule-vs-measured words (`BENCH_profile.json`, `TRACE_profile.json`) |
 //! | `faults` | Robustness — seeded fault-injection campaign: detection/recovery grid, guard overhead, silent-SDC headline (`BENCH_faults.json`) |
 //! | `robustness` | Robustness — fixed vs. self-rescuing step policy on the hard matrices (`BENCH_robustness.json`) |
 //! | `sketch` | Extension — κ × s × scheme stability sweep of the sketched orthogonalization family (`BENCH_sketch.json`) |
@@ -33,11 +31,17 @@
 //! `small`) — set `REPRO_SCALE=paper` to run the numerical studies at the
 //! paper's full problem sizes (slower).
 //!
-//! Kernel timings live in `--bin kernels`; measured time-to-solution and
-//! the per-layer numbers under it live in the repository's `benchmark/`
-//! package.
+//! The seconds `table02`, `table04` and `fig13` print are measured on the
+//! host that runs them ([`timed_solve`]).  Table III and Figs. 10–12 are
+//! measured by the repository's `benchmark/` package: per-variant
+//! time-to-solution (`tts_*_s`) and the traced ortho stages
+//! (`ortho.stage1_s`/`stage2_s`), beside the per-layer numbers under them.
+//! Kernel timings live in `--bin kernels`.
 
 #![forbid(unsafe_code)]
+
+use ssgmres::{Phase, SolveResult};
+use std::time::Instant;
 
 pub mod cli;
 
@@ -119,14 +123,66 @@ pub fn sci(x: f64) -> String {
     }
 }
 
-/// Format seconds with three significant digits.
-pub fn secs(x: f64) -> String {
-    format!("{x:.3}")
+/// Format seconds to a tenth of a millisecond (the scaled-down solves of
+/// Table IV take a few milliseconds).
+fn secs(x: f64) -> String {
+    format!("{x:.4}")
 }
 
 /// Format a speedup factor the way the paper annotates its tables.
-pub fn speedup(baseline: f64, value: f64) -> String {
+fn speedup(baseline: f64, value: f64) -> String {
     format!("{:.1}x", baseline / value)
+}
+
+/// What the clock measured for one solve, in seconds: the wall time of the
+/// solve call, and what its restart cycles charged to the matrix-powers
+/// kernel (SpMVs and preconditioner) and to orthogonalization
+/// (`SolveResult::cycle_timings`).
+#[derive(Debug, Clone, Copy)]
+pub struct SolveSecs {
+    /// Seconds in [`Phase::Mpk`].
+    pub mpk: f64,
+    /// Seconds in [`Phase::Ortho`].
+    pub ortho: f64,
+    /// Wall seconds of the solve call.
+    pub total: f64,
+}
+
+impl SolveSecs {
+    /// Column names of [`cells`](Self::cells).
+    pub const HEADER: [&'static str; 5] = [
+        "MPK (s)",
+        "Ortho (s)",
+        "Total (s)",
+        "ortho speedup",
+        "total speedup",
+    ];
+
+    /// The measured cells of a table row: the three times, then the ortho
+    /// and total speedups over `baseline` (the standard-GMRES row).
+    pub fn cells(&self, baseline: &SolveSecs) -> [String; 5] {
+        [
+            secs(self.mpk),
+            secs(self.ortho),
+            secs(self.total),
+            speedup(baseline.ortho, self.ortho),
+            speedup(baseline.total, self.total),
+        ]
+    }
+}
+
+/// Run `solve` and return its output with what the clock measured.
+pub fn timed_solve<X>(solve: impl FnOnce() -> (X, SolveResult)) -> (X, SolveResult, SolveSecs) {
+    let t0 = Instant::now();
+    let (x, result) = solve();
+    let total = t0.elapsed().as_secs_f64();
+    let phase_secs = |p| result.cycle_timings.iter().map(|t| t[p]).sum::<u64>() as f64 * 1e-9;
+    let secs = SolveSecs {
+        mpk: phase_secs(Phase::Mpk),
+        ortho: phase_secs(Phase::Ortho),
+        total,
+    };
+    (x, result, secs)
 }
 
 #[cfg(test)]
@@ -145,7 +201,7 @@ mod tests {
     fn formatters_produce_expected_strings() {
         assert_eq!(sci(0.0), "0");
         assert!(sci(1.234e-8).contains('e'));
-        assert_eq!(secs(1.23456), "1.235");
+        assert_eq!(secs(1.23456), "1.2346");
         assert_eq!(speedup(10.0, 5.0), "2.0x");
     }
 

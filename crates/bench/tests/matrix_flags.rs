@@ -225,11 +225,11 @@ fn table02_accepts_matrix_partition_and_trace_flags() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Table-printing binaries: drive with `--matrix`/`--partition` and check
-/// the stdout report instead of a JSON artifact.
-fn run_table_binary(exe: &str, tag: &str) {
-    let dir = scratch(tag);
-    let output = Command::new(exe)
+#[test]
+fn table04_accepts_matrix_and_partition_flags() {
+    // table04 prints tables instead of writing JSON: check the stdout report.
+    let dir = scratch("table04");
+    let output = Command::new(env!("CARGO_BIN_EXE_table04"))
         .args([
             "--matrix",
             fixture().to_str().unwrap(),
@@ -242,33 +242,23 @@ fn run_table_binary(exe: &str, tag: &str) {
         .expect("binary must launch");
     assert!(
         output.status.success(),
-        "{tag} failed:\nstdout: {}\nstderr: {}",
+        "table04 failed:\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(
         stdout.contains("laplace_6x6"),
-        "{tag} must run the provided matrix:\n{stdout}"
+        "table04 must run the provided matrix:\n{stdout}"
     );
     assert!(
         stdout.contains("partition nnz"),
-        "{tag} must report the chosen partition:\n{stdout}"
+        "table04 must report the chosen partition:\n{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn table03_accepts_matrix_and_partition_flags() {
-    run_table_binary(env!("CARGO_BIN_EXE_table03"), "table03");
-}
-
-#[test]
-fn table04_accepts_matrix_and_partition_flags() {
-    run_table_binary(env!("CARGO_BIN_EXE_table04"), "table04");
-}
-
-const ALL_BINARIES: [(&str, &str); 16] = [
+const ALL_BINARIES: [(&str, &str); 14] = [
     ("basis_compare", env!("CARGO_BIN_EXE_basis_compare")),
     ("batched", env!("CARGO_BIN_EXE_batched")),
     ("faults", env!("CARGO_BIN_EXE_faults")),
@@ -276,14 +266,12 @@ const ALL_BINARIES: [(&str, &str); 16] = [
     ("fig07", env!("CARGO_BIN_EXE_fig07")),
     ("fig08", env!("CARGO_BIN_EXE_fig08")),
     ("fig09", env!("CARGO_BIN_EXE_fig09")),
-    ("fig10_12", env!("CARGO_BIN_EXE_fig10_12")),
     ("fig13", env!("CARGO_BIN_EXE_fig13")),
     ("kernels", env!("CARGO_BIN_EXE_kernels")),
     ("profile", env!("CARGO_BIN_EXE_profile")),
     ("robustness", env!("CARGO_BIN_EXE_robustness")),
     ("sketch", env!("CARGO_BIN_EXE_sketch")),
     ("table02", env!("CARGO_BIN_EXE_table02")),
-    ("table03", env!("CARGO_BIN_EXE_table03")),
     ("table04", env!("CARGO_BIN_EXE_table04")),
 ];
 

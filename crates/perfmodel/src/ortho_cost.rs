@@ -1,17 +1,16 @@
-//! Per-cycle cost assembly for each block orthogonalization scheme.
+//! The all-reduce schedule of each block orthogonalization scheme.
 //!
 //! A scheme's restart cycle is stated once, by `schedule`, as the list of
 //! its all-reduces (`Step`s) in the order the `blockortho` crate issues them
 //! (Figs. 2–5 of the paper).  Every public quantity is a fold over that
 //! list: the reduce count is its length, the reduced words the sum of
-//! `Step::words`, the modelled time the sum of `Step::cost` — so the three
-//! cannot disagree.  The two-stage kinds close a big panel where
-//! [`blockortho::two_stage::flush_due`] says so, the predicate `TwoStage`
-//! itself calls.  `tests/comm_volume_validation.rs` checks counts and words
-//! against `distsim` communicator statistics of real runs over the paper's
-//! Table II shapes; the paper's closed forms are the unit tests' oracle.
+//! `Step::words` — so the two cannot disagree.  The two-stage kinds close a
+//! big panel where [`blockortho::two_stage::flush_due`] says so, the
+//! predicate `TwoStage` itself calls.  `tests/comm_volume_validation.rs`
+//! checks counts and words against `distsim` communicator statistics of real
+//! runs over the paper's Table II shapes; the paper's closed forms are the
+//! unit tests' oracle.
 
-use crate::kernels::KernelCosts;
 use blockortho::two_stage::flush_due;
 
 /// The orthogonalization schemes whose performance the paper compares.
@@ -62,54 +61,8 @@ pub fn sketch_reduce_words(rows: usize, nnz: usize, s: usize) -> usize {
     rows * nnz * s
 }
 
-impl SchemeKind {
-    /// Label used in the generated tables (matches the paper's wording).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchemeKind::StandardCgs2 => "GMRES + CGS2",
-            SchemeKind::Bcgs2CholQr2 => "s-step + BCGS2-CholQR2",
-            SchemeKind::BcgsPip2 => "s-step + BCGS-PIP2",
-            SchemeKind::TwoStage { .. } => "s-step + Two-stage",
-            SchemeKind::RandCholQr { .. } => "s-step + RandCholQR",
-            SchemeKind::TwoStageSketched { .. } => "s-step + Two-stage (sketched)",
-        }
-    }
-}
-
-/// Breakdown of the orthogonalization time of one restart cycle
-/// (the quantities plotted in Figs. 10–12).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OrthoBreakdown {
-    /// Local time of the dot-product GEMMs (`QᵀV`, Gram matrices).
-    pub dot_products: f64,
-    /// Local time of the vector-update GEMMs and TRSM normalizations.
-    pub vector_updates: f64,
-    /// Replicated small-matrix work (Cholesky factors, triangular updates).
-    pub small_work: f64,
-    /// Time spent in global all-reduces.
-    pub allreduce: f64,
-    /// Number of global all-reduces.
-    pub reduces: usize,
-}
-
-impl OrthoBreakdown {
-    /// Total orthogonalization time of the cycle.
-    pub fn total(&self) -> f64 {
-        self.dot_products + self.vector_updates + self.small_work + self.allreduce
-    }
-
-    fn add(&mut self, other: &OrthoBreakdown) {
-        self.dot_products += other.dot_products;
-        self.vector_updates += other.vector_updates;
-        self.small_work += other.small_work;
-        self.allreduce += other.allreduce;
-        self.reduces += other.reduces;
-    }
-}
-
-/// One all-reduce of a restart cycle, with the local work that goes with
-/// it.  `prev` counts the columns the panel is projected against, `width`
-/// the columns of the panel.
+/// One all-reduce of a restart cycle.  `prev` counts the columns the panel
+/// is projected against, `width` the columns of the panel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     /// BCGS projection (`QᵀV` + update).
@@ -120,12 +73,9 @@ enum Step {
     /// TRSM.
     Pip { prev: usize, width: usize },
     /// Sketched pre-conditioning: one reduce of the `rows·nnz·width` sketch
-    /// slots, the replicated sketch-space least squares + Householder QR
-    /// (the projection coefficients come *locally* from the replicated
-    /// `S·Q`, so the reduce carries no `prev·width` block), then the
-    /// projection update and triangular scaling of the panel.
+    /// slots (the projection coefficients come *locally* from the replicated
+    /// `S·Q`, so the reduce carries no `prev·width` block).
     Sketch {
-        prev: usize,
         width: usize,
         rows: usize,
         nnz: usize,
@@ -141,51 +91,15 @@ impl Step {
             Step::Bcgs { prev, width } => prev * width,
             Step::CholQr { width } => width * width,
             Step::Pip { prev, width } => (prev + width) * width,
-            Step::Sketch {
-                width, rows, nnz, ..
-            } => sketch_reduce_words(rows, nnz, width),
+            Step::Sketch { width, rows, nnz } => sketch_reduce_words(rows, nnz, width),
             Step::ColNorm => 1,
-        }
-    }
-
-    /// Modeled time of this step.
-    fn cost(&self, costs: &KernelCosts<'_>) -> OrthoBreakdown {
-        let (dot_products, vector_updates, small_work) = match *self {
-            Step::Bcgs { prev, width } => (
-                costs.gemm_tn(prev, width),
-                costs.gemm_update(prev, width),
-                0.0,
-            ),
-            Step::CholQr { width } => (
-                costs.gemm_tn(width, width),
-                costs.trsm(width),
-                costs.small_factorization(width),
-            ),
-            Step::Pip { prev, width } => (
-                costs.gemm_tn(prev, width) + costs.gemm_tn(width, width),
-                costs.gemm_update(prev, width) + costs.trsm(width),
-                costs.small_factorization(width),
-            ),
-            Step::Sketch { prev, width, .. } => (
-                0.0,
-                costs.gemm_update(prev, width) + costs.trsm(width),
-                costs.small_factorization(width),
-            ),
-            Step::ColNorm => (costs.dot_local(), costs.axpy(), 0.0),
-        };
-        OrthoBreakdown {
-            dot_products,
-            vector_updates,
-            small_work,
-            allreduce: costs.allreduce(self.words()),
-            reduces: 1,
         }
     }
 }
 
 /// The all-reduces of one restart cycle of `m` block steps with step size
 /// `s` and `k` right-hand sides, in the order the `blockortho` schemes
-/// issue them (Figs. 2–5 of the paper) — the one place the model enumerates
+/// issue them (Figs. 2–5 of the paper) — the one place the crate enumerates
 /// panels per scheme.
 ///
 /// The cycle is replayed from its residual block (`k` columns) and the
@@ -212,12 +126,7 @@ fn schedule(scheme: SchemeKind, m: usize, s: usize, k: usize) -> Vec<Step> {
             Step::CholQr { width },
             Step::Pip { prev, width },
         );
-        let sketch = |rows, nnz| Step::Sketch {
-            prev,
-            width,
-            rows,
-            nnz,
-        };
+        let sketch = |rows, nnz| Step::Sketch { width, rows, nnz };
         let bs = match scheme {
             SchemeKind::StandardCgs2 => {
                 steps.extend([bcgs, bcgs, Step::ColNorm]);
@@ -263,23 +172,6 @@ fn schedule(scheme: SchemeKind, m: usize, s: usize, k: usize) -> Vec<Step> {
     steps
 }
 
-/// Orthogonalization cost of one restart cycle of `m` generated basis
-/// vectors with step size `s` (panels of `s` columns; the initial residual
-/// column is ignored — its cost is identical for every scheme and
-/// negligible): the sum of the steps' costs, in schedule order.
-pub fn ortho_cycle_cost(
-    scheme: SchemeKind,
-    costs: &KernelCosts<'_>,
-    m: usize,
-    s: usize,
-) -> OrthoBreakdown {
-    let mut acc = OrthoBreakdown::default();
-    for step in schedule(scheme, m, s, 1) {
-        acc.add(&step.cost(costs));
-    }
-    acc
-}
-
 /// Number of global reductions one restart cycle of `m` basis vectors needs
 /// — [`block_ortho_reduce_count`] at `k = 1`.
 pub fn ortho_reduce_count(scheme: SchemeKind, m: usize, s: usize) -> usize {
@@ -287,8 +179,7 @@ pub fn ortho_reduce_count(scheme: SchemeKind, m: usize, s: usize) -> usize {
 }
 
 /// Total number of `f64` words all-reduced by the orthogonalization of one
-/// restart cycle — [`block_ortho_cycle_words`] at `k = 1`, and exactly the
-/// `allreduce(words)` terms [`ortho_cycle_cost`] feeds the machine model.
+/// restart cycle — [`block_ortho_cycle_words`] at `k = 1`.
 pub fn ortho_cycle_words(scheme: SchemeKind, m: usize, s: usize) -> usize {
     block_ortho_cycle_words(scheme, m, s, 1)
 }
@@ -324,11 +215,6 @@ pub fn block_ortho_cycle_words(scheme: SchemeKind, m: usize, s: usize, k: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::MachineModel;
-
-    fn costs(machine: &MachineModel, nranks: usize) -> KernelCosts<'_> {
-        KernelCosts::new(machine, 4_000_000 / nranks.max(1), nranks)
-    }
 
     /// The paper's per-cycle reduce counts in closed form — the oracle the
     /// schedule is checked against (the two-stage form holds for `bs` a
@@ -348,8 +234,6 @@ mod tests {
     fn reduce_counts_match_closed_forms() {
         let m = 60;
         let s = 5;
-        let machine = MachineModel::summit_node();
-        let c = costs(&machine, 24);
         for scheme in [
             SchemeKind::StandardCgs2,
             SchemeKind::Bcgs2CholQr2,
@@ -364,13 +248,11 @@ mod tests {
                 nnz: 4,
             },
         ] {
-            let closed = closed_form_reduces(scheme, m, s, 1);
             assert_eq!(
-                ortho_cycle_cost(scheme, &c, m, s).reduces,
-                closed,
+                ortho_reduce_count(scheme, m, s),
+                closed_form_reduces(scheme, m, s, 1),
                 "{scheme:?}"
             );
-            assert_eq!(ortho_reduce_count(scheme, m, s), closed, "{scheme:?}");
             for k in [2usize, 4] {
                 assert_eq!(
                     block_ortho_reduce_count(scheme, m, s, k),
@@ -439,54 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn scheme_ordering_matches_the_paper_at_scale() {
-        // On 192 GPUs (32 Summit nodes) with the paper's problem size the
-        // model must reproduce: two-stage < BCGS-PIP2 < BCGS2-CholQR2 <
-        // standard CGS2 in orthogonalization time per cycle.
-        let machine = MachineModel::summit_node();
-        let nranks = 192;
-        let c = costs(&machine, nranks);
-        let m = 60;
-        let t_std = ortho_cycle_cost(SchemeKind::StandardCgs2, &c, m, 1).total();
-        let t_bcgs2 = ortho_cycle_cost(SchemeKind::Bcgs2CholQr2, &c, m, 5).total();
-        let t_pip2 = ortho_cycle_cost(SchemeKind::BcgsPip2, &c, m, 5).total();
-        let t_two = ortho_cycle_cost(SchemeKind::TwoStage { bs: 60 }, &c, m, 5).total();
-        assert!(t_two < t_pip2, "two-stage {t_two} vs pip2 {t_pip2}");
-        assert!(t_pip2 < t_bcgs2, "pip2 {t_pip2} vs bcgs2 {t_bcgs2}");
-        assert!(t_bcgs2 < t_std, "bcgs2 {t_bcgs2} vs standard {t_std}");
-    }
-
-    #[test]
-    fn larger_second_step_size_is_faster_as_in_table_ii() {
-        let machine = MachineModel::vortex_node();
-        let nranks = 4;
-        let c = costs(&machine, nranks);
-        let m = 60;
-        let mut prev = f64::INFINITY;
-        for bs in [5usize, 20, 40, 60] {
-            let t = ortho_cycle_cost(SchemeKind::TwoStage { bs }, &c, m, 5).total();
-            assert!(t < prev, "bs = {bs}: {t} vs {prev}");
-            prev = t;
-        }
-    }
-
-    #[test]
-    fn speedup_over_standard_grows_with_node_count() {
-        // The paper's Table III: the orthogonalization speedup of the s-step
-        // variants over standard GMRES grows as nodes are added (latency
-        // becomes dominant).
-        let machine = MachineModel::summit_node();
-        let m = 60;
-        let speedup = |nodes: usize| {
-            let nranks = nodes * machine.gpus_per_node;
-            let c = costs(&machine, nranks);
-            ortho_cycle_cost(SchemeKind::StandardCgs2, &c, m, 1).total()
-                / ortho_cycle_cost(SchemeKind::TwoStage { bs: 60 }, &c, m, 5).total()
-        };
-        assert!(speedup(32) > speedup(1));
-    }
-
-    #[test]
     fn block_closed_forms_collapse_to_scalar_at_width_one() {
         let m = 60;
         let s = 5;
@@ -550,21 +384,6 @@ mod tests {
         assert_eq!(
             block_ortho_reduce_count(SchemeKind::StandardCgs2, m, 1, 4),
             4 * ortho_reduce_count(SchemeKind::StandardCgs2, m, 1)
-        );
-    }
-
-    #[test]
-    fn breakdown_components_are_all_positive() {
-        let machine = MachineModel::summit_node();
-        let c = costs(&machine, 6);
-        let b = ortho_cycle_cost(SchemeKind::BcgsPip2, &c, 60, 5);
-        assert!(b.dot_products > 0.0);
-        assert!(b.vector_updates > 0.0);
-        assert!(b.small_work > 0.0);
-        assert!(b.allreduce > 0.0);
-        assert!(
-            (b.total() - (b.dot_products + b.vector_updates + b.small_work + b.allreduce)).abs()
-                < 1e-12
         );
     }
 }

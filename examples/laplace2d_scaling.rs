@@ -1,17 +1,15 @@
-//! Strong-scaling study on the 9-point 2D Laplace problem (the workload of
-//! the paper's Table III), combining a real multi-rank run on the simulated
-//! communicator with the analytic Summit performance model.
+//! A distributed solve of the 9-point 2D Laplace problem (the workload of
+//! the paper's Table III) on 4 simulated ranks, printing each rank's
+//! iteration count and orthogonalization all-reduces.
 //!
 //! Run with `cargo run --release --example laplace2d_scaling`.
 
 use distsim::{run_ranks, Communicator, DistCsr};
-use perfmodel::{solver_time, MachineModel, ProblemSpec, SchemeKind};
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres};
 use std::sync::Arc;
 
 fn main() {
-    // --- Part 1: a real distributed solve on 4 simulated ranks. ---
     let nx = 120;
     // Each rank assembles only its own row block straight from the stencil
     // row source (streamed assembly, O(nnz/P + halo) peak per rank); the
@@ -54,35 +52,4 @@ fn main() {
         results.iter().all(|r| r.1),
         "distributed solve must converge"
     );
-
-    // --- Part 2: modeled strong scaling at the paper's size. ---
-    println!("\nModeled strong scaling, n = 2000^2, Summit nodes (6 GPUs each):");
-    println!(
-        "{:>6} {:>26} {:>10} {:>10} {:>10}",
-        "nodes", "variant", "SpMV (s)", "Ortho (s)", "Total (s)"
-    );
-    let machine = MachineModel::summit_node();
-    for nodes in [1usize, 4, 16, 32] {
-        let ranks = nodes * machine.gpus_per_node;
-        let problem = ProblemSpec::laplace2d(2000, 9, ranks);
-        for (label, scheme, iters) in [
-            ("GMRES + CGS2", SchemeKind::StandardCgs2, 60_251usize),
-            ("s-step + BCGS-PIP2", SchemeKind::BcgsPip2, 60_255),
-            (
-                "s-step + two-stage",
-                SchemeKind::TwoStage { bs: 60 },
-                60_300,
-            ),
-        ] {
-            let t = solver_time(scheme, &problem, &machine, ranks, 5, 60, iters, 0);
-            println!(
-                "{:>6} {:>26} {:>10.1} {:>10.1} {:>10.1}",
-                nodes,
-                label,
-                t.spmv,
-                t.ortho,
-                t.total()
-            );
-        }
-    }
 }

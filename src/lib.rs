@@ -14,8 +14,8 @@
 //! * [`ssgmres`] — the standard / s-step GMRES solver with pluggable
 //!   orthogonalization and preconditioning;
 //! * [`testmat`] — the synthetic matrices of the numerical study;
-//! * [`perfmodel`] — the analytic GPU-cluster performance model used to
-//!   regenerate the paper's tables and figures.
+//! * [`perfmodel`] — each scheme's all-reduce schedule: counts and words,
+//!   asserted against measured `CommStats`.
 //!
 //! See the `examples/` directory for runnable entry points and the `bench`
 //! crate for the per-table/figure experiment harness.
