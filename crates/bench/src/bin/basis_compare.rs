@@ -30,23 +30,26 @@
 //! in `tests/solver_cross_crate.rs`): at `s = 8` on the 2-D Laplace stencil
 //! the adaptive Newton basis has strictly lower `kappa` than monomial.
 
+use bench::Table;
 use sparse::{laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr, SUITE_SPARSE_SET};
-use ssgmres::{BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres, SolveResult};
+use ssgmres::{BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres};
 use trace::JsonWriter;
 
-struct Row {
-    matrix: String,
-    n: usize,
-    s: usize,
-    basis: &'static str,
-    kappa: f64,
-    iterations: usize,
-    restarts: usize,
-    converged: bool,
-    ortho_fallbacks: usize,
-    allreduces_total: usize,
-    allreduces_ortho: usize,
-    num_shifts: usize,
+bench::table_row! {
+    struct Row {
+        matrix: String,
+        n: usize,
+        s: usize,
+        basis: &'static str,
+        kappa: f64,
+        iterations: usize,
+        restarts: usize,
+        converged: bool,
+        ortho_fallbacks: usize,
+        allreduces_total: usize,
+        allreduces_ortho: usize,
+        num_shifts: usize,
+    }
 }
 
 fn config(s: usize, restart: usize, basis: BasisStrategy, max_iters: usize) -> GmresConfig {
@@ -80,105 +83,67 @@ fn warmup_shifts(a: &Csr, b: &[f64], s: usize, restart: usize) -> Option<Vec<f64
     warm.last_harvest
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record(
-    rows: &mut Vec<Row>,
-    matrix: &str,
-    a: &Csr,
-    b: &[f64],
-    s: usize,
-    basis: &'static str,
-    shifts: &[f64],
-    result: &SolveResult,
-) {
-    let measured = if shifts.is_empty() {
-        KrylovBasis::Monomial
-    } else {
-        KrylovBasis::Newton {
-            shifts: shifts.to_vec(),
-        }
-    };
-    let kappa = ssgmres::shifts::basis_condition_number(a, &measured, s, b);
-    rows.push(Row {
-        matrix: matrix.to_string(),
-        n: a.nrows(),
-        s,
-        basis,
-        kappa,
-        iterations: result.iterations,
-        restarts: result.restarts,
-        converged: result.converged,
-        ortho_fallbacks: result.ortho_fallbacks,
-        allreduces_total: result.comm_total.allreduces,
-        allreduces_ortho: result.comm_ortho.allreduces,
-        num_shifts: shifts.len(),
-    });
-}
-
 fn run_matrix(rows: &mut Vec<Row>, name: &str, a: &Csr, svals: &[usize], max_iters: usize) {
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
+    let solve = |s, restart, basis| {
+        SStepGmres::new(config(s, restart, basis, max_iters))
+            .solve_serial(a, &b)
+            .1
+    };
     for &s in svals {
         let restart = 30.max(3 * s);
-        // Monomial.
-        let mono = SStepGmres::new(config(s, restart, BasisStrategy::Monomial, max_iters))
-            .solve_serial(a, &b)
-            .1;
-        record(rows, name, a, &b, s, "monomial", &[], &mono);
+        // Each run with the shifts its basis used (none: monomial).
+        let mut runs = vec![(
+            "monomial",
+            Vec::new(),
+            solve(s, restart, BasisStrategy::Monomial),
+        )];
         // Fixed Newton shifts from a warm-up oracle.  When the oracle
         // yields nothing (warm-up breakdown, or every Ritz value deduped
         // to zero) a "newton" row would be a bitwise duplicate of the
         // monomial one under a misleading label — skip it instead.
         match warmup_shifts(a, &b, s, restart) {
             Some(fixed) if !fixed.is_empty() => {
-                let newton = SStepGmres::new(config(
-                    s,
-                    restart,
-                    BasisStrategy::Newton {
-                        shifts: fixed.clone(),
-                    },
-                    max_iters,
-                ))
-                .solve_serial(a, &b)
-                .1;
-                record(rows, name, a, &b, s, "newton", &fixed, &newton);
+                let shifts = fixed.clone();
+                runs.push((
+                    "newton",
+                    fixed,
+                    solve(s, restart, BasisStrategy::Newton { shifts }),
+                ));
             }
             _ => eprintln!("  {name}: s={s} warm-up harvest failed; skipping the newton row"),
         }
         // Adaptive: in-solver re-harvesting after every restart.
-        let adaptive = SStepGmres::new(config(s, restart, BasisStrategy::adaptive(), max_iters))
-            .solve_serial(a, &b)
-            .1;
-        let harvested = adaptive.last_harvest.clone().unwrap_or_default();
-        record(rows, name, a, &b, s, "adaptive", &harvested, &adaptive);
+        let adaptive = solve(s, restart, BasisStrategy::adaptive());
+        runs.push((
+            "adaptive",
+            adaptive.last_harvest.clone().unwrap_or_default(),
+            adaptive,
+        ));
+        for (basis, shifts, result) in runs {
+            let num_shifts = shifts.len();
+            let measured = if shifts.is_empty() {
+                KrylovBasis::Monomial
+            } else {
+                KrylovBasis::Newton { shifts }
+            };
+            rows.push(Row {
+                matrix: name.to_string(),
+                n: a.nrows(),
+                s,
+                basis,
+                kappa: ssgmres::shifts::basis_condition_number(a, &measured, s, &b),
+                iterations: result.iterations,
+                restarts: result.restarts,
+                converged: result.converged,
+                ortho_fallbacks: result.ortho_fallbacks,
+                allreduces_total: result.comm_total.allreduces,
+                allreduces_ortho: result.comm_ortho.allreduces,
+                num_shifts,
+            });
+        }
         eprintln!("  {name}: s={s} done");
     }
-}
-
-fn to_json(rows: &[Row], quick: bool) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field("bench", "basis_compare")
-        .field("quick", quick)
-        .key("results")
-        .begin_array();
-    for r in rows {
-        w.begin_object()
-            .field("matrix", &r.matrix)
-            .field("n", r.n)
-            .field("s", r.s)
-            .field("basis", r.basis)
-            .field("kappa", r.kappa)
-            .field("iterations", r.iterations)
-            .field("restarts", r.restarts)
-            .field("converged", r.converged)
-            .field("ortho_fallbacks", r.ortho_fallbacks)
-            .field("allreduces_total", r.allreduces_total)
-            .field("allreduces_ortho", r.allreduces_ortho)
-            .field("num_shifts", r.num_shifts)
-            .end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
 }
 
 fn main() {
@@ -228,35 +193,16 @@ fn main() {
         }
     }
 
-    let header = [
-        "matrix", "n", "s", "basis", "kappa", "iters", "restarts", "conv", "fallbk", "reduces",
-        "#shifts",
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.n.to_string(),
-                r.s.to_string(),
-                r.basis.to_string(),
-                bench::sci(r.kappa),
-                r.iterations.to_string(),
-                r.restarts.to_string(),
-                r.converged.to_string(),
-                r.ortho_fallbacks.to_string(),
-                r.allreduces_ortho.to_string(),
-                r.num_shifts.to_string(),
-            ]
-        })
-        .collect();
-    bench::print_table(
-        "basis comparison: monomial vs newton vs adaptive",
-        &header,
-        &table,
-    );
-
-    bench::emit("BENCH_basis.json", &to_json(&rows, quick));
+    let table = Table::of(&rows);
+    table.print("basis comparison: monomial vs newton vs adaptive");
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "basis_compare")
+        .field("quick", quick)
+        .key("results");
+    table.write_json(&mut w);
+    w.end_object();
+    bench::emit("BENCH_basis.json", &w.finish());
     eprintln!("wrote BENCH_basis.json ({} rows)", rows.len());
 
     // Headline acceptance check: s = 8 on the Laplace stencil, the adaptive

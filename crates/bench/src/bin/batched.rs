@@ -21,6 +21,7 @@
 //!   `BatchedSolver` front-end resolve from one batch whose shared
 //!   reduce bill is far below the sum of four independent solves.
 
+use bench::Table;
 use perfmodel::{block_ortho_reduce_count, SchemeKind};
 use sparse::{laplace2d_9pt, Csr};
 use ssgmres::{BatchConfig, BatchedSolver, GmresConfig, OrthoKind, SStepGmres, SolveTicket};
@@ -33,15 +34,18 @@ fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
         .collect()
 }
 
-struct ScalingRow {
-    k: usize,
-    restarts: usize,
-    iterations: usize,
-    allreduces: usize,
-    allreduce_words: usize,
-    ortho_allreduces: usize,
-    ortho_allreduce_words: usize,
-    words_per_call: f64,
+bench::table_row! {
+    /// One block width of the scaling sweep.
+    struct Scaling {
+        k: usize,
+        restarts: usize,
+        iterations: usize,
+        allreduces: usize,
+        allreduce_words: usize,
+        ortho_allreduces: usize,
+        ortho_allreduce_words: usize,
+        words_per_call: f64,
+    }
 }
 
 fn scaling_config(restart: usize, s: usize, big_panel: usize) -> GmresConfig {
@@ -67,7 +71,7 @@ fn run_scaling(
     restart: usize,
     s: usize,
     big_panel: usize,
-) -> Vec<ScalingRow> {
+) -> Vec<Scaling> {
     let config = scaling_config(restart, s, big_panel);
     let cycles = config.max_restarts;
     let mut rows = Vec::new();
@@ -100,7 +104,7 @@ fn run_scaling(
             r.comm_ortho.allreduces + cycles + 1,
             "k={k}: non-ortho reduces are one norm per cycle + setup"
         );
-        rows.push(ScalingRow {
+        rows.push(Scaling {
             k,
             restarts: r.restarts,
             iterations: r.iterations,
@@ -218,6 +222,8 @@ fn main() {
 
     // --- Report. ---
     let amortization = individual_reduces as f64 / batch_reduces as f64;
+    let table = Table::of(&rows);
+    table.print("batched: reduce counts across block widths");
     let mut w = JsonWriter::new();
     w.begin_object()
         .field("bench", "batched")
@@ -232,22 +238,9 @@ fn main() {
         .end_object()
         .field("k1_bitwise_equivalent", equivalent)
         .field("reduce_ratio_k4_vs_k1", ratio)
-        .key("scaling")
-        .begin_array();
-    for r in &rows {
-        w.begin_object()
-            .field("k", r.k)
-            .field("restarts", r.restarts)
-            .field("iterations", r.iterations)
-            .field("allreduces", r.allreduces)
-            .field("allreduce_words", r.allreduce_words)
-            .field("ortho_allreduces", r.ortho_allreduces)
-            .field("ortho_allreduce_words", r.ortho_allreduce_words)
-            .field("words_per_call", r.words_per_call)
-            .end_object();
-    }
-    w.end_array()
-        .key("service")
+        .key("scaling");
+    table.write_json(&mut w);
+    w.key("service")
         .begin_object()
         .field("batch_size", service_k)
         .field("batch_reduces", batch_reduces)

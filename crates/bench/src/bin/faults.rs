@@ -36,7 +36,7 @@
 //! `--partition nnz` drives the distributed cells over the nnz-balanced
 //! partition.
 
-use bench::cli;
+use bench::{cli, Table};
 use distsim::{
     run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardPolicy,
     OpKind, Target,
@@ -145,20 +145,23 @@ fn unit_rhs(a: &Csr) -> Vec<f64> {
     b
 }
 
-struct CampaignRow {
-    kind: &'static str,
-    rate: f64,
-    phase: &'static str,
-    seed: u64,
-    injected: usize,
-    detected: usize,
-    recovered: usize,
-    unrecovered: usize,
-    retries: usize,
-    converged: bool,
-    iterations: usize,
-    iter_overhead: isize,
-    relres: f64,
+bench::table_row! {
+    /// One seeded campaign cell: its plan and what the guarded solve did.
+    struct Trial {
+        kind: &'static str,
+        rate: f64,
+        phase: &'static str,
+        seed: u64,
+        injected: usize,
+        detected: usize,
+        recovered: usize,
+        unrecovered: usize,
+        retries: usize,
+        converged: bool,
+        iterations: usize,
+        iteration_overhead: isize,
+        relres: f64,
+    }
 }
 
 fn main() {
@@ -458,7 +461,7 @@ fn main() {
     };
     let kind_count = if quick { 3 } else { kinds.len() };
 
-    let mut rows: Vec<CampaignRow> = Vec::new();
+    let mut rows = Vec::new();
     for (ki, (kind, mk_rates)) in kinds.iter().take(kind_count).enumerate() {
         for (ri, &rate) in rates.iter().enumerate() {
             for (pi, &phase) in phases.iter().enumerate() {
@@ -466,7 +469,7 @@ fn main() {
                 let mut plan = FaultPlan::from_seed(seed, mk_rates(rate));
                 plan.rate_phase = phase;
                 let cell = run_cell(&a, &b, &guarded, &part, Some(&plan));
-                rows.push(CampaignRow {
+                rows.push(Trial {
                     kind,
                     rate,
                     phase: phase.unwrap_or("any"),
@@ -478,7 +481,7 @@ fn main() {
                     retries: cell.r.comm_total.allreduce_retries,
                     converged: cell.converged_all,
                     iterations: cell.r.iterations,
-                    iter_overhead: cell.r.iterations as isize - base_g.r.iterations as isize,
+                    iteration_overhead: cell.r.iterations as isize - base_g.r.iterations as isize,
                     relres: true_relres(&a, &b, &cell.x),
                 });
             }
@@ -511,54 +514,11 @@ fn main() {
     );
 
     // ---- Report -------------------------------------------------------
-    let header = [
-        "kind", "rate", "phase", "inj", "det", "rec", "unrec", "retry", "conv", "iters", "d_iter",
-        "relres",
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.kind.to_string(),
-                format!("{:.3}", r.rate),
-                r.phase.to_string(),
-                r.injected.to_string(),
-                r.detected.to_string(),
-                r.recovered.to_string(),
-                r.unrecovered.to_string(),
-                r.retries.to_string(),
-                r.converged.to_string(),
-                r.iterations.to_string(),
-                r.iter_overhead.to_string(),
-                bench::sci(r.relres),
-            ]
-        })
-        .collect();
-    bench::print_table(
-        "faults: seeded injection campaign (guards on)",
-        &header,
-        &table,
-    );
-
-    w.key("campaign").begin_array();
-    for r in &rows {
-        w.begin_object()
-            .field("kind", r.kind)
-            .field("rate", r.rate)
-            .field("phase", r.phase)
-            .field("seed", r.seed)
-            .field("injected", r.injected)
-            .field("detected", r.detected)
-            .field("recovered", r.recovered)
-            .field("unrecovered", r.unrecovered)
-            .field("retries", r.retries)
-            .field("converged", r.converged)
-            .field("iterations", r.iterations)
-            .field("iteration_overhead", r.iter_overhead)
-            .field("relres", r.relres)
-            .end_object();
-    }
-    w.end_array().field("replay_bitwise", true).end_object();
+    let table = Table::of(&rows);
+    table.print("faults: seeded injection campaign (guards on)");
+    w.key("campaign");
+    table.write_json(&mut w);
+    w.field("replay_bitwise", true).end_object();
     bench::emit("BENCH_faults.json", &w.finish());
     eprintln!("wrote BENCH_faults.json ({} campaign cells)", rows.len());
     args.finish();

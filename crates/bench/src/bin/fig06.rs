@@ -5,7 +5,7 @@
 //! `κ(V)²·O(ε)`, CholQR breaks down once `κ(V)` exceeds ~`1/√ε ≈ 1e8`, and
 //! below that threshold CholQR2 restores `O(ε)` orthogonality.
 
-use bench::{print_table, scale, sci, Scale};
+use bench::{scale, sci, Scale, Table};
 use blockortho::kernels::{cholqr, cholqr2};
 use dense::{cond_2, orthogonality_error};
 use distsim::{DistMultiVector, SerialComm};
@@ -18,7 +18,17 @@ fn main() {
         Scale::Small => (10_000usize, 3u64),
     };
     let s = 5;
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        "kappa(V)",
+        "err CholQR min",
+        "avg",
+        "max",
+        "cond(Q1) avg",
+        "err CholQR2 min",
+        "avg",
+        "max",
+        "breakdowns",
+    ]);
     for exp in (1..=16).step_by(1) {
         let kappa = 10f64.powi(exp);
         let mut err1 = Vec::new();
@@ -54,7 +64,7 @@ fn main() {
         let (e1min, e1avg, e1max) = stats(&err1);
         let (e2min, e2avg, e2max) = stats(&err2);
         let (_, c1avg, _) = stats(&cond_q1);
-        rows.push(vec![
+        table.push([
             sci(kappa),
             e1min,
             e1avg,
@@ -66,21 +76,9 @@ fn main() {
             format!("{breakdowns}/{seeds}"),
         ]);
     }
-    print_table(
-        &format!("Fig. 6: CholQR / CholQR2 on a {n}x5 logscaled matrix ({seeds} seeds)"),
-        &[
-            "kappa(V)",
-            "err CholQR min",
-            "avg",
-            "max",
-            "cond(Q1) avg",
-            "err CholQR2 min",
-            "avg",
-            "max",
-            "breakdowns",
-        ],
-        &rows,
-    );
+    table.print(&format!(
+        "Fig. 6: CholQR / CholQR2 on a {n}x5 logscaled matrix ({seeds} seeds)"
+    ));
     println!(
         "\nExpected shape (paper): err(CholQR) ~ kappa^2*eps, breakdown past kappa ~ 1e8,\n\
          cond(Q1) = O(1) and err(CholQR2) = O(eps) for kappa < 1e8."

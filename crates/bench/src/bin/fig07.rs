@@ -5,7 +5,7 @@
 //! below ~`1/√ε`, the basis after the first BCGS-PIP stays `O(1)`
 //! conditioned and the error after BCGS-PIP2 is `O(ε)`.
 
-use bench::{print_table, scale, sci, Scale};
+use bench::{scale, sci, Scale, Table};
 use blockortho::{orthogonalize_matrix, OrthoKind};
 use dense::{cond_2, orthogonality_error};
 use testmat::{glued_matrix, GluedSpec};
@@ -17,7 +17,13 @@ fn main() {
         Scale::Small => (10_000usize, 6usize),
     };
     let s = 5;
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        "target kappa",
+        "kappa(V)",
+        "err after PIP",
+        "cond after PIP",
+        "err after PIP2",
+    ]);
     for exp in (1..=15).step_by(2) {
         let kappa = 10f64.powi(exp);
         let spec = GluedSpec {
@@ -41,28 +47,12 @@ fn main() {
             Ok((q, _)) => sci(orthogonality_error(&q.view())),
             Err(_) => "breakdown".into(),
         };
-        rows.push(vec![
-            sci(kappa),
-            sci(kappa_measured),
-            pip_err,
-            pip_cond,
-            pip2_err,
-        ]);
+        table.push([sci(kappa), sci(kappa_measured), pip_err, pip_cond, pip2_err]);
     }
-    print_table(
-        &format!(
-            "Fig. 7: BCGS-PIP / BCGS-PIP2 on {n}x{} glued matrices",
-            panels * s
-        ),
-        &[
-            "target kappa",
-            "kappa(V)",
-            "err after PIP",
-            "cond after PIP",
-            "err after PIP2",
-        ],
-        &rows,
-    );
+    table.print(&format!(
+        "Fig. 7: BCGS-PIP / BCGS-PIP2 on {n}x{} glued matrices",
+        panels * s
+    ));
     println!(
         "\nExpected shape (paper): for kappa < 1e8 the post-PIP basis stays O(1) conditioned\n\
          and BCGS-PIP2 reaches O(eps); beyond that the Cholesky factorization breaks down."

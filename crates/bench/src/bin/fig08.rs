@@ -8,7 +8,7 @@
 //! its orthogonality error; at every big-panel flush we record the error of
 //! the fully orthogonalized prefix.
 
-use bench::{print_table, scale, sci, Scale};
+use bench::{scale, sci, Scale, Table};
 use blockortho::{BlockOrthogonalizer, TwoStage};
 use dense::{cond_2, orthogonality_error, Matrix};
 use distsim::{DistMultiVector, SerialComm};
@@ -32,7 +32,14 @@ fn main() {
     let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
     let mut r = Matrix::zeros(m, m);
     let mut two_stage = TwoStage::new(bs, m);
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        "columns",
+        "kappa(V_1:j)",
+        "kappa(stored basis)",
+        "err(stored basis)",
+        "flushed cols",
+        "err(flushed prefix)",
+    ]);
     let mut col = 0usize;
     while col < m {
         let end = col + s;
@@ -47,7 +54,7 @@ fn main() {
         let kappa = cond_2(&basis.local().cols(0..col));
         let err = orthogonality_error(&basis.local().cols(0..col));
         let flushed = two_stage.finalized_cols().unwrap_or(col);
-        rows.push(vec![
+        table.push([
             format!("{col}"),
             sci(cond_2(&v.cols(0..col))),
             sci(kappa),
@@ -62,18 +69,9 @@ fn main() {
     }
     two_stage.finish(&mut basis, &mut r).unwrap();
     let final_err = orthogonality_error(&basis.local().cols(0..col));
-    print_table(
-        &format!("Fig. 8: two-stage on a glued matrix, (n, m, bs, s) = ({n}, {m}, {bs}, {s})"),
-        &[
-            "columns",
-            "kappa(V_1:j)",
-            "kappa(stored basis)",
-            "err(stored basis)",
-            "flushed cols",
-            "err(flushed prefix)",
-        ],
-        &rows,
-    );
+    table.print(&format!(
+        "Fig. 8: two-stage on a glued matrix, (n, m, bs, s) = ({n}, {m}, {bs}, {s})"
+    ));
     println!(
         "\nFinal orthogonality error after the last second-stage flush: {}",
         sci(final_err)

@@ -6,7 +6,7 @@
 //! The matrices are row/column scaled by their maximum entries, as in the
 //! paper, and the monomial basis is used with `s = 5`, `bs = 60`.
 
-use bench::{print_table, scale, sci, Scale};
+use bench::{scale, sci, Scale, Table};
 use blockortho::{BlockOrthogonalizer, TwoStage};
 use dense::{cond_2, orthogonality_error, Matrix};
 use distsim::{DistMultiVector, SerialComm};
@@ -21,7 +21,15 @@ fn main() {
     };
     let s = 5;
     let bs = 60;
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        "matrix",
+        "n",
+        "nnz/n",
+        "max kappa incl. raw panel",
+        "max kappa pre-processed",
+        "final ||I - Q'Q||",
+        "status",
+    ]);
     for spec in SUITE_SPARSE_SET {
         let a0 = suitesparse_surrogate(spec, n_override, 11);
         let (a, _, _) = scale_rows_cols_by_max(&a0);
@@ -73,7 +81,7 @@ fn main() {
         } else {
             "-".into()
         };
-        rows.push(vec![
+        table.push([
             spec.name.to_string(),
             format!("{n}"),
             format!("{:.1}", a.nnz() as f64 / n as f64),
@@ -85,19 +93,9 @@ fn main() {
                 .unwrap_or_else(|| "ok".to_string()),
         ]);
     }
-    print_table(
-        &format!("Fig. 9: MPK + two-stage pre-processing (s = {s}, bs = {bs}, m = {m}) on SuiteSparse surrogates"),
-        &[
-            "matrix",
-            "n",
-            "nnz/n",
-            "max kappa incl. raw panel",
-            "max kappa pre-processed",
-            "final ||I - Q'Q||",
-            "status",
-        ],
-        &rows,
-    );
+    table.print(&format!(
+        "Fig. 9: MPK + two-stage pre-processing (s = {s}, bs = {bs}, m = {m}) on SuiteSparse surrogates"
+    ));
     println!(
         "\nExpected shape (paper): the pre-processed basis condition number stays bounded\n\
          (well below 1/sqrt(eps)) for most matrices and the final error is O(eps); the two\n\

@@ -13,7 +13,7 @@
 //! printed before the solves.
 
 use bench::cli;
-use bench::{print_table, scale, timed_solve, Scale, SolveSecs};
+use bench::{scale, timed_solve, Scale, SolveSecs, Table};
 use sparse::{laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{standard_gmres_config, GmresConfig, MulticolorGaussSeidel, OrthoKind, SStepGmres};
 
@@ -54,7 +54,15 @@ fn main() {
     );
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
     let gs = MulticolorGaussSeidel::new(&a, gs_sweeps);
-    let mut measured = Vec::new();
+    let mut header = vec![
+        "variant",
+        "iters (no precond)",
+        "iters (GS precond)",
+        "colors",
+        "converged",
+    ];
+    header.extend(SolveSecs::HEADER);
+    let mut table = Table::new(&header);
     let mut baseline = None;
     let variants: [(&str, Option<OrthoKind>); 4] = [
         ("standard", None),
@@ -92,21 +100,11 @@ fn main() {
             if precond.converged { "yes" } else { "NO" }.into(),
         ];
         row.extend(secs.cells(&baseline));
-        measured.push(row);
+        table.push(row);
     }
-    let mut header = vec![
-        "variant",
-        "iters (no precond)",
-        "iters (GS precond)",
-        "colors",
-        "converged",
-    ];
-    header.extend(SolveSecs::HEADER);
-    print_table(
-        &format!("Fig. 13: measured solves, {name}, multicolor Gauss-Seidel ({gs_sweeps} sweeps); times of the preconditioned solve"),
-        &header,
-        &measured,
-    );
+    table.print(&format!(
+        "Fig. 13: measured solves, {name}, multicolor Gauss-Seidel ({gs_sweeps} sweeps); times of the preconditioned solve"
+    ));
 
     println!(
         "\nExpected shape (paper Fig. 13): the preconditioner adds a scheme-independent cost per\n\

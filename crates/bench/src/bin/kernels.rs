@@ -27,27 +27,73 @@
 //! hardware thread real scaling is impossible, so the check instead bounds
 //! pool dispatch overhead.
 
+use bench::Table;
 use dense::Matrix;
 use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
+use std::hint::black_box;
 use std::time::Instant;
 use trace::JsonWriter;
 
-/// One measured configuration, serialized as a JSON object.
-struct Row {
+bench::table_row! {
+    /// One measured configuration.
+    struct Row {
+        kernel: &'static str,
+        variant: &'static str,
+        n: usize,
+        s: usize,
+        k: usize,
+        threads: usize,
+        secs: f64,
+        gflops: f64,
+        bytes_moved: u64,
+        /// What `speedup` is measured against (absent for baseline rows).
+        baseline: Option<&'static str>,
+        /// `baseline_secs / secs` for the same shape and thread count.
+        speedup: Option<f64>,
+    }
+}
+
+/// What one call of a kernel at one shape costs: its flop model and the
+/// minimum bytes it must move.
+#[derive(Clone, Copy)]
+struct Cost {
     kernel: &'static str,
-    variant: &'static str,
     n: usize,
     s: usize,
     k: usize,
-    threads: usize,
-    secs: f64,
-    gflops: f64,
-    bytes_moved: u64,
-    /// What `speedup` is measured against (absent for baseline rows).
-    baseline: Option<&'static str>,
-    /// `baseline_secs / secs` for the same shape and thread count.
-    speedup: Option<f64>,
+    flops: f64,
+    bytes: u64,
 }
+
+impl Cost {
+    /// The row of `variant` at `threads` taking `secs`, measured against
+    /// `baseline` (its name and seconds) when there is one.
+    fn row(
+        &self,
+        variant: &'static str,
+        threads: usize,
+        secs: f64,
+        baseline: Option<(&'static str, f64)>,
+    ) -> Row {
+        Row {
+            kernel: self.kernel,
+            variant,
+            n: self.n,
+            s: self.s,
+            k: self.k,
+            threads,
+            secs,
+            gflops: self.flops / secs * 1e-9,
+            bytes_moved: self.bytes,
+            baseline: baseline.map(|(name, _)| name),
+            speedup: baseline.map(|(_, base_secs)| base_secs / secs),
+        }
+    }
+}
+
+/// A BLAS-3 kernel at one shape: its cost, then its naive and its blocked
+/// call, each on a scratch copy of the input panel.
+type Kernel<'a> = (Cost, &'a dyn Fn(&mut Matrix), &'a dyn Fn(&mut Matrix));
 
 /// Best-of-k wall time of `f`, with one untimed warmup call.
 fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -59,6 +105,49 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Time every kernel's naive call at one thread, then its blocked call at
+/// each thread count: 1-thread blocked rows are measured against the naive
+/// call, multithread ones against the 1-thread blocked call.  A call runs on
+/// a copy of `v`, restored outside the timed region (at the flush shapes the
+/// copy takes as long as the call).
+fn time_kernels(
+    rows: &mut Vec<Row>,
+    v: &Matrix,
+    reps: usize,
+    thread_counts: &[usize],
+    kernels: &[Kernel],
+) {
+    let mut w = v.clone();
+    let mut time = |call: &dyn Fn(&mut Matrix)| {
+        let mut best = f64::INFINITY;
+        for _ in 0..=reps {
+            w.data_mut().copy_from_slice(v.data());
+            let t0 = Instant::now();
+            call(&mut w);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        best
+    };
+    parkit::set_num_threads(1);
+    let mut baselines = Vec::new();
+    for (cost, naive, _) in kernels {
+        let secs = time(*naive);
+        rows.push(cost.row("naive", 1, secs, None));
+        baselines.push(("naive", secs));
+    }
+    for &t in thread_counts {
+        parkit::set_num_threads(t);
+        for ((cost, _, blocked), baseline) in kernels.iter().zip(&mut baselines) {
+            let secs = time(*blocked);
+            rows.push(cost.row("blocked", t, secs, Some(*baseline)));
+            if t == 1 {
+                *baseline = ("blocked_1thread", secs);
+            }
+        }
+    }
+    parkit::set_num_threads(0);
 }
 
 fn panel(n: usize, s: usize, seed: usize) -> Matrix {
@@ -81,223 +170,66 @@ fn upper(s: usize) -> Matrix {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push(
-    rows: &mut Vec<Row>,
-    kernel: &'static str,
-    variant: &'static str,
-    n: usize,
-    s: usize,
-    k: usize,
-    threads: usize,
-    secs: f64,
-    flops: f64,
-    bytes: u64,
-    baseline: Option<(&'static str, f64)>,
-) {
-    rows.push(Row {
-        kernel,
-        variant,
-        n,
-        s,
-        k,
-        threads,
-        secs,
-        gflops: flops / secs * 1e-9,
-        bytes_moved: bytes,
-        baseline: baseline.map(|(name, _)| name),
-        speedup: baseline.map(|(_, base_secs)| base_secs / secs),
-    });
-}
-
 /// Benchmark the four kernels plus the fused pass on one `n×s` shape.
 fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_counts: &[usize]) {
     let v = panel(n, s, 1);
     let q = panel(n, s, 2);
     let r = upper(s);
     let p = Matrix::from_fn(s, s, |i, j| ((i + j) % 7) as f64 * 0.05 - 0.1);
-    let k = s;
-
-    // Naive single-thread baselines (the pre-blocking formulations).
-    parkit::set_num_threads(1);
-    let naive_gram_s = time_best(reps, || {
-        std::hint::black_box(dense::naive_gram(&v.view()));
-    });
-    let naive_tn_s = time_best(reps, || {
-        std::hint::black_box(dense::naive_gemm_tn(&q.view(), &v.view()));
-    });
-    let naive_upd_s = time_best(reps, || {
-        let mut w = v.clone();
-        dense::naive_gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
-        std::hint::black_box(&w);
-    });
-    let naive_trsm_s = time_best(reps, || {
-        let mut w = v.clone();
-        dense::naive_trsm_right_upper(&mut w.view_mut(), &r);
-        std::hint::black_box(&w);
-    });
-    let nf = n as f64;
-    let sf = s as f64;
-    let gram_flops = nf * sf * (sf + 1.0);
-    let tn_flops = 2.0 * nf * sf * sf;
-    let upd_flops = 2.0 * nf * sf * sf;
-    let trsm_flops = nf * sf * (sf + 1.0);
-    let gram_bytes = (8 * n * s) as u64;
-    let tn_bytes = (8 * n * 2 * s) as u64;
-    let upd_bytes = (8 * n * 3 * s) as u64;
-    let trsm_bytes = (8 * n * 2 * s) as u64;
-    push(
-        rows,
-        "gram",
-        "naive",
-        n,
-        s,
-        0,
-        1,
-        naive_gram_s,
-        gram_flops,
-        gram_bytes,
-        None,
-    );
-    push(
-        rows, "gemm_tn", "naive", n, s, k, 1, naive_tn_s, tn_flops, tn_bytes, None,
-    );
-    push(
-        rows,
-        "gemm_nn_minus",
-        "naive",
+    let (nf, sf) = (n as f64, s as f64);
+    // `panels` n×s panels of 8-byte words are the bytes a call must move.
+    let cost = |kernel, k, flops, panels: usize| Cost {
+        kernel,
         n,
         s,
         k,
-        1,
-        naive_upd_s,
-        upd_flops,
-        upd_bytes,
-        None,
-    );
-    push(
+        flops,
+        bytes: (8 * n * panels * s) as u64,
+    };
+    let gram = cost("gram", 0, nf * sf * (sf + 1.0), 1);
+    let tn = cost("gemm_tn", s, 2.0 * nf * sf * sf, 2);
+    let upd = cost("gemm_nn_minus", s, 2.0 * nf * sf * sf, 3);
+    let trsm = cost("trsm_right_upper", 0, nf * sf * (sf + 1.0), 2);
+    // The naive calls are the pre-blocking formulations.
+    time_kernels(
         rows,
-        "trsm_right_upper",
-        "naive",
-        n,
-        s,
-        0,
-        1,
-        naive_trsm_s,
-        trsm_flops,
-        trsm_bytes,
-        None,
+        &v,
+        reps,
+        thread_counts,
+        &[
+            (
+                gram,
+                &|w| drop(black_box(dense::naive_gram(&w.view()))),
+                &|w| drop(black_box(dense::gram(&w.view()))),
+            ),
+            (
+                tn,
+                &|w| drop(black_box(dense::naive_gemm_tn(&q.view(), &w.view()))),
+                &|w| drop(black_box(dense::gemm_tn(&q.view(), &w.view()))),
+            ),
+            (
+                upd,
+                &|w| dense::naive_gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
+                &|w| dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
+            ),
+            (
+                trsm,
+                &|w| dense::naive_trsm_right_upper(&mut w.view_mut(), &r),
+                &|w| dense::trsm_right_upper(&mut w.view_mut(), &r),
+            ),
+        ],
     );
-
-    // 1-thread blocked times, recorded on the first (t == 1) pass and used
-    // as the baseline for the multithread scaling rows.
-    let mut base_gram_s = f64::NAN;
-    let mut base_tn_s = f64::NAN;
-    let mut base_upd_s = f64::NAN;
-    let mut base_trsm_s = f64::NAN;
+    // Fused update + [Q W]ᵀW pass vs. the three separate sweeps.
+    let fused = Cost {
+        kernel: "fused_update_proj_gram",
+        flops: upd.flops + tn.flops + gram.flops,
+        ..upd
+    };
     for &t in thread_counts {
         parkit::set_num_threads(t);
-        let single = t == 1;
-        let blocked_gram_s = time_best(reps, || {
-            std::hint::black_box(dense::gram(&v.view()));
-        });
-        if single {
-            base_gram_s = blocked_gram_s;
-        }
-        push(
-            rows,
-            "gram",
-            "blocked",
-            n,
-            s,
-            0,
-            t,
-            blocked_gram_s,
-            gram_flops,
-            gram_bytes,
-            if single {
-                Some(("naive", naive_gram_s))
-            } else {
-                Some(("blocked_1thread", base_gram_s))
-            },
-        );
-        let blocked_tn_s = time_best(reps, || {
-            std::hint::black_box(dense::gemm_tn(&q.view(), &v.view()));
-        });
-        if single {
-            base_tn_s = blocked_tn_s;
-        }
-        push(
-            rows,
-            "gemm_tn",
-            "blocked",
-            n,
-            s,
-            k,
-            t,
-            blocked_tn_s,
-            tn_flops,
-            tn_bytes,
-            if single {
-                Some(("naive", naive_tn_s))
-            } else {
-                Some(("blocked_1thread", base_tn_s))
-            },
-        );
-        let blocked_upd_s = time_best(reps, || {
-            let mut w = v.clone();
-            dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
-            std::hint::black_box(&w);
-        });
-        if single {
-            base_upd_s = blocked_upd_s;
-        }
-        push(
-            rows,
-            "gemm_nn_minus",
-            "blocked",
-            n,
-            s,
-            k,
-            t,
-            blocked_upd_s,
-            upd_flops,
-            upd_bytes,
-            if single {
-                Some(("naive", naive_upd_s))
-            } else {
-                Some(("blocked_1thread", base_upd_s))
-            },
-        );
-        let blocked_trsm_s = time_best(reps, || {
-            let mut w = v.clone();
-            dense::trsm_right_upper(&mut w.view_mut(), &r);
-            std::hint::black_box(&w);
-        });
-        if single {
-            base_trsm_s = blocked_trsm_s;
-        }
-        push(
-            rows,
-            "trsm_right_upper",
-            "blocked",
-            n,
-            s,
-            0,
-            t,
-            blocked_trsm_s,
-            trsm_flops,
-            trsm_bytes,
-            if single {
-                Some(("naive", naive_trsm_s))
-            } else {
-                Some(("blocked_1thread", base_trsm_s))
-            },
-        );
-        // Fused update + [Q W]ᵀW pass vs. the three separate sweeps.
         let fused_s = time_best(reps, || {
             let mut w = v.clone();
-            std::hint::black_box(dense::fused_update_proj_gram(
+            black_box(dense::fused_update_proj_gram(
                 &mut w.view_mut(),
                 &q.view(),
                 &p,
@@ -306,23 +238,15 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
         let separate_s = time_best(reps, || {
             let mut w = v.clone();
             dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
-            std::hint::black_box(dense::gemm_tn(&q.view(), &w.view()));
-            std::hint::black_box(dense::gram(&w.view()));
+            black_box(dense::gemm_tn(&q.view(), &w.view()));
+            black_box(dense::gram(&w.view()));
         });
-        let fused_flops = upd_flops + tn_flops + gram_flops;
-        push(
-            rows,
-            "fused_update_proj_gram",
+        rows.push(fused.row(
             "fused",
-            n,
-            s,
-            k,
             t,
             fused_s,
-            fused_flops,
-            upd_bytes,
             Some(("separate_blocked_sweeps", separate_s)),
-        );
+        ));
     }
     parkit::set_num_threads(0);
 }
@@ -345,105 +269,32 @@ fn bench_flush_shape(
         std::cmp::Ordering::Equal => 1.5 + i as f64 * 0.1,
         std::cmp::Ordering::Greater => 0.0,
     });
-    let nf = n as f64;
-    let sf = s as f64;
-    let flops = nf * sf * (sf + 1.0);
-    let gram_bytes = (8 * n * s) as u64;
-    let trsm_bytes = (8 * n * 2 * s) as u64;
-    // Every repetition solves the same panel; restoring it (a 12–28 MB
-    // copy, as long as the solve itself) stays outside the timed region.
-    let mut w = v.clone();
-    let mut time_trsm = |solve: &dyn Fn(&mut Matrix)| {
-        let mut best = f64::INFINITY;
-        for _ in 0..=reps {
-            w.data_mut().copy_from_slice(v.data());
-            let t0 = Instant::now();
-            solve(&mut w);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
+    let cost = |kernel, panels: usize| Cost {
+        kernel,
+        n,
+        s,
+        k: 0,
+        flops: n as f64 * s as f64 * (s as f64 + 1.0),
+        bytes: (8 * n * panels * s) as u64,
     };
-
-    parkit::set_num_threads(1);
-    let naive_gram_s = time_best(reps, || {
-        std::hint::black_box(dense::naive_gram(&v.view()));
-    });
-    let naive_trsm_s = time_trsm(&|w| dense::naive_trsm_right_upper(&mut w.view_mut(), &r));
-    push(
+    time_kernels(
         rows,
-        "gram",
-        "naive",
-        n,
-        s,
-        0,
-        1,
-        naive_gram_s,
-        flops,
-        gram_bytes,
-        None,
+        &v,
+        reps,
+        thread_counts,
+        &[
+            (
+                cost("gram", 1),
+                &|w| drop(black_box(dense::naive_gram(&w.view()))),
+                &|w| drop(black_box(dense::gram(&w.view()))),
+            ),
+            (
+                cost("trsm_right_upper", 2),
+                &|w| dense::naive_trsm_right_upper(&mut w.view_mut(), &r),
+                &|w| dense::trsm_right_upper(&mut w.view_mut(), &r),
+            ),
+        ],
     );
-    push(
-        rows,
-        "trsm_right_upper",
-        "naive",
-        n,
-        s,
-        0,
-        1,
-        naive_trsm_s,
-        flops,
-        trsm_bytes,
-        None,
-    );
-    let mut base_gram_s = f64::NAN;
-    let mut base_trsm_s = f64::NAN;
-    for &t in thread_counts {
-        parkit::set_num_threads(t);
-        let single = t == 1;
-        let gram_s = time_best(reps, || {
-            std::hint::black_box(dense::gram(&v.view()));
-        });
-        let trsm_s = time_trsm(&|w| dense::trsm_right_upper(&mut w.view_mut(), &r));
-        if single {
-            base_gram_s = gram_s;
-            base_trsm_s = trsm_s;
-        }
-        push(
-            rows,
-            "gram",
-            "blocked",
-            n,
-            s,
-            0,
-            t,
-            gram_s,
-            flops,
-            gram_bytes,
-            Some(if single {
-                ("naive", naive_gram_s)
-            } else {
-                ("blocked_1thread", base_gram_s)
-            }),
-        );
-        push(
-            rows,
-            "trsm_right_upper",
-            "blocked",
-            n,
-            s,
-            0,
-            t,
-            trsm_s,
-            flops,
-            trsm_bytes,
-            Some(if single {
-                ("naive", naive_trsm_s)
-            } else {
-                ("blocked_1thread", base_trsm_s)
-            }),
-        );
-    }
-    parkit::set_num_threads(0);
 }
 
 /// SpMV on one operator: the reference `Csr::spmv` against the
@@ -456,11 +307,9 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let (mut y_csr, mut y_sliced) = (vec![0.0; n], vec![0.0; n]);
     parkit::set_num_threads(1);
-    let csr_s = time_best(reps, || a.spmv(std::hint::black_box(&x), &mut y_csr));
+    let csr_s = time_best(reps, || a.spmv(black_box(&x), &mut y_csr));
     let sliced = sparse::SlicedCsr::from_csr(a);
-    let sliced_s = time_best(reps, || {
-        sliced.spmv(std::hint::black_box(&x), &mut y_sliced)
-    });
+    let sliced_s = time_best(reps, || sliced.spmv(black_box(&x), &mut y_sliced));
     parkit::set_num_threads(0);
     assert!(
         y_csr
@@ -469,27 +318,21 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
             .all(|(p, q)| p.to_bits() == q.to_bits()),
         "{kernel}: SlicedCsr::spmv must return the bits of Csr::spmv"
     );
-    let flops = 2.0 * nnz as f64;
-    let bytes = (12 * nnz + 16 * n) as u64;
-    push(rows, kernel, "csr", n, 0, 0, 1, csr_s, flops, bytes, None);
-    push(
-        rows,
+    let cost = Cost {
         kernel,
-        "sliced",
         n,
-        0,
-        0,
-        1,
-        sliced_s,
-        flops,
-        bytes,
-        Some(("csr", csr_s)),
-    );
+        s: 0,
+        k: 0,
+        flops: 2.0 * nnz as f64,
+        bytes: (12 * nnz + 16 * n) as u64,
+    };
+    rows.push(cost.row("csr", 1, csr_s, None));
+    rows.push(cost.row("sliced", 1, sliced_s, Some(("csr", csr_s))));
     for (variant, secs) in [("csr", csr_s), ("sliced", sliced_s)] {
         eprintln!(
             "  {kernel} {variant}: {:.0} us, {:.1} GB/s",
             secs * 1e6,
-            bytes as f64 / secs * 1e-9
+            cost.bytes as f64 / secs * 1e-9
         );
     }
 }
@@ -509,6 +352,15 @@ fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usiz
         ..GmresConfig::default()
     };
     let solver = SStepGmres::new(config);
+    // Dominant per-iteration work: one SpMV + orthogonalization sweeps.
+    let cost = Cost {
+        kernel: "sstep_gmres_iteration",
+        n: a.nrows(),
+        s: 5,
+        k: 30,
+        flops: 2.0 * a.nnz() as f64,
+        bytes: (16 * a.nnz()) as u64,
+    };
     for &t in thread_counts {
         parkit::set_num_threads(t);
         let mut iters = 1usize;
@@ -516,22 +368,7 @@ fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usiz
             let (_, result) = solver.solve_serial(&a, &b);
             iters = result.iterations.max(1);
         });
-        let per_iter = secs / iters as f64;
-        // Dominant per-iteration work: one SpMV + orthogonalization sweeps.
-        let nnz_flops = 2.0 * a.nnz() as f64;
-        push(
-            rows,
-            "sstep_gmres_iteration",
-            "two_stage",
-            a.nrows(),
-            5,
-            30,
-            t,
-            per_iter,
-            nnz_flops,
-            (16 * a.nnz()) as u64,
-            None,
-        );
+        rows.push(cost.row("two_stage", t, secs / iters as f64, None));
     }
     parkit::set_num_threads(0);
 }
@@ -613,37 +450,6 @@ fn scaling_check(rows: &[Row]) -> Result<(), String> {
     Ok(())
 }
 
-fn to_json(rows: &[Row], quick: bool) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field("bench", "kernels")
-        .field("quick", quick)
-        .field("pool_lanes", parkit::pool_lanes())
-        .field("hardware_threads", hardware_threads())
-        .field("simd", dense::simd_label())
-        .field("tile", dense::TILE)
-        .field("row_block", dense::ROW_BLOCK)
-        .key("results")
-        .begin_array();
-    for r in rows {
-        w.begin_object()
-            .field("kernel", r.kernel)
-            .field("variant", r.variant)
-            .field("n", r.n)
-            .field("s", r.s)
-            .field("k", r.k)
-            .field("threads", r.threads)
-            .field("secs", r.secs)
-            .field("gflops", r.gflops)
-            .field("bytes_moved", r.bytes_moved)
-            .field("baseline", r.baseline)
-            .field("speedup", r.speedup)
-            .end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
 fn main() {
     let args = bench::cli::begin("kernels", false);
     let quick = bench::quick();
@@ -694,32 +500,21 @@ fn main() {
     eprintln!("benchmarking one s-step GMRES iteration ...");
     bench_gmres_iteration(&mut rows, quick, &thread_counts);
 
-    // Human-readable summary.
-    let header = [
-        "kernel", "variant", "n", "s", "threads", "secs", "GF/s", "MB", "speedup",
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.kernel.to_string(),
-                r.variant.to_string(),
-                r.n.to_string(),
-                r.s.to_string(),
-                r.threads.to_string(),
-                format!("{:.5}", r.secs),
-                format!("{:.2}", r.gflops),
-                format!("{:.1}", r.bytes_moved as f64 / 1e6),
-                match (r.speedup, r.baseline) {
-                    (Some(sp), Some(b)) => format!("{sp:.2}x vs {b}"),
-                    _ => "-".to_string(),
-                },
-            ]
-        })
-        .collect();
-    bench::print_table("kernel baselines", &header, &table);
-
-    bench::emit("BENCH_kernels.json", &to_json(&rows, quick));
+    let table = Table::of(&rows);
+    table.print("kernel baselines");
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "kernels")
+        .field("quick", quick)
+        .field("pool_lanes", parkit::pool_lanes())
+        .field("hardware_threads", hardware_threads())
+        .field("simd", dense::simd_label())
+        .field("tile", dense::TILE)
+        .field("row_block", dense::ROW_BLOCK)
+        .key("results");
+    table.write_json(&mut w);
+    w.end_object();
+    bench::emit("BENCH_kernels.json", &w.finish());
     eprintln!("wrote BENCH_kernels.json ({} rows)", rows.len());
 
     // Headline acceptance numbers on the 200k×8 shape.

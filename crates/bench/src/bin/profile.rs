@@ -31,6 +31,7 @@
 //! span table and the schedule join) and the timeline (`TRACE_profile.json`
 //! unless overridden with `--trace`).
 
+use bench::{Cell, Table};
 use blockortho::make_orthogonalizer;
 use distsim::{run_ranks, Communicator, DistCsr, SerialComm};
 use perfmodel::{ortho_cycle_words, ortho_reduce_count, SchemeKind};
@@ -76,66 +77,6 @@ fn assert_breakdown_sums(tag: &str, timings: &[CycleTiming]) {
             t.total_ns
         );
     }
-}
-
-struct ModelJoin {
-    measured_cycle_words: usize,
-    predicted_cycle_words: usize,
-    measured_cycle_reduces: usize,
-    predicted_cycle_reduces: usize,
-    measured_solve_secs: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn to_json(
-    quick: bool,
-    n: usize,
-    m: usize,
-    s: usize,
-    bs: usize,
-    solve: &SolveResult,
-    spans: &[trace::AggRow],
-    join: &ModelJoin,
-) -> String {
-    let total_ns: u64 = solve.cycle_timings.iter().map(|t| t.total_ns).sum();
-    let sync_ns: u64 = solve.cycle_timings.iter().map(|t| t.sync_ns).sum();
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field("bench", "profile")
-        .field("quick", quick)
-        .key("problem")
-        .begin_object()
-        .field("n", n)
-        .field("m", m)
-        .field("s", s)
-        .field("big_panel", bs)
-        .end_object()
-        .field("sync_fraction", sync_ns as f64 / total_ns.max(1) as f64);
-    solve.write_json(&mut w);
-    w.key("spans").begin_array();
-    for row in spans {
-        w.begin_object()
-            .field("cat", &row.cat)
-            .field("name", &row.name)
-            .field("count", row.count)
-            .field("total_ns", row.total_ns)
-            .field("max_ns", row.max_ns)
-            .end_object();
-    }
-    w.end_array()
-        .key("model_vs_measured")
-        .begin_object()
-        .field("ortho_cycle_words_measured", join.measured_cycle_words)
-        .field("ortho_cycle_words_predicted", join.predicted_cycle_words)
-        .field("ortho_cycle_reduces_measured", join.measured_cycle_reduces)
-        .field(
-            "ortho_cycle_reduces_predicted",
-            join.predicted_cycle_reduces,
-        )
-        .field("solve_secs_measured", join.measured_solve_secs)
-        .end_object()
-        .end_object();
-    w.finish()
 }
 
 fn main() {
@@ -234,19 +175,14 @@ fn main() {
     }
     ortho.finish(&mut basis, &mut r).unwrap();
     let delta = basis.comm().stats().snapshot().since(&before);
-    let join = ModelJoin {
-        measured_cycle_words: delta.allreduce_words,
-        predicted_cycle_words: ortho_cycle_words(scheme, m, s),
-        measured_cycle_reduces: delta.allreduces,
-        predicted_cycle_reduces: ortho_reduce_count(scheme, m, s),
-        measured_solve_secs: secs_on,
-    };
+    let predicted_words = ortho_cycle_words(scheme, m, s);
+    let predicted_reduces = ortho_reduce_count(scheme, m, s);
     assert_eq!(
-        join.measured_cycle_words, join.predicted_cycle_words,
+        delta.allreduce_words, predicted_words,
         "measured cycle words must match ortho_cycle_words"
     );
     assert_eq!(
-        join.measured_cycle_reduces, join.predicted_cycle_reduces,
+        delta.allreduces, predicted_reduces,
         "measured cycle reduces must match ortho_reduce_count"
     );
 
@@ -267,42 +203,63 @@ fn main() {
     let mut header = vec!["cycle", "step"];
     header.extend(Phase::ALL.iter().map(|p| p.label()));
     header.extend(["sync", "total", "reduces", "kappa"]);
+    let mut cycles = Table::new(&header);
     let pct = |part: u64, total: u64| format!("{:.0}%", 100.0 * part as f64 / total.max(1) as f64);
-    let table: Vec<Vec<String>> = (r_on.health_history.iter().zip(&r_on.cycle_timings))
-        .enumerate()
-        .map(|(cycle, (h, t))| {
-            let mut row = vec![cycle.to_string(), h.step.to_string()];
-            row.extend(Phase::ALL.iter().map(|&p| pct(t[p], t.total_ns)));
-            row.extend([
-                pct(t.sync_ns, t.total_ns),
-                format!("{:.2}ms", t.total_ns as f64 / 1e6),
-                h.comm_ortho.allreduces.to_string(),
-                bench::sci(h.kappa_est),
-            ]);
-            row
-        })
-        .collect();
-    bench::print_table(
-        "per-cycle time breakdown (share of cycle wall time)",
-        &header,
-        &table,
-    );
+    for (cycle, (h, t)) in (r_on.health_history.iter().zip(&r_on.cycle_timings)).enumerate() {
+        let mut row = vec![cycle.to_string(), h.step.to_string()];
+        row.extend(Phase::ALL.iter().map(|&p| pct(t[p], t.total_ns)));
+        row.extend([
+            pct(t.sync_ns, t.total_ns),
+            format!("{:.2}ms", t.total_ns as f64 / 1e6),
+            h.comm_ortho.allreduces.to_string(),
+            bench::sci(h.kappa_est),
+        ]);
+        cycles.push(row);
+    }
+    cycles.print("per-cycle time breakdown (share of cycle wall time)");
 
-    bench::emit(
-        "BENCH_profile.json",
-        &to_json(quick, n, m, s, bs, &r_on, &spans, &join),
-    );
+    let mut span_table = Table::new(&["cat", "name", "count", "total_ns", "max_ns"]);
+    for row in &spans {
+        span_table.push([
+            Cell::from(row.cat.as_str()),
+            row.name.as_str().into(),
+            row.count.into(),
+            row.total_ns.into(),
+            row.max_ns.into(),
+        ]);
+    }
+    let total_ns: u64 = r_on.cycle_timings.iter().map(|t| t.total_ns).sum();
+    let sync_fraction = total_sync_ns as f64 / total_ns.max(1) as f64;
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "profile")
+        .field("quick", quick)
+        .key("problem")
+        .begin_object()
+        .field("n", n)
+        .field("m", m)
+        .field("s", s)
+        .field("big_panel", bs)
+        .end_object()
+        .field("sync_fraction", sync_fraction);
+    r_on.write_json(&mut w);
+    w.key("spans");
+    span_table.write_json(&mut w);
+    w.key("model_vs_measured")
+        .begin_object()
+        .field("ortho_cycle_words_measured", delta.allreduce_words)
+        .field("ortho_cycle_words_predicted", predicted_words)
+        .field("ortho_cycle_reduces_measured", delta.allreduces)
+        .field("ortho_cycle_reduces_predicted", predicted_reduces)
+        .field("solve_secs_measured", secs_on)
+        .end_object()
+        .end_object();
+    bench::emit("BENCH_profile.json", &w.finish());
     eprintln!(
         "wrote BENCH_profile.json ({} cycles, {} span kinds, sync fraction {:.1}%)",
         r_on.cycle_timings.len(),
         spans.len(),
-        100.0 * total_sync_ns as f64
-            / r_on
-                .cycle_timings
-                .iter()
-                .map(|t| t.total_ns)
-                .sum::<u64>()
-                .max(1) as f64
+        100.0 * sync_fraction
     );
 
     args.finish();

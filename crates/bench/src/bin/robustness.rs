@@ -28,6 +28,7 @@
 //! `nnz_counting_pass`-derived partition.
 
 use bench::cli::{self, PartitionKind};
+use bench::Table;
 use distsim::{run_ranks, Communicator, DistCsr};
 use sparse::{elasticity3d, laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr};
 use sparse::{mm, SUITE_SPARSE_SET};
@@ -37,22 +38,24 @@ use ssgmres::{
 use std::sync::Arc;
 use trace::JsonWriter;
 
-struct Row {
-    matrix: String,
-    n: usize,
-    s: usize,
-    policy: &'static str,
-    converged: bool,
-    iterations: usize,
-    restarts: usize,
-    rescues: usize,
-    min_step: usize,
-    max_step: usize,
-    ortho_fallbacks: usize,
-    breakdown: bool,
-    allreduces_total: usize,
-    allreduces_ortho: usize,
-    final_relres: f64,
+bench::table_row! {
+    struct Row {
+        matrix: String,
+        n: usize,
+        s: usize,
+        policy: &'static str,
+        converged: bool,
+        iterations: usize,
+        restarts: usize,
+        rescues: usize,
+        min_step: usize,
+        max_step: usize,
+        ortho_fallbacks: usize,
+        breakdown: bool,
+        allreduces_total: usize,
+        allreduces_ortho: usize,
+        final_relres: f64,
+    }
 }
 
 fn config(s: usize, restart: usize, policy: StepPolicy, max_iters: usize) -> GmresConfig {
@@ -68,33 +71,6 @@ fn config(s: usize, restart: usize, policy: StepPolicy, max_iters: usize) -> Gmr
     }
 }
 
-fn record(
-    rows: &mut Vec<Row>,
-    matrix: &str,
-    a: &Csr,
-    s: usize,
-    policy: &'static str,
-    r: &SolveResult,
-) {
-    rows.push(Row {
-        matrix: matrix.to_string(),
-        n: a.nrows(),
-        s,
-        policy,
-        converged: r.converged,
-        iterations: r.iterations,
-        restarts: r.restarts,
-        rescues: r.rescues,
-        min_step: r.steps().iter().copied().min().unwrap_or(s),
-        max_step: r.steps().iter().copied().max().unwrap_or(s),
-        ortho_fallbacks: r.ortho_fallbacks,
-        breakdown: r.breakdown.is_some(),
-        allreduces_total: r.comm_total.allreduces,
-        allreduces_ortho: r.comm_ortho.allreduces,
-        final_relres: r.final_relres[0],
-    });
-}
-
 /// Solve one (matrix, s) cell under both policies and record the rows.
 /// Returns the Auto result for follow-up checks.
 fn run_cell(
@@ -106,14 +82,30 @@ fn run_cell(
     restart: usize,
     max_iters: usize,
 ) -> SolveResult {
-    let fixed = SStepGmres::new(config(s, restart, StepPolicy::Fixed, max_iters))
-        .solve_serial(a, b)
-        .1;
-    record(rows, name, a, s, "fixed", &fixed);
-    let auto = SStepGmres::new(config(s, restart, StepPolicy::Auto, max_iters))
-        .solve_serial(a, b)
-        .1;
-    record(rows, name, a, s, "auto", &auto);
+    let [fixed, auto] =
+        [("fixed", StepPolicy::Fixed), ("auto", StepPolicy::Auto)].map(|(policy, step_policy)| {
+            let r = SStepGmres::new(config(s, restart, step_policy, max_iters))
+                .solve_serial(a, b)
+                .1;
+            rows.push(Row {
+                matrix: name.to_string(),
+                n: a.nrows(),
+                s,
+                policy,
+                converged: r.converged,
+                iterations: r.iterations,
+                restarts: r.restarts,
+                rescues: r.rescues,
+                min_step: r.steps().iter().copied().min().unwrap_or(s),
+                max_step: r.steps().iter().copied().max().unwrap_or(s),
+                ortho_fallbacks: r.ortho_fallbacks,
+                breakdown: r.breakdown.is_some(),
+                allreduces_total: r.comm_total.allreduces,
+                allreduces_ortho: r.comm_ortho.allreduces,
+                final_relres: r.final_relres[0],
+            });
+            r
+        });
     eprintln!(
         "  {name}: s={s} fixed(conv={}) auto(conv={}, rescues={})",
         fixed.converged, auto.converged, auto.rescues
@@ -166,61 +158,11 @@ fn distributed_check(
     (per_rank, imbalance, converged)
 }
 
-fn to_json(
-    rows: &[Row],
-    quick: bool,
-    partition: PartitionKind,
-    dist: Option<&(String, Vec<usize>, f64, bool)>,
-) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field("bench", "robustness")
-        .field("quick", quick)
-        .field("partition", partition.label());
-    if let Some((name, per_rank, imbalance, converged)) = dist {
-        w.key("distributed")
-            .begin_object()
-            .field("matrix", name)
-            .field("nranks", per_rank.len())
-            .key("per_rank_nnz")
-            .begin_array();
-        for nnz in per_rank {
-            w.value(nnz);
-        }
-        w.end_array()
-            .field("imbalance", imbalance)
-            .field("converged", converged)
-            .end_object();
-    }
-    w.key("results").begin_array();
-    for r in rows {
-        w.begin_object()
-            .field("matrix", &r.matrix)
-            .field("n", r.n)
-            .field("s", r.s)
-            .field("policy", r.policy)
-            .field("converged", r.converged)
-            .field("iterations", r.iterations)
-            .field("restarts", r.restarts)
-            .field("rescues", r.rescues)
-            .field("min_step", r.min_step)
-            .field("max_step", r.max_step)
-            .field("ortho_fallbacks", r.ortho_fallbacks)
-            .field("breakdown", r.breakdown)
-            .field("allreduces_total", r.allreduces_total)
-            .field("allreduces_ortho", r.allreduces_ortho)
-            .field("final_relres", r.final_relres)
-            .end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
-}
-
 fn main() {
     let args = cli::begin("robustness", true);
     let quick = bench::quick();
     let mut rows = Vec::new();
-    let dist_summary: Option<(String, Vec<usize>, f64, bool)>;
+    let dist_summary: (String, Vec<usize>, f64, bool);
 
     if let Some((name, a)) = args.load_matrix() {
         // File mode: the sweep runs on the provided matrix only.
@@ -256,7 +198,7 @@ fn main() {
             "  distributed ({} partition): per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}",
             args.partition.label()
         );
-        dist_summary = Some((name, per_rank, imbalance, converged));
+        dist_summary = (name, per_rank, imbalance, converged);
     } else {
         // Built-in hard problems.  elasticity3d at s = 12 is the headline:
         // the monomial panel is decisively rank deficient at that step
@@ -299,7 +241,7 @@ fn main() {
             args.partition.label()
         );
         assert!(converged, "distributed Auto solve must converge");
-        dist_summary = Some(("elasticity3d".to_string(), per_rank, imbalance, converged));
+        dist_summary = ("elasticity3d".to_string(), per_rank, imbalance, converged);
 
         // ---- Acceptance assertions (built-in set only) ----
         let find = |policy: &str| {
@@ -350,40 +292,31 @@ fn main() {
         );
     }
 
-    let header = [
-        "matrix", "n", "s", "policy", "conv", "iters", "restarts", "rescues", "steps", "fallbk",
-        "bd", "reduces", "relres",
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.matrix.clone(),
-                r.n.to_string(),
-                r.s.to_string(),
-                r.policy.to_string(),
-                r.converged.to_string(),
-                r.iterations.to_string(),
-                r.restarts.to_string(),
-                r.rescues.to_string(),
-                format!("{}..{}", r.min_step, r.max_step),
-                r.ortho_fallbacks.to_string(),
-                r.breakdown.to_string(),
-                r.allreduces_ortho.to_string(),
-                bench::sci(r.final_relres),
-            ]
-        })
-        .collect();
-    bench::print_table(
-        "robustness: step policies on hard matrices",
-        &header,
-        &table,
-    );
-
-    bench::emit(
-        "BENCH_robustness.json",
-        &to_json(&rows, quick, args.partition, dist_summary.as_ref()),
-    );
+    let table = Table::of(&rows);
+    table.print("robustness: step policies on hard matrices");
+    let (name, per_rank, imbalance, converged) = dist_summary;
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "robustness")
+        .field("quick", quick)
+        .field("partition", args.partition.label())
+        .key("distributed")
+        .begin_object()
+        .field("matrix", name)
+        .field("nranks", per_rank.len())
+        .key("per_rank_nnz")
+        .begin_array();
+    for nnz in per_rank {
+        w.value(nnz);
+    }
+    w.end_array()
+        .field("imbalance", imbalance)
+        .field("converged", converged)
+        .end_object()
+        .key("results");
+    table.write_json(&mut w);
+    w.end_object();
+    bench::emit("BENCH_robustness.json", &w.finish());
     eprintln!("wrote BENCH_robustness.json ({} rows)", rows.len());
     args.finish();
 }

@@ -29,7 +29,8 @@
 //! produces), and the distributed spot-check partitions its rows with
 //! `--partition block|nnz`.
 
-use bench::cli::{self, PartitionKind};
+use bench::cli;
+use bench::Table;
 use blockortho::{make_orthogonalizer, OrthoError, OrthoKind};
 use dense::Matrix;
 use distsim::{run_ranks, DistMultiVector, SerialComm};
@@ -39,20 +40,22 @@ use trace::JsonWriter;
 const QUICK_KAPPAS: &[f64] = &[1e2, 1e10];
 const FULL_KAPPAS: &[f64] = &[1e2, 1e6, 1e9, 1e10, 1e12];
 
-struct Row {
-    input: String,
-    kappa: f64,
-    n: usize,
-    cols: usize,
-    s: usize,
-    scheme: String,
-    ok: bool,
-    err: f64,
-    recon: f64,
-    episodes: usize,
-    events: usize,
-    allreduces: usize,
-    allreduce_words: usize,
+bench::table_row! {
+    struct Row {
+        input: String,
+        kappa: f64,
+        n: usize,
+        cols: usize,
+        s: usize,
+        scheme: &'static str,
+        ok: bool,
+        orthogonality_error: f64,
+        reconstruction_error: f64,
+        episodes: usize,
+        fallback_events: usize,
+        allreduces: usize,
+        allreduce_words: usize,
+    }
 }
 
 /// The scheme grid at one step size: plain vs sketched, both families.
@@ -86,7 +89,7 @@ fn run_cell(input: &str, kappa: f64, v: &Matrix, s: usize, kind: OrthoKind) -> R
         outcome = scheme.finish(&mut basis, &mut r);
     }
     let delta = basis.comm().stats().snapshot().since(&before);
-    let (err, recon) = if outcome.is_ok() {
+    let (orthogonality_error, reconstruction_error) = if outcome.is_ok() {
         let q = basis.local();
         let back = dense::gemm_nn(q, &r);
         let mut recon = 0.0f64;
@@ -108,12 +111,12 @@ fn run_cell(input: &str, kappa: f64, v: &Matrix, s: usize, kind: OrthoKind) -> R
         n: v.nrows(),
         cols: v.ncols(),
         s,
-        scheme: kind.label().to_string(),
+        scheme: kind.label(),
         ok: outcome.is_ok(),
-        err,
-        recon,
+        orthogonality_error,
+        reconstruction_error,
         episodes: scheme.fallback_count(),
-        events: scheme.fallback_events().len(),
+        fallback_events: scheme.fallback_events().len(),
         allreduces: delta.allreduces,
         allreduce_words: delta.allreduce_words,
     }
@@ -199,53 +202,7 @@ fn distributed_check(
         assert_eq!(*episodes, serial.episodes, "episode count diverged");
         assert!(rmax.is_finite());
     }
-    Ok((serial.allreduces, serial.err))
-}
-
-fn to_json(
-    rows: &[Row],
-    quick: bool,
-    partition: PartitionKind,
-    dist: &(String, Result<(usize, f64), String>),
-) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field("bench", "sketch")
-        .field("quick", quick)
-        .field("partition", partition.label());
-    let (name, outcome) = dist;
-    w.key("distributed")
-        .begin_object()
-        .field("input", name)
-        .field("nranks", 2usize)
-        .field("ok", outcome.is_ok());
-    match outcome {
-        Ok((reduces, err)) => w
-            .field("allreduces", reduces)
-            .field("orthogonality_error", err),
-        Err(breakdown) => w.field("breakdown", breakdown),
-    };
-    w.end_object();
-    w.key("results").begin_array();
-    for r in rows {
-        w.begin_object()
-            .field("input", &r.input)
-            .field("kappa", r.kappa)
-            .field("n", r.n)
-            .field("cols", r.cols)
-            .field("s", r.s)
-            .field("scheme", &r.scheme)
-            .field("ok", r.ok)
-            .field("orthogonality_error", r.err)
-            .field("reconstruction_error", r.recon)
-            .field("episodes", r.episodes)
-            .field("fallback_events", r.events)
-            .field("allreduces", r.allreduces)
-            .field("allreduce_words", r.allreduce_words)
-            .end_object();
-    }
-    w.end_array().end_object();
-    w.finish()
+    Ok((serial.allreduces, serial.orthogonality_error))
 }
 
 fn main() {
@@ -340,20 +297,20 @@ fn main() {
                 r.input, r.scheme, r.kappa
             );
             assert!(
-                r.err <= o_eps,
+                r.orthogonality_error <= o_eps,
                 "{}/{} κ={:.0e}: ‖I − QᵀQ‖ = {:.2e} exceeds 100ε",
                 r.input,
                 r.scheme,
                 r.kappa,
-                r.err
+                r.orthogonality_error
             );
             assert!(
-                r.recon < 1e-8,
+                r.reconstruction_error < 1e-8,
                 "{}/{} κ={:.0e}: reconstruction error {:.2e}",
                 r.input,
                 r.scheme,
                 r.kappa,
-                r.recon
+                r.reconstruction_error
             );
         }
         // (b) Wherever the plain two-stage records fallback episodes, the
@@ -415,34 +372,29 @@ fn main() {
         );
     }
 
-    let header = [
-        "input", "kappa", "s", "scheme", "ok", "LOO", "recon", "episodes", "events", "reduces",
-        "words",
-    ];
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.input.clone(),
-                bench::sci(r.kappa),
-                r.s.to_string(),
-                r.scheme.clone(),
-                r.ok.to_string(),
-                bench::sci(r.err),
-                bench::sci(r.recon),
-                r.episodes.to_string(),
-                r.events.to_string(),
-                r.allreduces.to_string(),
-                r.allreduce_words.to_string(),
-            ]
-        })
-        .collect();
-    bench::print_table("sketch: κ × s × scheme stability sweep", &header, &table);
-
-    bench::emit(
-        "BENCH_sketch.json",
-        &to_json(&rows, quick, args.partition, &dist_summary),
-    );
+    let table = Table::of(&rows);
+    table.print("sketch: κ × s × scheme stability sweep");
+    let (name, outcome) = dist_summary;
+    let mut w = JsonWriter::new();
+    w.begin_object()
+        .field("bench", "sketch")
+        .field("quick", quick)
+        .field("partition", args.partition.label())
+        .key("distributed")
+        .begin_object()
+        .field("input", name)
+        .field("nranks", 2usize)
+        .field("ok", outcome.is_ok());
+    match outcome {
+        Ok((reduces, err)) => w
+            .field("allreduces", reduces)
+            .field("orthogonality_error", err),
+        Err(breakdown) => w.field("breakdown", breakdown),
+    };
+    w.end_object().key("results");
+    table.write_json(&mut w);
+    w.end_object();
+    bench::emit("BENCH_sketch.json", &w.finish());
     eprintln!("wrote BENCH_sketch.json ({} rows)", rows.len());
     args.finish();
 }

@@ -10,7 +10,7 @@
 //! exactly: every row converges, and the two-stage ortho reduces fall
 //! strictly as `bs` grows.  No assertion depends on a timing.
 
-use bench::{print_table, scale, timed_solve, Scale, SolveSecs};
+use bench::{scale, timed_solve, Scale, SolveSecs, Table};
 use sparse::{laplace2d_5pt, Csr, Laplace2d5ptRows};
 use ssgmres::{standard_gmres_config, GmresConfig, OrthoKind, SStepGmres};
 
@@ -87,21 +87,6 @@ fn main() {
         );
     }
     let baseline = measured[0].2;
-    let rows: Vec<Vec<String>> = measured
-        .iter()
-        .map(|(label, result, secs, err)| {
-            let mut row = vec![
-                label.clone(),
-                format!("{}", result.iterations),
-                format!("{}", result.comm_ortho.allreduces),
-                format!("{:.1e}", result.final_relres[0]),
-                format!("{err:.1e}"),
-                if result.converged { "yes" } else { "NO" }.into(),
-            ];
-            row.extend(secs.cells(&baseline));
-            row
-        })
-        .collect();
     let mut header = vec![
         "variant",
         "# iters",
@@ -111,11 +96,22 @@ fn main() {
         "converged",
     ];
     header.extend(SolveSecs::HEADER);
-    print_table(
-        &format!("Table II: measured solves of {name} (solution = all ones)"),
-        &header,
-        &rows,
-    );
+    let mut table = Table::new(&header);
+    for (label, result, secs, err) in &measured {
+        let mut row = vec![
+            label.clone(),
+            format!("{}", result.iterations),
+            format!("{}", result.comm_ortho.allreduces),
+            format!("{:.1e}", result.final_relres[0]),
+            format!("{err:.1e}"),
+            if result.converged { "yes" } else { "NO" }.into(),
+        ];
+        row.extend(secs.cells(&baseline));
+        table.push(row);
+    }
+    table.print(&format!(
+        "Table II: measured solves of {name} (solution = all ones)"
+    ));
     // How the distributed runs would split this operator across 4 ranks
     // under the chosen partition strategy.
     let part = bench::cli::partition_rows(&a, args.partition, 4.min(a.nrows()));

@@ -11,7 +11,7 @@
 //! real operator from the file.  `--partition block|nnz` selects the row
 //! split reported for the distributed runs.
 
-use bench::{print_table, scale, timed_solve, Scale, SolveSecs};
+use bench::{scale, timed_solve, Scale, SolveSecs, Table};
 use sparse::{
     elasticity3d, laplace3d_7pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr,
     SUITE_SPARSE_SET,
@@ -68,7 +68,16 @@ fn main() {
     ];
 
     let workloads = workloads(&args);
-    let mut rows = Vec::new();
+    let mut header = vec![
+        "matrix",
+        "n (small)",
+        "variant",
+        "# iters",
+        "ortho reduces",
+        "converged",
+    ];
+    header.extend(SolveSecs::HEADER);
+    let mut table = Table::new(&header);
     for (name, a) in &workloads {
         let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
         let m = m.min(a.nrows());
@@ -112,27 +121,14 @@ fn main() {
                 if result.converged { "yes" } else { "NO" }.into(),
             ];
             row.extend(secs.cells(&baseline));
-            rows.push(row);
+            table.push(row);
         }
     }
-    let mut header = vec![
-        "matrix",
-        "n (small)",
-        "variant",
-        "# iters",
-        "ortho reduces",
-        "converged",
-    ];
-    header.extend(SolveSecs::HEADER);
-    print_table(
-        if args.matrix.is_some() {
-            "Table IV: measured solves on the Matrix Market operator"
-        } else {
-            "Table IV: measured solves on scaled-down surrogates"
-        },
-        &header,
-        &rows,
-    );
+    table.print(if args.matrix.is_some() {
+        "Table IV: measured solves on the Matrix Market operator"
+    } else {
+        "Table IV: measured solves on scaled-down surrogates"
+    });
     if args.matrix.is_some() {
         // How the distributed runs would split the real operator's rows
         // under the chosen partition strategy.

@@ -24,10 +24,14 @@
 //! and then writes a Chrome trace-event timeline of the run (open at
 //! <https://ui.perfetto.dev>), and rejects arguments it does not know.  The
 //! seven JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
-//! write their artifact through [`trace::JsonWriter`] and [`emit`].
+//! write their artifact through [`trace::JsonWriter`] and [`emit`]; the
+//! rows of an artifact are a [`Table`] written by [`Table::write_json`].
 //!
-//! Every binary prints a plain-text table with the same rows/series as the
-//! paper and accepts the environment variable `REPRO_SCALE` (default
+//! Every binary prints its results as a plain-text [`Table`]
+//! ([`Table::print`]).  The figure and table binaries keep the paper's rows,
+//! series and column names; a JSON-writing binary declares its row type once
+//! with [`table_row!`], and prints the same rows under the JSON keys.
+//! Binaries accept the environment variable `REPRO_SCALE` (default
 //! `small`) — set `REPRO_SCALE=paper` to run the numerical studies at the
 //! paper's full problem sizes (slower).
 //!
@@ -41,7 +45,9 @@
 #![forbid(unsafe_code)]
 
 use ssgmres::{Phase, SolveResult};
+use std::fmt;
 use std::time::Instant;
+use trace::{JsonValue, JsonWriter};
 
 pub mod cli;
 
@@ -85,31 +91,197 @@ pub fn emit(path: impl AsRef<std::path::Path>, text: &str) {
     }
 }
 
-/// Pretty-print a table: a header row followed by data rows, with columns
-/// padded to a common width.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let ncols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (c, cell) in row.iter().enumerate().take(ncols) {
-            widths[c] = widths[c].max(cell.len());
+/// One cell of a [`Table`] row.  Each kind has one JSON rule (the
+/// [`JsonWriter`]'s) and one text rule ([`Display`](fmt::Display)).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// An escaped JSON string; as is in the text table.
+    Str(String),
+    /// An unsigned integer.
+    Uint(u64),
+    /// A signed integer.
+    Int(isize),
+    /// The shortest exponent form that parses back to the same bits, `null`
+    /// when not finite; [`sci`] in the text table.
+    Float(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// An absent optional value: `null`, and `-` in the text table.
+    Null,
+}
+
+macro_rules! cell_from {
+    ($($t:ty => $variant:ident $(as $cast:ty)?),*) => {$(
+        impl From<$t> for Cell {
+            fn from(v: $t) -> Self {
+                Cell::$variant(v $(as $cast)?)
+            }
+        }
+    )*};
+}
+cell_from!(String => Str, usize => Uint as u64, u64 => Uint, isize => Int, f64 => Float, bool => Bool);
+
+impl From<&str> for Cell {
+    fn from(v: &str) -> Self {
+        Cell::Str(v.to_string())
+    }
+}
+
+impl<T: Into<Cell>> From<Option<T>> for Cell {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Cell::Null, Into::into)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Str(v) => f.write_str(v),
+            Cell::Uint(v) => write!(f, "{v}"),
+            Cell::Int(v) => write!(f, "{v}"),
+            Cell::Float(v) => f.write_str(&sci(*v)),
+            Cell::Bool(v) => write!(f, "{v}"),
+            Cell::Null => f.write_str("-"),
         }
     }
-    let fmt_row = |cells: &[String]| {
-        let mut line = String::new();
-        for (c, cell) in cells.iter().enumerate().take(ncols) {
-            line.push_str(&format!("{:>width$}  ", cell, width = widths[c]));
+}
+
+impl JsonValue for Cell {
+    fn push_json(&self, out: &mut String) {
+        match self {
+            Cell::Str(v) => v.push_json(out),
+            Cell::Uint(v) => v.push_json(out),
+            Cell::Int(v) => v.push_json(out),
+            Cell::Float(v) => v.push_json(out),
+            Cell::Bool(v) => v.push_json(out),
+            Cell::Null => None::<bool>.push_json(out),
         }
-        line
+    }
+}
+
+/// A row type declared with [`table_row!`]: its field names are its
+/// [`Table`] columns.
+pub trait TableRow {
+    /// The field names, in declaration order.
+    const KEYS: &'static [&'static str];
+    /// The fields' values, in [`KEYS`](Self::KEYS) order.
+    fn cells(&self) -> Vec<Cell>;
+}
+
+/// Declare a row struct and its [`TableRow`] columns at once: each field's
+/// name is its column key, and its type converts into a [`Cell`].
+///
+/// ```
+/// bench::table_row! {
+///     struct Run { matrix: String, iterations: usize, relres: f64 }
+/// }
+/// let runs = [Run { matrix: "lap".into(), iterations: 12, relres: 1e-7 }];
+/// let table = bench::Table::of(&runs);
+/// table.print("runs");
+/// ```
+#[macro_export]
+macro_rules! table_row {
+    (
+        $(#[$meta:meta])*
+        struct $name:ident {
+            $($(#[$field_meta:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        struct $name {
+            $($(#[$field_meta])* $field: $ty),*
+        }
+
+        impl $crate::TableRow for $name {
+            const KEYS: &'static [&'static str] = &[$(stringify!($field)),*];
+            fn cells(&self) -> Vec<$crate::Cell> {
+                vec![$($crate::Cell::from(::std::clone::Clone::clone(&self.$field))),*]
+            }
+        }
     };
-    println!(
-        "{}",
-        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * ncols));
-    for row in rows {
-        println!("{}", fmt_row(row));
+}
+
+/// A results table: ordered column keys and rows of typed cells, printed as
+/// text by [`print`](Self::print) and written as a JSON array of row objects
+/// by [`write_json`](Self::write_json).
+#[derive(Debug, Clone)]
+pub struct Table {
+    keys: Vec<&'static str>,
+    rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    /// An empty table with columns `keys`.
+    pub fn new(keys: &[&'static str]) -> Self {
+        Table {
+            keys: keys.to_vec(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// One row per element of `rows`.
+    pub fn of<R: TableRow>(rows: &[R]) -> Self {
+        let mut table = Table::new(R::KEYS);
+        for row in rows {
+            table.push(row.cells());
+        }
+        table
+    }
+
+    /// Append a row.  Panics unless it has one cell per column.
+    pub fn push<C: Into<Cell>>(&mut self, cells: impl IntoIterator<Item = C>) {
+        let row: Vec<Cell> = cells.into_iter().map(Into::into).collect();
+        assert_eq!(
+            row.len(),
+            self.keys.len(),
+            "a row needs one cell per column {:?}",
+            self.keys
+        );
+        self.rows.push(row);
+    }
+
+    /// Print the table under `title`: the keys as a header line, then one
+    /// line per row, each column right-aligned to a common width.
+    pub fn print(&self, title: &str) {
+        let text: Vec<Vec<String>> = (self.rows.iter())
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.keys.iter().map(|k| k.len()).collect();
+        for row in &text {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let line = |cells: &[&str]| -> String {
+            (cells.iter().zip(&widths))
+                .map(|(cell, &width)| format!("{cell:>width$}  "))
+                .collect()
+        };
+        println!("\n== {title} ==");
+        println!("{}", line(&self.keys));
+        println!(
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        );
+        for row in &text {
+            println!(
+                "{}",
+                line(&row.iter().map(String::as_str).collect::<Vec<_>>())
+            );
+        }
+    }
+
+    /// Write the rows as a JSON array of objects, one member per column.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for row in &self.rows {
+            w.begin_object();
+            for (key, cell) in self.keys.iter().zip(row) {
+                w.field(key, cell);
+            }
+            w.end_object();
+        }
+        w.end_array();
     }
 }
 
@@ -205,12 +377,89 @@ mod tests {
         assert_eq!(speedup(10.0, 5.0), "2.0x");
     }
 
+    crate::table_row! {
+        struct Probe {
+            name: String,
+            n: usize,
+            shift: isize,
+            x: f64,
+            ok: bool,
+            baseline: Option<&'static str>,
+        }
+    }
+
+    fn probes() -> [Probe; 2] {
+        [
+            Probe {
+                name: "quote\" backslash\\ newline\n nul\u{0} é".into(),
+                n: 36,
+                shift: -3,
+                x: f64::NAN,
+                ok: true,
+                baseline: None,
+            },
+            Probe {
+                name: "plain".into(),
+                n: 0,
+                shift: 7,
+                x: 0.1 + 0.2,
+                ok: false,
+                baseline: Some("naive"),
+            },
+        ]
+    }
+
     #[test]
-    fn print_table_does_not_panic_on_ragged_rows() {
-        print_table(
-            "test",
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["only-one".into()]],
-        );
+    fn table_json_is_what_the_writer_writes_field_by_field() {
+        let rows = probes();
+        let mut expected = JsonWriter::new();
+        expected.begin_object().key("results").begin_array();
+        for r in &rows {
+            expected
+                .begin_object()
+                .field("name", &r.name)
+                .field("n", r.n)
+                .field("shift", r.shift)
+                .field("x", r.x)
+                .field("ok", r.ok)
+                .field("baseline", r.baseline)
+                .end_object();
+        }
+        expected.end_array().end_object();
+        let expected = expected.finish();
+
+        let mut w = JsonWriter::new();
+        w.begin_object().key("results");
+        Table::of(&rows).write_json(&mut w);
+        w.end_object();
+        let text = w.finish();
+        assert_eq!(text, expected);
+        assert!(text.contains(r#""x": null"#) && text.contains(r#""baseline": null"#));
+        assert!(text.contains(r#""shift": -3"#));
+        trace::validate_json(&text).unwrap_or_else(|e| panic!("{text}\nrejected: {e}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "one cell per column")]
+    fn a_row_with_the_wrong_number_of_cells_panics() {
+        let mut table = Table::new(&["a", "b"]);
+        table.push(["1"]);
+    }
+
+    #[test]
+    fn an_empty_table_prints_and_writes_an_empty_array() {
+        let table = Table::new(&["a", "b"]);
+        table.print("empty");
+        let mut w = JsonWriter::new();
+        table.write_json(&mut w);
+        assert_eq!(w.finish(), "[]\n");
+        Table::new(&[]).print("no columns");
+    }
+
+    #[test]
+    fn cells_print_by_one_text_rule() {
+        let cells: Vec<String> = probes()[1].cells().iter().map(Cell::to_string).collect();
+        assert_eq!(cells, ["plain", "0", "7", "3.00e-1", "false", "naive"]);
+        assert_eq!(Cell::Null.to_string(), "-");
     }
 }

@@ -1,110 +1,105 @@
 //! Chrome trace-event / Perfetto JSON export.
 //!
 //! The emitted object follows the Trace Event Format's "JSON Object Format":
-//! a `traceEvents` array of complete (`"ph":"X"`), counter (`"ph":"C"`),
-//! instant (`"ph":"i"`) and thread-name metadata (`"ph":"M"`) events.
-//! Timestamps and durations are microseconds (fractional, so nanosecond
-//! resolution survives).  Open the file at <https://ui.perfetto.dev> or in
-//! `chrome://tracing`.
+//! a `traceEvents` array of complete (`"ph": "X"`), counter (`"ph": "C"`),
+//! instant (`"ph": "i"`) and thread-name metadata (`"ph": "M"`) events,
+//! written through [`JsonWriter`].  Timestamps and durations are
+//! microseconds (fractional, so nanosecond resolution survives).  Open the
+//! file at <https://ui.perfetto.dev> or in `chrome://tracing`.
 
-use crate::json::push_json_str;
+use crate::json::JsonWriter;
 use crate::{Event, EventKind, Trace};
-use std::fmt::Write as _;
 
-/// Microseconds with nanosecond resolution, as a JSON number.
-fn push_us(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
+/// Microseconds with nanosecond resolution.  Below 10¹⁵ ns every `ns / 1000`
+/// has at most 15 significant digits, so the writer's shortest round-trip
+/// form prints it exactly.
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1e3
 }
 
-fn push_args(out: &mut String, ev: &Event) {
-    out.push_str(",\"args\":{");
-    for (i, (key, value)) in ev.args.iter().take(ev.nargs as usize).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(out, key);
-        let _ = write!(out, ":{value}");
+/// Open an event object with the members every event starts with.
+fn begin_event<'w>(w: &'w mut JsonWriter, ph: &str, tid: u64, ts_ns: u64) -> &'w mut JsonWriter {
+    w.begin_object()
+        .field("ph", ph)
+        .field("pid", 0usize)
+        .field("tid", tid)
+        .field("ts", micros(ts_ns))
+}
+
+/// The event's named integer arguments, when it has any.
+fn write_args(w: &mut JsonWriter, ev: &Event) {
+    if ev.nargs == 0 {
+        return;
     }
-    out.push('}');
+    w.key("args").begin_object();
+    for (key, value) in &ev.args[..ev.nargs as usize] {
+        w.field(key, value);
+    }
+    w.end_object();
 }
 
-fn push_event(out: &mut String, tid: u64, ev: &Event) {
+fn write_event(w: &mut JsonWriter, tid: u64, ev: &Event) {
     match ev.kind {
         EventKind::Span { dur_ns } => {
-            let _ = write!(out, "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":");
-            push_us(out, ev.ts_ns);
-            out.push_str(",\"dur\":");
-            push_us(out, dur_ns);
-            out.push_str(",\"cat\":");
-            push_json_str(out, ev.cat);
-            out.push_str(",\"name\":");
-            push_json_str(out, ev.name);
-            if ev.nargs > 0 {
-                push_args(out, ev);
-            }
-            out.push('}');
+            begin_event(w, "X", tid, ev.ts_ns)
+                .field("dur", micros(dur_ns))
+                .field("cat", ev.cat)
+                .field("name", ev.name);
+            write_args(w, ev);
         }
         EventKind::Counter { value } => {
-            let _ = write!(out, "{{\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":");
-            push_us(out, ev.ts_ns);
-            out.push_str(",\"name\":");
-            push_json_str(out, ev.name);
-            out.push_str(",\"args\":{");
-            push_json_str(out, ev.cat);
-            if value.is_finite() {
-                let _ = write!(out, ":{value}");
-            } else {
-                out.push_str(":null");
-            }
-            out.push_str("}}");
+            begin_event(w, "C", tid, ev.ts_ns)
+                .field("name", ev.name)
+                .key("args")
+                .begin_object()
+                .field(ev.cat, value)
+                .end_object();
         }
         EventKind::Instant => {
-            let _ = write!(out, "{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"ts\":");
-            push_us(out, ev.ts_ns);
-            out.push_str(",\"s\":\"t\",\"cat\":");
-            push_json_str(out, ev.cat);
-            out.push_str(",\"name\":");
-            push_json_str(out, ev.name);
-            if ev.nargs > 0 {
-                push_args(out, ev);
-            }
-            out.push('}');
+            begin_event(w, "i", tid, ev.ts_ns)
+                .field("s", "t")
+                .field("cat", ev.cat)
+                .field("name", ev.name);
+            write_args(w, ev);
         }
     }
+    w.end_object();
 }
 
 impl Trace {
     /// Serialize the trace as Chrome trace-event JSON (see module docs).
     pub fn to_chrome_json(&self) -> String {
-        let total: usize = self.threads.iter().map(|t| t.events.len() + 1).sum();
-        let mut out = String::with_capacity(128 * total + 64);
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
+        let mut w = JsonWriter::new();
+        w.begin_object()
+            .field("displayTimeUnit", "ns")
+            .key("traceEvents")
+            .begin_array();
         for thread in &self.threads {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":",
-                thread.tid
-            );
-            push_json_str(&mut out, &thread.label);
-            out.push_str("}}");
+            w.begin_object()
+                .field("ph", "M")
+                .field("pid", 0usize)
+                .field("tid", thread.tid)
+                .field("name", "thread_name")
+                .key("args")
+                .begin_object()
+                .field("name", &thread.label)
+                .end_object()
+                .end_object();
             for ev in &thread.events {
-                out.push(',');
-                push_event(&mut out, thread.tid, ev);
+                write_event(&mut w, thread.tid, ev);
             }
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{clear, collect, instant, set_enabled, span, test_lock, validate_json};
+    use crate::{
+        clear, collect, complete_span, instant, now_ns, set_enabled, span, test_lock,
+        validate_json, EventKind,
+    };
 
     #[test]
     fn chrome_export_is_valid_json_with_expected_phases() {
@@ -120,11 +115,11 @@ mod tests {
         set_enabled(false);
         let json = collect().to_chrome_json();
         validate_json(&json).expect("chrome export must parse");
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"ph\":\"i\""));
+        assert!(json.contains("\"ph\": \"X\""));
+        assert!(json.contains("\"ph\": \"C\""));
+        assert!(json.contains("\"ph\": \"i\""));
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"peer\":3"));
+        assert!(json.contains("\"peer\": 3"));
         assert!(json.contains("\\\"quoted\\\""));
         clear();
     }
@@ -136,5 +131,42 @@ mod tests {
         clear();
         let json = collect().to_chrome_json();
         validate_json(&json).expect("empty export must parse");
+    }
+
+    #[test]
+    fn spans_keep_nanosecond_resolution() {
+        let _guard = test_lock();
+        set_enabled(false);
+        clear();
+        // A start 1.000001 ms after the trace epoch, in the past when the
+        // span is recorded.
+        let start_ns = 1_000_001;
+        while now_ns() <= start_ns {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        set_enabled(true);
+        complete_span("res", "exact", start_ns, &[("words", 640)]);
+        set_enabled(false);
+        let trace = collect();
+        let ev = (trace.threads.iter().flat_map(|t| &t.events))
+            .find(|e| e.name == "exact")
+            .expect("the span is recorded");
+        let EventKind::Span { dur_ns } = ev.kind else {
+            panic!("expected a span, got {:?}", ev.kind);
+        };
+        assert_eq!(ev.ts_ns, start_ns);
+        let json = trace.to_chrome_json();
+        let line = (json.lines().find(|l| l.contains("\"exact\"")))
+            .expect("the span is written on its own line");
+        assert!(line.contains(r#""ts": 1.000001e3, "dur": "#), "{line}");
+        assert!(line.contains(r#""args": {"words": 640}"#), "{line}");
+        let dur: f64 = line.split(r#""dur": "#).nth(1).unwrap()[..]
+            .split(',')
+            .next()
+            .unwrap()
+            .parse()
+            .expect("dur is a number");
+        assert_eq!((dur * 1e3).round() as u64, dur_ns, "{line}");
+        clear();
     }
 }

@@ -2,14 +2,14 @@
 //! *syntax* validator ([`validate_json`]).  No value tree is built and
 //! nothing is parsed back; there is no JSON dependency.
 //!
-//! Every `BENCH_*.json` artifact of the `bench` binaries is produced by the
-//! writer and checked by the validator before it reaches disk; the Chrome
-//! trace export shares the writer's string escaper.
+//! Every `BENCH_*.json` artifact of the `bench` binaries and every Chrome
+//! trace export is produced by the writer; the binaries check what they
+//! write with the validator before it reaches disk.
 
 use std::fmt::Write as _;
 
 /// Append `value` as a JSON string literal (with escaping) to `out`.
-pub(crate) fn push_json_str(out: &mut String, value: &str) {
+fn push_json_str(out: &mut String, value: &str) {
     out.push('"');
     for c in value.chars() {
         match c {
@@ -366,6 +366,9 @@ fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     if digits == 0 {
         return Err(fail(start, "number without digits"));
     }
+    if digits > 1 && bytes[*pos - digits] == b'0' {
+        return Err(fail(start, "number with a leading zero"));
+    }
     if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
         let mut frac = 0;
@@ -513,6 +516,10 @@ mod tests {
             "null",
             "true",
             "-12.5e-3",
+            "0",
+            "-0",
+            "0.5e-3",
+            "0e0",
             "\"a\\n\\u00e9\"",
             "[]",
             "{}",
@@ -534,6 +541,9 @@ mod tests {
             "{\"k\" 1}",
             "{'k': 1}",
             "01abc",
+            "01",
+            "[-012]",
+            "{\"k\": 00}",
             "1.",
             "1e",
             "\"unterminated",
