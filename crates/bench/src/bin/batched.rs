@@ -1,4 +1,4 @@
-//! Batched-solver experiment: reduces are paid per **batch**, not per
+//! Block-solve experiment: reduces are paid per **block**, not per
 //! right-hand side.  Writes `BENCH_batched.json`.
 //!
 //! ```sh
@@ -17,15 +17,14 @@
 //!   acceptance bound is met with ratio 1.0); only the per-call payload
 //!   grows.  The measured ortho reduce schedule is also joined against
 //!   the `perfmodel::block_ortho_reduce_count` closed form.
-//! * **service** — four right-hand sides submitted through the
-//!   `BatchedSolver` front-end resolve from one batch whose shared
-//!   reduce bill is far below the sum of four independent solves.
+//! * **service** — four right-hand sides solved as one `solve_block`
+//!   share a reduce bill far below the sum of four independent solves
+//!   (the JSON object keeps its `service` key).
 
 use bench::Table;
 use perfmodel::{block_ortho_reduce_count, SchemeKind};
 use sparse::{laplace2d_9pt, Csr};
-use ssgmres::{BatchConfig, BatchedSolver, GmresConfig, OrthoKind, SStepGmres, SolveTicket};
-use std::time::Duration;
+use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
 use trace::JsonWriter;
 
 fn rhs_for(n: usize, seed: usize) -> Vec<f64> {
@@ -179,46 +178,31 @@ fn main() {
         "the payload axis must carry the scaling instead"
     );
 
-    // --- Section 3: the batched service amortizes the bill. ---
-    let service_config = GmresConfig {
+    // --- Section 3: one four-RHS block solve amortizes the bill. ---
+    let block_solver = SStepGmres::new(GmresConfig {
         restart,
         step_size: s,
         tol: 1e-8,
         ortho: OrthoKind::TwoStage { big_panel },
         ..GmresConfig::default()
-    };
-    let service_k = 4usize;
-    let service_bs: Vec<Vec<f64>> = (0..service_k).map(|j| rhs_for(n, j)).collect();
+    });
+    let block_k = 4usize;
+    let block_bs: Vec<Vec<f64>> = (0..block_k).map(|j| rhs_for(n, j)).collect();
     // Independent baseline: each rhs solved alone.
     let mut individual_reduces = 0usize;
-    for b in &service_bs {
-        let (_, r) = SStepGmres::new(service_config.clone()).solve_serial(&a, b);
+    for b in &block_bs {
+        let (_, r) = block_solver.solve_serial(&a, b);
         assert!(r.converged);
         individual_reduces += r.comm_total.allreduces;
     }
-    let service = BatchedSolver::new(
-        a.clone(),
-        service_config,
-        BatchConfig {
-            max_batch: service_k,
-            linger: Duration::from_millis(50),
-        },
-    );
-    let tickets = service.submit_all(service_bs.clone());
-    let outcomes: Vec<_> = tickets.into_iter().map(SolveTicket::wait).collect();
-    assert!(outcomes.iter().all(|o| o.converged));
-    assert!(
-        outcomes.iter().all(|o| o.batch_id == outcomes[0].batch_id),
-        "one submit_all burst must land in one batch"
-    );
-    let batch_reduces = outcomes[0].batch_reduces;
+    let (_, joint) = block_solver.solve_block_serial(&a, &block_bs);
+    assert!(joint.col_converged.iter().all(|&c| c));
+    let batch_reduces = joint.comm_total.allreduces;
     assert!(
         batch_reduces * 2 < individual_reduces,
-        "the batch bill ({batch_reduces}) must amortize far below {service_k} \
+        "the block bill ({batch_reduces}) must amortize far below {block_k} \
          independent solves ({individual_reduces})"
     );
-    let (batches, columns) = service.stats();
-    assert_eq!((batches, columns), (1, service_k));
 
     // --- Report. ---
     let amortization = individual_reduces as f64 / batch_reduces as f64;
@@ -242,7 +226,7 @@ fn main() {
     table.write_json(&mut w);
     w.key("service")
         .begin_object()
-        .field("batch_size", service_k)
+        .field("batch_size", block_k)
         .field("batch_reduces", batch_reduces)
         .field("individual_reduces", individual_reduces)
         .field("amortization", amortization)
@@ -250,7 +234,7 @@ fn main() {
         .end_object();
     bench::emit("BENCH_batched.json", &w.finish());
     eprintln!(
-        "wrote BENCH_batched.json (reduce ratio k4/k1 = {ratio:.3}, service amortization = {amortization:.2}x)"
+        "wrote BENCH_batched.json (reduce ratio k4/k1 = {ratio:.3}, four-RHS block amortization = {amortization:.2}x)"
     );
     args.finish();
 }

@@ -31,10 +31,9 @@
 //! and [`SStepGmres::solve_block_serial`] are single-rank sugar over any
 //! [`sparse::RowSource`].  [`basis`] /
 //! [`shifts`] choose the matrix-powers basis, [`control`] the per-cycle step
-//! size, [`hessenberg`] recovers the projected problem, [`report`] names
-//! the phases of a cycle and holds the per-cycle clock and the JSON form of
-//! the report, and [`service`] batches independent requests into block
-//! solves.
+//! size, [`hessenberg`] recovers the projected problem, and [`report`]
+//! names the phases of a cycle and holds the per-cycle clock and the JSON
+//! form of the report.
 //!
 //! ```
 //! use sparse::laplace2d_5pt;
@@ -61,7 +60,6 @@ pub mod control;
 pub mod hessenberg;
 pub mod precond;
 pub mod report;
-pub mod service;
 pub mod shifts;
 pub mod solver;
 
@@ -73,7 +71,6 @@ pub use precond::{
     BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Polynomial, Preconditioner,
 };
 pub use report::{CycleTiming, Phase};
-pub use service::{BatchConfig, BatchedSolve, BatchedSolver, SolveTicket};
 pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};
 // Fault-injection and detection-guard surface, re-exported so solver users
 // configure `GmresConfig::guards` / wrap a communicator without naming

@@ -3,8 +3,8 @@
 //! This is the "HHQR" intra-block orthogonalization of the paper
 //! (Fig. 2b, Line 8).  It is unconditionally stable but BLAS-1/BLAS-2 bound,
 //! which is exactly why the paper prefers CholQR-based kernels on GPUs; we
-//! keep it both as the stability reference in tests and as the baseline
-//! "BCGS2 with HHQR" algorithm.
+//! keep it as the stability reference of the numerical study and the
+//! tests.
 
 use crate::matrix::Matrix;
 

@@ -281,38 +281,6 @@ impl DistMultiVector {
         op.combine_slots(&buf, s)
     }
 
-    /// Fused projection coefficients `P = Q_prevᵀ·V_new` **and** sketched
-    /// panel `S·V_new` with a **single global reduce** of
-    /// `k·s + `[`SketchOp::reduce_words`]`(s)` words — the one-reduce
-    /// fusion the sketched first-stage schemes are built on, replacing
-    /// [`proj_and_gram`]'s Gram block with the sketch slot table.
-    ///
-    /// [`proj_and_gram`]: Self::proj_and_gram
-    pub fn sketch_and_proj(
-        &self,
-        op: &SketchOp,
-        prev: Range<usize>,
-        new: Range<usize>,
-    ) -> (Matrix, Matrix) {
-        assert!(prev.end <= new.start, "prev must precede new");
-        assert_eq!(
-            op.global_rows(),
-            self.global_rows,
-            "sketch operator was realized for a different row dimension"
-        );
-        let k = prev.end - prev.start;
-        let s = new.end - new.start;
-        let _span = trace::span("mv", "sketch_and_proj", &[("k", k as u64), ("s", s as u64)]);
-        let p_local = dense::gemm_tn(&self.local.cols(prev), &self.local.cols(new.clone()));
-        let mut buf = vec![0.0; k * s + op.slots() * s];
-        buf[..k * s].copy_from_slice(p_local.data());
-        op.fill_slots(&mut buf[k * s..], &self.local.cols(new), self.row_offset);
-        self.reduce(&mut buf, Screen::None);
-        let p = Matrix::from_col_major(k, s, buf[..k * s].to_vec());
-        let sv = op.combine_slots(&buf[k * s..], s);
-        (p, sv)
-    }
-
     /// Triangular normalization `V ← V·R⁻¹` of the columns `cols` (local,
     /// no communication).
     pub fn scale_right(&mut self, cols: Range<usize>, r: &Matrix) {
@@ -337,27 +305,6 @@ impl DistMultiVector {
             }
         }
         self.comm.allreduce_sum_scalar(local).max(0.0).sqrt()
-    }
-
-    /// Global dot product of columns `a` and `b`.  **1 global reduce** of
-    /// one word.
-    pub fn dot(&self, a: usize, b: usize) -> f64 {
-        let local = dense::dot(self.local.col(a), self.local.col(b));
-        self.comm.allreduce_sum_scalar(local)
-    }
-
-    /// `col_dst ← col_dst + alpha·col_src` (local, no communication).
-    pub fn axpy_col(&mut self, alpha: f64, src: usize, dst: usize) {
-        assert_ne!(src, dst, "axpy_col: source and destination must differ");
-        let n = self.local.nrows();
-        let data = self.local.data_mut();
-        if src < dst {
-            let (head, tail) = data.split_at_mut(dst * n);
-            dense::axpy(alpha, &head[src * n..(src + 1) * n], &mut tail[..n]);
-        } else {
-            let (head, tail) = data.split_at_mut(src * n);
-            dense::axpy(alpha, &tail[..n], &mut head[dst * n..(dst + 1) * n]);
-        }
     }
 
     /// Gather the full global matrix onto every rank (one allgather; test
@@ -538,14 +485,9 @@ mod tests {
         for nranks in [2usize, 3, 4] {
             let results = run_ranks(nranks, |comm| {
                 let mv = DistMultiVector::from_matrix(comm, v.clone());
-                (
-                    mv.gram(0..7),
-                    mv.proj(0..3, 3..7),
-                    mv.norm2(1),
-                    mv.dot(0, 2),
-                )
+                (mv.gram(0..7), mv.proj(0..3, 3..7), mv.norm2(1))
             });
-            for (g, p, norm, dot) in &results {
+            for (g, p, norm) in &results {
                 for j in 0..7 {
                     for i in 0..7 {
                         assert!((g[(i, j)] - g_ref[(i, j)]).abs() < 1e-10 * g_ref.max_abs());
@@ -557,7 +499,6 @@ mod tests {
                     }
                 }
                 assert!((norm - serial.norm2(1)).abs() < 1e-10);
-                assert!((dot - serial.dot(0, 2)).abs() < 1e-10);
             }
         }
     }
@@ -572,11 +513,10 @@ mod tests {
         let r = Matrix::from_rows(&[&[2.0, 1.0, 0.5], &[0.0, 1.5, -0.5], &[0.0, 0.0, 3.0]]);
         mv.scale_right(2..5, &r);
         mv.scale_col(5, 2.0);
-        mv.axpy_col(0.5, 0, 5);
         assert_eq!(
             mv.comm().stats().snapshot().since(&before).allreduces,
             0,
-            "update/scale/axpy must not communicate"
+            "update/scale must not communicate"
         );
         // Reference: same operations densely.
         let mut reference = v.clone();
@@ -585,10 +525,6 @@ mod tests {
         dense::gemm_nn_minus(&mut block, &q.view(), &p);
         dense::trsm_right_upper(&mut block, &r);
         dense::scal(2.0, reference.col_mut(5));
-        let c0 = reference.col(0).to_vec();
-        for (dst, s) in reference.col_mut(5).iter_mut().zip(&c0) {
-            *dst += 0.5 * s;
-        }
         assert_eq!(mv.local(), &reference);
     }
 

@@ -2,9 +2,8 @@
 //! panel must be **bitwise identical** across rank counts (the slot
 //! exchange gives every slot exactly one owner, so the rank-ordered reduce
 //! only ever adds exact zeros) and across compute-pool widths (the slot
-//! fill is serial by design and the combine runs in fixed slot order), the
-//! fused [`DistMultiVector::sketch_and_proj`] must reproduce the
-//! standalone sketch bit for bit, and every sketched reduce must cost
+//! fill is serial by design and the combine runs in fixed slot order), and
+//! every [`DistMultiVector::sketch`] reduce must cost
 //! exactly **one allreduce** of the word count `SketchOp::reduce_words`
 //! predicts (the same closed form `perfmodel::sketch_reduce_words`
 //! mirrors; that join is pinned in `perfmodel`'s tests).
@@ -95,48 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn fused_sketch_and_proj_reproduces_the_standalone_pieces_bitwise(
-        seed in 0u64..1_000,
-        n in 60usize..220,
-        k in 1usize..6,
-        s in 1usize..6,
-    ) {
-        let cols = k + s;
-        let v = test_panel(n, cols, seed);
-        let op = SketchOp::for_basis(
-            &SketchConfig { rows_per_col: 5, seed: seed ^ 0xABCD },
-            n,
-            cols,
-        );
-        // Standalone pieces on a serial communicator.
-        let basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let sv_alone = basis.sketch(&op, k..k + s);
-        let p_alone = basis.proj(0..k, k..k + s);
-        let before = basis.comm().stats().snapshot();
-        let (p, sv) = basis.sketch_and_proj(&op, 0..k, k..k + s);
-        let delta = basis.comm().stats().snapshot().since(&before);
-        prop_assert_eq!(delta.allreduces, 1);
-        prop_assert_eq!(delta.allreduce_words,
-            k * s + op.reduce_words(s));
-        prop_assert_eq!(bits(&sv), bits(&sv_alone));
-        prop_assert_eq!(bits(&p), bits(&p_alone));
-        // And the fused kernel stays bitwise rank-invariant on the SV part
-        // (the projection block agrees to rounding like every Gram kernel,
-        // and bitwise on any rank count with single-owner row splits).
-        for nranks in ranks_under_test() {
-            let sv_ref = bits(&sv);
-            let results = run_ranks(nranks, |comm| {
-                let basis = DistMultiVector::from_matrix(comm, v.clone());
-                let (_p, sv) = basis.sketch_and_proj(&op, 0..k, k..k + s);
-                bits(&sv)
-            });
-            for b in results {
-                prop_assert_eq!(&b, &sv_ref);
-            }
-        }
-    }
-
-    #[test]
     fn sketch_is_bitwise_identical_across_compute_pool_widths(
         seed in 0u64..1_000,
         n in 80usize..240,
@@ -151,14 +108,11 @@ proptest! {
         let run_with = |threads: usize| {
             parkit::set_num_threads(threads);
             let basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-            let out = basis.sketch_and_proj(&op, 0..1, 1..1 + s);
+            let out = basis.sketch(&op, 1..1 + s);
             parkit::set_num_threads(0); // restore auto sizing
             out
         };
-        let (p1, sv1) = run_with(1);
-        let (p4, sv4) = run_with(4);
-        prop_assert_eq!(bits(&sv1), bits(&sv4));
-        prop_assert_eq!(bits(&p1), bits(&p4));
+        prop_assert_eq!(bits(&run_with(1)), bits(&run_with(4)));
     }
 }
 

@@ -1,56 +1,26 @@
-//! BCGS2: block classical Gram–Schmidt with reorthogonalization
-//! (Fig. 2 of the paper), with either a CholQR2 or a column-wise
-//! (HHQR-class) intra-block kernel.
+//! BCGS2 with CholQR2: block classical Gram–Schmidt with
+//! reorthogonalization (Fig. 2 of the paper).
 //!
-//! `BCGS2 with CholQR2` is the block orthogonalization the original s-step
-//! GMRES in Trilinos uses — the "s-step" baseline of Tables III/IV — and
-//! costs **5 global reduces per panel** (BCGS, CholQR, CholQR, BCGS,
-//! CholQR).  `BCGS2 with a column-wise kernel` replaces the first intra
-//! factorization with a BLAS-1/2, `O(s)`-reduce kernel, standing in for the
-//! Householder-QR option of Fig. 2b (unconditionally stable for numerically
-//! full-rank panels, but slow on GPUs — which is the paper's motivation for
-//! CholQR-based kernels).
+//! This is the block orthogonalization the original s-step GMRES in
+//! Trilinos uses — the "s-step" baseline of Tables III/IV — and costs
+//! **5 global reduces per panel** (BCGS, CholQR, CholQR, BCGS, CholQR).
 
 use crate::bcgs_pip2::{p2_times_r_plus_p1, write_block};
 use crate::error::OrthoError;
-use crate::kernels::{bcgs, cholqr, cholqr2, columnwise_cgs2};
+use crate::kernels::{bcgs, cholqr, cholqr2};
 use crate::traits::BlockOrthogonalizer;
 use dense::Matrix;
 use distsim::DistMultiVector;
 use std::ops::Range;
 
-/// Which intra-block kernel the first factorization of BCGS2 uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntraKernel {
-    /// CholQR2 — the original s-step GMRES orthogonalization (5 reduces
-    /// per panel).
-    CholQr2,
-    /// Column-wise CGS2 (HHQR-class baseline, `O(s)` reduces per panel).
-    Columnwise,
-}
-
-/// The BCGS2 skeleton around its intra-block kernel.
-#[derive(Debug)]
-pub struct Bcgs2 {
-    intra: IntraKernel,
-}
+/// BCGS2 with the CholQR2 intra-block kernel.
+#[derive(Debug, Default)]
+pub struct Bcgs2;
 
 impl Bcgs2 {
-    /// Create the scheme with the given intra-block kernel.
-    pub fn new(intra: IntraKernel) -> Self {
-        Self { intra }
-    }
-
-    /// The first intra-block factorization of the panel `new`.
-    fn intra_factor(
-        &self,
-        basis: &mut DistMultiVector,
-        new: Range<usize>,
-    ) -> Result<Matrix, OrthoError> {
-        match self.intra {
-            IntraKernel::CholQr2 => cholqr2(basis, new),
-            IntraKernel::Columnwise => columnwise_cgs2(basis, new.start, new),
-        }
+    /// Create the scheme.
+    pub fn new() -> Self {
+        Self
     }
 }
 
@@ -65,14 +35,14 @@ impl BlockOrthogonalizer for Bcgs2 {
         let s = new.end - new.start;
         if prev.is_empty() {
             // First panel: intra-block factorization only (Fig. 2b, j = 1).
-            let r_new = self.intra_factor(basis, new.clone())?;
+            let r_new = cholqr2(basis, new.clone())?;
             write_block(r, 0, new, &Matrix::zeros(0, s), &r_new);
             return Ok(());
         }
         // First inter-block BCGS projection.
         let p1 = bcgs(basis, prev.clone(), new.clone());
         // First intra-block factorization.
-        let r1 = self.intra_factor(basis, new.clone())?;
+        let r1 = cholqr2(basis, new.clone())?;
         // Second inter-block BCGS projection (reorthogonalization).
         let p2 = bcgs(basis, prev.clone(), new.clone());
         // Second intra-block factorization (always CholQR, Fig. 2b line 13).
@@ -106,7 +76,7 @@ mod tests {
     #[test]
     fn bcgs2_cholqr2_orthogonality_and_reconstruction() {
         let v = test_matrix(500, 15);
-        let (q, r) = orthogonalize_with(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5).unwrap();
+        let (q, r) = orthogonalize_with(&mut Bcgs2::new(), &v, 5).unwrap();
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..15 {
@@ -117,24 +87,11 @@ mod tests {
     }
 
     #[test]
-    fn bcgs2_columnwise_orthogonality_and_reconstruction() {
-        let v = test_matrix(400, 12);
-        let (q, r) = orthogonalize_with(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 4).unwrap();
-        assert!(orthogonality_error(&q.view()) < 1e-13);
-        let back = dense::gemm_nn(&q, &r);
-        for j in 0..12 {
-            for i in 0..400 {
-                assert!((back[(i, j)] - v[(i, j)]).abs() < 1e-11 * v.max_abs());
-            }
-        }
-    }
-
-    #[test]
     fn bcgs2_cholqr2_uses_five_reduces_per_panel() {
         let v = test_matrix(300, 10);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(10, 10);
-        let mut scheme = Bcgs2::new(IntraKernel::CholQr2);
+        let mut scheme = Bcgs2::new();
         scheme
             .orthogonalize_panel(&mut basis, 0..5, &mut r)
             .unwrap();
@@ -150,32 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn bcgs2_columnwise_reduce_count_grows_with_s() {
-        let v = test_matrix(300, 10);
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(10, 10);
-        let mut scheme = Bcgs2::new(IntraKernel::Columnwise);
-        scheme
-            .orthogonalize_panel(&mut basis, 0..5, &mut r)
-            .unwrap();
-        let before = basis.comm().stats().snapshot();
-        scheme
-            .orthogonalize_panel(&mut basis, 5..10, &mut r)
-            .unwrap();
-        let delta = basis.comm().stats().snapshot().since(&before);
-        // 2 BCGS + 1 final CholQR + the column-wise intra kernel: the first
-        // panel column needs only its norm, each later column needs two
-        // projections and a norm → 3s − 2 reduces for s = 5.
-        assert_eq!(delta.allreduces, 3 + (3 * 5 - 2));
-    }
-
-    #[test]
     fn first_panel_reduces_to_intra_only() {
         let v = test_matrix(200, 4);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(4, 4);
         let before = basis.comm().stats().snapshot();
-        Bcgs2::new(IntraKernel::CholQr2)
+        Bcgs2::new()
             .orthogonalize_panel(&mut basis, 0..4, &mut r)
             .unwrap();
         let delta = basis.comm().stats().snapshot().since(&before);
@@ -184,25 +121,11 @@ mod tests {
 
     #[test]
     fn handles_moderately_ill_conditioned_panels() {
-        // kappa ~ 1e6 < 1/sqrt(eps): condition (1) holds, so both variants
-        // must deliver O(eps) orthogonality.
+        // kappa ~ 1e6 < 1/sqrt(eps): condition (1) holds, so BCGS2 with
+        // CholQR2 must deliver O(eps) orthogonality.
         let v = testmat::logscaled_matrix(400, 10, 1e6, 5);
-        for (name, q) in [
-            (
-                "cholqr2",
-                orthogonalize_with(&mut Bcgs2::new(IntraKernel::CholQr2), &v, 5)
-                    .unwrap()
-                    .0,
-            ),
-            (
-                "columnwise",
-                orthogonalize_with(&mut Bcgs2::new(IntraKernel::Columnwise), &v, 5)
-                    .unwrap()
-                    .0,
-            ),
-        ] {
-            let err = orthogonality_error(&q.view());
-            assert!(err < 1e-12, "{name}: {err}");
-        }
+        let (q, _) = orthogonalize_with(&mut Bcgs2::new(), &v, 5).unwrap();
+        let err = orthogonality_error(&q.view());
+        assert!(err < 1e-12, "{err}");
     }
 }

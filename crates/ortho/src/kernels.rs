@@ -267,41 +267,34 @@ pub(crate) fn shifted_remedy(
 }
 
 /// Column-wise classical Gram–Schmidt with reorthogonalization (CGS2),
-/// applied column by column of the panel `new` against all columns from
-/// `against_start` up to (but excluding) the current column.
+/// applied column by column of the panel `new` against every column before
+/// the current one — the orthogonalization of standard GMRES.
 ///
-/// This is the "BLAS-1/BLAS-2, `O(s)` synchronizations" kernel class the
-/// paper associates with Householder QR: unconditionally stable for
-/// numerically full-rank panels but communication-bound
+/// This is the "BLAS-1/BLAS-2, `O(s)` synchronizations" kernel class:
+/// stable for numerically full-rank panels but communication-bound
 /// (**3 global reduces per column**).
 ///
-/// Returns the R block with rows `against_start..new.end` and columns `new`.
+/// Returns the R block with rows `0..new.end` and columns `new`.
 pub fn columnwise_cgs2(
     basis: &mut DistMultiVector,
-    against_start: usize,
     new: Range<usize>,
 ) -> Result<Matrix, OrthoError> {
     let _span = trace::span(
         "ortho",
         "columnwise_cgs2",
-        &[
-            ("k", against_start as u64),
-            ("s", (new.end - new.start) as u64),
-        ],
+        &[("s", (new.end - new.start) as u64)],
     );
-    let nrows_r = new.end - against_start;
-    let ncols_r = new.end - new.start;
-    let mut r = Matrix::zeros(nrows_r, ncols_r);
+    let mut r = Matrix::zeros(new.end, new.end - new.start);
     for c in new.clone() {
         let rcol = c - new.start;
-        if c > against_start {
+        if c > 0 {
             // First projection pass.
-            let p1 = basis.proj(against_start..c, c..c + 1);
-            basis.update(against_start..c, c..c + 1, &p1);
+            let p1 = basis.proj(0..c, c..c + 1);
+            basis.update(0..c, c..c + 1, &p1);
             // Reorthogonalization pass.
-            let p2 = basis.proj(against_start..c, c..c + 1);
-            basis.update(against_start..c, c..c + 1, &p2);
-            for k in 0..(c - against_start) {
+            let p2 = basis.proj(0..c, c..c + 1);
+            basis.update(0..c, c..c + 1, &p2);
+            for k in 0..c {
                 r[(k, rcol)] = p1[(k, 0)] + p2[(k, 0)];
             }
         }
@@ -313,7 +306,7 @@ pub fn columnwise_cgs2(
             });
         }
         basis.scale_col(c, 1.0 / norm);
-        r[(c - against_start, rcol)] = norm;
+        r[(c, rcol)] = norm;
     }
     Ok(r)
 }
@@ -457,7 +450,7 @@ mod tests {
         let mut b = basis_from(&v);
         cholqr2(&mut b, 0..2).unwrap();
         let before = b.comm().stats().snapshot();
-        let r = columnwise_cgs2(&mut b, 0, 2..6).unwrap();
+        let r = columnwise_cgs2(&mut b, 2..6).unwrap();
         let delta = b.comm().stats().snapshot().since(&before);
         // 4 columns, each: 2 projections + 1 norm = 3 reduces.
         assert_eq!(delta.allreduces, 12);
@@ -477,7 +470,7 @@ mod tests {
             v[(i, 2)] = 0.0;
         }
         let mut b = basis_from(&v);
-        let err = columnwise_cgs2(&mut b, 0, 0..3).unwrap_err();
+        let err = columnwise_cgs2(&mut b, 0..3).unwrap_err();
         assert!(matches!(err, OrthoError::ZeroNorm { column: 2, .. }));
     }
 }

@@ -1,6 +1,6 @@
 //! The [`BlockOrthogonalizer`] trait and the scheme selector.
 
-use crate::bcgs2::{Bcgs2, IntraKernel};
+use crate::bcgs2::Bcgs2;
 use crate::error::OrthoError;
 use dense::Matrix;
 use distsim::{DistMultiVector, SketchConfig};
@@ -150,9 +150,6 @@ pub enum OrthoKind {
     /// BCGS2 with CholQR2 intra-block kernel — the original s-step GMRES
     /// baseline ("s-step" columns of Tables III/IV), 5 reduces per panel.
     Bcgs2CholQr2,
-    /// BCGS2 with a column-wise CGS2 intra-block kernel — the HHQR-class
-    /// baseline of Section IV-A (BLAS-1/2 bound, `O(s)` reduces per panel).
-    Bcgs2Columnwise,
     /// BCGS-PIP2 — the paper's improved one-stage variant, 2 reduces per
     /// panel.
     BcgsPip2,
@@ -169,8 +166,6 @@ pub enum OrthoKind {
     /// Column-wise classical Gram–Schmidt with reorthogonalization — the
     /// orthogonalization of standard GMRES ("GMRES + CGS2" in Table III).
     Cgs2,
-    /// Column-wise modified Gram–Schmidt (reference only).
-    Mgs,
     /// Randomized CholQR (arXiv 2503.16717): sketch-precondition each
     /// panel (factor the sketched panel, apply `R⁻¹`), then one CholQR
     /// polish.  2 reduces per panel like [`BcgsPip2`](Self::BcgsPip2), but
@@ -216,12 +211,10 @@ impl OrthoKind {
     pub fn label(&self) -> &'static str {
         match self {
             OrthoKind::Bcgs2CholQr2 => "bcgs2-cholqr2",
-            OrthoKind::Bcgs2Columnwise => "bcgs2-columnwise",
             OrthoKind::BcgsPip2 => "bcgs-pip2",
             OrthoKind::BcgsPip => "bcgs-pip",
             OrthoKind::TwoStage { .. } => "two-stage",
             OrthoKind::Cgs2 => "cgs2",
-            OrthoKind::Mgs => "mgs",
             OrthoKind::RandCholQr => "rand-cholqr",
             OrthoKind::TwoStageSketched { .. } => "two-stage-sketch",
         }
@@ -236,15 +229,13 @@ impl OrthoKind {
 pub fn make_orthogonalizer(kind: OrthoKind, total_cols: usize) -> Box<dyn BlockOrthogonalizer> {
     let sketch = SketchConfig::default();
     match kind {
-        OrthoKind::Bcgs2CholQr2 => Box::new(Bcgs2::new(IntraKernel::CholQr2)),
-        OrthoKind::Bcgs2Columnwise => Box::new(Bcgs2::new(IntraKernel::Columnwise)),
+        OrthoKind::Bcgs2CholQr2 => Box::new(Bcgs2::new()),
         OrthoKind::BcgsPip2 => Box::new(crate::bcgs_pip2::BcgsPip2::new()),
         OrthoKind::BcgsPip => Box::new(crate::bcgs_pip2::BcgsPip::new()),
         OrthoKind::TwoStage { big_panel } => {
             Box::new(crate::two_stage::TwoStage::new(big_panel, total_cols))
         }
         OrthoKind::Cgs2 => Box::new(crate::cgs::Cgs2Columnwise::new()),
-        OrthoKind::Mgs => Box::new(crate::cgs::MgsColumnwise::new()),
         OrthoKind::RandCholQr => Box::new(crate::sketched::RandCholQr::new(sketch, total_cols)),
         OrthoKind::TwoStageSketched { big_panel } => Box::new(
             crate::two_stage::TwoStage::with_sketched_first_stage(big_panel, total_cols, sketch),
@@ -283,12 +274,10 @@ mod tests {
     fn labels_are_distinct() {
         let kinds = [
             OrthoKind::Bcgs2CholQr2,
-            OrthoKind::Bcgs2Columnwise,
             OrthoKind::BcgsPip2,
             OrthoKind::BcgsPip,
             OrthoKind::TwoStage { big_panel: 60 },
             OrthoKind::Cgs2,
-            OrthoKind::Mgs,
             OrthoKind::RandCholQr,
             OrthoKind::TwoStageSketched { big_panel: 60 },
         ];
@@ -340,12 +329,10 @@ mod tests {
     fn factory_builds_every_kind() {
         for kind in [
             OrthoKind::Bcgs2CholQr2,
-            OrthoKind::Bcgs2Columnwise,
             OrthoKind::BcgsPip2,
             OrthoKind::BcgsPip,
             OrthoKind::TwoStage { big_panel: 10 },
             OrthoKind::Cgs2,
-            OrthoKind::Mgs,
             OrthoKind::RandCholQr,
             OrthoKind::TwoStageSketched { big_panel: 10 },
         ] {

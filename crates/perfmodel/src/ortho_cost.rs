@@ -27,10 +27,11 @@ pub enum SchemeKind {
         /// Second-stage block size.
         bs: usize,
     },
-    /// Randomized CholQR (the sketched one-stage scheme): one fused
-    /// sketch-and-projection reduce plus one BCGS-PIP polish per panel.
-    /// Same 2 reduces per panel as BCGS-PIP2; the first reduce carries the
-    /// extra `rows·nnz·s` sketch-slot words (see [`sketch_reduce_words`]).
+    /// Randomized CholQR (the sketched one-stage scheme): one sketch reduce
+    /// plus one BCGS-PIP polish per panel.  Same 2 reduces per panel as
+    /// BCGS-PIP2; the first reduce carries the `rows·nnz·s` sketch slots
+    /// only (see [`sketch_reduce_words`]), the projection coming locally
+    /// from the replicated `S·Q`.
     RandCholQr {
         /// Sketch rows `c` of the realized operator
         /// (`SketchOp::rows()`, i.e. `rows_per_col · (m + 1)`).
@@ -39,9 +40,9 @@ pub enum SchemeKind {
         nnz: usize,
     },
     /// The two-stage scheme with the sketched first stage: the per-panel
-    /// reduce is the fused sketch-and-projection instead of the fused
-    /// Gram; the big-panel flush is unchanged.  Same reduce *count* as
-    /// [`TwoStage`](Self::TwoStage).
+    /// reduce carries the sketch slots only, instead of the fused
+    /// projection and Gram; the big-panel flush is unchanged.  Same reduce
+    /// *count* as [`TwoStage`](Self::TwoStage).
     TwoStageSketched {
         /// Second-stage block size.
         bs: usize,

@@ -1,9 +1,9 @@
 //! Chrome trace-event / Perfetto JSON export.
 //!
 //! The emitted object follows the Trace Event Format's "JSON Object Format":
-//! a `traceEvents` array of complete (`"ph": "X"`), counter (`"ph": "C"`),
-//! instant (`"ph": "i"`) and thread-name metadata (`"ph": "M"`) events,
-//! written through [`JsonWriter`].  Timestamps and durations are
+//! a `traceEvents` array of complete (`"ph": "X"`), instant (`"ph": "i"`)
+//! and thread-name metadata (`"ph": "M"`) events, written through
+//! [`JsonWriter`].  Timestamps and durations are
 //! microseconds (fractional, so nanosecond resolution survives).  Open the
 //! file at <https://ui.perfetto.dev> or in `chrome://tracing`.
 
@@ -46,14 +46,6 @@ fn write_event(w: &mut JsonWriter, tid: u64, ev: &Event) {
                 .field("cat", ev.cat)
                 .field("name", ev.name);
             write_args(w, ev);
-        }
-        EventKind::Counter { value } => {
-            begin_event(w, "C", tid, ev.ts_ns)
-                .field("name", ev.name)
-                .key("args")
-                .begin_object()
-                .field(ev.cat, value)
-                .end_object();
         }
         EventKind::Instant => {
             begin_event(w, "i", tid, ev.ts_ns)
@@ -110,13 +102,11 @@ mod tests {
         {
             let _s = span("comm", "send", &[("peer", 3), ("words", 640)]);
         }
-        crate::counter("pool", "lanes", 8.0);
         instant("solver", "restart \"quoted\"\n", &[]);
         set_enabled(false);
         let json = collect().to_chrome_json();
         validate_json(&json).expect("chrome export must parse");
         assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"ph\": \"C\""));
         assert!(json.contains("\"ph\": \"i\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"peer\": 3"));

@@ -1,4 +1,4 @@
-//! # trace — zero-dependency span/counter tracing
+//! # trace — zero-dependency span tracing
 //!
 //! A minimal instrumentation layer for the two-stage GMRES workspace.  The
 //! paper's core claim is that *synchronization*, not flops, dominates s-step
@@ -99,8 +99,6 @@ pub fn now_ns() -> u64 {
 pub enum EventKind {
     /// A closed span: `ts_ns` is the open time, `dur_ns` the length.
     Span { dur_ns: u64 },
-    /// A sampled numeric value (Chrome counter track).
-    Counter { value: f64 },
     /// A point-in-time marker.
     Instant,
 }
@@ -346,26 +344,6 @@ pub fn complete_span(
     });
 }
 
-/// Record a sampled numeric value (rendered as a counter track).
-#[inline]
-pub fn counter(cat: &'static str, name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let ts_ns = now_ns();
-    with_buf(|buf| {
-        let mut inner = buf.inner.lock().expect("trace buffer poisoned");
-        inner.push(Event {
-            kind: EventKind::Counter { value },
-            ts_ns,
-            cat,
-            name,
-            args: [("", 0); 2],
-            nargs: 0,
-        });
-    });
-}
-
 /// Record a point-in-time marker with up to two named integer arguments.
 #[inline]
 pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
@@ -516,7 +494,6 @@ mod tests {
         {
             let _s = span("t", "noop", &[]);
         }
-        counter("t", "c", 1.0);
         instant("t", "i", &[]);
         assert_eq!(stats(), TraceStats::default());
     }
@@ -598,37 +575,28 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_instants_are_recorded() {
+    fn instants_are_recorded() {
         let _guard = test_lock();
         reset();
         set_enabled(true);
-        counter("c", "queue", 3.0);
-        counter("c", "queue", 5.0);
         instant("c", "mark", &[]);
         instant("c", "mark2", &[("peer", 1), ("words", 64)]);
         set_enabled(false);
         let trace = collect();
-        let samples: Vec<_> = trace
-            .threads
-            .iter()
-            .flat_map(|t| t.events.iter())
-            .filter(|e| e.name == "queue")
-            .map(|e| e.kind)
-            .collect();
-        assert_eq!(
-            samples,
-            [
-                EventKind::Counter { value: 3.0 },
-                EventKind::Counter { value: 5.0 }
-            ]
-        );
-        let instants = trace
+        let instants: Vec<_> = trace
             .threads
             .iter()
             .flat_map(|t| t.events.iter())
             .filter(|e| e.kind == EventKind::Instant)
-            .count();
-        assert_eq!(instants, 2);
+            .map(|e| (e.name, e.nargs, e.args))
+            .collect();
+        assert_eq!(
+            instants,
+            [
+                ("mark", 0, [("", 0); 2]),
+                ("mark2", 2, [("peer", 1), ("words", 64)])
+            ]
+        );
         reset();
     }
 

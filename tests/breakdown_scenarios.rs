@@ -32,7 +32,6 @@ use std::sync::Arc;
 
 const ALL_SCHEMES: &[OrthoKind] = &[
     OrthoKind::Bcgs2CholQr2,
-    OrthoKind::Bcgs2Columnwise,
     OrthoKind::BcgsPip2,
     OrthoKind::BcgsPip,
     OrthoKind::TwoStage { big_panel: 12 },
@@ -41,7 +40,6 @@ const ALL_SCHEMES: &[OrthoKind] = &[
     OrthoKind::TwoStageSketched { big_panel: 12 },
     OrthoKind::TwoStageSketched { big_panel: 8 },
     OrthoKind::Cgs2,
-    OrthoKind::Mgs,
 ];
 
 /// A deterministic well-conditioned base panel.
@@ -185,7 +183,6 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
     let b = rhs_ones(&a);
     for scheme in [
         SolverOrthoKind::Bcgs2CholQr2,
-        SolverOrthoKind::Bcgs2Columnwise,
         SolverOrthoKind::BcgsPip2,
         SolverOrthoKind::TwoStage { big_panel: 32 },
     ] {

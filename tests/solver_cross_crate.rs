@@ -28,7 +28,6 @@ fn every_scheme_solves_every_model_problem() {
     ];
     let schemes = [
         OrthoKind::Bcgs2CholQr2,
-        OrthoKind::Bcgs2Columnwise,
         OrthoKind::BcgsPip2,
         OrthoKind::TwoStage { big_panel: 30 },
     ];
