@@ -1,6 +1,7 @@
 //! Kernel baseline benchmark: times the four hot BLAS-3 kernels (blocked
 //! vs. retained naive formulations), the fused update+Gram pass, Gram and
-//! TRSM at the wide stage-2 flush shapes, the SpMV on the two benchmark
+//! TRSM at the wide stage-2 flush shapes, the stage-1 update at its widest
+//! `lap2d_k4` shape, the SpMV on the two benchmark
 //! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
 //! asserted bit-identical), and one s-step GMRES iteration
 //! across panel shapes and thread counts, then
@@ -297,6 +298,41 @@ fn bench_flush_shape(
     );
 }
 
+/// The stage-1 update `V ← V − Q·R` at its widest in `lap2d_k4`: a panel of
+/// `s = 20` columns (5 steps × 4 right-hand sides) against the `k = 224`
+/// columns orthogonalized before it in the cycle.  Its coefficients are
+/// projections, free of zeros like the solver's, so the whole update takes
+/// the streaming kernel rather than the zero-skipping sweep.
+fn bench_stage1_update(
+    rows: &mut Vec<Row>,
+    (n, s, k): (usize, usize, usize),
+    reps: usize,
+    thread_counts: &[usize],
+) {
+    let v = panel(n, s, 1);
+    let q = panel(n, k, 2);
+    let p = Matrix::from_fn(k, s, |i, j| ((i + 2 * j) % 5) as f64 * 0.1 - 0.25);
+    let cost = Cost {
+        kernel: "gemm_nn_minus",
+        n,
+        s,
+        k,
+        flops: 2.0 * n as f64 * k as f64 * s as f64,
+        bytes: (8 * n * (k + 2 * s)) as u64,
+    };
+    time_kernels(
+        rows,
+        &v,
+        reps,
+        thread_counts,
+        &[(
+            cost,
+            &|w| dense::naive_gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
+            &|w| dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
+        )],
+    );
+}
+
 /// SpMV on one operator: the reference `Csr::spmv` against the
 /// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs, at one thread.  Bytes
 /// are the benchmark's model (`sparse.spmv_gbs`): 12 B per nonzero (value +
@@ -486,6 +522,8 @@ fn main() {
         eprintln!("benchmarking {n}x{s} flush panels ...");
         bench_flush_shape(&mut rows, n, s, reps, &thread_counts);
     }
+    eprintln!("benchmarking the widest lap2d_k4 stage-1 update ...");
+    bench_stage1_update(&mut rows, (14_400, 20, 224), reps, &thread_counts);
     // The benchmark's two operators at their `geer_t1`/`lap2d_t1` sizes.
     eprintln!("benchmarking SpMV ...");
     let geer = sparse::suitelike::spec_by_name("ML_Geer").expect("ML_Geer is in the set");

@@ -325,7 +325,6 @@ fn committed_bench_artifacts_are_valid_json() {
         "profile",
         "robustness",
         "sketch",
-        "tts_ab",
     ] {
         let path = root.join(format!("BENCH_{name}.json"));
         let text =

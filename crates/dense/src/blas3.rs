@@ -27,24 +27,25 @@
 //! right-hand side), so a row panel is 123–491 KB and lives in L2, not L1.
 //! Inside a row panel it therefore solves **left-looking on `TILE`-column
 //! tiles**: a column tile first receives the updates of all finished
-//! tiles to its left through the same register tile as [`gemm_nn_minus`]
-//! (its four columns stay in L1 while the finished columns stream past
-//! once per *tile*), and only the `TILE×TILE` triangle on the diagonal is
-//! solved column by column.  The earlier column-at-a-time axpy sweep
-//! streamed the finished columns once per *column* and ran at a third of
-//! the Gram kernel's rate at these widths; `BENCH_kernels.json` carries
-//! both at 25 600×60 and 14 400×240 (its `before` block, recorded once on
-//! the commit before the tiled solve, vs the `blocked` rows).
+//! tiles to its left through the same streaming kernel as
+//! [`gemm_nn_minus`] (eight rows of its four columns stay in registers
+//! while up to 16 finished columns stream past), and only the
+//! `TILE×TILE` triangle on the diagonal is solved column by column.
+//! `BENCH_kernels.json` carries the TRSM at 25 600×60 and 14 400×240 and
+//! the stage-1 update at 14 400×20 against 224 columns.
 //!
 //! The tile inner loops live in [`crate::simd`] and are explicit
 //! `std::arch` AVX2+FMA kernels with a portable scalar fallback, selected
 //! once at runtime.  Accumulation kernels ([`gram`], [`gemm_tn`], the
 //! projection half of [`fused_update_proj_gram`]) may use FMA and vector
-//! lane accumulators — they are pinned to the oracles within `1e-10·n` —
-//! while the element-update kernels ([`gemm_nn_minus`],
-//! [`trsm_right_upper`], the update half of the fused kernel) perform the
-//! exact scalar operation sequence per element and stay **bitwise
-//! identical** to the naive sweeps on every backend.
+//! lane accumulators — they are pinned to the oracles within `1e-10·n`.
+//! The element-update kernels ([`gemm_nn_minus`], [`gemm_nn_plus`],
+//! [`trsm_right_upper`], the update half of the fused kernel) take one
+//! fused multiply-add per nonzero coefficient per element, in ascending
+//! `k`, and skip zero coefficients, exactly as the naive sweeps do; they
+//! stay **bitwise identical** to those sweeps on every backend
+//! (`crates/dense/tests/blocked_kernel_props.rs`,
+//! `blocked_kernels_match_naive_on_enumerated_awkward_shapes`).
 //!
 //! Parallelization is over contiguous row ranges via `parkit`, with chunk
 //! sizes derived from the bytes each row traverses
@@ -83,7 +84,8 @@ impl ColPtr {
     /// requested segment.
     #[allow(clippy::mut_from_ref)]
     unsafe fn col_seg_mut(&self, n: usize, col: usize, r0: usize, r1: usize) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.0.add(col * n + r0), r1 - r0)
+        // SAFETY: in bounds and unaliased per the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(col * n + r0), r1 - r0) }
     }
 }
 
@@ -377,9 +379,18 @@ pub fn gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
     Matrix::from_col_major(k, s, partial)
 }
 
+/// Longest run of `Q` columns [`simd::update_run`] streams past one `V`
+/// tile.  An uncapped run (up to 224 columns in the stage-1 update of four
+/// right-hand sides) touches a page of every `Q` column per row step: on
+/// one lane of a 2-core Xeon, updating one tile at a time over the whole
+/// `k` range, the twelve stage-1 updates of a `lap2d_k4` cycle
+/// (n = 14 400, s = 20, k = 4…224) took 0.042–0.060 s uncapped and
+/// 0.029–0.031 s with this cap (best of 15, four alternated runs).
+const RUN: usize = 16;
+
 /// Per-column axpy sweep of `V[r0..r1, jb..jb+jw] −= Q[r0..r1, kb..kend]·R`
 /// with the naive zero skip, in increasing-`k` order: the path for ragged
-/// tiles and for coefficient tiles that contain zeros.
+/// tiles and for `k` steps whose coefficients contain a zero.
 ///
 /// # Safety
 /// `vcols` must point into an `n`-row column-major matrix with at least
@@ -400,7 +411,9 @@ unsafe fn update_cols_generic<Q: ColSource>(
     kend: usize,
 ) {
     for jj in 0..jw {
-        let vj = vcols.col_seg_mut(n, jb + jj, r0, r1);
+        // SAFETY: column jb + jj exists and rows r0..r1 are unaliased (the
+        // caller's contract).
+        let vj = unsafe { vcols.col_seg_mut(n, jb + jj, r0, r1) };
         for kk in kb..kend {
             let alpha = r[(kk, jb + jj)];
             if alpha != 0.0 {
@@ -410,14 +423,17 @@ unsafe fn update_cols_generic<Q: ColSource>(
     }
 }
 
-/// One full coefficient tile of the update:
-/// `V[r0..r1, jb..jb+4] −= Q[r0..r1, kb..kb+4]·R[kb..kb+4, jb..jb+4]`.
+/// One full column tile of the update:
+/// `V[r0..r1, jb..jb+4] −= Q[r0..r1, kb..kend]·R[kb..kend, jb..jb+4]`.
 ///
-/// A zero coefficient must be *skipped* (not multiplied) to stay
-/// bitwise-faithful to the naive sweep: `x − 0.0·q` can flip a `-0.0` and
-/// poisons `V` when `q` is Inf/NaN.  Zero coefficients only appear in
-/// structured `R` blocks, so the register tile requires all 16 to be
-/// nonzero and anything else takes the skipping column sweep.
+/// The `k` range is cut into runs of at most [`RUN`] steps whose four
+/// coefficients are all nonzero, each streamed through
+/// [`simd::update_run`].  A zero coefficient must be *skipped* (not
+/// multiplied) to stay bitwise-faithful to the naive sweep: `x − 0.0·q`
+/// can flip a `-0.0` and poisons `V` when `q` is Inf/NaN.  So a `k` step
+/// with a zero among its four coefficients ends the run and takes the
+/// skipping column sweep.  Per element the steps still run in ascending
+/// `k`, whichever path each takes.
 ///
 /// # Safety
 /// As [`update_cols_generic`], with `jw = 4`.
@@ -432,34 +448,54 @@ unsafe fn update_tile<Q: ColSource>(
     r1: usize,
     jb: usize,
     kb: usize,
+    kend: usize,
 ) {
-    let all_nonzero = (0..TILE).all(|jj| (0..TILE).all(|kk| r[(kb + kk, jb + jj)] != 0.0));
-    if all_nonzero {
-        let mut v = [
-            vcols.col_seg_mut(n, jb, r0, r1),
-            vcols.col_seg_mut(n, jb + 1, r0, r1),
-            vcols.col_seg_mut(n, jb + 2, r0, r1),
-            vcols.col_seg_mut(n, jb + 3, r0, r1),
-        ];
-        let qs = [
-            q.seg(kb, r0, r1),
-            q.seg(kb + 1, r0, r1),
-            q.seg(kb + 2, r0, r1),
-            q.seg(kb + 3, r0, r1),
-        ];
-        let c = std::array::from_fn(|jj| std::array::from_fn(|kk| r[(kb + kk, jb + jj)]));
-        simd::update_tile4(&mut v, &qs, &c);
-    } else {
-        update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, kb, kb + TILE);
+    let mut k0 = kb;
+    while k0 < kend {
+        let mut c = [[0.0f64; TILE]; RUN];
+        let mut qs: [&[f64]; RUN] = [&[]; RUN];
+        let mut run = 0;
+        while run < RUN && k0 + run < kend {
+            let ck: [f64; TILE] = std::array::from_fn(|jj| r[(k0 + run, jb + jj)]);
+            if ck.contains(&0.0) {
+                break;
+            }
+            c[run] = ck;
+            qs[run] = q.seg(k0 + run, r0, r1);
+            run += 1;
+        }
+        if run == 0 {
+            // SAFETY: the caller's contract, for the one step k0.
+            unsafe { update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, k0, k0 + 1) };
+            k0 += 1;
+            continue;
+        }
+        // SAFETY: the four columns are distinct and rows r0..r1 of them are
+        // unaliased (the caller's contract).
+        let mut v = unsafe {
+            [
+                vcols.col_seg_mut(n, jb, r0, r1),
+                vcols.col_seg_mut(n, jb + 1, r0, r1),
+                vcols.col_seg_mut(n, jb + 2, r0, r1),
+                vcols.col_seg_mut(n, jb + 3, r0, r1),
+            ]
+        };
+        simd::update_run(&mut v, &qs[..run], &c[..run]);
+        k0 += run;
     }
 }
 
-/// Update one row block of `V ← V − Q·R`: column tiles of `V` stay hot in
-/// L1 while the matching `Q` tiles stream through.
+/// Update one row block of `V ← V − Q·R`, `RUN` columns of `Q` at a time:
+/// each chunk (`ROW_BLOCK × RUN` doubles, 32 KiB) stays in L1 while every
+/// full column tile of `V` takes it through [`update_tile`] and a ragged
+/// last tile through the column sweep.  Against one tile at a time over
+/// the whole `k` range this cut the widest `lap2d_k4` stage-1 update
+/// (n = 14 400, s = 20, k = 224) from 5.6–8.6 ms to 4.6–6.6 ms on one lane
+/// (best of 15, four alternated runs).
 ///
-/// Per element the subtraction runs over `k` in index order with a single
-/// accumulator, so the result is bitwise-identical to the naive column
-/// sweep ([`naive_gemm_nn_minus`]).
+/// Per element the updates run over `k` in index order, one fused
+/// multiply-add each, so the result is bitwise-identical to the naive
+/// column sweep ([`naive_gemm_nn_minus`]).
 ///
 /// # Safety
 /// `vcols` must point into an `n`-row column-major matrix with at least
@@ -474,21 +510,23 @@ unsafe fn update_row_block<Q: ColSource>(
 ) {
     let k = r.nrows();
     let s = r.ncols();
-    let mut jb = 0;
-    while jb < s {
-        let jw = TILE.min(s - jb);
-        if jw == TILE {
-            let mut kb = 0;
-            while kb + TILE <= k {
-                update_tile(vcols, q, r, n, r0, r1, jb, kb);
-                kb += TILE;
+    let mut k0 = 0;
+    while k0 < k {
+        let k1 = (k0 + RUN).min(k);
+        let mut jb = 0;
+        while jb < s {
+            let jw = TILE.min(s - jb);
+            // SAFETY: the caller's contract, for columns jb..jb + jw.
+            unsafe {
+                if jw == TILE {
+                    update_tile(vcols, q, r, n, r0, r1, jb, k0, k1);
+                } else {
+                    update_cols_generic(vcols, q, r, n, r0, r1, jb, jw, k0, k1);
+                }
             }
-            // Ragged k remainder.
-            update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, kb, k);
-        } else {
-            update_cols_generic(vcols, q, r, n, r0, r1, jb, jw, 0, k);
+            jb += TILE;
         }
-        jb += TILE;
+        k0 = k1;
     }
 }
 
@@ -541,17 +579,20 @@ fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
 /// row ranges and process them in `ROW_BLOCK`-row panels.  Inside a panel
 /// the column recurrence `q_j = (v_j − Σ_{i<j} q_i r_{ij}) / r_{jj}` is
 /// **left-looking on `TILE`-column tiles**: column tile `J` first takes the
-/// update from every finished tile `I < J` through the same register tile
-/// as [`gemm_nn_minus`] (the four `V` columns stay in L1 while the finished
-/// columns stream past once per tile, not once per column), then solves
+/// update from every finished tile `I < J` through the same streaming
+/// kernel as [`gemm_nn_minus`] (eight rows of its four columns stay in
+/// registers while up to 16 finished columns stream past, so the finished
+/// columns are read once per tile, not once per column), then solves
 /// its own `TILE×TILE` triangle by axpy and scale.  At the flush widths of
 /// the two-stage scheme (`s = 60…240`, a panel of 123–491 KB) this is what
 /// keeps the solve from running at axpy rate out of L2.  A ragged last
 /// tile takes the plain column sweep.
 ///
-/// Per element the operations are still "subtract `r_ij·q_i` for ascending
-/// `i`, then scale", multiply-then-subtract with no FMA, so results are
-/// bitwise-identical to [`naive_trsm_right_upper`] on every backend.
+/// Per element the operations are "subtract `r_ij·q_i` for ascending `i`,
+/// one fused multiply-add each, zero `r_ij` skipped, then scale", so
+/// results are bitwise-identical to [`naive_trsm_right_upper`] on every
+/// backend (`crates/dense/tests/simd_kernel_props.rs`,
+/// `tiled_trsm_is_bitwise_naive_at_flush_widths_on_both_backends`).
 ///
 /// Panics if `R` has a zero diagonal entry.
 pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
@@ -580,11 +621,9 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
                 // Columns left of `solved_from` are already subtracted
                 // from this tile; a ragged tile subtracts them itself.
                 let solved_from = if jw == TILE {
-                    for kb in (0..jb).step_by(TILE) {
-                        // SAFETY: this worker owns rows rb..re; columns
-                        // kb..kb+4 (read) lie left of jb..jb+4 (written).
-                        unsafe { update_tile(&vcols, done, r, n, rb, re, jb, kb) };
-                    }
+                    // SAFETY: this worker owns rows rb..re; columns 0..jb
+                    // (read) lie left of jb..jb+4 (written).
+                    unsafe { update_tile(&vcols, done, r, n, rb, re, jb, 0, jb) };
                     jb
                 } else {
                     0
@@ -727,7 +766,9 @@ pub fn naive_gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
     c
 }
 
-/// Serial reference `V ← V − Q·R` (column-at-a-time axpy sweep).
+/// Serial reference `V ← V − Q·R`: the column-at-a-time sweep, one
+/// `mul_add` per nonzero coefficient in ascending `k`, zero coefficients
+/// skipped.
 pub fn naive_gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     let n = v.nrows();
     assert_eq!(q.nrows(), n, "naive_gemm_nn_minus: row mismatch");
@@ -743,16 +784,17 @@ pub fn naive_gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) 
         for kk in 0..k {
             let alpha = r[(kk, j)];
             if alpha != 0.0 {
-                let qk = q.col(kk);
-                for (o, x) in vj.iter_mut().zip(qk) {
-                    *o -= alpha * x;
+                for (o, &x) in vj.iter_mut().zip(q.col(kk)) {
+                    *o = (-alpha).mul_add(x, *o);
                 }
             }
         }
     }
 }
 
-/// Serial reference `V ← V·R⁻¹` (the pre-blocking serial column sweep).
+/// Serial reference `V ← V·R⁻¹`: the column sweep `v_j ← v_j − r_ij·q_i`
+/// for ascending `i`, one `mul_add` each, zero `r_ij` skipped, then
+/// `v_j ← v_j·(1/r_jj)`.
 pub fn naive_trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
     let n = v.nrows();
     let s = v.ncols();
@@ -771,11 +813,15 @@ pub fn naive_trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
         for i in 0..j {
             let alpha = r[(i, j)];
             if alpha != 0.0 {
-                let qi = &done[i * n..(i + 1) * n];
-                crate::blas1::axpy(-alpha, qi, vj);
+                for (o, &x) in vj.iter_mut().zip(&done[i * n..(i + 1) * n]) {
+                    *o = (-alpha).mul_add(x, *o);
+                }
             }
         }
-        crate::blas1::scal(1.0 / r[(j, j)], vj);
+        let d = 1.0 / r[(j, j)];
+        for o in vj.iter_mut() {
+            *o *= d;
+        }
     }
 }
 
@@ -805,9 +851,11 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
 /// `X ← X + Q·Ŷ`; [`gemv_plus`] is its one-column case).
 ///
 /// Runs as the row-panel-blocked update `V ← V − Q·(−Y)`, so the `V` panel
-/// stays in L1 while `Q` streams past once for all `s` columns.  Negation
-/// is exact, hence per element this is bit for bit the column sweep
-/// `v_p += y_jp·q_j` for ascending `j`, zero `y_jp` skipped.  Like
+/// stays in cache while `Q` streams past once for all `s` columns.
+/// Negation is exact, hence per element this is bit for bit the column
+/// sweep `v_p ← fma(y_jp, q_j, v_p)` for ascending `j`, one rounding per
+/// step, zero `y_jp` skipped (pinned by
+/// `gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep`).  Like
 /// [`gemv_plus`] it opens no trace span.
 pub fn gemm_nn_plus(v: &mut MatViewMut<'_>, q: &MatView<'_>, y: &Matrix) {
     assert_eq!(q.nrows(), v.nrows(), "gemm_nn_plus: row mismatch");
@@ -820,8 +868,9 @@ pub fn gemm_nn_plus(v: &mut MatViewMut<'_>, q: &MatView<'_>, y: &Matrix) {
 
 /// `y ← y + A·x` for tall `A ∈ R^{n×k}` and small `x ∈ R^k`
 /// (used for the solution update `x ← x + V_m ŷ`): [`gemm_nn_plus`] on one
-/// column, bit for bit the column sweep `y += x_j·a_j` for ascending `j`,
-/// zero `x_j` skipped.
+/// column, bit for bit the column sweep `y ← fma(x_j, a_j, y)` for
+/// ascending `j`, zero `x_j` skipped (pinned by
+/// `gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep`).
 pub fn gemv_plus(a: &MatView<'_>, x: &[f64], y: &mut [f64]) {
     assert_eq!(a.nrows(), y.len(), "gemv_plus: output length mismatch");
     let x = Matrix::from_col_major(x.len(), 1, x.to_vec());
@@ -1080,7 +1129,8 @@ mod tests {
         // The solution updates run `y += A·x` as `y −= A·(−x)`: the scalar
         // solver through gemv_plus, the block solver through gemm_nn_plus
         // on all right-hand sides at once.  Both must reproduce the plain
-        // ascending-column sweep bit for bit, zero coefficients skipped.
+        // ascending-column sweep bit for bit — one fused multiply-add per
+        // step — zero coefficients skipped.
         for n in [1usize, ROW_BLOCK - 1, 2 * ROW_BLOCK + 7] {
             let a = test_panel(n, 9);
             let x = Matrix::from_fn(9, 4, |k, p| {
@@ -1095,8 +1145,8 @@ mod tests {
             for p in 0..4 {
                 for (k, &xk) in x.col(p).iter().enumerate() {
                     if xk != 0.0 {
-                        for (yi, ai) in sweep.col_mut(p).iter_mut().zip(a.col(k)) {
-                            *yi += xk * ai;
+                        for (yi, &ai) in sweep.col_mut(p).iter_mut().zip(a.col(k)) {
+                            *yi = xk.mul_add(ai, *yi);
                         }
                     }
                 }

@@ -29,6 +29,7 @@
 //! accumulation lives in the `blockortho` crate where it is used.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod blas1;
 pub mod blas3;

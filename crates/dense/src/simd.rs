@@ -12,13 +12,19 @@
 //! The kernels fall into two classes, matching the guarantees the blocked
 //! BLAS-3 layer makes against its `naive_*` oracles:
 //!
-//! * **Bitwise-faithful** — [`update_tile4`], [`axpy_minus`], [`scal`]:
-//!   these implement the `V ← V − Q·R` / TRSM element updates, which the
-//!   property batteries pin bitwise against the naive column sweeps.  The
-//!   vector code performs *exactly* the scalar operation sequence per
-//!   element (multiply then subtract — never FMA, which would contract the
-//!   rounding — in ascending-`k` order), only on four rows per lane at a
-//!   time, so every output bit matches the scalar path.
+//! * **Bitwise-faithful** — [`update_run`], [`axpy_minus`], [`scal`]:
+//!   these implement the `V ← V − Q·R` / TRSM element updates.  Per
+//!   element, each nonzero coefficient `c` costs one fused multiply-add
+//!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm256_fnmadd_pd`
+//!   on AVX2, `f64::mul_add` on the scalar backend); zero coefficients are
+//!   skipped by the caller.  The vector code performs exactly that sequence
+//!   per element, only on eight rows at a time, so every output bit matches
+//!   the scalar backend and the `naive_*` sweeps.  One rounding per step
+//!   satisfies the standard model `fl(v − c·q) = (v − c·q)(1 + δ)`,
+//!   `|δ| ≤ u`, that the stability analyses of the block schemes assume.
+//!   `crates/dense/tests/simd_kernel_props.rs`
+//!   (`update_class_is_bitwise_identical_across_backends`,
+//!   `streaming_update_is_bitwise_across_backends_and_naive`) pins it.
 //! * **Tolerance-pinned** — [`tn_tile4x4`], [`sym_tile4`], [`dot`]: the
 //!   Gram/projection accumulations are pinned to the oracles within
 //!   `1e-10·n`, so the AVX2 path may use FMA and four parallel lane
@@ -115,9 +121,15 @@ fn use_avx2() -> bool {
 /// (tolerance-pinned: the AVX2 path uses FMA and lane accumulators).
 #[inline]
 pub fn tn_tile4x4(a: &[&[f64]; 4], b: &[&[f64]; 4], tile: &mut [f64; 16]) {
+    let len = a[0].len();
+    assert!(
+        a.iter().chain(b).all(|col| col.len() == len),
+        "tn_tile4x4: column length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2+FMA presence was verified by `simd_level`.
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; all eight
+        // columns have the same length (asserted above).
         unsafe { avx2::tn_tile4x4(a, b, tile) };
         return;
     }
@@ -170,9 +182,15 @@ fn tn_tile4x4_scalar(a: &[&[f64]; 4], b: &[&[f64]; 4], tile: &mut [f64; 16]) {
 /// (tolerance-pinned).
 #[inline]
 pub fn sym_tile4(a: &[&[f64]; 4], tri: &mut [f64; 10]) {
+    let len = a[0].len();
+    assert!(
+        a.iter().all(|col| col.len() == len),
+        "sym_tile4: column length mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2+FMA presence was verified by `simd_level`.
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; all four
+        // columns have the same length (asserted above).
         unsafe { avx2::sym_tile4(a, tri) };
         return;
     }
@@ -209,10 +227,11 @@ fn sym_tile4_scalar(a: &[&[f64]; 4], tri: &mut [f64; 10]) {
 /// tolerance-pinned).
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "dot: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2+FMA presence was verified by `simd_level`.
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; the two
+        // columns have the same length (asserted above).
         return unsafe { avx2::dot(x, y) };
     }
     dot_scalar(x, y)
@@ -233,53 +252,64 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     s0 + s1
 }
 
-/// `v[j] ← v[j] − Σ_k c[j][k]·q[k]` for four resident columns against four
-/// streamed columns (bitwise-faithful: per element the four
-/// multiply-then-subtract steps run in ascending `k` order with no FMA,
-/// exactly like the scalar sweep).
+/// `v[j] ← v[j] − Σ_k c[k][j]·q[k]` for four resident columns of `V`
+/// against a run of streamed columns of `Q` (bitwise-faithful).
 ///
-/// All eight slices must have equal length; `c[j][k]` multiplies `q[k]`
-/// into column `j`.  The caller guarantees every coefficient is nonzero
-/// (zero coefficients must take the skipping path instead — see the
-/// blocked-update kernel).
+/// The AVX2 path holds eight rows of all four `V` columns in registers for
+/// the whole run: `V` is loaded and stored once per run, and each `k` step
+/// is one `_mm256_fnmadd_pd` per column.  The last `len % 8` rows take the
+/// scalar sweep.  Per element that is the scalar
+/// sweep — one `f64::mul_add` per coefficient in ascending `k` — so both
+/// backends return the same bits.
+///
+/// `c[k][j]` multiplies `q[k]` into column `j`; `q` and `c` have equal
+/// length and every column equal length.  Every coefficient must be
+/// nonzero: a zero must be *skipped*, not multiplied (see the blocked
+/// update in [`crate::blas3`]).
 #[inline]
-pub fn update_tile4(v: &mut [&mut [f64]; 4], q: &[&[f64]; 4], c: &[[f64; 4]; 4]) {
+pub fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
+    let len = v[0].len();
+    assert!(
+        c.len() == q.len()
+            && v.iter().all(|col| col.len() == len)
+            && q.iter().all(|col| col.len() == len),
+        "update_run: shape mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 presence was verified by `simd_level`.
-        unsafe { avx2::update_tile4(v, q, c) };
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; the
+        // shapes were asserted above.
+        unsafe { avx2::update_run(v, q, c) };
         return;
     }
-    update_tile4_scalar(v, q, c);
-}
-
-fn update_tile4_scalar(v: &mut [&mut [f64]; 4], q: &[&[f64]; 4], c: &[[f64; 4]; 4]) {
-    let len = v[0].len();
-    for (vj, cj) in v.iter_mut().zip(c) {
-        for r in 0..len {
-            let mut acc = vj[r];
-            acc -= q[0][r] * cj[0];
-            acc -= q[1][r] * cj[1];
-            acc -= q[2][r] * cj[2];
-            acc -= q[3][r] * cj[3];
-            vj[r] = acc;
+    for (j, vj) in v.iter_mut().enumerate() {
+        for (qk, ck) in q.iter().zip(c) {
+            axpy_minus_scalar(ck[j], qk, vj);
         }
     }
 }
 
-/// `y ← y − alpha·x` (bitwise-faithful: multiply then subtract per
-/// element, no FMA).
+/// `y ← y − alpha·x` (bitwise-faithful: one fused multiply-add per
+/// element).
 #[inline]
 pub fn axpy_minus(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "axpy_minus: length mismatch");
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2 presence was verified by `simd_level`.
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; the two
+        // columns have the same length (asserted above).
         unsafe { avx2::axpy_minus(alpha, x, y) };
         return;
     }
-    for (o, q) in y.iter_mut().zip(x) {
-        *o -= alpha * q;
+    axpy_minus_scalar(alpha, x, y);
+}
+
+/// The scalar element update every bitwise-faithful kernel reproduces:
+/// `y ← y − alpha·x`, one rounding per element.
+#[inline]
+fn axpy_minus_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for (o, &q) in y.iter_mut().zip(x) {
+        *o = (-alpha).mul_add(q, *o);
     }
 }
 
@@ -299,13 +329,18 @@ pub fn scal(d: f64, y: &mut [f64]) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    //! The AVX2+FMA bodies behind the dispatchers above.  Intrinsics that
+    //! only touch registers are safe inside these `target_feature`
+    //! functions; every load and store through a raw pointer sits in its
+    //! own `unsafe` block that names the bound keeping it in range.
+
     use std::arch::x86_64::*;
 
     /// Fixed-order horizontal sum `(v0+v2)+(v1+v3)` — deterministic lane
     /// reduction.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum4(v: __m256d) -> f64 {
+    fn hsum4(v: __m256d) -> f64 {
         let lo = _mm256_castpd256_pd128(v);
         let hi = _mm256_extractf128_pd(v, 1);
         let pair = _mm_add_pd(lo, hi);
@@ -313,6 +348,8 @@ mod avx2 {
         _mm_cvtsd_f64(_mm_add_sd(pair, swapped))
     }
 
+    /// # Safety
+    /// AVX2+FMA must be present and all eight columns of equal length.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn tn_tile4x4(a: &[&[f64]; 4], b: &[&[f64]; 4], tile: &mut [f64; 16]) {
         let len = a[0].len();
@@ -326,10 +363,12 @@ mod avx2 {
             let mut acc1 = [_mm256_setzero_pd(); 4];
             let mut r = 0;
             while r < body {
-                let va0 = _mm256_loadu_pd(a0.add(r));
-                let va1 = _mm256_loadu_pd(a1.add(r));
+                // SAFETY: r + 4 <= body <= len, the length of both columns.
+                let (va0, va1) =
+                    unsafe { (_mm256_loadu_pd(a0.add(r)), _mm256_loadu_pd(a1.add(r))) };
                 for j in 0..4 {
-                    let vb = _mm256_loadu_pd(b[j].as_ptr().add(r));
+                    // SAFETY: r + 4 <= len, the length of every `b` column.
+                    let vb = unsafe { _mm256_loadu_pd(b[j].as_ptr().add(r)) };
                     acc0[j] = _mm256_fmadd_pd(va0, vb, acc0[j]);
                     acc1[j] = _mm256_fmadd_pd(va1, vb, acc1[j]);
                 }
@@ -348,18 +387,25 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// AVX2+FMA must be present and all four columns of equal length.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn sym_tile4(a: &[&[f64]; 4], tri: &mut [f64; 10]) {
         let len = a[0].len();
         let body = len & !3;
-        let (p0, p1, p2, p3) = (a[0].as_ptr(), a[1].as_ptr(), a[2].as_ptr(), a[3].as_ptr());
+        let p = [a[0].as_ptr(), a[1].as_ptr(), a[2].as_ptr(), a[3].as_ptr()];
         let mut acc = [_mm256_setzero_pd(); 10];
         let mut r = 0;
         while r < body {
-            let x0 = _mm256_loadu_pd(p0.add(r));
-            let x1 = _mm256_loadu_pd(p1.add(r));
-            let x2 = _mm256_loadu_pd(p2.add(r));
-            let x3 = _mm256_loadu_pd(p3.add(r));
+            // SAFETY: r + 4 <= body <= len, the length of every column.
+            let (x0, x1, x2, x3) = unsafe {
+                (
+                    _mm256_loadu_pd(p[0].add(r)),
+                    _mm256_loadu_pd(p[1].add(r)),
+                    _mm256_loadu_pd(p[2].add(r)),
+                    _mm256_loadu_pd(p[3].add(r)),
+                )
+            };
             acc[0] = _mm256_fmadd_pd(x0, x0, acc[0]);
             acc[1] = _mm256_fmadd_pd(x0, x1, acc[1]);
             acc[2] = _mm256_fmadd_pd(x1, x1, acc[2]);
@@ -393,6 +439,8 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// AVX2+FMA must be present and `x`, `y` of equal length.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
         let len = x.len();
@@ -402,12 +450,17 @@ mod avx2 {
         let mut acc1 = _mm256_setzero_pd();
         let mut r = 0;
         while r < body {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(px.add(r)), _mm256_loadu_pd(py.add(r)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(px.add(r + 4)),
-                _mm256_loadu_pd(py.add(r + 4)),
-                acc1,
-            );
+            // SAFETY: r + 8 <= body <= len, the length of both columns.
+            let (x0, x1, y0, y1) = unsafe {
+                (
+                    _mm256_loadu_pd(px.add(r)),
+                    _mm256_loadu_pd(px.add(r + 4)),
+                    _mm256_loadu_pd(py.add(r)),
+                    _mm256_loadu_pd(py.add(r + 4)),
+                )
+            };
+            acc0 = _mm256_fmadd_pd(x0, y0, acc0);
+            acc1 = _mm256_fmadd_pd(x1, y1, acc1);
             r += 8;
         }
         let mut s = hsum4(_mm256_add_pd(acc0, acc1));
@@ -417,43 +470,66 @@ mod avx2 {
         s
     }
 
-    /// Bitwise-faithful 4-column update: per element, multiply-then-subtract
-    /// in ascending `k` order — `_mm256_mul_pd` + `_mm256_sub_pd`, never
-    /// FMA, so every lane reproduces the scalar sweep exactly.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn update_tile4(v: &mut [&mut [f64]; 4], q: &[&[f64]; 4], c: &[[f64; 4]; 4]) {
+    /// The streaming update: eight rows of the four `V` columns stay in
+    /// registers (two `__m256d` each) across the whole run of `Q` columns,
+    /// one `_mm256_fnmadd_pd` per column per `k` step in ascending `k`; the
+    /// last `len % 8` rows take the scalar sweep.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be present; every `v` and `q` column holds
+    /// `v[0].len()` elements and `c.len() == q.len()`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
         let len = v[0].len();
-        let body = len & !3;
-        let (q0, q1, q2, q3) = (q[0].as_ptr(), q[1].as_ptr(), q[2].as_ptr(), q[3].as_ptr());
-        for (vj, cj) in v.iter_mut().zip(c) {
-            let pv = vj.as_mut_ptr();
-            let c0 = _mm256_set1_pd(cj[0]);
-            let c1 = _mm256_set1_pd(cj[1]);
-            let c2 = _mm256_set1_pd(cj[2]);
-            let c3 = _mm256_set1_pd(cj[3]);
-            let mut r = 0;
-            while r < body {
-                let mut acc = _mm256_loadu_pd(pv.add(r));
-                acc = _mm256_sub_pd(acc, _mm256_mul_pd(c0, _mm256_loadu_pd(q0.add(r))));
-                acc = _mm256_sub_pd(acc, _mm256_mul_pd(c1, _mm256_loadu_pd(q1.add(r))));
-                acc = _mm256_sub_pd(acc, _mm256_mul_pd(c2, _mm256_loadu_pd(q2.add(r))));
-                acc = _mm256_sub_pd(acc, _mm256_mul_pd(c3, _mm256_loadu_pd(q3.add(r))));
-                _mm256_storeu_pd(pv.add(r), acc);
-                r += 4;
+        let pv = [
+            v[0].as_mut_ptr(),
+            v[1].as_mut_ptr(),
+            v[2].as_mut_ptr(),
+            v[3].as_mut_ptr(),
+        ];
+        let mut r = 0;
+        while r + 8 <= len {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for (a, &p) in acc.iter_mut().zip(&pv) {
+                // SAFETY: r + 8 <= len, the length of every `v` column.
+                *a = unsafe { [_mm256_loadu_pd(p.add(r)), _mm256_loadu_pd(p.add(r + 4))] };
             }
-            for rr in body..len {
-                let mut acc = vj[rr];
-                acc -= q[0][rr] * cj[0];
-                acc -= q[1][rr] * cj[1];
-                acc -= q[2][rr] * cj[2];
-                acc -= q[3][rr] * cj[3];
-                vj[rr] = acc;
+            for (qk, ck) in q.iter().zip(c) {
+                // SAFETY: r + 8 <= len, the length of every `q` column.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm256_loadu_pd(qk.as_ptr().add(r)),
+                        _mm256_loadu_pd(qk.as_ptr().add(r + 4)),
+                    )
+                };
+                for (a, &cj) in acc.iter_mut().zip(ck) {
+                    let cj = _mm256_set1_pd(cj);
+                    a[0] = _mm256_fnmadd_pd(cj, lo, a[0]);
+                    a[1] = _mm256_fnmadd_pd(cj, hi, a[1]);
+                }
+            }
+            for (&p, a) in pv.iter().zip(&acc) {
+                // SAFETY: as for the loads above.
+                unsafe {
+                    _mm256_storeu_pd(p.add(r), a[0]);
+                    _mm256_storeu_pd(p.add(r + 4), a[1]);
+                }
+            }
+            r += 8;
+        }
+        for (j, vj) in v.iter_mut().enumerate() {
+            for (qk, ck) in q.iter().zip(c) {
+                super::axpy_minus_scalar(ck[j], &qk[r..], &mut vj[r..]);
             }
         }
     }
 
-    /// Bitwise-faithful `y ← y − alpha·x` (multiply then subtract, no FMA).
-    #[target_feature(enable = "avx2")]
+    /// Bitwise-faithful `y ← y − alpha·x`, one `_mm256_fnmadd_pd` per four
+    /// elements.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be present and `x`, `y` of equal length.
+    #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn axpy_minus(alpha: f64, x: &[f64], y: &mut [f64]) {
         let len = y.len();
         let body = len & !3;
@@ -462,16 +538,19 @@ mod avx2 {
         let py = y.as_mut_ptr();
         let mut r = 0;
         while r < body {
-            let prod = _mm256_mul_pd(va, _mm256_loadu_pd(px.add(r)));
-            _mm256_storeu_pd(py.add(r), _mm256_sub_pd(_mm256_loadu_pd(py.add(r)), prod));
+            // SAFETY: r + 4 <= body <= len, the length of both columns.
+            let (xr, yr) = unsafe { (_mm256_loadu_pd(px.add(r)), _mm256_loadu_pd(py.add(r))) };
+            // SAFETY: as for the loads.
+            unsafe { _mm256_storeu_pd(py.add(r), _mm256_fnmadd_pd(va, xr, yr)) };
             r += 4;
         }
-        for rr in body..len {
-            y[rr] -= alpha * x[rr];
-        }
+        super::axpy_minus_scalar(alpha, &x[body..], &mut y[body..]);
     }
 
     /// Bitwise-faithful `y ← d·y`.
+    ///
+    /// # Safety
+    /// AVX2 must be present.
     #[target_feature(enable = "avx2")]
     pub unsafe fn scal(d: f64, y: &mut [f64]) {
         let len = y.len();
@@ -480,7 +559,10 @@ mod avx2 {
         let py = y.as_mut_ptr();
         let mut r = 0;
         while r < body {
-            _mm256_storeu_pd(py.add(r), _mm256_mul_pd(vd, _mm256_loadu_pd(py.add(r))));
+            // SAFETY: r + 4 <= body <= len.
+            let yr = unsafe { _mm256_loadu_pd(py.add(r)) };
+            // SAFETY: as for the load.
+            unsafe { _mm256_storeu_pd(py.add(r), _mm256_mul_pd(vd, yr)) };
             r += 4;
         }
         for yr in &mut y[body..len] {
@@ -542,26 +624,23 @@ mod tests {
     #[test]
     fn update_and_axpy_are_bitwise_across_backends() {
         let _guard = override_lock();
-        for n in [1usize, 3, 4, 63, 257] {
-            let q: Vec<Vec<f64>> = (0..4).map(|s| col(n, s + 9)).collect();
-            let qr = [&q[0][..], &q[1][..], &q[2][..], &q[3][..]];
-            let c = [[0.3, -1.2, 0.7, 2.5]; 4];
+        for n in [1usize, 3, 4, 7, 8, 9, 63, 257] {
+            let q: Vec<Vec<f64>> = (0..5).map(|s| col(n, s + 9)).collect();
+            let qr: Vec<&[f64]> = q.iter().map(Vec::as_slice).collect();
+            let c: Vec<[f64; 4]> = (0..5)
+                .map(|k| std::array::from_fn(|j| (k * 4 + j) as f64 * 0.37 - 2.9))
+                .collect();
+            let run = |v: &mut [Vec<f64>]| {
+                let [v0, v1, v2, v3] = v else { unreachable!() };
+                update_run(&mut [v0, v1, v2, v3], &qr, &c);
+            };
             let mut v_scalar: Vec<Vec<f64>> = (0..4).map(|s| col(n, s + 40)).collect();
             let mut v_simd = v_scalar.clone();
-            {
-                let [v0, v1, v2, v3] = &mut v_scalar[..] else {
-                    unreachable!()
-                };
-                update_tile4_scalar(&mut [v0, v1, v2, v3], &qr, &c);
-            }
+            set_simd_override(Some(SimdLevel::Scalar));
+            run(&mut v_scalar);
             set_simd_override(None);
-            {
-                let [v0, v1, v2, v3] = &mut v_simd[..] else {
-                    unreachable!()
-                };
-                update_tile4(&mut [v0, v1, v2, v3], &qr, &c);
-            }
-            assert_eq!(v_scalar, v_simd, "update_tile4 must be bitwise stable");
+            run(&mut v_simd);
+            assert_eq!(v_scalar, v_simd, "update_run must be bitwise stable");
 
             let x = col(n, 77);
             let mut y_scalar = col(n, 78);
@@ -572,7 +651,6 @@ mod tests {
             set_simd_override(None);
             axpy_minus(0.825, &x, &mut y_simd);
             scal(1.0 / 3.0, &mut y_simd);
-            set_simd_override(None);
             assert_eq!(y_scalar, y_simd, "axpy/scal must be bitwise stable");
         }
     }

@@ -155,6 +155,33 @@ fn blocked_kernels_are_bitwise_deterministic_per_thread_count() {
     parkit::set_num_threads(0);
 }
 
+/// The streaming update against the naive `mul_add` sweep across thread
+/// counts: `k`-runs on both sides of the 16-column cap, `V` widths 1–5
+/// (one full column tile plus a ragged one), and row counts that are
+/// multiples of neither the 8-row step nor [`ROW_BLOCK`].
+#[test]
+fn streaming_update_is_bitwise_naive_across_run_lengths_and_threads() {
+    let _guard = thread_lock();
+    for threads in [1usize, 3] {
+        parkit::set_num_threads(threads);
+        for n in [1usize, 9, 15, ROW_BLOCK + 3, 3 * ROW_BLOCK + 21] {
+            for k in [1usize, 3, 4, 15, 16, 17, 224] {
+                let q = panel(n, k, k + 2);
+                for s in 1..=5 {
+                    let v = panel(n, s, n + 3 * s);
+                    let p = Matrix::from_fn(k, s, |i, j| ((i + 4 * j) % 9) as f64 * 0.11 - 0.47);
+                    let mut w = v.clone();
+                    let mut w_ref = v.clone();
+                    dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+                    dense::naive_gemm_nn_minus(&mut w_ref.view_mut(), &q.view(), &p);
+                    assert_eq!(w, w_ref, "n={n} k={k} s={s} threads={threads}");
+                }
+            }
+        }
+    }
+    parkit::set_num_threads(0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

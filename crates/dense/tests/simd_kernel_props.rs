@@ -4,7 +4,9 @@
 //! the 4-wide AVX2 lane, `s ∈ 1..=10`, and the `k = 0` edge — across
 //! thread counts {1, 4, 8}, and the scalar and SIMD backends are
 //! cross-checked against each other (bitwise for the update/TRSM class,
-//! tolerance for the Gram/projection class).
+//! tolerance for the Gram/projection class).  The streaming update has its
+//! own cases: `k`-runs crossing the 16-column cap, `V` widths 1–5, row
+//! counts off the 8-row step, and zero coefficients inside a run.
 //!
 //! The tiled TRSM has its own battery at the stage-2 flush widths, where
 //! the left-looking register tile (rather than the ragged column sweep)
@@ -265,6 +267,101 @@ fn tiled_trsm_is_bitwise_naive_at_flush_widths_on_both_backends() {
                 }
             }
         }
+    }
+    dense::set_simd_override(None);
+    parkit::set_num_threads(0);
+}
+
+/// Row counts that are multiples of neither the 8-row AVX2 step nor
+/// [`ROW_BLOCK`], so the scalar row tail runs too.
+const STREAM_ROWS: [usize; 5] = [1, 7, 13, ROW_BLOCK + 5, 2 * ROW_BLOCK + 11];
+
+/// `k`-run lengths around the 16-column cap of the streaming update.
+const STREAM_KS: [usize; 7] = [1, 3, 4, 15, 16, 17, 224];
+
+/// The streaming update (`gemm_nn_minus` and the fused update) on every
+/// backend against the naive `mul_add` sweep, bit for bit, with zero-free
+/// coefficients so every full column tile streams whole runs.
+#[test]
+fn streaming_update_is_bitwise_across_backends_and_naive() {
+    let _guard = global_lock();
+    parkit::set_num_threads(1);
+    for n in STREAM_ROWS {
+        for k in STREAM_KS {
+            let q = panel(n, k, k);
+            for s in 1..=5 {
+                let v = panel(n, s, n + s);
+                let p = Matrix::from_fn(k, s, |i, j| ((3 * i + j) % 7) as f64 * 0.13 - 0.4);
+                let mut naive = v.clone();
+                dense::naive_gemm_nn_minus(&mut naive.view_mut(), &q.view(), &p);
+                for backend in [Some(SimdLevel::Scalar), None] {
+                    dense::set_simd_override(backend);
+                    let mut w = v.clone();
+                    dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+                    let mut f = v.clone();
+                    let _ = dense::fused_update_proj_gram(&mut f.view_mut(), &q.view(), &p);
+                    assert!(
+                        bits(&w) == bits(&naive) && bits(&f) == bits(&naive),
+                        "streaming update diverged: n={n} k={k} s={s} backend={backend:?}"
+                    );
+                }
+            }
+        }
+    }
+    dense::set_simd_override(None);
+    parkit::set_num_threads(0);
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A zero coefficient inside what would otherwise be one run must be
+/// skipped, not multiplied: it keeps a `-0.0` in `V` (multiplying `0·(−1)`
+/// in would turn it into `+0.0`), and a `Q` column of Inf and NaN whose
+/// coefficients are all zero never reaches `V`.
+#[test]
+fn streaming_update_skips_zero_coefficients_inside_a_run() {
+    let _guard = global_lock();
+    parkit::set_num_threads(1);
+    let (n, k, s) = (2 * ROW_BLOCK + 13, 40, 5);
+    let (zero_k, poison_k) = (20, 30);
+    let signed_rows = [5, 11, ROW_BLOCK + 1, n - 1];
+    let mut q = panel(n, k, 1);
+    for &i in &signed_rows {
+        for kk in 0..k {
+            q[(i, kk)] = if kk == zero_k { -1.0 } else { 0.0 };
+        }
+    }
+    q[(3, poison_k)] = f64::INFINITY;
+    q[(n - 2, poison_k)] = f64::NAN;
+    // Column 2's coefficients are positive except the one zero at
+    // `zero_k`; the poisoned column has a zero coefficient everywhere.
+    let p = Matrix::from_fn(k, s, |i, j| {
+        if i == poison_k || (i == zero_k && j == 2) {
+            0.0
+        } else {
+            ((i + 2 * j) % 5) as f64 * 0.1 + 0.05
+        }
+    });
+    let mut v = panel(n, s, 2);
+    for &i in &signed_rows {
+        v[(i, 2)] = -0.0;
+    }
+    let mut naive = v.clone();
+    dense::naive_gemm_nn_minus(&mut naive.view_mut(), &q.view(), &p);
+    for backend in [Some(SimdLevel::Scalar), None] {
+        dense::set_simd_override(backend);
+        let mut w = v.clone();
+        dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+        assert!(bits(&w) == bits(&naive), "backend={backend:?}");
+        for &i in &signed_rows {
+            assert_eq!(w[(i, 2)].to_bits(), (-0.0f64).to_bits(), "row {i}");
+        }
+        assert!(
+            w.data().iter().all(|x| x.is_finite()),
+            "backend={backend:?}"
+        );
     }
     dense::set_simd_override(None);
     parkit::set_num_threads(0);

@@ -219,7 +219,7 @@ pub fn bcgs_pip2_fused(
     // well-conditioned panel: W = V·R1⁻¹ − Q·(P1·R1⁻¹) = (V − Q·P1)·R1⁻¹.
     basis.scale_right(new.clone(), &r1);
     let mut p1s = p1.clone();
-    dense::naive_trsm_right_upper(&mut p1s.view_mut(), &r1);
+    dense::trsm_right_upper(&mut p1s.view_mut(), &r1);
     // Reduce 2: update fused with the reorthogonalization inner products.
     let (y, gw) = basis.update_and_gram(prev.clone(), new.clone(), &p1s);
     let corr2 = dense::gemm_nn(&y.transpose(), &y);
