@@ -72,6 +72,13 @@
 //! running to the end of the big panel.  Everything it reads is
 //! replicated, so every rank takes the same decision.
 //!
+//! **The last big panel.**  The two-stage flush the cycle's last panel
+//! triggers only factors its big panel.  `ortho_finish` takes the panel
+//! ([`BlockOrthogonalizer::take_factored_panel`]) before it calls
+//! `finish`, and the update folds its stage-2 factor into the projected
+//! solution ([`blockortho::fold_factored`]), so `Q̂·Y′ = Q·Y` is formed
+//! from the stored columns and no `n`-row TRSM normalizes them.
+//!
 //! **Early flush.**  A monomial panel grows fast — a `k·s`-wide one
 //! fastest — and the two-stage scheme's first stage projects it against
 //! columns that are only pre-processed.  [`blockortho::TwoStage`] therefore
@@ -95,13 +102,14 @@ use crate::precond::{Identity, Preconditioner};
 use crate::report::{Phase, PhaseClock};
 use crate::shifts;
 use crate::solver::{GmresConfig, SStepGmres, SolveResult};
-use blockortho::{make_orthogonalizer, BlockOrthogonalizer, OrthoError};
+use blockortho::{fold_factored, make_orthogonalizer, BlockOrthogonalizer, OrthoError};
 use dense::{MatView, MatViewMut, Matrix};
 use distsim::{
     fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
     SerialComm,
 };
 use sparse::{block_row_partition, RowSource};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-solve options of the block path that have no [`crate::GmresConfig`]
@@ -244,6 +252,9 @@ struct Cycle {
     clock: PhaseClock,
     _span: trace::Span,
     ortho: Box<dyn BlockOrthogonalizer>,
+    /// The stored columns the orthogonalizer factored but left
+    /// unnormalized, taken before `finish`; the update folds them in.
+    factored: Option<Range<usize>>,
     hess: HessenbergRecovery,
     /// Basis columns filled and accepted by the orthogonalizer.
     cols: usize,
@@ -408,8 +419,8 @@ impl<'a> Solve<'a> {
                 continue;
             }
             self.no_progress_cycles = 0;
-            let y = self.solve_projected(&mut cy, k_use);
-            self.update(&mut cy, k_use, &y);
+            let mut y = self.solve_projected(&mut cy, k_use);
+            self.update(&mut cy, k_use, &mut y);
             let relres = self.residual(&mut cy);
             // Cycle health.  The deflation check runs *first*: a column
             // that just met its target is excluded from the κ aggregate
@@ -582,6 +593,7 @@ impl<'a> Solve<'a> {
                 &[("cycle", index as u64), ("step", step as u64)],
             ),
             ortho: make_orthogonalizer(config.ortho.for_block_width(ka), total),
+            factored: None,
             hess: HessenbergRecovery::with_block_width(total, ka),
             cols: 0,
             estimates: None,
@@ -694,10 +706,13 @@ impl<'a> Solve<'a> {
     }
 
     /// Complete delayed orthogonalization (unless a flush of this cycle
-    /// already broke down: `flush` false).  Returns the number of usable MPK
-    /// inputs (`0` = nothing to update the solution from).
+    /// already broke down: `flush` false), except the normalization of a
+    /// factored panel, which the update folds into the projected solution
+    /// instead.  Returns the number of usable MPK inputs (`0` = nothing to
+    /// update the solution from).
     fn ortho_finish(&mut self, cy: &mut Cycle, flush: bool) -> usize {
         self.phase(cy, Phase::Ortho, &[], |s, cy| {
+            cy.factored = cy.ortho.take_factored_panel();
             if flush {
                 s.complete_ortho(cy);
             }
@@ -727,9 +742,16 @@ impl<'a> Solve<'a> {
         })
     }
 
-    /// Solution update `x_j ← x_j + M⁻¹·(Q_{0..k_use}·y_j)`.
-    fn update(&mut self, cy: &mut Cycle, k_use: usize, y: &Matrix) {
+    /// Solution update `x_j ← x_j + M⁻¹·(Q_{0..k_use}·y_j)`, formed from
+    /// the stored basis: a factored panel's columns hold `Q̂`, so `Y` is
+    /// folded first and `Q̂·Y′ = Q·Y` costs no `n`-row TRSM.
+    fn update(&mut self, cy: &mut Cycle, k_use: usize, y: &mut Matrix) {
         self.phase(cy, Phase::Update, &[("cols", k_use as u64)], |s, cy| {
+            if let Some(cols) = cy.factored.clone() {
+                let coeffs = (cy.ortho.stored_basis_coeffs())
+                    .expect("a factored panel's relation is its stored-basis coefficients");
+                fold_factored(coeffs, cols, y);
+            }
             // A poisoned cycle can smuggle NaN into the projected solution
             // without tripping the Cholesky; with guards on, never let it
             // reach x, where it would be unrecoverable — skip the update

@@ -14,6 +14,7 @@
 //! | [`shifted_cholqr`] | 1 | 2 |
 //! | [`bcgs`] | 1 | 2 (proj read + update) |
 //! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) |
+//! | its factoring half (the two-stage scheme's end-of-cycle flush) | 1 | 1 (fused proj+Gram read; the update and TRSM wait for `finish`, and the solver folds them away) |
 //! | [`bcgs_pip2_fused`] | 2 | 5 (vs 6 for two `bcgs_pip` calls) |
 //! | [`columnwise_cgs2`] | 3·s | O(s) column sweeps |
 //! | sketched pre-conditioning (`ortho::sketched`) | 1 (sketch slots only) | 3 (sketch read, update, TRSM) |
@@ -142,7 +143,23 @@ pub fn bcgs_pip(
             ("s", (new.end - new.start) as u64),
         ],
     );
-    let (p, g) = basis.proj_and_gram(prev.clone(), new.clone());
+    let (p, r_new) = pip_factors(basis, prev.clone(), new.clone())?;
+    basis.update(prev, new.clone(), &p);
+    basis.scale_right(new, &r_new);
+    Ok((p, r_new))
+}
+
+/// The factoring half of [`bcgs_pip`]: the fused projection and Gram read
+/// (**1 global reduce**, 1 pass), the Pythagorean correction and the
+/// Cholesky factorization, leaving the panel as it was.  Returns
+/// `(R_prev_new, R_new_new)`; the panel then holds
+/// `V = Q_prev·R_prev_new + Q_new·R_new_new`.
+pub(crate) fn pip_factors(
+    basis: &DistMultiVector,
+    prev: Range<usize>,
+    new: Range<usize>,
+) -> Result<(Matrix, Matrix), OrthoError> {
+    let (p, g) = basis.proj_and_gram(prev, new);
     // Pythagorean update of the Gram matrix of the projected panel.
     let correction = dense::gemm_nn(&p.transpose(), &p);
     let g_proj = g.sub(&correction);
@@ -150,8 +167,6 @@ pub fn bcgs_pip(
         context: "BCGS-PIP",
         pivot: e.pivot,
     })?;
-    basis.update(prev, new.clone(), &p);
-    basis.scale_right(new, &r_new);
     Ok((p, r_new))
 }
 

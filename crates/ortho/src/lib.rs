@@ -48,8 +48,8 @@ pub use error::OrthoError;
 pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2, shifted_cholqr};
 pub use sketched::RandCholQr;
 pub use traits::{
-    distinct_fallback_episodes, make_orthogonalizer, BlockOrthogonalizer, FallbackEvent,
-    FallbackStage, OrthoKind,
+    distinct_fallback_episodes, fold_factored, make_orthogonalizer, BlockOrthogonalizer,
+    FallbackEvent, FallbackStage, OrthoKind,
 };
 pub use two_stage::{FirstStage, TwoStage};
 

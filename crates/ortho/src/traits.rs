@@ -70,6 +70,42 @@ pub fn distinct_fallback_episodes(events: &[FallbackEvent]) -> usize {
         .count()
 }
 
+/// Rewrite coefficients `y` on the final basis columns `0..y.nrows()` as
+/// coefficients on the stored ones, so that `Q̂·y′ = Q·y`, when the stored
+/// columns `factored` — a panel handed over by
+/// [`take_factored_panel`](BlockOrthogonalizer::take_factored_panel) —
+/// hold `Q̂[:, c] = Q·coeffs[:, c]` and every column before them is final.
+/// `coeffs` is the scheme's
+/// [`stored_basis_coeffs`](BlockOrthogonalizer::stored_basis_coeffs); with
+/// `T = coeffs[factored, factored]` and `T_prev = coeffs[..factored.start,
+/// factored]`, the `m′ = y.nrows() − factored.start` rows of `y` inside the
+/// panel become `z = T[..m′, ..m′]⁻¹·y[factored]` (a leading block, since
+/// `T` is upper triangular) and `y[..factored.start] −= T_prev[:, ..m′]·z`.
+/// A triangular solve on `m′` rows in place of the `n`-row TRSM, with no
+/// allocation.
+pub fn fold_factored(coeffs: &Matrix, factored: Range<usize>, y: &mut Matrix) {
+    let (start, rows) = (factored.start, y.nrows());
+    assert!(
+        start <= rows && rows <= factored.end,
+        "fold_factored: y must cover the final columns up to a prefix of the panel"
+    );
+    for c in 0..y.ncols() {
+        for i in (start..rows).rev() {
+            let mut acc = y[(i, c)];
+            for j in i + 1..rows {
+                acc -= coeffs[(i, j)] * y[(j, c)];
+            }
+            y[(i, c)] = acc / coeffs[(i, i)];
+        }
+        for j in start..rows {
+            let z = y[(j, c)];
+            for i in 0..start {
+                y[(i, c)] -= coeffs[(i, j)] * z;
+            }
+        }
+    }
+}
+
 /// A block orthogonalization scheme as used inside s-step GMRES.
 ///
 /// The solver owns a basis multivector with `m+1` columns and a replicated
@@ -81,7 +117,10 @@ pub fn distinct_fallback_episodes(events: &[FallbackEvent]) -> usize {
 /// `W = Q·R` of the generated Krylov matrix is preserved.
 ///
 /// Delayed schemes (the two-stage algorithm) may postpone part of the work;
-/// [`finish`](BlockOrthogonalizer::finish) must complete it.  Schemes whose
+/// [`finish`](BlockOrthogonalizer::finish) must complete it — unless the
+/// caller first takes a factored panel through
+/// [`take_factored_panel`](BlockOrthogonalizer::take_factored_panel), in
+/// which case those stored columns stay unnormalized.  Schemes whose
 /// stored basis columns temporarily differ from the final orthonormal basis
 /// expose the relation through
 /// [`stored_basis_coeffs`](BlockOrthogonalizer::stored_basis_coeffs), which
@@ -95,13 +134,34 @@ pub trait BlockOrthogonalizer {
         r: &mut Matrix,
     ) -> Result<(), OrthoError>;
 
-    /// Complete any delayed orthogonalization (no-op for one-stage schemes).
+    /// Complete any delayed orthogonalization (no-op for one-stage schemes):
+    /// afterwards every submitted column of `basis` is orthonormal.  A
+    /// factored panel nobody took is normalized first, with the
+    /// `update` + `scale_right` pair its flush would have run.
     ///
     /// It may run before the last panel: every column submitted so far is
     /// then final, and later panels continue behind them as in a fresh
     /// stretch of the same cycle.
     fn finish(&mut self, _basis: &mut DistMultiVector, _r: &mut Matrix) -> Result<(), OrthoError> {
         Ok(())
+    }
+
+    /// Hand over the stored columns the scheme factored but has not
+    /// normalized (R factor and [`stored_basis_coeffs`] already final),
+    /// leaving them unnormalized for good: a later [`finish`] no longer
+    /// touches them.  Column `c` of the returned range holds
+    /// `Q̂[:, c] = Q·coeffs[:, c]` in the final basis `Q`, with `coeffs`
+    /// from [`stored_basis_coeffs`].  The two-stage scheme records one when
+    /// the cycle's last panel triggers its final flush, which no later
+    /// panel reads; a caller that only forms `Q·y` folds the relation into
+    /// `y` ([`fold_factored`]) instead of paying the `n × bs` update and
+    /// TRSM.  `None` — nothing to hand over — for every other scheme and
+    /// flush.
+    ///
+    /// [`stored_basis_coeffs`]: BlockOrthogonalizer::stored_basis_coeffs
+    /// [`finish`]: BlockOrthogonalizer::finish
+    fn take_factored_panel(&mut self) -> Option<Range<usize>> {
+        None
     }
 
     /// For column `c` of the basis, the representation of the vector column
@@ -117,9 +177,10 @@ pub trait BlockOrthogonalizer {
     }
 
     /// Number of leading basis columns whose orthogonalization (and R
-    /// factor) is already final.  `None` means every column submitted so far
-    /// is final — true for one-stage schemes; delayed schemes return the
-    /// boundary of the last completed big panel.
+    /// factor) is already final — the stored columns of a factored panel
+    /// included, although only `finish` normalizes them.  `None` means
+    /// every column submitted so far is final — true for one-stage schemes;
+    /// delayed schemes return the boundary of the last completed big panel.
     fn finalized_cols(&self) -> Option<usize> {
         None
     }

@@ -23,6 +23,25 @@
 //! With `bs = s` the scheme degenerates to one-stage BCGS-PIP2; with
 //! `bs = m` it reaches the paper's best configuration.
 //!
+//! **The cycle's last big panel is factored, not normalized.**  Still one
+//! reduce per big panel, but the flush the end of the cycle triggers (the
+//! last panel fills the basis) stops after the reduce, the Cholesky
+//! factorization and the `R` / coefficient / sketch updates: no panel
+//! reads its columns, so it skips the update and the `n × bs` TRSM that
+//! turn the stored `Q̂_bp` into `Q_bp = (Q̂_bp − Q_prev·T_prev)·T_bp⁻¹`.
+//! It only records the panel as pending; the relation
+//! `Q̂_bp = Q_prev·T_prev + Q_bp·T_bp` is already in
+//! [`stored_basis_coeffs`](BlockOrthogonalizer::stored_basis_coeffs).
+//! [`finish`](BlockOrthogonalizer::finish) normalizes a pending panel
+//! first, with those same two calls, so a standalone run ends with the
+//! bits of an eager flush; the solver takes the panel instead
+//! ([`take_factored_panel`](BlockOrthogonalizer::take_factored_panel))
+//! and folds `T_bp` into the projected solution
+//! ([`fold_factored`](crate::fold_factored)) — a triangular solve on
+//! `(m+1)·k` rows.  Every other flush (the `bs` threshold with panels
+//! behind it, the early flush, a flush `finish` runs) and the shifted
+//! remedy normalize as they go.
+//!
 //! **Early flush (every block width).**  The first stage's Pythagorean Gram
 //! `VᵀV − PᵀP` is only as good as the orthonormality of the stored columns
 //! it projects against, and the pre-processed columns of the pending big
@@ -43,7 +62,7 @@
 //! converge).
 
 use crate::error::OrthoError;
-use crate::kernels::{bcgs_pip, shifted_remedy};
+use crate::kernels::{bcgs_pip, pip_factors, shifted_remedy};
 use crate::sketched::{PreprocessOutcome, SketchState};
 use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage};
 use dense::Matrix;
@@ -86,6 +105,9 @@ pub struct TwoStage {
     /// Sketching state, realized lazily at the first panel when
     /// `first_stage` is [`FirstStage::Sketched`].
     sketch_state: Option<SketchState>,
+    /// The cycle's last big panel, factored but not yet normalized (see the
+    /// module docs); `coeffs` holds its relation to the final basis.
+    factored: Option<Range<usize>>,
 }
 
 impl TwoStage {
@@ -102,6 +124,7 @@ impl TwoStage {
             events: Vec::new(),
             first_stage: FirstStage::Pip,
             sketch_state: None,
+            factored: None,
         }
     }
 
@@ -130,11 +153,14 @@ impl TwoStage {
     }
 
     /// Run the second stage on the columns `big_start..processed_end`
-    /// (if any) and update `R` and the coefficient bookkeeping.
+    /// (if any) and update `R` and the coefficient bookkeeping.  With
+    /// `factor_only`, a panel the plain kernel factors is not normalized:
+    /// the flush records it as `factored` instead.
     fn flush_big_panel(
         &mut self,
         basis: &mut DistMultiVector,
         r: &mut Matrix,
+        factor_only: bool,
     ) -> Result<(), OrthoError> {
         let bp = self.big_start..self.processed_end;
         if bp.is_empty() {
@@ -154,7 +180,15 @@ impl TwoStage {
         // exceeds ~1/sqrt(eps)), fall back to a shifted-CholQR first pass
         // followed by a re-orthogonalization pass — the remedy of Fukaya et
         // al. cited in the paper's related work — and compose the factors.
-        let (t_prev, t_bp) = match bcgs_pip(basis, prev.clone(), bp.clone()) {
+        // Only a plain factorization is deferred: the remedy's second pass
+        // reads the columns its first pass normalized.
+        let plain = if factor_only {
+            pip_factors(basis, prev.clone(), bp.clone())
+        } else {
+            bcgs_pip(basis, prev.clone(), bp.clone())
+        };
+        let factored = plain.is_ok() && factor_only;
+        let (t_prev, t_bp) = match plain {
             Ok(factors) => factors,
             Err(OrthoError::CholeskyBreakdown { .. }) => shifted_remedy(
                 basis,
@@ -168,7 +202,8 @@ impl TwoStage {
             Err(other) => return Err(other),
         };
         // The flush rewrote the stored big-panel columns as
-        // Q_bp = (Q̂_bp − Q_prev·T_prev)·T_bp⁻¹; mirror the update on the
+        // Q_bp = (Q̂_bp − Q_prev·T_prev)·T_bp⁻¹ (a factor-only flush leaves
+        // that to `finish` or the caller); mirror the update on the
         // replicated sketch so later sketched panels project correctly.
         if let Some(state) = &mut self.sketch_state {
             let base = state.block(bp.clone());
@@ -208,6 +243,9 @@ impl TwoStage {
             }
         }
         self.big_start = self.processed_end;
+        if factored {
+            self.factored = Some(bp);
+        }
         Ok(())
     }
 }
@@ -275,7 +313,7 @@ impl BlockOrthogonalizer for TwoStage {
                             ("cols", (new.end - new.start) as u64),
                         ],
                     );
-                    self.flush_big_panel(basis, r)?;
+                    self.flush_big_panel(basis, r, false)?;
                     plain = bcgs_pip(basis, prev.clone(), new.clone());
                 }
                 let (p, r_new) = match plain {
@@ -326,18 +364,31 @@ impl BlockOrthogonalizer for TwoStage {
         // Close the first-stage span before a possible big-panel flush, so
         // stage-2 time is not attributed to the panel that triggered it.
         drop(stage1_span);
+        let end_of_cycle = self.processed_end >= self.total_cols;
         if flush_due(
             self.processed_end - self.big_start,
             self.big_panel,
-            self.processed_end >= self.total_cols,
+            end_of_cycle,
         ) {
-            self.flush_big_panel(basis, r)?;
+            // No panel reads the columns of the cycle's last flush: leave
+            // their normalization to `finish`, or to a caller that takes it.
+            self.flush_big_panel(basis, r, end_of_cycle)?;
         }
         Ok(())
     }
 
     fn finish(&mut self, basis: &mut DistMultiVector, r: &mut Matrix) -> Result<(), OrthoError> {
-        self.flush_big_panel(basis, r)
+        if let Some(bp) = self.factored.take() {
+            let t_prev = extract_block(&self.coeffs, 0..bp.start, bp.clone());
+            let t_bp = extract_block(&self.coeffs, bp.clone(), bp.clone());
+            basis.update(0..bp.start, bp.clone(), &t_prev);
+            basis.scale_right(bp, &t_bp);
+        }
+        self.flush_big_panel(basis, r, false)
+    }
+
+    fn take_factored_panel(&mut self) -> Option<Range<usize>> {
+        self.factored.take()
     }
 
     fn stored_basis_coeffs(&self) -> Option<&Matrix> {
@@ -706,5 +757,157 @@ mod tests {
                 assert!((back[(i, j)] - v[(i, j)]).abs() < 1e-8 * v.max_abs());
             }
         }
+    }
+
+    /// The solver's panels for a `k`-wide cycle of `m` block steps taken
+    /// `s` at a time: the residual block, then up to `s·k` columns each.
+    fn cycle_panels(k: usize, s: usize, m: usize) -> Vec<Range<usize>> {
+        let total = k * (m + 1);
+        let mut panels = Vec::new();
+        let mut start = 0;
+        while start < total {
+            let width = if start == 0 { k } else { s * k };
+            panels.push(start..(start + width).min(total));
+            start = panels[panels.len() - 1].end;
+        }
+        panels
+    }
+
+    /// Submit `panels` of `v` to `scheme`, stopping short of `finish`.
+    fn submit(
+        scheme: &mut TwoStage,
+        v: &Matrix,
+        panels: &[Range<usize>],
+    ) -> (DistMultiVector, Matrix) {
+        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+        let mut r = Matrix::zeros(v.ncols(), v.ncols());
+        for panel in panels {
+            scheme
+                .orthogonalize_panel(&mut basis, panel.clone(), &mut r)
+                .unwrap();
+        }
+        (basis, r)
+    }
+
+    fn assert_bits(tag: &str, a: &Matrix, b: &Matrix) {
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(a) == bits(b), "{tag}: not bitwise equal");
+    }
+
+    #[test]
+    fn deferred_final_flush_finishes_bitwise_like_an_eager_one() {
+        // The cycle's last flush only factors its big panel.  Whoever
+        // normalizes it — `finish`, or a caller applying the handed-over
+        // relation with `update` + `scale_right` — must produce the bits of
+        // a flush that `finish` runs eagerly on the same panels, which a
+        // scheme with one spare column does (its end-of-cycle trigger never
+        // fires).  The sketched first stage sizes its sketch by the column
+        // count, so there the two deferred runs are compared with each
+        // other; its stored columns are far from orthonormal, which gives
+        // the fold a `T_prev` of weight.
+        let (s, m) = (5, 42);
+        let sketched = FirstStage::Sketched(SketchConfig::default());
+        for k in [1, 4] {
+            let total = k * (m + 1);
+            let v = testmat::random_dense(400, total, 17 + k as u64);
+            let panels = cycle_panels(k, s, m);
+            for (bs, first) in [s, 20, m]
+                .into_iter()
+                .flat_map(|bs| [(bs, FirstStage::Pip), (bs, sketched)])
+            {
+                let tag = format!("k = {k}, bs = {bs}, {first:?}");
+                let make = |cols| TwoStage {
+                    first_stage: first,
+                    ..TwoStage::new(bs * k, cols)
+                };
+                let mut by_finish = make(total);
+                let (mut q_finish, mut r_finish) = submit(&mut by_finish, &v, &panels);
+                assert!(by_finish.factored.is_some(), "{tag}: nothing deferred");
+                assert_eq!(by_finish.finalized_cols(), Some(total), "{tag}");
+                by_finish.finish(&mut q_finish, &mut r_finish).unwrap();
+                if first == FirstStage::Pip {
+                    let mut eager = make(total + 1);
+                    let (mut q, mut r) = submit(&mut eager, &v, &panels);
+                    assert!(eager.take_factored_panel().is_none(), "{tag}");
+                    eager.finish(&mut q, &mut r).unwrap();
+                    assert_bits(&format!("{tag}: Q by finish"), q_finish.local(), q.local());
+                    assert_bits(&format!("{tag}: R by finish"), &r_finish, &r);
+                }
+
+                let mut by_hand = make(total);
+                let (mut q, mut r) = submit(&mut by_hand, &v, &panels);
+                let bp = by_hand.take_factored_panel().expect("a factored panel");
+                assert_eq!(bp.end, total, "{tag}");
+                assert!(
+                    by_hand.take_factored_panel().is_none(),
+                    "{tag}: taken twice"
+                );
+                let coeffs = by_hand.stored_basis_coeffs().unwrap().clone();
+                let stored = q.local().clone();
+                q.update(
+                    0..bp.start,
+                    bp.clone(),
+                    &extract_block(&coeffs, 0..bp.start, bp.clone()),
+                );
+                q.scale_right(bp.clone(), &extract_block(&coeffs, bp.clone(), bp.clone()));
+                // Nothing is left for `finish`: it must not normalize again.
+                by_hand.finish(&mut q, &mut r).unwrap();
+                assert_bits(&format!("{tag}: Q by hand"), q.local(), q_finish.local());
+                assert_bits(&format!("{tag}: R by hand"), &r, &r_finish);
+
+                // The fold the solver applies instead: Q̂·y′ = Q·y over the
+                // usable columns, all but the last block step.
+                let used = total - k;
+                let y = testmat::random_dense(used, k, 5);
+                let mut folded = y.clone();
+                crate::fold_factored(&coeffs, bp, &mut folded);
+                let want = dense::gemm_nn(&q.local().cols_owned(0..used), &y);
+                let got = dense::gemm_nn(&stored.cols_owned(0..used), &folded);
+                let err = want.sub(&got).max_abs() / want.max_abs();
+                assert!(err < 1e-12, "{tag}: fold off by {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_remedied_final_flush_hands_over_nothing() {
+        // A pending big panel that lost its conditioning after stage 1
+        // (here: pre-processed columns 1..5 overwritten with a κ = 1e10
+        // block, on rows the last panel does not touch, so that panel's
+        // stage 1 still passes) makes the end-of-cycle flush's plain
+        // Cholesky break down.  The shifted remedy normalizes as it goes,
+        // so there is nothing to hand over and `finish` changes nothing.
+        let (n, total) = (400, 9);
+        let half = n / 2;
+        let upper = testmat::random_dense(half, 5, 3);
+        let lower = testmat::random_dense(n - half, 4, 4);
+        let v = Matrix::from_fn(n, total, |i, j| match (i < half, j) {
+            (true, ..5) => upper[(i, j)],
+            (false, 5..) => lower[(i - half, j - 5)],
+            _ => 0.0,
+        });
+        let mut scheme = TwoStage::new(8, total);
+        let (mut basis, mut r) = submit(&mut scheme, &v, &[0..1, 1..5]);
+        let bad = testmat::logscaled_matrix(half, 4, 1e10, 3);
+        for j in 0..4 {
+            basis.local_mut().col_mut(1 + j)[..half].copy_from_slice(bad.col(j));
+        }
+        scheme
+            .orthogonalize_panel(&mut basis, 5..9, &mut r)
+            .unwrap();
+        assert!(
+            scheme
+                .fallback_events()
+                .iter()
+                .any(|e| e.stage == FallbackStage::BigPanelFlush && e.cols == (0..total)),
+            "the final flush must have taken the shifted remedy: {:?}",
+            scheme.fallback_events()
+        );
+        assert!(scheme.take_factored_panel().is_none());
+        // Normalized, to what two shifted passes reach at this κ.
+        assert!(orthogonality_error(&basis.local().view()) < 1e-9);
+        let flushed = basis.local().clone();
+        scheme.finish(&mut basis, &mut r).unwrap();
+        assert_bits("finish after a remedied flush", basis.local(), &flushed);
     }
 }

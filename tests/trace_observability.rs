@@ -260,3 +260,98 @@ fn sync_time_is_zero_untraced_and_attributed_per_rank_when_traced() {
         }
     }
 }
+
+/// The `(start, cols)` arguments of a span recorded with those two.
+fn start_cols(e: &trace::Event) -> (u64, u64) {
+    (e.args[0].1, e.args[1].1)
+}
+
+#[test]
+fn end_of_cycle_flush_runs_no_trsm_of_its_width() {
+    // A cycle's last big panel is factored, never normalized: the solution
+    // update folds its stage-2 factor into the projected solution, so in a
+    // cycle that ran to its end no `n`-row TRSM as wide as that flush
+    // follows it — neither inside the flush nor in `finish`.  Tracing
+    // still changes no bit of the solve.
+    let _guard = thread_lock();
+    let a = laplace2d_9pt(30, 30);
+    let m = 40;
+    for k in [1, 4] {
+        let b: Vec<Vec<f64>> = (0..k)
+            .map(|j| {
+                (0..a.nrows())
+                    .map(|i| ((i * 7 + j * 13) % 17) as f64 * 0.25 - 2.0)
+                    .collect()
+            })
+            .collect();
+        for bs in [m, 20] {
+            let tag = format!("k = {k}, bs = {bs}");
+            let solver = SStepGmres::new(GmresConfig {
+                restart: m,
+                step_size: 5,
+                tol: 1e-9,
+                ortho: OrthoKind::TwoStage { big_panel: bs },
+                ..GmresConfig::default()
+            });
+            trace::set_enabled(false);
+            let (x_plain, plain) = solver.solve_block_serial(&a, &b);
+            trace::clear();
+            trace::set_thread_label(&tag);
+            trace::set_enabled(true);
+            let (x_traced, traced) = solver.solve_block_serial(&a, &b);
+            trace::set_enabled(false);
+            assert!(traced.converged, "{tag}");
+            assert_eq!(x_plain.data(), x_traced.data(), "{tag}: solution bits");
+            assert_eq!(plain.iterations, traced.iterations, "{tag}: iterations");
+            let bits = |r: &SolveResult| {
+                r.final_relres
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&plain), bits(&traced), "{tag}: true residuals");
+
+            let timeline = trace::collect();
+            let lane = timeline.threads.iter().find(|t| t.label == tag).unwrap();
+            assert_eq!(lane.dropped, 0, "{tag}: the ring overflowed");
+            let mut events = lane.events.clone();
+            events.sort_by_key(|e| e.ts_ns);
+            let spans = |name: &'static str| {
+                events.iter().filter(move |e| {
+                    e.name == name && matches!(e.kind, trace::EventKind::Span { .. })
+                })
+            };
+            let mut full_cycles = 0;
+            for cycle in spans("cycle") {
+                let trace::EventKind::Span { dur_ns } = cycle.kind else {
+                    unreachable!()
+                };
+                let within =
+                    |e: &&trace::Event| (cycle.ts_ns..=cycle.ts_ns + dur_ns).contains(&e.ts_ns);
+                let ka = spans("stage1_panel")
+                    .filter(within)
+                    .find(|e| start_cols(e).0 == 0)
+                    .map(|e| start_cols(e).1)
+                    .expect("the residual block is a panel");
+                let total = ka * (m as u64 + 1);
+                let Some(last) = spans("stage2_flush")
+                    .filter(within)
+                    .find(|e| start_cols(e).0 + start_cols(e).1 == total)
+                else {
+                    continue;
+                };
+                full_cycles += 1;
+                let width = start_cols(last).1;
+                let late_trsm = spans("trsm")
+                    .filter(within)
+                    .filter(|e| e.ts_ns >= last.ts_ns && e.args[1] == ("s", width))
+                    .count();
+                assert_eq!(
+                    late_trsm, 0,
+                    "{tag}: a {width}-wide TRSM after the final flush"
+                );
+            }
+            assert!(full_cycles > 0, "{tag}: no cycle ran to its end");
+        }
+    }
+}
