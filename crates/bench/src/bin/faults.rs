@@ -39,9 +39,9 @@
 use bench::{cli, Table};
 use distsim::{
     run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardPolicy,
-    OpKind, Target,
+    GuardedComm, OpKind, SerialComm, Target,
 };
-use sparse::{elasticity3d, Csr, RowPartition};
+use sparse::{block_row_partition, elasticity3d, Csr, RowPartition};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,7 +58,7 @@ fn guards_on() -> GuardPolicy {
     }
 }
 
-fn config(s: usize, guards: GuardPolicy) -> GmresConfig {
+fn config(s: usize) -> GmresConfig {
     GmresConfig {
         restart: 32.max(3 * s),
         step_size: s,
@@ -66,15 +66,14 @@ fn config(s: usize, guards: GuardPolicy) -> GmresConfig {
         max_iters: 6_000,
         ortho: OrthoKind::BcgsPip2,
         step_policy: StepPolicy::Auto,
-        guards,
         ..GmresConfig::default()
     }
 }
 
-/// One distributed solve over `NRANKS` simulated ranks, optionally under a
-/// fault plan.  Returns the gathered solution, rank 0's result (every
-/// replicated counter is identical across ranks), the total number of
-/// injected faults, and whether all ranks converged.
+/// One distributed solve over `NRANKS` simulated ranks, optionally under
+/// guards and a fault plan.  Returns the gathered solution, rank 0's
+/// result (every replicated counter is identical across ranks), the total
+/// number of injected faults, and whether all ranks converged.
 struct Cell {
     x: Vec<f64>,
     r: SolveResult,
@@ -87,18 +86,21 @@ fn run_cell(
     b: &[f64],
     conf: &GmresConfig,
     part: &RowPartition,
+    policy: Option<GuardPolicy>,
     plan: Option<&FaultPlan>,
 ) -> Cell {
     let pieces = run_ranks(NRANKS, |comm| {
         let (lo, hi) = part.range(comm.rank());
-        let (comm_dyn, faulty): (Arc<dyn Communicator>, Option<Arc<FaultyComm>>) = match plan {
-            Some(p) => {
-                let fc = FaultyComm::wrap(comm, p.clone());
-                (fc.clone(), Some(fc))
-            }
-            None => (comm, None),
+        let faulty = plan.map(|p| FaultyComm::wrap(comm.clone(), p.clone()));
+        let comm: Arc<dyn Communicator> = match &faulty {
+            Some(fc) => fc.clone(),
+            None => comm,
         };
-        let dist = DistCsr::from_global(comm_dyn, a, part);
+        let comm: Arc<dyn Communicator> = match policy {
+            Some(policy) => GuardedComm::wrap(comm, policy),
+            None => comm,
+        };
+        let dist = DistCsr::from_global(comm, a, part);
         let mut x = vec![0.0; hi - lo];
         let r = SStepGmres::new(conf.clone()).solve(&dist, &Identity, &b[lo..hi], &mut x);
         let injected = faulty.map_or(0, |f| f.injected());
@@ -187,12 +189,12 @@ fn main() {
         args.partition.label()
     );
 
-    let unguarded = config(s, GuardPolicy::default());
-    let guarded = config(s, guards_on());
+    let conf = config(s);
+    let (unguarded, guarded) = (None, Some(guards_on()));
 
     // ---- Baselines: fault-free, guards off vs. on ---------------------
-    let base_un = run_cell(&a, &b, &unguarded, &part, None);
-    let base_g = run_cell(&a, &b, &guarded, &part, None);
+    let base_un = run_cell(&a, &b, &conf, &part, unguarded, None);
+    let base_g = run_cell(&a, &b, &conf, &part, guarded, None);
     assert!(base_un.converged_all, "fault-free baseline must converge");
     assert!(base_g.converged_all);
     assert_eq!(
@@ -213,21 +215,31 @@ fn main() {
     // robust to scheduler/cache noise: warm up both paths, time the two
     // variants back to back in interleaved pairs (so slow phases of the
     // machine hit both equally), and take the median of the per-pair
-    // ratios.
+    // ratios.  Each side assembles its matrix once; the guarded one lives
+    // on one guarded communicator across every solve.
     let runs = if quick { 25 } else { 41 };
+    let whole = block_row_partition(a.nrows(), 1);
+    let serial_un = DistCsr::from_global(SerialComm::new(), &a, &whole);
+    let serial_g = DistCsr::from_global(
+        GuardedComm::wrap(SerialComm::new(), guards_on()),
+        &a,
+        &whole,
+    );
+    let solver = SStepGmres::new(conf.clone());
+    let solve_serial = |dist: &DistCsr| solver.solve(dist, &Identity, &b, &mut vec![0.0; b.len()]);
     for _ in 0..3 {
-        SStepGmres::new(unguarded.clone()).solve_serial(&a, &b);
-        SStepGmres::new(guarded.clone()).solve_serial(&a, &b);
+        solve_serial(&serial_un);
+        solve_serial(&serial_g);
     }
     let mut t_un = Vec::with_capacity(runs);
     let mut t_g = Vec::with_capacity(runs);
     let mut ratios = Vec::with_capacity(runs);
     for _ in 0..runs {
         let t0 = Instant::now();
-        let r = SStepGmres::new(unguarded.clone()).solve_serial(&a, &b).1;
+        let r = solve_serial(&serial_un);
         let dt_un = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let rg = SStepGmres::new(guarded.clone()).solve_serial(&a, &b).1;
+        let rg = solve_serial(&serial_g);
         let dt_g = t1.elapsed().as_secs_f64();
         assert_eq!(r.iterations, rg.iterations);
         t_un.push(dt_un);
@@ -307,8 +319,8 @@ fn main() {
                 bit: 62,
             },
         );
-        let gram_un = run_cell(&a, &b, &unguarded, &part, Some(&plan_gram));
-        let gram_g = run_cell(&a, &b, &guarded, &part, Some(&plan_gram));
+        let gram_un = run_cell(&a, &b, &conf, &part, unguarded, Some(&plan_gram));
+        let gram_g = run_cell(&a, &b, &conf, &part, guarded, Some(&plan_gram));
         assert!(gram_g.injected >= 1, "the flip must fire");
         assert!(
             gram_g.r.faults_detected >= 1,
@@ -353,7 +365,7 @@ fn main() {
                 bit: 62,
             },
         );
-        let norm_un = run_cell(&a, &b, &unguarded, &part, Some(&plan_norm));
+        let norm_un = run_cell(&a, &b, &conf, &part, unguarded, Some(&plan_norm));
         let norm_un_relres = true_relres(&a, &b, &norm_un.x);
         // Silence: the solver *reports* success — converged, with a final
         // relative residual just under the tolerance — while the answer is
@@ -365,19 +377,19 @@ fn main() {
             "sdc-norm: the unguarded solver must *believe* it converged"
         );
         assert!(
-            norm_un.r.final_relres[0] <= unguarded.tol,
+            norm_un.r.final_relres[0] <= conf.tol,
             "sdc-norm: the reported residual must claim success"
         );
         assert!(
-            norm_un_relres > 1e2 * unguarded.tol,
+            norm_un_relres > 1e2 * conf.tol,
             "sdc-norm: the unguarded answer must be wrong (true relres {norm_un_relres:.2e})"
         );
-        let norm_g = run_cell(&a, &b, &guarded, &part, Some(&plan_norm));
+        let norm_g = run_cell(&a, &b, &conf, &part, guarded, Some(&plan_norm));
         let norm_g_relres = true_relres(&a, &b, &norm_g.x);
         assert!(norm_g.r.faults_detected >= 1);
         assert!(norm_g.converged_all);
         assert!(
-            norm_g_relres <= 10.0 * guarded.tol,
+            norm_g_relres <= 10.0 * conf.tol,
             "sdc-norm: the guarded solve must converge for real"
         );
         eprintln!(
@@ -387,7 +399,7 @@ fn main() {
         );
 
         // Bitwise replay of a headline cell from its (explicit) plan.
-        let norm_g2 = run_cell(&a, &b, &guarded, &part, Some(&plan_norm));
+        let norm_g2 = run_cell(&a, &b, &conf, &part, guarded, Some(&plan_norm));
         assert_eq!(norm_g.x, norm_g2.x, "headline cell must replay bitwise");
         assert_eq!(norm_g.r.iterations, norm_g2.r.iterations);
 
@@ -468,7 +480,7 @@ fn main() {
                 let seed = 0xFA17_0000_u64 + (ki as u64) * 1000 + (ri as u64) * 100 + pi as u64;
                 let mut plan = FaultPlan::from_seed(seed, mk_rates(rate));
                 plan.rate_phase = phase;
-                let cell = run_cell(&a, &b, &guarded, &part, Some(&plan));
+                let cell = run_cell(&a, &b, &conf, &part, guarded, Some(&plan));
                 rows.push(Trial {
                     kind,
                     rate,
@@ -500,8 +512,8 @@ fn main() {
             .copied()
             .find(|p| *p == replay_row.phase)
     };
-    let first = run_cell(&a, &b, &guarded, &part, Some(&replay_plan));
-    let second = run_cell(&a, &b, &guarded, &part, Some(&replay_plan));
+    let first = run_cell(&a, &b, &conf, &part, guarded, Some(&replay_plan));
+    let second = run_cell(&a, &b, &conf, &part, guarded, Some(&replay_plan));
     assert_eq!(
         first.x, second.x,
         "a seeded campaign cell must replay bitwise"

@@ -29,11 +29,10 @@
 //! reduce carries the k-scaled payload.  Reduces are paid per *batch*, not
 //! per RHS.
 //!
-//! **The single-RHS case.**  Three selections are made on the *observed*
+//! **The single-RHS case.**  Two selections are made on the *observed*
 //! active width, not on the entry point: one active column solves its
 //! projected problem by Givens rotations against `β·e₁`
-//! ([`HessenbergRecovery::least_squares`]) rather than the banded QR,
-//! reduces its residual norm through the guarded single-word reduce, and
+//! ([`HessenbergRecovery::least_squares`]) rather than the banded QR, and
 //! harvests Ritz shifts from its (then square) Hessenberg block.  A block
 //! that deflates down to one column takes the same branches.
 //! `tests/block_equivalence.rs` pins that scalar `solve` and a one-column
@@ -91,9 +90,16 @@
 //! operates only once the active block has narrowed to one column (the
 //! band Hessenberg of a wide block is not in the Hessenberg form the
 //! double-shift QR eigensolver consumes); `Newton`/`Scheduled` shifts
-//! apply per block step for every width.  Detection guards screen Gram
-//! reduces and checksum halos for any width, but the agreement probe and
-//! the full poison/rollback ladder are exercised at one active column.
+//! apply per block step for every width.  Detection guards screen Gram and
+//! norm reduces, carry the agreement probe and checksum halos for any
+//! width, but the full poison/rollback ladder is exercised at one active
+//! column.
+//!
+//! **Guards.**  The engine holds no guard state: a solve is guarded when
+//! its matrix lives on a [`distsim::GuardedComm`], and the engine reaches
+//! the guards' counters, agreement probe and alarm only through
+//! [`Communicator::guards`], reading the counters as a delta from the
+//! solve's start.
 
 use crate::basis::{BasisStrategy, KrylovBasis};
 use crate::control::{self, CycleHealth, StepController, StepDecision};
@@ -105,12 +111,11 @@ use crate::solver::{GmresConfig, SStepGmres, SolveResult};
 use blockortho::{fold_factored, make_orthogonalizer, BlockOrthogonalizer, OrthoError};
 use dense::{MatView, MatViewMut, Matrix};
 use distsim::{
-    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardContext, GuardCounts,
-    SerialComm,
+    fault, CommStatsSnapshot, Communicator, DistCsr, DistMultiVector, GuardCounts, GuardedComm,
+    Screen, SerialComm,
 };
 use sparse::{block_row_partition, RowSource};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Per-solve options of the block path that have no [`crate::GmresConfig`]
 /// equivalent.
@@ -203,10 +208,9 @@ struct Solve<'a> {
     precond: &'a dyn Preconditioner,
     b: MatView<'a>,
     x: MatViewMut<'a>,
-    /// Fault-detection guards: allocated only when the policy enables any
-    /// of them, so the default path stays bitwise the unguarded solver.
-    guard: Option<Arc<GuardContext>>,
     stats_start: CommStatsSnapshot,
+    /// Guard counters when the solve began (all zero when unguarded).
+    fault_start: GuardCounts,
     /// The report under construction: counters and histories accumulate in
     /// place, [`Solve::finish`] fills in the verdict.
     report: SolveResult,
@@ -308,15 +312,12 @@ impl<'a> Solve<'a> {
             assert_eq!(t.len(), kb, "one absolute target per column");
         }
         let stats_start = a.comm().stats().snapshot();
-        let guard = config
-            .guards
-            .any_enabled()
-            .then(|| GuardContext::new(config.guards));
+        let fault_start = guard_counts(a);
         // The big buffers first, ahead of the residual vectors: the measured
         // solve time moves by ~15 % with the allocator's relative placement
         // of these buffers (CHANGES.md, Issue 14), and this is the order the
         // benchmark baseline was recorded with.
-        let (basis, r_factor) = cycle_buffers(a, &guard, kb * (config.restart + 1));
+        let (basis, r_factor) = cycle_buffers(a, kb * (config.restart + 1));
         let mut solve = Solve {
             config,
             a,
@@ -324,7 +325,7 @@ impl<'a> Solve<'a> {
             b,
             x,
             stats_start,
-            guard,
+            fault_start,
             report: SolveResult {
                 col_converged: vec![false; kb],
                 relres_history: vec![Vec::new(); kb],
@@ -432,14 +433,14 @@ impl<'a> Solve<'a> {
                 .map(|&j| self.gammas[j] > self.targets[j])
                 .collect();
             let (_, poisoned) = self.close_cycle(cy, k_use, &survivors, Some(relres));
-            if let Some(ctx) = &self.guard {
+            if let Some(guards) = self.guards() {
                 // Verdict on this cycle's poisoned operations: the true
                 // residual just recomputed is the ground truth.  A finite
                 // norm means the rollback ladder absorbed the damage; a
                 // non-finite one means the corruption reached state we
                 // could not rebuild.
                 let all_finite = self.active.iter().all(|&j| self.gammas[j].is_finite());
-                ctx.resolve_poisoned(poisoned, all_finite);
+                guards.resolve_poisoned(poisoned, all_finite);
             }
             if self.consecutive_breakdowns >= 3 {
                 break;
@@ -452,18 +453,19 @@ impl<'a> Solve<'a> {
     /// Close the report: the verdict, the guards' final word, and the
     /// whole-solve totals.
     fn finish(self) -> SolveResult {
+        let guards = self.guards();
         let mut report = self.report;
         let converged = report.col_converged.iter().all(|&c| c);
         fault::set_phase("");
-        if let Some(ctx) = &self.guard {
+        if let Some(guards) = guards {
             // Any poisoned operations still pending (e.g. the solve ran out
             // of cycles mid-rollback) get their verdict from the outcome.
-            let pending = ctx.counts().poisoned;
+            let pending = guards.counts().since(&self.fault_start).poisoned;
             if pending > 0 {
-                ctx.resolve_poisoned(pending, converged);
+                guards.resolve_poisoned(pending, converged);
             }
-            let c = ctx.counts();
-            report.fault_events = ctx.events();
+            let c = guards.counts().since(&self.fault_start);
+            report.fault_events = guards.events_since(&self.fault_start);
             report.faults_detected = c.detected;
             report.faults_recovered = c.recovered;
             report.faults_unrecovered = c.unrecovered;
@@ -511,17 +513,15 @@ impl<'a> Solve<'a> {
     }
 
     /// True residuals `b_j − A·x_j` of the active columns and their norms
-    /// (one reduce of `active.len()` words).
+    /// (one reduce of `active.len()` words).  Over a guarded communicator a
+    /// corrupted or lost halo frame poisons a residual with NaN, so the
+    /// norm guard downstream trips.
     fn refresh_residuals(&mut self) {
         for &j in &self.active {
-            self.residuals[j] = compute_residual(
-                self.a,
-                self.x.col(j),
-                self.b.col(j),
-                &mut self.w,
-                &mut self.report.spmv_count,
-                self.guard.as_deref(),
-            );
+            self.a.spmv(self.x.col(j), &mut self.w);
+            self.report.spmv_count += 1;
+            let b = self.b.col(j).iter();
+            self.residuals[j] = b.zip(&self.w).map(|(bi, axi)| bi - axi).collect();
         }
         self.refresh_norms();
     }
@@ -530,17 +530,12 @@ impl<'a> Solve<'a> {
     /// drives every replicated control decision, so its aggregate is staged
     /// for the cross-rank agreement probe of the next guarded reduce.
     fn refresh_norms(&mut self) {
-        let fresh = block_norms(
-            &self.residuals,
-            &self.active,
-            self.a.comm().as_ref(),
-            self.guard.as_deref(),
-        );
+        let fresh = block_norms(&self.residuals, &self.active, self.a.comm().as_ref());
         for (&j, norm) in self.active.iter().zip(fresh) {
             self.gammas[j] = norm;
         }
-        if let Some(ctx) = &self.guard {
-            ctx.stage_agreement(aggregate_norm(&self.gammas, &self.active));
+        if let Some(guards) = self.guards() {
+            guards.stage_agreement(aggregate_norm(&self.gammas, &self.active));
         }
     }
 
@@ -570,7 +565,7 @@ impl<'a> Solve<'a> {
         let total = ka * (config.restart + 1);
         if self.basis.local_cols_count() != total {
             // Deflation narrowed the block since the last cycle.
-            (self.basis, self.r_factor) = cycle_buffers(self.a, &self.guard, total);
+            (self.basis, self.r_factor) = cycle_buffers(self.a, total);
         }
         if let BasisStrategy::Scheduled { per_cycle } = &config.basis {
             self.current_basis = BasisStrategy::scheduled_basis(per_cycle, index);
@@ -585,7 +580,7 @@ impl<'a> Solve<'a> {
                 KrylovBasis::Newton { shifts } => shifts.clone(),
             },
             comm_ortho: CommStatsSnapshot::default(),
-            fault_base: self.guard.as_ref().map(|c| c.counts()).unwrap_or_default(),
+            fault_base: guard_counts(self.a),
             clock: PhaseClock::start(),
             _span: trace::span(
                 "solver",
@@ -632,7 +627,7 @@ impl<'a> Solve<'a> {
                     let (u, w) = (done.col(input), rest.col_mut(0));
                     s.precond.apply(u, &mut s.z);
                     s.report.precond_count += 1;
-                    s.a.spmv_guarded(&s.z, w, s.guard.as_deref());
+                    s.a.spmv(&s.z, w);
                     s.report.spmv_count += 1;
                     // Shifts apply per block step, not per column.
                     let theta = s.current_basis.shift(input / ka);
@@ -718,7 +713,7 @@ impl<'a> Solve<'a> {
             }
         });
         self.report.ortho_fallbacks += cy.ortho.fallback_count();
-        if self.guard.as_ref().is_some_and(|ctx| ctx.take_alarm()) {
+        if self.guards().is_some_and(GuardedComm::take_alarm) {
             // A replicated scalar diverged across ranks: nothing this cycle
             // computed can be trusted to be consistent.  Abandon the cycle
             // (no solution update) and resynchronize the replicated
@@ -758,7 +753,7 @@ impl<'a> Solve<'a> {
             // and let the breakdown verdict shrink the step instead.
             // (Unguarded solves let corruption flow through, which is
             // exactly the silent failure the fault campaign demonstrates.)
-            if s.guard.is_none() || y.data().iter().all(|v| v.is_finite()) {
+            if s.guards().is_none() || y.data().iter().all(|v| v.is_finite()) {
                 let (nloc, ka) = (s.z.len(), cy.ka);
                 // Q·Y for all active columns in one row-panel-blocked pass
                 // over the basis.
@@ -833,9 +828,9 @@ impl<'a> Solve<'a> {
         self.panel_breakdown(&mut cy, format!("initial block: {e}"));
         let all_active = vec![true; cy.ka];
         let (health, faults) = self.cycle_health(&mut cy, 0, &all_active, None);
-        if let Some(ctx) = &self.guard {
+        if let Some(guards) = self.guards() {
             // Whatever was poisoned this cycle stays unrecovered.
-            ctx.resolve_poisoned(faults.poisoned, false);
+            guards.resolve_poisoned(faults.poisoned, false);
         }
         self.report.health_history.push(health);
         self.report.cycle_timings.push(cy.clock.finish());
@@ -851,12 +846,12 @@ impl<'a> Solve<'a> {
         let (decision, poisoned) = self.close_cycle(cy, 0, &all_active, None);
         let giving_up = !decision.shrunk()
             && (self.no_progress_cycles >= 2 || self.consecutive_breakdowns >= 3);
-        if let Some(ctx) = &self.guard {
+        if let Some(guards) = self.guards() {
             // The abandoned cycle *is* the rollback rung of the ladder:
             // poisoned payloads were discarded with the cycle and the next
             // one restarts from the last good residual — unless the solver
             // is giving up entirely.
-            ctx.resolve_poisoned(poisoned, !giving_up);
+            guards.resolve_poisoned(poisoned, !giving_up);
         }
         if giving_up {
             return true;
@@ -873,6 +868,11 @@ impl<'a> Solve<'a> {
     }
 
     // ----- helpers ---------------------------------------------------------------
+
+    /// The detection guards of the communicator the solve runs on.
+    fn guards(&self) -> Option<&'a GuardedComm> {
+        self.a.comm().guards()
+    }
 
     /// A panel the orthogonalizer refused ends the cycle's panel loop; its
     /// message replaces the diagnostic of any earlier cycle.
@@ -985,10 +985,7 @@ impl<'a> Solve<'a> {
         survivors: &[bool],
         relres: Option<f64>,
     ) -> (CycleHealth, GuardCounts) {
-        let faults = match &self.guard {
-            Some(ctx) => ctx.counts().since(&cy.fault_base),
-            None => GuardCounts::default(),
-        };
+        let faults = guard_counts(self.a).since(&cy.fault_base);
         let blocks_done = (cy.finalized() / cy.ka).min(cy.step + 1);
         let kappa_per_col = control::block_r_diag_condition(&self.r_factor, cy.ka, blocks_done);
         let kappa_est = control::active_kappa_max(&kappa_per_col, survivors);
@@ -1028,23 +1025,26 @@ impl<'a> Solve<'a> {
     }
 }
 
-/// The Krylov basis (guards attached) and its replicated R factor, both
-/// `total` columns wide.
-fn cycle_buffers(
-    a: &DistCsr,
-    guard: &Option<Arc<GuardContext>>,
-    total: usize,
-) -> (DistMultiVector, Matrix) {
+/// The Krylov basis and its replicated R factor, both `total` columns
+/// wide.
+fn cycle_buffers(a: &DistCsr, total: usize) -> (DistMultiVector, Matrix) {
     let nloc = a.local_matrix().nrows();
-    let mut basis = DistMultiVector::zeros(
+    let basis = DistMultiVector::zeros(
         a.comm().clone(),
         a.global_rows(),
         nloc,
         a.row_offset(),
         total,
     );
-    basis.set_guard(guard.clone());
     (basis, Matrix::zeros(total, total))
+}
+
+/// The guard counters of `a`'s communicator (all zero when unguarded).
+fn guard_counts(a: &DistCsr) -> GuardCounts {
+    a.comm()
+        .guards()
+        .map(GuardedComm::counts)
+        .unwrap_or_default()
 }
 
 /// Pack per-column right-hand sides into the `nloc × k` local block.
@@ -1058,41 +1058,17 @@ fn cols_to_matrix(nloc: usize, cols: &[Vec<f64>]) -> Matrix {
     b
 }
 
-/// `r = b − A·x` on the local blocks.  With an active guard the halo
-/// exchange inside the SpMV is checksummed; a corrupted or lost frame
-/// poisons the residual with NaN so the norm guard downstream trips.
-/// `ax` is scratch for the product.
-fn compute_residual(
-    a: &DistCsr,
-    x: &[f64],
-    b: &[f64],
-    ax: &mut [f64],
-    spmv_count: &mut usize,
-    guard: Option<&GuardContext>,
-) -> Vec<f64> {
-    a.spmv_guarded(x, ax, guard);
-    *spmv_count += 1;
-    b.iter().zip(&*ax).map(|(bi, axi)| bi - axi).collect()
-}
-
 /// Global 2-norms of the active residual columns in **one** all-reduce of
-/// `active.len()` words.  One active column goes through the guard's
-/// duplicated-word reduce when screening is on.
-fn block_norms(
-    residuals: &[Vec<f64>],
-    active: &[usize],
-    comm: &dyn Communicator,
-    guard: Option<&GuardContext>,
-) -> Vec<f64> {
+/// `active.len()` words (twice that when guarded: the duplicated-word
+/// screen); all `NaN` when the guards poisoned the reduce.
+fn block_norms(residuals: &[Vec<f64>], active: &[usize], comm: &dyn Communicator) -> Vec<f64> {
     let mut sq: Vec<f64> = active
         .iter()
         .map(|&j| dense::dot(&residuals[j], &residuals[j]))
         .collect();
-    let screened = guard.filter(|ctx| ctx.policy().gram_screen || ctx.policy().agreement);
-    if let ([local_sq], Some(ctx)) = (sq.as_slice(), screened) {
-        return vec![ctx.norm_reduce(comm, *local_sq)];
+    if !comm.allreduce_screened(&mut sq, Screen::Norms) {
+        return vec![f64::NAN; sq.len()];
     }
-    comm.allreduce_sum(&mut sq);
     sq.iter().map(|v| v.max(0.0).sqrt()).collect()
 }
 

@@ -73,11 +73,11 @@ pub use precond::{
 pub use report::{CycleTiming, Phase};
 pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};
 // Fault-injection and detection-guard surface, re-exported so solver users
-// configure `GmresConfig::guards` / wrap a communicator without naming
-// `distsim` directly.
+// wrap a communicator in faults and guards without naming `distsim`
+// directly.
 pub use distsim::{
-    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardContext, GuardCounts,
-    GuardEvent, GuardPolicy, Target,
+    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardCounts, GuardEvent, GuardPolicy,
+    GuardedComm, Target,
 };
 
 // Re-export the orthogonalization selector (and the per-stage fallback

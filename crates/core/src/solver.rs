@@ -11,7 +11,7 @@ use crate::precond::{Identity, Preconditioner};
 use crate::report::CycleTiming;
 use blockortho::OrthoKind;
 use dense::{MatView, MatViewMut};
-use distsim::{CommStatsSnapshot, DistCsr, GuardEvent, GuardPolicy, SerialComm};
+use distsim::{CommStatsSnapshot, DistCsr, GuardEvent, SerialComm};
 use sparse::{block_row_partition, RowSource};
 
 /// Configuration of the (s-step) GMRES solver.
@@ -38,11 +38,6 @@ pub struct GmresConfig {
     /// pre-controller solver), the self-rescuing [`StepPolicy::Auto`], or
     /// a replayed [`StepPolicy::Scheduled`] step schedule.
     pub step_policy: StepPolicy,
-    /// Fault-detection guards (Gram screening, halo checksums, agreement
-    /// probes) and the in-place recovery budget.  All off by default: no
-    /// [`distsim::GuardContext`] is allocated and every collective is
-    /// bitwise the unguarded operation.
-    pub guards: GuardPolicy,
 }
 
 impl Default for GmresConfig {
@@ -56,7 +51,6 @@ impl Default for GmresConfig {
             ortho: OrthoKind::BcgsPip2,
             basis: BasisStrategy::Monomial,
             step_policy: StepPolicy::Fixed,
-            guards: GuardPolicy::default(),
         }
     }
 }

@@ -1,5 +1,6 @@
 //! The object-safe communicator interface.
 
+use crate::guard::{GuardedComm, Screen};
 use crate::stats::CommStats;
 use std::time::Duration;
 
@@ -91,6 +92,16 @@ pub trait Communicator: Send + Sync + std::fmt::Debug {
         buf[0]
     }
 
+    /// [`allreduce_sum`](Self::allreduce_sum) of a payload whose healthy
+    /// shape `screen` describes.  Returns `false` when a
+    /// [`GuardedComm`] gave up on the payload and poisoned it with NaN;
+    /// every other communicator runs the plain reduce and returns `true`.
+    fn allreduce_screened(&self, buf: &mut [f64], screen: Screen) -> bool {
+        let _ = screen;
+        self.allreduce_sum(buf);
+        true
+    }
+
     /// Replace `buf` on every rank with its contents on rank `root`.
     fn broadcast(&self, root: usize, buf: &mut [f64]);
 
@@ -119,6 +130,28 @@ pub trait Communicator: Send + Sync + std::fmt::Debug {
     fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Vec<f64>, CommError> {
         let _ = timeout;
         Ok(self.recv(from))
+    }
+
+    /// Receive one halo message of `words` values from rank `from`.
+    /// `None` means a [`GuardedComm`] wrote the message off and the caller
+    /// poisons the ghosts it carried; every other communicator is the
+    /// blocking [`recv`](Self::recv), panicking on a length mismatch.
+    fn recv_halo(&self, from: usize, words: usize) -> Option<Vec<f64>> {
+        let data = self.recv(from);
+        assert_eq!(
+            data.len(),
+            words,
+            "halo exchange: peer {from} sent {} values, expected {words}",
+            data.len()
+        );
+        Some(data)
+    }
+
+    /// The detection guards' state when this is a [`GuardedComm`]: the
+    /// solver's handle on their counters, event log, agreement probe and
+    /// alarm.
+    fn guards(&self) -> Option<&GuardedComm> {
+        None
     }
 
     /// This rank's communication counters.

@@ -28,7 +28,6 @@
 
 use crate::assembly::{local_ghosts, normalize_local_block, plan_halo_exchange, HaloPlan};
 use crate::comm::Communicator;
-use crate::guard::GuardContext;
 use sparse::{Csr, RowPartition, RowSource, SlicedCsr};
 use std::sync::{Arc, Mutex};
 
@@ -216,23 +215,10 @@ impl DistCsr {
     }
 
     /// Distributed `y = A·x` on the local blocks: halo exchange
-    /// (point-to-point, counted) followed by the local SpMV.
+    /// (point-to-point, counted) followed by the local SpMV.  A halo message
+    /// a [`GuardedComm`](crate::GuardedComm) writes off poisons its ghost
+    /// values with NaN, which the next Gram reduce sees as a breakdown.
     pub fn spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
-        self.spmv_guarded(x_local, y_local, None);
-    }
-
-    /// [`spmv`](Self::spmv) with an optional checksummed halo exchange.
-    ///
-    /// With `guard` absent (or halo checksums disabled by its policy) this
-    /// is exactly [`spmv`](Self::spmv).  Otherwise every halo message is
-    /// framed with a per-peer sequence number and checksum
-    /// ([`crate::guard::encode_halo_frame`]): corrupted frames, dropped
-    /// messages (sequence gaps or receive timeouts) and duplicates are
-    /// detected at the receiver.  Duplicates are discarded exactly; an
-    /// unrecoverable message poisons the affected ghost values with NaN,
-    /// which cascades into the next Gram reduce as a breakdown and hands
-    /// the cycle to the solver's rollback ladder.
-    pub fn spmv_guarded(&self, x_local: &[f64], y_local: &mut [f64], guard: Option<&GuardContext>) {
         let nloc = self.local.nrows();
         assert_eq!(x_local.len(), nloc, "spmv: x length mismatch");
         assert_eq!(y_local.len(), nloc, "spmv: y length mismatch");
@@ -242,7 +228,6 @@ impl DistCsr {
             return;
         }
         let comm = self.comm.as_ref();
-        let guard = guard.filter(|ctx| ctx.policy().halo_checksum);
         let mut scratch = self.scratch.lock().expect("halo scratch poisoned");
         let HaloScratch { x_ext, payload } = &mut *scratch;
         // Post all sends first (mailboxes are non-blocking), then receive.
@@ -255,10 +240,7 @@ impl DistCsr {
             for block in &self.plan.send {
                 payload.clear();
                 payload.extend(block.local_indices.iter().map(|&i| x_local[i]));
-                match guard {
-                    Some(ctx) => ctx.send_halo(comm, block.peer, payload),
-                    None => comm.send(block.peer, payload),
-                }
+                comm.send(block.peer, payload);
             }
         }
         x_ext.resize(self.local.ncols(), 0.0);
@@ -271,22 +253,7 @@ impl DistCsr {
             );
             for block in &self.plan.recv {
                 let ghosts = &mut x_ext[nloc + block.start..nloc + block.start + block.len];
-                let data = match guard {
-                    Some(ctx) => ctx.recv_halo(comm, block.peer, block.len),
-                    None => {
-                        let data = comm.recv(block.peer);
-                        assert_eq!(
-                            data.len(),
-                            block.len,
-                            "halo exchange: peer {} sent {} values, expected {}",
-                            block.peer,
-                            data.len(),
-                            block.len
-                        );
-                        Some(data)
-                    }
-                };
-                match data {
+                match comm.recv_halo(block.peer, block.len) {
                     Some(data) => ghosts.copy_from_slice(&data),
                     None => ghosts.fill(f64::NAN),
                 }

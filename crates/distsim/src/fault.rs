@@ -388,11 +388,6 @@ impl FaultyComm {
         })
     }
 
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &Arc<dyn Communicator> {
-        &self.inner
-    }
-
     /// Every fault injected so far on this rank, in injection order.
     pub fn events(&self) -> Vec<FaultEvent> {
         self.events
@@ -502,6 +497,17 @@ impl FaultyComm {
         buf[w] = f64::from_bits(buf[w].to_bits() ^ (1u64 << (bit % 64)));
     }
 
+    /// Run the in-place collective `op` on `buf` through `run`, with this
+    /// operation's faults applied around it.
+    fn in_place_collective(&self, op: OpKind, buf: &mut [f64], run: impl FnOnce(&mut [f64])) {
+        let seq = self.next_seq(op);
+        let poison = self.before_collective(op, seq, buf);
+        run(buf);
+        if poison {
+            buf.fill(f64::NAN);
+        }
+    }
+
     /// Apply pre-collective faults (stall, contribution bit-flips); returns
     /// whether an OpFail must poison the result afterwards.
     fn before_collective(&self, op: OpKind, seq: u64, buf: &mut [f64]) -> bool {
@@ -539,34 +545,21 @@ impl Communicator for FaultyComm {
     }
 
     fn allreduce_sum(&self, buf: &mut [f64]) {
-        let seq = self.next_seq(OpKind::Allreduce);
-        let poison = self.before_collective(OpKind::Allreduce, seq, buf);
-        self.inner.allreduce_sum(buf);
-        if poison {
-            buf.fill(f64::NAN);
-        }
+        self.in_place_collective(OpKind::Allreduce, buf, |b| self.inner.allreduce_sum(b));
     }
 
     fn allreduce_sum_retry(&self, buf: &mut [f64]) {
         // Retries are operations like any other: they advance the sequence
         // counter and are themselves injectable.
-        let seq = self.next_seq(OpKind::Allreduce);
-        let poison = self.before_collective(OpKind::Allreduce, seq, buf);
-        self.inner.allreduce_sum_retry(buf);
-        if poison {
-            buf.fill(f64::NAN);
-        }
+        self.in_place_collective(OpKind::Allreduce, buf, |b| {
+            self.inner.allreduce_sum_retry(b)
+        });
     }
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
-        let seq = self.next_seq(OpKind::Broadcast);
         // Only the root's contribution reaches anyone, so the flip is
         // replicated (or invisible) by construction.
-        let poison = self.before_collective(OpKind::Broadcast, seq, buf);
-        self.inner.broadcast(root, buf);
-        if poison {
-            buf.fill(f64::NAN);
-        }
+        self.in_place_collective(OpKind::Broadcast, buf, |b| self.inner.broadcast(root, b));
     }
 
     fn allgather(&self, send: &[f64], recv: &mut [f64]) {

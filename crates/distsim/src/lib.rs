@@ -37,11 +37,11 @@
 //!   wrapper over any communicator (bit-flips, dropped/duplicated
 //!   messages, transient collective failures, rank stalls), seeded and
 //!   bitwise replayable;
-//! * [`GuardPolicy`] / [`GuardContext`] — low-overhead detection guards
-//!   (Gram-symmetry screening, duplicated norm words, cross-rank
-//!   agreement probes, checksummed halo frames) with bounded collective
-//!   retry and NaN-poisoning for cycle-level rollback.  Off by default at
-//!   run time.
+//! * [`GuardedComm`] / [`GuardPolicy`] — the same kind of wrapper for
+//!   low-overhead detection guards (Gram-symmetry screening, duplicated
+//!   norm words, cross-rank agreement probes, checksummed halo frames)
+//!   with bounded collective retry and NaN-poisoning for cycle-level
+//!   rollback.  An unwrapped communicator runs no guard code.
 //!
 //! Determinism: collective reductions combine per-rank contributions in
 //! rank order, so a given rank count always produces bitwise-identical
@@ -67,7 +67,7 @@ pub use csr::DistCsr;
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, Injection, OpKind, Target,
 };
-pub use guard::{GuardContext, GuardCounts, GuardEvent, GuardPolicy, Screen};
+pub use guard::{GuardCounts, GuardEvent, GuardPolicy, GuardedComm, Screen};
 pub use multivector::DistMultiVector;
 pub use serial::SerialComm;
 pub use sketch::{SketchConfig, SketchOp, SKETCH_NNZ_PER_ROW};

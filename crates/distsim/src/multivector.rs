@@ -15,7 +15,7 @@
 //! [`update_and_gram`]: DistMultiVector::update_and_gram
 
 use crate::comm::Communicator;
-use crate::guard::{GuardContext, Screen};
+use crate::guard::Screen;
 use crate::sketch::SketchOp;
 use dense::{MatView, Matrix};
 use std::ops::Range;
@@ -29,10 +29,6 @@ pub struct DistMultiVector {
     global_rows: usize,
     row_offset: usize,
     local: Matrix,
-    /// Fault-detection guards for the Gram/norm reduces; `None` (the
-    /// default) leaves every collective bitwise identical to the
-    /// unguarded path.
-    guard: Option<Arc<GuardContext>>,
 }
 
 impl DistMultiVector {
@@ -49,7 +45,6 @@ impl DistMultiVector {
                 global_rows: n,
                 row_offset: 0,
                 local: full,
-                guard: None,
             };
         }
         let ranges = parkit::chunk_ranges(n, comm.size());
@@ -66,7 +61,6 @@ impl DistMultiVector {
             global_rows: n,
             row_offset: lo,
             local,
-            guard: None,
         }
     }
 
@@ -89,42 +83,12 @@ impl DistMultiVector {
             global_rows,
             row_offset,
             local: Matrix::zeros(local_rows, cols),
-            guard: None,
         }
     }
 
     /// The communicator this multivector lives on.
     pub fn comm(&self) -> &Arc<dyn Communicator> {
         &self.comm
-    }
-
-    /// Attach (or detach) fault-detection guards: subsequent Gram and norm
-    /// reduces are screened, retried and — on exhaustion — NaN-poisoned
-    /// through `ctx`.  Guarded reduces perform exactly as many reductions
-    /// as unguarded ones.
-    pub fn set_guard(&mut self, guard: Option<Arc<GuardContext>>) {
-        self.guard = guard;
-    }
-
-    /// The attached guard context, if any.
-    pub fn guard(&self) -> Option<&Arc<GuardContext>> {
-        self.guard.as_ref()
-    }
-
-    /// One all-reduce, routed through the guards when attached.  `screen`
-    /// describes the healthy shape of the payload; with guards detached
-    /// (or screening disabled by policy) this is exactly
-    /// `comm.allreduce_sum`.
-    fn reduce(&self, buf: &mut [f64], screen: Screen) {
-        match &self.guard {
-            Some(ctx) if ctx.policy().gram_screen => {
-                ctx.allreduce(self.comm.as_ref(), buf, screen);
-            }
-            Some(ctx) if ctx.policy().agreement => {
-                ctx.allreduce(self.comm.as_ref(), buf, Screen::None);
-            }
-            _ => self.comm.allreduce_sum(buf),
-        }
     }
 
     /// Global row count.
@@ -167,7 +131,8 @@ impl DistMultiVector {
     pub fn gram(&self, cols: Range<usize>) -> Matrix {
         let mut g = dense::gram(&self.local.cols(cols));
         let s = g.nrows();
-        self.reduce(g.data_mut(), Screen::Gram { offset: 0, s });
+        self.comm
+            .allreduce_screened(g.data_mut(), Screen::Gram { offset: 0, s });
         g
     }
 
@@ -194,7 +159,8 @@ impl DistMultiVector {
         let mut buf = Vec::with_capacity(k * s + s * s);
         buf.extend_from_slice(p_local.data());
         buf.extend_from_slice(g_local.data());
-        self.reduce(&mut buf, Screen::Gram { offset: k * s, s });
+        self.comm
+            .allreduce_screened(&mut buf, Screen::Gram { offset: k * s, s });
         let p = Matrix::from_col_major(k, s, buf[..k * s].to_vec());
         let g = Matrix::from_col_major(s, s, buf[k * s..].to_vec());
         (p, g)
@@ -256,7 +222,8 @@ impl DistMultiVector {
         let mut buf = Vec::with_capacity(k * s + s * s);
         buf.extend_from_slice(c_local.data());
         buf.extend_from_slice(g_local.data());
-        self.reduce(&mut buf, Screen::Gram { offset: k * s, s });
+        self.comm
+            .allreduce_screened(&mut buf, Screen::Gram { offset: k * s, s });
         let c = Matrix::from_col_major(k, s, buf[..k * s].to_vec());
         let g = Matrix::from_col_major(s, s, buf[k * s..].to_vec());
         (c, g)
@@ -277,7 +244,7 @@ impl DistMultiVector {
         let _span = trace::span("mv", "sketch", &[("c", op.rows() as u64), ("s", s as u64)]);
         let mut buf = vec![0.0; op.slots() * s];
         op.fill_slots(&mut buf, &self.local.cols(cols), self.row_offset);
-        self.reduce(&mut buf, Screen::None);
+        self.comm.allreduce_screened(&mut buf, Screen::None);
         op.combine_slots(&buf, s)
     }
 
@@ -295,16 +262,14 @@ impl DistMultiVector {
 
     /// Global 2-norm of column `col`.  **1 global reduce** of one word
     /// (two words when guarded — the duplicated-word screen — but still a
-    /// single reduction).
+    /// single reduction); `NaN` when the guards poisoned it.
     pub fn norm2(&self, col: usize) -> f64 {
         let c = self.local.col(col);
-        let local = dense::dot(c, c);
-        if let Some(ctx) = &self.guard {
-            if ctx.policy().gram_screen || ctx.policy().agreement {
-                return ctx.norm_reduce(self.comm.as_ref(), local);
-            }
+        let mut sq = [dense::dot(c, c)];
+        if !self.comm.allreduce_screened(&mut sq, Screen::Norms) {
+            return f64::NAN;
         }
-        self.comm.allreduce_sum_scalar(local).max(0.0).sqrt()
+        sq[0].max(0.0).sqrt()
     }
 
     /// Gather the full global matrix onto every rank (one allgather; test

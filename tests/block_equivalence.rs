@@ -16,7 +16,7 @@
 mod common;
 
 use common::{ranks_under_test, thread_lock};
-use distsim::{run_ranks, Communicator, DistCsr};
+use distsim::{run_ranks, Communicator, DistCsr, GuardedComm, SerialComm};
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{
     BasisStrategy, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres, SolveResult,
@@ -126,9 +126,9 @@ fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
 #[test]
 fn k1_equivalence_survives_auto_stepping_and_guards() {
     let _lock = thread_lock();
-    // Auto step policy exercises the controller/health plumbing; enabled
-    // guards route the norm reduce through the guarded path — the block
-    // solver must follow both bitwise at k = 1.
+    // Auto step policy exercises the controller/health plumbing; a guarded
+    // communicator routes the norm reduce through the guarded path — the
+    // block solver must follow both bitwise at k = 1.
     let a = laplace2d_9pt(16, 16);
     let b = rhs_for(&a, 3);
     let config = GmresConfig {
@@ -137,17 +137,20 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
         tol: 1e-9,
         ortho: OrthoKind::TwoStage { big_panel: 12 },
         step_policy: StepPolicy::Auto,
-        guards: GuardPolicy {
-            gram_screen: true,
-            agreement: true,
-            ..GuardPolicy::default()
-        },
         ..GmresConfig::default()
     };
+    // Each solve on a fresh guarded serial communicator.
+    let guarded = || {
+        let comm = GuardedComm::wrap(SerialComm::new(), GuardPolicy::all());
+        DistCsr::from_global(comm, &a, &block_row_partition(a.nrows(), 1))
+    };
     let solver = SStepGmres::new(config);
-    let (x_scalar, scalar) = solver.solve_serial(&a, &b);
+    let mut x_scalar = vec![0.0; a.nrows()];
+    let scalar = solver.solve(&guarded(), &Identity, &b, &mut x_scalar);
     assert!(scalar.converged, "{:?}", scalar.breakdown);
-    let (x_block, block) = solver.solve_block_serial(&a, std::slice::from_ref(&b));
+    let bm = dense::Matrix::from_col_major(a.nrows(), 1, b.clone());
+    let mut x_block = dense::Matrix::zeros(a.nrows(), 1);
+    let block = solver.solve_block(&guarded(), &Identity, &bm, &mut x_block);
     assert_block_matches_scalar("auto+guards", &x_scalar, &scalar, x_block.col(0), &block);
     assert_eq!(scalar.faults_detected, block.faults_detected);
     assert_eq!(scalar.faults_recovered, block.faults_recovered);

@@ -267,7 +267,6 @@ fn auto_probes_back_up_to_the_requested_step_after_clean_cycles() {
         ortho: OrthoKind::TwoStage { big_panel: 16 },
         basis: BasisStrategy::Monomial,
         step_policy: StepPolicy::Auto,
-        ..GmresConfig::default()
     })
     .solve_serial(&a, &b)
     .1;

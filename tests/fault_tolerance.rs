@@ -19,7 +19,10 @@
 //!   poisons the cycle; the solver rolls back and still converges.
 //! * **Silent-error demonstration** — the same norm-reduce bit flip that
 //!   makes the *unguarded* solver report convergence with a wrong answer
-//!   is caught and repaired by the duplicated-word guard.
+//!   is caught and repaired by the duplicated-word guard, for one
+//!   right-hand side and for a block of two.
+//! * **A long-lived guarded communicator** — a second solve on the same
+//!   [`GuardedComm`] reports only its own faults.
 //!
 //! Rank counts sweep `DISTSIM_TEST_RANKS` (comma-separated) like the other
 //! distributed batteries.
@@ -27,47 +30,64 @@
 mod common;
 
 use common::ranks_under_test;
+use dense::Matrix;
 use distsim::{
-    run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultyComm, GuardPolicy, OpKind, Target,
+    run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultyComm, GuardPolicy, GuardedComm,
+    OpKind, Target,
 };
 use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Run one distributed solve, optionally wrapping every rank's
-/// communicator in a [`FaultyComm`] driven by `plan`.  Returns each rank's
-/// local solution block and its [`SolveResult`].
+/// Run `body` on every rank with its rows `lo..hi` of `a`, assembled over
+/// a communicator wrapped in a [`FaultyComm`] driven by `plan` and, outside
+/// that, in a [`GuardedComm`] with `policy`.
+fn on_ranks<T: Send>(
+    a: &Csr,
+    nranks: usize,
+    policy: Option<GuardPolicy>,
+    plan: Option<&FaultPlan>,
+    body: impl Fn(&DistCsr, Range<usize>) -> T + Send + Sync,
+) -> Vec<T> {
+    let part = block_row_partition(a.nrows(), nranks);
+    run_ranks(nranks, |comm| {
+        let (lo, hi) = part.range(comm.rank());
+        let comm: Arc<dyn Communicator> = match plan {
+            Some(p) => FaultyComm::wrap(comm, p.clone()),
+            None => comm,
+        };
+        let comm: Arc<dyn Communicator> = match policy {
+            Some(policy) => GuardedComm::wrap(comm, policy),
+            None => comm,
+        };
+        body(&DistCsr::from_global(comm, a, &part), lo..hi)
+    })
+}
+
+/// Run one distributed solve, optionally under guards and a fault plan
+/// (see [`on_ranks`]).  Returns each rank's local solution block and its
+/// [`SolveResult`].
 fn solve_dist(
     a: &Csr,
     b: &[f64],
     nranks: usize,
     config: &GmresConfig,
+    policy: Option<GuardPolicy>,
     plan: Option<&FaultPlan>,
 ) -> Vec<(Vec<f64>, SolveResult)> {
-    let part = block_row_partition(a.nrows(), nranks);
-    run_ranks(nranks, |comm| {
-        let (lo, hi) = part.range(comm.rank());
-        let comm_dyn: Arc<dyn Communicator> = match plan {
-            Some(p) => FaultyComm::wrap(comm, p.clone()),
-            None => comm,
-        };
-        let dist = DistCsr::from_global(comm_dyn, a, &part);
-        let mut x = vec![0.0; hi - lo];
-        let result = SStepGmres::new(config.clone()).solve(&dist, &Identity, &b[lo..hi], &mut x);
+    on_ranks(a, nranks, policy, plan, |dist, rows| {
+        let mut x = vec![0.0; rows.len()];
+        let result = SStepGmres::new(config.clone()).solve(dist, &Identity, &b[rows], &mut x);
         (x, result)
     })
 }
 
-/// Stitch per-rank solution blocks back into a global vector.
-fn gather(a: &Csr, nranks: usize, pieces: &[(Vec<f64>, SolveResult)]) -> Vec<f64> {
-    let part = block_row_partition(a.nrows(), nranks);
-    let mut x = vec![0.0; a.nrows()];
-    for (rank, (piece, _)) in pieces.iter().enumerate() {
-        let (lo, hi) = part.range(rank);
-        x[lo..hi].copy_from_slice(piece);
-    }
-    x
+/// Stitch per-rank solution blocks back into a global vector (the ranks
+/// own consecutive row blocks in rank order).
+fn gather(pieces: &[(Vec<f64>, SolveResult)]) -> Vec<f64> {
+    pieces.iter().flat_map(|(x, _)| x.iter().copied()).collect()
 }
 
 /// True relative residual `‖b − A·x‖ / ‖b‖` (the solves start from x = 0).
@@ -92,6 +112,34 @@ fn unit_rhs(a: &Csr) -> Vec<f64> {
         *v /= norm;
     }
     b
+}
+
+/// Flip exponent bit 62 of the (1,0) Gram entry, word `s + 1` behind the
+/// `s`-word projection prefix, in rank 0's contribution to the first panel
+/// Gram reduce.
+fn gram_flip_plan(s: usize) -> FaultPlan {
+    FaultPlan::none().with(
+        Target::nth(OpKind::Allreduce, 0)
+            .on_rank(0)
+            .in_phase("ortho")
+            .with_min_words(s * s),
+        FaultKind::BitFlip {
+            word: Some(s + 1),
+            bit: 62,
+        },
+    )
+}
+
+/// Flip exponent bit 58 of word 0 in every rank's contribution to the
+/// cycle-1 residual-norm reduce.
+fn norm_flip_plan() -> FaultPlan {
+    FaultPlan::none().with(
+        Target::nth(OpKind::Allreduce, 1).in_phase("residual"),
+        FaultKind::BitFlip {
+            word: Some(0),
+            bit: 58,
+        },
+    )
 }
 
 fn base_config() -> GmresConfig {
@@ -134,8 +182,8 @@ proptest! {
         };
         let plan = FaultPlan::none();
         for nranks in ranks_under_test(&[2, 3]) {
-            let plain = solve_dist(&a, &b, nranks, &config, None);
-            let wrapped = solve_dist(&a, &b, nranks, &config, Some(&plan));
+            let plain = solve_dist(&a, &b, nranks, &config, None, None);
+            let wrapped = solve_dist(&a, &b, nranks, &config, None, Some(&plan));
             for (rank, ((xp, rp), (xw, rw))) in plain.iter().zip(&wrapped).enumerate() {
                 prop_assert!(
                     xp == xw,
@@ -161,14 +209,10 @@ proptest! {
 fn guards_at_zero_faults_add_zero_reductions_and_stay_bitwise() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
-    let unguarded = base_config();
-    let guarded = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
+    let config = base_config();
     for nranks in ranks_under_test(&[2, 3]) {
-        let off = solve_dist(&a, &b, nranks, &unguarded, None);
-        let on = solve_dist(&a, &b, nranks, &guarded, None);
+        let off = solve_dist(&a, &b, nranks, &config, None, None);
+        let on = solve_dist(&a, &b, nranks, &config, Some(GuardPolicy::all()), None);
         for (rank, ((xo, ro), (xg, rg))) in off.iter().zip(&on).enumerate() {
             assert!(rg.converged, "rank {rank}/{nranks}");
             assert_eq!(
@@ -176,7 +220,7 @@ fn guards_at_zero_faults_add_zero_reductions_and_stay_bitwise() {
                 "rank {rank}/{nranks}: guards at zero faults must not perturb the solve"
             );
             assert_eq!(ro.iterations, rg.iterations);
-            // The whole point of structure-exploiting guards: wider
+            // The whole point of structure-exploiting guards — wider
             // payloads, **zero** additional global reductions or messages.
             assert_eq!(
                 ro.comm_total.allreduces, rg.comm_total.allreduces,
@@ -201,26 +245,15 @@ fn gram_bitflip_is_detected_and_repaired_in_place() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
     let s = 4usize;
-    let config = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
-    let plan = FaultPlan::none().with(
-        Target::nth(OpKind::Allreduce, 0)
-            .on_rank(0)
-            .in_phase("ortho")
-            .with_min_words(s * s),
-        FaultKind::BitFlip {
-            word: Some(s + 1),
-            bit: 62,
-        },
-    );
+    let config = base_config();
+    let guards = Some(GuardPolicy::all());
+    let plan = gram_flip_plan(s);
     for nranks in ranks_under_test(&[2, 3]) {
         if nranks < 2 {
             continue;
         }
-        let clean = solve_dist(&a, &b, nranks, &config, None);
-        let faulted = solve_dist(&a, &b, nranks, &config, Some(&plan));
+        let clean = solve_dist(&a, &b, nranks, &config, guards, None);
+        let faulted = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
         for (rank, ((xc, _), (xf, rf))) in clean.iter().zip(&faulted).enumerate() {
             assert!(rf.converged, "rank {rank}/{nranks}");
             assert!(
@@ -243,10 +276,8 @@ fn failed_collective_is_retried_and_bitwise_repaired() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
     let s = 4usize;
-    let config = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
+    let config = base_config();
+    let guards = Some(GuardPolicy::all());
     // A transient failure of a Gram reduce: NaN on every rank, caught by
     // the finiteness screen, repaired by one retry.
     let plan = FaultPlan::none().with(
@@ -256,8 +287,8 @@ fn failed_collective_is_retried_and_bitwise_repaired() {
         FaultKind::OpFail,
     );
     let nranks = 2;
-    let clean = solve_dist(&a, &b, nranks, &config, None);
-    let faulted = solve_dist(&a, &b, nranks, &config, Some(&plan));
+    let clean = solve_dist(&a, &b, nranks, &config, guards, None);
+    let faulted = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
     for (rank, ((xc, _), (xf, rf))) in clean.iter().zip(&faulted).enumerate() {
         assert!(rf.converged, "rank {rank}");
         assert!(rf.faults_detected >= 1);
@@ -277,26 +308,19 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard() {
     // retries, and the guarded solve converges for real.
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
+    // One solver configuration; the guarded runs wrap the communicator.
     let unguarded = base_config();
-    let guarded = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
-    let plan = FaultPlan::none().with(
-        Target::nth(OpKind::Allreduce, 1).in_phase("residual"),
-        FaultKind::BitFlip {
-            word: Some(0),
-            bit: 58,
-        },
-    );
+    let guarded = base_config();
+    let guards = Some(GuardPolicy::all());
+    let plan = norm_flip_plan();
     let nranks = 2;
     // Sanity: fault-free, the solve needs more than one cycle, so the
     // targeted reduce (end of cycle 1) is not already converged.
-    let reference = solve_dist(&a, &b, nranks, &unguarded, None);
+    let reference = solve_dist(&a, &b, nranks, &unguarded, None, None);
     assert!(reference[0].1.restarts > 1, "scenario needs >1 cycle");
 
-    let silent = solve_dist(&a, &b, nranks, &unguarded, Some(&plan));
-    let x_silent = gather(&a, nranks, &silent);
+    let silent = solve_dist(&a, &b, nranks, &unguarded, None, Some(&plan));
+    let x_silent = gather(&silent);
     assert!(
         silent[0].1.converged,
         "the unguarded solver must *believe* it converged"
@@ -308,8 +332,8 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard() {
         "…while the answer is silently wrong: true relres {relres_silent:e}"
     );
 
-    let caught = solve_dist(&a, &b, nranks, &guarded, Some(&plan));
-    let x_caught = gather(&a, nranks, &caught);
+    let caught = solve_dist(&a, &b, nranks, &guarded, guards, Some(&plan));
+    let x_caught = gather(&caught);
     for (rank, (_, r)) in caught.iter().enumerate() {
         assert!(r.converged, "rank {rank}");
         assert!(r.faults_detected >= 1, "rank {rank}: flip must be detected");
@@ -323,16 +347,104 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard() {
 }
 
 #[test]
+fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard_for_two_rhs() {
+    // The same flip at k = 2 hits column 0's word of a reduce that carries
+    // both columns' squared norms.  Unguarded, column 0 deflates on the
+    // collapsed norm with a wrong answer; guarded, the duplicated halves
+    // disagree, the reduce is retried, and both columns converge for real.
+    let a = laplace2d_9pt(16, 16);
+    let b0 = unit_rhs(&a);
+    let b1 = (b0.iter().enumerate()).map(|(i, v)| if i % 2 == 0 { *v } else { -v });
+    let b = [b0.clone(), b1.collect()];
+    let solve_block = |config: &GmresConfig, policy, plan| {
+        on_ranks(&a, 2, policy, plan, |dist, rows| {
+            let b_local = Matrix::from_fn(rows.len(), 2, |i, j| b[j][rows.start + i]);
+            let mut x = Matrix::zeros(rows.len(), 2);
+            let result =
+                SStepGmres::new(config.clone()).solve_block(dist, &Identity, &b_local, &mut x);
+            (x, result)
+        })
+    };
+    let gather_col = |pieces: &[(Matrix, SolveResult)], j: usize| -> Vec<f64> {
+        pieces.iter().flat_map(|(x, _)| x.col(j).to_vec()).collect()
+    };
+    // One solver configuration; the guarded runs wrap the communicator.
+    let unguarded = base_config();
+    let guarded = base_config();
+    let plan = norm_flip_plan();
+    let reference = solve_block(&unguarded, None, None);
+    assert!(reference[0].1.restarts > 1, "scenario needs >1 cycle");
+
+    let silent = solve_block(&unguarded, None, Some(&plan));
+    assert!(
+        silent[0].1.converged,
+        "the unguarded solver must *believe* it converged"
+    );
+    let relres_silent = true_relres(&a, &b[0], &gather_col(&silent, 0));
+    assert!(
+        relres_silent > 1e2 * unguarded.tol,
+        "…while column 0 is silently wrong: true relres {relres_silent:e}"
+    );
+
+    let caught = solve_block(&guarded, Some(GuardPolicy::all()), Some(&plan));
+    for (rank, (_, r)) in caught.iter().enumerate() {
+        assert!(r.converged, "rank {rank}");
+        assert!(r.faults_detected >= 1, "rank {rank}: flip must be detected");
+        assert_eq!(r.faults_unrecovered, 0);
+    }
+    for (j, bj) in b.iter().enumerate() {
+        let relres_caught = true_relres(&a, bj, &gather_col(&caught, j));
+        assert!(
+            relres_caught <= 10.0 * guarded.tol,
+            "column {j}: guarded solve must converge for real: true relres {relres_caught:e}"
+        );
+    }
+}
+
+#[test]
+fn a_guarded_communicator_reports_each_solve_its_own_faults() {
+    // Two solves on one guarded communicator: the first meets a Gram flip
+    // and repairs it in place, the second runs fault-free.  The guards'
+    // counters and log outlive the first solve; the second still reports
+    // zero faults, and its solution is bitwise the fault-free one.
+    let a = laplace2d_9pt(16, 16);
+    let b = unit_rhs(&a);
+    let s = 4usize;
+    let config = base_config();
+    let guards = Some(GuardPolicy::all());
+    let plan = gram_flip_plan(s);
+    let nranks = 2;
+    let clean = solve_dist(&a, &b, nranks, &config, guards, None);
+    let solves = on_ranks(&a, nranks, guards, Some(&plan), |dist, rows| {
+        let solver = SStepGmres::new(config.clone());
+        let mut x = vec![0.0; rows.len()];
+        let first = solver.solve(dist, &Identity, &b[rows.clone()], &mut x);
+        x.fill(0.0);
+        let second = solver.solve(dist, &Identity, &b[rows], &mut x);
+        (first, x, second)
+    });
+    for (rank, ((first, x, second), (xc, _))) in solves.iter().zip(&clean).enumerate() {
+        assert!(first.faults_detected >= 1, "rank {rank}: the flip is seen");
+        assert_eq!(first.faults_unrecovered, 0);
+        assert!(second.converged, "rank {rank}");
+        assert_eq!(
+            second.faults_detected, 0,
+            "rank {rank}: the first solve's faults are not the second's"
+        );
+        assert!(second.fault_events.is_empty());
+        assert_eq!(x, xc, "rank {rank}: the second solve is the fault-free one");
+    }
+}
+
+#[test]
 fn dropped_halo_message_rolls_back_the_cycle_and_converges() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
-    let config = GmresConfig {
-        guards: GuardPolicy {
-            halo_timeout_ms: 100,
-            ..GuardPolicy::all()
-        },
-        ..base_config()
-    };
+    let config = base_config();
+    let guards = Some(GuardPolicy {
+        halo_timeout_ms: 100,
+        ..GuardPolicy::all()
+    });
     // Swallow rank 0's first matrix-powers halo message: the receiver
     // times out, poisons its ghosts, and the NaN cascades into a Gram
     // breakdown — the cycle rolls back and the solve still converges.
@@ -341,8 +453,8 @@ fn dropped_halo_message_rolls_back_the_cycle_and_converges() {
         FaultKind::DropMessage,
     );
     let nranks = 2;
-    let faulted = solve_dist(&a, &b, nranks, &config, Some(&plan));
-    let x = gather(&a, nranks, &faulted);
+    let faulted = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
+    let x = gather(&faulted);
     let detected: usize = faulted.iter().map(|(_, r)| r.faults_detected).sum();
     assert!(detected >= 1, "the lost message must be detected");
     assert!(
@@ -363,17 +475,15 @@ fn dropped_halo_message_rolls_back_the_cycle_and_converges() {
 fn duplicated_halo_message_is_discarded_exactly() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
-    let config = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
+    let config = base_config();
+    let guards = Some(GuardPolicy::all());
     let plan = FaultPlan::none().with(
         Target::nth(OpKind::Send, 0).on_rank(0).in_phase("mpk"),
         FaultKind::DuplicateMessage,
     );
     let nranks = 2;
-    let clean = solve_dist(&a, &b, nranks, &config, None);
-    let faulted = solve_dist(&a, &b, nranks, &config, Some(&plan));
+    let clean = solve_dist(&a, &b, nranks, &config, guards, None);
+    let faulted = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
     let detected: usize = faulted.iter().map(|(_, r)| r.faults_detected).sum();
     let unrecovered: usize = faulted.iter().map(|(_, r)| r.faults_unrecovered).sum();
     assert!(detected >= 1, "the duplicate must be seen");
@@ -397,20 +507,18 @@ fn stalled_halo_link_times_out_poisons_and_recovers() {
     // number.
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
-    let config = GmresConfig {
-        guards: GuardPolicy {
-            halo_timeout_ms: 80,
-            ..GuardPolicy::all()
-        },
-        ..base_config()
-    };
+    let config = base_config();
+    let guards = Some(GuardPolicy {
+        halo_timeout_ms: 80,
+        ..GuardPolicy::all()
+    });
     let plan = FaultPlan::none().with(
         Target::nth(OpKind::Send, 0).on_rank(0).in_phase("mpk"),
         FaultKind::Stall { millis: 250 },
     );
     let nranks = 2;
-    let faulted = solve_dist(&a, &b, nranks, &config, Some(&plan));
-    let x = gather(&a, nranks, &faulted);
+    let faulted = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
+    let x = gather(&faulted);
     let detected: usize = faulted.iter().map(|(_, r)| r.faults_detected).sum();
     assert!(detected >= 1, "the overdue message must be written off");
     for (rank, (_, r)) in faulted.iter().enumerate() {
@@ -426,10 +534,8 @@ fn seeded_campaign_solves_replay_bitwise() {
     // solve, bit for bit — the replayability contract campaigns rely on.
     let a = laplace2d_9pt(14, 14);
     let b = unit_rhs(&a);
-    let config = GmresConfig {
-        guards: GuardPolicy::all(),
-        ..base_config()
-    };
+    let config = base_config();
+    let guards = Some(GuardPolicy::all());
     let plan = FaultPlan::from_seed(
         0x5eed_cafe,
         distsim::FaultRates {
@@ -438,8 +544,8 @@ fn seeded_campaign_solves_replay_bitwise() {
         },
     );
     let nranks = 2;
-    let first = solve_dist(&a, &b, nranks, &config, Some(&plan));
-    let second = solve_dist(&a, &b, nranks, &config, Some(&plan));
+    let first = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
+    let second = solve_dist(&a, &b, nranks, &config, guards, Some(&plan));
     for (rank, ((xa, ra), (xb, rb))) in first.iter().zip(&second).enumerate() {
         assert_eq!(xa, xb, "rank {rank}: replay must be bitwise");
         assert_eq!(ra.iterations, rb.iterations);
