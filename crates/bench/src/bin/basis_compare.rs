@@ -22,9 +22,10 @@
 //! * `iterations` / `restarts` / `converged` — a full two-stage solve;
 //! * `ortho_fallbacks` — shifted-CholQR remedial passes the two-stage
 //!   orthogonalization had to take (a conditioning distress signal);
-//! * `allreduces_total` / `allreduces_ortho` — reduction counts, which must
-//!   be *identical* across bases for identical iteration counts (shifts are
-//!   applied locally; harvesting reads the replicated Hessenberg).
+//! * `allreduces_total` / `allreduces_ortho` — reduction counts of the
+//!   solve.  Shifts add none (they are applied locally; harvesting reads
+//!   the replicated Hessenberg), so a basis moves them only through the
+//!   iterations and two-stage flushes its solve takes.
 //!
 //! The headline acceptance check (asserted here and pinned as a regression
 //! in `tests/solver_cross_crate.rs`): at `s = 8` on the 2-D Laplace stencil

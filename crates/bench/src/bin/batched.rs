@@ -15,14 +15,13 @@
 //!   same fixed number of full cycles, the total all-reduce **count** of
 //!   a k = 4 block solve equals the k = 1 count exactly (the ≤ 1.05×
 //!   acceptance bound is met with ratio 1.0); only the per-call payload
-//!   grows.  The measured ortho reduce schedule is also joined against
-//!   the `perfmodel::block_ortho_reduce_count` closed form.
+//!   grows.  The measured ortho reduce count is also joined against
+//!   the length of `OrthoKind::reduce_schedule`.
 //! * **service** — four right-hand sides solved as one `solve_block`
 //!   share a reduce bill far below the sum of four independent solves
 //!   (the JSON object keeps its `service` key).
 
 use bench::Table;
-use perfmodel::{block_ortho_reduce_count, SchemeKind};
 use sparse::{laplace2d_9pt, Csr};
 use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
 use trace::JsonWriter;
@@ -86,15 +85,16 @@ fn run_scaling(
             r.ortho_fallbacks, 0,
             "k={k}: the schedule comparison requires a fallback-free run"
         );
-        // Join against the closed form: per cycle the solver spends the
-        // modeled panel schedule plus the first-stage reduce of the
-        // initial residual block (the model's "cycle setup").
-        let modeled =
-            block_ortho_reduce_count(SchemeKind::TwoStage { bs: big_panel }, restart, s, k);
+        // Join against the schedule: per cycle the solver spends the
+        // scheduled panel reduces plus the first-stage reduce of the
+        // initial residual block (the schedule's "cycle setup").
+        let scheduled = OrthoKind::TwoStage { big_panel }
+            .reduce_schedule(restart, s, k)
+            .len();
         assert_eq!(
             r.comm_ortho.allreduces,
-            cycles * (modeled + 1),
-            "k={k}: measured ortho schedule vs closed form"
+            cycles * (scheduled + 1),
+            "k={k}: measured ortho reduces vs the schedule"
         );
         // Everything outside orthogonalization is one k-word norm reduce
         // per cycle plus the initial residual norm.

@@ -1,6 +1,6 @@
 //! End-to-end observability profile: proves the tracing layer is free and
-//! joins the orthogonalization traffic it measures against the `perfmodel`
-//! all-reduce schedule.
+//! joins the orthogonalization traffic it measures against the scheme's own
+//! all-reduce schedule ([`OrthoKind::reduce_schedule`]).
 //!
 //! ```sh
 //! cargo run -p bench --release --bin profile                    # full run
@@ -19,8 +19,8 @@
 //!    p2p receives), written as Chrome trace-event JSON for
 //!    <https://ui.perfetto.dev>.
 //! 3. **Schedule-vs-measured words** — the words the tracing run measures for
-//!    one orthogonalization cycle must equal [`perfmodel::ortho_cycle_words`]
-//!    exactly (counts against [`perfmodel::ortho_reduce_count`]).
+//!    one orthogonalization cycle must equal the sum of
+//!    [`OrthoKind::reduce_schedule`] exactly (counts against its length).
 //! 4. **Sync-vs-compute attribution** — every cycle's phase breakdown must
 //!    sum to within 5% of its measured wall time, the cycle's `"comm"` span
 //!    time bounds its sync share, and the traced solve's own JSON report
@@ -34,7 +34,6 @@
 use bench::{Cell, Table};
 use blockortho::make_orthogonalizer;
 use distsim::{run_ranks, Communicator, DistCsr, SerialComm};
-use perfmodel::{ortho_cycle_words, ortho_reduce_count, SchemeKind};
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{CycleTiming, GmresConfig, Identity, OrthoKind, Phase, SStepGmres, SolveResult};
 use std::sync::Arc;
@@ -156,14 +155,14 @@ fn main() {
     assert_eq!(trace::stats().open_spans, 0, "rank spans must be balanced");
 
     // --- Part 3: measured ortho words vs the all-reduce schedule. ---
-    eprintln!("part 3: one orthogonalization cycle vs the perfmodel schedule ...");
-    let scheme = SchemeKind::TwoStage { bs };
+    eprintln!("part 3: one orthogonalization cycle vs the reduce schedule ...");
+    let kind = OrthoKind::TwoStage { big_panel: bs };
     let v = dense::Matrix::from_fn(300.max(3 * (m + 1)), m + 1, |i, j| {
         ((i * 7 + j * 3) % 13) as f64 * 0.2 + if i == j { 3.0 } else { 0.0 }
     });
     let mut basis = distsim::DistMultiVector::from_matrix(SerialComm::new(), v);
     let mut r = dense::Matrix::zeros(m + 1, m + 1);
-    let mut ortho = make_orthogonalizer(OrthoKind::TwoStage { big_panel: bs }, m + 1);
+    let mut ortho = make_orthogonalizer(kind, m + 1);
     ortho.orthogonalize_panel(&mut basis, 0..1, &mut r).unwrap();
     let before = basis.comm().stats().snapshot();
     let mut col = 1;
@@ -175,15 +174,16 @@ fn main() {
     }
     ortho.finish(&mut basis, &mut r).unwrap();
     let delta = basis.comm().stats().snapshot().since(&before);
-    let predicted_words = ortho_cycle_words(scheme, m, s);
-    let predicted_reduces = ortho_reduce_count(scheme, m, s);
+    let schedule = kind.reduce_schedule(m, s, 1);
+    let predicted_words: usize = schedule.iter().sum();
+    let predicted_reduces = schedule.len();
     assert_eq!(
         delta.allreduce_words, predicted_words,
-        "measured cycle words must match ortho_cycle_words"
+        "measured cycle words must match the schedule's sum"
     );
     assert_eq!(
         delta.allreduces, predicted_reduces,
-        "measured cycle reduces must match ortho_reduce_count"
+        "measured cycle reduces must match the schedule's length"
     );
 
     // --- Part 4: per-cycle breakdown and the final report. ---

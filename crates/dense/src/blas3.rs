@@ -555,7 +555,7 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
 }
 
 /// The row-parallel, row-panel-blocked sweep behind [`gemm_nn_minus`] and
-/// [`gemv_plus`] (dimensions already checked, no trace span).
+/// [`gemm_nn_plus`] (dimensions already checked, no trace span).
 fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     let n = v.nrows();
     let q_cols = SliceCols { data: q.data(), n };
@@ -847,16 +847,15 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `V ← V + Q·Y` for tall-skinny `Q ∈ R^{n×k}`, small `Y ∈ R^{k×s}` and
-/// tall-skinny `V ∈ R^{n×s}` updated in place (the block solution update
-/// `X ← X + Q·Ŷ`; [`gemv_plus`] is its one-column case).
+/// tall-skinny `V ∈ R^{n×s}` updated in place (the solution update
+/// `X ← X + Q·Ŷ` of every solve, one column or many).
 ///
 /// Runs as the row-panel-blocked update `V ← V − Q·(−Y)`, so the `V` panel
 /// stays in cache while `Q` streams past once for all `s` columns.
 /// Negation is exact, hence per element this is bit for bit the column
 /// sweep `v_p ← fma(y_jp, q_j, v_p)` for ascending `j`, one rounding per
 /// step, zero `y_jp` skipped (pinned by
-/// `gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep`).  Like
-/// [`gemv_plus`] it opens no trace span.
+/// `gemm_nn_plus_is_bitwise_the_column_sweep`).  It opens no trace span.
 pub fn gemm_nn_plus(v: &mut MatViewMut<'_>, q: &MatView<'_>, y: &Matrix) {
     assert_eq!(q.nrows(), v.nrows(), "gemm_nn_plus: row mismatch");
     assert_eq!(q.ncols(), y.nrows(), "gemm_nn_plus: inner dim mismatch");
@@ -864,17 +863,6 @@ pub fn gemm_nn_plus(v: &mut MatViewMut<'_>, q: &MatView<'_>, y: &Matrix) {
     let mut neg_y = y.clone();
     neg_y.scale(-1.0);
     update_panel(v, q, &neg_y);
-}
-
-/// `y ← y + A·x` for tall `A ∈ R^{n×k}` and small `x ∈ R^k`
-/// (used for the solution update `x ← x + V_m ŷ`): [`gemm_nn_plus`] on one
-/// column, bit for bit the column sweep `y ← fma(x_j, a_j, y)` for
-/// ascending `j`, zero `x_j` skipped (pinned by
-/// `gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep`).
-pub fn gemv_plus(a: &MatView<'_>, x: &[f64], y: &mut [f64]) {
-    assert_eq!(a.nrows(), y.len(), "gemv_plus: output length mismatch");
-    let x = Matrix::from_col_major(x.len(), 1, x.to_vec());
-    gemm_nn_plus(&mut MatViewMut::from_slice(y.len(), 1, y), a, &x);
 }
 
 #[cfg(test)]
@@ -1109,28 +1097,11 @@ mod tests {
     }
 
     #[test]
-    fn gemv_plus_matches_reference() {
-        let a = test_panel(1_234, 4);
-        let x = [0.5, -1.0, 2.0, 0.0];
-        let mut y = vec![1.0; 1_234];
-        let x_mat = Matrix::from_col_major(4, 1, x.to_vec());
-        let mut reference = gemm_reference(&a, &x_mat);
-        for i in 0..1_234 {
-            reference[(i, 0)] += 1.0;
-        }
-        gemv_plus(&a.view(), &x, &mut y);
-        for i in 0..1_234 {
-            assert!((y[i] - reference[(i, 0)]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn gemv_plus_and_gemm_nn_plus_are_bitwise_the_column_sweep() {
-        // The solution updates run `y += A·x` as `y −= A·(−x)`: the scalar
-        // solver through gemv_plus, the block solver through gemm_nn_plus
-        // on all right-hand sides at once.  Both must reproduce the plain
-        // ascending-column sweep bit for bit — one fused multiply-add per
-        // step — zero coefficients skipped.
+    fn gemm_nn_plus_is_bitwise_the_column_sweep() {
+        // The solution update runs `y += A·x` as `y −= A·(−x)` through
+        // gemm_nn_plus on all right-hand sides at once.  It must reproduce
+        // the plain ascending-column sweep bit for bit — one fused
+        // multiply-add per step — zero coefficients skipped.
         for n in [1usize, ROW_BLOCK - 1, 2 * ROW_BLOCK + 7] {
             let a = test_panel(n, 9);
             let x = Matrix::from_fn(9, 4, |k, p| {
@@ -1151,11 +1122,6 @@ mod tests {
                     }
                 }
             }
-            let mut by_gemv = y0.clone();
-            for p in 0..4 {
-                gemv_plus(&a.view(), x.col(p), by_gemv.col_mut(p));
-            }
-            assert_eq!(by_gemv, sweep, "gemv_plus, n = {n}");
             let mut by_panel = y0.clone();
             gemm_nn_plus(&mut by_panel.view_mut(), &a.view(), &x);
             assert_eq!(by_panel, sweep, "gemm_nn_plus, n = {n}");

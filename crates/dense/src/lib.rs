@@ -45,7 +45,7 @@ pub mod tri;
 
 pub use blas1::{axpy, dot, nrm2, scal};
 pub use blas3::{
-    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_tn, gemv_plus, gram,
+    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_tn, gram,
     naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
     ROW_BLOCK, TILE,
 };
@@ -59,7 +59,7 @@ pub use measure::{
 pub use qr::householder_qr;
 pub use simd::{set_simd_override, simd_label, simd_level, SimdLevel};
 pub use svd::svdvals_jacobi;
-pub use tri::{tri_inverse_upper, tri_matmul_upper, tri_solve_upper, tri_solve_upper_transpose};
+pub use tri::{tri_matmul_upper, tri_solve_upper, tri_solve_upper_transpose};
 
 /// Machine epsilon for `f64`, exposed for readability in stability bounds.
 pub const EPS: f64 = f64::EPSILON;

@@ -1,4 +1,4 @@
-//! Small upper-triangular utilities (solves, inverse, products).
+//! Small upper-triangular utilities (solves, products).
 //!
 //! These operate on the `s×s` / `(m+1)×(m+1)` R-factors the solver keeps
 //! redundantly on every rank; they are serial on purpose.
@@ -42,23 +42,6 @@ pub fn tri_solve_upper_transpose(r: &Matrix, b: &[f64]) -> Vec<f64> {
         x[i] = acc / d;
     }
     x
-}
-
-/// Inverse of an upper-triangular matrix (the result is upper triangular).
-pub fn tri_inverse_upper(r: &Matrix) -> Matrix {
-    let n = r.nrows();
-    assert_eq!(r.ncols(), n, "tri_inverse_upper: R must be square");
-    let mut inv = Matrix::zeros(n, n);
-    for j in 0..n {
-        // Solve R · x = e_j; x has zeros below row j.
-        let mut e = vec![0.0; n];
-        e[j] = 1.0;
-        let x = tri_solve_upper(r, &e);
-        for i in 0..=j {
-            inv[(i, j)] = x[i];
-        }
-    }
-    inv
 }
 
 /// Product `A·B` of two upper-triangular matrices (result is upper
@@ -140,25 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_matrix_is_identity() {
-        let r = upper(7);
-        let inv = tri_inverse_upper(&r);
-        let prod = gemm_nn(&r, &inv);
-        for i in 0..7 {
-            for j in 0..7 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-12);
-            }
-        }
-        // Inverse of an upper-triangular matrix is upper triangular.
-        for i in 0..7 {
-            for j in 0..i {
-                assert_eq!(inv[(i, j)], 0.0);
-            }
-        }
-    }
-
-    #[test]
     fn tri_matmul_matches_general_gemm() {
         let a = upper(6);
         let b = upper(6);
@@ -175,7 +139,6 @@ mod tests {
     fn one_by_one_cases() {
         let r = Matrix::from_rows(&[&[4.0]]);
         assert_eq!(tri_solve_upper(&r, &[8.0]), vec![2.0]);
-        assert_eq!(tri_inverse_upper(&r)[(0, 0)], 0.25);
         assert_eq!(tri_matmul_upper(&r, &r)[(0, 0)], 16.0);
     }
 }

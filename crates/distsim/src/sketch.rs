@@ -124,7 +124,7 @@ impl SketchOp {
     }
 
     /// Words one sketched-panel allreduce moves for an `s`-column panel —
-    /// the closed form `perfmodel::sketch_reduce_words` mirrors.
+    /// the sketch reduce `OrthoKind::reduce_schedule` lists.
     pub fn reduce_words(&self, s: usize) -> usize {
         self.slots() * s
     }

@@ -5,8 +5,8 @@
 //! fill is serial by design and the combine runs in fixed slot order), and
 //! every [`DistMultiVector::sketch`] reduce must cost
 //! exactly **one allreduce** of the word count `SketchOp::reduce_words`
-//! predicts (the same closed form `perfmodel::sketch_reduce_words`
-//! mirrors; that join is pinned in `perfmodel`'s tests).
+//! predicts (the sketch reduce `OrthoKind::reduce_schedule` lists; that
+//! join is pinned in `tests/comm_volume_validation.rs`).
 //!
 //! Extra rank counts come from `DISTSIM_TEST_RANKS` (comma-separated) —
 //! CI sweeps it, together with `TWOSTAGE_NUM_THREADS` for the pool width.

@@ -35,11 +35,11 @@
 //! | [`bcgs_pip2_fused`] | 2 | (p + k·s)·k·s each |
 //! | sketched pre-conditioning | 1 | rows·nnz·k·s sketch slots |
 //!
-//! `perfmodel::ortho_cost` lists these reduces once per scheme (its
-//! `schedule`); `perfmodel::block_ortho_cycle_words` sums their words, and
-//! `crates/perfmodel/tests/comm_volume_validation.rs` pins counts and words
-//! against measured `CommStats` for k ∈ {1, 2, 4}, m ∈ {20, 60} and every
-//! two-stage `bs` of the paper's Table II sweep.
+//! [`OrthoKind::reduce_schedule`](crate::OrthoKind::reduce_schedule) lists
+//! these reduces once per scheme, as the words each carries, and
+//! `tests/comm_volume_validation.rs` at the repository root pins counts and
+//! words against measured `CommStats` for k ∈ {1, 2, 4}, m ∈ {20, 60} and
+//! every two-stage `bs` of the paper's Table II sweep.
 //!
 //! The pass savings of [`bcgs_pip2_fused`] hinge on
 //! [`DistMultiVector::update_and_gram`] being a *genuine* single

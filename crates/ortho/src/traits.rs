@@ -2,8 +2,9 @@
 
 use crate::bcgs2::Bcgs2;
 use crate::error::OrthoError;
+use crate::two_stage::flush_due;
 use dense::Matrix;
-use distsim::{DistMultiVector, SketchConfig};
+use distsim::{DistMultiVector, SketchConfig, SKETCH_NNZ_PER_ROW};
 use std::ops::Range;
 
 /// Which stage of a (possibly multi-stage) scheme had to take a remedial
@@ -266,6 +267,87 @@ impl OrthoKind {
             },
             other => other,
         }
+    }
+
+    /// The all-reduces one restart cycle issues after its residual block,
+    /// in issue order, as the `f64` words each carries (Figs. 2–5 of the
+    /// paper): the reduce count is the length, the reduced volume the sum.
+    ///
+    /// `self` is the `k = 1` kind, as in `GmresConfig::ortho`; the cycle has
+    /// `m` block steps of step size `s` over `k` right-hand sides, and `k`
+    /// is applied through [`for_block_width`](Self::for_block_width).  The
+    /// residual block (`k` columns) is cycle setup, identical for every
+    /// scheme, and its reduces are not listed.  Each later panel carries
+    /// `k·s` columns (`m / s` of them, integer division); column-wise CGS2
+    /// takes the `k·m` generated columns one at a time whatever `s` is.
+    /// The two-stage kinds close a big panel where the flush predicate
+    /// [`TwoStage`](crate::TwoStage) itself calls says so, and the sketched
+    /// reduces carry the slots of the operator [`make_orthogonalizer`]
+    /// builds (`SketchConfig::default()`, [`SKETCH_NNZ_PER_ROW`] samples per
+    /// row, over the `k·(m + 1)` basis columns).
+    ///
+    /// For every panel-blocked scheme the count is independent of `k`; the
+    /// words grow at least linearly in it.  Per panel with `p` previous
+    /// columns and width `w`: BCGS projection `p·w`, CholQR `w²`, BCGS-PIP
+    /// `(p + w)·w`, sketch `rows·nnz·w`, a CGS2 column norm `1`.
+    pub fn reduce_schedule(&self, m: usize, s: usize, k: usize) -> Vec<usize> {
+        let kind = self.for_block_width(k);
+        let (panels, panel_width) = match kind {
+            OrthoKind::Cgs2 => (k * m, 1),
+            _ => (m / s, k * s),
+        };
+        let sketch_per_col =
+            SketchConfig::default().rows_per_col * k * (m + 1) * SKETCH_NNZ_PER_ROW;
+        let mut words = Vec::new();
+        let (mut prev, mut big_start) = (0, 0);
+        for j in 0..=panels {
+            let width = if j == 0 { k } else { panel_width };
+            let (bcgs, cholqr, pip) = (prev * width, width * width, (prev + width) * width);
+            let sketch = sketch_per_col * width;
+            let big_panel = match kind {
+                OrthoKind::Cgs2 => {
+                    words.extend([bcgs, bcgs, 1]);
+                    None
+                }
+                // BCGS + CholQR2 + BCGS + CholQR (Fig. 2b).
+                OrthoKind::Bcgs2CholQr2 => {
+                    words.extend([bcgs, cholqr, cholqr, bcgs, cholqr]);
+                    None
+                }
+                OrthoKind::BcgsPip2 => {
+                    words.extend([pip, pip]);
+                    None
+                }
+                OrthoKind::BcgsPip => {
+                    words.push(pip);
+                    None
+                }
+                OrthoKind::RandCholQr => {
+                    words.extend([sketch, pip]);
+                    None
+                }
+                OrthoKind::TwoStage { big_panel } => {
+                    words.push(pip);
+                    Some(big_panel)
+                }
+                OrthoKind::TwoStageSketched { big_panel } => {
+                    words.push(sketch);
+                    Some(big_panel)
+                }
+            };
+            prev += width;
+            if let Some(threshold) = big_panel {
+                let pending = prev - big_start;
+                if flush_due(pending, threshold, j == panels) {
+                    words.push(prev * pending);
+                    big_start = prev;
+                }
+            }
+            if j == 0 {
+                words.clear();
+            }
+        }
+        words
     }
 
     /// Short lowercase label used in experiment tables.

@@ -253,9 +253,11 @@ impl TwoStage {
 /// The flush policy: the second stage runs once the `accumulated`
 /// pre-processed columns reach the `threshold` (`bs`, scaled by the block
 /// width), and on whatever is pending when the cycle ends.  The one
-/// definition both [`TwoStage`] and the `perfmodel` reduce schedule call, so
-/// the model cannot price big panels the scheme does not run.
-pub fn flush_due(accumulated: usize, threshold: usize, end_of_cycle: bool) -> bool {
+/// definition both [`TwoStage`] and [`OrthoKind::reduce_schedule`] call, so
+/// the schedule cannot list big panels the scheme does not run.
+///
+/// [`OrthoKind::reduce_schedule`]: crate::OrthoKind::reduce_schedule
+pub(crate) fn flush_due(accumulated: usize, threshold: usize, end_of_cycle: bool) -> bool {
     accumulated >= threshold || end_of_cycle
 }
 

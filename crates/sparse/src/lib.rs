@@ -49,7 +49,7 @@ pub use mm::{
     MmInfo,
 };
 pub use partition::{
-    block_row_partition, halo_columns, nnz_balanced_partition, nnz_balanced_partition_from_counts,
+    block_row_partition, nnz_balanced_partition, nnz_balanced_partition_from_counts,
     nnz_counting_pass, RowPartition,
 };
 pub use rows::{assemble, assemble_rows, RowSource};

@@ -132,24 +132,6 @@ pub fn nnz_balanced_partition_from_counts(counts: &[usize], nranks: usize) -> Ro
     RowPartition { offsets }
 }
 
-/// For the local row block `[row_start, row_end)` of `a`, the sorted list of
-/// non-owned global columns referenced by the block — i.e. the ghost values
-/// a rank must receive before computing its local part of `A·x`.
-pub fn halo_columns(a: &Csr, row_start: usize, row_end: usize) -> Vec<usize> {
-    let mut ghost: Vec<usize> = Vec::new();
-    for i in row_start..row_end {
-        let (cols, _) = a.row(i);
-        for &c in cols {
-            if c < row_start || c >= row_end {
-                ghost.push(c);
-            }
-        }
-    }
-    ghost.sort_unstable();
-    ghost.dedup();
-    ghost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,22 +285,6 @@ mod tests {
         let p0 = nnz_balanced_partition_from_counts(&[0, 0, 0], 2);
         assert_eq!(p0.nrows(), 3);
         assert_eq!(p0.nranks(), 2);
-    }
-
-    #[test]
-    fn halo_of_interior_block_is_the_stencil_boundary() {
-        // 2D 5-pt Laplacian on a 10x10 grid, rows 30..60 (3 grid rows): the
-        // halo is exactly the grid rows directly above and below the block.
-        let a = laplace2d_5pt(10, 10);
-        let ghosts = halo_columns(&a, 30, 60);
-        let expect: Vec<usize> = (20..30).chain(60..70).collect();
-        assert_eq!(ghosts, expect);
-    }
-
-    #[test]
-    fn halo_of_whole_matrix_is_empty() {
-        let a = laplace2d_5pt(6, 6);
-        assert!(halo_columns(&a, 0, 36).is_empty());
     }
 
     #[test]

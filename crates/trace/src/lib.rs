@@ -4,7 +4,7 @@
 //! paper's core claim is that *synchronization*, not flops, dominates s-step
 //! GMRES at scale; this crate is what lets the repo measure that claim
 //! instead of merely counting reductions (`CommStats`) and words
-//! (`perfmodel::ortho_cycle_words`).
+//! (`OrthoKind::reduce_schedule`).
 //!
 //! Design:
 //!

@@ -10,12 +10,11 @@
 //! * [`sparse`] — CSR matrices, SpMV, model problems, Matrix Market I/O;
 //! * [`distsim`] — the simulated distributed-memory substrate;
 //! * [`blockortho`] — every block orthogonalization scheme of the paper,
-//!   including the two-stage algorithm;
+//!   including the two-stage algorithm, and each scheme's all-reduce
+//!   schedule (`OrthoKind::reduce_schedule`);
 //! * [`ssgmres`] — the standard / s-step GMRES solver with pluggable
 //!   orthogonalization and preconditioning;
-//! * [`testmat`] — the synthetic matrices of the numerical study;
-//! * [`perfmodel`] — each scheme's all-reduce schedule: counts and words,
-//!   asserted against measured `CommStats`.
+//! * [`testmat`] — the synthetic matrices of the numerical study.
 //!
 //! See the `examples/` directory for runnable entry points and the `bench`
 //! crate for the per-table/figure experiment harness.
@@ -26,7 +25,6 @@ pub use blockortho;
 pub use dense;
 pub use distsim;
 pub use parkit;
-pub use perfmodel;
 pub use sparse;
 pub use ssgmres;
 pub use testmat;

@@ -248,7 +248,8 @@ fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
     // controller halves the step; the sketched schemes draw their factor
     // from the sketch QR instead of the squared Gram, record no episodes,
     // and hold the full step at the same per-panel reduce count (that
-    // count parity is pinned in `blockortho`'s and `perfmodel`'s tests).
+    // count parity is pinned in `blockortho`'s tests and
+    // `tests/comm_volume_validation.rs`).
     let a = laplace2d_9pt(16, 16);
     let b = rhs_ones(&a);
     let run = |ortho: SolverOrthoKind| {

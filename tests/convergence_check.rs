@@ -14,7 +14,6 @@ mod common;
 
 use common::{ranks_under_test, thread_lock};
 use distsim::{run_ranks, DistCsr};
-use perfmodel::{block_ortho_reduce_count, SchemeKind};
 use sparse::{block_row_partition, laplace2d_9pt, suitelike, suitesparse_surrogate, Csr};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 
@@ -103,9 +102,11 @@ fn the_flush_trigger_never_fires_away_from_convergence() {
     assert!(r.converged, "{:?}", r.breakdown);
     let (last, full) = r.health_history.split_last().expect("a cycle ran");
     assert!(!full.is_empty(), "the solve must need more than one cycle");
-    // A full cycle: the residual block's panel, which the model leaves out,
-    // then the modelled MPK panels and the one flush at the cycle's end.
-    let per_cycle = 1 + block_ortho_reduce_count(SchemeKind::TwoStage { bs: M }, M, S, 1);
+    // A full cycle: the residual block's panel, which the schedule leaves
+    // out, then the scheduled MPK panels and the one flush at the cycle's end.
+    let per_cycle = 1 + OrthoKind::TwoStage { big_panel: M }
+        .reduce_schedule(M, S, 1)
+        .len();
     for (i, h) in full.iter().enumerate() {
         assert_eq!(h.comm_ortho.allreduces, per_cycle, "cycle {i}");
     }
