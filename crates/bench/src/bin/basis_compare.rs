@@ -33,7 +33,7 @@
 
 use bench::Table;
 use sparse::{laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr, SUITE_SPARSE_SET};
-use ssgmres::{BasisStrategy, GmresConfig, KrylovBasis, OrthoKind, SStepGmres};
+use ssgmres::{BasisStrategy, GmresConfig, OrthoKind, SStepGmres};
 use trace::JsonWriter;
 
 bench::table_row! {
@@ -123,17 +123,12 @@ fn run_matrix(rows: &mut Vec<Row>, name: &str, a: &Csr, svals: &[usize], max_ite
         ));
         for (basis, shifts, result) in runs {
             let num_shifts = shifts.len();
-            let measured = if shifts.is_empty() {
-                KrylovBasis::Monomial
-            } else {
-                KrylovBasis::Newton { shifts }
-            };
             rows.push(Row {
                 matrix: name.to_string(),
                 n: a.nrows(),
                 s,
                 basis,
-                kappa: ssgmres::shifts::basis_condition_number(a, &measured, s, &b),
+                kappa: ssgmres::shifts::basis_condition_number(a, &shifts, s, &b),
                 iterations: result.iterations,
                 restarts: result.restarts,
                 converged: result.converged,

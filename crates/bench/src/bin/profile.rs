@@ -12,7 +12,7 @@
 //!
 //! 1. **Zero-cost check** — the same two-stage solve with tracing disabled
 //!    and enabled must be bitwise identical (solution, iteration counts,
-//!    and every `CommStats` counter, per-peer p2p tallies included), with
+//!    and every `CommStats` counter, p2p messages and words included), with
 //!    zero extra reductions and every span balanced.
 //! 2. **Per-rank timeline** — a 4-rank solve on the `distsim` substrate
 //!    records one labelled lane per rank (allreduce waits, halo pack/send,
@@ -42,7 +42,7 @@ use trace::JsonWriter;
 
 /// Assert that two solves of the same problem are indistinguishable: same
 /// bits in the solution, same work, same communication — counter by
-/// counter, per-peer tallies included.
+/// counter.
 fn assert_solves_identical(tag: &str, x0: &[f64], r0: &SolveResult, x1: &[f64], r1: &SolveResult) {
     assert_eq!(x0, x1, "{tag}: solutions must be bitwise identical");
     assert_eq!(r0.iterations, r1.iterations, "{tag}: iterations");
@@ -146,10 +146,7 @@ fn main() {
     for (rank, (converged, snap)) in per_rank.iter().enumerate() {
         assert!(converged, "rank {rank} must converge");
         if nranks > 1 {
-            assert!(
-                !snap.p2p_peers.is_empty(),
-                "rank {rank} must have per-peer p2p tallies"
-            );
+            assert!(snap.p2p_messages > 0, "rank {rank} must send halo messages");
         }
     }
     assert_eq!(trace::stats().open_spans, 0, "rank spans must be balanced");

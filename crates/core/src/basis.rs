@@ -3,30 +3,27 @@
 //! The paper uses the monomial basis (`v_{k+1} = A·v_k`) for all its
 //! experiments, noting that Newton or Chebyshev bases could reduce the
 //! condition number of the generated s-step basis.  We implement the
-//! monomial and (shifted) Newton bases; the change-of-basis information is
-//! exposed as a per-column shift `θ_k` so the Hessenberg recovery can
-//! account for it (`A·u_k = w_{k+1} + θ_k·u_k`).
+//! monomial and (shifted) Newton bases.  A cycle's basis is its shift list
+//! (empty = monomial), and [`shift`] reads the per-column shift `θ_k` off it
+//! so the Hessenberg recovery can account for it (`A·u_k = w_{k+1} +
+//! θ_k·u_k`).
 
-/// The polynomial basis generated by the matrix-powers kernel.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum KrylovBasis {
-    /// Monomial basis: `w_{k+1} = A·u_k`.
-    #[default]
-    Monomial,
-    /// Newton basis: `w_{k+1} = (A − θ_k·I)·u_k` with the given shifts
-    /// (typically Leja-ordered Ritz values).  Shifts are cycled if the
-    /// basis is longer than the shift list.
-    Newton {
-        /// The shift values `θ_k`.
-        shifts: Vec<f64>,
-    },
+/// The shift `θ_k` applied when generating basis column `k+1` from column
+/// `k`: the shift list cycled over the columns, `0` for the monomial basis
+/// (an empty list).
+pub fn shift(shifts: &[f64], k: usize) -> f64 {
+    if shifts.is_empty() {
+        0.0
+    } else {
+        shifts[k % shifts.len()]
+    }
 }
 
 /// How the solver chooses the Krylov basis across restart cycles.
 ///
-/// [`KrylovBasis`] is the per-cycle *mechanism* (which shift is applied to
-/// which column); `BasisStrategy` is the *policy* that selects it — in
-/// particular [`BasisStrategy::Adaptive`], which starts monomial and
+/// A cycle's shift list is the *mechanism* ([`shift`] reads which shift is
+/// applied to which column); `BasisStrategy` is the *policy* that selects
+/// it — in particular [`BasisStrategy::Adaptive`], which starts monomial and
 /// re-harvests Leja-ordered Ritz shifts from the recovered Hessenberg
 /// matrix after every restart (see [`crate::shifts`]).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -69,63 +66,22 @@ impl BasisStrategy {
         BasisStrategy::Adaptive { max_shifts: 0 }
     }
 
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
+    /// The shifts of the first restart cycle under this strategy.
+    pub(crate) fn initial_basis(&self) -> Vec<f64> {
         match self {
-            BasisStrategy::Monomial => "monomial",
-            BasisStrategy::Newton { .. } => "newton",
-            BasisStrategy::Adaptive { .. } => "adaptive",
-            BasisStrategy::Scheduled { .. } => "scheduled",
-        }
-    }
-
-    /// The basis used by the first restart cycle under this strategy.
-    pub(crate) fn initial_basis(&self) -> KrylovBasis {
-        match self {
-            BasisStrategy::Monomial | BasisStrategy::Adaptive { .. } => KrylovBasis::Monomial,
-            BasisStrategy::Newton { shifts } => KrylovBasis::Newton {
-                shifts: shifts.clone(),
-            },
+            BasisStrategy::Monomial | BasisStrategy::Adaptive { .. } => Vec::new(),
+            BasisStrategy::Newton { shifts } => shifts.clone(),
             BasisStrategy::Scheduled { per_cycle } => Self::scheduled_basis(per_cycle, 0),
         }
     }
 
-    /// The basis a [`BasisStrategy::Scheduled`] run uses in cycle `c`.
-    pub(crate) fn scheduled_basis(per_cycle: &[Vec<f64>], c: usize) -> KrylovBasis {
-        let shifts = match per_cycle.get(c).or(per_cycle.last()) {
-            Some(s) => s.clone(),
-            None => Vec::new(),
-        };
-        if shifts.is_empty() {
-            KrylovBasis::Monomial
-        } else {
-            KrylovBasis::Newton { shifts }
-        }
-    }
-}
-
-impl KrylovBasis {
-    /// The shift `θ_k` applied when generating basis column `k+1` from
-    /// column `k` (0 for the monomial basis).
-    pub fn shift(&self, k: usize) -> f64 {
-        match self {
-            KrylovBasis::Monomial => 0.0,
-            KrylovBasis::Newton { shifts } => {
-                if shifts.is_empty() {
-                    0.0
-                } else {
-                    shifts[k % shifts.len()]
-                }
-            }
-        }
-    }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KrylovBasis::Monomial => "monomial",
-            KrylovBasis::Newton { .. } => "newton",
-        }
+    /// The shifts a [`BasisStrategy::Scheduled`] run uses in cycle `c`.
+    pub(crate) fn scheduled_basis(per_cycle: &[Vec<f64>], c: usize) -> Vec<f64> {
+        per_cycle
+            .get(c)
+            .or(per_cycle.last())
+            .cloned()
+            .unwrap_or_default()
     }
 }
 
@@ -135,27 +91,26 @@ mod tests {
 
     #[test]
     fn monomial_has_zero_shifts() {
-        let b = KrylovBasis::Monomial;
+        let shifts = BasisStrategy::Monomial.initial_basis();
         for k in 0..10 {
-            assert_eq!(b.shift(k), 0.0);
+            assert_eq!(shift(&shifts, k), 0.0);
         }
-        assert_eq!(b.label(), "monomial");
     }
 
     #[test]
     fn newton_cycles_shifts() {
-        let b = KrylovBasis::Newton {
-            shifts: vec![1.0, 2.0, 3.0],
-        };
-        assert_eq!(b.shift(0), 1.0);
-        assert_eq!(b.shift(2), 3.0);
-        assert_eq!(b.shift(3), 1.0);
-        assert_eq!(b.label(), "newton");
+        let shifts = [1.0, 2.0, 3.0];
+        assert_eq!(shift(&shifts, 0), 1.0);
+        assert_eq!(shift(&shifts, 2), 3.0);
+        assert_eq!(shift(&shifts, 3), 1.0);
     }
 
     #[test]
     fn empty_newton_shift_list_degenerates_to_monomial() {
-        let b = KrylovBasis::Newton { shifts: vec![] };
-        assert_eq!(b.shift(5), 0.0);
+        let empty = BasisStrategy::Newton { shifts: vec![] };
+        assert_eq!(
+            empty.initial_basis(),
+            BasisStrategy::Monomial.initial_basis()
+        );
     }
 }

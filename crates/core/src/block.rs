@@ -101,7 +101,7 @@
 //! [`Communicator::guards`], reading the counters as a delta from the
 //! solve's start.
 
-use crate::basis::{BasisStrategy, KrylovBasis};
+use crate::basis::{self, BasisStrategy};
 use crate::control::{self, CycleHealth, StepController, StepDecision};
 use crate::hessenberg::HessenbergRecovery;
 use crate::precond::{Identity, Preconditioner};
@@ -172,12 +172,7 @@ impl SStepGmres {
         opts: &BlockOptions,
     ) -> SolveResult {
         let mut solve = Solve::start(self.config(), a, precond, b_local, x_local, opts);
-        if solve.r0_norms.iter().all(|&r0| r0 == 0.0) {
-            // Nothing to solve, and no restart boundary to deflate at.
-            solve.report.col_converged.fill(true);
-        } else {
-            solve.run();
-        }
+        solve.run();
         solve.finish()
     }
 
@@ -225,7 +220,8 @@ struct Solve<'a> {
 
     // Policy state.  The controller observes every cycle's health (all
     // signals are replicated, so its decisions cost no communication).
-    current_basis: KrylovBasis,
+    /// The shifts of the next cycle's Krylov basis (empty = monomial).
+    current_basis: Vec<f64>,
     controller: StepController,
     /// Aggregate (max over active columns) relative residual per cycle: the
     /// block-level signal stagnation detection runs on.
@@ -575,10 +571,7 @@ impl<'a> Solve<'a> {
             index,
             step,
             ka,
-            shifts: match &self.current_basis {
-                KrylovBasis::Monomial => Vec::new(),
-                KrylovBasis::Newton { shifts } => shifts.clone(),
-            },
+            shifts: self.current_basis.clone(),
             comm_ortho: CommStatsSnapshot::default(),
             fault_base: guard_counts(self.a),
             clock: PhaseClock::start(),
@@ -630,7 +623,7 @@ impl<'a> Solve<'a> {
                     s.a.spmv(&s.z, w);
                     s.report.spmv_count += 1;
                     // Shifts apply per block step, not per column.
-                    let theta = s.current_basis.shift(input / ka);
+                    let theta = basis::shift(&s.current_basis, input / ka);
                     if theta != 0.0 {
                         for (wi, ui) in w.iter_mut().zip(u) {
                             *wi -= theta * ui;
@@ -860,7 +853,7 @@ impl<'a> Solve<'a> {
         // policy retries the next cycle with the monomial basis (the shifts
         // may be what broke the panel).
         if matches!(self.config.basis, BasisStrategy::Adaptive { .. }) {
-            self.current_basis = KrylovBasis::Monomial;
+            self.current_basis.clear();
         }
         self.keep_rescue_shifts();
         self.report.restarts += 1;
@@ -947,10 +940,7 @@ impl<'a> Solve<'a> {
             self.report.last_harvest = Some(h.clone());
         }
         if matches!(self.config.basis, BasisStrategy::Adaptive { .. }) {
-            self.current_basis = match harvest {
-                Some(shifts) => KrylovBasis::Newton { shifts },
-                None => KrylovBasis::Monomial,
-            };
+            self.current_basis = harvest.unwrap_or_default();
         }
     }
 
@@ -969,9 +959,7 @@ impl<'a> Solve<'a> {
             return;
         }
         if let Some(shifts) = self.report.last_harvest.as_ref().filter(|s| !s.is_empty()) {
-            self.current_basis = KrylovBasis::Newton {
-                shifts: shifts.clone(),
-            };
+            self.current_basis = shifts.clone();
         }
     }
 
@@ -1007,7 +995,7 @@ impl<'a> Solve<'a> {
         let health = CycleHealth {
             step: cy.step,
             shifts: std::mem::take(&mut cy.shifts),
-            comm_ortho: std::mem::take(&mut cy.comm_ortho),
+            comm_ortho: cy.comm_ortho,
             usable_cols,
             kappa_est,
             fallbacks,
@@ -1060,7 +1048,9 @@ fn cols_to_matrix(nloc: usize, cols: &[Vec<f64>]) -> Matrix {
 
 /// Global 2-norms of the active residual columns in **one** all-reduce of
 /// `active.len()` words (twice that when guarded: the duplicated-word
-/// screen); all `NaN` when the guards poisoned the reduce.
+/// screen); all `NaN` when the guards poisoned the reduce.  The reduced
+/// sums are non-negative by construction, so their roots are taken as they
+/// are: a NaN in a residual stays NaN in its norm.
 fn block_norms(residuals: &[Vec<f64>], active: &[usize], comm: &dyn Communicator) -> Vec<f64> {
     let mut sq: Vec<f64> = active
         .iter()
@@ -1069,7 +1059,7 @@ fn block_norms(residuals: &[Vec<f64>], active: &[usize], comm: &dyn Communicator
     if !comm.allreduce_screened(&mut sq, Screen::Norms) {
         return vec![f64::NAN; sq.len()];
     }
-    sq.iter().map(|v| v.max(0.0).sqrt()).collect()
+    sq.iter().map(|v| v.sqrt()).collect()
 }
 
 /// The replicated scalar staged for the cross-rank agreement probe: the
@@ -1275,6 +1265,10 @@ mod tests {
         assert_eq!(r.iterations, 0);
         assert!(x.data().iter().all(|&v| v == 0.0));
         assert_eq!(r.final_relres, vec![0.0, 0.0]);
+        // Converged before the first cycle, like a zero column in a mixed
+        // block.
+        assert_eq!(r.deflated_at, vec![Some(0), Some(0)]);
+        assert_eq!(r.deflation_order, vec![0, 1]);
     }
 
     #[test]

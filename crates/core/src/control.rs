@@ -53,17 +53,6 @@ pub enum StepPolicy {
     },
 }
 
-impl StepPolicy {
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StepPolicy::Fixed => "fixed",
-            StepPolicy::Auto => "auto",
-            StepPolicy::Scheduled { .. } => "scheduled",
-        }
-    }
-}
-
 // Thresholds of the self-rescuing step policy.  Every cycle is assessed
 // with them, whatever the policy, so `health_history` reads the same
 // everywhere; only [`StepPolicy::Auto`] acts on the verdict.

@@ -46,7 +46,7 @@
 //! bandwidth `kb`.  [`HessenbergRecovery::with_block_width`] runs exactly
 //! this recurrence; at `kb = 1` it is bitwise the scalar recovery.
 
-use crate::basis::KrylovBasis;
+use crate::basis;
 use dense::Matrix;
 
 // What basis column `c` held when the matrix-powers kernel read it as an
@@ -143,10 +143,10 @@ impl HessenbergRecovery {
 
     /// Recover Hessenberg columns up to (excluding) `upto`, given the current
     /// `R` factor, the orthogonalizer's stored basis coefficients (`None` =
-    /// identity), and the Krylov basis (for its shifts).  Columns that read
-    /// entries not yet final come out in stored-basis coordinates; the
-    /// solver rewinds the recovery first whenever the final boundary may
-    /// have moved.
+    /// identity), and the Krylov basis's shift list (empty = monomial).
+    /// Columns that read entries not yet final come out in stored-basis
+    /// coordinates; the solver rewinds the recovery first whenever the final
+    /// boundary may have moved.
     ///
     /// Panics if a diagonal coefficient needed for the recurrence is zero —
     /// that can only happen after an orthogonalization breakdown, which the
@@ -156,7 +156,7 @@ impl HessenbergRecovery {
         upto: usize,
         r: &Matrix,
         coeffs: Option<&Matrix>,
-        basis: &KrylovBasis,
+        shifts: &[f64],
     ) {
         let mrows = self.h.nrows();
         let kb = self.width;
@@ -180,7 +180,7 @@ impl HessenbergRecovery {
             }
             // Shifts are per *block step*: input column c belongs to block
             // step c / kb (at kb = 1 this is c itself).
-            let theta = basis.shift(c / kb);
+            let theta = basis::shift(shifts, c / kb);
             // Numerator: R[:, c+kb] + theta * t − Σ_{k<c} H[:,k]·t[k].
             let mut num = vec![0.0; mrows];
             for i in 0..(c + kb + 1).min(mrows) {
@@ -290,7 +290,7 @@ mod tests {
         let (q, r) = dense::householder_qr(&w);
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         // All inputs are raw (t_c = R[:, c]).
-        rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
+        rec.recover_upto(m, &r, None, &[]);
         // Reference H = Q_{:,0:m}ᵀ A Q_{:,0:m}, extended Hessenberg.
         let aq = dense::gemm_nn(&a, &q.cols_owned(0..m));
         let h_ref = dense::gemm_tn(&q.view(), &aq.view());
@@ -325,7 +325,7 @@ mod tests {
         for c in 0..m {
             rec.mark_submitted_input(c, 0);
         }
-        rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
+        rec.recover_upto(m, &r, None, &[]);
         for c in 0..m {
             for i in 0..=c + 1 {
                 assert!((rec.matrix()[(i, c)] - r[(i, c + 1)]).abs() < 1e-15);
@@ -356,7 +356,7 @@ mod tests {
             for c in 0..m {
                 rec.mark_submitted_input(c, finalized);
             }
-            rec.recover_upto(m, &r, Some(&t), &KrylovBasis::Monomial);
+            rec.recover_upto(m, &r, Some(&t), &[]);
             rec
         };
         let identity = {
@@ -364,7 +364,7 @@ mod tests {
             for c in 0..m {
                 rec.mark_submitted_input(c, 0);
             }
-            rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
+            rec.recover_upto(m, &r, None, &[]);
             rec
         };
         assert_eq!(recover(m + 1).matrix(), identity.matrix());
@@ -389,15 +389,8 @@ mod tests {
             rec_mono.mark_submitted_input(c, 0);
             rec_newton.mark_submitted_input(c, 0);
         }
-        rec_mono.recover_upto(m, &r, None, &KrylovBasis::Monomial);
-        rec_newton.recover_upto(
-            m,
-            &r,
-            None,
-            &KrylovBasis::Newton {
-                shifts: vec![theta],
-            },
-        );
+        rec_mono.recover_upto(m, &r, None, &[]);
+        rec_newton.recover_upto(m, &r, None, &[theta]);
         for c in 0..m {
             for i in 0..=c + 1 {
                 let expect = rec_mono.matrix()[(i, c)] + if i == c { theta } else { 0.0 };
@@ -420,7 +413,7 @@ mod tests {
             }
         }
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
-        rec.recover_upto(m, &r, None, &KrylovBasis::Monomial);
+        rec.recover_upto(m, &r, None, &[]);
         let mut prev = f64::INFINITY;
         for k in 1..=m {
             let (_, res) = rec.least_squares(k, 1.0);
@@ -447,15 +440,13 @@ mod tests {
                 r[(i, j)] = 1.0 / (1.0 + (2 * i + 3 * j) as f64) + if i == j { 0.5 } else { 0.0 };
             }
         }
-        let basis = KrylovBasis::Newton {
-            shifts: vec![1.25, -0.5],
-        };
+        let shifts = [1.25, -0.5];
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
         assert_eq!(rec.width(), 1);
         for c in [0, 3, 5] {
             rec.mark_submitted_input(c, 0);
         }
-        rec.recover_upto(m, &r, None, &basis);
+        rec.recover_upto(m, &r, None, &shifts);
         // The block least-squares with the scalar convention's rhs (β·e₁)
         // solves the same projected problem (different factorization path,
         // so close — the solver keeps the bitwise scalar route at kb = 1).
@@ -509,7 +500,7 @@ mod tests {
         }
         let (q, r) = dense::householder_qr(&w);
         let mut rec = HessenbergRecovery::with_block_width(total, kb);
-        rec.recover_upto(total - kb, &r, None, &KrylovBasis::Monomial);
+        rec.recover_upto(total - kb, &r, None, &[]);
         let aq = dense::gemm_nn(&a, &q.cols_owned(0..total - kb));
         let h_ref = dense::gemm_tn(&q.view(), &aq.view());
         for c in 0..total - kb {

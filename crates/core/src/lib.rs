@@ -12,8 +12,7 @@
 //!   orthogonalization schemes of the [`blockortho`] crate (BCGS2 with
 //!   CholQR2, BCGS-PIP2, or the **two-stage** scheme);
 //! * right preconditioning with the local preconditioners the paper uses
-//!   (Jacobi, block-Jacobi Gauss–Seidel, multicolor Gauss–Seidel, and a
-//!   polynomial preconditioner as an extension).
+//!   (Jacobi, block-Jacobi Gauss–Seidel, multicolor Gauss–Seidel).
 //!
 //! The solver operates on the distributed substrate of [`distsim`]
 //! (block-row [`distsim::DistCsr`] matrix, [`distsim::DistMultiVector`]
@@ -63,12 +62,12 @@ pub mod report;
 pub mod shifts;
 pub mod solver;
 
-pub use basis::{BasisStrategy, KrylovBasis};
+pub use basis::BasisStrategy;
 pub use block::BlockOptions;
 pub use control::{CycleHealth, CycleVerdict, StepController, StepDecision, StepPolicy};
 pub use hessenberg::HessenbergRecovery;
 pub use precond::{
-    BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Polynomial, Preconditioner,
+    BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Preconditioner,
 };
 pub use report::{CycleTiming, Phase};
 pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};

@@ -221,74 +221,6 @@ impl Preconditioner for MulticolorGaussSeidel {
     }
 }
 
-/// Polynomial (damped Neumann series) preconditioner
-/// `M⁻¹ ≈ ω·Σ_{k<degree} (I − ω·D⁻¹·A)^k·D⁻¹` — a communication-free
-/// preconditioner sometimes paired with s-step methods; provided as an
-/// extension beyond the paper's evaluation.
-#[derive(Debug)]
-pub struct Polynomial {
-    local: Csr,
-    inv_diag: Vec<f64>,
-    degree: usize,
-    omega: f64,
-}
-
-impl Polynomial {
-    /// Build with the given polynomial degree and damping factor `omega`.
-    pub fn new(local: &Csr, degree: usize, omega: f64) -> Self {
-        assert!(degree >= 1, "polynomial degree must be at least 1");
-        let n = local.nrows();
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            let (cols, vals) = local.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c < n {
-                    triplets.push(sparse::Triplet {
-                        row: i,
-                        col: c,
-                        val: v,
-                    });
-                }
-            }
-        }
-        let local_block = Csr::from_triplets(n, n, &triplets);
-        let inv_diag = local_block
-            .diagonal()
-            .iter()
-            .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
-        Self {
-            local: local_block,
-            inv_diag,
-            degree,
-            omega,
-        }
-    }
-}
-
-impl Preconditioner for Polynomial {
-    fn apply(&self, input: &[f64], out: &mut [f64]) {
-        let n = self.local.nrows();
-        assert_eq!(input.len(), n, "polynomial: length mismatch");
-        // out = omega * sum_k (I - omega D^-1 A)^k D^-1 input, computed with
-        // the iteration x_{k+1} = x_k + omega D^-1 (input - A x_k).
-        for o in out.iter_mut() {
-            *o = 0.0;
-        }
-        let mut ax = vec![0.0; n];
-        for _ in 0..self.degree {
-            self.local.spmv(out, &mut ax);
-            for i in 0..n {
-                out[i] += self.omega * self.inv_diag[i] * (input[i] - ax[i]);
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "polynomial (damped Neumann)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,21 +339,6 @@ mod tests {
             let e = energy(&x);
             assert!(e < prev, "sweeps {sweeps}: energy error {e} >= {prev}");
             prev = e;
-        }
-    }
-
-    #[test]
-    fn polynomial_preconditioner_improves_with_degree() {
-        let a = laplace2d_5pt(8, 8);
-        let b = vec![1.0; 64];
-        let mut prev = f64::INFINITY;
-        for degree in [1, 3, 6] {
-            let p = Polynomial::new(&a, degree, 0.8);
-            let mut x = vec![0.0; 64];
-            p.apply(&b, &mut x);
-            let r = residual_norm(&a, &x, &b);
-            assert!(r < prev, "degree {degree}");
-            prev = r;
         }
     }
 

@@ -22,12 +22,13 @@
 //!    successive shift maximizes the product of distances to all previous
 //!    ones, with complex-conjugate pairs kept adjacent so a real-arithmetic
 //!    implementation can pair them;
-//! 4. **Realize** — [`KrylovBasis::Newton`](crate::KrylovBasis) stores real
-//!    shifts, so each point contributes its real part (a conjugate pair
-//!    contributes it twice, adjacently).  For the real-spectrum problems of
-//!    the paper's evaluation the Ritz values are real and this is exact; for
-//!    genuinely complex pairs it is the common real-part simplification,
-//!    which still centers the basis polynomials on the spectrum.
+//! 4. **Realize** — a cycle's Krylov basis is a list of real shifts
+//!    ([`crate::basis::shift`]), so each point contributes its real part (a
+//!    conjugate pair contributes it twice, adjacently).  For the
+//!    real-spectrum problems of the paper's evaluation the Ritz values are
+//!    real and this is exact; for genuinely complex pairs it is the common
+//!    real-part simplification, which still centers the basis polynomials
+//!    on the spectrum.
 //!
 //! Everything here is deterministic and communication-free: the Hessenberg
 //! matrix is replicated on every rank (it is recovered from the replicated
@@ -262,7 +263,8 @@ pub fn harvest_newton_shifts(
 }
 
 /// Condition number of the (column-normalized) `s+1`-column Krylov basis
-/// generated by the matrix-powers kernel under `basis`, starting from `v0`.
+/// generated by the matrix-powers kernel under the shift list `shifts`
+/// (empty = monomial), starting from `v0`.
 ///
 /// This is the `κ(basis)` the paper's Fig. 9 tracks and the quantity the
 /// basis-comparison experiment records: each column is scaled to unit norm
@@ -270,12 +272,7 @@ pub fn harvest_newton_shifts(
 /// to repair; column scaling is repaired for free by the R factor), and the
 /// singular values come from the Jacobi SVD so values near `1/ε` are still
 /// resolved.
-pub fn basis_condition_number(
-    a: &sparse::Csr,
-    basis: &crate::KrylovBasis,
-    s: usize,
-    v0: &[f64],
-) -> f64 {
+pub fn basis_condition_number(a: &sparse::Csr, shifts: &[f64], s: usize, v0: &[f64]) -> f64 {
     let n = a.nrows();
     assert_eq!(v0.len(), n, "start vector length mismatch");
     let mut w = Matrix::zeros(n, s + 1);
@@ -284,7 +281,7 @@ pub fn basis_condition_number(
     for k in 0..s {
         let input = w.col(k).to_vec();
         let mut next = a.spmv_alloc(&input);
-        let theta = basis.shift(k);
+        let theta = crate::basis::shift(shifts, k);
         if theta != 0.0 {
             for (wi, ui) in next.iter_mut().zip(&input) {
                 *wi -= theta * ui;
@@ -315,7 +312,6 @@ fn normalize(col: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basis::KrylovBasis;
 
     #[test]
     fn leja_first_point_has_max_modulus() {
@@ -479,7 +475,7 @@ mod tests {
         let a = sparse::laplace2d_5pt(16, 16);
         let v0 = vec![1.0; a.nrows()];
         let s = 8;
-        let mono = basis_condition_number(&a, &KrylovBasis::Monomial, s, &v0);
+        let mono = basis_condition_number(&a, &[], s, &v0);
         // Exact-spectrum Leja shifts for the 2-D Laplacian.
         let lam = |k: usize, n: usize| {
             2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n + 1) as f64).cos()
@@ -491,7 +487,7 @@ mod tests {
             }
         }
         let shifts = newton_shifts(&spectrum, s, 1e-6).unwrap();
-        let newton = basis_condition_number(&a, &KrylovBasis::Newton { shifts }, s, &v0);
+        let newton = basis_condition_number(&a, &shifts, s, &v0);
         assert!(
             newton < mono,
             "Newton κ {newton:.3e} must beat monomial κ {mono:.3e}"

@@ -465,6 +465,22 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_initial_guess_is_never_reported_as_converged() {
+        // The NaN poisons the residual norm, which must stay NaN rather
+        // than read as a zero residual that ends the solve before it starts.
+        let a = laplace2d_5pt(10, 10);
+        let b = rhs_for_ones(&a);
+        let part = block_row_partition(a.nrows(), 1);
+        let dist = DistCsr::from_global(SerialComm::new(), &a, &part);
+        let mut x = vec![0.0; a.nrows()];
+        x[3] = f64::NAN;
+        let result = SStepGmres::new(GmresConfig::default()).solve(&dist, &Identity, &b, &mut x);
+        assert!(!result.converged, "{result:?}");
+        assert!(result.final_relres[0].is_nan(), "{:?}", result.final_relres);
+        assert!(result.breakdown.is_some());
+    }
+
+    #[test]
     fn iteration_cap_is_respected() {
         let a = laplace2d_5pt(30, 30);
         let b = rhs_for_ones(&a);

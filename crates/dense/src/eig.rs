@@ -21,13 +21,13 @@ use crate::matrix::Matrix;
 /// typically reached in < 15 sweeps for the matrix sizes used here).
 const MAX_SWEEPS: usize = 64;
 
-/// Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
+/// Eigenvalues (ascending) of a symmetric matrix, by cyclic Jacobi
+/// rotations.
 ///
-/// Only the upper triangle of `a` is read.  The columns of the returned
-/// matrix are the eigenvectors, in the same order as the eigenvalues.
-pub fn sym_eig_jacobi(a: &Matrix) -> (Vec<f64>, Matrix) {
+/// Only the upper triangle of `a` is read.
+pub fn sym_eigvals(a: &Matrix) -> Vec<f64> {
     let n = a.nrows();
-    assert_eq!(a.ncols(), n, "sym_eig_jacobi: matrix must be square");
+    assert_eq!(a.ncols(), n, "sym_eigvals: matrix must be square");
     let mut m = a.clone();
     // Symmetrize from the upper triangle.
     for j in 0..n {
@@ -36,10 +36,8 @@ pub fn sym_eig_jacobi(a: &Matrix) -> (Vec<f64>, Matrix) {
             m[(j, i)] = v;
         }
     }
-    let mut v = Matrix::identity(n);
     if n <= 1 {
-        let evs = if n == 1 { vec![m[(0, 0)]] } else { Vec::new() };
-        return (evs, v);
+        return if n == 1 { vec![m[(0, 0)]] } else { Vec::new() };
     }
     let tol = f64::EPSILON * off_norm(&m).max(f64::MIN_POSITIVE);
     for _sweep in 0..MAX_SWEEPS {
@@ -76,34 +74,12 @@ pub fn sym_eig_jacobi(a: &Matrix) -> (Vec<f64>, Matrix) {
                     m[(p, k)] = c * mpk - s * mqk;
                     m[(q, k)] = s * mpk + c * mqk;
                 }
-                // Accumulate the eigenvectors.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
             }
         }
     }
     let mut eigvals: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    // Sort ascending, permuting the eigenvector columns accordingly.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| eigvals[i].partial_cmp(&eigvals[j]).unwrap());
-    let sorted_vals: Vec<f64> = order.iter().map(|&i| eigvals[i]).collect();
-    let mut sorted_vecs = Matrix::zeros(n, n);
-    for (new_col, &old_col) in order.iter().enumerate() {
-        for i in 0..n {
-            sorted_vecs[(i, new_col)] = v[(i, old_col)];
-        }
-    }
-    eigvals = sorted_vals;
-    (eigvals, sorted_vecs)
-}
-
-/// Eigenvalues only (ascending) of a symmetric matrix.
-pub fn sym_eigvals(a: &Matrix) -> Vec<f64> {
-    sym_eig_jacobi(a).0
+    eigvals.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    eigvals
 }
 
 /// The double-shift QR iteration failed to deflate an eigenvalue within the
@@ -349,64 +325,36 @@ mod tests {
     #[test]
     fn diagonal_matrix_eigenvalues_are_sorted_diagonal() {
         let a = Matrix::from_rows(&[&[3.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 2.0]]);
-        let (vals, _) = sym_eig_jacobi(&a);
-        assert_eq!(vals, vec![1.0, 2.0, 3.0]);
+        assert_eq!(sym_eigvals(&a), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn two_by_two_known_eigenvalues() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let (vals, vecs) = sym_eig_jacobi(&a);
+        let vals = sym_eigvals(&a);
         assert!((vals[0] - 1.0).abs() < 1e-14);
         assert!((vals[1] - 3.0).abs() < 1e-14);
-        // A·v = λ·v for both pairs.
-        for k in 0..2 {
-            for i in 0..2 {
-                let av: f64 = (0..2).map(|j| a[(i, j)] * vecs[(j, k)]).sum();
-                assert!((av - vals[k] * vecs[(i, k)]).abs() < 1e-13);
-            }
-        }
     }
 
     #[test]
-    fn reconstructs_matrix_from_spectral_decomposition() {
+    fn eigenvalues_keep_the_trace_and_the_frobenius_norm() {
+        // Orthogonal similarity preserves Σλ = tr(A) and Σλ² = ‖A‖_F².
         let b = Matrix::from_fn(6, 6, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
         let a = gemm_nn(&b.transpose(), &b); // symmetric PSD
-        let (vals, vecs) = sym_eig_jacobi(&a);
-        // A ≈ V diag(vals) Vᵀ
-        let mut lambda = Matrix::zeros(6, 6);
-        for i in 0..6 {
-            lambda[(i, i)] = vals[i];
-        }
-        let back = gemm_nn(&gemm_nn(&vecs, &lambda), &vecs.transpose());
-        for i in 0..6 {
-            for j in 0..6 {
-                assert!((back[(i, j)] - a[(i, j)]).abs() < 1e-10 * a.max_abs());
-            }
-        }
-    }
-
-    #[test]
-    fn eigenvectors_are_orthonormal() {
-        let b = Matrix::from_fn(8, 8, |i, j| ((i + 2 * j) % 5) as f64 * 0.3);
-        let a = gemm_nn(&b.transpose(), &b);
-        let (_, vecs) = sym_eig_jacobi(&a);
-        let vtv = gemm_nn(&vecs.transpose(), &vecs);
-        for i in 0..8 {
-            for j in 0..8 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((vtv[(i, j)] - expect).abs() < 1e-12);
-            }
-        }
+        let vals = sym_eigvals(&a);
+        let trace: f64 = (0..6).map(|i| a[(i, i)]).sum();
+        let frob_sq: f64 = a.data().iter().map(|v| v * v).sum();
+        let sum: f64 = vals.iter().sum();
+        let sum_sq: f64 = vals.iter().map(|v| v * v).sum();
+        assert!((sum - trace).abs() < 1e-10 * trace);
+        assert!((sum_sq - frob_sq).abs() < 1e-10 * frob_sq);
     }
 
     #[test]
     fn handles_tiny_and_empty_matrices() {
-        let (vals, _) = sym_eig_jacobi(&Matrix::from_rows(&[&[5.0]]));
-        assert_eq!(vals, vec![5.0]);
-        let (vals0, _) = sym_eig_jacobi(&Matrix::zeros(0, 0));
-        assert!(vals0.is_empty());
+        assert_eq!(sym_eigvals(&Matrix::from_rows(&[&[5.0]])), vec![5.0]);
+        assert!(sym_eigvals(&Matrix::zeros(0, 0)).is_empty());
     }
 
     #[test]

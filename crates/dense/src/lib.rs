@@ -17,11 +17,11 @@
 //!   and property-test oracles;
 //! * Cholesky factorization (plain and shifted) in [`chol`];
 //! * Householder QR for tall-skinny panels in [`qr`];
-//! * a cyclic Jacobi symmetric eigensolver in [`eig`] used to measure
-//!   condition numbers and orthogonality errors exactly as the paper's
-//!   MATLAB experiments do, plus a double-shift QR eigensolver for the real
-//!   Hessenberg matrices the Newton-shift harvester extracts Ritz values
-//!   from;
+//! * a cyclic Jacobi symmetric eigenvalue solver in [`eig`]
+//!   ([`sym_eigvals`], eigenvalues only) used to measure condition numbers
+//!   and orthogonality errors exactly as the paper's MATLAB experiments do,
+//!   plus a double-shift QR eigensolver for the real Hessenberg matrices
+//!   the Newton-shift harvester extracts Ritz values from;
 //! * small upper-triangular utilities in [`tri`] and Givens/least-squares
 //!   helpers for the Hessenberg solve in [`lsq`].
 //!
@@ -50,7 +50,7 @@ pub use blas3::{
     ROW_BLOCK, TILE,
 };
 pub use chol::{cholesky_upper, shifted_cholesky_upper, CholeskyError};
-pub use eig::{hessenberg_eigvals, sym_eig_jacobi, sym_eigvals, HessEigError};
+pub use eig::{hessenberg_eigvals, sym_eigvals, HessEigError};
 pub use lsq::{band_hessenberg_lsq, givens_rotation, hessenberg_lsq};
 pub use matrix::{MatView, MatViewMut, Matrix};
 pub use measure::{
@@ -60,6 +60,3 @@ pub use qr::householder_qr;
 pub use simd::{set_simd_override, simd_label, simd_level, SimdLevel};
 pub use svd::svdvals_jacobi;
 pub use tri::{tri_matmul_upper, tri_solve_upper, tri_solve_upper_transpose};
-
-/// Machine epsilon for `f64`, exposed for readability in stability bounds.
-pub const EPS: f64 = f64::EPSILON;

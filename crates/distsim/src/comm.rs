@@ -84,14 +84,6 @@ pub trait Communicator: Send + Sync + std::fmt::Debug {
         self.allreduce_sum(buf);
     }
 
-    /// Convenience scalar all-reduce (still one global reduction of one
-    /// word).
-    fn allreduce_sum_scalar(&self, x: f64) -> f64 {
-        let mut buf = [x];
-        self.allreduce_sum(&mut buf);
-        buf[0]
-    }
-
     /// [`allreduce_sum`](Self::allreduce_sum) of a payload whose healthy
     /// shape `screen` describes.  Returns `false` when a
     /// [`GuardedComm`] gave up on the payload and poisoned it with NaN;

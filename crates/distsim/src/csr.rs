@@ -6,10 +6,10 @@
 //! the matrix-powers kernel).
 //!
 //! Construction is **streamed**: a rank supplies only its own row block —
-//! from a [`RowSource`] generator ([`DistCsr::from_row_source`]), a plain
-//! row iterator ([`DistCsr::from_row_stream`]), or an already-assembled
-//! local block with global columns ([`DistCsr::from_partitioned`], e.g.
-//! from `sparse::mm::read_matrix_market_row_block`) — so peak per-rank
+//! from a [`RowSource`] generator ([`DistCsr::from_row_source`]) or an
+//! already-assembled local block with global columns
+//! ([`DistCsr::from_partitioned`], e.g. from
+//! `sparse::mm::read_matrix_market_row_block`) — so peak per-rank
 //! memory is `O(nnz/P + halo)` instead of `O(nnz)`
 //! (`crates/distsim/tests/streamed_assembly_memory.rs` enforces this with
 //! an allocation-tracking harness).  The halo/recv/send plan is negotiated
@@ -125,43 +125,6 @@ impl DistCsr {
         );
         let (lo, hi) = part.range(comm.rank());
         let local = sparse::rows::assemble_rows(source, lo..hi);
-        Self::from_partitioned(comm, part, local)
-    }
-
-    /// Build the distributed matrix from an iterator over this rank's rows
-    /// (in row order, one `(columns, values)` pair per owned row, columns
-    /// global) — the constructor for rows arriving from an external
-    /// producer that can be consumed only once.
-    pub fn from_row_stream<I>(comm: Arc<dyn Communicator>, part: &RowPartition, rows: I) -> Self
-    where
-        I: IntoIterator<Item = (Vec<usize>, Vec<f64>)>,
-    {
-        let n = part.nrows();
-        let (lo, hi) = part.range(comm.rank());
-        let nloc = hi - lo;
-        let mut rowptr = Vec::with_capacity(nloc + 1);
-        rowptr.push(0usize);
-        let mut colind = Vec::new();
-        let mut vals = Vec::new();
-        for (row_cols, row_vals) in rows {
-            assert_eq!(
-                row_cols.len(),
-                row_vals.len(),
-                "row {}: columns and values must have equal length",
-                rowptr.len() - 1
-            );
-            colind.extend_from_slice(&row_cols);
-            vals.extend_from_slice(&row_vals);
-            rowptr.push(colind.len());
-        }
-        assert_eq!(
-            rowptr.len() - 1,
-            nloc,
-            "rank {} owns {nloc} rows but the stream produced {}",
-            comm.rank(),
-            rowptr.len() - 1
-        );
-        let local = Csr::from_raw(nloc, n, rowptr, colind, vals);
         Self::from_partitioned(comm, part, local)
     }
 
@@ -350,36 +313,6 @@ mod tests {
                 assert_eq!(y_s, y_r, "nranks {nranks}: SpMV must be bitwise equal");
             }
         }
-    }
-
-    #[test]
-    fn from_row_stream_consumes_an_iterator_once() {
-        let a = laplace2d_5pt(9, 7);
-        let n = a.nrows();
-        let part = block_row_partition(n, 3);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).sin()).collect();
-        let same = run_ranks(3, |comm| {
-            let (lo, hi) = part.range(comm.rank());
-            // A one-shot iterator handing out owned rows, as an external
-            // producer (file reader, network stream) would.
-            let rows = (lo..hi).map(|i| {
-                let (c, v) = a.row(i);
-                (c.to_vec(), v.to_vec())
-            });
-            let dist = DistCsr::from_row_stream(comm.clone(), &part, rows);
-            let reference = DistCsr::from_global(comm, &a, &part);
-            let mut y = vec![0.0; hi - lo];
-            let mut y_ref = vec![0.0; hi - lo];
-            dist.spmv(&x[lo..hi], &mut y);
-            reference.spmv(&x[lo..hi], &mut y_ref);
-            dist.local_matrix() == reference.local_matrix()
-                && dist.halo_plan() == reference.halo_plan()
-                && y == y_ref
-        });
-        assert!(
-            same.into_iter().all(|s| s),
-            "streamed rows must reproduce the replicated construction bitwise"
-        );
     }
 
     #[test]

@@ -68,17 +68,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Stable label used in event records and trace instants.
-    pub fn label(&self) -> &'static str {
-        match self {
-            OpKind::Allreduce => "allreduce",
-            OpKind::Broadcast => "broadcast",
-            OpKind::Allgather => "allgather",
-            OpKind::Send => "send",
-            OpKind::Recv => "recv",
-        }
-    }
-
     fn index(&self) -> usize {
         match self {
             OpKind::Allreduce => 0,
@@ -607,7 +596,7 @@ impl Communicator for FaultyComm {
         if copies == 0 {
             // The sender believes it sent: keep the audit trail identical
             // to a successful send, the network just ate the message.
-            self.inner.stats().record_p2p(to, data.len());
+            self.inner.stats().record_p2p(data.len());
             return;
         }
         for _ in 0..copies {

@@ -28,11 +28,11 @@
 //! * [`DistCsr`] — a 1D block-row distributed CSR matrix whose SpMV does
 //!   the neighborhood (halo) exchange with point-to-point messages, as the
 //!   paper's MPI runs do.  Construction is **streamed**
-//!   ([`DistCsr::from_row_source`] / [`DistCsr::from_row_stream`] /
-//!   [`DistCsr::from_partitioned`]): each rank materializes only its own
-//!   row block — `O(nnz/P + halo)` peak memory — and the exchange plan is
-//!   negotiated by the [`assembly`] planner; [`DistCsr::from_global`] is a
-//!   thin wrapper streaming a replicated matrix through the same path;
+//!   ([`DistCsr::from_row_source`] / [`DistCsr::from_partitioned`]): each
+//!   rank materializes only its own row block — `O(nnz/P + halo)` peak
+//!   memory — and the exchange plan is negotiated by the [`assembly`]
+//!   planner; [`DistCsr::from_global`] is a thin wrapper streaming a
+//!   replicated matrix through the same path;
 //! * [`FaultyComm`] / [`FaultPlan`] — a deterministic fault-injection
 //!   wrapper over any communicator (bit-flips, dropped/duplicated
 //!   messages, transient collective failures, rank stalls), seeded and
@@ -71,5 +71,5 @@ pub use guard::{GuardCounts, GuardEvent, GuardPolicy, GuardedComm, Screen};
 pub use multivector::DistMultiVector;
 pub use serial::SerialComm;
 pub use sketch::{SketchConfig, SketchOp, SKETCH_NNZ_PER_ROW};
-pub use stats::{CommStats, CommStatsSnapshot, PeerTally};
+pub use stats::{CommStats, CommStatsSnapshot};
 pub use thread::{run_ranks, ThreadComm};

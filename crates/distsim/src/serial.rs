@@ -93,7 +93,9 @@ mod tests {
         let mut buf = [1.0, 2.0, 3.0];
         comm.allreduce_sum(&mut buf);
         assert_eq!(buf, [1.0, 2.0, 3.0]);
-        assert_eq!(comm.allreduce_sum_scalar(4.5), 4.5);
+        let mut one = [4.5];
+        comm.allreduce_sum(&mut one);
+        assert_eq!(one, [4.5]);
         comm.broadcast(0, &mut buf);
         let mut out = [0.0; 3];
         comm.allgather(&buf, &mut out);

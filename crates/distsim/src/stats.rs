@@ -8,15 +8,10 @@
 //! `&self` communicator behind an `Arc` can record them; reads are
 //! [`snapshot`](CommStats::snapshot)s, and phase attribution is done by
 //! differencing snapshots ([`CommStatsSnapshot::since`]) and accumulating
-//! deltas ([`CommStatsSnapshot::merge`]).
-//!
-//! Point-to-point traffic is tallied both globally and **per peer** (the
-//! halo-exchange neighbor structure), so imbalance across neighbors is
-//! visible in snapshots and in the trace timeline.
+//! deltas ([`CommStatsSnapshot::merge`]).  A snapshot is eleven relaxed
+//! loads into a `Copy` struct: no lock, no allocation.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Live operation counters of one communicator (one rank).
 #[derive(Debug, Default)]
@@ -32,8 +27,6 @@ pub struct CommStats {
     barriers: AtomicUsize,
     allreduce_retries: AtomicUsize,
     allreduce_retry_words: AtomicUsize,
-    /// Per-destination-rank `(messages, words)` tallies.
-    p2p_peers: Mutex<BTreeMap<usize, (usize, usize)>>,
 }
 
 impl CommStats {
@@ -60,15 +53,11 @@ impl CommStats {
         self.allgather_words.fetch_add(words, Ordering::Relaxed);
     }
 
-    /// Record one point-to-point message of `words` `f64` words sent to
-    /// rank `to` (counted at the sender).
-    pub fn record_p2p(&self, to: usize, words: usize) {
+    /// Record one point-to-point message of `words` `f64` words (counted
+    /// at the sender).
+    pub fn record_p2p(&self, words: usize) {
         self.p2p_messages.fetch_add(1, Ordering::Relaxed);
         self.p2p_words.fetch_add(words, Ordering::Relaxed);
-        let mut peers = self.p2p_peers.lock().expect("p2p peer tallies poisoned");
-        let entry = peers.entry(to).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += words;
     }
 
     /// Record one barrier.
@@ -93,17 +82,6 @@ impl CommStats {
 
     /// A consistent point-in-time copy of the counters.
     pub fn snapshot(&self) -> CommStatsSnapshot {
-        let p2p_peers = {
-            let peers = self.p2p_peers.lock().expect("p2p peer tallies poisoned");
-            peers
-                .iter()
-                .map(|(&peer, &(messages, words))| PeerTally {
-                    peer,
-                    messages,
-                    words,
-                })
-                .collect()
-        };
         CommStatsSnapshot {
             allreduces: self.allreduces.load(Ordering::Relaxed),
             allreduce_words: self.allreduce_words.load(Ordering::Relaxed),
@@ -116,25 +94,13 @@ impl CommStats {
             barriers: self.barriers.load(Ordering::Relaxed),
             allreduce_retries: self.allreduce_retries.load(Ordering::Relaxed),
             allreduce_retry_words: self.allreduce_retry_words.load(Ordering::Relaxed),
-            p2p_peers,
         }
     }
 }
 
-/// Point-to-point traffic towards one destination rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeerTally {
-    /// Destination rank.
-    pub peer: usize,
-    /// Messages sent to `peer`.
-    pub messages: usize,
-    /// Total `f64` words sent to `peer`.
-    pub words: usize,
-}
-
 /// Point-in-time counter values; differences of snapshots attribute
 /// communication to solver phases.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CommStatsSnapshot {
     /// Number of all-reduces (the paper's "global reductions").
     pub allreduces: usize,
@@ -159,42 +125,6 @@ pub struct CommStatsSnapshot {
     pub allreduce_retries: usize,
     /// Total `f64` words all-reduced by retries.
     pub allreduce_retry_words: usize,
-    /// Per-destination `(messages, words)` tallies, sorted by peer rank.
-    /// All-zero entries are dropped, so snapshots compare structurally.
-    pub p2p_peers: Vec<PeerTally>,
-}
-
-/// Merge per-peer tallies with `f(dst_entry, src_tally)` applied per peer
-/// (missing peers behave as zero), keeping the result sorted and dropping
-/// all-zero entries.
-fn combine_peers(
-    a: &[PeerTally],
-    b: &[PeerTally],
-    f: impl Fn(PeerTally, PeerTally) -> PeerTally,
-) -> Vec<PeerTally> {
-    let zero = |peer| PeerTally {
-        peer,
-        messages: 0,
-        words: 0,
-    };
-    let peers: std::collections::BTreeSet<usize> = a.iter().chain(b).map(|t| t.peer).collect();
-    peers
-        .into_iter()
-        .map(|peer| {
-            let ta = a
-                .iter()
-                .find(|t| t.peer == peer)
-                .copied()
-                .unwrap_or(zero(peer));
-            let tb = b
-                .iter()
-                .find(|t| t.peer == peer)
-                .copied()
-                .unwrap_or(zero(peer));
-            f(ta, tb)
-        })
-        .filter(|t| t.messages != 0 || t.words != 0)
-        .collect()
 }
 
 impl CommStatsSnapshot {
@@ -230,13 +160,6 @@ impl CommStatsSnapshot {
             barriers: self.barriers - earlier.barriers,
             allreduce_retries: self.allreduce_retries - earlier.allreduce_retries,
             allreduce_retry_words: self.allreduce_retry_words - earlier.allreduce_retry_words,
-            p2p_peers: combine_peers(&self.p2p_peers, &earlier.p2p_peers, |now, before| {
-                PeerTally {
-                    peer: now.peer,
-                    messages: now.messages - before.messages,
-                    words: now.words - before.words,
-                }
-            }),
         }
     }
 
@@ -254,11 +177,6 @@ impl CommStatsSnapshot {
             barriers: self.barriers + other.barriers,
             allreduce_retries: self.allreduce_retries + other.allreduce_retries,
             allreduce_retry_words: self.allreduce_retry_words + other.allreduce_retry_words,
-            p2p_peers: combine_peers(&self.p2p_peers, &other.p2p_peers, |a, b| PeerTally {
-                peer: a.peer,
-                messages: a.messages + b.messages,
-                words: a.words + b.words,
-            }),
         }
     }
 }
@@ -275,7 +193,7 @@ mod tests {
         stats.record_allreduce(5);
         stats.record_broadcast(3);
         stats.record_allgather(7);
-        stats.record_p2p(2, 11);
+        stats.record_p2p(11);
         stats.record_barrier();
         let b = stats.snapshot();
         let d = b.since(&a);
@@ -333,60 +251,6 @@ mod tests {
     fn default_snapshot_is_zero() {
         let z = CommStatsSnapshot::default();
         assert_eq!(z.allreduces, 0);
-        assert!(z.p2p_peers.is_empty());
         assert_eq!(z, z.merge(&CommStatsSnapshot::default()));
-    }
-
-    #[test]
-    fn per_peer_tallies_split_the_global_count() {
-        let stats = CommStats::new();
-        stats.record_p2p(3, 10);
-        stats.record_p2p(1, 4);
-        stats.record_p2p(3, 6);
-        let s = stats.snapshot();
-        assert_eq!(s.p2p_messages, 3);
-        assert_eq!(s.p2p_words, 20);
-        assert_eq!(
-            s.p2p_peers,
-            vec![
-                PeerTally {
-                    peer: 1,
-                    messages: 1,
-                    words: 4
-                },
-                PeerTally {
-                    peer: 3,
-                    messages: 2,
-                    words: 16
-                },
-            ]
-        );
-        let msg_sum: usize = s.p2p_peers.iter().map(|t| t.messages).sum();
-        let word_sum: usize = s.p2p_peers.iter().map(|t| t.words).sum();
-        assert_eq!(msg_sum, s.p2p_messages);
-        assert_eq!(word_sum, s.p2p_words);
-    }
-
-    #[test]
-    fn per_peer_since_drops_unchanged_peers() {
-        let stats = CommStats::new();
-        stats.record_p2p(0, 5);
-        stats.record_p2p(2, 7);
-        let a = stats.snapshot();
-        stats.record_p2p(2, 3);
-        let b = stats.snapshot();
-        let d = b.since(&a);
-        assert_eq!(
-            d.p2p_peers,
-            vec![PeerTally {
-                peer: 2,
-                messages: 1,
-                words: 3
-            }]
-        );
-        // Deltas recompose: a + d == b, including per-peer rows.
-        assert_eq!(a.merge(&d), b);
-        // since(self) is the zero snapshot.
-        assert_eq!(b.since(&b), CommStatsSnapshot::default());
     }
 }

@@ -271,7 +271,7 @@ impl Communicator for ThreadComm {
             "send",
             &[("peer", to as u64), ("words", data.len() as u64)],
         );
-        self.stats.record_p2p(to, data.len());
+        self.stats.record_p2p(data.len());
         self.shared.post(self.rank, to, data.to_vec());
     }
 

@@ -1,8 +1,8 @@
 //! Property tests of the streamed assembly path on awkward partitions.
 //!
-//! Every constructor of [`DistCsr`] — replicated (`from_global`), streamed
-//! from a one-shot row iterator (`from_row_stream`) and from a
-//! pre-assembled local block (`from_partitioned`) — must produce the same
+//! Every constructor of [`DistCsr`] — replicated (`from_global`, which
+//! streams through `from_row_source`) and from a pre-assembled local block
+//! (`from_partitioned`) — must produce the same
 //! object: bitwise-identical local matrices and halo plans, bitwise-equal
 //! SpMV results, and identical `CommStats` traffic.  The properties sample
 //! the partition edge cases the planner has to survive: prime dimensions
@@ -79,7 +79,7 @@ fn banded_matrix(n: usize, seed: u64, empty_rows: std::ops::Range<usize>) -> Csr
     Csr::from_triplets(n, n, &t)
 }
 
-/// Build the same distributed matrix through all three constructors on
+/// Build the same distributed matrix through both constructors on
 /// every rank, assert they are bitwise identical (storage, halo plan, SpMV
 /// result, per-SpMV `CommStats` traffic), and return the assembled global
 /// SpMV result for an end-to-end check against the serial product.
@@ -97,26 +97,12 @@ fn assert_constructors_agree_with_part(a: &Csr, part: &sparse::RowPartition) {
         let rank = comm.rank();
         let (lo, hi) = part.range(rank);
         let replicated = DistCsr::from_global(comm.clone(), a, part);
-        let streamed = DistCsr::from_row_stream(
-            comm.clone(),
-            part,
-            (lo..hi).map(|i| {
-                let (c, v) = a.row(i);
-                (c.to_vec(), v.to_vec())
-            }),
-        );
         let partitioned = DistCsr::from_partitioned(comm.clone(), part, a.row_block(lo, hi));
-        assert_eq!(
-            streamed.local_matrix(),
-            replicated.local_matrix(),
-            "rank {rank}: stream vs replicated local block"
-        );
         assert_eq!(
             partitioned.local_matrix(),
             replicated.local_matrix(),
             "rank {rank}: partitioned vs replicated local block"
         );
-        assert_eq!(streamed.halo_plan(), replicated.halo_plan(), "rank {rank}");
         assert_eq!(
             partitioned.halo_plan(),
             replicated.halo_plan(),
@@ -124,20 +110,14 @@ fn assert_constructors_agree_with_part(a: &Csr, part: &sparse::RowPartition) {
         );
         // SpMV: bitwise-equal outputs and identical message traffic.
         let mut y_rep = vec![0.0; hi - lo];
-        let mut y_str = vec![0.0; hi - lo];
         let mut y_par = vec![0.0; hi - lo];
         let s0 = comm.stats().snapshot();
         replicated.spmv(&x[lo..hi], &mut y_rep);
         let d_rep = comm.stats().snapshot().since(&s0);
         let s1 = comm.stats().snapshot();
-        streamed.spmv(&x[lo..hi], &mut y_str);
-        let d_str = comm.stats().snapshot().since(&s1);
-        let s2 = comm.stats().snapshot();
         partitioned.spmv(&x[lo..hi], &mut y_par);
-        let d_par = comm.stats().snapshot().since(&s2);
-        assert_eq!(y_str, y_rep, "rank {rank}: SpMV must be bitwise equal");
+        let d_par = comm.stats().snapshot().since(&s1);
         assert_eq!(y_par, y_rep, "rank {rank}: SpMV must be bitwise equal");
-        assert_eq!(d_str, d_rep, "rank {rank}: identical CommStats per SpMV");
         assert_eq!(d_par, d_rep, "rank {rank}: identical CommStats per SpMV");
         (lo, y_rep, replicated.local_matrix().nnz())
     });

@@ -55,7 +55,9 @@ fn comm_stats_count_exactly_the_collectives_issued() {
             let mut buf = vec![1.0; 7];
             comm.allreduce_sum(&mut buf);
             comm.allreduce_sum(&mut buf[..2]);
-            assert_eq!(comm.allreduce_sum_scalar(1.0), nranks as f64);
+            let mut one = [1.0];
+            comm.allreduce_sum(&mut one);
+            assert_eq!(one, [nranks as f64]);
             comm.broadcast(0, &mut buf[..4]);
             let send = [comm.rank() as f64; 2];
             let mut recv = vec![0.0; 2 * comm.size()];

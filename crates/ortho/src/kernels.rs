@@ -11,7 +11,6 @@
 //! |---|---|---|
 //! | [`cholqr`] | 1 | 2 (Gram read + TRSM) |
 //! | [`cholqr2`] | 2 | 4 |
-//! | [`shifted_cholqr`] | 1 | 2 |
 //! | [`bcgs`] | 1 | 2 (proj read + update) |
 //! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) |
 //! | its factoring half (the two-stage scheme's end-of-cycle flush) | 1 | 1 (fused proj+Gram read; the update and TRSM wait for `finish`, and the solver folds them away) |
@@ -28,7 +27,7 @@
 //!
 //! | kernel | reduces | words per reduce (k-wide block) |
 //! |---|---|---|
-//! | [`cholqr`] / [`shifted_cholqr`] | 1 | (k·s)² |
+//! | [`cholqr`] | 1 | (k·s)² |
 //! | [`cholqr2`] | 2 | (k·s)² each |
 //! | [`bcgs`] | 1 | p·k·s |
 //! | [`bcgs_pip`] | 1 | (p + k·s)·k·s |
@@ -84,32 +83,6 @@ pub fn cholqr2(basis: &mut DistMultiVector, cols: Range<usize>) -> Result<Matrix
     let r1 = cholqr(basis, cols.clone())?;
     let t = cholqr(basis, cols)?;
     Ok(dense::tri_matmul_upper(&t, &r1))
-}
-
-/// Shifted Cholesky QR (Fukaya et al.): factorizes `G + shift·I` so the
-/// factorization succeeds for any numerically full-rank input; one extra
-/// pass (CholQR) is then usually applied by the caller to restore `O(ε)`
-/// orthogonality.
-///
-/// **1 global reduce.**  Returns `(R, shift)`.
-pub fn shifted_cholqr(
-    basis: &mut DistMultiVector,
-    cols: Range<usize>,
-) -> Result<(Matrix, f64), OrthoError> {
-    let _span = trace::span(
-        "ortho",
-        "shifted_cholqr",
-        &[("s", (cols.end - cols.start) as u64)],
-    );
-    let g = basis.gram(cols.clone());
-    let (r, shift) = dense::shifted_cholesky_upper(&g, basis.global_rows()).map_err(|e| {
-        OrthoError::CholeskyBreakdown {
-            context: "shifted CholQR",
-            pivot: e.pivot,
-        }
-    })?;
-    basis.scale_right(cols, &r);
-    Ok((r, shift))
 }
 
 /// Block classical Gram–Schmidt projection (Fig. 2a): project the panel
@@ -393,8 +366,9 @@ mod tests {
             cholqr(&mut b, 0..3),
             Err(OrthoError::CholeskyBreakdown { .. })
         ));
-        let mut b2 = basis_from(&v);
-        let (r, shift) = shifted_cholqr(&mut b2, 0..3).unwrap();
+        // The shifted Cholesky the remedy runs factors the same Gram matrix.
+        let b2 = basis_from(&v);
+        let (r, shift) = dense::shifted_cholesky_upper(&b2.gram(0..3), b2.global_rows()).unwrap();
         assert!(shift > 0.0);
         assert!(r[(2, 2)] > 0.0);
     }

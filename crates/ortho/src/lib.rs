@@ -16,9 +16,9 @@
 //! | Randomized CholQR (sketched, arXiv 2503.16717) | 2 | [`sketched`] |
 //! | Two-stage with sketched first stage | 1 (+1 per `bs` steps) | [`two_stage`] |
 //!
-//! The low-level building blocks (CholQR, CholQR2, shifted CholQR, BCGS,
-//! BCGS-PIP, column-wise CGS2) live in [`kernels`]; each higher-level
-//! scheme implements the [`BlockOrthogonalizer`] trait so the `ssgmres`
+//! The low-level building blocks (CholQR, CholQR2, BCGS, BCGS-PIP,
+//! column-wise CGS2) live in [`kernels`]; each higher-level scheme
+//! implements the [`BlockOrthogonalizer`] trait so the `ssgmres`
 //! solver can switch between them with a configuration enum
 //! ([`OrthoKind`]).
 //!
@@ -45,7 +45,7 @@ pub use bcgs2::Bcgs2;
 pub use bcgs_pip2::{BcgsPip, BcgsPip2};
 pub use cgs::Cgs2Columnwise;
 pub use error::OrthoError;
-pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2, shifted_cholqr};
+pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2};
 pub use sketched::RandCholQr;
 pub use traits::{
     distinct_fallback_episodes, fold_factored, make_orthogonalizer, BlockOrthogonalizer,

@@ -34,7 +34,7 @@
 //!   ([`pool_lanes`] reports it).
 //!
 //! ```
-//! use parkit::{parallel_for_chunks, parallel_sum};
+//! use parkit::{parallel_for_chunks, parallel_reduce_chunks};
 //!
 //! let mut v = vec![0.0f64; 1000];
 //! parallel_for_chunks(&mut v, |chunk, offset| {
@@ -42,7 +42,9 @@
 //!         *x = (offset + i) as f64;
 //!     }
 //! });
-//! assert_eq!(parallel_sum(&v), v.iter().sum::<f64>());
+//! let sum =
+//!     parallel_reduce_chunks(&v, 0.0, |chunk, _| chunk.iter().sum::<f64>(), |a, b| a + b);
+//! assert_eq!(sum, v.iter().sum::<f64>());
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -59,9 +61,7 @@ pub use parallel::{
     parallel_for_chunks, parallel_for_range, parallel_for_range_bytes, parallel_zip_chunks,
 };
 pub use pool::pool_lanes;
-pub use reduce::{
-    parallel_reduce_chunks, parallel_reduce_ranges, parallel_reduce_ranges_bytes, parallel_sum,
-};
+pub use reduce::{parallel_reduce_chunks, parallel_reduce_ranges_bytes};
 
 #[cfg(test)]
 mod tests {
@@ -75,6 +75,8 @@ mod tests {
                 *x = (offset + i) as f64;
             }
         });
-        assert_eq!(parallel_sum(&v), v.iter().sum::<f64>());
+        let sum =
+            parallel_reduce_chunks(&v, 0.0, |chunk, _| chunk.iter().sum::<f64>(), |a, b| a + b);
+        assert_eq!(sum, v.iter().sum::<f64>());
     }
 }

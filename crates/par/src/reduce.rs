@@ -7,37 +7,26 @@
 //! are combined tree-style; that difference is within the usual rounding
 //! bounds and is deterministic run to run).
 //!
-//! [`parallel_reduce_ranges`] is the single primitive every other reduction
-//! (and the blocked `dense` kernels' Gram/GEMM accumulations) is built on:
-//! one code path computes per-chunk partials on the pool and folds them in
-//! chunk order.
+//! One code path computes per-chunk partials on the pool and folds them in
+//! chunk order: [`parallel_reduce_chunks`] (slices) and
+//! [`parallel_reduce_ranges_bytes`] (the blocked `dense` kernels'
+//! Gram/GEMM accumulations) both run it.
 
 use crate::chunk::chunk_ranges;
 use crate::config::{num_threads_for, num_threads_for_bytes};
 use crate::pool::{run_chunks, SendPtr};
 
-/// Parallel reduction over contiguous index sub-ranges of `0..len`.
+/// Parallel reduction over contiguous index sub-ranges of `0..len`, with
+/// the chunk count derived from cache geometry.
 ///
 /// `map_range(start, end)` produces one partial result per chunk; the
 /// partials are combined with `combine` in chunk order starting from
-/// `identity`, so the result is deterministic for a given `(len, threads)`
-/// pair.  This is the reduction primitive the row-blocked matrix kernels
-/// use: the body indexes shared column-major storage by global row range
-/// rather than receiving a flat slice.
-pub fn parallel_reduce_ranges<T, M, C>(len: usize, identity: T, map_range: M, combine: C) -> T
-where
-    T: Send,
-    M: Fn(usize, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    reduce_ranges_nthreads(len, num_threads_for(len), identity, map_range, combine)
-}
-
-/// [`parallel_reduce_ranges`] with the chunk count derived from cache
-/// geometry: `bytes_per_item` is the number of bytes one index of `0..len`
-/// traverses (for a row-blocked panel kernel, 8 bytes per column touched),
-/// and each chunk covers at least the byte grain documented on
-/// [`num_threads_for_bytes`].  Deterministic for a fixed
+/// `identity`.  This is the reduction primitive the row-blocked matrix
+/// kernels use: the body indexes shared column-major storage by global row
+/// range rather than receiving a flat slice.  `bytes_per_item` is the
+/// number of bytes one index of `0..len` traverses (for a row-blocked panel
+/// kernel, 8 bytes per column touched), and each chunk covers at least the
+/// byte grain documented on [`num_threads_for_bytes`].  Deterministic for a fixed
 /// `(len, bytes_per_item, max_threads)` triple.
 pub fn parallel_reduce_ranges_bytes<T, M, C>(
     len: usize,
@@ -90,10 +79,7 @@ where
     });
     let mut acc = identity;
     for p in partials {
-        acc = combine(
-            acc,
-            p.expect("parallel_reduce_ranges: missing chunk partial"),
-        );
+        acc = combine(acc, p.expect("parallel reduce: missing chunk partial"));
     }
     acc
 }
@@ -109,21 +95,13 @@ where
     M: Fn(&[U], usize) -> T + Sync,
     C: Fn(T, T) -> T,
 {
-    parallel_reduce_ranges(
-        data.len(),
+    let len = data.len();
+    reduce_ranges_nthreads(
+        len,
+        num_threads_for(len),
         identity,
         |start, end| map_chunk(&data[start..end], start),
         combine,
-    )
-}
-
-/// Parallel sum of a slice of `f64`.
-pub fn parallel_sum(data: &[f64]) -> f64 {
-    parallel_reduce_chunks(
-        data,
-        0.0,
-        |chunk, _| chunk.iter().sum::<f64>(),
-        |a, b| a + b,
     )
 }
 
@@ -131,11 +109,20 @@ pub fn parallel_sum(data: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn chunked_sum(data: &[f64]) -> f64 {
+        parallel_reduce_chunks(
+            data,
+            0.0,
+            |chunk, _| chunk.iter().sum::<f64>(),
+            |a, b| a + b,
+        )
+    }
+
     #[test]
     fn reduce_chunks_matches_iter_sum() {
         let data: Vec<f64> = (0..50_000).map(|i| (i % 17) as f64 * 0.25).collect();
         let expect: f64 = data.iter().sum();
-        let got = parallel_sum(&data);
+        let got = chunked_sum(&data);
         assert!((got - expect).abs() <= 1e-9 * expect.abs().max(1.0));
     }
 
@@ -163,8 +150,9 @@ mod tests {
     fn reduce_ranges_covers_whole_range_in_order() {
         // Collect the visited ranges; combined in chunk order they must
         // tile 0..len exactly.
-        let tiles = parallel_reduce_ranges(
+        let tiles = parallel_reduce_ranges_bytes(
             12_345,
+            8,
             Vec::new(),
             |start, end| vec![(start, end)],
             |mut a, b| {
@@ -181,7 +169,8 @@ mod tests {
 
     #[test]
     fn reduce_ranges_empty_is_identity() {
-        let r = parallel_reduce_ranges(0, 42i32, |_, _| panic!("must not run"), |a, b| a + b);
+        let r =
+            parallel_reduce_ranges_bytes(0, 8, 42i32, |_, _| panic!("must not run"), |a, b| a + b);
         assert_eq!(r, 42);
     }
 
@@ -190,8 +179,8 @@ mod tests {
         let data: Vec<f64> = (0..100_000)
             .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64 * 1e-3)
             .collect();
-        let a = parallel_sum(&data);
-        let b = parallel_sum(&data);
+        let a = chunked_sum(&data);
+        let b = chunked_sum(&data);
         assert_eq!(a, b);
     }
 

@@ -1,13 +1,13 @@
 //! s-step GMRES with the local Gauss–Seidel preconditioners of the paper's
 //! Fig. 13 (block Jacobi across ranks, multicolor Gauss–Seidel inside each
-//! block), plus the Jacobi and polynomial preconditioners as extensions.
+//! block), plus the Jacobi preconditioner as an extension.
 //!
 //! Run with `cargo run --release --example preconditioned_sstep`.
 
 use sparse::laplace2d_9pt;
 use ssgmres::{
-    BlockJacobiGaussSeidel, GmresConfig, Jacobi, MulticolorGaussSeidel, OrthoKind, Polynomial,
-    Preconditioner, SStepGmres,
+    BlockJacobiGaussSeidel, GmresConfig, Jacobi, MulticolorGaussSeidel, OrthoKind, Preconditioner,
+    SStepGmres,
 };
 
 fn main() {
@@ -31,13 +31,11 @@ fn main() {
     let jacobi = Jacobi::new(&a);
     let gs = BlockJacobiGaussSeidel::new(&a, 2);
     let mc = MulticolorGaussSeidel::new(&a, 2);
-    let poly = Polynomial::new(&a, 4, 0.8);
     let preconds: Vec<(&str, &dyn Preconditioner)> = vec![
         ("none", &ssgmres::Identity),
         ("Jacobi", &jacobi),
         ("block-Jacobi Gauss-Seidel (2)", &gs),
         ("multicolor Gauss-Seidel (2)", &mc),
-        ("polynomial (degree 4)", &poly),
     ];
     let mut baseline_iters = 0usize;
     for (label, p) in preconds {

@@ -29,29 +29,3 @@ pub use sparse;
 pub use ssgmres;
 pub use testmat;
 pub use trace;
-
-/// Solve `A·x = b` with the paper's recommended configuration
-/// (s-step GMRES, `s = 5`, restart 60, two-stage orthogonalization with
-/// `bs = m`), returning the solution and solve statistics.
-pub fn solve_two_stage(a: &sparse::Csr, b: &[f64], tol: f64) -> (Vec<f64>, ssgmres::SolveResult) {
-    let config = ssgmres::GmresConfig {
-        restart: 60,
-        step_size: 5,
-        tol,
-        ortho: ssgmres::OrthoKind::TwoStage { big_panel: 60 },
-        ..ssgmres::GmresConfig::default()
-    };
-    ssgmres::SStepGmres::new(config).solve_serial(a, b)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn facade_solves_a_small_system() {
-        let a = sparse::laplace2d_5pt(20, 20);
-        let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
-        let (x, result) = crate::solve_two_stage(&a, &b, 1e-8);
-        assert!(result.converged);
-        assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-5));
-    }
-}

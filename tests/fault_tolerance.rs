@@ -6,7 +6,7 @@
 //!
 //! * **Transparency** — a [`FaultyComm`] driven by the empty plan is
 //!   *bitwise* invisible: identical solutions and identical communication
-//!   statistics (down to per-peer tallies) on every rank count, across a
+//!   statistics (every counter) on every rank count, across a
 //!   property sweep of solver configurations.
 //! * **Zero-fault guard cost** — enabling every guard adds **zero global
 //!   reductions** and leaves the solve bitwise unchanged; the guards ride
@@ -158,7 +158,7 @@ proptest! {
 
     /// A `FaultyComm` with the empty plan is bitwise the inner
     /// communicator: same solutions, same solver statistics, and the same
-    /// `CommStats` snapshot including per-peer tallies — across solver
+    /// `CommStats` snapshot, counter for counter — across solver
     /// configurations and the rank sweep.
     #[test]
     fn empty_fault_plan_is_bitwise_transparent(
@@ -195,7 +195,7 @@ proptest! {
                 prop_assert_eq!(rp.converged, rw.converged);
                 prop_assert!(
                     rp.comm_total == rw.comm_total,
-                    "rank {}/{}: comm stats (incl. per-peer tallies) must match",
+                    "rank {}/{}: comm stats must match",
                     rank,
                     nranks
                 );

@@ -289,10 +289,8 @@ proptest! {
         }
         let shifts = ssgmres::shifts::newton_shifts(&spectrum, s, 1e-6)
             .expect("Laplace spectrum yields shifts");
-        let kappa_mono = ssgmres::shifts::basis_condition_number(
-            &a, &ssgmres::KrylovBasis::Monomial, s, &v0);
-        let kappa_newton = ssgmres::shifts::basis_condition_number(
-            &a, &ssgmres::KrylovBasis::Newton { shifts }, s, &v0);
+        let kappa_mono = ssgmres::shifts::basis_condition_number(&a, &[], s, &v0);
+        let kappa_newton = ssgmres::shifts::basis_condition_number(&a, &shifts, s, &v0);
         prop_assert!(
             kappa_newton <= kappa_mono,
             "s={s} nx={nx}: κ(newton) {kappa_newton:.3e} > κ(monomial) {kappa_mono:.3e}"
@@ -321,10 +319,7 @@ proptest! {
             }
         }
         let newton_shifts = ssgmres::shifts::newton_shifts(&spectrum, s, 1e-6).unwrap();
-        for basis in [
-            ssgmres::KrylovBasis::Monomial,
-            ssgmres::KrylovBasis::Newton { shifts: newton_shifts.clone() },
-        ] {
+        for basis in [vec![], newton_shifts.clone()] {
             let mut mv = distsim::DistMultiVector::from_matrix(
                 distsim::SerialComm::new(),
                 Matrix::zeros(a.nrows(), m + 1),
@@ -341,7 +336,7 @@ proptest! {
                 for t in 0..k {
                     let input = mv.local().col(cols - 1 + t).to_vec();
                     let mut next = a.spmv_alloc(&input);
-                    let theta = basis.shift(cols - 1 + t);
+                    let theta = ssgmres::basis::shift(&basis, cols - 1 + t);
                     if theta != 0.0 {
                         for (wi, ui) in next.iter_mut().zip(&input) {
                             *wi -= theta * ui;
