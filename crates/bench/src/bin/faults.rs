@@ -29,7 +29,10 @@
 //! interleaved repeated solves, asserted `< 5%`), a seeded
 //! `kind × rate × phase` campaign grid with
 //! detection/recovery bookkeeping, and a bitwise replay check — every
-//! campaign cell is reproducible from its seed alone.
+//! campaign cell is reproducible from its seed alone.  Each kind's rate
+//! comes from a census of the operations it can reach in the fault-free
+//! solve, so its sparsest cell expects 2 (then 8) injections; a phase the
+//! kind cannot reach is skipped, and every kind must inject somewhere.
 //!
 //! With `--matrix <path.mtx>` the campaign grid runs on that matrix
 //! instead (headline cells need the built-in problem and are skipped), and
@@ -38,8 +41,8 @@
 
 use bench::{cli, Table};
 use distsim::{
-    run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardPolicy,
-    GuardedComm, OpKind, SerialComm, Target,
+    run_ranks, Communicator, DistCsr, FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm,
+    GuardPolicy, GuardedComm, OpKind, SerialComm, Target,
 };
 use sparse::{block_row_partition, elasticity3d, Csr, RowPartition};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy};
@@ -72,12 +75,12 @@ fn config(s: usize) -> GmresConfig {
 
 /// One distributed solve over `NRANKS` simulated ranks, optionally under
 /// guards and a fault plan.  Returns the gathered solution, rank 0's
-/// result (every replicated counter is identical across ranks), the total
-/// number of injected faults, and whether all ranks converged.
+/// result (every replicated counter is identical across ranks), every
+/// rank's injected faults, and whether all ranks converged.
 struct Cell {
     x: Vec<f64>,
     r: SolveResult,
-    injected: usize,
+    events: Vec<FaultEvent>,
     converged_all: bool,
 }
 
@@ -103,22 +106,22 @@ fn run_cell(
         let dist = DistCsr::from_global(comm, a, part);
         let mut x = vec![0.0; hi - lo];
         let r = SStepGmres::new(conf.clone()).solve(&dist, &Identity, &b[lo..hi], &mut x);
-        let injected = faulty.map_or(0, |f| f.injected());
-        (lo, x, r, injected)
+        let events = faulty.map_or_else(Vec::new, |f| f.events());
+        (lo, x, r, events)
     });
     let mut x = vec![0.0; a.nrows()];
-    let mut injected = 0;
+    let mut events = Vec::new();
     let mut converged_all = true;
-    for (lo, piece, r, inj) in &pieces {
+    for (lo, piece, r, rank_events) in &pieces {
         x[*lo..lo + piece.len()].copy_from_slice(piece);
-        injected += inj;
+        events.extend_from_slice(rank_events);
         converged_all &= r.converged;
     }
     let r = pieces.into_iter().next().expect("rank 0").2;
     Cell {
         x,
         r,
-        injected,
+        events,
         converged_all,
     }
 }
@@ -147,6 +150,24 @@ fn unit_rhs(a: &Csr) -> Vec<f64> {
     b
 }
 
+/// Sampled rates that inject fault kind `kind` at `rate` per reachable
+/// operation.
+fn rates_of(kind: &str, rate: f64) -> FaultRates {
+    let mut rates = FaultRates {
+        stall_millis: 2,
+        ..FaultRates::default()
+    };
+    match kind {
+        "bitflip" => rates.bitflip = rate,
+        "opfail" => rates.opfail = rate,
+        "drop" => rates.drop = rate,
+        "duplicate" => rates.duplicate = rate,
+        "stall" => rates.stall = rate,
+        _ => unreachable!("unknown fault kind {kind}"),
+    }
+    rates
+}
+
 bench::table_row! {
     /// One seeded campaign cell: its plan and what the guarded solve did.
     struct Trial {
@@ -154,6 +175,7 @@ bench::table_row! {
         rate: f64,
         phase: &'static str,
         seed: u64,
+        expected: f64,
         injected: usize,
         detected: usize,
         recovered: usize,
@@ -321,7 +343,7 @@ fn main() {
         );
         let gram_un = run_cell(&a, &b, &conf, &part, unguarded, Some(&plan_gram));
         let gram_g = run_cell(&a, &b, &conf, &part, guarded, Some(&plan_gram));
-        assert!(gram_g.injected >= 1, "the flip must fire");
+        assert!(!gram_g.events.is_empty(), "the flip must fire");
         assert!(
             gram_g.r.faults_detected >= 1,
             "sdc-gram: the symmetry screen must detect the flip"
@@ -410,7 +432,7 @@ fn main() {
             .field("nranks", NRANKS);
         w.key("sdc_gram")
             .begin_object()
-            .field("injected", gram_g.injected)
+            .field("injected", gram_g.events.len())
             .field("detected", gram_g.r.faults_detected)
             .field("recovered", gram_g.r.faults_recovered)
             .field("unrecovered", gram_g.r.faults_unrecovered)
@@ -438,47 +460,54 @@ fn main() {
     }
 
     // ---- Seeded campaign grid: kind × rate × phase --------------------
-    type RatesFor = fn(f64) -> FaultRates;
-    let kinds: &[(&str, RatesFor)] = &[
-        ("bitflip", |r| FaultRates {
-            bitflip: r,
-            ..FaultRates::default()
-        }),
-        ("opfail", |r| FaultRates {
-            opfail: r,
-            ..FaultRates::default()
-        }),
-        ("drop", |r| FaultRates {
-            drop: r,
-            ..FaultRates::default()
-        }),
-        ("duplicate", |r| FaultRates {
-            duplicate: r,
-            ..FaultRates::default()
-        }),
-        ("stall", |r| FaultRates {
-            stall: r,
-            stall_millis: 2,
-            ..FaultRates::default()
-        }),
-    ];
-    // A quick solve on this matrix performs on the order of 10^2 guarded
-    // operations, so per-op rates below ~1% rarely inject anything; the
-    // grid uses rates high enough that most cells see at least one fault.
-    let rates: &[f64] = if quick { &[0.02] } else { &[0.005, 0.02] };
-    let phases: &[Option<&'static str>] = if quick {
-        &[None]
-    } else {
-        &[None, Some("ortho"), Some("mpk")]
+    // Census of the operations a plan can reach in the fault-free guarded
+    // solve: a zero-length stall on every one records it as an event.
+    let zero_stalls = FaultRates {
+        stall: 1.0,
+        ..FaultRates::default()
     };
-    let kind_count = if quick { 3 } else { kinds.len() };
+    let census_plan = FaultPlan::from_seed(0, zero_stalls);
+    let census = run_cell(&a, &b, &conf, &part, guarded, Some(&census_plan));
+    assert_eq!(census.x, base_g.x, "zero-length stalls change nothing");
+    const WIRE: &[OpKind] = &[OpKind::Allreduce, OpKind::Send];
+    // Each kind with the operations it acts on.
+    let kinds: [(&str, &[OpKind]); 5] = [
+        ("bitflip", WIRE),
+        ("opfail", &[OpKind::Allreduce]),
+        ("drop", &[OpKind::Send]),
+        ("duplicate", &[OpKind::Send]),
+        ("stall", WIRE),
+    ];
+    let all_phases: &[Option<&'static str>] = &[None, Some("ortho"), Some("mpk")];
+    let phases = if quick { &all_phases[..1] } else { all_phases };
+    // Census operations of the kinds `ops` in `phase` (`None` = any),
+    // summed over the ranks.
+    let reachable = |ops: &[OpKind], phase: Option<&str>| {
+        let hit = |e: &&FaultEvent| ops.contains(&e.op) && phase.is_none_or(|p| p == e.phase);
+        census.events.iter().filter(hit).count()
+    };
+    // A kind's rate is set so that its sparsest cell (a phase with no
+    // reachable operation cannot inject and is skipped) expects this many
+    // injections; every other cell of the kind expects more.
+    let expect: &[f64] = if quick { &[8.0] } else { &[2.0, 8.0] };
 
     let mut rows = Vec::new();
-    for (ki, (kind, mk_rates)) in kinds.iter().take(kind_count).enumerate() {
-        for (ri, &rate) in rates.iter().enumerate() {
+    for (ki, &(kind, ops)) in kinds.iter().enumerate() {
+        let sparsest = all_phases
+            .iter()
+            .map(|&p| reachable(ops, p))
+            .filter(|&n| n > 0)
+            .min()
+            .expect("every kind reaches some operation");
+        for (ri, &e) in expect.iter().enumerate() {
+            let rate = e / sparsest as f64;
             for (pi, &phase) in phases.iter().enumerate() {
+                let ops_in_phase = reachable(ops, phase);
+                if ops_in_phase == 0 {
+                    continue;
+                }
                 let seed = 0xFA17_0000_u64 + (ki as u64) * 1000 + (ri as u64) * 100 + pi as u64;
-                let mut plan = FaultPlan::from_seed(seed, mk_rates(rate));
+                let mut plan = FaultPlan::from_seed(seed, rates_of(kind, rate));
                 plan.rate_phase = phase;
                 let cell = run_cell(&a, &b, &conf, &part, guarded, Some(&plan));
                 rows.push(Trial {
@@ -486,7 +515,8 @@ fn main() {
                     rate,
                     phase: phase.unwrap_or("any"),
                     seed,
-                    injected: cell.injected,
+                    expected: rate * ops_in_phase as f64,
+                    injected: cell.events.len(),
                     detected: cell.r.faults_detected,
                     recovered: cell.r.faults_recovered,
                     unrecovered: cell.r.faults_unrecovered,
@@ -498,20 +528,17 @@ fn main() {
                 });
             }
         }
+        assert!(
+            rows.iter().any(|t| t.kind == kind && t.injected > 0),
+            "{kind}: no campaign cell injected a fault"
+        );
     }
 
-    // Bitwise replay of one seeded campaign cell.
+    // Bitwise replay of one seeded campaign cell: the first kind's
+    // any-phase cell at the lowest rate.
     let replay_row = &rows[0];
-    let mut replay_plan = FaultPlan::from_seed(replay_row.seed, kinds[0].1(replay_row.rate));
-    replay_plan.rate_phase = if replay_row.phase == "any" {
-        None
-    } else {
-        phases
-            .iter()
-            .flatten()
-            .copied()
-            .find(|p| *p == replay_row.phase)
-    };
+    let replay_plan =
+        FaultPlan::from_seed(replay_row.seed, rates_of(replay_row.kind, replay_row.rate));
     let first = run_cell(&a, &b, &conf, &part, guarded, Some(&replay_plan));
     let second = run_cell(&a, &b, &conf, &part, guarded, Some(&replay_plan));
     assert_eq!(
@@ -519,10 +546,11 @@ fn main() {
         "a seeded campaign cell must replay bitwise"
     );
     assert_eq!(first.r.comm_total, second.r.comm_total);
-    assert_eq!(first.injected, second.injected);
+    assert_eq!(first.events, second.events);
     eprintln!(
         "replay: seed {:#x} reproduced bitwise ({} injections)",
-        replay_row.seed, first.injected
+        replay_row.seed,
+        first.events.len()
     );
 
     // ---- Report -------------------------------------------------------

@@ -103,11 +103,6 @@ impl HessenbergRecovery {
         }
     }
 
-    /// Block width `kb` this recovery was created with.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Record that column `c` had already been submitted to the
     /// orthogonalizer when the matrix-powers kernel used it as a starting
     /// vector (i.e. `c` is a panel-start input), at a time when the leading
@@ -442,7 +437,6 @@ mod tests {
         }
         let shifts = [1.25, -0.5];
         let mut rec = HessenbergRecovery::with_block_width(m + 1, 1);
-        assert_eq!(rec.width(), 1);
         for c in [0, 3, 5] {
             rec.mark_submitted_input(c, 0);
         }

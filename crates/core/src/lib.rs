@@ -11,8 +11,8 @@
 //!   after every restart), which are then handed to one of the block
 //!   orthogonalization schemes of the [`blockortho`] crate (BCGS2 with
 //!   CholQR2, BCGS-PIP2, or the **two-stage** scheme);
-//! * right preconditioning with the local preconditioners the paper uses
-//!   (Jacobi, block-Jacobi Gauss–Seidel, multicolor Gauss–Seidel).
+//! * right preconditioning with the local preconditioner of the paper's
+//!   Fig. 13 (block Jacobi with multicolor Gauss–Seidel).
 //!
 //! The solver operates on the distributed substrate of [`distsim`]
 //! (block-row [`distsim::DistCsr`] matrix, [`distsim::DistMultiVector`]
@@ -66,9 +66,7 @@ pub use basis::BasisStrategy;
 pub use block::BlockOptions;
 pub use control::{CycleHealth, CycleVerdict, StepController, StepDecision, StepPolicy};
 pub use hessenberg::HessenbergRecovery;
-pub use precond::{
-    BlockJacobiGaussSeidel, Identity, Jacobi, MulticolorGaussSeidel, Preconditioner,
-};
+pub use precond::{Identity, MulticolorGaussSeidel, Preconditioner};
 pub use report::{CycleTiming, Phase};
 pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};
 // Fault-injection and detection-guard surface, re-exported so solver users

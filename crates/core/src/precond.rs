@@ -3,10 +3,11 @@
 //! The paper applies the preconditioner inside the matrix-powers kernel,
 //! "with neighborhood communication and preconditioner in sequence", and in
 //! Fig. 13 uses a local Gauss–Seidel preconditioner — block Jacobi across
-//! ranks with (multicolor) Gauss–Seidel sweeps inside each rank's diagonal
-//! block.  All preconditioners here therefore act on the *local* part of a
-//! vector only and never communicate, exactly like their Trilinos/Ifpack2
-//! counterparts in the paper's runs.
+//! ranks with multicolor Gauss–Seidel sweeps inside each rank's diagonal
+//! block.  That is [`MulticolorGaussSeidel`], the one preconditioner here
+//! beside [`Identity`]: it acts on the *local* part of a vector only and
+//! never communicates, exactly like its Trilinos/Ifpack2 counterpart in
+//! the paper's runs.
 
 use sparse::{greedy_coloring, Coloring, Csr};
 
@@ -14,9 +15,6 @@ use sparse::{greedy_coloring, Coloring, Csr};
 pub trait Preconditioner: Send + Sync {
     /// `out = M⁻¹·input` (both are local blocks of global vectors).
     fn apply(&self, input: &[f64], out: &mut [f64]);
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The identity preconditioner (unpreconditioned GMRES).
@@ -27,122 +25,12 @@ impl Preconditioner for Identity {
     fn apply(&self, input: &[f64], out: &mut [f64]) {
         out.copy_from_slice(input);
     }
-
-    fn name(&self) -> &'static str {
-        "identity"
-    }
 }
 
-/// Jacobi (diagonal scaling) preconditioner.
-#[derive(Debug)]
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
-}
-
-impl Jacobi {
-    /// Build from the local diagonal block (zero diagonal entries are treated
-    /// as ones so the preconditioner never divides by zero).
-    pub fn new(local: &Csr) -> Self {
-        let inv_diag = local
-            .diagonal()
-            .iter()
-            .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
-        Self { inv_diag }
-    }
-}
-
-impl Preconditioner for Jacobi {
-    fn apply(&self, input: &[f64], out: &mut [f64]) {
-        assert_eq!(input.len(), self.inv_diag.len(), "Jacobi: length mismatch");
-        for ((o, x), d) in out.iter_mut().zip(input).zip(&self.inv_diag) {
-            *o = x * d;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "jacobi"
-    }
-}
-
-/// Block-Jacobi across ranks with (sequential) Gauss–Seidel sweeps inside the
-/// local diagonal block.
-#[derive(Debug)]
-pub struct BlockJacobiGaussSeidel {
-    /// Local diagonal block, restricted to locally owned columns.
-    local: Csr,
-    inv_diag: Vec<f64>,
-    sweeps: usize,
-}
-
-impl BlockJacobiGaussSeidel {
-    /// Build from the rank's local matrix (columns outside `0..local_rows`
-    /// — i.e. ghost couplings — are ignored, which is exactly the block-
-    /// Jacobi approximation).  `sweeps` forward Gauss–Seidel sweeps are
-    /// applied per preconditioner application.
-    pub fn new(local: &Csr, sweeps: usize) -> Self {
-        assert!(sweeps >= 1, "need at least one sweep");
-        let n = local.nrows();
-        // Drop couplings to ghost columns.
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            let (cols, vals) = local.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c < n {
-                    triplets.push(sparse::Triplet {
-                        row: i,
-                        col: c,
-                        val: v,
-                    });
-                }
-            }
-        }
-        let local_block = Csr::from_triplets(n, n, &triplets);
-        let inv_diag = local_block
-            .diagonal()
-            .iter()
-            .map(|&d| if d != 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
-        Self {
-            local: local_block,
-            inv_diag,
-            sweeps,
-        }
-    }
-}
-
-impl Preconditioner for BlockJacobiGaussSeidel {
-    fn apply(&self, input: &[f64], out: &mut [f64]) {
-        let n = self.local.nrows();
-        assert_eq!(input.len(), n, "GS: length mismatch");
-        // Solve M·out = input approximately with forward GS sweeps starting
-        // from zero.
-        for o in out.iter_mut() {
-            *o = 0.0;
-        }
-        for _ in 0..self.sweeps {
-            for i in 0..n {
-                let (cols, vals) = self.local.row(i);
-                let mut acc = input[i];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if c != i {
-                        acc -= v * out[c];
-                    }
-                }
-                out[i] = acc * self.inv_diag[i];
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "block-jacobi gauss-seidel"
-    }
-}
-
-/// Multicolor Gauss–Seidel: rows of the same color are updated together
-/// (in parallel on a GPU; here the colors primarily reproduce the iteration
-/// order and operation count of the Kokkos-Kernels smoother used in
-/// Fig. 13).
+/// Block Jacobi across ranks with multicolor Gauss–Seidel sweeps inside
+/// the local diagonal block: rows of the same color are updated together
+/// (in parallel on a GPU; here the colors reproduce the iteration order
+/// and operation count of the Kokkos-Kernels smoother used in Fig. 13).
 #[derive(Debug)]
 pub struct MulticolorGaussSeidel {
     local: Csr,
@@ -152,8 +40,10 @@ pub struct MulticolorGaussSeidel {
 }
 
 impl MulticolorGaussSeidel {
-    /// Build from the rank's local matrix; ghost couplings are dropped as in
-    /// [`BlockJacobiGaussSeidel`].
+    /// Build from the rank's local matrix (columns outside `0..local_rows`
+    /// — i.e. ghost couplings — are dropped, which is exactly the block-
+    /// Jacobi approximation).  `sweeps` forward sweeps, color by color, are
+    /// applied per preconditioner application.
     pub fn new(local: &Csr, sweeps: usize) -> Self {
         assert!(sweeps >= 1, "need at least one sweep");
         let n = local.nrows();
@@ -215,10 +105,6 @@ impl Preconditioner for MulticolorGaussSeidel {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "multicolor gauss-seidel"
-    }
 }
 
 #[cfg(test)]
@@ -242,30 +128,6 @@ mod tests {
         let mut y = vec![0.0; 3];
         p.apply(&x, &mut y);
         assert_eq!(x, y);
-        assert_eq!(p.name(), "identity");
-    }
-
-    #[test]
-    fn jacobi_divides_by_diagonal() {
-        let a = laplace2d_5pt(4, 4);
-        let p = Jacobi::new(&a);
-        let x = vec![4.0; 16];
-        let mut y = vec![0.0; 16];
-        p.apply(&x, &mut y);
-        assert!(y.iter().all(|&v| (v - 1.0).abs() < 1e-15));
-    }
-
-    #[test]
-    fn gauss_seidel_reduces_residual_better_than_jacobi() {
-        let a = laplace2d_5pt(10, 10);
-        let b = vec![1.0; 100];
-        let gs = BlockJacobiGaussSeidel::new(&a, 2);
-        let jac = Jacobi::new(&a);
-        let mut x_gs = vec![0.0; 100];
-        let mut x_j = vec![0.0; 100];
-        gs.apply(&b, &mut x_gs);
-        jac.apply(&b, &mut x_j);
-        assert!(residual_norm(&a, &x_gs, &b) < residual_norm(&a, &x_j, &b));
     }
 
     #[test]
@@ -274,7 +136,7 @@ mod tests {
         let b: Vec<f64> = (0..64).map(|i| ((i * 7) % 13) as f64 * 0.1).collect();
         let mut prev = f64::INFINITY;
         for sweeps in [1, 2, 4, 8] {
-            let gs = BlockJacobiGaussSeidel::new(&a, sweeps);
+            let gs = MulticolorGaussSeidel::new(&a, sweeps);
             let mut x = vec![0.0; 64];
             gs.apply(&b, &mut x);
             let r = residual_norm(&a, &x, &b);
@@ -372,7 +234,7 @@ mod tests {
                 }, // ghost
             ],
         );
-        let gs = BlockJacobiGaussSeidel::new(&local, 1);
+        let gs = MulticolorGaussSeidel::new(&local, 1);
         let mut out = vec![0.0; 2];
         gs.apply(&[2.0, 4.0], &mut out);
         assert_eq!(out, vec![1.0, 2.0]);

@@ -256,7 +256,7 @@ impl SStepGmres {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{BlockJacobiGaussSeidel, Jacobi};
+    use crate::precond::MulticolorGaussSeidel;
     use crate::report::Phase;
     use sparse::{laplace2d_5pt, laplace2d_9pt, laplace3d_7pt, Csr};
 
@@ -402,7 +402,7 @@ mod tests {
             ..GmresConfig::default()
         });
         let plain = solver.solve_serial(&a, &b).1;
-        let gs = BlockJacobiGaussSeidel::new(&a, 2);
+        let gs = MulticolorGaussSeidel::new(&a, 2);
         let (xp, precond_result) = solver.solve_serial_preconditioned(&a, &b, &gs);
         assert!(plain.converged && precond_result.converged);
         assert!(
@@ -415,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_preconditioner_also_works_on_3d_problem() {
+    fn multicolor_gauss_seidel_also_works_on_3d_problem() {
         let a = laplace3d_7pt(8, 8, 8);
         let b = rhs_for_ones(&a);
         let solver = SStepGmres::new(GmresConfig {
@@ -425,8 +425,8 @@ mod tests {
             ortho: OrthoKind::TwoStage { big_panel: 30 },
             ..GmresConfig::default()
         });
-        let jac = Jacobi::new(&a);
-        let (x, result) = solver.solve_serial_preconditioned(&a, &b, &jac);
+        let gs = MulticolorGaussSeidel::new(&a, 1);
+        let (x, result) = solver.solve_serial_preconditioned(&a, &b, &gs);
         assert!(result.converged, "{result:?}");
         assert!(relres(&a, &x, &b) < 1e-6);
     }

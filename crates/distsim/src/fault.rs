@@ -7,12 +7,15 @@
 //! a campaign keyed on a seed must be replayable bitwise, independent of
 //! thread interleaving.
 //!
-//! [`FaultyComm`] wraps any [`Communicator`] and perturbs operations
-//! according to a [`FaultPlan`]:
+//! [`FaultyComm`] wraps any [`Communicator`] and perturbs what a solve
+//! puts on the wire — all-reduce contributions (guard retries included)
+//! and halo sends — according to a [`FaultPlan`].  `broadcast`,
+//! `allgather` (matrix assembly negotiates its halo plan with two) and the
+//! receives pass straight through, so a plan never reaches assembly.
 //!
-//! * every operation kind carries a per-rank **sequence number** (collective
-//!   sequences are identical on every rank by the collective-order
-//!   contract, point-to-point sequences are per-rank);
+//! * each of the two operation kinds carries a per-rank **sequence
+//!   number** (all-reduce sequences are identical on every rank by the
+//!   collective-order contract, send sequences are per-rank);
 //! * **explicit** injections name their victim by `(rank, op-kind,
 //!   sequence-number)` — plus optional solver-phase and payload-size
 //!   filters — so a single targeted fault can be placed on, say, "the 2nd
@@ -24,22 +27,22 @@
 //! Fault model (chosen so that detection verdicts are *replicated* and
 //! recovery never deadlocks — see [`crate::guard`]):
 //!
-//! * [`FaultKind::BitFlip`] on a **collective** corrupts this rank's
+//! * [`FaultKind::BitFlip`] on an **all-reduce** corrupts this rank's
 //!   *contribution* (the transmitted payload).  The corrupted word is
 //!   combined into every rank's result, so all ranks observe the same
 //!   corrupted value and reach the same detection verdict — a collective
-//!   retry is then itself a safe collective.  Result-delivery corruption
-//!   (which would diverge per rank) is modeled on point-to-point ops
-//!   instead, where recovery is local (checksum → poison → cycle rollback);
-//! * [`FaultKind::OpFail`] poisons a collective's result on **every** rank
-//!   (a failed reduction), again keeping verdicts replicated — plans with a
-//!   rank-targeted `OpFail` are rejected;
+//!   retry is then itself a safe collective.  Corruption that would
+//!   diverge per rank is modeled on halo sends instead, where recovery is
+//!   local (checksum → poison → cycle rollback);
+//! * [`FaultKind::OpFail`] poisons an all-reduce's result on **every**
+//!   rank (a failed reduction), again keeping verdicts replicated — plans
+//!   with a rank-targeted `OpFail` are rejected;
 //! * [`FaultKind::DropMessage`] / [`FaultKind::DuplicateMessage`] /
-//!   point-to-point `BitFlip` perturb the halo-exchange messages of one
-//!   rank pair;
-//! * [`FaultKind::Stall`] delays an operation, which the receive timeout of
-//!   [`Communicator::recv_timeout`] converts from a hang into a
-//!   diagnosable [`crate::CommError`].
+//!   send-side `BitFlip` perturb the halo-exchange messages of one rank
+//!   pair;
+//! * [`FaultKind::Stall`] delays an all-reduce or a send; the receive
+//!   timeout of [`Communicator::recv_timeout`] turns a stalled peer from
+//!   a hang into a diagnosable [`crate::CommError`].
 //!
 //! Every injected event is recorded (see [`FaultyComm::events`]), counted,
 //! and emitted as a trace instant so injections are visible in timelines
@@ -52,38 +55,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The operation kinds a fault can target.
+/// The operation kinds a fault can target: what a solve puts on the wire.
+/// Every other operation (`broadcast`, `allgather`, `recv`) passes
+/// straight through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// `allreduce_sum` (including guard retries).
     Allreduce,
-    /// `broadcast`.
-    Broadcast,
-    /// `allgather`.
-    Allgather,
     /// Point-to-point `send`.
     Send,
-    /// Point-to-point `recv` / `recv_timeout`.
-    Recv,
-}
-
-impl OpKind {
-    fn index(&self) -> usize {
-        match self {
-            OpKind::Allreduce => 0,
-            OpKind::Broadcast => 1,
-            OpKind::Allgather => 2,
-            OpKind::Send => 3,
-            OpKind::Recv => 4,
-        }
-    }
-
-    fn is_collective(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Allreduce | OpKind::Broadcast | OpKind::Allgather
-        )
-    }
 }
 
 /// What an injection does to its victim operation.
@@ -91,8 +71,8 @@ impl OpKind {
 pub enum FaultKind {
     /// Flip one bit of one payload word (silent data corruption).  `word`
     /// is reduced modulo the payload length; `None` picks a seeded
-    /// pseudo-random word.  On collectives the *contribution* is corrupted
-    /// (see the module docs for why); on `send`/`recv` the message payload.
+    /// pseudo-random word.  On all-reduces the *contribution* is corrupted
+    /// (see the module docs for why); on sends the message payload.
     BitFlip {
         /// Payload word to corrupt (`None` = seeded choice).
         word: Option<usize>,
@@ -104,7 +84,7 @@ pub enum FaultKind {
     DropMessage,
     /// Deliver a point-to-point message twice.
     DuplicateMessage,
-    /// A transient collective failure: the result is poisoned with NaN on
+    /// A transient all-reduce failure: the result is poisoned with NaN on
     /// every rank.
     OpFail,
     /// Delay the operation, simulating a stalled rank or link.
@@ -192,16 +172,16 @@ pub struct Injection {
 /// campaign replays bitwise from its seed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
-    /// Bit-flip probability per collective contribution / p2p message.
+    /// Bit-flip probability per all-reduce contribution / halo send.
     pub bitflip: f64,
-    /// Transient-failure probability per collective (replicated: keyed
+    /// Transient-failure probability per all-reduce (replicated: keyed
     /// without the rank).
     pub opfail: f64,
     /// Drop probability per p2p send.
     pub drop: f64,
     /// Duplicate probability per p2p send.
     pub duplicate: f64,
-    /// Stall probability per operation.
+    /// Stall probability per all-reduce / halo send.
     pub stall: f64,
     /// Stall duration in milliseconds (applies to sampled stalls).
     pub stall_millis: u64,
@@ -217,8 +197,6 @@ pub struct FaultPlan {
     pub rates: FaultRates,
     /// Phase filter for the sampled rates (`None` = all phases).
     pub rate_phase: Option<&'static str>,
-    /// Minimum payload words for sampled bit-flips/op-failures.
-    pub rate_min_words: usize,
     /// Explicitly targeted injections.
     pub explicit: Vec<Injection>,
 }
@@ -265,8 +243,8 @@ impl FaultPlan {
                      by every rank, and a divergent injection would deadlock recovery"
                 );
                 assert!(
-                    inj.target.op.is_collective(),
-                    "OpFail applies to collectives only"
+                    inj.target.op == OpKind::Allreduce,
+                    "OpFail applies to all-reduces only"
                 );
             }
             if matches!(
@@ -355,8 +333,8 @@ const ALL_RANKS: u64 = u64::MAX;
 pub struct FaultyComm {
     inner: Arc<dyn Communicator>,
     plan: FaultPlan,
-    /// Per-[`OpKind`] sequence counters (index by `OpKind::index`).
-    seqs: [AtomicU64; 5],
+    /// Per-[`OpKind`] sequence counters (indexed by discriminant).
+    seqs: [AtomicU64; 2],
     /// Per-explicit-injection match counters (aligned with `plan.explicit`).
     matches: Vec<AtomicU64>,
     events: Mutex<Vec<FaultEvent>>,
@@ -391,11 +369,7 @@ impl FaultyComm {
     }
 
     fn record(&self, op: OpKind, seq: u64, kind: FaultKind, words: usize) {
-        trace::instant(
-            "fault",
-            kind.label(),
-            &[("op", op.index() as u64), ("seq", seq)],
-        );
+        trace::instant("fault", kind.label(), &[("op", op as u64), ("seq", seq)]);
         self.events
             .lock()
             .expect("fault event log poisoned")
@@ -437,7 +411,7 @@ impl FaultyComm {
         if phase_ok {
             let s = self.plan.seed;
             let r = rank as u64;
-            if op.is_collective() && words >= self.plan.rate_min_words {
+            if op == OpKind::Allreduce {
                 if rates.bitflip > 0.0 && unit(mix(s, SALT_BITFLIP, r, seq)) < rates.bitflip {
                     fired.push(self.sampled_flip(seq));
                 }
@@ -475,7 +449,7 @@ impl FaultyComm {
     }
 
     fn next_seq(&self, op: OpKind) -> u64 {
-        self.seqs[op.index()].fetch_add(1, Ordering::Relaxed)
+        self.seqs[op as usize].fetch_add(1, Ordering::Relaxed)
     }
 
     fn flip(buf: &mut [f64], word: Option<usize>, bit: u32, seq: u64) {
@@ -486,41 +460,27 @@ impl FaultyComm {
         buf[w] = f64::from_bits(buf[w].to_bits() ^ (1u64 << (bit % 64)));
     }
 
-    /// Run the in-place collective `op` on `buf` through `run`, with this
-    /// operation's faults applied around it.
-    fn in_place_collective(&self, op: OpKind, buf: &mut [f64], run: impl FnOnce(&mut [f64])) {
+    /// Run the all-reduce `run` on `buf` with this operation's faults
+    /// applied around it: stalls and contribution bit-flips before, an
+    /// OpFail's poison after.
+    fn allreduce(&self, buf: &mut [f64], run: impl FnOnce(&mut [f64])) {
+        let op = OpKind::Allreduce;
         let seq = self.next_seq(op);
-        let poison = self.before_collective(op, seq, buf);
+        let mut poison = false;
+        for kind in self.faults_for(op, seq, buf.len()) {
+            self.record(op, seq, kind, buf.len());
+            match kind {
+                FaultKind::Stall { millis } => std::thread::sleep(Duration::from_millis(millis)),
+                FaultKind::BitFlip { word, bit } => Self::flip(buf, word, bit, seq),
+                FaultKind::OpFail => poison = true,
+                // `validate` and the sampler keep these off all-reduces.
+                FaultKind::DropMessage | FaultKind::DuplicateMessage => {}
+            }
+        }
         run(buf);
         if poison {
             buf.fill(f64::NAN);
         }
-    }
-
-    /// Apply pre-collective faults (stall, contribution bit-flips); returns
-    /// whether an OpFail must poison the result afterwards.
-    fn before_collective(&self, op: OpKind, seq: u64, buf: &mut [f64]) -> bool {
-        let faults = self.faults_for(op, seq, buf.len());
-        let mut poison = false;
-        for kind in faults {
-            match kind {
-                FaultKind::Stall { millis } => {
-                    self.record(op, seq, kind, buf.len());
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                FaultKind::BitFlip { word, bit } => {
-                    self.record(op, seq, kind, buf.len());
-                    Self::flip(buf, word, bit, seq);
-                }
-                FaultKind::OpFail => {
-                    self.record(op, seq, kind, buf.len());
-                    poison = true;
-                }
-                // Drop/duplicate have no collective meaning.
-                FaultKind::DropMessage | FaultKind::DuplicateMessage => {}
-            }
-        }
-        poison
     }
 }
 
@@ -534,31 +494,21 @@ impl Communicator for FaultyComm {
     }
 
     fn allreduce_sum(&self, buf: &mut [f64]) {
-        self.in_place_collective(OpKind::Allreduce, buf, |b| self.inner.allreduce_sum(b));
+        self.allreduce(buf, |b| self.inner.allreduce_sum(b));
     }
 
     fn allreduce_sum_retry(&self, buf: &mut [f64]) {
         // Retries are operations like any other: they advance the sequence
         // counter and are themselves injectable.
-        self.in_place_collective(OpKind::Allreduce, buf, |b| {
-            self.inner.allreduce_sum_retry(b)
-        });
+        self.allreduce(buf, |b| self.inner.allreduce_sum_retry(b));
     }
 
     fn broadcast(&self, root: usize, buf: &mut [f64]) {
-        // Only the root's contribution reaches anyone, so the flip is
-        // replicated (or invisible) by construction.
-        self.in_place_collective(OpKind::Broadcast, buf, |b| self.inner.broadcast(root, b));
+        self.inner.broadcast(root, buf);
     }
 
     fn allgather(&self, send: &[f64], recv: &mut [f64]) {
-        let seq = self.next_seq(OpKind::Allgather);
-        let mut contribution = send.to_vec();
-        let poison = self.before_collective(OpKind::Allgather, seq, &mut contribution);
-        self.inner.allgather(&contribution, recv);
-        if poison {
-            recv.fill(f64::NAN);
-        }
+        self.inner.allgather(send, recv);
     }
 
     fn barrier(&self) {
@@ -566,30 +516,22 @@ impl Communicator for FaultyComm {
     }
 
     fn send(&self, to: usize, data: &[f64]) {
-        let seq = self.next_seq(OpKind::Send);
-        let faults = self.faults_for(OpKind::Send, seq, data.len());
+        let op = OpKind::Send;
+        let seq = self.next_seq(op);
         let mut payload = data.to_vec();
         let mut copies = 1usize;
-        for kind in faults {
+        for kind in self.faults_for(op, seq, data.len()) {
+            self.record(op, seq, kind, data.len());
             match kind {
-                FaultKind::Stall { millis } => {
-                    self.record(OpKind::Send, seq, kind, data.len());
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                FaultKind::BitFlip { word, bit } => {
-                    self.record(OpKind::Send, seq, kind, data.len());
-                    Self::flip(&mut payload, word, bit, seq);
-                }
-                FaultKind::DropMessage => {
-                    self.record(OpKind::Send, seq, kind, data.len());
-                    copies = 0;
-                }
+                FaultKind::Stall { millis } => std::thread::sleep(Duration::from_millis(millis)),
+                FaultKind::BitFlip { word, bit } => Self::flip(&mut payload, word, bit, seq),
+                FaultKind::DropMessage => copies = 0,
                 FaultKind::DuplicateMessage => {
-                    self.record(OpKind::Send, seq, kind, data.len());
                     if copies > 0 {
                         copies = 2;
                     }
                 }
+                // `validate` and the sampler keep OpFail off sends.
                 FaultKind::OpFail => {}
             }
         }
@@ -605,42 +547,15 @@ impl Communicator for FaultyComm {
     }
 
     fn recv(&self, from: usize) -> Vec<f64> {
-        let seq = self.next_seq(OpKind::Recv);
-        let mut msg = self.inner.recv(from);
-        self.after_recv(seq, &mut msg);
-        msg
+        self.inner.recv(from)
     }
 
     fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Vec<f64>, CommError> {
-        let seq = self.next_seq(OpKind::Recv);
-        let mut msg = self.inner.recv_timeout(from, timeout)?;
-        self.after_recv(seq, &mut msg);
-        Ok(msg)
+        self.inner.recv_timeout(from, timeout)
     }
 
     fn stats(&self) -> &CommStats {
         self.inner.stats()
-    }
-}
-
-impl FaultyComm {
-    /// Receiver-side perturbations (stalls before delivery are modeled on
-    /// the send side; here a flip models corruption detected at the
-    /// receiver, and a stall models a slow local delivery path).
-    fn after_recv(&self, seq: u64, msg: &mut [f64]) {
-        for kind in self.faults_for(OpKind::Recv, seq, msg.len()) {
-            match kind {
-                FaultKind::Stall { millis } => {
-                    self.record(OpKind::Recv, seq, kind, msg.len());
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                FaultKind::BitFlip { word, bit } => {
-                    self.record(OpKind::Recv, seq, kind, msg.len());
-                    Self::flip(msg, word, bit, seq);
-                }
-                _ => {}
-            }
-        }
     }
 }
 

@@ -176,8 +176,6 @@ pub struct GuardCounts {
     pub poisoned: usize,
     /// Faults that defeated the ladder.
     pub unrecovered: usize,
-    /// Collective retries issued.
-    pub retries: usize,
 }
 
 impl GuardCounts {
@@ -188,7 +186,6 @@ impl GuardCounts {
             recovered: self.recovered - earlier.recovered,
             poisoned: self.poisoned - earlier.poisoned,
             unrecovered: self.unrecovered - earlier.unrecovered,
-            retries: self.retries - earlier.retries,
         }
     }
 }
@@ -340,7 +337,6 @@ impl GuardedComm {
             let mut attempts = 0;
             while !ok && attempts < self.policy.max_retries {
                 attempts += 1;
-                self.state().counts.retries += 1;
                 payload.copy_from_slice(&saved);
                 self.inner.allreduce_sum_retry(&mut payload);
                 ok = screen_ok(&payload[..n], screen);
@@ -628,7 +624,6 @@ mod tests {
             assert_eq!(g, [3.0, 6.0, 6.0, 24.0], "recovered the true sum");
             assert_eq!(counts.detected, 1);
             assert_eq!(counts.recovered, 1);
-            assert_eq!(counts.retries, 1);
             assert_eq!(stats.allreduces, 1, "retries audit separately");
             assert_eq!(stats.allreduce_retries, 1);
         }
@@ -643,14 +638,14 @@ mod tests {
             let ctx = GuardedComm::wrap(FaultyComm::wrap(comm, plan), GuardPolicy::all());
             let mut g = [1.0, 2.0, 2.0, 8.0];
             let ok = ctx.allreduce_screened(&mut g, Screen::Gram { offset: 0, s: 2 });
-            (ok, g, ctx.counts())
+            (ok, g, ctx.counts(), ctx.stats().snapshot())
         });
-        for (ok, g, counts) in results {
+        for (ok, g, counts, stats) in results {
             assert!(!ok);
             assert!(g.iter().all(|v| v.is_nan()), "payload poisoned");
             assert_eq!(counts.detected, 1);
             assert_eq!(counts.poisoned, 1);
-            assert_eq!(counts.retries, 2, "bounded by max_retries");
+            assert_eq!(stats.allreduce_retries, 2, "bounded by max_retries");
         }
     }
 

@@ -34,9 +34,10 @@
 //!   planner; [`DistCsr::from_global`] is a thin wrapper streaming a
 //!   replicated matrix through the same path;
 //! * [`FaultyComm`] / [`FaultPlan`] — a deterministic fault-injection
-//!   wrapper over any communicator (bit-flips, dropped/duplicated
-//!   messages, transient collective failures, rank stalls), seeded and
-//!   bitwise replayable;
+//!   wrapper over any communicator that acts on what a solve puts on the
+//!   wire, all-reduce contributions and halo sends (bit-flips,
+//!   dropped/duplicated messages, transient all-reduce failures, stalls),
+//!   seeded and bitwise replayable;
 //! * [`GuardedComm`] / [`GuardPolicy`] — the same kind of wrapper for
 //!   low-overhead detection guards (Gram-symmetry screening, duplicated
 //!   norm words, cross-rank agreement probes, checksummed halo frames)

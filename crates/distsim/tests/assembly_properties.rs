@@ -7,16 +7,18 @@
 //! SpMV results, and identical `CommStats` traffic.  The properties sample
 //! the partition edge cases the planner has to survive: prime dimensions
 //! (maximally unbalanced block rows), more ranks than rows (empty ranks),
-//! one row per rank, and ranks whose rows hold zero nonzeros.
+//! one row per rank, and ranks whose rows hold zero nonzeros.  One more
+//! test pins that a sampled fault plan never reaches assembly.
 //!
 //! The rank counts swept can be extended from the environment
 //! (`DISTSIM_TEST_RANKS=6,8`, comma-separated) — CI runs a ranks sweep on
 //! top of the defaults; the proptest shim is deterministic, so any failure
 //! reported in CI reproduces locally from the printed case values.
 
-use distsim::{run_ranks, DistCsr};
+use distsim::{run_ranks, Communicator, DistCsr, FaultPlan, FaultRates, FaultyComm};
 use proptest::prelude::*;
-use sparse::{block_row_partition, Csr, Triplet};
+use sparse::{block_row_partition, laplace2d_9pt, Csr, Triplet};
+use std::sync::Arc;
 
 /// Rank counts to sweep: defaults plus any from `DISTSIM_TEST_RANKS`.
 fn ranks_under_test() -> Vec<usize> {
@@ -151,6 +153,44 @@ fn empty_middle_rank_partition_attributes_ghosts_to_the_real_owner() {
         offsets: vec![0, 3, 3, 6],
     };
     assert_constructors_agree_with_part(&a, &part);
+}
+
+#[test]
+fn a_sampled_fault_plan_leaves_the_assembled_halo_plan_alone() {
+    // A fault plan acts on what a solve puts on the wire — all-reduce
+    // contributions and halo sends — never on the two all-gathers that
+    // negotiate the halo plan.  Wrapped before `from_global`, as every
+    // campaign cell wraps it, a sampled plan must neither fail assembly
+    // nor change any rank's send or receive plan.
+    let a = laplace2d_9pt(16, 16);
+    let part = block_row_partition(a.nrows(), 2);
+    let halo_words = |plan: Option<&FaultPlan>| {
+        run_ranks(2, |comm| {
+            let comm: Arc<dyn Communicator> = match plan {
+                Some(plan) => FaultyComm::wrap(comm, plan.clone()),
+                None => comm,
+            };
+            let dist = DistCsr::from_global(comm, &a, &part);
+            let halo = dist.halo_plan();
+            (halo.send_words(), halo.recv_words())
+        })
+    };
+    let clean = halo_words(None);
+    assert!(clean.iter().all(|&(send, recv)| send > 0 && recv > 0));
+    let opfail = FaultRates {
+        opfail: 0.5,
+        ..FaultRates::default()
+    };
+    let bitflip = FaultRates {
+        bitflip: 0.3,
+        ..FaultRates::default()
+    };
+    let plans = (0..20)
+        .map(|seed| FaultPlan::from_seed(seed, opfail))
+        .chain((0..40).map(|seed| FaultPlan::from_seed(seed, bitflip)));
+    for plan in plans {
+        assert_eq!(halo_words(Some(&plan)), clean, "{plan:?}");
+    }
 }
 
 #[test]

@@ -142,16 +142,6 @@ impl TwoStage {
         scheme
     }
 
-    /// The configured first-stage kernel.
-    pub fn first_stage(&self) -> FirstStage {
-        self.first_stage
-    }
-
-    /// The configured second-stage block size `bs`.
-    pub fn big_panel(&self) -> usize {
-        self.big_panel
-    }
-
     /// Run the second stage on the columns `big_start..processed_end`
     /// (if any) and update `R` and the coefficient bookkeeping.  With
     /// `factor_only`, a panel the plain kernel factors is not normalized:

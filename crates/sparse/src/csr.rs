@@ -279,11 +279,6 @@ impl Csr {
         }
     }
 
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Whether the sparsity pattern and values are numerically symmetric to
     /// within `tol` (used to classify the SuiteSparse surrogates).
     pub fn is_symmetric(&self, tol: f64) -> bool {
@@ -489,12 +484,6 @@ mod tests {
         let (cols, vals) = b.row(0);
         assert_eq!(cols, &[0, 1, 2]);
         assert_eq!(vals, &[-1.0, 2.0, -1.0]);
-    }
-
-    #[test]
-    fn norms() {
-        let a = small();
-        assert!((a.frobenius_norm() - (4.0 * 3.0 + 1.0 * 4.0f64).sqrt()).abs() < 1e-14);
     }
 
     #[test]

@@ -1,14 +1,11 @@
-//! s-step GMRES with the local Gauss–Seidel preconditioners of the paper's
+//! s-step GMRES with the local Gauss–Seidel preconditioner of the paper's
 //! Fig. 13 (block Jacobi across ranks, multicolor Gauss–Seidel inside each
-//! block), plus the Jacobi preconditioner as an extension.
+//! block), against the unpreconditioned solve.
 //!
 //! Run with `cargo run --release --example preconditioned_sstep`.
 
 use sparse::laplace2d_9pt;
-use ssgmres::{
-    BlockJacobiGaussSeidel, GmresConfig, Jacobi, MulticolorGaussSeidel, OrthoKind, Preconditioner,
-    SStepGmres,
-};
+use ssgmres::{GmresConfig, MulticolorGaussSeidel, OrthoKind, Preconditioner, SStepGmres};
 
 fn main() {
     let nx = 150;
@@ -28,13 +25,9 @@ fn main() {
         "preconditioner", "iters", "restarts", "relres", "converged"
     );
 
-    let jacobi = Jacobi::new(&a);
-    let gs = BlockJacobiGaussSeidel::new(&a, 2);
     let mc = MulticolorGaussSeidel::new(&a, 2);
-    let preconds: Vec<(&str, &dyn Preconditioner)> = vec![
+    let preconds: [(&str, &dyn Preconditioner); 2] = [
         ("none", &ssgmres::Identity),
-        ("Jacobi", &jacobi),
-        ("block-Jacobi Gauss-Seidel (2)", &gs),
         ("multicolor Gauss-Seidel (2)", &mc),
     ];
     let mut baseline_iters = 0usize;
