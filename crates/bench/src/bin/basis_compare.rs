@@ -5,14 +5,12 @@
 //! ```sh
 //! cargo run -p bench --release --bin basis_compare          # full sweep
 //! BENCH_QUICK=1 cargo run -p bench --release --bin basis_compare   # CI mode
-//! cargo run -p bench --release --bin basis_compare -- --matrix A.mtx --partition nnz
+//! cargo run -p bench --release --bin basis_compare -- --matrix A.mtx
 //! ```
 //!
 //! With `--matrix <path.mtx>` the sweep runs on that file instead of the
 //! built-in problems (streamed through `read_matrix_market_row_block`, so
-//! only one row block is ever materialized per pass); `--partition nnz`
-//! reports the `nnz_counting_pass`-balanced row partition next to the
-//! default block partition.
+//! only one row block is ever materialized per pass).
 //!
 //! Per (matrix, s, basis) the experiment records:
 //!
@@ -156,13 +154,6 @@ fn main() {
     if let Some((name, a)) = args.load_matrix() {
         // File mode: sweep the provided matrix only, streamed from disk.
         eprintln!("matrix {name} ({} rows, {} nnz) ...", a.nrows(), a.nnz());
-        let part = bench::cli::partition_rows(&a, args.partition, 4);
-        eprintln!(
-            "  {} partition over 4 ranks: per-rank nnz {:?}, imbalance {:.2}",
-            args.partition.label(),
-            bench::cli::per_rank_nnz(&a, &part),
-            bench::cli::partition_imbalance(&a, &part)
-        );
         let file_svals: Vec<usize> = svals
             .iter()
             .copied()

@@ -5,7 +5,7 @@
 //! ```sh
 //! cargo run -p bench --release --bin faults                    # full campaign
 //! BENCH_QUICK=1 cargo run -p bench --release --bin faults      # CI mode
-//! cargo run -p bench --release --bin faults -- --matrix A.mtx --partition nnz
+//! cargo run -p bench --release --bin faults -- --matrix A.mtx
 //! ```
 //!
 //! The headline cells run at `s = 8` on elasticity3d (the paper's hard
@@ -35,9 +35,7 @@
 //! kind cannot reach is skipped, and every kind must inject somewhere.
 //!
 //! With `--matrix <path.mtx>` the campaign grid runs on that matrix
-//! instead (headline cells need the built-in problem and are skipped), and
-//! `--partition nnz` drives the distributed cells over the nnz-balanced
-//! partition.
+//! instead (headline cells need the built-in problem and are skipped).
 
 use bench::{cli, Table};
 use distsim::{
@@ -201,14 +199,13 @@ fn main() {
         None => ("elasticity3d".to_string(), elasticity3d(5, 5, 5), 8, true),
     };
     let b = unit_rhs(&a);
-    let part = cli::partition_rows(&a, args.partition, NRANKS);
+    let part = block_row_partition(a.nrows(), NRANKS);
     let per_rank = cli::per_rank_nnz(&a, &part);
     let imbalance = cli::partition_imbalance(&a, &part);
     eprintln!(
-        "matrix {name} ({} rows, {} nnz), s = {s}, {} partition over {NRANKS} ranks: per-rank nnz {per_rank:?}, imbalance {imbalance:.2}",
+        "matrix {name} ({} rows, {} nnz), s = {s}, {NRANKS} ranks: per-rank nnz {per_rank:?}, imbalance {imbalance:.2}",
         a.nrows(),
         a.nnz(),
-        args.partition.label()
     );
 
     let conf = config(s);
@@ -298,7 +295,6 @@ fn main() {
         .field("nranks", NRANKS);
     w.key("partition")
         .begin_object()
-        .field("kind", args.partition.label())
         .key("per_rank_nnz")
         .begin_array();
     for nnz in &per_rank {

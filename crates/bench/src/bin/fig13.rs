@@ -8,9 +8,7 @@
 //! with its speedups over standard GMRES, as the paper's figure annotates.
 //!
 //! With `--matrix <path.mtx>` the solves run on that file instead of the
-//! built-in stencil (streamed via `load_matrix_streamed`), and
-//! `--partition block|nnz` selects the row partition for the report line
-//! printed before the solves.
+//! built-in stencil (streamed via `load_matrix_streamed`).
 
 use bench::cli;
 use bench::{scale, timed_solve, Scale, SolveSecs, Table};
@@ -42,16 +40,7 @@ fn main() {
             }),
         ),
     };
-    let report_ranks = 4;
-    let part = cli::partition_rows(&a, args.partition, report_ranks);
-    println!(
-        "matrix {name} ({} rows, {} nnz), {} partition over {report_ranks} ranks: per-rank nnz {:?}, imbalance {:.2}",
-        a.nrows(),
-        a.nnz(),
-        args.partition.label(),
-        cli::per_rank_nnz(&a, &part),
-        cli::partition_imbalance(&a, &part),
-    );
+    println!("matrix {name} ({} rows, {} nnz)", a.nrows(), a.nnz());
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
     let gs = MulticolorGaussSeidel::new(&a, gs_sweeps);
     let mut header = vec![

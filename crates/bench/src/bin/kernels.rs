@@ -15,10 +15,12 @@
 //!
 //! Reported per row: wall seconds (best of repetitions), GF/s against the
 //! kernel's flop model, the minimum bytes the kernel must move, the thread
-//! count, and a speedup column: single-thread blocked rows are measured
-//! against the naive reference, multi-thread blocked rows against the
-//! 1-thread blocked time of the same kernel and shape (the multithread
-//! scaling signature), and fused rows against the separate blocked sweeps.
+//! count, and a speedup column: single-thread blocked `gram`/`gemm_tn`
+//! rows are measured against the naive reference, multi-thread blocked
+//! rows against the 1-thread blocked time of the same kernel and shape
+//! (the multithread scaling signature), and fused rows against the
+//! separate blocked sweeps.  The naive update and TRSM time a libm `fma`
+//! call per element, so their 1-thread blocked rows carry no speedup.
 //! `TWOSTAGE_NUM_THREADS` is overridden internally per row.
 //!
 //! With `BENCH_SCALING_CHECK=1` the binary exits non-zero if the fused
@@ -108,9 +110,15 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The kernels whose naive reference runs one `f64::mul_add` per element,
+/// a libm call in a build without compile-time FMA: their naive time
+/// measures that call, not the blocking.
+const LIBM_FMA_NAIVE: [&str; 2] = ["gemm_nn_minus", "trsm_right_upper"];
+
 /// Time every kernel's naive call at one thread, then its blocked call at
 /// each thread count: 1-thread blocked rows are measured against the naive
-/// call, multithread ones against the 1-thread blocked call.  A call runs on
+/// call (except [`LIBM_FMA_NAIVE`]'s, which get none), multithread ones
+/// against the 1-thread blocked call.  A call runs on
 /// a copy of `v`, restored outside the timed region (at the flush shapes the
 /// copy takes as long as the call).
 fn time_kernels(
@@ -136,15 +144,15 @@ fn time_kernels(
     for (cost, naive, _) in kernels {
         let secs = time(*naive);
         rows.push(cost.row("naive", 1, secs, None));
-        baselines.push(("naive", secs));
+        baselines.push((!LIBM_FMA_NAIVE.contains(&cost.kernel)).then_some(("naive", secs)));
     }
     for &t in thread_counts {
         parkit::set_num_threads(t);
         for ((cost, _, blocked), baseline) in kernels.iter().zip(&mut baselines) {
             let secs = time(*blocked);
-            rows.push(cost.row("blocked", t, secs, Some(*baseline)));
+            rows.push(cost.row("blocked", t, secs, *baseline));
             if t == 1 {
-                *baseline = ("blocked_1thread", secs);
+                *baseline = Some(("blocked_1thread", secs));
             }
         }
     }

@@ -4,7 +4,7 @@
 //! ```sh
 //! cargo run -p bench --release --bin robustness                      # full sweep
 //! BENCH_QUICK=1 cargo run -p bench --release --bin robustness        # CI mode
-//! cargo run -p bench --release --bin robustness -- --matrix A.mtx --partition nnz
+//! cargo run -p bench --release --bin robustness -- --matrix A.mtx
 //! ```
 //!
 //! Each row solves one `(matrix, s, policy)` cell and records convergence,
@@ -23,15 +23,13 @@
 //!   counts equal `Fixed`'s exactly.
 //!
 //! With `--matrix <path.mtx>` the sweep runs on that file instead
-//! (streamed via `read_matrix_market_row_block`), and `--partition nnz`
-//! switches the distributed spot-check from block rows to the
-//! `nnz_counting_pass`-derived partition.
+//! (streamed via `read_matrix_market_row_block`).
 
-use bench::cli::{self, PartitionKind};
+use bench::cli;
 use bench::Table;
 use distsim::{run_ranks, Communicator, DistCsr};
+use sparse::{block_row_partition, mm, SUITE_SPARSE_SET};
 use sparse::{elasticity3d, laplace2d_5pt, scale_rows_cols_by_max, suitesparse_surrogate, Csr};
-use sparse::{mm, SUITE_SPARSE_SET};
 use ssgmres::{
     BasisStrategy, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy,
 };
@@ -115,19 +113,18 @@ fn run_cell(
 
 /// Distributed spot-check: stream per-rank row blocks (from the file when
 /// one was given, otherwise from the replicated matrix), build the
-/// distributed operator over the chosen partition, and run the Auto solve
-/// on 2 simulated ranks.
+/// distributed operator over block rows, and run the Auto solve on 2
+/// simulated ranks.
 fn distributed_check(
     name: &str,
     a: &Csr,
     b: &[f64],
     s: usize,
     restart: usize,
-    partition: PartitionKind,
     mtx: Option<&std::path::Path>,
 ) -> (Vec<usize>, f64, bool) {
     let nranks = 2;
-    let part = cli::partition_rows(a, partition, nranks);
+    let part = block_row_partition(a.nrows(), nranks);
     let per_rank = cli::per_rank_nnz(a, &part);
     let imbalance = cli::partition_imbalance(a, &part);
     let conf = config(s, restart, StepPolicy::Auto, 20_000);
@@ -185,18 +182,10 @@ fn main() {
         }
         let restart = 30.min(a.nrows());
         let s = svals[0].min(restart);
-        let (per_rank, imbalance, converged) = distributed_check(
-            &name,
-            &a,
-            &b,
-            s,
-            restart,
-            args.partition,
-            args.matrix.as_deref(),
-        );
+        let (per_rank, imbalance, converged) =
+            distributed_check(&name, &a, &b, s, restart, args.matrix.as_deref());
         eprintln!(
-            "  distributed ({} partition): per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}",
-            args.partition.label()
+            "  distributed: per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}"
         );
         dist_summary = (name, per_rank, imbalance, converged);
     } else {
@@ -235,10 +224,9 @@ fn main() {
 
         // Distributed spot-check on the headline matrix.
         let (per_rank, imbalance, converged) =
-            distributed_check("elasticity3d", &elast, &b, 12, 32, args.partition, None);
+            distributed_check("elasticity3d", &elast, &b, 12, 32, None);
         eprintln!(
-            "  distributed ({} partition): per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}",
-            args.partition.label()
+            "  distributed: per-rank nnz {per_rank:?}, imbalance {imbalance:.2}, converged {converged}"
         );
         assert!(converged, "distributed Auto solve must converge");
         dist_summary = ("elasticity3d".to_string(), per_rank, imbalance, converged);
@@ -299,7 +287,6 @@ fn main() {
     w.begin_object()
         .field("bench", "robustness")
         .field("quick", quick)
-        .field("partition", args.partition.label())
         .key("distributed")
         .begin_object()
         .field("matrix", name)

@@ -4,7 +4,7 @@
 //! ```sh
 //! cargo run -p bench --release --bin sketch                      # full sweep
 //! BENCH_QUICK=1 cargo run -p bench --release --bin sketch        # CI mode
-//! cargo run -p bench --release --bin sketch -- --matrix A.mtx --partition nnz
+//! cargo run -p bench --release --bin sketch -- --matrix A.mtx
 //! ```
 //!
 //! Each row orthogonalizes one engineered basis — log-scaled singular
@@ -26,8 +26,7 @@
 //!
 //! With `--matrix <path.mtx>` the sweep instead runs on the monomial
 //! Krylov basis of that operator (the panel an s-step solver actually
-//! produces), and the distributed spot-check partitions its rows with
-//! `--partition block|nnz`.
+//! produces).
 
 use bench::cli;
 use bench::Table;
@@ -149,11 +148,7 @@ fn monomial_basis(a: &Csr, cols: usize) -> Matrix {
 /// A basis the scheme refuses (a loaded operator's monomial basis can be
 /// numerically rank deficient) is an `Err` with the breakdown, for the
 /// caller to record.
-fn distributed_check(
-    v: &Matrix,
-    s: usize,
-    part: Option<&sparse::RowPartition>,
-) -> Result<(usize, f64), String> {
+fn distributed_check(v: &Matrix, s: usize) -> Result<(usize, f64), String> {
     let kind = OrthoKind::TwoStageSketched { big_panel: 2 * s };
     let serial = run_cell("spot", 0.0, v, s, kind);
     if !serial.ok {
@@ -161,21 +156,7 @@ fn distributed_check(
     }
     let nranks = 2;
     let results = run_ranks(nranks, |comm| -> Result<_, OrthoError> {
-        let rank = comm.rank();
-        let (lo, hi) = match part {
-            Some(p) => p.range(rank),
-            None => {
-                let r = &parkit::chunk_ranges(v.nrows(), nranks)[rank];
-                (r.start, r.end)
-            }
-        };
-        let mut basis = DistMultiVector::zeros(comm.clone(), v.nrows(), hi - lo, lo, v.ncols());
-        for j in 0..v.ncols() {
-            for i in lo..hi {
-                let x = v[(i, j)];
-                basis.local_mut()[(i - lo, j)] = x;
-            }
-        }
+        let mut basis = DistMultiVector::from_matrix(comm, v.clone());
         let mut r = Matrix::zeros(v.ncols(), v.ncols());
         let mut scheme = make_orthogonalizer(kind, v.ncols());
         let before = basis.comm().stats().snapshot();
@@ -229,17 +210,12 @@ fn main() {
                 rows.push(run_cell(&name, kappa, &v, s, kind));
             }
         }
-        let part = cli::partition_rows(&a, args.partition, 2);
-        let outcome = distributed_check(&v, svals[0], Some(&part));
+        let outcome = distributed_check(&v, svals[0]);
         match &outcome {
-            Ok((reduces, err)) => eprintln!(
-                "  distributed ({} partition): {reduces} allreduces, orthogonality {err:.2e}",
-                args.partition.label()
-            ),
-            Err(breakdown) => eprintln!(
-                "  distributed ({} partition): breakdown: {breakdown}",
-                args.partition.label()
-            ),
+            Ok((reduces, err)) => {
+                eprintln!("  distributed: {reduces} allreduces, orthogonality {err:.2e}")
+            }
+            Err(breakdown) => eprintln!("  distributed: breakdown: {breakdown}"),
         }
         dist_summary = (name, outcome);
     } else {
@@ -278,7 +254,7 @@ fn main() {
 
         // Distributed spot-check at the headline κ.
         let spot = testmat::logscaled_matrix(n, cols, 1e10, 7);
-        let (reduces, err) = distributed_check(&spot, svals[0], None)
+        let (reduces, err) = distributed_check(&spot, svals[0])
             .expect("the sketched two-stage must take the headline basis on 2 ranks");
         eprintln!("  distributed: {reduces} allreduces, orthogonality {err:.2e}");
         dist_summary = ("logscaled@1e10".to_string(), Ok((reduces, err)));
@@ -379,7 +355,6 @@ fn main() {
     w.begin_object()
         .field("bench", "sketch")
         .field("quick", quick)
-        .field("partition", args.partition.label())
         .key("distributed")
         .begin_object()
         .field("input", name)

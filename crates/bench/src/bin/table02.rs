@@ -112,17 +112,6 @@ fn main() {
     table.print(&format!(
         "Table II: measured solves of {name} (solution = all ones)"
     ));
-    // How the distributed runs would split this operator across 4 ranks
-    // under the chosen partition strategy.
-    let part = bench::cli::partition_rows(&a, args.partition, 4.min(a.nrows()));
-    println!(
-        "\npartition {} over {} ranks: per-rank nnz {:?}, imbalance {:.2}",
-        args.partition.label(),
-        part.nranks(),
-        bench::cli::per_rank_nnz(&a, &part),
-        bench::cli::partition_imbalance(&a, &part)
-    );
-
     println!(
         "\nExpected shape (paper Table II): ortho reduces, and with them ortho time, fall\n\
          as bs grows, with the best total time at bs = m = 60; MPK time is essentially unchanged."

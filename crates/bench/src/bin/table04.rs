@@ -8,8 +8,7 @@
 //! on the same matrix.
 //!
 //! With `--matrix <path.mtx>` the whole surrogate set is replaced by the
-//! real operator from the file.  `--partition block|nnz` selects the row
-//! split reported for the distributed runs.
+//! real operator from the file.
 
 use bench::{scale, timed_solve, Scale, SolveSecs, Table};
 use sparse::{
@@ -129,20 +128,6 @@ fn main() {
     } else {
         "Table IV: measured solves on scaled-down surrogates"
     });
-    if args.matrix.is_some() {
-        // How the distributed runs would split the real operator's rows
-        // under the chosen partition strategy.
-        for (_, a) in &workloads {
-            let part = bench::cli::partition_rows(a, args.partition, 4.min(a.nrows()));
-            println!(
-                "\npartition {} over {} ranks: per-rank nnz {:?}, imbalance {:.2}",
-                args.partition.label(),
-                part.nranks(),
-                bench::cli::per_rank_nnz(a, &part),
-                bench::cli::partition_imbalance(a, &part)
-            );
-        }
-    }
     println!(
         "\nExpected shape (paper Table IV): orthogonalization speedups over standard GMRES of\n\
          ~1.8-2.8x (s-step), ~3.5-5.2x (BCGS-PIP2) and ~5.4-9x (two-stage), with total-time\n\

@@ -14,7 +14,6 @@
 //! | `fig13` | Fig. 13 — solve times with a Gauss–Seidel preconditioner |
 //! | `basis_compare` | Extension — monomial vs. Newton vs. adaptive basis conditioning (`BENCH_basis.json`) |
 //! | `kernels` | Kernel baselines — blocked vs. naive BLAS-3 (`BENCH_kernels.json`) |
-//! | `profile` | Observability — traced solve, per-cycle sync-vs-compute breakdown, schedule-vs-measured words (`BENCH_profile.json`, `TRACE_profile.json`) |
 //! | `faults` | Robustness — seeded fault-injection campaign: detection/recovery grid, guard overhead, silent-SDC headline (`BENCH_faults.json`) |
 //! | `robustness` | Robustness — fixed vs. self-rescuing step policy on the hard matrices (`BENCH_robustness.json`) |
 //! | `sketch` | Extension — κ × s × scheme stability sweep of the sketched orthogonalization family (`BENCH_sketch.json`) |
@@ -23,7 +22,7 @@
 //! Every binary opens with [`cli::begin`]: it accepts `--trace <out.json>`
 //! and then writes a Chrome trace-event timeline of the run (open at
 //! <https://ui.perfetto.dev>), and rejects arguments it does not know.  The
-//! seven JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
+//! six JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
 //! write their artifact through [`trace::JsonWriter`] and [`emit`]; the
 //! rows of an artifact are a [`Table`] written by [`Table::write_json`].
 //!

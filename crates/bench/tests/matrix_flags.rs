@@ -1,11 +1,11 @@
 //! File-fixture test of the command-line plumbing: the committed
 //! `laplace_6x6.mtx` is driven through the `cli` helpers and through the
 //! actual binaries (`CARGO_BIN_EXE_*`), checking that they accept
-//! `--matrix` / `--partition`, run the streamed reader end to end, write
-//! JSON artifacts that validate whatever the file is called, and all
-//! reject an argument they do not know.
+//! `--matrix`, run the streamed reader end to end, write JSON artifacts
+//! that validate whatever the file is called, and all reject an argument
+//! or a matrix file they cannot use.
 
-use bench::cli::{self, PartitionKind};
+use bench::cli;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -39,27 +39,11 @@ fn streamed_loader_reproduces_the_generator_bitwise() {
     }
 }
 
-#[test]
-fn nnz_partition_of_the_fixture_is_balanced() {
-    let (_, a) = cli::load_matrix_streamed(&fixture()).expect("fixture must load");
-    for nranks in [2usize, 3, 4] {
-        let part = cli::partition_rows(&a, PartitionKind::Nnz, nranks);
-        assert_eq!(part.nranks(), nranks);
-        assert_eq!(part.nrows(), a.nrows());
-        let imbalance = cli::partition_imbalance(&a, &part);
-        assert!(
-            imbalance <= 1.5,
-            "nranks {nranks}: imbalance {imbalance:.2} too high"
-        );
-        assert_eq!(cli::per_rank_nnz(&a, &part).iter().sum::<usize>(), a.nnz());
-    }
-}
-
 /// Run `exe` on `matrix` in quick mode inside `dir` and return the artifact
 /// it wrote, checked to be well-formed JSON.
 fn run_in(dir: &Path, exe: &str, tag: &str, matrix: &Path, expect_artifact: &str) -> String {
     let output = Command::new(exe)
-        .args(["--matrix", matrix.to_str().unwrap(), "--partition", "nnz"])
+        .args(["--matrix", matrix.to_str().unwrap()])
         .env("BENCH_QUICK", "1")
         .current_dir(dir)
         .output()
@@ -154,12 +138,7 @@ fn fig13_accepts_matrix_and_partition_flags() {
     // fig13 prints tables instead of writing JSON: check the stdout report.
     let dir = scratch("fig13");
     let output = Command::new(env!("CARGO_BIN_EXE_fig13"))
-        .args([
-            "--matrix",
-            fixture().to_str().unwrap(),
-            "--partition",
-            "nnz",
-        ])
+        .args(["--matrix", fixture().to_str().unwrap()])
         .env("BENCH_QUICK", "1")
         .current_dir(&dir)
         .output()
@@ -175,10 +154,6 @@ fn fig13_accepts_matrix_and_partition_flags() {
         stdout.contains("laplace_6x6"),
         "fig13 must run the provided matrix:\n{stdout}"
     );
-    assert!(
-        stdout.contains("nnz partition"),
-        "fig13 must report the chosen partition:\n{stdout}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -191,8 +166,6 @@ fn table02_accepts_matrix_partition_and_trace_flags() {
         .args([
             "--matrix",
             fixture().to_str().unwrap(),
-            "--partition",
-            "nnz",
             "--trace",
             "table02_trace.json",
         ])
@@ -211,10 +184,6 @@ fn table02_accepts_matrix_partition_and_trace_flags() {
         stdout.contains("laplace_6x6"),
         "table02 must run the provided matrix:\n{stdout}"
     );
-    assert!(
-        stdout.contains("partition nnz"),
-        "table02 must report the chosen partition:\n{stdout}"
-    );
     let trace_json = std::fs::read_to_string(dir.join("table02_trace.json"))
         .expect("table02 must write the --trace timeline");
     trace::validate_json(&trace_json).expect("timeline must be valid JSON");
@@ -230,12 +199,7 @@ fn table04_accepts_matrix_and_partition_flags() {
     // table04 prints tables instead of writing JSON: check the stdout report.
     let dir = scratch("table04");
     let output = Command::new(env!("CARGO_BIN_EXE_table04"))
-        .args([
-            "--matrix",
-            fixture().to_str().unwrap(),
-            "--partition",
-            "nnz",
-        ])
+        .args(["--matrix", fixture().to_str().unwrap()])
         .env("BENCH_QUICK", "1")
         .current_dir(&dir)
         .output()
@@ -251,28 +215,24 @@ fn table04_accepts_matrix_and_partition_flags() {
         stdout.contains("laplace_6x6"),
         "table04 must run the provided matrix:\n{stdout}"
     );
-    assert!(
-        stdout.contains("partition nnz"),
-        "table04 must report the chosen partition:\n{stdout}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-const ALL_BINARIES: [(&str, &str); 14] = [
-    ("basis_compare", env!("CARGO_BIN_EXE_basis_compare")),
-    ("batched", env!("CARGO_BIN_EXE_batched")),
-    ("faults", env!("CARGO_BIN_EXE_faults")),
-    ("fig06", env!("CARGO_BIN_EXE_fig06")),
-    ("fig07", env!("CARGO_BIN_EXE_fig07")),
-    ("fig08", env!("CARGO_BIN_EXE_fig08")),
-    ("fig09", env!("CARGO_BIN_EXE_fig09")),
-    ("fig13", env!("CARGO_BIN_EXE_fig13")),
-    ("kernels", env!("CARGO_BIN_EXE_kernels")),
-    ("profile", env!("CARGO_BIN_EXE_profile")),
-    ("robustness", env!("CARGO_BIN_EXE_robustness")),
-    ("sketch", env!("CARGO_BIN_EXE_sketch")),
-    ("table02", env!("CARGO_BIN_EXE_table02")),
-    ("table04", env!("CARGO_BIN_EXE_table04")),
+/// Every binary, and whether it takes `--matrix`.
+const ALL_BINARIES: [(&str, &str, bool); 13] = [
+    ("basis_compare", env!("CARGO_BIN_EXE_basis_compare"), true),
+    ("batched", env!("CARGO_BIN_EXE_batched"), false),
+    ("faults", env!("CARGO_BIN_EXE_faults"), true),
+    ("fig06", env!("CARGO_BIN_EXE_fig06"), false),
+    ("fig07", env!("CARGO_BIN_EXE_fig07"), false),
+    ("fig08", env!("CARGO_BIN_EXE_fig08"), false),
+    ("fig09", env!("CARGO_BIN_EXE_fig09"), false),
+    ("fig13", env!("CARGO_BIN_EXE_fig13"), true),
+    ("kernels", env!("CARGO_BIN_EXE_kernels"), false),
+    ("robustness", env!("CARGO_BIN_EXE_robustness"), true),
+    ("sketch", env!("CARGO_BIN_EXE_sketch"), true),
+    ("table02", env!("CARGO_BIN_EXE_table02"), true),
+    ("table04", env!("CARGO_BIN_EXE_table04"), true),
 ];
 
 /// Every binary opens with `cli::begin`: an unknown argument ends the run
@@ -280,7 +240,7 @@ const ALL_BINARIES: [(&str, &str); 14] = [
 #[test]
 fn binaries_reject_bad_flags() {
     let dir = scratch("oops");
-    for (name, exe) in ALL_BINARIES {
+    for (name, exe, takes_matrix) in ALL_BINARIES {
         let output = Command::new(exe)
             .args(["--oops"])
             .current_dir(&dir)
@@ -293,7 +253,11 @@ fn binaries_reject_bad_flags() {
                 && stderr.contains(&format!("usage: {name} ")),
             "{name}: stderr must name the binary and its usage:\n{stderr}"
         );
-        let takes_matrix = stderr.contains("--matrix");
+        assert_eq!(
+            stderr.contains("--matrix"),
+            takes_matrix,
+            "{name}: the usage line offers --matrix exactly where the binary takes it"
+        );
         let output = Command::new(exe)
             .args(["--matrix"])
             .current_dir(&dir)
@@ -311,6 +275,43 @@ fn binaries_reject_bad_flags() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A non-square file cannot be solved: every `--matrix` binary refuses it
+/// with status 2 and a message naming the file and its shape, before it
+/// runs anything or writes an artifact.
+#[test]
+fn non_square_matrix_files_are_rejected_before_any_work() {
+    let dir = scratch("non_square");
+    let matrix = dir.join("wide.mtx");
+    std::fs::write(
+        &matrix,
+        "%%MatrixMarket matrix coordinate real general\n2 3 3\n1 1 1.0\n2 2 2.0\n1 3 0.5\n",
+    )
+    .expect("write the 2x3 file");
+    let run_dir = dir.join("run");
+    std::fs::create_dir_all(&run_dir).expect("create the run dir");
+    for (name, exe, _) in ALL_BINARIES.iter().filter(|b| b.2) {
+        let output = Command::new(exe)
+            .args(["--matrix", matrix.to_str().unwrap()])
+            .env("BENCH_QUICK", "1")
+            .current_dir(&run_dir)
+            .output()
+            .expect("binary must launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{name}: exit status\n{stderr}"
+        );
+        assert!(
+            stderr.contains("wide.mtx") && stderr.contains("2x3"),
+            "{name}: stderr must name the file and its shape:\n{stderr}"
+        );
+    }
+    let left_behind = std::fs::read_dir(&run_dir).expect("run dir").count();
+    assert_eq!(left_behind, 0, "a rejected matrix file must write nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The committed full-mode artifacts at the repository root stay
 /// well-formed (the binaries validate what they write; a hand edit is not
 /// written by a binary).
@@ -322,7 +323,6 @@ fn committed_bench_artifacts_are_valid_json() {
         "batched",
         "faults",
         "kernels",
-        "profile",
         "robustness",
         "sketch",
     ] {

@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod chunk;
 mod config;

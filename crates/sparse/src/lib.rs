@@ -48,10 +48,7 @@ pub use mm::{
     read_matrix_market, read_matrix_market_info, read_matrix_market_row_block, write_matrix_market,
     MmInfo,
 };
-pub use partition::{
-    block_row_partition, nnz_balanced_partition, nnz_balanced_partition_from_counts,
-    nnz_counting_pass, RowPartition,
-};
+pub use partition::{block_row_partition, RowPartition};
 pub use rows::{assemble, assemble_rows, RowSource};
 pub use scaling::scale_rows_cols_by_max;
 pub use sliced::SlicedCsr;

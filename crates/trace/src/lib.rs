@@ -16,7 +16,7 @@
 //!   after the first event on a thread.
 //! * **Always-exact aggregates.**  Every span closure also updates a small
 //!   per-thread `(cat, name) → {count, total_ns, max_ns}` table, so the
-//!   aggregated report ([`Trace::merged_spans`], [`thread_category_ns`]) is
+//!   aggregated report ([`Trace::category_ns`], [`thread_category_ns`]) is
 //!   exact even when the timeline ring dropped events.
 //! * **Complete events.**  Spans are recorded at *close* as a single event
 //!   carrying start timestamp + duration (Chrome `"ph":"X"`), halving event

@@ -1,9 +1,9 @@
-//! Flat aggregated views over a collected [`Trace`].
+//! Aggregated views over a collected [`Trace`].
 //!
 //! The ring buffers bound timeline memory, but the per-thread aggregate
-//! tables are exact; these helpers merge them across threads so harnesses
-//! (e.g. `bench --bin profile`) can report totals, category fractions, and
-//! model-vs-measured joins without replaying events.
+//! tables are exact; [`Trace::category_ns`] sums them across threads, so a
+//! test can bound the solver's attributed sync time by the recorded
+//! communication time without replaying events.
 
 use crate::Trace;
 
@@ -21,33 +21,6 @@ pub struct AggRow {
 }
 
 impl Trace {
-    /// Span aggregates summed across threads, sorted by descending total
-    /// time (ties by `(cat, name)` for determinism).
-    pub fn merged_spans(&self) -> Vec<AggRow> {
-        let mut rows: Vec<AggRow> = Vec::new();
-        for thread in &self.threads {
-            for row in &thread.spans {
-                if let Some(merged) = rows
-                    .iter_mut()
-                    .find(|r| r.cat == row.cat && r.name == row.name)
-                {
-                    merged.count += row.count;
-                    merged.total_ns += row.total_ns;
-                    merged.max_ns = merged.max_ns.max(row.max_ns);
-                } else {
-                    rows.push(row.clone());
-                }
-            }
-        }
-        rows.sort_by(|a, b| {
-            b.total_ns
-                .cmp(&a.total_ns)
-                .then_with(|| a.cat.cmp(&b.cat))
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        rows
-    }
-
     /// Total span time in category `cat`, summed across all threads.
     pub fn category_ns(&self, cat: &str) -> u64 {
         self.threads
@@ -83,14 +56,17 @@ mod tests {
         }
         set_enabled(false);
         let trace = collect();
-        let rows = trace.merged_spans();
-        let row = rows
+        let rows: Vec<_> = trace
+            .threads
             .iter()
-            .find(|r| r.cat == "merge" && r.name == "work")
-            .expect("merged row present");
-        assert_eq!(row.count, 11);
-        assert!(row.total_ns >= row.max_ns);
-        assert!(trace.category_ns("merge") >= row.total_ns);
+            .flat_map(|t| &t.spans)
+            .filter(|r| r.cat == "merge" && r.name == "work")
+            .collect();
+        assert_eq!(rows.len(), 3, "one aggregate row per recording thread");
+        assert_eq!(rows.iter().map(|r| r.count).sum::<u64>(), 11);
+        assert!(rows.iter().all(|r| r.total_ns >= r.max_ns));
+        let total: u64 = rows.iter().map(|r| r.total_ns).sum();
+        assert_eq!(trace.category_ns("merge"), total);
         clear();
     }
 }

@@ -183,9 +183,10 @@ fn chrome_timeline_validates_and_has_one_lane_per_rank() {
     );
     assert!(
         timeline
-            .merged_spans()
+            .threads
             .iter()
-            .any(|row| row.cat == "comm" && row.name == "send"),
+            .flat_map(|t| &t.events)
+            .any(|e| e.cat == "comm" && e.name == "send"),
         "halo exchange must record p2p send spans"
     );
 }
@@ -245,6 +246,7 @@ fn sync_time_is_zero_untraced_and_attributed_per_rank_when_traced() {
             "rank {rank}: no comm span closes untraced, so no cycle may own sync time"
         );
     }
+    trace::clear();
     trace::set_enabled(true);
     let traced = run();
     trace::set_enabled(false);
@@ -255,6 +257,18 @@ fn sync_time_is_zero_untraced_and_attributed_per_rank_when_traced() {
             assert!(t.sync_ns <= t.total_ns, "rank {rank} cycle {c}");
         }
     }
+    // Sync time is attributed from closed comm spans, so the solve's total
+    // cannot exceed the comm span time the trace recorded.
+    let sync_ns: u64 = traced
+        .iter()
+        .flat_map(|r| &r.cycle_timings)
+        .map(|t| t.sync_ns)
+        .sum();
+    let comm_ns = trace::collect().category_ns("comm");
+    assert!(
+        sync_ns <= comm_ns,
+        "attributed sync {sync_ns} ns exceeds the recorded comm span time {comm_ns} ns"
+    );
 }
 
 /// The `(start, cols)` arguments of a span recorded with those two.
