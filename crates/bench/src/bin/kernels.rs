@@ -4,9 +4,9 @@
 //! `lap2d_k4` shape, the SpMV on the two benchmark
 //! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
 //! asserted bit-identical), and one s-step GMRES iteration
-//! across panel shapes and thread counts, then
-//! writes `BENCH_kernels.json` — the perf trajectory every later PR is
-//! measured against.
+//! across panel shapes, then writes `BENCH_kernels.json` — the perf
+//! trajectory every later PR is measured against.  Every kernel runs on
+//! the calling thread, as it does inside each simulated rank.
 //!
 //! ```sh
 //! cargo run -p bench --release --bin kernels          # full sweep
@@ -14,21 +14,14 @@
 //! ```
 //!
 //! Reported per row: wall seconds (best of repetitions), GF/s against the
-//! kernel's flop model, the minimum bytes the kernel must move, the thread
-//! count, and a speedup column: single-thread blocked `gram`/`gemm_tn`
-//! rows are measured against the naive reference, multi-thread blocked
-//! rows against the 1-thread blocked time of the same kernel and shape
-//! (the multithread scaling signature), and fused rows against the
-//! separate blocked sweeps.  The naive update and TRSM time a libm `fma`
-//! call per element, so their 1-thread blocked rows carry no speedup.
-//! `TWOSTAGE_NUM_THREADS` is overridden internally per row.
+//! kernel's flop model, the minimum bytes the kernel must move, and a
+//! speedup column: blocked `gram`/`gemm_tn` rows are measured against the
+//! naive reference and fused rows against the separate blocked sweeps.
+//! The naive update and TRSM time a libm `fma` call per element, so their
+//! blocked rows carry no speedup.
 //!
 //! With `BENCH_SCALING_CHECK=1` the binary exits non-zero if the fused
-//! pass is slower than the separate sweeps at any thread count, or — on
-//! machines with ≥ 2 hardware threads — if the widest-thread blocked
-//! `gram`/`gemm_tn` rows fail to beat their 1-thread times.  On a single
-//! hardware thread real scaling is impossible, so the check instead bounds
-//! pool dispatch overhead.
+//! pass is slower than the separate sweeps on any shape.
 
 use bench::Table;
 use dense::Matrix;
@@ -45,13 +38,12 @@ bench::table_row! {
         n: usize,
         s: usize,
         k: usize,
-        threads: usize,
         secs: f64,
         gflops: f64,
         bytes_moved: u64,
         /// What `speedup` is measured against (absent for baseline rows).
         baseline: Option<&'static str>,
-        /// `baseline_secs / secs` for the same shape and thread count.
+        /// `baseline_secs / secs` for the same shape.
         speedup: Option<f64>,
     }
 }
@@ -69,22 +61,15 @@ struct Cost {
 }
 
 impl Cost {
-    /// The row of `variant` at `threads` taking `secs`, measured against
-    /// `baseline` (its name and seconds) when there is one.
-    fn row(
-        &self,
-        variant: &'static str,
-        threads: usize,
-        secs: f64,
-        baseline: Option<(&'static str, f64)>,
-    ) -> Row {
+    /// The row of `variant` taking `secs`, measured against `baseline`
+    /// (its name and seconds) when there is one.
+    fn row(&self, variant: &'static str, secs: f64, baseline: Option<(&'static str, f64)>) -> Row {
         Row {
             kernel: self.kernel,
             variant,
             n: self.n,
             s: self.s,
             k: self.k,
-            threads,
             secs,
             gflops: self.flops / secs * 1e-9,
             bytes_moved: self.bytes,
@@ -115,19 +100,11 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 /// measures that call, not the blocking.
 const LIBM_FMA_NAIVE: [&str; 2] = ["gemm_nn_minus", "trsm_right_upper"];
 
-/// Time every kernel's naive call at one thread, then its blocked call at
-/// each thread count: 1-thread blocked rows are measured against the naive
-/// call (except [`LIBM_FMA_NAIVE`]'s, which get none), multithread ones
-/// against the 1-thread blocked call.  A call runs on
-/// a copy of `v`, restored outside the timed region (at the flush shapes the
-/// copy takes as long as the call).
-fn time_kernels(
-    rows: &mut Vec<Row>,
-    v: &Matrix,
-    reps: usize,
-    thread_counts: &[usize],
-    kernels: &[Kernel],
-) {
+/// Time every kernel's naive call, then its blocked call, measured against
+/// the naive one (except [`LIBM_FMA_NAIVE`]'s, which get none).  A call
+/// runs on a copy of `v`, restored outside the timed region (at the flush
+/// shapes the copy takes as long as the call).
+fn time_kernels(rows: &mut Vec<Row>, v: &Matrix, reps: usize, kernels: &[Kernel]) {
     let mut w = v.clone();
     let mut time = |call: &dyn Fn(&mut Matrix)| {
         let mut best = f64::INFINITY;
@@ -139,24 +116,16 @@ fn time_kernels(
         }
         best
     };
-    parkit::set_num_threads(1);
     let mut baselines = Vec::new();
     for (cost, naive, _) in kernels {
         let secs = time(*naive);
-        rows.push(cost.row("naive", 1, secs, None));
+        rows.push(cost.row("naive", secs, None));
         baselines.push((!LIBM_FMA_NAIVE.contains(&cost.kernel)).then_some(("naive", secs)));
     }
-    for &t in thread_counts {
-        parkit::set_num_threads(t);
-        for ((cost, _, blocked), baseline) in kernels.iter().zip(&mut baselines) {
-            let secs = time(*blocked);
-            rows.push(cost.row("blocked", t, secs, *baseline));
-            if t == 1 {
-                *baseline = Some(("blocked_1thread", secs));
-            }
-        }
+    for ((cost, _, blocked), baseline) in kernels.iter().zip(baselines) {
+        let secs = time(*blocked);
+        rows.push(cost.row("blocked", secs, baseline));
     }
-    parkit::set_num_threads(0);
 }
 
 fn panel(n: usize, s: usize, seed: usize) -> Matrix {
@@ -180,7 +149,7 @@ fn upper(s: usize) -> Matrix {
 }
 
 /// Benchmark the four kernels plus the fused pass on one `n×s` shape.
-fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_counts: &[usize]) {
+fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
     let v = panel(n, s, 1);
     let q = panel(n, s, 2);
     let r = upper(s);
@@ -204,7 +173,6 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
         rows,
         &v,
         reps,
-        thread_counts,
         &[
             (
                 gram,
@@ -234,42 +202,31 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize, thread_coun
         flops: upd.flops + tn.flops + gram.flops,
         ..upd
     };
-    for &t in thread_counts {
-        parkit::set_num_threads(t);
-        let fused_s = time_best(reps, || {
-            let mut w = v.clone();
-            black_box(dense::fused_update_proj_gram(
-                &mut w.view_mut(),
-                &q.view(),
-                &p,
-            ));
-        });
-        let separate_s = time_best(reps, || {
-            let mut w = v.clone();
-            dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
-            black_box(dense::gemm_tn(&q.view(), &w.view()));
-            black_box(dense::gram(&w.view()));
-        });
-        rows.push(fused.row(
-            "fused",
-            t,
-            fused_s,
-            Some(("separate_blocked_sweeps", separate_s)),
+    let fused_s = time_best(reps, || {
+        let mut w = v.clone();
+        black_box(dense::fused_update_proj_gram(
+            &mut w.view_mut(),
+            &q.view(),
+            &p,
         ));
-    }
-    parkit::set_num_threads(0);
+    });
+    let separate_s = time_best(reps, || {
+        let mut w = v.clone();
+        dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+        black_box(dense::gemm_tn(&q.view(), &w.view()));
+        black_box(dense::gram(&w.view()));
+    });
+    rows.push(fused.row(
+        "fused",
+        fused_s,
+        Some(("separate_blocked_sweeps", separate_s)),
+    ));
 }
 
 /// Gram and TRSM at a stage-2 flush shape — the `bs`-wide panels the
 /// two-stage scheme actually hands these kernels (`bs = m` columns per
 /// right-hand side), far wider than the `s ≤ 16` stage-1 shapes above.
-fn bench_flush_shape(
-    rows: &mut Vec<Row>,
-    n: usize,
-    s: usize,
-    reps: usize,
-    thread_counts: &[usize],
-) {
+fn bench_flush_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
     let v = panel(n, s, 1);
     // A Cholesky factor has no structural zeros; `upper`'s would send four
     // tiles in five down the zero-skipping path.
@@ -290,7 +247,6 @@ fn bench_flush_shape(
         rows,
         &v,
         reps,
-        thread_counts,
         &[
             (
                 cost("gram", 1),
@@ -311,12 +267,7 @@ fn bench_flush_shape(
 /// columns orthogonalized before it in the cycle.  Its coefficients are
 /// projections, free of zeros like the solver's, so the whole update takes
 /// the streaming kernel rather than the zero-skipping sweep.
-fn bench_stage1_update(
-    rows: &mut Vec<Row>,
-    (n, s, k): (usize, usize, usize),
-    reps: usize,
-    thread_counts: &[usize],
-) {
+fn bench_stage1_update(rows: &mut Vec<Row>, (n, s, k): (usize, usize, usize), reps: usize) {
     let v = panel(n, s, 1);
     let q = panel(n, k, 2);
     let p = Matrix::from_fn(k, s, |i, j| ((i + 2 * j) % 5) as f64 * 0.1 - 0.25);
@@ -332,7 +283,6 @@ fn bench_stage1_update(
         rows,
         &v,
         reps,
-        thread_counts,
         &[(
             cost,
             &|w| dense::naive_gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
@@ -342,7 +292,7 @@ fn bench_stage1_update(
 }
 
 /// SpMV on one operator: the reference `Csr::spmv` against the
-/// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs, at one thread.  Bytes
+/// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs.  Bytes
 /// are the benchmark's model (`sparse.spmv_gbs`): 12 B per nonzero (value +
 /// 32-bit index) and 16 B per row (row pointer + output).  The two outputs
 /// must agree bit for bit; no timing is asserted.
@@ -350,11 +300,9 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
     let (n, nnz) = (a.nrows(), a.nnz());
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let (mut y_csr, mut y_sliced) = (vec![0.0; n], vec![0.0; n]);
-    parkit::set_num_threads(1);
     let csr_s = time_best(reps, || a.spmv(black_box(&x), &mut y_csr));
     let sliced = sparse::SlicedCsr::from_csr(a);
     let sliced_s = time_best(reps, || sliced.spmv(black_box(&x), &mut y_sliced));
-    parkit::set_num_threads(0);
     assert!(
         y_csr
             .iter()
@@ -370,8 +318,8 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
         flops: 2.0 * nnz as f64,
         bytes: (12 * nnz + 16 * n) as u64,
     };
-    rows.push(cost.row("csr", 1, csr_s, None));
-    rows.push(cost.row("sliced", 1, sliced_s, Some(("csr", csr_s))));
+    rows.push(cost.row("csr", csr_s, None));
+    rows.push(cost.row("sliced", sliced_s, Some(("csr", csr_s))));
     for (variant, secs) in [("csr", csr_s), ("sliced", sliced_s)] {
         eprintln!(
             "  {kernel} {variant}: {:.0} us, {:.1} GB/s",
@@ -383,7 +331,7 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
 
 /// Time one s-step GMRES iteration (basis vector) end to end: a bounded
 /// two-stage solve on a 2D Laplacian, normalized by iterations performed.
-fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usize]) {
+fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool) {
     let m = if quick { 60 } else { 120 };
     let a = sparse::laplace2d_9pt(m, m);
     let b = a.spmv_alloc(&vec![1.0; a.nrows()]);
@@ -405,90 +353,27 @@ fn bench_gmres_iteration(rows: &mut Vec<Row>, quick: bool, thread_counts: &[usiz
         flops: 2.0 * a.nnz() as f64,
         bytes: (16 * a.nnz()) as u64,
     };
-    for &t in thread_counts {
-        parkit::set_num_threads(t);
-        let mut iters = 1usize;
-        let secs = time_best(if quick { 2 } else { 4 }, || {
-            let (_, result) = solver.solve_serial(&a, &b);
-            iters = result.iterations.max(1);
-        });
-        rows.push(cost.row("two_stage", t, secs / iters as f64, None));
-    }
-    parkit::set_num_threads(0);
+    let mut iters = 1usize;
+    let secs = time_best(if quick { 2 } else { 4 }, || {
+        let (_, result) = solver.solve_serial(&a, &b);
+        iters = result.iterations.max(1);
+    });
+    rows.push(cost.row("two_stage", secs / iters as f64, None));
 }
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// `BENCH_SCALING_CHECK=1`: assert the two fixed bug signatures stay fixed.
-///
-/// * The fused pass must not be slower than the separate blocked sweeps
-///   (`speedup >= 1.0`) at every thread count that fits the hardware.
-///   Rows with more software threads than hardware threads measure pool
-///   mechanics under oversubscription, where scheduler jitter dominates
-///   both sides of the ratio; they are reported but not checked.
-/// * On ≥ 2 hardware threads, the widest-thread blocked `gram` and
-///   `gemm_tn` rows must beat their 1-thread blocked baselines
-///   (`speedup > 1.0`).  On one hardware thread scaling is physically
-///   impossible, so instead pool dispatch overhead must stay bounded
-///   (multithread time ≤ 2.5× the 1-thread time).
-fn scaling_check(rows: &[Row]) -> Result<(), String> {
-    let hw = hardware_threads();
+/// `BENCH_SCALING_CHECK=1`: the fused pass must not be slower than the
+/// separate blocked sweeps (`speedup >= 1.0`) on any shape.
+fn fused_check(rows: &[Row]) -> Result<(), String> {
     for r in rows {
-        if r.kernel == "fused_update_proj_gram" && r.threads <= hw {
+        if r.kernel == "fused_update_proj_gram" {
             let sp = r.speedup.unwrap_or(f64::NAN);
             if sp.is_nan() || sp < 1.0 {
                 return Err(format!(
-                    "fused_update_proj_gram at n={} s={} threads={} is slower than the \
-                     separate sweeps: speedup {sp:.3} < 1.0 (hardware_threads={hw})",
-                    r.n, r.s, r.threads
+                    "fused_update_proj_gram at n={} s={} is slower than the separate \
+                     sweeps: speedup {sp:.3} < 1.0",
+                    r.n, r.s
                 ));
             }
-        }
-    }
-    let multicore = hw >= 2;
-    // Judge scaling at the widest thread count the hardware can actually
-    // run in parallel; on one core fall back to the widest measured row
-    // and only bound its overhead.
-    let check_t = rows
-        .iter()
-        .filter(|r| r.variant == "blocked" && (!multicore || r.threads <= hw))
-        .map(|r| r.threads)
-        .max()
-        .unwrap_or(1);
-    if check_t < 2 {
-        return Ok(());
-    }
-    for r in rows {
-        if r.variant != "blocked"
-            || r.threads != check_t
-            || r.baseline != Some("blocked_1thread")
-            || !matches!(r.kernel, "gram" | "gemm_tn")
-        {
-            continue;
-        }
-        let sp = r.speedup.unwrap_or(f64::NAN);
-        if multicore {
-            if sp.is_nan() || sp <= 1.0 {
-                return Err(format!(
-                    "{} at n={} s={} does not scale: {}-thread speedup {sp:.3} ≤ 1.0 \
-                     vs 1-thread blocked (hardware_threads={hw})",
-                    r.kernel, r.n, r.s, r.threads
-                ));
-            }
-        } else if sp.is_nan() || sp < 1.0 / 2.5 {
-            return Err(format!(
-                "{} at n={} s={}: pool dispatch overhead out of bounds on a single \
-                 hardware thread: {}-thread time is {:.2}× the 1-thread time (limit 2.5×)",
-                r.kernel,
-                r.n,
-                r.s,
-                r.threads,
-                1.0 / sp
-            ));
         }
     }
     Ok(())
@@ -498,17 +383,6 @@ fn main() {
     let args = bench::cli::begin("kernels", false);
     let quick = bench::quick();
     let reps = if quick { 3 } else { 10 };
-    // Thread sweep: 1 plus powers of two up to the pool width, so the
-    // row-parallel TRSM's scaling is visible in the JSON on multi-core
-    // machines (on a single hardware thread the >1 rows exercise the pool
-    // mechanism under oversubscription).
-    let lanes = parkit::pool_lanes();
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t <= lanes.min(8) {
-        thread_counts.push(t);
-        t *= 2;
-    }
     let shapes: &[(usize, usize)] = if quick {
         &[(200_000, 8)]
     } else {
@@ -517,7 +391,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(n, s) in shapes {
         eprintln!("benchmarking {n}x{s} panels ...");
-        bench_shape(&mut rows, n, s, reps, &thread_counts);
+        bench_shape(&mut rows, n, s, reps);
     }
     // The stage-2 flush shapes of the benchmark's own solves: lap2d_t1
     // (n = 25 600, bs = 60) and lap2d_k4 (n = 14 400, bs = 4·60).
@@ -528,10 +402,10 @@ fn main() {
     };
     for &(n, s) in flush_shapes {
         eprintln!("benchmarking {n}x{s} flush panels ...");
-        bench_flush_shape(&mut rows, n, s, reps, &thread_counts);
+        bench_flush_shape(&mut rows, n, s, reps);
     }
     eprintln!("benchmarking the widest lap2d_k4 stage-1 update ...");
-    bench_stage1_update(&mut rows, (14_400, 20, 224), reps, &thread_counts);
+    bench_stage1_update(&mut rows, (14_400, 20, 224), reps);
     // The benchmark's two operators at their `geer_t1`/`lap2d_t1` sizes.
     eprintln!("benchmarking SpMV ...");
     let geer = sparse::suitelike::spec_by_name("ML_Geer").expect("ML_Geer is in the set");
@@ -544,7 +418,7 @@ fn main() {
         10 * reps,
     );
     eprintln!("benchmarking one s-step GMRES iteration ...");
-    bench_gmres_iteration(&mut rows, quick, &thread_counts);
+    bench_gmres_iteration(&mut rows, quick);
 
     let table = Table::of(&rows);
     table.print("kernel baselines");
@@ -552,8 +426,6 @@ fn main() {
     w.begin_object()
         .field("bench", "kernels")
         .field("quick", quick)
-        .field("pool_lanes", parkit::pool_lanes())
-        .field("hardware_threads", hardware_threads())
         .field("simd", dense::simd_label())
         .field("tile", dense::TILE)
         .field("row_block", dense::ROW_BLOCK)
@@ -570,26 +442,21 @@ fn main() {
                 r.kernel == kernel
                     && r.variant == "blocked"
                     && r.n == 200_000
-                    && r.threads == 1
                     && r.baseline == Some("naive")
             })
             .and_then(|r| r.speedup)
     };
     if let (Some(g), Some(tn)) = (headline("gram"), headline("gemm_tn")) {
-        println!("\nheadline single-thread speedups on 200000x8: gram {g:.2}x, gemm_tn {tn:.2}x");
+        println!("\nheadline speedups on 200000x8: gram {g:.2}x, gemm_tn {tn:.2}x");
     }
     if matches!(
         std::env::var("BENCH_SCALING_CHECK").as_deref(),
         Ok("1") | Ok("true") | Ok("yes")
     ) {
-        match scaling_check(&rows) {
-            Ok(()) => eprintln!(
-                "scaling check passed (hardware_threads={}, simd={})",
-                hardware_threads(),
-                dense::simd_label()
-            ),
+        match fused_check(&rows) {
+            Ok(()) => eprintln!("fused check passed (simd={})", dense::simd_label()),
             Err(msg) => {
-                eprintln!("scaling check FAILED: {msg}");
+                eprintln!("fused check FAILED: {msg}");
                 args.finish();
                 std::process::exit(1);
             }

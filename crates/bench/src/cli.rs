@@ -109,7 +109,8 @@ impl Args {
 /// Load a Matrix Market file through the **streaming** row-block reader
 /// (one pass over the file, `O(nnz)` peak memory, symmetric files
 /// mirrored).  Returns the file stem as the experiment's matrix name.  A
-/// non-square file is an error: every experiment solves `A x = b`.
+/// non-square or empty file is an error: every experiment solves `A x = b`
+/// for at least one unknown.
 pub fn load_matrix_streamed(path: &Path) -> Result<(String, Csr), String> {
     let info = mm::read_matrix_market_info(path)
         .map_err(|e| format!("{}: cannot read header: {e}", path.display()))?;
@@ -119,6 +120,12 @@ pub fn load_matrix_streamed(path: &Path) -> Result<(String, Csr), String> {
             path.display(),
             info.nrows,
             info.ncols
+        ));
+    }
+    if info.nrows == 0 {
+        return Err(format!(
+            "{}: matrix is 0x0, the solvers need at least one row",
+            path.display()
         ));
     }
     let a = mm::read_matrix_market_row_block(path, 0..info.nrows)

@@ -275,37 +275,40 @@ fn binaries_reject_bad_flags() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A non-square file cannot be solved: every `--matrix` binary refuses it
-/// with status 2 and a message naming the file and its shape, before it
-/// runs anything or writes an artifact.
+/// A non-square or empty file cannot be solved: every `--matrix` binary
+/// refuses it with status 2 and a message naming the file and its shape,
+/// before it runs anything or writes an artifact.
 #[test]
-fn non_square_matrix_files_are_rejected_before_any_work() {
+fn non_square_and_empty_matrix_files_are_rejected_before_any_work() {
     let dir = scratch("non_square");
-    let matrix = dir.join("wide.mtx");
-    std::fs::write(
-        &matrix,
-        "%%MatrixMarket matrix coordinate real general\n2 3 3\n1 1 1.0\n2 2 2.0\n1 3 0.5\n",
-    )
-    .expect("write the 2x3 file");
+    let header = "%%MatrixMarket matrix coordinate real general\n";
+    let files = [
+        ("wide.mtx", "2 3 3\n1 1 1.0\n2 2 2.0\n1 3 0.5\n", "2x3"),
+        ("empty.mtx", "0 0 0\n", "0x0"),
+    ];
     let run_dir = dir.join("run");
     std::fs::create_dir_all(&run_dir).expect("create the run dir");
-    for (name, exe, _) in ALL_BINARIES.iter().filter(|b| b.2) {
-        let output = Command::new(exe)
-            .args(["--matrix", matrix.to_str().unwrap()])
-            .env("BENCH_QUICK", "1")
-            .current_dir(&run_dir)
-            .output()
-            .expect("binary must launch");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name}: exit status\n{stderr}"
-        );
-        assert!(
-            stderr.contains("wide.mtx") && stderr.contains("2x3"),
-            "{name}: stderr must name the file and its shape:\n{stderr}"
-        );
+    for (file, body, shape) in files {
+        let matrix = dir.join(file);
+        std::fs::write(&matrix, format!("{header}{body}")).expect("write the matrix file");
+        for (name, exe, _) in ALL_BINARIES.iter().filter(|b| b.2) {
+            let output = Command::new(exe)
+                .args(["--matrix", matrix.to_str().unwrap()])
+                .env("BENCH_QUICK", "1")
+                .current_dir(&run_dir)
+                .output()
+                .expect("binary must launch");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{name} on {file}: exit status\n{stderr}"
+            );
+            assert!(
+                stderr.contains(file) && stderr.contains(shape),
+                "{name}: stderr must name {file} and its shape {shape}:\n{stderr}"
+            );
+        }
     }
     let left_behind = std::fs::read_dir(&run_dir).expect("run dir").count();
     assert_eq!(left_behind, 0, "a rejected matrix file must write nothing");

@@ -1,45 +1,27 @@
 //! Level-1 vector kernels (dot, nrm2, axpy, scal).
 //!
-//! The long-vector kernels are parallelized over contiguous chunks with
-//! `parkit`; the reductions are deterministic (chunk order is fixed).
-
-use parkit::{parallel_for_chunks, parallel_reduce_chunks, parallel_zip_chunks};
+//! Plain serial loops: each simulated rank runs its kernels on its own
+//! thread.  The sums are taken as `0.0 + Σ`, so a sum of `-0.0` terms is
+//! `+0.0` whatever `f64::sum` starts from; the committed artifacts pin
+//! those bits.
 
 /// Dot product `xᵀ y`.
 ///
 /// Panics if the vectors have different lengths.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    parallel_reduce_chunks(
-        x,
-        0.0,
-        |chunk, offset| {
-            let ychunk = &y[offset..offset + chunk.len()];
-            chunk.iter().zip(ychunk).map(|(a, b)| a * b).sum::<f64>()
-        },
-        |a, b| a + b,
-    )
+    0.0 + x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>()
 }
 
 /// Euclidean norm `‖x‖₂`, computed with scaling to avoid overflow/underflow
 /// for very large or very small entries.
 pub fn nrm2(x: &[f64]) -> f64 {
-    let maxabs = parallel_reduce_chunks(
-        x,
-        0.0f64,
-        |chunk, _| chunk.iter().fold(0.0f64, |m, &v| m.max(v.abs())),
-        f64::max,
-    );
+    let maxabs = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     if maxabs == 0.0 || !maxabs.is_finite() {
         return maxabs;
     }
     let inv = 1.0 / maxabs;
-    let sumsq = parallel_reduce_chunks(
-        x,
-        0.0,
-        |chunk, _| chunk.iter().map(|&v| (v * inv) * (v * inv)).sum::<f64>(),
-        |a, b| a + b,
-    );
+    let sumsq = 0.0 + x.iter().map(|&v| (v * inv) * (v * inv)).sum::<f64>();
     maxabs * sumsq.sqrt()
 }
 
@@ -48,20 +30,16 @@ pub fn nrm2(x: &[f64]) -> f64 {
 /// Panics if the vectors have different lengths.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    parallel_zip_chunks(y, x, |ychunk, xchunk, _| {
-        for (yi, xi) in ychunk.iter_mut().zip(xchunk) {
-            *yi += alpha * xi;
-        }
-    });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
 }
 
 /// `x ← alpha·x`.
 pub fn scal(alpha: f64, x: &mut [f64]) {
-    parallel_for_chunks(x, |chunk, _| {
-        for v in chunk.iter_mut() {
-            *v *= alpha;
-        }
-    });
+    for v in x.iter_mut() {
+        *v *= alpha;
+    }
 }
 
 #[cfg(test)]
@@ -77,8 +55,7 @@ mod tests {
         let x = seq(10_007);
         let y: Vec<f64> = x.iter().map(|v| v + 1.0).collect();
         let serial: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let par = dot(&x, &y);
-        assert!((par - serial).abs() <= 1e-10 * serial.abs().max(1.0));
+        assert!((dot(&x, &y) - serial).abs() <= 1e-10 * serial.abs().max(1.0));
     }
 
     #[test]

@@ -47,17 +47,13 @@
 //! (`crates/dense/tests/blocked_kernel_props.rs`,
 //! `blocked_kernels_match_naive_on_enumerated_awkward_shapes`).
 //!
-//! Parallelization is over contiguous row ranges via `parkit`, with chunk
-//! sizes derived from the bytes each row traverses
-//! ([`parkit::num_threads_for_bytes`] — cache geometry, not lane count);
-//! the small `s×s`/`k×s` partial results are reduced deterministically in
-//! chunk order (one code path: [`parkit::parallel_reduce_ranges_bytes`]),
-//! so repeated runs give bitwise-identical results for a given thread
-//! count.
+//! Every kernel runs on the calling thread over all `n` rows (each
+//! simulated rank owns its own rows and thread).  The accumulating kernels
+//! add their `s×s`/`k×s` result to `+0.0` entry by entry, so a `-0.0`
+//! entry comes out as `+0.0`; the committed artifacts pin those bits.
 
 use crate::matrix::{MatView, MatViewMut, Matrix};
 use crate::simd;
-use parkit::{parallel_for_range_bytes, parallel_reduce_ranges_bytes};
 
 /// Register-tile width: each inner loop produces a `TILE×TILE` block of the
 /// output in scalar accumulators.
@@ -67,14 +63,23 @@ pub const TILE: usize = 4;
 /// `s = 8`) stays resident while every register tile consumes it.
 pub const ROW_BLOCK: usize = 256;
 
-/// Shared-allocation column pointer handed to row-parallel workers; each
-/// worker only touches its own disjoint row range of each column.
-struct ColPtr(*mut f64);
+/// The `len` sums `body` accumulates over all `n` rows into a zeroed
+/// buffer, each then added to `+0.0`, so a sum that came out `-0.0` is
+/// returned as `+0.0`.  `n = 0` skips `body`.
+fn accumulate_rows(n: usize, len: usize, body: impl FnOnce(&mut [f64])) -> Vec<f64> {
+    let mut acc = vec![0.0f64; len];
+    if n > 0 {
+        body(&mut acc);
+        for x in &mut acc {
+            *x += 0.0;
+        }
+    }
+    acc
+}
 
-// SAFETY: workers dereference disjoint row ranges only (the same guarantee
-// `split_at_mut` encodes), and columns of a column-major matrix never
-// overlap.
-unsafe impl Sync for ColPtr {}
+/// Column pointer into a matrix the kernel updates in place while it reads
+/// other columns (or the same rows after the write) of it.
+struct ColPtr(*mut f64);
 
 impl ColPtr {
     /// Mutable slice of rows `r0..r1` of column `col` (leading dimension `n`).
@@ -101,10 +106,9 @@ impl ColPtr {
 ///   whose operands are never concurrently mutated);
 /// * [`RawCols`] — backed by a raw pointer, for
 ///   [`fused_update_proj_gram`] and [`trsm_right_upper`], where a
-///   whole-matrix shared slice would alias the in-place update (same
-///   worker) and other workers' disjoint row writes; each segment is
-///   materialized only for rows the worker owns and columns it does not
-///   hold mutably at that moment.
+///   whole-matrix shared slice would alias the in-place update; each
+///   segment is materialized only for columns the kernel does not hold
+///   mutably at that moment.
 trait ColSource: Copy {
     /// Rows `r0..r1` of column `col` as a slice.
     fn seg(&self, col: usize, r0: usize, r1: usize) -> &[f64];
@@ -136,10 +140,9 @@ struct RawCols<'a> {
 impl<'a> RawCols<'a> {
     /// # Safety
     /// For the lifetime `'a`, every segment later asked of `seg` must be
-    /// readable without a live overlapping `&mut`: each worker reads only
-    /// the row ranges it owns — the fused kernel after its own mutable
-    /// segments are dropped, the TRSM only columns other than the ones it
-    /// is writing.
+    /// readable without a live overlapping `&mut`: the fused kernel reads
+    /// a row panel after its own mutable segments are dropped, the TRSM
+    /// only columns other than the ones it is writing.
     unsafe fn from_ptr(ptr: *const f64, n: usize, len: usize) -> Self {
         Self {
             ptr,
@@ -292,10 +295,8 @@ fn tn_row_block<A: ColSource, B: ColSource>(
 /// Gram matrix `G = VᵀV` of a tall-skinny panel `V ∈ R^{n×s}`.
 ///
 /// Single pass over `V` per call (row-panel blocked, `TILE`-wide register
-/// tiles); parallelized over row ranges with the partial Gram matrices
-/// reduced in deterministic chunk order.  Only the upper triangle is
-/// computed during the reduction; the result is symmetrized before
-/// returning.
+/// tiles).  Only the upper triangle is accumulated; the result is
+/// symmetrized before returning.
 pub fn gram(v: &MatView<'_>) -> Matrix {
     let n = v.nrows();
     let s = v.ncols();
@@ -304,28 +305,15 @@ pub fn gram(v: &MatView<'_>) -> Matrix {
         return Matrix::zeros(0, 0);
     }
     let data = v.data();
-    let partial = parallel_reduce_ranges_bytes(
-        n,
-        8 * s,
-        vec![0.0f64; s * s],
-        |start, end| {
-            let cols = SliceCols { data, n };
-            let mut g = vec![0.0f64; s * s];
-            let mut rb = start;
-            while rb < end {
-                let re = (rb + ROW_BLOCK).min(end);
-                tn_row_block(cols, cols, rb, re, s, s, &mut g, true);
-                rb = re;
-            }
-            g
-        },
-        |mut acc, p| {
-            for (dst, src) in acc.iter_mut().zip(&p) {
-                *dst += src;
-            }
-            acc
-        },
-    );
+    let partial = accumulate_rows(n, s * s, |g| {
+        let cols = SliceCols { data, n };
+        let mut rb = 0;
+        while rb < n {
+            let re = (rb + ROW_BLOCK).min(n);
+            tn_row_block(cols, cols, rb, re, s, s, g, true);
+            rb = re;
+        }
+    });
     let mut g = Matrix::from_col_major(s, s, partial);
     // Symmetrize: copy upper triangle to lower.
     for j in 0..s {
@@ -353,29 +341,16 @@ pub fn gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
     }
     let adata = a.data();
     let bdata = b.data();
-    let partial = parallel_reduce_ranges_bytes(
-        n,
-        8 * (k + s),
-        vec![0.0f64; k * s],
-        |start, end| {
-            let a_cols = SliceCols { data: adata, n };
-            let b_cols = SliceCols { data: bdata, n };
-            let mut c = vec![0.0f64; k * s];
-            let mut rb = start;
-            while rb < end {
-                let re = (rb + ROW_BLOCK).min(end);
-                tn_row_block(a_cols, b_cols, rb, re, k, s, &mut c, false);
-                rb = re;
-            }
-            c
-        },
-        |mut acc, p| {
-            for (dst, src) in acc.iter_mut().zip(&p) {
-                *dst += src;
-            }
-            acc
-        },
-    );
+    let partial = accumulate_rows(n, k * s, |c| {
+        let a_cols = SliceCols { data: adata, n };
+        let b_cols = SliceCols { data: bdata, n };
+        let mut rb = 0;
+        while rb < n {
+            let re = (rb + ROW_BLOCK).min(n);
+            tn_row_block(a_cols, b_cols, rb, re, k, s, c, false);
+            rb = re;
+        }
+    });
     Matrix::from_col_major(k, s, partial)
 }
 
@@ -534,9 +509,8 @@ unsafe fn update_row_block<Q: ColSource>(
 /// tall-skinny `V ∈ R^{n×s}` updated in place.
 ///
 /// This is the "vector-update" GEMM of BCGS
-/// (`V̂_j = V_j − Q_{1:j−1} R_{1:j−1,j}`).  Row-parallel and row-panel
-/// blocked: each worker streams its rows of `Q` once while its `V` panel
-/// stays in cache.
+/// (`V̂_j = V_j − Q_{1:j−1} R_{1:j−1,j}`).  Row-panel blocked: `Q` is
+/// streamed once while each `V` panel stays in cache.
 pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     let n = v.nrows();
     assert_eq!(q.nrows(), n, "gemm_nn_minus: row mismatch");
@@ -554,29 +528,27 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     update_panel(v, q, r);
 }
 
-/// The row-parallel, row-panel-blocked sweep behind [`gemm_nn_minus`] and
+/// The row-panel-blocked sweep behind [`gemm_nn_minus`] and
 /// [`gemm_nn_plus`] (dimensions already checked, no trace span).
 fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     let n = v.nrows();
     let q_cols = SliceCols { data: q.data(), n };
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
-    parallel_for_range_bytes(n, 8 * (r.nrows() + r.ncols()), |start, end| {
-        let mut rb = start;
-        while rb < end {
-            let re = (rb + ROW_BLOCK).min(end);
-            // SAFETY: row ranges of different workers are disjoint.
-            unsafe { update_row_block(&vcols, q_cols, r, n, rb, re) };
-            rb = re;
-        }
-    });
+    let mut rb = 0;
+    while rb < n {
+        let re = (rb + ROW_BLOCK).min(n);
+        // SAFETY: `v` is borrowed mutably for the whole call and `q` is a
+        // distinct matrix, so nothing else references these rows.
+        unsafe { update_row_block(&vcols, q_cols, r, n, rb, re) };
+        rb = re;
+    }
 }
 
 /// `V ← V·R⁻¹` for tall-skinny `V ∈ R^{n×s}` and upper-triangular
 /// `R ∈ R^{s×s}` (the CholQR normalization TRSM).
 ///
-/// Every row of `V` solves independently against `R`, so the solve is
-/// row-parallel and makes a **single pass** over `V`: workers own disjoint
-/// row ranges and process them in `ROW_BLOCK`-row panels.  Inside a panel
+/// Every row of `V` solves independently against `R`, so the solve makes
+/// a **single pass** over `V` in `ROW_BLOCK`-row panels.  Inside a panel
 /// the column recurrence `q_j = (v_j − Σ_{i<j} q_i r_{ij}) / r_{jj}` is
 /// **left-looking on `TILE`-column tiles**: column tile `J` first takes the
 /// update from every finished tile `I < J` through the same streaming
@@ -608,42 +580,40 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
     }
     let _span = trace::span("blas3", "trsm", &[("n", n as u64), ("s", s as u64)]);
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
-    parallel_for_range_bytes(n, 8 * s, |start, end| {
-        // SAFETY: `done` is only asked for rows this worker owns, and only
-        // for columns left of the ones it holds mutably at that moment.
-        let done = unsafe { RawCols::from_ptr(vcols.0, n, n * s) };
-        let mut rb = start;
-        while rb < end {
-            let re = (rb + ROW_BLOCK).min(end);
-            let mut jb = 0;
-            while jb < s {
-                let jw = TILE.min(s - jb);
-                // Columns left of `solved_from` are already subtracted
-                // from this tile; a ragged tile subtracts them itself.
-                let solved_from = if jw == TILE {
-                    // SAFETY: this worker owns rows rb..re; columns 0..jb
-                    // (read) lie left of jb..jb+4 (written).
-                    unsafe { update_tile(&vcols, done, r, n, rb, re, jb, 0, jb) };
-                    jb
-                } else {
-                    0
-                };
-                for j in jb..jb + jw {
-                    // SAFETY: as above; column j is the only one written.
-                    let vj = unsafe { vcols.col_seg_mut(n, j, rb, re) };
-                    for i in solved_from..j {
-                        let alpha = r[(i, j)];
-                        if alpha != 0.0 {
-                            simd::axpy_minus(alpha, done.seg(i, rb, re), vj);
-                        }
+    // SAFETY: `done` is only asked for columns left of the ones held
+    // mutably at that moment.
+    let done = unsafe { RawCols::from_ptr(vcols.0, n, n * s) };
+    let mut rb = 0;
+    while rb < n {
+        let re = (rb + ROW_BLOCK).min(n);
+        let mut jb = 0;
+        while jb < s {
+            let jw = TILE.min(s - jb);
+            // Columns left of `solved_from` are already subtracted
+            // from this tile; a ragged tile subtracts them itself.
+            let solved_from = if jw == TILE {
+                // SAFETY: columns 0..jb (read) lie left of jb..jb+4
+                // (written).
+                unsafe { update_tile(&vcols, done, r, n, rb, re, jb, 0, jb) };
+                jb
+            } else {
+                0
+            };
+            for j in jb..jb + jw {
+                // SAFETY: as above; column j is the only one written.
+                let vj = unsafe { vcols.col_seg_mut(n, j, rb, re) };
+                for i in solved_from..j {
+                    let alpha = r[(i, j)];
+                    if alpha != 0.0 {
+                        simd::axpy_minus(alpha, done.seg(i, rb, re), vj);
                     }
-                    simd::scal(1.0 / r[(j, j)], vj);
                 }
-                jb += TILE;
+                simd::scal(1.0 / r[(j, j)], vj);
             }
-            rb = re;
+            jb += TILE;
         }
-    });
+        rb = re;
+    }
 }
 
 /// Fused `V ← V − Q·P` **plus** `C = QᵀV` and `G = VᵀV` of the *updated*
@@ -674,39 +644,25 @@ pub fn fused_update_proj_gram(
     let qdata = q.data();
     let vcols = ColPtr(v.data_mut().as_mut_ptr());
     let vlen = n * s;
-    let buf = parallel_reduce_ranges_bytes(
-        n,
-        8 * (k + 2 * s),
-        vec![0.0f64; k * s + s * s],
-        |start, end| {
-            let mut acc = vec![0.0f64; k * s + s * s];
-            let q_cols = SliceCols { data: qdata, n };
-            // SAFETY: `Cols::seg` below reads only rows start..end, which
-            // this worker owns exclusively, and only after the mutable
-            // segments inside `update_row_block` have been dropped — never
-            // a reference spanning rows another worker writes.
-            let v_read = unsafe { RawCols::from_ptr(vcols.0, n, vlen) };
-            let (c_acc, g_acc) = acc.split_at_mut(k * s);
-            let mut rb = start;
-            while rb < end {
-                let re = (rb + ROW_BLOCK).min(end);
-                if k > 0 {
-                    // SAFETY: row ranges of different workers are disjoint.
-                    unsafe { update_row_block(&vcols, q_cols, p, n, rb, re) };
-                    tn_row_block(q_cols, v_read, rb, re, k, s, c_acc, false);
-                }
-                tn_row_block(v_read, v_read, rb, re, s, s, g_acc, true);
-                rb = re;
+    let buf = accumulate_rows(n, k * s + s * s, |acc| {
+        let q_cols = SliceCols { data: qdata, n };
+        // SAFETY: `Cols::seg` below reads a row panel only after the
+        // mutable segments inside `update_row_block` have been dropped.
+        let v_read = unsafe { RawCols::from_ptr(vcols.0, n, vlen) };
+        let (c_acc, g_acc) = acc.split_at_mut(k * s);
+        let mut rb = 0;
+        while rb < n {
+            let re = (rb + ROW_BLOCK).min(n);
+            if k > 0 {
+                // SAFETY: `v` is borrowed mutably for the whole call and
+                // no segment of these rows is live.
+                unsafe { update_row_block(&vcols, q_cols, p, n, rb, re) };
+                tn_row_block(q_cols, v_read, rb, re, k, s, c_acc, false);
             }
-            acc
-        },
-        |mut acc, partial| {
-            for (dst, src) in acc.iter_mut().zip(&partial) {
-                *dst += src;
-            }
-            acc
-        },
-    );
+            tn_row_block(v_read, v_read, rb, re, s, s, g_acc, true);
+            rb = re;
+        }
+    });
     let c = Matrix::from_col_major(k, s, buf[..k * s].to_vec());
     let mut g = Matrix::from_col_major(s, s, buf[k * s..].to_vec());
     for j in 0..s {
@@ -1060,7 +1016,7 @@ mod tests {
             let mut b = a.clone();
             trsm_right_upper(&mut a.view_mut(), &r);
             naive_trsm_right_upper(&mut b.view_mut(), &r);
-            assert_eq!(a, b, "row-parallel TRSM must match naive bitwise");
+            assert_eq!(a, b, "TRSM must match naive bitwise");
         }
     }
 

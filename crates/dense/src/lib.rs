@@ -11,9 +11,8 @@
 //! * the level-3 kernels the orthogonalization needs (`Gram = VᵀV`,
 //!   `C = AᵀB`, the block vector update `V ← V − Q·R`, the triangular
 //!   normalization `Q ← V·R⁻¹`, and the fused update+Gram of the two-sync
-//!   schemes) in [`blas3`] — row-panel blocked, register-tiled, and
-//!   parallelized over row chunks on the [`parkit`] worker pool, with the
-//!   pre-blocking `naive_*` formulations retained as benchmark baselines
+//!   schemes) in [`blas3`] — row-panel blocked and register-tiled, with
+//!   the pre-blocking `naive_*` formulations retained as benchmark baselines
 //!   and property-test oracles;
 //! * Cholesky factorization (plain and shifted) in [`chol`];
 //! * Householder QR for tall-skinny panels in [`qr`];

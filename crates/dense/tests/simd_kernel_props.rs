@@ -1,8 +1,8 @@
 //! Property battery for the runtime-dispatched SIMD tile kernels: every
 //! blocked kernel is pinned to its `naive_*` oracle on awkward shapes — row
 //! counts that are not multiples of the register tile ([`dense::TILE`]) or
-//! the 4-wide AVX2 lane, `s ∈ 1..=10`, and the `k = 0` edge — across
-//! thread counts {1, 4, 8}, and the scalar and SIMD backends are
+//! the 4-wide AVX2 lane, `s ∈ 1..=10`, and the `k = 0` edge — and the
+//! scalar and SIMD backends are
 //! cross-checked against each other (bitwise for the update/TRSM class,
 //! tolerance for the Gram/projection class).  The streaming update has its
 //! own cases: `k`-runs crossing the 16-column cap, `V` widths 1–5, row
@@ -12,16 +12,17 @@
 //! the left-looking register tile (rather than the ragged column sweep)
 //! does nearly all the work.
 //!
-//! Nothing here asserts on wall-clock time: multithread scaling is checked
-//! by `BENCH_SCALING_CHECK=1 cargo run -p bench --release --bin kernels`
-//! (CI's `kernel-bench` job), not by tier-1.
+//! Nothing here asserts on wall-clock time: the fused kernel's speed over
+//! the separate sweeps is checked by
+//! `BENCH_SCALING_CHECK=1 cargo run -p bench --release --bin kernels`
+//! (CI's `bench-quick` job), not by tier-1.
 
 use dense::{Matrix, SimdLevel, ROW_BLOCK, TILE};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Both the `parkit` thread count and the SIMD backend override are
-/// process-global; serialize every test that touches either.
+/// The SIMD backend override is process-global; serialize every test that
+/// touches it.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -89,7 +90,7 @@ fn awkward_rows() -> Vec<usize> {
 }
 
 /// Every kernel vs its oracle on one (n, s, k) shape under the current
-/// global thread count and backend.
+/// backend.
 fn check_shape(n: usize, s: usize, k: usize) {
     let v = panel(n, s, 3);
     let q = panel(n, k, 5);
@@ -133,41 +134,32 @@ fn check_shape(n: usize, s: usize, k: usize) {
 }
 
 #[test]
-fn simd_kernels_match_oracles_on_awkward_shapes_across_thread_counts() {
+fn simd_kernels_match_oracles_on_awkward_shapes() {
     let _guard = global_lock();
-    for threads in [1usize, 4, 8] {
-        parkit::set_num_threads(threads);
-        for n in awkward_rows() {
-            for s in [1usize, 2, TILE - 1, TILE, TILE + 1, 10] {
-                for k in [0usize, 1, TILE, TILE + 2] {
-                    check_shape(n, s, k);
-                }
+    for n in awkward_rows() {
+        for s in [1usize, 2, TILE - 1, TILE, TILE + 1, 10] {
+            for k in [0usize, 1, TILE, TILE + 2] {
+                check_shape(n, s, k);
             }
         }
     }
-    parkit::set_num_threads(0);
 }
 
 #[test]
 fn scalar_backend_matches_oracles_on_awkward_shapes() {
     let _guard = global_lock();
     dense::set_simd_override(Some(SimdLevel::Scalar));
-    for threads in [1usize, 4] {
-        parkit::set_num_threads(threads);
-        for n in [1usize, TILE + 1, ROW_BLOCK + 5, 1_031] {
-            for (s, k) in [(1usize, 0usize), (5, 3), (10, TILE)] {
-                check_shape(n, s, k);
-            }
+    for n in [1usize, TILE + 1, ROW_BLOCK + 5, 1_031] {
+        for (s, k) in [(1usize, 0usize), (5, 3), (10, TILE)] {
+            check_shape(n, s, k);
         }
     }
     dense::set_simd_override(None);
-    parkit::set_num_threads(0);
 }
 
 #[test]
 fn update_class_is_bitwise_identical_across_backends() {
     let _guard = global_lock();
-    parkit::set_num_threads(3);
     for n in [1usize, TILE + 3, ROW_BLOCK + 1, 1_031] {
         let s = 7;
         let k = 5;
@@ -196,13 +188,11 @@ fn update_class_is_bitwise_identical_across_backends() {
             "fused update must not depend on the backend"
         );
     }
-    parkit::set_num_threads(0);
 }
 
 #[test]
 fn gram_class_backends_agree_within_ulp_envelope() {
     let _guard = global_lock();
-    parkit::set_num_threads(2);
     for n in [TILE + 1, ROW_BLOCK + 5, 2_051] {
         let v = panel(n, 9, 1);
         let q = panel(n, 6, 2);
@@ -218,7 +208,6 @@ fn gram_class_backends_agree_within_ulp_envelope() {
         assert_close(&g_scalar, &g_auto, tol, "gram backend envelope");
         assert_close(&c_scalar, &c_auto, tol, "gemm_tn backend envelope");
     }
-    parkit::set_num_threads(0);
 }
 
 /// Upper-triangular factor with structural zeros: whole 4×4 coefficient
@@ -254,22 +243,17 @@ fn tiled_trsm_is_bitwise_naive_at_flush_widths_on_both_backends() {
                 dense::naive_trsm_right_upper(&mut t_ref.view_mut(), &r);
                 for backend in [Some(SimdLevel::Scalar), None] {
                     dense::set_simd_override(backend);
-                    for lanes in [1usize, 2, 8] {
-                        parkit::set_num_threads(lanes);
-                        let mut t = v.clone();
-                        dense::trsm_right_upper(&mut t.view_mut(), &r);
-                        assert!(
-                            t == t_ref,
-                            "tiled trsm diverged from naive: n={n} s={s} lanes={lanes} \
-                             backend={backend:?}"
-                        );
-                    }
+                    let mut t = v.clone();
+                    dense::trsm_right_upper(&mut t.view_mut(), &r);
+                    assert!(
+                        t == t_ref,
+                        "tiled trsm diverged from naive: n={n} s={s} backend={backend:?}"
+                    );
                 }
             }
         }
     }
     dense::set_simd_override(None);
-    parkit::set_num_threads(0);
 }
 
 /// Row counts that are multiples of neither the 8-row AVX2 step nor
@@ -285,7 +269,6 @@ const STREAM_KS: [usize; 7] = [1, 3, 4, 15, 16, 17, 224];
 #[test]
 fn streaming_update_is_bitwise_across_backends_and_naive() {
     let _guard = global_lock();
-    parkit::set_num_threads(1);
     for n in STREAM_ROWS {
         for k in STREAM_KS {
             let q = panel(n, k, k);
@@ -309,7 +292,6 @@ fn streaming_update_is_bitwise_across_backends_and_naive() {
         }
     }
     dense::set_simd_override(None);
-    parkit::set_num_threads(0);
 }
 
 fn bits(m: &Matrix) -> Vec<u64> {
@@ -323,7 +305,6 @@ fn bits(m: &Matrix) -> Vec<u64> {
 #[test]
 fn streaming_update_skips_zero_coefficients_inside_a_run() {
     let _guard = global_lock();
-    parkit::set_num_threads(1);
     let (n, k, s) = (2 * ROW_BLOCK + 13, 40, 5);
     let (zero_k, poison_k) = (20, 30);
     let signed_rows = [5, 11, ROW_BLOCK + 1, n - 1];
@@ -364,24 +345,19 @@ fn streaming_update_skips_zero_coefficients_inside_a_run() {
         );
     }
     dense::set_simd_override(None);
-    parkit::set_num_threads(0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random shapes around lane/tile boundaries, random thread counts,
-    /// including the k = 0 edge.
+    /// Random shapes around lane/tile boundaries, including the k = 0 edge.
     #[test]
     fn random_shapes_match_oracles(
         n in 0usize..1_500,
         s in 1usize..11,
         k in 0usize..9,
-        threads in 1usize..9,
     ) {
         let _guard = global_lock();
-        parkit::set_num_threads(threads);
         check_shape(n, s, k);
-        parkit::set_num_threads(0);
     }
 }

@@ -16,7 +16,9 @@
 //!   structure as distributed ones);
 //! * [`run_ranks`] — launch an `n`-rank group on scoped threads with
 //!   barrier-synchronized, deterministically combined collectives and
-//!   FIFO-mailbox point-to-point messaging;
+//!   FIFO-mailbox point-to-point messaging.  Each rank runs its kernels on
+//!   its own thread, as the paper runs one MPI rank per GPU: rank threads
+//!   are the workspace's only parallelism;
 //! * [`CommStats`] / [`CommStatsSnapshot`] — per-communicator operation and
 //!   word counters; `stats().snapshot()`, [`CommStatsSnapshot::since`] and
 //!   [`CommStatsSnapshot::merge`] are how the tests, benches and the

@@ -33,10 +33,9 @@ pub struct DistMultiVector {
 
 impl DistMultiVector {
     /// Distribute `full` (the same global matrix passed on every rank) in
-    /// block-row layout: rank `r` keeps row chunk `r` of
-    /// [`parkit::chunk_ranges`]`(nrows, size)` — the same split
-    /// `sparse::block_row_partition` produces.  On a single rank the local
-    /// block is the whole matrix.
+    /// block-row layout: rank `r` keeps the rows
+    /// [`sparse::block_row_partition`]`(nrows, size)` gives it.  On a
+    /// single rank the local block is the whole matrix.
     pub fn from_matrix(comm: Arc<dyn Communicator>, full: Matrix) -> Self {
         let n = full.nrows();
         if comm.size() == 1 {
@@ -47,11 +46,7 @@ impl DistMultiVector {
                 local: full,
             };
         }
-        let ranges = parkit::chunk_ranges(n, comm.size());
-        let (lo, hi) = match ranges.get(comm.rank()) {
-            Some(r) => (r.start, r.end),
-            None => (n, n), // more ranks than rows: empty local block
-        };
+        let (lo, hi) = sparse::block_row_partition(n, comm.size()).range(comm.rank());
         let mut local = Matrix::zeros(hi - lo, full.ncols());
         for j in 0..full.ncols() {
             local.col_mut(j).copy_from_slice(&full.col(j)[lo..hi]);
@@ -495,21 +490,30 @@ mod tests {
 
     #[test]
     fn from_matrix_partitions_like_block_row_partition() {
-        let n = 101;
-        let v = test_matrix(n, 3);
-        let parts = run_ranks(3, |comm| {
-            let mv = DistMultiVector::from_matrix(comm, v.clone());
-            (mv.row_offset(), mv.local_rows())
-        });
-        let reference = sparse::block_row_partition(n, 3);
-        let mut covered = 0;
-        for (rank, (offset, rows)) in parts.iter().enumerate() {
-            let (lo, hi) = reference.range(rank);
-            assert_eq!((*offset, offset + rows), (lo, hi));
-            assert_eq!(*offset, covered);
-            covered += rows;
+        // 2 rows on 3 ranks leaves the last rank an empty block.
+        for (n, nranks) in [(101usize, 3usize), (2, 3)] {
+            let v = test_matrix(n, 3);
+            let parts = run_ranks(nranks, |comm| {
+                let mv = DistMultiVector::from_matrix(comm, v.clone());
+                (mv.row_offset(), mv.local().clone())
+            });
+            let reference = sparse::block_row_partition(n, nranks);
+            let mut covered = 0;
+            for (rank, (offset, local)) in parts.iter().enumerate() {
+                let (lo, hi) = reference.range(rank);
+                assert_eq!((*offset, offset + local.nrows()), (lo, hi));
+                assert_eq!(*offset, covered);
+                for j in 0..3 {
+                    assert_eq!(
+                        local.col(j),
+                        &v.col(j)[lo..hi],
+                        "rank {rank} keeps its rows"
+                    );
+                }
+                covered += local.nrows();
+            }
+            assert_eq!(covered, n);
         }
-        assert_eq!(covered, n);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Property battery for the distributed sketch operator: the sketched
 //! panel must be **bitwise identical** across rank counts (the slot
 //! exchange gives every slot exactly one owner, so the rank-ordered reduce
-//! only ever adds exact zeros) and across compute-pool widths (the slot
-//! fill is serial by design and the combine runs in fixed slot order), and
-//! every [`DistMultiVector::sketch`] reduce must cost
-//! exactly **one allreduce** of the word count `SketchOp::reduce_words`
-//! predicts (the sketch reduce `OrthoKind::reduce_schedule` lists; that
-//! join is pinned in `tests/comm_volume_validation.rs`).
+//! only ever adds exact zeros), and every [`DistMultiVector::sketch`]
+//! reduce must cost exactly **one allreduce** of the word count
+//! `SketchOp::reduce_words` predicts (the sketch reduce
+//! `OrthoKind::reduce_schedule` lists; that join is pinned in
+//! `tests/comm_volume_validation.rs`).
 //!
 //! Extra rank counts come from `DISTSIM_TEST_RANKS` (comma-separated) —
-//! CI sweeps it, together with `TWOSTAGE_NUM_THREADS` for the pool width.
+//! CI sweeps it.
 
 use dense::Matrix;
 use distsim::{run_ranks, DistMultiVector, SerialComm, SketchConfig, SketchOp};
@@ -92,28 +91,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn sketch_is_bitwise_identical_across_compute_pool_widths(
-        seed in 0u64..1_000,
-        n in 80usize..240,
-        s in 1usize..6,
-    ) {
-        // The slot fill is serial by design and the combine runs in fixed
-        // slot order, so the sketched panel must not depend on the parkit
-        // pool width (CI additionally sweeps TWOSTAGE_NUM_THREADS).
-        let cols = s + 1;
-        let v = test_panel(n, cols, seed);
-        let op = SketchOp::for_basis(&SketchConfig::default(), n, cols);
-        let run_with = |threads: usize| {
-            parkit::set_num_threads(threads);
-            let basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-            let out = basis.sketch(&op, 1..1 + s);
-            parkit::set_num_threads(0); // restore auto sizing
-            out
-        };
-        prop_assert_eq!(bits(&run_with(1)), bits(&run_with(4)));
-    }
 }
 
 #[test]
@@ -126,8 +103,7 @@ fn operator_is_reconstructed_identically_on_every_rank() {
     let op = SketchOp::new(n, 32, 42);
     let results = run_ranks(4, |comm| {
         let local_op = SketchOp::new(n, 32, 42);
-        let range = &parkit::chunk_ranges(n, comm.size())[comm.rank()];
-        let (lo, hi) = (range.start, range.end);
+        let (lo, hi) = sparse::block_row_partition(n, comm.size()).range(comm.rank());
         let basis = DistMultiVector::zeros(comm, n, hi - lo, lo, 6);
         let sv = basis.sketch(&local_op, 0..3);
         let mut all_plus_zero = true;

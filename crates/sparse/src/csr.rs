@@ -1,4 +1,4 @@
-//! Compressed sparse row (CSR) matrices and the parallel SpMV kernel.
+//! Compressed sparse row (CSR) matrices and the SpMV kernel.
 
 /// A `(row, col, value)` entry used to assemble a [`Csr`] matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,25 +197,22 @@ impl Csr {
         d
     }
 
-    /// Sparse matrix–vector product `y = A·x` (parallel over row blocks).
+    /// Sparse matrix–vector product `y = A·x`.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
         let rowptr = &self.rowptr;
         let colind = &self.colind;
         let vals = &self.vals;
-        parkit::parallel_for_chunks(y, |ychunk, offset| {
-            for (k, yi) in ychunk.iter_mut().enumerate() {
-                let i = offset + k;
-                let lo = rowptr[i];
-                let hi = rowptr[i + 1];
-                let mut acc = 0.0;
-                for p in lo..hi {
-                    acc += vals[p] * x[colind[p]];
-                }
-                *yi = acc;
+        for (i, yi) in y.iter_mut().enumerate() {
+            let lo = rowptr[i];
+            let hi = rowptr[i + 1];
+            let mut acc = 0.0;
+            for p in lo..hi {
+                acc += vals[p] * x[colind[p]];
             }
-        });
+            *yi = acc;
+        }
     }
 
     /// `y = A·x` returning a freshly allocated vector.

@@ -46,21 +46,16 @@ impl RowPartition {
     }
 }
 
-/// Partition `n` rows over `nranks` ranks into contiguous blocks of nearly
-/// equal row counts.
+/// Partition `n` rows over `nranks` ranks into contiguous blocks whose
+/// sizes differ by at most one: the first `n % nranks` ranks own one row
+/// more.  With more ranks than rows the trailing ranks own nothing.
 pub fn block_row_partition(n: usize, nranks: usize) -> RowPartition {
     assert!(nranks >= 1, "need at least one rank");
-    let ranges = parkit::chunk_ranges(n, nranks);
+    let (base, extra) = (n / nranks, n % nranks);
     let mut offsets = Vec::with_capacity(nranks + 1);
     offsets.push(0);
-    let mut covered = 0;
-    for r in &ranges {
-        covered = r.end;
-        offsets.push(r.end);
-    }
-    // `chunk_ranges` never produces more chunks than rows; pad empty ranks.
-    while offsets.len() < nranks + 1 {
-        offsets.push(covered);
+    for r in 0..nranks {
+        offsets.push(offsets[r] + base + usize::from(r < extra));
     }
     RowPartition { offsets }
 }
@@ -71,14 +66,20 @@ mod tests {
 
     #[test]
     fn block_partition_covers_all_rows() {
-        let p = block_row_partition(103, 8);
-        assert_eq!(p.nranks(), 8);
-        assert_eq!(p.nrows(), 103);
-        let mut total = 0;
-        for r in 0..8 {
-            total += p.local_rows(r);
+        // The ranges tile 0..n in rank order, also for n < p; sizes differ
+        // by at most one, the first n % p ranks owning the extra row.
+        for n in [0usize, 1, 2, 3, 7, 100, 103, 1023, 1024, 1025] {
+            for nranks in [1usize, 2, 3, 4, 7, 8, 16] {
+                let p = block_row_partition(n, nranks);
+                assert_eq!(p.nranks(), nranks);
+                assert_eq!(p.nrows(), n);
+                assert_eq!(p.offsets[0], 0);
+                for r in 0..nranks {
+                    let want = n / nranks + usize::from(r < n % nranks);
+                    assert_eq!(p.local_rows(r), want, "n={n} p={nranks} rank {r}");
+                }
+            }
         }
-        assert_eq!(total, 103);
     }
 
     #[test]

@@ -138,16 +138,14 @@ impl SlicedCsr {
     }
 
     /// Sparse matrix–vector product `y = A·x`, bit for bit
-    /// [`Csr::spmv`]'s (parallel over blocks of slices).
+    /// [`Csr::spmv`]'s.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
         let (slices, rest) = y.as_chunks_mut::<SLICE>();
-        parkit::parallel_for_chunks(slices, |chunk, offset| {
-            for (k, ys) in chunk.iter_mut().enumerate() {
-                *ys = self.slice_product((offset + k) * SLICE, x);
-            }
-        });
+        for (k, ys) in slices.iter_mut().enumerate() {
+            *ys = self.slice_product(k * SLICE, x);
+        }
         let full = self.nrows - rest.len();
         for (k, yi) in rest.iter_mut().enumerate() {
             let (lo, hi) = (self.rowptr[full + k], self.rowptr[full + k + 1]);

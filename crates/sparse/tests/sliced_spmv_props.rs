@@ -1,23 +1,13 @@
 //! `SlicedCsr` is `Csr` re-laid, nothing else: its product returns the
 //! bits of the reference `Csr::spmv` on ragged matrices (empty rows,
 //! length-1 rows, slices whose shortest row is empty, row counts on every
-//! side of the slice height) and hostile inputs (±0, ±∞, NaN), at one
-//! thread and at four, and the conversion round-trips.
+//! side of the slice height) and hostile inputs (±0, ±∞, NaN), and the
+//! conversion round-trips.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sparse::{Csr, SlicedCsr};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// `parkit`'s thread-count override is process-global; serialize every test
-/// that touches it so concurrent test threads don't race each other.
-fn thread_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("thread lock poisoned")
-}
 
 fn below(rng: &mut StdRng, bound: usize) -> usize {
     (rng.random::<u64>() % bound as u64) as usize
@@ -83,7 +73,6 @@ proptest! {
         max_len in 1usize..14,
         seed in 0u64..u64::MAX,
     ) {
-        let _guard = thread_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         let a = ragged(4 * q + r, ncols, max_len, &mut rng);
         let sliced = SlicedCsr::from_csr(a.clone());
@@ -93,31 +82,22 @@ proptest! {
         );
         prop_assert_eq!(sliced.to_csr(), a.clone());
         let x = hostile(ncols, &mut rng);
-        for threads in [1usize, 4] {
-            parkit::set_num_threads(threads);
-            let (y, y_sliced) = product_bits(&a, &sliced, &x);
-            parkit::set_num_threads(0);
-            prop_assert_eq!(y_sliced, y);
-        }
+        let (y, y_sliced) = product_bits(&a, &sliced, &x);
+        prop_assert_eq!(y_sliced, y);
     }
 }
 
 #[test]
 fn row_counts_around_the_slice_height_and_a_slice_with_an_empty_row() {
-    let _guard = thread_lock();
     let mut rng = StdRng::seed_from_u64(18);
-    // 9001 rows = 2250 slices + 1 row: enough for four threads to split.
+    // 9001 rows = 2250 slices + 1 row.
     for nrows in [0usize, 1, 3, 4, 5, 9001] {
         let a = ragged(nrows, 37, 9, &mut rng);
         let sliced = SlicedCsr::from_csr(a.clone());
         assert_eq!(sliced.to_csr(), a, "{nrows} rows");
         let x = hostile(37, &mut rng);
-        for threads in [1usize, 4] {
-            parkit::set_num_threads(threads);
-            let (y, y_sliced) = product_bits(&a, &sliced, &x);
-            parkit::set_num_threads(0);
-            assert_eq!(y_sliced, y, "{nrows} rows, {threads} threads");
-        }
+        let (y, y_sliced) = product_bits(&a, &sliced, &x);
+        assert_eq!(y_sliced, y, "{nrows} rows");
     }
     // Lengths 3, 0, 2, 1: the lockstep part is empty, every entry a tail.
     let a = Csr::from_raw(

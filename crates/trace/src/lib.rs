@@ -29,8 +29,8 @@
 //!   an inert guard.
 //!
 //! Timestamps come from one process-wide monotonic epoch
-//! ([`std::time::Instant`]), so spans from different threads (pool lanes,
-//! simulated ranks) share a comparable timeline.
+//! ([`std::time::Instant`]), so spans from different threads (simulated
+//! ranks) share a comparable timeline.
 //!
 //! ```
 //! trace::set_enabled(true);
@@ -313,9 +313,8 @@ pub fn span(cat: &'static str, name: &'static str, args: &[(&'static str, u64)])
 }
 
 /// Record an already-closed span from an explicit start timestamp (taken
-/// earlier with [`now_ns`]).  Useful when a span's arguments (e.g. how many
-/// chunks a pool lane claimed) are only known at close; does not touch the
-/// open-span depth counter.
+/// earlier with [`now_ns`]).  Useful when a span's arguments are only
+/// known at close; does not touch the open-span depth counter.
 #[inline]
 pub fn complete_span(
     cat: &'static str,

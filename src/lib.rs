@@ -4,7 +4,6 @@
 //! This facade crate re-exports the workspace so downstream users can depend
 //! on a single crate:
 //!
-//! * [`parkit`] — data-parallel primitives;
 //! * [`dense`] — the dense linear-algebra kernels (GEMM, TRSM, Cholesky,
 //!   Householder QR, Jacobi eigensolver);
 //! * [`sparse`] — CSR matrices, SpMV, model problems, Matrix Market I/O;
@@ -24,7 +23,6 @@
 pub use blockortho;
 pub use dense;
 pub use distsim;
-pub use parkit;
 pub use sparse;
 pub use ssgmres;
 pub use testmat;

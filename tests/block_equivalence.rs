@@ -6,16 +6,14 @@
 //! solution bits, every per-cycle history, and the full communication
 //! ledger (`CommStatsSnapshot` implements `PartialEq`) must match exactly —
 //! the adapter projects nothing away and copies nothing in.  The battery
-//! pins that across orthogonalization schemes,
-//! basis strategies, step policies, detection guards, thread-pool widths
-//! (explicitly here; the CI test matrix additionally sweeps
-//! `TWOSTAGE_NUM_THREADS`), and simulated rank counts
+//! pins that across orthogonalization schemes, basis strategies, step
+//! policies, detection guards, and simulated rank counts
 //! (`DISTSIM_TEST_RANKS`, comma-separated, extends the sweep like the
 //! other distributed batteries).
 
 mod common;
 
-use common::{ranks_under_test, thread_lock};
+use common::ranks_under_test;
 use distsim::{run_ranks, Communicator, DistCsr, GuardedComm, SerialComm};
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{
@@ -92,7 +90,6 @@ fn assert_block_matches_scalar(
 
 #[test]
 fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
-    let _lock = thread_lock();
     let a = laplace2d_9pt(18, 18);
     let b = rhs_for(&a, 0);
     for ortho in [
@@ -125,7 +122,6 @@ fn k1_block_solve_is_bitwise_the_scalar_solve_on_every_scheme() {
 
 #[test]
 fn k1_equivalence_survives_auto_stepping_and_guards() {
-    let _lock = thread_lock();
     // Auto step policy exercises the controller/health plumbing; a guarded
     // communicator routes the norm reduce through the guarded path — the
     // block solver must follow both bitwise at k = 1.
@@ -157,47 +153,7 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
 }
 
 #[test]
-fn k1_equivalence_is_bitwise_on_every_thread_count() {
-    let _lock = thread_lock();
-    // The pool width changes intra-reduce accumulation order in the fused
-    // kernels; the scalar/block identity must hold at *each* width, and
-    // the solves themselves must be width-invariant (the workspace-wide
-    // determinism claim).
-    let a = laplace2d_9pt(16, 16);
-    let b = rhs_for(&a, 1);
-    let config = GmresConfig {
-        restart: 24,
-        step_size: 4,
-        tol: 1e-9,
-        ortho: OrthoKind::TwoStage { big_panel: 24 },
-        ..GmresConfig::default()
-    };
-    let solver = SStepGmres::new(config);
-    let mut per_width: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-    for threads in [1usize, 4] {
-        parkit::set_num_threads(threads);
-        let (x_scalar, scalar) = solver.solve_serial(&a, &b);
-        assert!(scalar.converged, "threads {threads}");
-        let (x_block, block) = solver.solve_block_serial(&a, std::slice::from_ref(&b));
-        assert_block_matches_scalar(
-            &format!("threads {threads}"),
-            &x_scalar,
-            &scalar,
-            x_block.col(0),
-            &block,
-        );
-        per_width.push((x_scalar, x_block.col(0).to_vec()));
-    }
-    let (x1_scalar, x1_block) = &per_width[0];
-    for (xs, xb) in &per_width[1..] {
-        assert_eq!(x1_scalar, xs, "scalar solve must be width-invariant");
-        assert_eq!(x1_block, xb, "block solve must be width-invariant");
-    }
-}
-
-#[test]
 fn k1_equivalence_is_bitwise_on_every_rank_count() {
-    let _lock = thread_lock();
     let (nx, ny) = (18, 18);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();
@@ -240,7 +196,6 @@ fn k1_equivalence_is_bitwise_on_every_rank_count() {
 
 #[test]
 fn scalar_solve_continues_from_a_nonzero_initial_guess() {
-    let _lock = thread_lock();
     // The scalar entry point hands `x_local` to the engine as a view: a
     // nonzero guess must be read (not zeroed) and updated in place.  One
     // capped cycle from zero, then one more capped cycle from its own `x`
@@ -303,7 +258,6 @@ fn scalar_solve_continues_from_a_nonzero_initial_guess() {
 
 #[test]
 fn wide_block_schedule_is_rank_count_invariant() {
-    let _lock = thread_lock();
     // Beyond k = 1: across rank counts the solve follows the same
     // contract the scalar solver pins in `distributed_equivalence.rs` —
     // the cycle-granular *schedule* (restart count, step history,
@@ -320,7 +274,6 @@ fn wide_block_schedule_is_rank_count_invariant() {
 
 #[test]
 fn wide_block_schedule_is_rank_count_invariant_on_generic_rhs() {
-    let _lock = thread_lock();
     // `rhs_for`'s right-hand sides are 17-periodic in the row index and
     // drive the k·s-wide monomial panels to the edge of the first stage's
     // Cholesky bound (the solver's early flush carries those cycles).

@@ -8,14 +8,14 @@
 //! — an `OrthoError`, or a remedial-fallback event with per-stage detail.
 //! It never silently returns garbage.  On top sit determinism properties:
 //! the `StepPolicy::Auto` controller's decisions (realized step schedule,
-//! verdicts, rescues) are stable across worker-thread counts and across
-//! simulated rank counts (including the `DISTSIM_TEST_RANKS` CI sweep),
-//! because every signal it reads is replicated.
+//! verdicts, rescues) are stable across simulated rank counts (including
+//! the `DISTSIM_TEST_RANKS` CI sweep), because every signal it reads is
+//! replicated.
 
 mod common;
 
 use blockortho::{make_orthogonalizer, OrthoError, OrthoKind};
-use common::{ranks_under_test, rhs_ones, thread_lock};
+use common::{ranks_under_test, rhs_ones};
 use dense::Matrix;
 use distsim::{run_ranks, Communicator, DistCsr, DistMultiVector, SerialComm};
 use proptest::prelude::*;
@@ -172,7 +172,6 @@ fn single_column_panels_are_never_silent() {
 
 #[test]
 fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
-    let _lock = thread_lock();
     // elasticity3d at s = 12: the monomial panel is decisively rank
     // deficient (s = 8 now sits on the knife edge of the SIMD Gram
     // kernels' last ulps).  Whatever the scheme and step policy, the solver must
@@ -240,7 +239,6 @@ fn solver_reports_or_converges_for_every_scheme_and_policy_on_elasticity_s12() {
 
 #[test]
 fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
-    let _lock = thread_lock();
     // Monomial basis on a 9-pt Laplacian at s = 10: the panel's condition
     // number grows exponentially in s, crossing the Cholesky-on-Gram
     // crossover while the panel stays numerically full rank.  The plain
@@ -304,7 +302,6 @@ fn auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves() {
 
 #[test]
 fn step_size_equal_to_restart_edge_works_under_both_policies() {
-    let _lock = thread_lock();
     // s = restart: one matrix-powers panel spans the whole cycle.  Both
     // policies must handle it; with clean cycles Auto realizes the same
     // steps as Fixed.  (s = 6 keeps the monomial panel solvable — at
@@ -380,7 +377,7 @@ fn auto_config(restart: usize, s: usize) -> GmresConfig {
         // convergence estimate exits a cycle before fully converged
         // directions make its last panels linearly dependent.  Near the
         // convergence floor that "lucky breakdown" hinges on the last ulps
-        // of reduction order, which *is* thread/rank-count dependent — the
+        // of reduction order, which *is* rank-count dependent — the
         // decisions pinned here are the rescue decisions, not luck.
         ortho: SolverOrthoKind::TwoStage { big_panel: 8 },
         basis: BasisStrategy::Monomial,
@@ -393,38 +390,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn auto_decisions_are_deterministic_across_thread_counts(
-        nx in 4usize..6,
-        s in 6usize..9,
-    ) {
-        let _lock = thread_lock();
-        // The controller reads only replicated signals; worker-thread
-        // chunking may change the last ulps of local kernels but must not
-        // change what the controller decides.
-        let a = elasticity3d(nx, nx, nx);
-        let b = rhs_ones(&a);
-        let solver = SStepGmres::new(auto_config(32, s));
-        let mut baseline = None;
-        for threads in [1usize, 2, 4] {
-            parkit::set_num_threads(threads);
-            let (_, r) = solver.solve_serial(&a, &b);
-            let trace = decision_trace(&r);
-            match &baseline {
-                None => baseline = Some(trace),
-                Some(expect) => prop_assert_eq!(
-                    expect,
-                    &trace
-                ),
-            }
-        }
-    }
-
-    #[test]
     fn auto_decisions_agree_across_ranks_and_rescue_across_rank_counts(
         nx in 4usize..6,
         s in 6usize..9,
     ) {
-        let _lock = thread_lock();
         // Every health signal the controller consumes is replicated, so
         // within one distributed run ALL ranks must take bitwise-identical
         // decisions — a single diverging rank would change its collective

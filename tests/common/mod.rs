@@ -4,29 +4,14 @@
 use sparse::Csr;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// File-level lock for process-global state.  `parkit`'s thread-count
-/// override and the `trace` enable flag are process globals and the tests of
-/// one binary run on parallel threads: every test that runs a solve holds
-/// this lock, so that one test's `set_num_threads` sweep (or trace toggle)
-/// cannot change the lane count — and with it the reduction order — between
-/// two solves another test compares.  Dropping the guard restores the
-/// automatic thread count, also when an assertion unwinds.
-pub fn thread_lock() -> ThreadLock {
+/// File-level lock for the `trace` enable flag, a process global: the
+/// tests of one binary run on parallel threads, so every test that toggles
+/// tracing or reads what it recorded holds this lock.
+pub fn trace_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(|| Mutex::new(()))
+    LOCK.get_or_init(|| Mutex::new(()))
         .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    ThreadLock(guard)
-}
-
-/// Guard of [`thread_lock`].
-pub struct ThreadLock(MutexGuard<'static, ()>);
-
-impl Drop for ThreadLock {
-    fn drop(&mut self) {
-        parkit::set_num_threads(0);
-    }
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Rank counts to sweep: `defaults` plus any from `DISTSIM_TEST_RANKS`

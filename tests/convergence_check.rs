@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{ranks_under_test, thread_lock};
+use common::ranks_under_test;
 use distsim::{run_ranks, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt, suitelike, suitesparse_surrogate, Csr};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
@@ -68,7 +68,6 @@ fn decisions(r: &SolveResult) -> Vec<(usize, usize)> {
 
 #[test]
 fn two_stage_takes_the_one_stage_iterations_at_bs_equal_m() {
-    let _lock = thread_lock();
     for (name, a) in [
         ("laplace2d_9pt(48)", laplace2d_9pt(48, 48)),
         ("ML_Geer n = 4000", geer(4000)),
@@ -96,7 +95,6 @@ fn two_stage_takes_the_one_stage_iterations_at_bs_equal_m() {
 
 #[test]
 fn the_flush_trigger_never_fires_away_from_convergence() {
-    let _lock = thread_lock();
     let a = laplace2d_9pt(64, 64);
     let (_, r) = SStepGmres::new(two_stage()).solve_serial(&a, &rhs(&a));
     assert!(r.converged, "{:?}", r.breakdown);
@@ -124,7 +122,6 @@ fn the_flush_trigger_never_fires_away_from_convergence() {
 
 #[test]
 fn the_flush_trigger_decides_the_same_on_every_rank_count() {
-    let _lock = thread_lock();
     for (name, a) in [
         ("laplace2d_9pt(64)", laplace2d_9pt(64, 64)),
         ("ML_Geer n = 4000", geer(4000)),
@@ -157,7 +154,6 @@ fn a_big_panel_flushed_before_the_next_panel_starts_is_read_as_final() {
     // pre-processed vector the flush's T factor represents.  One full
     // cycle of two-stage must then reach PIP2's residual on every split of
     // the cycle into big panels, bs = m included.
-    let _lock = thread_lock();
     let a = geer(4000);
     let b = rhs(&a);
     for m in [30, 40] {

@@ -5,9 +5,6 @@
 //! one and several ranks and for scalar and block solves, and the JSON form
 //! is well formed, complete and `null` where a float is not finite.
 
-mod common;
-
-use common::thread_lock;
 use distsim::{run_ranks, CommStatsSnapshot, Communicator, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt};
 use ssgmres::{
@@ -61,7 +58,6 @@ fn report_json(r: &SolveResult) -> String {
 
 #[test]
 fn per_cycle_ortho_traffic_adds_up_to_the_solve_ledger() {
-    let _guard = thread_lock();
     for nranks in [1usize, 3] {
         for k in [1usize, 4] {
             for (rank, r) in solve(nranks, k).iter().enumerate() {
@@ -95,7 +91,6 @@ fn per_cycle_ortho_traffic_adds_up_to_the_solve_ledger() {
 
 #[test]
 fn json_report_joins_both_records_cycle_by_cycle() {
-    let _guard = thread_lock();
     let r = solve(1, 1).remove(0);
     assert!(r.restarts >= 2, "premise: more than one cycle");
     let json = report_json(&r);

@@ -17,16 +17,16 @@
 //!
 //! Determinism of the deflation *schedule* is pinned separately: the
 //! order and cycle at which columns deflate derive only from replicated
-//! reduce results, so they are invariant across worker-thread counts
-//! (swept here) and simulated rank counts (`DISTSIM_TEST_RANKS` extends
-//! the sweep; `tests/block_equivalence.rs` pins the rank axis as well).
+//! reduce results, so they are invariant across simulated rank counts
+//! (`DISTSIM_TEST_RANKS` extends the sweep; `tests/block_equivalence.rs`
+//! pins the rank axis as well).
 
 mod common;
 
-use common::{ranks_under_test, thread_lock};
+use common::ranks_under_test;
 use distsim::{run_ranks, Communicator, DistCsr};
 use proptest::prelude::*;
-use sparse::{block_row_partition, laplace2d_5pt, laplace2d_9pt, Csr};
+use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{BlockOptions, GmresConfig, Identity, OrthoKind, SStepGmres};
 use std::sync::Arc;
 
@@ -44,9 +44,6 @@ fn dist_for(a: &Csr) -> DistCsr {
     let part = block_row_partition(a.nrows(), 1);
     DistCsr::from_global(distsim::SerialComm::new(), a, &part)
 }
-
-/// (solution bits, deflation order, deflation cycles) of one solve.
-type Schedule = (Vec<f64>, Vec<usize>, Vec<Option<usize>>);
 
 fn pack(n: usize, cols: &[&[f64]]) -> dense::Matrix {
     let mut m = dense::Matrix::zeros(n, cols.len());
@@ -67,7 +64,6 @@ proptest! {
         s in 3usize..6,
         scheme in 0usize..2,
     ) {
-        let _lock = thread_lock();
         let loose = loose % k;
         let a = laplace2d_9pt(nx, nx);
         let n = a.nrows();
@@ -131,53 +127,10 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn deflation_schedule_is_deterministic_across_thread_counts(
-        nx in 12usize..16,
-        s in 3usize..6,
-    ) {
-        let _lock = thread_lock();
-        // Deflation decisions read only replicated reduce results, so the
-        // worker-pool width must not move a single deflation by a single
-        // cycle — and the solve itself stays bitwise width-invariant.
-        let a = laplace2d_5pt(nx, nx);
-        let n = a.nrows();
-        let dist = dist_for(&a);
-        let bs: Vec<Vec<f64>> = (0..3).map(|j| rhs_for(n, j)).collect();
-        let b = pack(n, &bs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let opts = BlockOptions {
-            abs_targets: Some(vec![
-                1e-9 * norm(&bs[0]),
-                0.5 * norm(&bs[1]),
-                1e-6 * norm(&bs[2]),
-            ]),
-        };
-        let solver = SStepGmres::new(GmresConfig {
-            restart: 18,
-            step_size: s,
-            tol: 1e-9,
-            ortho: OrthoKind::TwoStage { big_panel: 18 },
-            ..GmresConfig::default()
-        });
-        let mut baseline: Option<Schedule> = None;
-        for threads in [1usize, 2, 4] {
-            parkit::set_num_threads(threads);
-            let mut x = dense::Matrix::zeros(n, 3);
-            let r = solver.solve_block_with(&dist, &Identity, &b, &mut x, &opts);
-            prop_assert!(r.converged, "threads {}: {:?}", threads, r.breakdown);
-            let got = (x.data().to_vec(), r.deflation_order, r.deflated_at);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(expect) => prop_assert_eq!(expect, &got),
-            }
-        }
-    }
 }
 
 #[test]
 fn deflation_schedule_is_deterministic_across_rank_counts() {
-    let _lock = thread_lock();
     let (nx, ny) = (14, 14);
     let a = laplace2d_9pt(nx, ny);
     let n = a.nrows();

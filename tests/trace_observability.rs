@@ -3,12 +3,12 @@
 //! untraced one — solution bits, iteration counts, and every `CommStats`
 //! counter, p2p messages and words included — and enabling it must add
 //! spans, not communication: zero extra reductions, every span balanced,
-//! across thread-pool widths and simulated rank counts (extendable via
+//! on a serial solve and across simulated rank counts (extendable via
 //! `DISTSIM_TEST_RANKS=6,8` as in the other sweep batteries).
 
 mod common;
 
-use common::{ranks_under_test, rhs_ones, thread_lock};
+use common::{ranks_under_test, rhs_ones, trace_lock};
 use distsim::{run_ranks, Communicator, DistCsr};
 use sparse::{block_row_partition, laplace2d_9pt, Laplace2d9ptRows};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
@@ -36,7 +36,7 @@ fn assert_identical(tag: &str, x0: &[f64], r0: &SolveResult, x1: &[f64], r1: &So
 
 #[test]
 fn toggling_tracing_keeps_serial_solves_bitwise_identical() {
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let a = laplace2d_9pt(18, 18);
     let b = rhs_ones(&a);
     let solver = SStepGmres::new(config());
@@ -61,7 +61,7 @@ fn toggling_tracing_keeps_serial_solves_bitwise_identical() {
 
 #[test]
 fn toggling_tracing_keeps_distributed_solves_bitwise_identical() {
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let (nx, ny) = (16, 16);
     let rows = Laplace2d9ptRows { nx, ny };
     let a = laplace2d_9pt(nx, ny);
@@ -102,27 +102,21 @@ fn toggling_tracing_keeps_distributed_solves_bitwise_identical() {
 }
 
 #[test]
-fn spans_balance_across_thread_and_rank_sweeps() {
-    let _guard = thread_lock();
+fn spans_balance_on_serial_and_rank_sweeps() {
+    let _guard = trace_lock();
     let a = laplace2d_9pt(14, 14);
     let b = rhs_ones(&a);
     let rows = Laplace2d9ptRows { nx: 14, ny: 14 };
     let n = a.nrows();
 
-    for threads in [1usize, 4] {
-        parkit::set_num_threads(threads);
-        trace::clear();
-        trace::set_enabled(true);
-        let (_, result) = SStepGmres::new(config()).solve_serial(&a, &b);
-        trace::set_enabled(false);
-        assert!(result.converged, "threads {threads}");
-        let stats = trace::stats();
-        assert!(stats.events > 0, "threads {threads}: no spans recorded");
-        assert_eq!(
-            stats.open_spans, 0,
-            "threads {threads}: unbalanced spans left open"
-        );
-    }
+    trace::clear();
+    trace::set_enabled(true);
+    let (_, result) = SStepGmres::new(config()).solve_serial(&a, &b);
+    trace::set_enabled(false);
+    assert!(result.converged);
+    let stats = trace::stats();
+    assert!(stats.events > 0, "no spans recorded");
+    assert_eq!(stats.open_spans, 0, "unbalanced spans left open");
 
     for nranks in ranks_under_test(&[1, 2, 4]) {
         let part = block_row_partition(n, nranks);
@@ -149,7 +143,7 @@ fn spans_balance_across_thread_and_rank_sweeps() {
 
 #[test]
 fn chrome_timeline_validates_and_has_one_lane_per_rank() {
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let (nx, ny) = (12, 12);
     let rows = Laplace2d9ptRows { nx, ny };
     let a = laplace2d_9pt(nx, ny);
@@ -193,7 +187,7 @@ fn chrome_timeline_validates_and_has_one_lane_per_rank() {
 
 #[test]
 fn cycle_timings_partition_every_cycle() {
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let a = laplace2d_9pt(16, 16);
     let b = rhs_ones(&a);
     trace::set_enabled(true);
@@ -221,7 +215,7 @@ fn cycle_timings_partition_every_cycle() {
 fn sync_time_is_zero_untraced_and_attributed_per_rank_when_traced() {
     // The trace enable flag is process-global; the lock keeps another
     // test's toggle out of these two solves.
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let (nx, ny) = (12, 12);
     let rows = Laplace2d9ptRows { nx, ny };
     let a = laplace2d_9pt(nx, ny);
@@ -283,7 +277,7 @@ fn end_of_cycle_flush_runs_no_trsm_of_its_width() {
     // cycle that ran to its end no `n`-row TRSM as wide as that flush
     // follows it — neither inside the flush nor in `finish`.  Tracing
     // still changes no bit of the solve.
-    let _guard = thread_lock();
+    let _guard = trace_lock();
     let a = laplace2d_9pt(30, 30);
     let m = 40;
     for k in [1, 4] {
