@@ -1,7 +1,8 @@
 //! Kernel baseline benchmark: times the four hot BLAS-3 kernels (blocked
 //! vs. retained naive formulations), the fused update+Gram pass, Gram and
-//! TRSM at the wide stage-2 flush shapes, the stage-1 update at its widest
-//! `lap2d_k4` shape, the SpMV on the two benchmark
+//! TRSM at the wide stage-2 flush shapes, the `lap2d_k4` Gram, projection
+//! and update shapes on every SIMD level the host has, the SpMV on the two
+//! benchmark
 //! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
 //! asserted bit-identical), and one s-step GMRES iteration
 //! across panel shapes, then writes `BENCH_kernels.json` — the perf
@@ -16,15 +17,18 @@
 //! Reported per row: wall seconds (best of repetitions), GF/s against the
 //! kernel's flop model, the minimum bytes the kernel must move, and a
 //! speedup column: blocked `gram`/`gemm_tn` rows are measured against the
-//! naive reference and fused rows against the separate blocked sweeps.
-//! The naive update and TRSM time a libm `fma` call per element, so their
-//! blocked rows carry no speedup.
+//! naive reference, fused rows against the separate blocked sweeps, and a
+//! SIMD-level row against the level below it.  The naive update and TRSM
+//! time a libm `fma` call per element, so their blocked rows carry no
+//! speedup.  The calls a speedup compares alternate inside every
+//! repetition, each on a copy of its input restored outside the timed
+//! region.
 //!
 //! With `BENCH_SCALING_CHECK=1` the binary exits non-zero if the fused
 //! pass is slower than the separate sweeps on any shape.
 
 use bench::Table;
-use dense::Matrix;
+use dense::{Matrix, SimdLevel};
 use ssgmres::{GmresConfig, OrthoKind, SStepGmres};
 use std::hint::black_box;
 use std::time::Instant;
@@ -100,32 +104,48 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 /// measures that call, not the blocking.
 const LIBM_FMA_NAIVE: [&str; 2] = ["gemm_nn_minus", "trsm_right_upper"];
 
-/// Time every kernel's naive call, then its blocked call, measured against
-/// the naive one (except [`LIBM_FMA_NAIVE`]'s, which get none).  A call
-/// runs on a copy of `v`, restored outside the timed region (at the flush
-/// shapes the copy takes as long as the call).
-fn time_kernels(rows: &mut Vec<Row>, v: &Matrix, reps: usize, kernels: &[Kernel]) {
+/// Best-of-`reps` wall time of `call(0, ·)` … `call(count − 1, ·)`.  The
+/// calls alternate inside every round, so a noisy stretch of the shared
+/// host hits them alike, and each runs on a copy of `v` restored outside
+/// the timed region (at the flush shapes the copy takes as long as the
+/// call).  The first round is a warmup and is not timed.
+fn time_alternated(
+    v: &Matrix,
+    reps: usize,
+    count: usize,
+    call: &dyn Fn(usize, &mut Matrix),
+) -> Vec<f64> {
     let mut w = v.clone();
-    let mut time = |call: &dyn Fn(&mut Matrix)| {
-        let mut best = f64::INFINITY;
-        for _ in 0..=reps {
+    let mut best = vec![f64::INFINITY; count];
+    for round in 0..=reps {
+        for (i, b) in best.iter_mut().enumerate() {
             w.data_mut().copy_from_slice(v.data());
             let t0 = Instant::now();
-            call(&mut w);
-            best = best.min(t0.elapsed().as_secs_f64());
+            call(i, &mut w);
+            let secs = t0.elapsed().as_secs_f64();
+            if round > 0 {
+                *b = b.min(secs);
+            }
         }
-        best
-    };
-    let mut baselines = Vec::new();
-    for (cost, naive, _) in kernels {
-        let secs = time(*naive);
-        rows.push(cost.row("naive", secs, None));
-        baselines.push((!LIBM_FMA_NAIVE.contains(&cost.kernel)).then_some(("naive", secs)));
     }
-    for ((cost, _, blocked), baseline) in kernels.iter().zip(baselines) {
-        let secs = time(*blocked);
-        rows.push(cost.row("blocked", secs, baseline));
+    best
+}
+
+/// Time every kernel's naive and blocked call (alternated), the blocked
+/// one measured against the naive one (except [`LIBM_FMA_NAIVE`]'s, which
+/// get none).  All naive rows come first.
+fn time_kernels(rows: &mut Vec<Row>, v: &Matrix, reps: usize, kernels: &[Kernel]) {
+    let mut blocked_rows = Vec::new();
+    for (cost, naive, blocked) in kernels {
+        let calls = [naive, blocked];
+        let [naive_s, blocked_s] = time_alternated(v, reps, 2, &|i, w| calls[i](w))[..] else {
+            unreachable!("two calls, two times")
+        };
+        rows.push(cost.row("naive", naive_s, None));
+        let baseline = (!LIBM_FMA_NAIVE.contains(&cost.kernel)).then_some(("naive", naive_s));
+        blocked_rows.push(cost.row("blocked", blocked_s, baseline));
     }
+    rows.append(&mut blocked_rows);
 }
 
 fn panel(n: usize, s: usize, seed: usize) -> Matrix {
@@ -202,20 +222,21 @@ fn bench_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
         flops: upd.flops + tn.flops + gram.flops,
         ..upd
     };
-    let fused_s = time_best(reps, || {
-        let mut w = v.clone();
-        black_box(dense::fused_update_proj_gram(
-            &mut w.view_mut(),
-            &q.view(),
-            &p,
-        ));
-    });
-    let separate_s = time_best(reps, || {
-        let mut w = v.clone();
-        dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
-        black_box(dense::gemm_tn(&q.view(), &w.view()));
-        black_box(dense::gram(&w.view()));
-    });
+    let [fused_s, separate_s] = time_alternated(&v, reps, 2, &|i, w| {
+        if i == 0 {
+            black_box(dense::fused_update_proj_gram(
+                &mut w.view_mut(),
+                &q.view(),
+                &p,
+            ));
+        } else {
+            dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+            black_box(dense::gemm_tn(&q.view(), &w.view()));
+            black_box(dense::gram(&w.view()));
+        }
+    })[..] else {
+        unreachable!("two calls, two times")
+    };
     rows.push(fused.row(
         "fused",
         fused_s,
@@ -262,33 +283,72 @@ fn bench_flush_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
     );
 }
 
-/// The stage-1 update `V ← V − Q·R` at its widest in `lap2d_k4`: a panel of
-/// `s = 20` columns (5 steps × 4 right-hand sides) against the `k = 224`
-/// columns orthogonalized before it in the cycle.  Its coefficients are
-/// projections, free of zeros like the solver's, so the whole update takes
-/// the streaming kernel rather than the zero-skipping sweep.
-fn bench_stage1_update(rows: &mut Vec<Row>, (n, s, k): (usize, usize, usize), reps: usize) {
+/// The `lap2d_k4` shapes on every SIMD level this host has: the stage-2
+/// Gram of the 14 400×240 flush panel, and the stage-1 projection
+/// (`gemm_tn`) and update (`gemm_nn_minus`) at their widest, a 20-column
+/// panel (5 steps × 4 right-hand sides) against the 224 columns before it.
+/// The update's coefficients are free of zeros, like the solver's
+/// projections, so it takes the streaming kernel throughout.  Each row's
+/// variant is its level and its baseline the level below, so an AVX-512
+/// row reads as its speedup over AVX2.
+fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
+    let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|&level| {
+            dense::set_simd_override(Some(level));
+            let available = dense::simd_level() == level;
+            dense::set_simd_override(None);
+            available
+        })
+        .collect();
+    let (n, flush, s, k) = (14_400, 240, 20, 224);
+    let flush_panel = panel(n, flush, 1);
     let v = panel(n, s, 1);
     let q = panel(n, k, 2);
     let p = Matrix::from_fn(k, s, |i, j| ((i + 2 * j) % 5) as f64 * 0.1 - 0.25);
-    let cost = Cost {
-        kernel: "gemm_nn_minus",
+    let (nf, kf, sf) = (n as f64, k as f64, s as f64);
+    let gram = Cost {
+        kernel: "gram",
+        n,
+        s: flush,
+        k: 0,
+        flops: nf * flush as f64 * (flush as f64 + 1.0),
+        bytes: (8 * n * flush) as u64,
+    };
+    let tn = Cost {
+        kernel: "gemm_tn",
         n,
         s,
         k,
-        flops: 2.0 * n as f64 * k as f64 * s as f64,
-        bytes: (8 * n * (k + 2 * s)) as u64,
+        flops: 2.0 * nf * kf * sf,
+        bytes: (8 * n * (k + s)) as u64,
     };
-    time_kernels(
-        rows,
-        &v,
-        reps,
-        &[(
-            cost,
-            &|w| dense::naive_gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
-            &|w| dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p),
-        )],
-    );
+    let upd = Cost {
+        kernel: "gemm_nn_minus",
+        bytes: (8 * n * (k + 2 * s)) as u64,
+        ..tn
+    };
+    let mut per_level = |cost: Cost, input: &Matrix, call: &dyn Fn(&mut Matrix)| {
+        let secs = time_alternated(input, reps, levels.len(), &|i, w| {
+            dense::set_simd_override(Some(levels[i]));
+            call(w);
+        });
+        dense::set_simd_override(None);
+        let mut below = None;
+        for (&level, &t) in levels.iter().zip(&secs) {
+            rows.push(cost.row(level.label(), t, below));
+            below = Some((level.label(), t));
+        }
+    };
+    per_level(gram, &flush_panel, &|w| {
+        drop(black_box(dense::gram(&w.view())))
+    });
+    per_level(tn, &v, &|w| {
+        drop(black_box(dense::gemm_tn(&q.view(), &w.view())))
+    });
+    per_level(upd, &v, &|w| {
+        dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p)
+    });
 }
 
 /// SpMV on one operator: the reference `Csr::spmv` against the
@@ -404,8 +464,8 @@ fn main() {
         eprintln!("benchmarking {n}x{s} flush panels ...");
         bench_flush_shape(&mut rows, n, s, reps);
     }
-    eprintln!("benchmarking the widest lap2d_k4 stage-1 update ...");
-    bench_stage1_update(&mut rows, (14_400, 20, 224), reps);
+    eprintln!("benchmarking the lap2d_k4 shapes on every SIMD level ...");
+    bench_backends(&mut rows, reps);
     // The benchmark's two operators at their `geer_t1`/`lap2d_t1` sizes.
     eprintln!("benchmarking SpMV ...");
     let geer = sparse::suitelike::spec_by_name("ML_Geer").expect("ML_Geer is in the set");

@@ -104,7 +104,7 @@ fn hostile_matrix_names_still_yield_valid_json() {
 }
 
 #[test]
-fn basis_compare_accepts_matrix_and_partition_flags() {
+fn basis_compare_accepts_the_matrix_flag() {
     run_binary(
         env!("CARGO_BIN_EXE_basis_compare"),
         "basis_compare",
@@ -114,7 +114,7 @@ fn basis_compare_accepts_matrix_and_partition_flags() {
 }
 
 #[test]
-fn robustness_accepts_matrix_and_partition_flags() {
+fn robustness_accepts_the_matrix_flag() {
     run_binary(
         env!("CARGO_BIN_EXE_robustness"),
         "robustness",
@@ -124,7 +124,7 @@ fn robustness_accepts_matrix_and_partition_flags() {
 }
 
 #[test]
-fn faults_accepts_matrix_and_partition_flags() {
+fn faults_accepts_the_matrix_flag() {
     run_binary(
         env!("CARGO_BIN_EXE_faults"),
         "faults",
@@ -134,7 +134,7 @@ fn faults_accepts_matrix_and_partition_flags() {
 }
 
 #[test]
-fn fig13_accepts_matrix_and_partition_flags() {
+fn fig13_accepts_the_matrix_flag() {
     // fig13 prints tables instead of writing JSON: check the stdout report.
     let dir = scratch("fig13");
     let output = Command::new(env!("CARGO_BIN_EXE_fig13"))
@@ -158,7 +158,7 @@ fn fig13_accepts_matrix_and_partition_flags() {
 }
 
 #[test]
-fn table02_accepts_matrix_partition_and_trace_flags() {
+fn table02_accepts_the_matrix_and_trace_flags() {
     // table02 prints tables instead of writing JSON, so drive it with
     // --trace too and check the timeline artifact it leaves behind.
     let dir = scratch("table02");
@@ -195,7 +195,7 @@ fn table02_accepts_matrix_partition_and_trace_flags() {
 }
 
 #[test]
-fn table04_accepts_matrix_and_partition_flags() {
+fn table04_accepts_the_matrix_flag() {
     // table04 prints tables instead of writing JSON: check the stdout report.
     let dir = scratch("table04");
     let output = Command::new(env!("CARGO_BIN_EXE_table04"))

@@ -15,7 +15,8 @@
 //!
 //! All kernels stream the tall `n×s` operands in **row panels** of
 //! [`ROW_BLOCK`] rows, and within a row panel compute **register tiles** of
-//! [`TILE`]×[`TILE`] output entries.  A row panel (`ROW_BLOCK × s` doubles)
+//! [`TILE`]×[`TILE`] output entries (8×4 off the Gram diagonal and in the
+//! projection).  A row panel (`ROW_BLOCK × s` doubles)
 //! fits in L1/L2, so every tile of the small output consumes it from cache
 //! and each tall operand is read from memory once per kernel call — versus
 //! once per *column pair* for the naive dot-product formulation (retained
@@ -31,14 +32,26 @@
 //! [`gemm_nn_minus`] (eight rows of its four columns stay in registers
 //! while up to 16 finished columns stream past), and only the
 //! `TILE×TILE` triangle on the diagonal is solved column by column.
-//! `BENCH_kernels.json` carries the TRSM at 25 600×60 and 14 400×240 and
-//! the stage-1 update at 14 400×20 against 224 columns.
+//! `BENCH_kernels.json` carries the TRSM at 25 600×60 and 14 400×240 and,
+//! per SIMD level, the stage-1 update at 14 400×20 against 224 columns.
 //!
 //! The tile inner loops live in [`crate::simd`] and are explicit
-//! `std::arch` AVX2+FMA kernels with a portable scalar fallback, selected
-//! once at runtime.  Accumulation kernels ([`gram`], [`gemm_tn`], the
-//! projection half of [`fused_update_proj_gram`]) may use FMA and vector
-//! lane accumulators — they are pinned to the oracles within `1e-10·n`.
+//! `std::arch` kernels at one of three levels ([`crate::SimdLevel`]:
+//! scalar, AVX2+FMA, AVX-512), selected once at runtime.  Accumulation
+//! kernels ([`gram`], [`gemm_tn`], the projection half of
+//! [`fused_update_proj_gram`]) may use FMA and vector lane accumulators —
+//! they are pinned to the oracles within `1e-10·n`.  Off the diagonal
+//! they take 8×4 tiles where eight full `A` columns meet a full column
+//! tile; on an AVX-512 host such a tile carries two 4-lane chains per
+//! 512-bit register.  The bits of an output entry are a function of the
+//! entry and the backend, not of the tile that computes it: per
+//! [`ROW_BLOCK`] panel, a full-tile entry is one 4-lane FMA chain over the
+//! rows in order, a fixed-order lane sum, the scalar row tail, and
+//! `0.0 + s` into the output, on AVX2 and on AVX-512 alike, so the two
+//! levels return the same bits
+//! (`crates/dense/tests/simd_kernel_props.rs`,
+//! `avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels`).  Ragged
+//! entries take the `dot` path on every level.
 //! The element-update kernels ([`gemm_nn_minus`], [`gemm_nn_plus`],
 //! [`trsm_right_upper`], the update half of the fused kernel) take one
 //! fused multiply-add per nonzero coefficient per element, in ascending
@@ -77,89 +90,19 @@ fn accumulate_rows(n: usize, len: usize, body: impl FnOnce(&mut [f64])) -> Vec<f
     acc
 }
 
-/// Column pointer into a matrix the kernel updates in place while it reads
-/// other columns (or the same rows after the write) of it.
-struct ColPtr(*mut f64);
-
-impl ColPtr {
-    /// Mutable slice of rows `r0..r1` of column `col` (leading dimension `n`).
-    ///
-    /// # Safety
-    /// The caller must guarantee no other live reference overlaps the
-    /// requested segment.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn col_seg_mut(&self, n: usize, col: usize, r0: usize, r1: usize) -> &mut [f64] {
-        // SAFETY: in bounds and unaliased per the caller's contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(col * n + r0), r1 - r0) }
-    }
-}
-
-/// Read-side column-major operand source for the tile kernels: rows
-/// `r0..r1` of one column at a time, never a reference spanning rows the
-/// caller does not own.
-///
-/// Two implementations, chosen by monomorphization:
-///
-/// * [`SliceCols`] — backed by a real `&[f64]`; segments are ordinary
-///   subslices, so LLVM keeps the `noalias`/`readonly` facts of the
-///   original reference (this is the fast path for [`gram`]/[`gemm_tn`],
-///   whose operands are never concurrently mutated);
-/// * [`RawCols`] — backed by a raw pointer, for
-///   [`fused_update_proj_gram`] and [`trsm_right_upper`], where a
-///   whole-matrix shared slice would alias the in-place update; each
-///   segment is materialized only for columns the kernel does not hold
-///   mutably at that moment.
-trait ColSource: Copy {
-    /// Rows `r0..r1` of column `col` as a slice.
-    fn seg(&self, col: usize, r0: usize, r1: usize) -> &[f64];
-}
-
-/// Safe, slice-backed [`ColSource`] with leading dimension `n`.
+/// Column-major operand with leading dimension `n`, read one column
+/// segment (rows `r0..r1` of one column) at a time.
 #[derive(Clone, Copy)]
 struct SliceCols<'a> {
     data: &'a [f64],
     n: usize,
 }
 
-impl ColSource for SliceCols<'_> {
+impl SliceCols<'_> {
+    /// Rows `r0..r1` of column `col`.
     #[inline]
     fn seg(&self, col: usize, r0: usize, r1: usize) -> &[f64] {
         &self.data[col * self.n + r0..col * self.n + r1]
-    }
-}
-
-/// Raw-pointer-backed [`ColSource`] over `len` elements.
-#[derive(Clone, Copy)]
-struct RawCols<'a> {
-    ptr: *const f64,
-    n: usize,
-    len: usize,
-    _life: std::marker::PhantomData<&'a [f64]>,
-}
-
-impl<'a> RawCols<'a> {
-    /// # Safety
-    /// For the lifetime `'a`, every segment later asked of `seg` must be
-    /// readable without a live overlapping `&mut`: the fused kernel reads
-    /// a row panel after its own mutable segments are dropped, the TRSM
-    /// only columns other than the ones it is writing.
-    unsafe fn from_ptr(ptr: *const f64, n: usize, len: usize) -> Self {
-        Self {
-            ptr,
-            n,
-            len,
-            _life: std::marker::PhantomData,
-        }
-    }
-}
-
-impl ColSource for RawCols<'_> {
-    #[inline]
-    fn seg(&self, col: usize, r0: usize, r1: usize) -> &[f64] {
-        debug_assert!(r0 <= r1 && col * self.n + r1 <= self.len);
-        // SAFETY: in-bounds per the constructor contract; no overlapping
-        // `&mut` is live for rows the caller owns (see `from_ptr`).
-        unsafe { std::slice::from_raw_parts(self.ptr.add(col * self.n + r0), r1 - r0) }
     }
 }
 
@@ -172,9 +115,9 @@ impl ColSource for RawCols<'_> {
 /// ragged edges take a generic two-way-unrolled path.
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
-fn tn_tile<A: ColSource, B: ColSource>(
-    a: A,
-    b: B,
+fn tn_tile(
+    a: SliceCols,
+    b: SliceCols,
     r0: usize,
     r1: usize,
     i0: usize,
@@ -225,7 +168,7 @@ fn tn_tile<A: ColSource, B: ColSource>(
 /// the full square and discarding the lower half would waste 6/16 of the
 /// tile's flops).
 #[inline]
-fn sym_tile4<A: ColSource>(a: A, r0: usize, r1: usize, j0: usize, out: &mut [f64], lda: usize) {
+fn sym_tile4(a: SliceCols, r0: usize, r1: usize, j0: usize, out: &mut [f64], lda: usize) {
     let segs = [
         a.seg(j0, r0, r1),
         a.seg(j0 + 1, r0, r1),
@@ -246,15 +189,52 @@ fn sym_tile4<A: ColSource>(a: A, r0: usize, r1: usize, j0: usize, out: &mut [f64
     out[(j0 + 3) * lda + j0 + 3] += tri[9];
 }
 
+/// Accumulate the off-diagonal register tile
+/// `out[i0..i0+8, j0..j0+4] += A[r0..r1, i0..]ᵀ · B[r0..r1, j0..]`
+/// (`out` column-major with `lda` rows).  Per entry this is the 4×4 tile's
+/// arithmetic; on an AVX-512 host it runs two 4-lane chains per register.
+#[inline]
+#[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
+fn tn_tile8x4(
+    a: SliceCols,
+    b: SliceCols,
+    r0: usize,
+    r1: usize,
+    i0: usize,
+    j0: usize,
+    out: &mut [f64],
+    lda: usize,
+) {
+    let a_segs: [&[f64]; 2 * TILE] = std::array::from_fn(|ii| a.seg(i0 + ii, r0, r1));
+    let b_segs: [&[f64]; TILE] = std::array::from_fn(|jj| b.seg(j0 + jj, r0, r1));
+    let mut tile = [0.0f64; 2 * TILE * TILE];
+    simd::tn_tile8x4(&a_segs, &b_segs, &mut tile);
+    for (jj, col) in tile.chunks_exact(2 * TILE).enumerate() {
+        let out_col = &mut out[(j0 + jj) * lda + i0..][..2 * TILE];
+        for (o, &t) in out_col.iter_mut().zip(col) {
+            *o += t;
+        }
+    }
+}
+
 /// Accumulate `out += A[rows, :ka]ᵀ · B[rows, :kb]` for one row block,
 /// tiling both output dimensions.  With `upper_only` set (the Gram case,
 /// `A == B`), only tiles on or above the block diagonal are visited and
 /// only entries `i ≤ j` are stored.
+///
+/// A first pass takes every 8×4 tile whose eight `A` columns (a pair of
+/// full row tiles, starting at a multiple of 8) meet a full column tile
+/// wholly above the diagonal.  It runs `A` pair by `A` pair, so the pair's
+/// eight column segments stay in L1 while the `B` tiles stream past.  A
+/// second pass, column tile by column tile, takes what is left: the 4×4
+/// tile, the symmetric diagonal tile or, when ragged, the `dot` path.
+/// Every entry is computed by exactly one tile, so the visiting order
+/// does not change its bits.
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
-fn tn_row_block<A: ColSource, B: ColSource>(
-    a: A,
-    b: B,
+fn tn_row_block(
+    a: SliceCols,
+    b: SliceCols,
     r0: usize,
     r1: usize,
     ka: usize,
@@ -262,11 +242,29 @@ fn tn_row_block<A: ColSource, B: ColSource>(
     out: &mut [f64],
     upper_only: bool,
 ) {
+    const PAIR: usize = 2 * TILE;
+    let mut ib = 0;
+    loop {
+        let mut jb = if upper_only { ib + PAIR } else { 0 };
+        if ib + PAIR > ka || jb + TILE > kb {
+            break;
+        }
+        while jb + TILE <= kb {
+            tn_tile8x4(a, b, r0, r1, ib, jb, out, ka);
+            jb += TILE;
+        }
+        ib += PAIR;
+    }
     let mut jb = 0;
     while jb < kb {
         let jw = TILE.min(kb - jb);
         let ib_end = if upper_only { jb + jw } else { ka };
-        let mut ib = 0;
+        // Row tiles the first pass already took in this column tile.
+        let mut ib = match (jw == TILE, upper_only) {
+            (false, _) => 0,
+            (true, true) => jb / PAIR * PAIR,
+            (true, false) => ka / PAIR * PAIR,
+        };
         while ib < ib_end {
             let iw = TILE.min(ka - ib);
             if upper_only && ib == jb && iw == TILE && jw == TILE {
@@ -365,17 +363,14 @@ const RUN: usize = 16;
 
 /// Per-column axpy sweep of `V[r0..r1, jb..jb+jw] −= Q[r0..r1, kb..kend]·R`
 /// with the naive zero skip, in increasing-`k` order: the path for ragged
-/// tiles and for `k` steps whose coefficients contain a zero.
-///
-/// # Safety
-/// `vcols` must point into an `n`-row column-major matrix with at least
-/// `jb + jw` columns, and rows `r0..r1` of those columns must not be
-/// aliased (by `q` either).
+/// tiles and for `k` steps whose coefficients contain a zero.  `v` holds
+/// `V`'s columns from `jb` on (column `jb` at offset 0, leading dimension
+/// `n`).
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
-unsafe fn update_cols_generic<Q: ColSource>(
-    vcols: &ColPtr,
-    q: Q,
+fn update_cols_generic(
+    v: &mut [f64],
+    q: SliceCols,
     r: &Matrix,
     n: usize,
     r0: usize,
@@ -386,9 +381,7 @@ unsafe fn update_cols_generic<Q: ColSource>(
     kend: usize,
 ) {
     for jj in 0..jw {
-        // SAFETY: column jb + jj exists and rows r0..r1 are unaliased (the
-        // caller's contract).
-        let vj = unsafe { vcols.col_seg_mut(n, jb + jj, r0, r1) };
+        let vj = &mut v[jj * n + r0..jj * n + r1];
         for kk in kb..kend {
             let alpha = r[(kk, jb + jj)];
             if alpha != 0.0 {
@@ -399,7 +392,9 @@ unsafe fn update_cols_generic<Q: ColSource>(
 }
 
 /// One full column tile of the update:
-/// `V[r0..r1, jb..jb+4] −= Q[r0..r1, kb..kend]·R[kb..kend, jb..jb+4]`.
+/// `V[r0..r1, jb..jb+4] −= Q[r0..r1, kb..kend]·R[kb..kend, jb..jb+4]`,
+/// with `v` holding `V`'s columns from `jb` on as in
+/// [`update_cols_generic`].
 ///
 /// The `k` range is cut into runs of at most [`RUN`] steps whose four
 /// coefficients are all nonzero, each streamed through
@@ -409,14 +404,11 @@ unsafe fn update_cols_generic<Q: ColSource>(
 /// with a zero among its four coefficients ends the run and takes the
 /// skipping column sweep.  Per element the steps still run in ascending
 /// `k`, whichever path each takes.
-///
-/// # Safety
-/// As [`update_cols_generic`], with `jw = 4`.
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
-unsafe fn update_tile<Q: ColSource>(
-    vcols: &ColPtr,
-    q: Q,
+fn update_tile(
+    v: &mut [f64],
+    q: SliceCols,
     r: &Matrix,
     n: usize,
     r0: usize,
@@ -440,22 +432,16 @@ unsafe fn update_tile<Q: ColSource>(
             run += 1;
         }
         if run == 0 {
-            // SAFETY: the caller's contract, for the one step k0.
-            unsafe { update_cols_generic(vcols, q, r, n, r0, r1, jb, TILE, k0, k0 + 1) };
+            update_cols_generic(v, q, r, n, r0, r1, jb, TILE, k0, k0 + 1);
             k0 += 1;
             continue;
         }
-        // SAFETY: the four columns are distinct and rows r0..r1 of them are
-        // unaliased (the caller's contract).
-        let mut v = unsafe {
-            [
-                vcols.col_seg_mut(n, jb, r0, r1),
-                vcols.col_seg_mut(n, jb + 1, r0, r1),
-                vcols.col_seg_mut(n, jb + 2, r0, r1),
-                vcols.col_seg_mut(n, jb + 3, r0, r1),
-            ]
-        };
-        simd::update_run(&mut v, &qs[..run], &c[..run]);
+        let mut cols = v
+            .get_disjoint_mut(std::array::from_fn::<_, TILE, _>(|jj| {
+                jj * n + r0..jj * n + r1
+            }))
+            .expect("four distinct columns");
+        simd::update_run(&mut cols, &qs[..run], &c[..run]);
         k0 += run;
     }
 }
@@ -468,21 +454,11 @@ unsafe fn update_tile<Q: ColSource>(
 /// (n = 14 400, s = 20, k = 224) from 5.6–8.6 ms to 4.6–6.6 ms on one lane
 /// (best of 15, four alternated runs).
 ///
-/// Per element the updates run over `k` in index order, one fused
-/// multiply-add each, so the result is bitwise-identical to the naive
-/// column sweep ([`naive_gemm_nn_minus`]).
-///
-/// # Safety
-/// `vcols` must point into an `n`-row column-major matrix with at least
-/// `r.ncols()` columns, and rows `r0..r1` of it must not be aliased.
-unsafe fn update_row_block<Q: ColSource>(
-    vcols: &ColPtr,
-    q: Q,
-    r: &Matrix,
-    n: usize,
-    r0: usize,
-    r1: usize,
-) {
+/// `v` is the whole `n`-row column-major panel.  Per element the updates
+/// run over `k` in index order, one fused multiply-add each, so the result
+/// is bitwise-identical to the naive column sweep
+/// ([`naive_gemm_nn_minus`]).
+fn update_row_block(v: &mut [f64], q: SliceCols, r: &Matrix, n: usize, r0: usize, r1: usize) {
     let k = r.nrows();
     let s = r.ncols();
     let mut k0 = 0;
@@ -491,13 +467,11 @@ unsafe fn update_row_block<Q: ColSource>(
         let mut jb = 0;
         while jb < s {
             let jw = TILE.min(s - jb);
-            // SAFETY: the caller's contract, for columns jb..jb + jw.
-            unsafe {
-                if jw == TILE {
-                    update_tile(vcols, q, r, n, r0, r1, jb, k0, k1);
-                } else {
-                    update_cols_generic(vcols, q, r, n, r0, r1, jb, jw, k0, k1);
-                }
+            let tile = &mut v[jb * n..];
+            if jw == TILE {
+                update_tile(tile, q, r, n, r0, r1, jb, k0, k1);
+            } else {
+                update_cols_generic(tile, q, r, n, r0, r1, jb, jw, k0, k1);
             }
             jb += TILE;
         }
@@ -533,13 +507,11 @@ pub fn gemm_nn_minus(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
 fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
     let n = v.nrows();
     let q_cols = SliceCols { data: q.data(), n };
-    let vcols = ColPtr(v.data_mut().as_mut_ptr());
+    let vdata = v.data_mut();
     let mut rb = 0;
     while rb < n {
         let re = (rb + ROW_BLOCK).min(n);
-        // SAFETY: `v` is borrowed mutably for the whole call and `q` is a
-        // distinct matrix, so nothing else references these rows.
-        unsafe { update_row_block(&vcols, q_cols, r, n, rb, re) };
+        update_row_block(vdata, q_cols, r, n, rb, re);
         rb = re;
     }
 }
@@ -579,10 +551,7 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
         return;
     }
     let _span = trace::span("blas3", "trsm", &[("n", n as u64), ("s", s as u64)]);
-    let vcols = ColPtr(v.data_mut().as_mut_ptr());
-    // SAFETY: `done` is only asked for columns left of the ones held
-    // mutably at that moment.
-    let done = unsafe { RawCols::from_ptr(vcols.0, n, n * s) };
+    let data = v.data_mut();
     let mut rb = 0;
     while rb < n {
         let re = (rb + ROW_BLOCK).min(n);
@@ -592,16 +561,16 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
             // Columns left of `solved_from` are already subtracted
             // from this tile; a ragged tile subtracts them itself.
             let solved_from = if jw == TILE {
-                // SAFETY: columns 0..jb (read) lie left of jb..jb+4
-                // (written).
-                unsafe { update_tile(&vcols, done, r, n, rb, re, jb, 0, jb) };
+                let (done, tile) = data.split_at_mut(jb * n);
+                update_tile(tile, SliceCols { data: done, n }, r, n, rb, re, jb, 0, jb);
                 jb
             } else {
                 0
             };
             for j in jb..jb + jw {
-                // SAFETY: as above; column j is the only one written.
-                let vj = unsafe { vcols.col_seg_mut(n, j, rb, re) };
+                let (done, rest) = data.split_at_mut(j * n);
+                let done = SliceCols { data: done, n };
+                let vj = &mut rest[rb..re];
                 for i in solved_from..j {
                     let alpha = r[(i, j)];
                     if alpha != 0.0 {
@@ -641,22 +610,18 @@ pub fn fused_update_proj_gram(
         "fused_update_proj_gram",
         &[("n", n as u64), ("k", k as u64)],
     );
-    let qdata = q.data();
-    let vcols = ColPtr(v.data_mut().as_mut_ptr());
-    let vlen = n * s;
+    let q_cols = SliceCols { data: q.data(), n };
+    let vdata = v.data_mut();
     let buf = accumulate_rows(n, k * s + s * s, |acc| {
-        let q_cols = SliceCols { data: qdata, n };
-        // SAFETY: `Cols::seg` below reads a row panel only after the
-        // mutable segments inside `update_row_block` have been dropped.
-        let v_read = unsafe { RawCols::from_ptr(vcols.0, n, vlen) };
         let (c_acc, g_acc) = acc.split_at_mut(k * s);
         let mut rb = 0;
         while rb < n {
             let re = (rb + ROW_BLOCK).min(n);
             if k > 0 {
-                // SAFETY: `v` is borrowed mutably for the whole call and
-                // no segment of these rows is live.
-                unsafe { update_row_block(&vcols, q_cols, p, n, rb, re) };
+                update_row_block(vdata, q_cols, p, n, rb, re);
+            }
+            let v_read = SliceCols { data: vdata, n };
+            if k > 0 {
                 tn_row_block(q_cols, v_read, rb, re, k, s, c_acc, false);
             }
             tn_row_block(v_read, v_read, rb, re, s, s, g_acc, true);

@@ -1,11 +1,20 @@
 //! Runtime-dispatched SIMD backends for the [`crate::blas3`] tile kernels.
 //!
-//! Every entry point here is a *safe* function that picks between an
-//! explicit AVX2(+FMA) `std::arch` implementation and a portable scalar
-//! fallback at runtime ([`simd_level`]), so the same binary runs at full
-//! width on an AVX2 x86_64 host and correctly everywhere else.  The
-//! selection is cached after the first query; [`set_simd_override`] (tests,
-//! benchmarks) forces the fallback.
+//! Every entry point here is a *safe* function that picks between explicit
+//! `std::arch` implementations and a portable scalar fallback at runtime
+//! ([`simd_level`]), so the same binary runs at full width on an x86_64
+//! host and correctly everywhere else.  There are three levels:
+//!
+//! * [`SimdLevel::Scalar`] — portable Rust, always available;
+//! * [`SimdLevel::Avx2`] — AVX2 + FMA bodies for every kernel;
+//! * [`SimdLevel::Avx512`] — AVX-512F on top of AVX2 + FMA: the 8×4
+//!   Gram/projection tile [`tn_tile8x4`] and the streaming update
+//!   [`update_run`] run on 512-bit registers; the other kernels keep their
+//!   AVX2 bodies.
+//!
+//! The level is detected once and cached; [`set_simd_override`] (tests,
+//! benchmarks) caps it, so an AVX-512 host can be made to run AVX2 or
+//! scalar code in the same process.
 //!
 //! # Numerical contracts
 //!
@@ -15,106 +24,130 @@
 //! * **Bitwise-faithful** — [`update_run`], [`axpy_minus`], [`scal`]:
 //!   these implement the `V ← V − Q·R` / TRSM element updates.  Per
 //!   element, each nonzero coefficient `c` costs one fused multiply-add
-//!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm256_fnmadd_pd`
-//!   on AVX2, `f64::mul_add` on the scalar backend); zero coefficients are
-//!   skipped by the caller.  The vector code performs exactly that sequence
-//!   per element, only on eight rows at a time, so every output bit matches
-//!   the scalar backend and the `naive_*` sweeps.  One rounding per step
+//!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm512_fnmadd_pd`
+//!   on AVX-512, `_mm256_fnmadd_pd` on AVX2, `f64::mul_add` on the scalar
+//!   backend); zero coefficients are skipped by the caller.  The vector
+//!   code performs exactly that sequence per element, only on 32 or eight
+//!   rows at a time, so every output bit matches the scalar backend and
+//!   the `naive_*` sweeps.  One rounding per step
 //!   satisfies the standard model `fl(v − c·q) = (v − c·q)(1 + δ)`,
 //!   `|δ| ≤ u`, that the stability analyses of the block schemes assume.
 //!   `crates/dense/tests/simd_kernel_props.rs`
 //!   (`update_class_is_bitwise_identical_across_backends`,
 //!   `streaming_update_is_bitwise_across_backends_and_naive`) pins it.
-//! * **Tolerance-pinned** — [`tn_tile4x4`], [`sym_tile4`], [`dot`]: the
-//!   Gram/projection accumulations are pinned to the oracles within
-//!   `1e-10·n`, so the AVX2 path may use FMA and four parallel lane
-//!   accumulators.  Results differ from the scalar path by the usual
+//! * **Tolerance-pinned** — [`tn_tile4x4`], [`tn_tile8x4`], [`sym_tile4`],
+//!   [`dot`]: the Gram/projection accumulations are pinned to the oracles
+//!   within `1e-10·n`, so the vector paths may use FMA and four parallel
+//!   lane accumulators.  Results differ from the scalar path by the usual
 //!   reassociation rounding (an ulp envelope of a few `ulp·√n`), but are
-//!   fully deterministic for a fixed backend and thread count: lanes are
-//!   reduced in a fixed order and the row tail is folded in last.
+//!   fully deterministic for a fixed backend: lanes are reduced in a fixed
+//!   order and the row tail is folded in last.  AVX2 and AVX-512 return
+//!   the *same* bits: a tile entry's value is a function of the entry, not
+//!   of how many entries are in flight.  On both, an entry of a full tile
+//!   is one 4-lane FMA chain over the rows in order, the fixed
+//!   `(v0+v2)+(v1+v3)` lane sum, then the scalar row tail, added to
+//!   `+0.0`; the AVX-512 tile only carries two such chains per 512-bit
+//!   register (`crates/dense/tests/simd_kernel_props.rs`,
+//!   `avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels`, pins it).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Instruction-set level the tile kernels dispatch to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Instruction-set level the tile kernels dispatch to, ordered by width.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum SimdLevel {
     /// Portable scalar fallback (always available).
     Scalar,
     /// x86_64 AVX2 + FMA, verified present at runtime.
     Avx2,
+    /// x86_64 AVX-512F + AVX2 + FMA, verified present at runtime.
+    Avx512,
 }
 
-const UNSET: u8 = 0;
-const SCALAR: u8 = 1;
-const AVX2: u8 = 2;
+impl SimdLevel {
+    /// Nonzero code for the atomics below (`0` means "not set").
+    #[inline]
+    fn code(self) -> u8 {
+        self as u8 + 1
+    }
 
-/// Cached detection result.
-static DETECTED: AtomicU8 = AtomicU8::new(UNSET);
-/// Test/bench override; [`UNSET`] means "no override".
-static OVERRIDE: AtomicU8 = AtomicU8::new(UNSET);
+    #[inline]
+    fn from_code(code: u8) -> Option<SimdLevel> {
+        match code {
+            1 => Some(SimdLevel::Scalar),
+            2 => Some(SimdLevel::Avx2),
+            3 => Some(SimdLevel::Avx512),
+            _ => None,
+        }
+    }
+
+    /// Human-readable name, as `BENCH_kernels.json` records it.
+    pub fn label(self) -> &'static str {
+        match self {
+            SimdLevel::Scalar => "scalar",
+            SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The level the kernels dispatch to, the hardware's capped by the
+/// override (`0` until the first query): one load per kernel call.
+static LEVEL: AtomicU8 = AtomicU8::new(0);
+/// Test/bench cap on the level; `0` means "no override".
+static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 fn hardware_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512;
+            }
             return SimdLevel::Avx2;
         }
     }
     SimdLevel::Scalar
 }
 
-/// The SIMD backend the tile kernels currently dispatch to.
+/// The hardware's level capped by the override, stored for [`simd_level`].
+fn resolve_level() -> SimdLevel {
+    let hardware = hardware_level();
+    let level = match SimdLevel::from_code(OVERRIDE.load(Ordering::Relaxed)) {
+        Some(cap) => hardware.min(cap),
+        None => hardware,
+    };
+    LEVEL.store(level.code(), Ordering::Relaxed);
+    level
+}
+
+/// The SIMD backend the tile kernels currently dispatch to: the hardware's
+/// level, capped by [`set_simd_override`].
+#[inline]
 pub fn simd_level() -> SimdLevel {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        SCALAR => return SimdLevel::Scalar,
-        // An AVX2 override still requires hardware support.
-        AVX2 => return hardware_level(),
-        _ => {}
-    }
-    match DETECTED.load(Ordering::Relaxed) {
-        SCALAR => SimdLevel::Scalar,
-        AVX2 => SimdLevel::Avx2,
-        _ => {
-            let level = hardware_level();
-            DETECTED.store(
-                match level {
-                    SimdLevel::Scalar => SCALAR,
-                    SimdLevel::Avx2 => AVX2,
-                },
-                Ordering::Relaxed,
-            );
-            level
-        }
-    }
+    SimdLevel::from_code(LEVEL.load(Ordering::Relaxed)).unwrap_or_else(resolve_level)
 }
 
-/// Force a backend (`None` restores automatic detection).  Intended for
-/// property tests and benchmarks that exercise both code paths in one
-/// process; requesting [`SimdLevel::Avx2`] on hardware without AVX2+FMA
-/// silently stays scalar.
+/// Run the kernels at most at `level` (`None` restores automatic
+/// detection).  Intended for property tests and benchmarks that exercise
+/// several code paths in one process: `Some(SimdLevel::Avx2)` makes an
+/// AVX-512 host run its AVX2 bodies, and a level the hardware lacks
+/// silently stays at the hardware's.
 pub fn set_simd_override(level: Option<SimdLevel>) {
-    OVERRIDE.store(
-        match level {
-            None => UNSET,
-            Some(SimdLevel::Scalar) => SCALAR,
-            Some(SimdLevel::Avx2) => AVX2,
-        },
-        Ordering::Relaxed,
-    );
+    OVERRIDE.store(level.map_or(0, SimdLevel::code), Ordering::Relaxed);
+    resolve_level();
 }
 
-/// Human-readable backend name, recorded in `BENCH_kernels.json`.
+/// Name of the backend the kernels currently dispatch to, recorded in
+/// `BENCH_kernels.json`.
 pub fn simd_label() -> &'static str {
-    match simd_level() {
-        SimdLevel::Scalar => "scalar",
-        SimdLevel::Avx2 => "avx2",
-    }
+    simd_level().label()
 }
 
+/// The AVX2 bodies also serve an AVX-512 host.
 #[inline]
 fn use_avx2() -> bool {
-    simd_level() == SimdLevel::Avx2
+    simd_level() >= SimdLevel::Avx2
 }
 
 /// `tile[j*4+i] += Σ_r a[i][r]·b[j][r]` for a full 4×4 register tile
@@ -173,6 +206,36 @@ fn tn_tile4x4_scalar(a: &[&[f64]; 4], b: &[&[f64]; 4], tile: &mut [f64; 16]) {
     for (jj, col) in cols.iter().enumerate() {
         for (ii, &v) in col.iter().enumerate() {
             tile[jj * 4 + ii] += v;
+        }
+    }
+}
+
+/// `tile[j*8+i] += Σ_r a[i][r]·b[j][r]` for eight `A` columns against four
+/// `B` columns (tolerance-pinned).  Each entry gets exactly the arithmetic
+/// [`tn_tile4x4`] gives it on the same backend below AVX-512, and AVX-512
+/// gives it AVX2's: the 512-bit body holds two 4-lane accumulators per
+/// register instead of one.
+#[inline]
+pub fn tn_tile8x4(a: &[&[f64]; 8], b: &[&[f64]; 4], tile: &mut [f64; 32]) {
+    let len = a[0].len();
+    assert!(
+        a.iter().chain(b).all(|col| col.len() == len),
+        "tn_tile8x4: column length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx512 {
+        // SAFETY: AVX-512F+AVX2+FMA presence was verified by `simd_level`;
+        // all twelve columns have the same length (asserted above).
+        unsafe { avx512::tn_tile8x4(a, b, tile) };
+        return;
+    }
+    for (half, a4) in a.chunks_exact(4).enumerate() {
+        let mut quarter = [0.0f64; 16];
+        tn_tile4x4(&[a4[0], a4[1], a4[2], a4[3]], b, &mut quarter);
+        for (jj, col) in quarter.chunks_exact(4).enumerate() {
+            for (ii, &v) in col.iter().enumerate() {
+                tile[jj * 8 + half * 4 + ii] += v;
+            }
         }
     }
 }
@@ -258,7 +321,8 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
 /// The AVX2 path holds eight rows of all four `V` columns in registers for
 /// the whole run: `V` is loaded and stored once per run, and each `k` step
 /// is one `_mm256_fnmadd_pd` per column.  The last `len % 8` rows take the
-/// scalar sweep.  Per element that is the scalar
+/// scalar sweep.  The AVX-512 path does the same on 32 rows at a time and
+/// hands the last `len % 32` rows to the AVX2 path.  Per element that is the scalar
 /// sweep — one `f64::mul_add` per coefficient in ascending `k` — so both
 /// backends return the same bits.
 ///
@@ -276,10 +340,17 @@ pub fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
         "update_run: shape mismatch"
     );
     #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx512 {
+        // SAFETY: AVX-512F+AVX2+FMA presence was verified by `simd_level`;
+        // the shapes were asserted above.
+        unsafe { avx512::update_run(v, q, c) };
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
     if use_avx2() {
         // SAFETY: AVX2+FMA presence was verified by `simd_level`; the
         // shapes were asserted above.
-        unsafe { avx2::update_run(v, q, c) };
+        unsafe { avx2::update_run(v, q, c, 0) };
         return;
     }
     for (j, vj) in v.iter_mut().enumerate() {
@@ -470,16 +541,18 @@ mod avx2 {
         s
     }
 
-    /// The streaming update: eight rows of the four `V` columns stay in
-    /// registers (two `__m256d` each) across the whole run of `Q` columns,
-    /// one `_mm256_fnmadd_pd` per column per `k` step in ascending `k`; the
-    /// last `len % 8` rows take the scalar sweep.
+    /// The streaming update over rows `from..`: eight rows of the four `V`
+    /// columns stay in registers (two `__m256d` each) across the whole run
+    /// of `Q` columns, one `_mm256_fnmadd_pd` per column per `k` step in
+    /// ascending `k`; the last `(len − from) % 8` rows take the scalar
+    /// sweep.  Rows before `from` are not touched (the AVX-512 body has
+    /// done them).
     ///
     /// # Safety
     /// AVX2+FMA must be present; every `v` and `q` column holds
-    /// `v[0].len()` elements and `c.len() == q.len()`.
+    /// `v[0].len() >= from` elements and `c.len() == q.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
+    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]], from: usize) {
         let len = v[0].len();
         let pv = [
             v[0].as_mut_ptr(),
@@ -487,7 +560,7 @@ mod avx2 {
             v[2].as_mut_ptr(),
             v[3].as_mut_ptr(),
         ];
-        let mut r = 0;
+        let mut r = from;
         while r + 8 <= len {
             let mut acc = [[_mm256_setzero_pd(); 2]; 4];
             for (a, &p) in acc.iter_mut().zip(&pv) {
@@ -571,6 +644,137 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    //! The AVX-512 bodies: the 8×4 Gram/projection tile, which forms the
+    //! AVX2 lane sum `(v0+v2)+(v1+v3)` for both halves of a register at
+    //! once so every entry keeps the AVX2 bits, and the 32-row streaming
+    //! update, which hands its row tail to the AVX2 body.
+
+    use std::arch::x86_64::*;
+
+    /// Eight `A` columns × four `B` columns in sixteen 512-bit
+    /// accumulators.  `acc[i][p]` holds, in its low and high 256-bit
+    /// halves, the 4-lane chains of entries `(i, 2p)` and `(i, 2p + 1)`:
+    /// each `B` pair is packed into one register, each `A` column
+    /// broadcast to both halves, so a lane sees exactly the products and
+    /// the row order of the AVX2 tile.
+    ///
+    /// # Safety
+    /// AVX-512F+AVX2+FMA must be present and all twelve columns of equal
+    /// length.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn tn_tile8x4(a: &[&[f64]; 8], b: &[&[f64]; 4], tile: &mut [f64; 32]) {
+        let len = a[0].len();
+        let body = len & !3;
+        let mut acc = [[_mm512_setzero_pd(); 2]; 8];
+        let mut r = 0;
+        while r < body {
+            // SAFETY: r + 4 <= body <= len, the length of every column.
+            let (b0, b1, b2, b3) = unsafe {
+                (
+                    _mm256_loadu_pd(b[0].as_ptr().add(r)),
+                    _mm256_loadu_pd(b[1].as_ptr().add(r)),
+                    _mm256_loadu_pd(b[2].as_ptr().add(r)),
+                    _mm256_loadu_pd(b[3].as_ptr().add(r)),
+                )
+            };
+            let vb = [
+                _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(b0), b1),
+                _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(b2), b3),
+            ];
+            for (acc_i, col) in acc.iter_mut().zip(a) {
+                // SAFETY: as for the `b` loads.
+                let va = _mm512_broadcast_f64x4(unsafe { _mm256_loadu_pd(col.as_ptr().add(r)) });
+                acc_i[0] = _mm512_fmadd_pd(va, vb[0], acc_i[0]);
+                acc_i[1] = _mm512_fmadd_pd(va, vb[1], acc_i[1]);
+            }
+            r += 4;
+        }
+        for (i, acc_i) in acc.iter().enumerate() {
+            for (p, &pair) in acc_i.iter().enumerate() {
+                // Both halves' `hsum4` at once: lanes (0, 2) and (1, 3) of
+                // each half are added first, then the two partial sums, so
+                // lane 0 of each half holds `(v0+v2)+(v1+v3)` bit for bit
+                // (IEEE addition is commutative).
+                let t = _mm512_add_pd(pair, _mm512_permutex_pd::<0x4E>(pair));
+                let u = _mm512_add_pd(t, _mm512_permute_pd::<0x55>(t));
+                let sums = [
+                    _mm512_cvtsd_f64(u),
+                    _mm256_cvtsd_f64(_mm512_extractf64x4_pd::<1>(u)),
+                ];
+                for (h, mut s) in sums.into_iter().enumerate() {
+                    let j = 2 * p + h;
+                    for rr in body..len {
+                        s += a[i][rr] * b[j][rr];
+                    }
+                    tile[j * 8 + i] += s;
+                }
+            }
+        }
+    }
+
+    /// The streaming update on 512-bit registers: 32 rows of the four `V`
+    /// columns (four `__m512d` each, sixteen accumulators) stay in
+    /// registers across the run, one `_mm512_fnmadd_pd` per eight rows per
+    /// column per `k` step in ascending `k`; the last `len % 32` rows take
+    /// the AVX2 body.  Per element that is the same fused multiply-add
+    /// sequence as the AVX2 and scalar paths, so the bits are theirs.
+    /// Sixteen independent chains keep both FMA ports busy.  At the
+    /// `lap2d_k4` stage-1 shape, where streaming `Q` from memory takes
+    /// about as long as the arithmetic, the kernel alone is only 8–10 %
+    /// faster than AVX2 (median of 60 alternated calls); inside the
+    /// two-stage solve, whose smaller updates stay in cache, it took
+    /// `tts_two_stage_s` from −11 % to −24 % against the parent.
+    ///
+    /// # Safety
+    /// AVX-512F+AVX2+FMA must be present; every `v` and `q` column holds
+    /// `v[0].len()` elements and `c.len() == q.len()`.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
+        const ROWS: usize = 32;
+        let len = v[0].len();
+        let pv = [
+            v[0].as_mut_ptr(),
+            v[1].as_mut_ptr(),
+            v[2].as_mut_ptr(),
+            v[3].as_mut_ptr(),
+        ];
+        let mut r = 0;
+        while r + ROWS <= len {
+            let mut acc = [[_mm512_setzero_pd(); ROWS / 8]; 4];
+            for (a, &p) in acc.iter_mut().zip(&pv) {
+                for (h, ah) in a.iter_mut().enumerate() {
+                    // SAFETY: r + ROWS <= len.
+                    *ah = unsafe { _mm512_loadu_pd(p.add(r + 8 * h)) };
+                }
+            }
+            for (qk, ck) in q.iter().zip(c) {
+                let pq = qk.as_ptr();
+                // SAFETY: r + ROWS <= len.
+                let qv: [__m512d; ROWS / 8] =
+                    std::array::from_fn(|h| unsafe { _mm512_loadu_pd(pq.add(r + 8 * h)) });
+                for (a, &cj) in acc.iter_mut().zip(ck) {
+                    let cj = _mm512_set1_pd(cj);
+                    for (ah, &qh) in a.iter_mut().zip(&qv) {
+                        *ah = _mm512_fnmadd_pd(cj, qh, *ah);
+                    }
+                }
+            }
+            for (&p, a) in pv.iter().zip(&acc) {
+                for (h, &ah) in a.iter().enumerate() {
+                    // SAFETY: as for the loads.
+                    unsafe { _mm512_storeu_pd(p.add(r + 8 * h), ah) };
+                }
+            }
+            r += ROWS;
+        }
+        // SAFETY: AVX2+FMA are present (this body's features), the shapes
+        // are the caller's, and r <= len.
+        unsafe { super::avx2::update_run(v, q, c, r) };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,10 +799,12 @@ mod tests {
         let _guard = override_lock();
         set_simd_override(None);
         let level = simd_level();
-        assert!(matches!(level, SimdLevel::Scalar | SimdLevel::Avx2));
-        assert!(matches!(simd_label(), "scalar" | "avx2"));
-        set_simd_override(Some(SimdLevel::Scalar));
-        assert_eq!(simd_level(), SimdLevel::Scalar);
+        assert!(matches!(simd_label(), "scalar" | "avx2" | "avx512"));
+        // An override caps the level; it never raises it.
+        for cap in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            set_simd_override(Some(cap));
+            assert_eq!(simd_level(), level.min(cap));
+        }
         set_simd_override(None);
         assert_eq!(simd_level(), level);
     }

@@ -12,6 +12,11 @@
 //! the left-looking register tile (rather than the ragged column sweep)
 //! does nearly all the work.
 //!
+//! On an AVX-512 host the 8×4 Gram/projection tile and the 32-row
+//! streaming update are pinned bit for bit to the AVX2 bodies they
+//! replace, the tile on its own and both through every blocked kernel,
+//! over awkward shapes and the `lap2d_k4` shapes.
+//!
 //! Nothing here asserts on wall-clock time: the fused kernel's speed over
 //! the separate sweeps is checked by
 //! `BENCH_SCALING_CHECK=1 cargo run -p bench --release --bin kernels`
@@ -345,6 +350,108 @@ fn streaming_update_skips_zero_coefficients_inside_a_run() {
         );
     }
     dense::set_simd_override(None);
+}
+
+/// `f` run with the kernels capped at `level`.
+fn under<T>(level: SimdLevel, f: impl FnOnce() -> T) -> T {
+    dense::set_simd_override(Some(level));
+    let out = f();
+    dense::set_simd_override(None);
+    out
+}
+
+/// Every blocked kernel's output bits at one shape under the current cap.
+fn kernel_bits(n: usize, s: usize, k: usize) -> Vec<Vec<u64>> {
+    let v = panel(n, s, n + s);
+    let q = panel(n, k, k + 1);
+    let p = Matrix::from_fn(k, s, |i, j| ((3 * i + j) % 7) as f64 * 0.13 - 0.4);
+    let mut w = v.clone();
+    dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p);
+    let mut t = v.clone();
+    dense::trsm_right_upper(&mut t.view_mut(), &upper(s, 3));
+    let mut f = v.clone();
+    let (fc, fg) = dense::fused_update_proj_gram(&mut f.view_mut(), &q.view(), &p);
+    [
+        dense::gram(&v.view()),
+        dense::gemm_tn(&q.view(), &v.view()),
+        w,
+        t,
+        f,
+        fc,
+        fg,
+    ]
+    .iter()
+    .map(bits)
+    .collect()
+}
+
+/// AVX-512 returns AVX2's bits: the 8×4 tile against two AVX2 4×4 tiles
+/// entry by entry, then `gram`, `gemm_tn`, `fused_update_proj_gram`,
+/// `gemm_nn_minus` and `trsm_right_upper` over column counts off the
+/// 8-column tile, row counts off the 256-row panel, 1–3 rows, and the
+/// `lap2d_k4` shapes (the 14 400×244 stage-2 Gram, the 224×20 stage-1
+/// projection).  On a host without AVX-512 both runs take the AVX2 (or
+/// scalar) bodies and the comparison holds trivially.
+#[test]
+fn avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels() {
+    let _guard = global_lock();
+    let wide = under(SimdLevel::Avx512, dense::simd_level);
+    if wide != SimdLevel::Avx512 {
+        eprintln!("no AVX-512 on this host: compared {wide:?} with itself");
+    }
+    for n in [0usize, 1, 2, 3, 5, 255, 257, 2 * ROW_BLOCK + 7] {
+        let cols: Vec<Vec<f64>> = (0..12).map(|c| panel(n, 1, c).data().to_vec()).collect();
+        let a: [&[f64]; 8] = std::array::from_fn(|i| &cols[i][..]);
+        let b: [&[f64]; 4] = std::array::from_fn(|j| &cols[8 + j][..]);
+        let tile = |level| {
+            under(level, || {
+                let mut t = [0.0f64; 32];
+                dense::simd::tn_tile8x4(&a, &b, &mut t);
+                t.map(f64::to_bits)
+            })
+        };
+        let quarters = under(SimdLevel::Avx2, || {
+            let mut t = [0u64; 32];
+            for half in 0..2 {
+                let mut q = [0.0f64; 16];
+                let a4 = std::array::from_fn(|i| a[4 * half + i]);
+                dense::simd::tn_tile4x4(&a4, &b, &mut q);
+                for jj in 0..4 {
+                    for ii in 0..4 {
+                        t[jj * 8 + 4 * half + ii] = q[jj * 4 + ii].to_bits();
+                    }
+                }
+            }
+            t
+        });
+        assert_eq!(tile(SimdLevel::Avx512), quarters, "8x4 tile, n={n}");
+        assert_eq!(tile(SimdLevel::Avx2), quarters, "AVX2 8x4 tile, n={n}");
+    }
+    for n in [1usize, 2, 3, ROW_BLOCK - 1, 2 * ROW_BLOCK + 5] {
+        for s in [1usize, 3, 5, 8, 13, 20] {
+            for k in [0usize, 3, 12, 17] {
+                assert_eq!(
+                    under(SimdLevel::Avx512, || kernel_bits(n, s, k)),
+                    under(SimdLevel::Avx2, || kernel_bits(n, s, k)),
+                    "n={n} s={s} k={k}"
+                );
+            }
+        }
+    }
+    let v = panel(14_400, 244, 1);
+    let q = panel(14_400, 224, 2);
+    let w = panel(14_400, 20, 3);
+    let k4 = || {
+        [dense::gram(&v.view()), dense::gemm_tn(&q.view(), &w.view())]
+            .iter()
+            .map(bits)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        under(SimdLevel::Avx512, k4),
+        under(SimdLevel::Avx2, k4),
+        "lap2d_k4 shapes"
+    );
 }
 
 proptest! {

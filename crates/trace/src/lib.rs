@@ -312,37 +312,6 @@ pub fn span(cat: &'static str, name: &'static str, args: &[(&'static str, u64)])
     }
 }
 
-/// Record an already-closed span from an explicit start timestamp (taken
-/// earlier with [`now_ns`]).  Useful when a span's arguments are only
-/// known at close; does not touch the open-span depth counter.
-#[inline]
-pub fn complete_span(
-    cat: &'static str,
-    name: &'static str,
-    start_ns: u64,
-    args: &[(&'static str, u64)],
-) {
-    if !enabled() {
-        return;
-    }
-    let dur_ns = now_ns().saturating_sub(start_ns);
-    let (args, nargs) = pack(args);
-    with_buf(|buf| {
-        let mut inner = buf.inner.lock().expect("trace buffer poisoned");
-        inner.record_span(
-            Event {
-                kind: EventKind::Span { dur_ns },
-                ts_ns: start_ns,
-                cat,
-                name,
-                args,
-                nargs,
-            },
-            dur_ns,
-        );
-    });
-}
-
 /// Record a point-in-time marker with up to two named integer arguments.
 #[inline]
 pub fn instant(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) {
