@@ -290,7 +290,8 @@ fn bench_flush_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
 /// The update's coefficients are free of zeros, like the solver's
 /// projections, so it takes the streaming kernel throughout.  Each row's
 /// variant is its level and its baseline the level below, so an AVX-512
-/// row reads as its speedup over AVX2.
+/// row reads as its speedup over AVX2.  `gemm_nn_minus` has no AVX-512
+/// body, so its `avx512` row runs the AVX2 one and reads about 1.0.
 fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
     let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
         .into_iter()

@@ -8,9 +8,8 @@
 //! * [`SimdLevel::Scalar`] — portable Rust, always available;
 //! * [`SimdLevel::Avx2`] — AVX2 + FMA bodies for every kernel;
 //! * [`SimdLevel::Avx512`] — AVX-512F on top of AVX2 + FMA: the 8×4
-//!   Gram/projection tile [`tn_tile8x4`] and the streaming update
-//!   [`update_run`] run on 512-bit registers; the other kernels keep their
-//!   AVX2 bodies.
+//!   Gram/projection tile [`tn_tile8x4`] runs on 512-bit registers; the
+//!   other kernels keep their AVX2 bodies.
 //!
 //! The level is detected once and cached; [`set_simd_override`] (tests,
 //! benchmarks) caps it, so an AVX-512 host can be made to run AVX2 or
@@ -24,13 +23,13 @@
 //! * **Bitwise-faithful** — [`update_run`], [`axpy_minus`], [`scal`]:
 //!   these implement the `V ← V − Q·R` / TRSM element updates.  Per
 //!   element, each nonzero coefficient `c` costs one fused multiply-add
-//!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm512_fnmadd_pd`
-//!   on AVX-512, `_mm256_fnmadd_pd` on AVX2, `f64::mul_add` on the scalar
-//!   backend); zero coefficients are skipped by the caller.  The vector
-//!   code performs exactly that sequence per element, only on 32 or eight
-//!   rows at a time, so every output bit matches the scalar backend and
-//!   the `naive_*` sweeps.  One rounding per step
-//!   satisfies the standard model `fl(v − c·q) = (v − c·q)(1 + δ)`,
+//!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm256_fnmadd_pd`
+//!   on AVX2 and AVX-512, `f64::mul_add` on the scalar backend); zero
+//!   coefficients are skipped by the caller.  The vector code performs
+//!   exactly that sequence per element, only on several rows at a time,
+//!   so every output bit matches the scalar backend and the `naive_*`
+//!   sweeps.  One rounding per step satisfies the standard model
+//!   `fl(v − c·q) = (v − c·q)(1 + δ)`,
 //!   `|δ| ≤ u`, that the stability analyses of the block schemes assume.
 //!   `crates/dense/tests/simd_kernel_props.rs`
 //!   (`update_class_is_bitwise_identical_across_backends`,
@@ -110,15 +109,25 @@ fn hardware_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// The hardware's level capped by the override, stored for [`simd_level`].
-fn resolve_level() -> SimdLevel {
+/// The hardware's level capped by the override.
+fn capped_level() -> SimdLevel {
     let hardware = hardware_level();
-    let level = match SimdLevel::from_code(OVERRIDE.load(Ordering::Relaxed)) {
+    match SimdLevel::from_code(OVERRIDE.load(Ordering::Relaxed)) {
         Some(cap) => hardware.min(cap),
         None => hardware,
-    };
-    LEVEL.store(level.code(), Ordering::Relaxed);
-    level
+    }
+}
+
+/// First query: publish the capped level only if nothing is stored yet,
+/// so a [`set_simd_override`] that lands between reading the override and
+/// publishing is not overwritten; return whatever ends up stored.
+#[cold]
+fn resolve_level() -> SimdLevel {
+    let level = capped_level();
+    match LEVEL.compare_exchange(0, level.code(), Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => level,
+        Err(stored) => SimdLevel::from_code(stored).unwrap_or(level),
+    }
 }
 
 /// The SIMD backend the tile kernels currently dispatch to: the hardware's
@@ -135,7 +144,7 @@ pub fn simd_level() -> SimdLevel {
 /// silently stays at the hardware's.
 pub fn set_simd_override(level: Option<SimdLevel>) {
     OVERRIDE.store(level.map_or(0, SimdLevel::code), Ordering::Relaxed);
-    resolve_level();
+    LEVEL.store(capped_level().code(), Ordering::Relaxed);
 }
 
 /// Name of the backend the kernels currently dispatch to, recorded in
@@ -321,10 +330,11 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
 /// The AVX2 path holds eight rows of all four `V` columns in registers for
 /// the whole run: `V` is loaded and stored once per run, and each `k` step
 /// is one `_mm256_fnmadd_pd` per column.  The last `len % 8` rows take the
-/// scalar sweep.  The AVX-512 path does the same on 32 rows at a time and
-/// hands the last `len % 32` rows to the AVX2 path.  Per element that is the scalar
-/// sweep — one `f64::mul_add` per coefficient in ascending `k` — so both
-/// backends return the same bits.
+/// scalar sweep.  Per element that is the scalar sweep — one `f64::mul_add`
+/// per coefficient in ascending `k` — so both backends return the same
+/// bits.  An AVX-512 host runs the AVX2 path: a 32-row 512-bit body timed
+/// no faster at the `lap2d_k4` stage-1 shape, where streaming `Q` from
+/// memory takes about as long as the arithmetic.
 ///
 /// `c[k][j]` multiplies `q[k]` into column `j`; `q` and `c` have equal
 /// length and every column equal length.  Every coefficient must be
@@ -340,17 +350,10 @@ pub fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
         "update_run: shape mismatch"
     );
     #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx512 {
-        // SAFETY: AVX-512F+AVX2+FMA presence was verified by `simd_level`;
-        // the shapes were asserted above.
-        unsafe { avx512::update_run(v, q, c) };
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
     if use_avx2() {
         // SAFETY: AVX2+FMA presence was verified by `simd_level`; the
         // shapes were asserted above.
-        unsafe { avx2::update_run(v, q, c, 0) };
+        unsafe { avx2::update_run(v, q, c) };
         return;
     }
     for (j, vj) in v.iter_mut().enumerate() {
@@ -541,18 +544,16 @@ mod avx2 {
         s
     }
 
-    /// The streaming update over rows `from..`: eight rows of the four `V`
-    /// columns stay in registers (two `__m256d` each) across the whole run
-    /// of `Q` columns, one `_mm256_fnmadd_pd` per column per `k` step in
-    /// ascending `k`; the last `(len − from) % 8` rows take the scalar
-    /// sweep.  Rows before `from` are not touched (the AVX-512 body has
-    /// done them).
+    /// The streaming update: eight rows of the four `V` columns stay in
+    /// registers (two `__m256d` each) across the whole run of `Q` columns,
+    /// one `_mm256_fnmadd_pd` per column per `k` step in ascending `k`; the
+    /// last `len % 8` rows take the scalar sweep.
     ///
     /// # Safety
     /// AVX2+FMA must be present; every `v` and `q` column holds
-    /// `v[0].len() >= from` elements and `c.len() == q.len()`.
+    /// `v[0].len()` elements and `c.len() == q.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]], from: usize) {
+    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
         let len = v[0].len();
         let pv = [
             v[0].as_mut_ptr(),
@@ -560,7 +561,7 @@ mod avx2 {
             v[2].as_mut_ptr(),
             v[3].as_mut_ptr(),
         ];
-        let mut r = from;
+        let mut r = 0;
         while r + 8 <= len {
             let mut acc = [[_mm256_setzero_pd(); 2]; 4];
             for (a, &p) in acc.iter_mut().zip(&pv) {
@@ -646,10 +647,9 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! The AVX-512 bodies: the 8×4 Gram/projection tile, which forms the
+    //! The AVX-512 body: the 8×4 Gram/projection tile, which forms the
     //! AVX2 lane sum `(v0+v2)+(v1+v3)` for both halves of a register at
-    //! once so every entry keeps the AVX2 bits, and the 32-row streaming
-    //! update, which hands its row tail to the AVX2 body.
+    //! once so every entry keeps the AVX2 bits.
 
     use std::arch::x86_64::*;
 
@@ -712,66 +712,6 @@ mod avx512 {
                 }
             }
         }
-    }
-
-    /// The streaming update on 512-bit registers: 32 rows of the four `V`
-    /// columns (four `__m512d` each, sixteen accumulators) stay in
-    /// registers across the run, one `_mm512_fnmadd_pd` per eight rows per
-    /// column per `k` step in ascending `k`; the last `len % 32` rows take
-    /// the AVX2 body.  Per element that is the same fused multiply-add
-    /// sequence as the AVX2 and scalar paths, so the bits are theirs.
-    /// Sixteen independent chains keep both FMA ports busy.  At the
-    /// `lap2d_k4` stage-1 shape, where streaming `Q` from memory takes
-    /// about as long as the arithmetic, the kernel alone is only 8–10 %
-    /// faster than AVX2 (median of 60 alternated calls); inside the
-    /// two-stage solve, whose smaller updates stay in cache, it took
-    /// `tts_two_stage_s` from −11 % to −24 % against the parent.
-    ///
-    /// # Safety
-    /// AVX-512F+AVX2+FMA must be present; every `v` and `q` column holds
-    /// `v[0].len()` elements and `c.len() == q.len()`.
-    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub unsafe fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
-        const ROWS: usize = 32;
-        let len = v[0].len();
-        let pv = [
-            v[0].as_mut_ptr(),
-            v[1].as_mut_ptr(),
-            v[2].as_mut_ptr(),
-            v[3].as_mut_ptr(),
-        ];
-        let mut r = 0;
-        while r + ROWS <= len {
-            let mut acc = [[_mm512_setzero_pd(); ROWS / 8]; 4];
-            for (a, &p) in acc.iter_mut().zip(&pv) {
-                for (h, ah) in a.iter_mut().enumerate() {
-                    // SAFETY: r + ROWS <= len.
-                    *ah = unsafe { _mm512_loadu_pd(p.add(r + 8 * h)) };
-                }
-            }
-            for (qk, ck) in q.iter().zip(c) {
-                let pq = qk.as_ptr();
-                // SAFETY: r + ROWS <= len.
-                let qv: [__m512d; ROWS / 8] =
-                    std::array::from_fn(|h| unsafe { _mm512_loadu_pd(pq.add(r + 8 * h)) });
-                for (a, &cj) in acc.iter_mut().zip(ck) {
-                    let cj = _mm512_set1_pd(cj);
-                    for (ah, &qh) in a.iter_mut().zip(&qv) {
-                        *ah = _mm512_fnmadd_pd(cj, qh, *ah);
-                    }
-                }
-            }
-            for (&p, a) in pv.iter().zip(&acc) {
-                for (h, &ah) in a.iter().enumerate() {
-                    // SAFETY: as for the loads.
-                    unsafe { _mm512_storeu_pd(p.add(r + 8 * h), ah) };
-                }
-            }
-            r += ROWS;
-        }
-        // SAFETY: AVX2+FMA are present (this body's features), the shapes
-        // are the caller's, and r <= len.
-        unsafe { super::avx2::update_run(v, q, c, r) };
     }
 }
 

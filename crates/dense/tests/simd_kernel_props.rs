@@ -12,10 +12,9 @@
 //! the left-looking register tile (rather than the ragged column sweep)
 //! does nearly all the work.
 //!
-//! On an AVX-512 host the 8×4 Gram/projection tile and the 32-row
-//! streaming update are pinned bit for bit to the AVX2 bodies they
-//! replace, the tile on its own and both through every blocked kernel,
-//! over awkward shapes and the `lap2d_k4` shapes.
+//! On an AVX-512 host the 8×4 Gram/projection tile is pinned bit for bit
+//! to the AVX2 tiles it replaces, on its own and through every blocked
+//! kernel, over awkward shapes and the `lap2d_k4` shapes.
 //!
 //! Nothing here asserts on wall-clock time: the fused kernel's speed over
 //! the separate sweeps is checked by
