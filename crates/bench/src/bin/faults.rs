@@ -28,7 +28,8 @@
 //! On top: guard overhead at zero faults (noise-floor minimum over
 //! interleaved repeated solves, asserted `< 5%`), a seeded
 //! `kind × rate × phase` campaign grid with
-//! detection/recovery bookkeeping, and a bitwise replay check — every
+//! detection/recovery bookkeeping (`by_guard` counts each row's
+//! detections per guard), and a bitwise replay check — every
 //! campaign cell is reproducible from its seed alone.  Each kind's rate
 //! comes from a census of the operations it can reach in the fault-free
 //! solve, so its sparsest cell expects 2 (then 8) injections; a phase the
@@ -40,24 +41,20 @@
 use bench::{cli, Table};
 use distsim::{
     run_ranks, Communicator, DistCsr, FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm,
-    GuardPolicy, GuardedComm, OpKind, SerialComm, Target,
+    GuardEvent, GuardedComm, OpKind, SerialComm, Target,
 };
 use sparse::{block_row_partition, elasticity3d, Csr, RowPartition};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use trace::JsonWriter;
 
 const NRANKS: usize = 2;
 
-/// Campaign guard policy: everything on, with a short halo patience so a
-/// dropped-message cell pays milliseconds, not the default five seconds.
-fn guards_on() -> GuardPolicy {
-    GuardPolicy {
-        halo_timeout_ms: 100,
-        ..GuardPolicy::all()
-    }
-}
+/// Halo patience of the guarded cells: short, so a dropped-message cell
+/// pays milliseconds, not seconds.
+const HALO_TIMEOUT: Duration = Duration::from_millis(100);
 
 fn config(s: usize) -> GmresConfig {
     GmresConfig {
@@ -71,8 +68,8 @@ fn config(s: usize) -> GmresConfig {
     }
 }
 
-/// One distributed solve over `NRANKS` simulated ranks, optionally under
-/// guards and a fault plan.  Returns the gathered solution, rank 0's
+/// One distributed solve over `NRANKS` simulated ranks, guarded or not,
+/// optionally under a fault plan.  Returns the gathered solution, rank 0's
 /// result (every replicated counter is identical across ranks), every
 /// rank's injected faults, and whether all ranks converged.
 struct Cell {
@@ -87,7 +84,7 @@ fn run_cell(
     b: &[f64],
     conf: &GmresConfig,
     part: &RowPartition,
-    policy: Option<GuardPolicy>,
+    guarded: bool,
     plan: Option<&FaultPlan>,
 ) -> Cell {
     let pieces = run_ranks(NRANKS, |comm| {
@@ -97,9 +94,10 @@ fn run_cell(
             Some(fc) => fc.clone(),
             None => comm,
         };
-        let comm: Arc<dyn Communicator> = match policy {
-            Some(policy) => GuardedComm::wrap(comm, policy),
-            None => comm,
+        let comm: Arc<dyn Communicator> = if guarded {
+            GuardedComm::wrap(comm, HALO_TIMEOUT)
+        } else {
+            comm
         };
         let dist = DistCsr::from_global(comm, a, part);
         let mut x = vec![0.0; hi - lo];
@@ -166,6 +164,20 @@ fn rates_of(kind: &str, rate: f64) -> FaultRates {
     rates
 }
 
+/// Detections per guard, as `guard:count` pairs in guard-name order
+/// (`-` when no guard fired): which guard caught what.
+fn by_guard(events: &[GuardEvent]) -> String {
+    let mut counts = BTreeMap::new();
+    for e in events {
+        *counts.entry(e.guard).or_insert(0usize) += 1;
+    }
+    if counts.is_empty() {
+        return "-".to_string();
+    }
+    let pairs: Vec<String> = counts.iter().map(|(g, n)| format!("{g}:{n}")).collect();
+    pairs.join(" ")
+}
+
 bench::table_row! {
     /// One seeded campaign cell: its plan and what the guarded solve did.
     struct Trial {
@@ -176,6 +188,7 @@ bench::table_row! {
         expected: f64,
         injected: usize,
         detected: usize,
+        by_guard: String,
         recovered: usize,
         unrecovered: usize,
         retries: usize,
@@ -209,7 +222,7 @@ fn main() {
     );
 
     let conf = config(s);
-    let (unguarded, guarded) = (None, Some(guards_on()));
+    let (unguarded, guarded) = (false, true);
 
     // ---- Baselines: fault-free, guards off vs. on ---------------------
     let base_un = run_cell(&a, &b, &conf, &part, unguarded, None);
@@ -240,7 +253,7 @@ fn main() {
     let whole = block_row_partition(a.nrows(), 1);
     let serial_un = DistCsr::from_global(SerialComm::new(), &a, &whole);
     let serial_g = DistCsr::from_global(
-        GuardedComm::wrap(SerialComm::new(), guards_on()),
+        GuardedComm::wrap(SerialComm::new(), HALO_TIMEOUT),
         &a,
         &whole,
     );
@@ -514,6 +527,7 @@ fn main() {
                     expected: rate * ops_in_phase as f64,
                     injected: cell.events.len(),
                     detected: cell.r.faults_detected,
+                    by_guard: by_guard(&cell.r.fault_events),
                     recovered: cell.r.faults_recovered,
                     unrecovered: cell.r.faults_unrecovered,
                     retries: cell.r.comm_total.allreduce_retries,

@@ -21,8 +21,8 @@
 //! SIMD-level row against the level below it.  The naive update and TRSM
 //! time a libm `fma` call per element, so their blocked rows carry no
 //! speedup.  The calls a speedup compares alternate inside every
-//! repetition, each on a copy of its input restored outside the timed
-//! region.
+//! repetition; a dense kernel runs each time on a copy of its input
+//! restored outside the timed region.
 //!
 //! With `BENCH_SCALING_CHECK=1` the binary exits non-zero if the fused
 //! pass is slower than the separate sweeps on any shape.
@@ -104,11 +104,26 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 /// measures that call, not the blocking.
 const LIBM_FMA_NAIVE: [&str; 2] = ["gemm_nn_minus", "trsm_right_upper"];
 
-/// Best-of-`reps` wall time of `call(0, ·)` … `call(count − 1, ·)`.  The
-/// calls alternate inside every round, so a noisy stretch of the shared
-/// host hits them alike, and each runs on a copy of `v` restored outside
-/// the timed region (at the flush shapes the copy takes as long as the
-/// call).  The first round is a warmup and is not timed.
+/// Best-of-`reps` of the seconds `timed(0)` … `timed(count − 1)` report,
+/// each call timing its own work.  The calls alternate inside every round,
+/// so a noisy stretch of the shared host hits them alike.  The first round
+/// is a warmup and is not kept.
+fn best_alternated(reps: usize, count: usize, mut timed: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; count];
+    for round in 0..=reps {
+        for (i, b) in best.iter_mut().enumerate() {
+            let secs = timed(i);
+            if round > 0 {
+                *b = b.min(secs);
+            }
+        }
+    }
+    best
+}
+
+/// [`best_alternated`] of `call(0, ·)` … `call(count − 1, ·)`, each on a
+/// copy of `v` restored outside the timed region (at the flush shapes the
+/// copy takes as long as the call).
 fn time_alternated(
     v: &Matrix,
     reps: usize,
@@ -116,19 +131,12 @@ fn time_alternated(
     call: &dyn Fn(usize, &mut Matrix),
 ) -> Vec<f64> {
     let mut w = v.clone();
-    let mut best = vec![f64::INFINITY; count];
-    for round in 0..=reps {
-        for (i, b) in best.iter_mut().enumerate() {
-            w.data_mut().copy_from_slice(v.data());
-            let t0 = Instant::now();
-            call(i, &mut w);
-            let secs = t0.elapsed().as_secs_f64();
-            if round > 0 {
-                *b = b.min(secs);
-            }
-        }
-    }
-    best
+    best_alternated(reps, count, |i| {
+        w.data_mut().copy_from_slice(v.data());
+        let t0 = Instant::now();
+        call(i, &mut w);
+        t0.elapsed().as_secs_f64()
+    })
 }
 
 /// Time every kernel's naive and blocked call (alternated), the blocked
@@ -355,15 +363,24 @@ fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
 /// SpMV on one operator: the reference `Csr::spmv` against the
 /// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs.  Bytes
 /// are the benchmark's model (`sparse.spmv_gbs`): 12 B per nonzero (value +
-/// 32-bit index) and 16 B per row (row pointer + output).  The two outputs
-/// must agree bit for bit; no timing is asserted.
+/// 32-bit index) and 16 B per row (row pointer + output).  The two
+/// products alternate inside every repetition.  Their outputs must agree
+/// bit for bit; no timing is asserted.
 fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: usize) {
     let (n, nnz) = (a.nrows(), a.nnz());
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let (mut y_csr, mut y_sliced) = (vec![0.0; n], vec![0.0; n]);
-    let csr_s = time_best(reps, || a.spmv(black_box(&x), &mut y_csr));
-    let sliced = sparse::SlicedCsr::from_csr(a);
-    let sliced_s = time_best(reps, || sliced.spmv(black_box(&x), &mut y_sliced));
+    let sliced = sparse::SlicedCsr::from_csr(a.clone());
+    let [csr_s, sliced_s] = best_alternated(reps, 2, |i| {
+        let t0 = Instant::now();
+        match i {
+            0 => a.spmv(black_box(&x), &mut y_csr),
+            _ => sliced.spmv(black_box(&x), &mut y_sliced),
+        }
+        t0.elapsed().as_secs_f64()
+    })[..] else {
+        unreachable!("two products, two times")
+    };
     assert!(
         y_csr
             .iter()

@@ -91,15 +91,15 @@
 //! band Hessenberg of a wide block is not in the Hessenberg form the
 //! double-shift QR eigensolver consumes); `Newton`/`Scheduled` shifts
 //! apply per block step for every width.  Detection guards screen Gram and
-//! norm reduces, carry the agreement probe and checksum halos for any
-//! width, but the full poison/rollback ladder is exercised at one active
-//! column.
+//! norm reduces and check halo frames for any width, but the full
+//! poison/rollback ladder is exercised at one active column.
 //!
 //! **Guards.**  The engine holds no guard state: a solve is guarded when
 //! its matrix lives on a [`distsim::GuardedComm`], and the engine reaches
-//! the guards' counters, agreement probe and alarm only through
+//! the guards' counters and event log only through
 //! [`Communicator::guards`], reading the counters as a delta from the
-//! solve's start.
+//! solve's start.  A non-finite projected solution is never applied to
+//! `x`, guarded or not.
 
 use crate::basis::{self, BasisStrategy};
 use crate::control::{self, CycleHealth, StepController, StepDecision};
@@ -519,19 +519,9 @@ impl<'a> Solve<'a> {
             let b = self.b.col(j).iter();
             self.residuals[j] = b.zip(&self.w).map(|(bi, axi)| bi - axi).collect();
         }
-        self.refresh_norms();
-    }
-
-    /// Reduce the active residual norms into `gammas`.  The residual norm
-    /// drives every replicated control decision, so its aggregate is staged
-    /// for the cross-rank agreement probe of the next guarded reduce.
-    fn refresh_norms(&mut self) {
         let fresh = block_norms(&self.residuals, &self.active, self.a.comm().as_ref());
         for (&j, norm) in self.active.iter().zip(fresh) {
             self.gammas[j] = norm;
-        }
-        if let Some(guards) = self.guards() {
-            guards.stage_agreement(aggregate_norm(&self.gammas, &self.active));
         }
     }
 
@@ -706,17 +696,6 @@ impl<'a> Solve<'a> {
             }
         });
         self.report.ortho_fallbacks += cy.ortho.fallback_count();
-        if self.guards().is_some_and(GuardedComm::take_alarm) {
-            // A replicated scalar diverged across ranks: nothing this cycle
-            // computed can be trusted to be consistent.  Abandon the cycle
-            // (no solution update) and resynchronize the replicated
-            // residual norms with a fresh reduce of the untouched local
-            // residuals.
-            let msg = "cross-rank divergence: agreement probe on the replicated residual norm";
-            self.note_breakdown(cy, msg.to_string());
-            self.phase(cy, Phase::Residual, &[], |s, _| s.refresh_norms());
-            return 0;
-        }
         cy.finalized().saturating_sub(cy.ka)
     }
 
@@ -741,12 +720,10 @@ impl<'a> Solve<'a> {
                 fold_factored(coeffs, cols, y);
             }
             // A poisoned cycle can smuggle NaN into the projected solution
-            // without tripping the Cholesky; with guards on, never let it
-            // reach x, where it would be unrecoverable — skip the update
-            // and let the breakdown verdict shrink the step instead.
-            // (Unguarded solves let corruption flow through, which is
-            // exactly the silent failure the fault campaign demonstrates.)
-            if s.guards().is_none() || y.data().iter().all(|v| v.is_finite()) {
+            // without tripping the Cholesky; never let it reach x, where it
+            // would be unrecoverable — skip the update and let the
+            // breakdown verdict shrink the step instead.
+            if y.data().iter().all(|v| v.is_finite()) {
                 let (nloc, ka) = (s.z.len(), cy.ka);
                 // Q·Y for all active columns in one row-panel-blocked pass
                 // over the basis.
@@ -1060,15 +1037,6 @@ fn block_norms(residuals: &[Vec<f64>], active: &[usize], comm: &dyn Communicator
         return vec![f64::NAN; sq.len()];
     }
     sq.iter().map(|v| v.sqrt()).collect()
-}
-
-/// The replicated scalar staged for the cross-rank agreement probe: the
-/// max active residual norm (the norm itself at one active column).
-fn aggregate_norm(gammas: &[f64], active: &[usize]) -> f64 {
-    active
-        .iter()
-        .map(|&j| gammas[j])
-        .fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Block-level relative residual of a cycle: the max over active columns

@@ -73,8 +73,8 @@ pub use solver::{standard_gmres_config, GmresConfig, SStepGmres, SolveResult};
 // wrap a communicator in faults and guards without naming `distsim`
 // directly.
 pub use distsim::{
-    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardCounts, GuardEvent, GuardPolicy,
-    GuardedComm, Target,
+    FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, GuardCounts, GuardEvent, GuardedComm,
+    Target,
 };
 
 // Re-export the orthogonalization selector (and the per-stage fallback

@@ -140,8 +140,8 @@ pub trait Communicator: Send + Sync + std::fmt::Debug {
     }
 
     /// The detection guards' state when this is a [`GuardedComm`]: the
-    /// solver's handle on their counters, event log, agreement probe and
-    /// alarm.
+    /// solver's handle on their counters and event log.  A wrapped
+    /// communicator runs every guard; any other runs none.
     fn guards(&self) -> Option<&GuardedComm> {
         None
     }

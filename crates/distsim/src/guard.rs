@@ -17,13 +17,6 @@
 //!   the residuals' Gram; symmetry degenerates, so the contribution is sent
 //!   twice in one payload (`[sq…, sq…]`, still one reduction).  A single
 //!   flip anywhere makes the two replicated halves differ bitwise.
-//! * **Agreement probe** — the solver's control decisions replicate a
-//!   scalar (the cycle residual norm) on every rank; divergence there is
-//!   the one fault that silently desynchronizes ranks.  The probe encodes
-//!   the staged scalar's bits as two exact small integers and folds a
-//!   signed combination into the *next* guarded reduce: the extra words
-//!   sum to exactly `0.0` iff every rank staged the same bit pattern.
-//!   Zero extra reductions.
 //! * **Halo checksum** — each halo message is framed with a per-peer
 //!   sequence number and a mixed XOR checksum.  A flipped bit anywhere in
 //!   the frame is detected; a dropped message surfaces as a sequence gap
@@ -40,10 +33,16 @@
 //! That layering — retry, poison, rollback, degrade — is the recovery
 //! ladder described in the README.
 //!
+//! No guard checks that ranks agree on a replicated scalar: the fault
+//! model corrupts what a rank puts on the wire, and every rank reads the
+//! same reduced bits (see [`crate::fault`]), so a replicated value cannot
+//! diverge across ranks.  Convergence is decided on the true residual the
+//! solver recomputes every cycle.
+//!
 //! The guards are a communicator decorator, the twin of
-//! [`FaultyComm`](crate::FaultyComm): [`GuardedComm::wrap`] puts them
-//! around any [`Communicator`] (outside the fault injector, as
-//! `GuardedComm::wrap(FaultyComm::wrap(raw, plan), policy)`), and the code
+//! [`FaultyComm`](crate::FaultyComm): [`GuardedComm::wrap`] puts all of
+//! them around any [`Communicator`] (outside the fault injector, as
+//! `GuardedComm::wrap(FaultyComm::wrap(raw, plan), halo_timeout)`), and the code
 //! that communicates names only what a buffer holds —
 //! [`Communicator::allreduce_screened`] with a [`Screen`], and
 //! [`Communicator::recv_halo`].  On any other communicator those are the
@@ -57,48 +56,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Which guards run, and how persistent recovery is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardPolicy {
-    /// Screen reduced Gram matrices (finiteness, bitwise symmetry,
-    /// non-negative diagonal) and duplicate the words of norm reduces.
-    pub gram_screen: bool,
-    /// Frame halo-exchange messages with sequence numbers and checksums.
-    pub halo_checksum: bool,
-    /// Piggyback a cross-rank agreement probe for replicated scalars on
-    /// guarded reduces.
-    pub agreement: bool,
-    /// How many times a failed collective is retried before its payload is
-    /// poisoned and the cycle rolled back.
-    pub max_retries: usize,
-    /// Patience of a guarded halo receive before the message is written
-    /// off (milliseconds).
-    pub halo_timeout_ms: u64,
-}
-
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            gram_screen: false,
-            halo_checksum: false,
-            agreement: false,
-            max_retries: 2,
-            halo_timeout_ms: 5_000,
-        }
-    }
-}
-
-impl GuardPolicy {
-    /// Every guard on, with default retry/timeout budgets.
-    pub fn all() -> Self {
-        GuardPolicy {
-            gram_screen: true,
-            halo_checksum: true,
-            agreement: true,
-            ..GuardPolicy::default()
-        }
-    }
-}
+/// How many times a failed collective is retried before its payload is
+/// poisoned and the cycle rolled back.
+const MAX_RETRIES: usize = 2;
 
 /// What a reduce's payload should look like when healthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,14 +76,10 @@ pub enum Screen {
     /// duplicated as `[sq…, sq…]` in the same reduce: finite,
     /// bitwise-equal halves, non-negative.
     Norms,
-    /// No screening — used to carry an agreement probe on a reduce whose
-    /// payload the policy does not screen.
-    None,
 }
 
 fn screen_ok(buf: &[f64], screen: Screen) -> bool {
     match screen {
-        Screen::None => true,
         _ if buf.iter().any(|v| !v.is_finite()) => false,
         Screen::Norms => {
             let (sq, copy) = buf.split_at(buf.len() / 2);
@@ -151,7 +107,7 @@ fn screen_ok(buf: &[f64], screen: Screen) -> bool {
 /// One detected fault, as the guards saw it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardEvent {
-    /// Which guard fired: `"gram_screen"`, `"norm_dup"`, `"agreement"`,
+    /// Which guard fired: `"gram_screen"`, `"norm_dup"`,
     /// `"halo_checksum"`, `"halo_seq"`, `"halo_timeout"`.
     pub guard: &'static str,
     /// Solver phase tag in effect (see [`crate::fault::set_phase`]).
@@ -197,11 +153,6 @@ struct GuardState {
     counts: GuardCounts,
     /// The fault-event log, in detection order: one event per detection.
     events: Vec<GuardEvent>,
-    /// Scalar staged for the next agreement probe.
-    staged: Option<f64>,
-    /// Set when a probe detects cross-rank divergence; the solver takes it
-    /// and rolls the cycle back.
-    alarm: bool,
     /// Next halo sequence number per destination peer.
     send_seq: HashMap<usize, u64>,
     /// Next expected halo sequence number per source peer.
@@ -212,7 +163,7 @@ struct GuardState {
 
 /// A guarding wrapper over any [`Communicator`]:
 /// [`allreduce_screened`](Communicator::allreduce_screened) screens,
-/// retries, poisons and carries the agreement probe,
+/// retries and poisons,
 /// [`send`](Communicator::send) frames the halo messages
 /// [`recv_halo`](Communicator::recv_halo) checks, and every other
 /// operation, plain `allreduce_sum` included, passes through untouched.
@@ -222,18 +173,19 @@ struct GuardState {
 #[derive(Debug)]
 pub struct GuardedComm {
     inner: Arc<dyn Communicator>,
-    policy: GuardPolicy,
+    halo_timeout: Duration,
     state: Mutex<GuardState>,
 }
 
 impl GuardedComm {
-    /// Wrap `inner` with the guards `policy` enables.  Wrap last: another
+    /// Wrap `inner` with every guard; a guarded halo receive waits at most
+    /// `halo_timeout` before it writes the message off.  Wrap last: another
     /// decorator around this one (a [`FaultyComm`](crate::FaultyComm))
     /// would hide the guards from the code that communicates through it.
-    pub fn wrap(inner: Arc<dyn Communicator>, policy: GuardPolicy) -> Arc<GuardedComm> {
+    pub fn wrap(inner: Arc<dyn Communicator>, halo_timeout: Duration) -> Arc<GuardedComm> {
         Arc::new(GuardedComm {
             inner,
-            policy,
+            halo_timeout,
             state: Mutex::default(),
         })
     }
@@ -285,96 +237,44 @@ impl GuardedComm {
         } += n;
     }
 
-    // ----- agreement probe -------------------------------------------------
-
-    /// Stage a replicated scalar for cross-rank agreement checking; the
-    /// probe rides on the next screened reduce.
-    pub fn stage_agreement(&self, value: f64) {
-        if self.policy.agreement {
-            self.state().staged = Some(value);
-        }
-    }
-
-    /// Take (and clear) the divergence alarm.
-    pub fn take_alarm(&self) -> bool {
-        std::mem::take(&mut self.state().alarm)
-    }
-
-    /// The probe contribution for a staged value: the value's 64 bit
-    /// pattern split into two 32-bit halves, each an exactly-representable
-    /// integer.  Rank 0 contributes `+(size-1)·half`, every other rank
-    /// `-half`, so the collective sum is exactly `0.0` iff all ranks
-    /// staged the same bits (exact as long as `(size-1)·half < 2^53`,
-    /// i.e. for any group smaller than 2^21 ranks).
-    fn probe_words(value: f64, rank: usize, size: usize) -> [f64; 2] {
-        let bits = value.to_bits();
-        let hi = (bits >> 32) as u32 as f64;
-        let lo = bits as u32 as f64;
-        if rank == 0 {
-            let n = (size - 1) as f64;
-            [n * hi, n * lo]
-        } else {
-            [-hi, -lo]
-        }
-    }
-
     // ----- guarded collectives ---------------------------------------------
 
     /// One screened reduce of `buf` (already in its on-the-wire shape):
     /// screens the replicated result, retries boundedly on detection, and
     /// poisons the buffer with NaN when retries are exhausted.  Returns
     /// `false` when poisoned.  Exactly one reduction in the fault-free
-    /// case; a staged agreement probe is folded into the same reduction.
+    /// case.
     fn screened(&self, buf: &mut [f64], screen: Screen) -> bool {
         let n = buf.len();
-        let staged = self.state().staged.take();
-        let probe = staged.map(|v| Self::probe_words(v, self.rank(), self.size()));
-        let saved: Vec<f64> = buf.iter().chain(probe.iter().flatten()).copied().collect();
-        let mut payload = saved.clone();
-        self.inner.allreduce_sum(&mut payload);
-        let mut ok = screen_ok(&payload[..n], screen);
-        if !ok {
-            let mut attempts = 0;
-            while !ok && attempts < self.policy.max_retries {
-                attempts += 1;
-                payload.copy_from_slice(&saved);
-                self.inner.allreduce_sum_retry(&mut payload);
-                ok = screen_ok(&payload[..n], screen);
-            }
-            let guard = match screen {
-                Screen::Norms => "norm_dup",
-                _ => "gram_screen",
-            };
-            if ok {
-                let detail =
-                    format!("corrupted {n}-word reduce recovered after {attempts} retr(ies)");
-                self.record(guard, "recovered", detail);
-            } else {
-                let detail = format!(
-                    "{n}-word reduce still corrupt after {attempts} retr(ies); \
-                     payload poisoned for cycle rollback"
-                );
-                self.record(guard, "poisoned", detail);
-                buf.fill(f64::NAN);
-                return false;
-            }
+        let saved = buf.to_vec();
+        self.inner.allreduce_sum(buf);
+        let mut ok = screen_ok(buf, screen);
+        if ok {
+            return true;
         }
-        // The probe reads the *accepted* payload, so a retried reduce is
-        // re-probed for free.
-        if probe.is_some() {
-            let hi = payload[n];
-            let lo = payload[n + 1];
-            if hi != 0.0 || lo != 0.0 {
-                self.state().alarm = true;
-                self.record(
-                    "agreement",
-                    "poisoned",
-                    format!("replicated-scalar divergence (probe sums {hi}, {lo})"),
-                );
-            }
+        let mut attempts = 0;
+        while !ok && attempts < MAX_RETRIES {
+            attempts += 1;
+            buf.copy_from_slice(&saved);
+            self.inner.allreduce_sum_retry(buf);
+            ok = screen_ok(buf, screen);
         }
-        buf.copy_from_slice(&payload[..n]);
-        true
+        let guard = match screen {
+            Screen::Norms => "norm_dup",
+            Screen::Gram { .. } => "gram_screen",
+        };
+        if ok {
+            let detail = format!("corrupted {n}-word reduce recovered after {attempts} retr(ies)");
+            self.record(guard, "recovered", detail);
+        } else {
+            let detail = format!(
+                "{n}-word reduce still corrupt after {attempts} retr(ies); \
+                 payload poisoned for cycle rollback"
+            );
+            self.record(guard, "poisoned", detail);
+            buf.fill(f64::NAN);
+        }
+        ok
     }
 }
 
@@ -395,18 +295,17 @@ impl Communicator for GuardedComm {
         self.inner.allreduce_sum_retry(buf);
     }
 
-    /// With the Gram screen on, runs `screen` (squared norms travel
-    /// duplicated); otherwise only carries a staged agreement probe.
+    /// Runs `screen` on the reduced payload (squared norms travel
+    /// duplicated).
     fn allreduce_screened(&self, buf: &mut [f64], screen: Screen) -> bool {
         match screen {
-            _ if !self.policy.gram_screen => self.screened(buf, Screen::None),
             Screen::Norms => {
                 let mut dup = [&*buf, &*buf].concat();
                 let ok = self.screened(&mut dup, Screen::Norms);
                 buf.copy_from_slice(&dup[..buf.len()]);
                 ok
             }
-            _ => self.screened(buf, screen),
+            Screen::Gram { .. } => self.screened(buf, screen),
         }
     }
 
@@ -422,12 +321,9 @@ impl Communicator for GuardedComm {
         self.inner.barrier();
     }
 
-    /// With halo checksums on, frames `data` as `[seq, checksum, data…]`
-    /// for [`recv_halo`](Communicator::recv_halo) to check.
+    /// Frames `data` as `[seq, checksum, data…]` for
+    /// [`recv_halo`](Communicator::recv_halo) to check.
     fn send(&self, to: usize, data: &[f64]) {
-        if !self.policy.halo_checksum {
-            return self.inner.send(to, data);
-        }
         let seq = next_seq(&mut self.state().send_seq, to);
         self.inner.send(to, &encode_halo_frame(seq, data));
     }
@@ -440,16 +336,12 @@ impl Communicator for GuardedComm {
         self.inner.recv_timeout(from, timeout)
     }
 
-    /// With halo checksums on, returns `None` when this round's message is
-    /// written off (timeout, checksum mismatch, or a sequence gap proving
+    /// Returns `None` when this round's message is written off (timeout, checksum mismatch, or a sequence gap proving
     /// a drop) — the caller poisons the affected ghost values, and the NaN
     /// cascade hands the cycle to the rollback ladder.  Duplicated messages
     /// are discarded exactly; early-arrived frames are stashed for their
     /// round.
     fn recv_halo(&self, from: usize, words: usize) -> Option<Vec<f64>> {
-        if !self.policy.halo_checksum {
-            return self.inner.recv_halo(from, words);
-        }
         let expected = {
             let mut state = self.state();
             // One logical message per round: written off or delivered, the
@@ -461,9 +353,8 @@ impl Communicator for GuardedComm {
             }
             s
         };
-        let timeout = Duration::from_millis(self.policy.halo_timeout_ms);
         loop {
-            let frame = match self.inner.recv_timeout(from, timeout) {
+            let frame = match self.inner.recv_timeout(from, self.halo_timeout) {
                 Ok(frame) => frame,
                 Err(err) => {
                     self.record("halo_timeout", "poisoned", err.to_string());
@@ -584,6 +475,9 @@ mod tests {
     use crate::serial::SerialComm;
     use crate::thread::run_ranks;
 
+    /// Halo patience of the tests that do not wait out a timeout.
+    const PATIENCE: Duration = Duration::from_secs(5);
+
     /// Flip bit 62 of `word` in `rank`'s contributions to the allreduces
     /// numbered `seqs`.
     fn flip_plan(rank: usize, seqs: std::ops::Range<u64>, word: usize) -> FaultPlan {
@@ -598,7 +492,7 @@ mod tests {
     #[test]
     fn gram_screen_accepts_a_healthy_reduce() {
         let comm = SerialComm::new();
-        let ctx = GuardedComm::wrap(comm.clone(), GuardPolicy::all());
+        let ctx = GuardedComm::wrap(comm.clone(), PATIENCE);
         // 2×2 Gram of [[1,2],[2,8]] — symmetric, nonneg diagonal.
         let mut g = [1.0, 2.0, 2.0, 8.0];
         assert!(ctx.allreduce_screened(&mut g, Screen::Gram { offset: 0, s: 2 }));
@@ -614,7 +508,7 @@ mod tests {
             // Rank 1's first allreduce contribution gets an off-diagonal
             // bit flipped; the retry (the second allreduce op) is clean.
             let faulty = FaultyComm::wrap(comm, flip_plan(1, 0..1, 1));
-            let ctx = GuardedComm::wrap(faulty.clone(), GuardPolicy::all());
+            let ctx = GuardedComm::wrap(faulty.clone(), PATIENCE);
             let mut g = [1.0, 2.0, 2.0, 8.0];
             let ok = ctx.allreduce_screened(&mut g, Screen::Gram { offset: 0, s: 2 });
             (ok, g, ctx.counts(), faulty.stats().snapshot())
@@ -635,7 +529,7 @@ mod tests {
             // Flip every allreduce this rank-0 issues (seq 0, 1, 2): the
             // first attempt and both retries stay corrupt.
             let plan = flip_plan(0, 0..3, 1);
-            let ctx = GuardedComm::wrap(FaultyComm::wrap(comm, plan), GuardPolicy::all());
+            let ctx = GuardedComm::wrap(FaultyComm::wrap(comm, plan), PATIENCE);
             let mut g = [1.0, 2.0, 2.0, 8.0];
             let ok = ctx.allreduce_screened(&mut g, Screen::Gram { offset: 0, s: 2 });
             (ok, g, ctx.counts(), ctx.stats().snapshot())
@@ -645,13 +539,13 @@ mod tests {
             assert!(g.iter().all(|v| v.is_nan()), "payload poisoned");
             assert_eq!(counts.detected, 1);
             assert_eq!(counts.poisoned, 1);
-            assert_eq!(stats.allreduce_retries, 2, "bounded by max_retries");
+            assert_eq!(stats.allreduce_retries, 2, "bounded by MAX_RETRIES");
         }
     }
 
     #[test]
     fn poisoned_faults_resolve_into_recovered_or_not() {
-        let ctx = GuardedComm::wrap(SerialComm::new(), GuardPolicy::all());
+        let ctx = GuardedComm::wrap(SerialComm::new(), PATIENCE);
         ctx.record("gram_screen", "poisoned", "test".into());
         ctx.record("gram_screen", "poisoned", "test".into());
         ctx.resolve_poisoned(1, true);
@@ -664,7 +558,7 @@ mod tests {
     fn norm_dup_catches_a_flip_in_the_one_word_reduce() {
         let results = run_ranks(2, |comm| {
             let faulty = FaultyComm::wrap(comm, flip_plan(0, 0..1, 0));
-            let ctx = GuardedComm::wrap(faulty.clone(), GuardPolicy::all());
+            let ctx = GuardedComm::wrap(faulty.clone(), PATIENCE);
             let mut sq = [8.0];
             ctx.allreduce_screened(&mut sq, Screen::Norms);
             let norm = sq[0].sqrt();
@@ -676,53 +570,6 @@ mod tests {
             assert_eq!(counts.recovered, 1);
             assert_eq!(stats.allreduces, 1, "duplication costs words, not reduces");
         }
-    }
-
-    #[test]
-    fn agreement_probe_passes_when_ranks_agree() {
-        let results = run_ranks(3, |comm| {
-            let ctx = GuardedComm::wrap(comm, GuardPolicy::all());
-            ctx.stage_agreement(0.123456789);
-            let mut buf = [1.0];
-            ctx.allreduce_screened(&mut buf, Screen::None);
-            (buf[0], ctx.take_alarm(), ctx.counts().detected)
-        });
-        for (sum, alarm, detected) in results {
-            assert_eq!(sum, 3.0, "probe words are stripped from the result");
-            assert!(!alarm);
-            assert_eq!(detected, 0);
-        }
-    }
-
-    #[test]
-    fn agreement_probe_flags_a_divergent_rank() {
-        let results = run_ranks(3, |comm| {
-            let ctx = GuardedComm::wrap(comm, GuardPolicy::all());
-            let v = if ctx.rank() == 2 {
-                // One ulp off: the divergence a plain equality of rounded
-                // prints would miss.
-                f64::from_bits(0.123456789f64.to_bits() + 1)
-            } else {
-                0.123456789
-            };
-            ctx.stage_agreement(v);
-            let mut buf = [1.0];
-            ctx.allreduce_screened(&mut buf, Screen::None);
-            (buf[0], ctx.take_alarm())
-        });
-        for (sum, alarm) in results {
-            assert_eq!(sum, 3.0);
-            assert!(alarm, "every rank sees the same replicated alarm");
-        }
-    }
-
-    #[test]
-    fn agreement_probe_is_exact_for_single_rank_groups() {
-        let ctx = GuardedComm::wrap(SerialComm::new(), GuardPolicy::all());
-        ctx.stage_agreement(42.0);
-        let mut buf = [1.0];
-        assert!(ctx.allreduce_screened(&mut buf, Screen::None));
-        assert!(!ctx.take_alarm());
     }
 
     #[test]
@@ -758,7 +605,7 @@ mod tests {
     /// each rank's deliveries and guard counts.
     fn halo_exchange(
         fault: Option<FaultKind>,
-        halo_timeout_ms: u64,
+        patience: Duration,
         sends: &[&[f64]],
         rounds: usize,
         words: usize,
@@ -767,11 +614,7 @@ mod tests {
             let plan = fault.map_or(FaultPlan::none(), |kind| {
                 FaultPlan::none().with(Target::nth(OpKind::Send, 0).on_rank(0), kind)
             });
-            let policy = GuardPolicy {
-                halo_timeout_ms,
-                ..GuardPolicy::all()
-            };
-            let ctx = GuardedComm::wrap(FaultyComm::wrap(comm, plan), policy);
+            let ctx = GuardedComm::wrap(FaultyComm::wrap(comm, plan), patience);
             if ctx.rank() == 0 {
                 sends.iter().for_each(|data| ctx.send(1, data));
                 (Vec::new(), GuardCounts::default())
@@ -784,7 +627,7 @@ mod tests {
 
     #[test]
     fn guarded_halo_delivers_in_order_payloads() {
-        let results: Vec<_> = halo_exchange(None, 5_000, &[&[1.0, 2.0], &[3.0, 4.0]], 2, 2)
+        let results: Vec<_> = halo_exchange(None, PATIENCE, &[&[1.0, 2.0], &[3.0, 4.0]], 2, 2)
             .into_iter()
             .map(|(got, _)| got)
             .collect();
@@ -794,7 +637,7 @@ mod tests {
     #[test]
     fn guarded_halo_discards_duplicates_exactly() {
         let dup = Some(FaultKind::DuplicateMessage);
-        let results = halo_exchange(dup, 5_000, &[&[1.0], &[2.0]], 2, 1);
+        let results = halo_exchange(dup, PATIENCE, &[&[1.0], &[2.0]], 2, 1);
         let (got, counts) = &results[1];
         assert_eq!(got, &vec![Some(vec![1.0]), Some(vec![2.0])]);
         assert_eq!(counts.detected, 1, "the duplicate was seen");
@@ -806,7 +649,7 @@ mod tests {
         // Round 0's frame never arrives; round 1's arrives early, proving
         // the drop without waiting out the timeout.
         let drop = Some(FaultKind::DropMessage);
-        let results = halo_exchange(drop, 2_000, &[&[1.0], &[2.0]], 2, 1);
+        let results = halo_exchange(drop, Duration::from_secs(2), &[&[1.0], &[2.0]], 2, 1);
         let (got, counts) = &results[1];
         assert_eq!(
             got,
@@ -820,7 +663,7 @@ mod tests {
     #[test]
     fn guarded_halo_times_out_on_a_silent_peer() {
         // Rank 0 sends nothing.
-        let results = halo_exchange(None, 50, &[], 1, 1);
+        let results = halo_exchange(None, Duration::from_millis(50), &[], 1, 1);
         let (got, counts) = &results[1];
         let got = &got[0];
         assert_eq!(*got, None);
@@ -835,7 +678,7 @@ mod tests {
             word: Some(2),
             bit: 17,
         });
-        let results = halo_exchange(flip, 2_000, &[&[1.0, 2.0]], 1, 2);
+        let results = halo_exchange(flip, Duration::from_secs(2), &[&[1.0, 2.0]], 1, 2);
         let (got, counts) = &results[1];
         let got = &got[0];
         assert_eq!(*got, None, "corrupt frame is rejected, ghosts poisoned");

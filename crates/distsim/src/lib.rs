@@ -40,11 +40,12 @@
 //!   wire, all-reduce contributions and halo sends (bit-flips,
 //!   dropped/duplicated messages, transient all-reduce failures, stalls),
 //!   seeded and bitwise replayable;
-//! * [`GuardedComm`] / [`GuardPolicy`] — the same kind of wrapper for
-//!   low-overhead detection guards (Gram-symmetry screening, duplicated
-//!   norm words, cross-rank agreement probes, checksummed halo frames)
-//!   with bounded collective retry and NaN-poisoning for cycle-level
-//!   rollback.  An unwrapped communicator runs no guard code.
+//! * [`GuardedComm`] — the same kind of wrapper for low-overhead detection
+//!   guards (Gram-symmetry screening, duplicated norm words, sequenced and
+//!   checksummed halo frames) with bounded collective retry and
+//!   NaN-poisoning for cycle-level rollback.  A wrapped communicator runs
+//!   every guard; its one setting is the halo receive patience.  An
+//!   unwrapped communicator runs no guard code.
 //!
 //! Determinism: collective reductions combine per-rank contributions in
 //! rank order, so a given rank count always produces bitwise-identical
@@ -70,7 +71,7 @@ pub use csr::DistCsr;
 pub use fault::{
     FaultEvent, FaultKind, FaultPlan, FaultRates, FaultyComm, Injection, OpKind, Target,
 };
-pub use guard::{GuardCounts, GuardEvent, GuardPolicy, GuardedComm, Screen};
+pub use guard::{GuardCounts, GuardEvent, GuardedComm, Screen};
 pub use multivector::DistMultiVector;
 pub use serial::SerialComm;
 pub use sketch::{SketchConfig, SketchOp, SKETCH_NNZ_PER_ROW};

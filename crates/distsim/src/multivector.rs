@@ -239,7 +239,7 @@ impl DistMultiVector {
         let _span = trace::span("mv", "sketch", &[("c", op.rows() as u64), ("s", s as u64)]);
         let mut buf = vec![0.0; op.slots() * s];
         op.fill_slots(&mut buf, &self.local.cols(cols), self.row_offset);
-        self.comm.allreduce_screened(&mut buf, Screen::None);
+        self.comm.allreduce_sum(&mut buf);
         op.combine_slots(&buf, s)
     }
 

@@ -17,10 +17,10 @@ use common::ranks_under_test;
 use distsim::{run_ranks, Communicator, DistCsr, GuardedComm, SerialComm};
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{
-    BasisStrategy, GmresConfig, GuardPolicy, Identity, OrthoKind, SStepGmres, SolveResult,
-    StepPolicy,
+    BasisStrategy, GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult, StepPolicy,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 fn rhs_for(a: &Csr, seed: usize) -> Vec<f64> {
     (0..a.nrows())
@@ -137,7 +137,7 @@ fn k1_equivalence_survives_auto_stepping_and_guards() {
     };
     // Each solve on a fresh guarded serial communicator.
     let guarded = || {
-        let comm = GuardedComm::wrap(SerialComm::new(), GuardPolicy::all());
+        let comm = GuardedComm::wrap(SerialComm::new(), Duration::from_secs(5));
         DistCsr::from_global(comm, &a, &block_row_partition(a.nrows(), 1))
     };
     let solver = SStepGmres::new(config);

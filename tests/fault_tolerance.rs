@@ -10,7 +10,8 @@
 //!   property sweep of solver configurations.
 //! * **Zero-fault guard cost** — enabling every guard adds **zero global
 //!   reductions** and leaves the solve bitwise unchanged; the guards ride
-//!   on widened payloads only.
+//!   on widened payloads only, exactly one duplicated word per active
+//!   column of a norm reduce and two header words per halo frame.
 //! * **In-place recovery** — a single corrupted Gram contribution, a
 //!   failed collective, or a duplicated halo message is detected and
 //!   repaired *in place*: the guarded solve is bitwise identical to its
@@ -32,22 +33,26 @@ mod common;
 use common::ranks_under_test;
 use dense::Matrix;
 use distsim::{
-    run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultyComm, GuardPolicy, GuardedComm,
-    OpKind, Target,
+    run_ranks, Communicator, DistCsr, FaultKind, FaultPlan, FaultyComm, GuardedComm, OpKind, Target,
 };
 use proptest::prelude::*;
 use sparse::{block_row_partition, laplace2d_9pt, Csr};
 use ssgmres::{GmresConfig, Identity, OrthoKind, SStepGmres, SolveResult};
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Guards on, with a halo patience no fault-free exchange comes near.
+const GUARDED: Option<Duration> = Some(Duration::from_secs(5));
 
 /// Run `body` on every rank with its rows `lo..hi` of `a`, assembled over
 /// a communicator wrapped in a [`FaultyComm`] driven by `plan` and, outside
-/// that, in a [`GuardedComm`] with `policy`.
+/// that, in a [`GuardedComm`] whose halo patience is `guards` (`None` =
+/// unguarded).
 fn on_ranks<T: Send>(
     a: &Csr,
     nranks: usize,
-    policy: Option<GuardPolicy>,
+    guards: Option<Duration>,
     plan: Option<&FaultPlan>,
     body: impl Fn(&DistCsr, Range<usize>) -> T + Send + Sync,
 ) -> Vec<T> {
@@ -58,8 +63,8 @@ fn on_ranks<T: Send>(
             Some(p) => FaultyComm::wrap(comm, p.clone()),
             None => comm,
         };
-        let comm: Arc<dyn Communicator> = match policy {
-            Some(policy) => GuardedComm::wrap(comm, policy),
+        let comm: Arc<dyn Communicator> = match guards {
+            Some(patience) => GuardedComm::wrap(comm, patience),
             None => comm,
         };
         body(&DistCsr::from_global(comm, a, &part), lo..hi)
@@ -74,10 +79,10 @@ fn solve_dist(
     b: &[f64],
     nranks: usize,
     config: &GmresConfig,
-    policy: Option<GuardPolicy>,
+    guards: Option<Duration>,
     plan: Option<&FaultPlan>,
 ) -> Vec<(Vec<f64>, SolveResult)> {
-    on_ranks(a, nranks, policy, plan, |dist, rows| {
+    on_ranks(a, nranks, guards, plan, |dist, rows| {
         let mut x = vec![0.0; rows.len()];
         let result = SStepGmres::new(config.clone()).solve(dist, &Identity, &b[rows], &mut x);
         (x, result)
@@ -212,7 +217,7 @@ fn guards_at_zero_faults_add_zero_reductions_and_stay_bitwise() {
     let config = base_config();
     for nranks in ranks_under_test(&[2, 3]) {
         let off = solve_dist(&a, &b, nranks, &config, None, None);
-        let on = solve_dist(&a, &b, nranks, &config, Some(GuardPolicy::all()), None);
+        let on = solve_dist(&a, &b, nranks, &config, GUARDED, None);
         for (rank, ((xo, ro), (xg, rg))) in off.iter().zip(&on).enumerate() {
             assert!(rg.converged, "rank {rank}/{nranks}");
             assert_eq!(
@@ -227,6 +232,21 @@ fn guards_at_zero_faults_add_zero_reductions_and_stay_bitwise() {
                 "rank {rank}/{nranks}: guards must add zero reductions"
             );
             assert_eq!(ro.comm_total.p2p_messages, rg.comm_total.p2p_messages);
+            // The words, exactly: each residual-norm reduce (the initial
+            // one, then one per cycle) carries its one active column's
+            // word twice, and each halo frame adds a sequence number and a
+            // checksum.  Gram reduces travel as they are.
+            let norm_reduces = 1 + rg.relres_history[0].len();
+            assert_eq!(
+                rg.comm_total.allreduce_words - ro.comm_total.allreduce_words,
+                norm_reduces,
+                "rank {rank}/{nranks}: one duplicated word per norm reduce"
+            );
+            assert_eq!(
+                rg.comm_total.p2p_words - ro.comm_total.p2p_words,
+                2 * rg.comm_total.p2p_messages,
+                "rank {rank}/{nranks}: two header words per halo frame"
+            );
             assert_eq!(rg.comm_total.allreduce_retries, 0);
             assert_eq!(rg.faults_detected, 0);
             assert!(rg.fault_events.is_empty());
@@ -246,7 +266,7 @@ fn gram_bitflip_is_detected_and_repaired_in_place() {
     let b = unit_rhs(&a);
     let s = 4usize;
     let config = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     let plan = gram_flip_plan(s);
     for nranks in ranks_under_test(&[2, 3]) {
         if nranks < 2 {
@@ -277,7 +297,7 @@ fn failed_collective_is_retried_and_bitwise_repaired() {
     let b = unit_rhs(&a);
     let s = 4usize;
     let config = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     // A transient failure of a Gram reduce: NaN on every rank, caught by
     // the finiteness screen, repaired by one retry.
     let plan = FaultPlan::none().with(
@@ -311,7 +331,7 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard() {
     // One solver configuration; the guarded runs wrap the communicator.
     let unguarded = base_config();
     let guarded = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     let plan = norm_flip_plan();
     let nranks = 2;
     // Sanity: fault-free, the solve needs more than one cycle, so the
@@ -356,8 +376,8 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard_for_two_rh
     let b0 = unit_rhs(&a);
     let b1 = (b0.iter().enumerate()).map(|(i, v)| if i % 2 == 0 { *v } else { -v });
     let b = [b0.clone(), b1.collect()];
-    let solve_block = |config: &GmresConfig, policy, plan| {
-        on_ranks(&a, 2, policy, plan, |dist, rows| {
+    let solve_block = |config: &GmresConfig, guards, plan| {
+        on_ranks(&a, 2, guards, plan, |dist, rows| {
             let b_local = Matrix::from_fn(rows.len(), 2, |i, j| b[j][rows.start + i]);
             let mut x = Matrix::zeros(rows.len(), 2);
             let result =
@@ -386,7 +406,7 @@ fn norm_flip_false_convergence_is_caught_by_the_duplicated_word_guard_for_two_rh
         "…while column 0 is silently wrong: true relres {relres_silent:e}"
     );
 
-    let caught = solve_block(&guarded, Some(GuardPolicy::all()), Some(&plan));
+    let caught = solve_block(&guarded, GUARDED, Some(&plan));
     for (rank, (_, r)) in caught.iter().enumerate() {
         assert!(r.converged, "rank {rank}");
         assert!(r.faults_detected >= 1, "rank {rank}: flip must be detected");
@@ -411,7 +431,7 @@ fn a_guarded_communicator_reports_each_solve_its_own_faults() {
     let b = unit_rhs(&a);
     let s = 4usize;
     let config = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     let plan = gram_flip_plan(s);
     let nranks = 2;
     let clean = solve_dist(&a, &b, nranks, &config, guards, None);
@@ -441,10 +461,7 @@ fn dropped_halo_message_rolls_back_the_cycle_and_converges() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
     let config = base_config();
-    let guards = Some(GuardPolicy {
-        halo_timeout_ms: 100,
-        ..GuardPolicy::all()
-    });
+    let guards = Some(Duration::from_millis(100));
     // Swallow rank 0's first matrix-powers halo message: the receiver
     // times out, poisons its ghosts, and the NaN cascades into a Gram
     // breakdown — the cycle rolls back and the solve still converges.
@@ -476,7 +493,7 @@ fn duplicated_halo_message_is_discarded_exactly() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
     let config = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     let plan = FaultPlan::none().with(
         Target::nth(OpKind::Send, 0).on_rank(0).in_phase("mpk"),
         FaultKind::DuplicateMessage,
@@ -508,10 +525,7 @@ fn stalled_halo_link_times_out_poisons_and_recovers() {
     let a = laplace2d_9pt(16, 16);
     let b = unit_rhs(&a);
     let config = base_config();
-    let guards = Some(GuardPolicy {
-        halo_timeout_ms: 80,
-        ..GuardPolicy::all()
-    });
+    let guards = Some(Duration::from_millis(80));
     let plan = FaultPlan::none().with(
         Target::nth(OpKind::Send, 0).on_rank(0).in_phase("mpk"),
         FaultKind::Stall { millis: 250 },
@@ -535,7 +549,7 @@ fn seeded_campaign_solves_replay_bitwise() {
     let a = laplace2d_9pt(14, 14);
     let b = unit_rhs(&a);
     let config = base_config();
-    let guards = Some(GuardPolicy::all());
+    let guards = GUARDED;
     let plan = FaultPlan::from_seed(
         0x5eed_cafe,
         distsim::FaultRates {
