@@ -9,7 +9,7 @@
 //! the fully orthogonalized prefix.
 
 use bench::{scale, sci, Scale, Table};
-use blockortho::{BlockOrthogonalizer, TwoStage};
+use blockortho::{make_orthogonalizer, OrthoKind};
 use dense::{cond_2, orthogonality_error, Matrix};
 use distsim::{DistMultiVector, SerialComm};
 use testmat::{glued_matrix, GluedSpec};
@@ -31,7 +31,7 @@ fn main() {
     let v = glued_matrix(&spec, 7);
     let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
     let mut r = Matrix::zeros(m, m);
-    let mut two_stage = TwoStage::new(bs, m);
+    let mut two_stage = make_orthogonalizer(OrthoKind::TwoStage { big_panel: bs }, m);
     let mut table = Table::new(&[
         "columns",
         "kappa(V_1:j)",

@@ -7,7 +7,7 @@
 //! paper, and the monomial basis is used with `s = 5`, `bs = 60`.
 
 use bench::{scale, sci, Scale, Table};
-use blockortho::{BlockOrthogonalizer, TwoStage};
+use blockortho::{make_orthogonalizer, OrthoKind};
 use dense::{cond_2, orthogonality_error, Matrix};
 use distsim::{DistMultiVector, SerialComm};
 use sparse::{scale_rows_cols_by_max, suitesparse_surrogate, SUITE_SPARSE_SET};
@@ -40,7 +40,7 @@ fn main() {
         let v0 = random_unit_vector(n, 3);
         basis.local_mut().col_mut(0).copy_from_slice(&v0);
         let mut r = Matrix::zeros(m + 1, m + 1);
-        let mut two_stage = TwoStage::new(bs, m + 1);
+        let mut two_stage = make_orthogonalizer(OrthoKind::TwoStage { big_panel: bs }, m + 1);
         let mut breakdown = None;
         if let Err(e) = two_stage.orthogonalize_panel(&mut basis, 0..1, &mut r) {
             breakdown = Some(e);

@@ -187,11 +187,8 @@ impl SStepGmres {
             "tolerance must be positive, got {}",
             config.tol
         );
-        if let OrthoKind::TwoStage { big_panel } | OrthoKind::TwoStageSketched { big_panel } =
-            config.ortho
-        {
-            assert!(big_panel >= 1, "big panel size must be at least 1");
-        }
+        // Refuses a zero big panel.
+        config.ortho.for_block_width(1);
         Self { config }
     }
 

@@ -1,51 +1,19 @@
-//! Column-wise orthogonalization for standard GMRES.
+//! Column-wise orthogonalization for standard GMRES: the pair
+//! (column CGS2, none) of [`OrthoKind::Cgs2`].
 //!
 //! Standard GMRES orthogonalizes one new basis vector per iteration.  The
 //! paper's baseline ("GMRES + CGS2" in Table III) uses classical
 //! Gram–Schmidt with reorthogonalization: two projection passes and one
 //! normalization, i.e. **3 global reduces per iteration** regardless of the
-//! iteration index.
-
-use crate::error::OrthoError;
-use crate::kernels::columnwise_cgs2;
-use crate::traits::BlockOrthogonalizer;
-use dense::Matrix;
-use distsim::DistMultiVector;
-use std::ops::Range;
-
-/// Column-wise CGS2 (the standard-GMRES orthogonalization of the paper).
-#[derive(Debug, Default)]
-pub struct Cgs2Columnwise;
-
-impl Cgs2Columnwise {
-    /// Create the scheme.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl BlockOrthogonalizer for Cgs2Columnwise {
-    fn orthogonalize_panel(
-        &mut self,
-        basis: &mut DistMultiVector,
-        new: Range<usize>,
-        r: &mut Matrix,
-    ) -> Result<(), OrthoError> {
-        let block = columnwise_cgs2(basis, new.clone())?;
-        for (jj, col) in new.clone().enumerate() {
-            for i in 0..new.end {
-                r[(i, col)] = block[(i, jj)];
-            }
-        }
-        Ok(())
-    }
-}
+//! iteration index.  A column of zero norm is refused.
+//!
+//! [`OrthoKind::Cgs2`]: crate::OrthoKind::Cgs2
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dense::orthogonality_error;
-    use distsim::SerialComm;
+    use crate::{make_orthogonalizer, BlockOrthogonalizer, OrthoKind};
+    use dense::{orthogonality_error, Matrix};
+    use distsim::{DistMultiVector, SerialComm};
 
     fn test_matrix(n: usize, c: usize) -> Matrix {
         Matrix::from_fn(n, c, |i, j| {
@@ -61,7 +29,7 @@ mod tests {
     #[test]
     fn cgs2_column_by_column_is_orthogonal_and_reconstructs() {
         let v = test_matrix(400, 10);
-        let (q, r) = run(&mut Cgs2Columnwise::new(), &v);
+        let (q, r) = run(make_orthogonalizer(OrthoKind::Cgs2, 10).as_mut(), &v);
         assert!(orthogonality_error(&q.view()) < 1e-13);
         let back = dense::gemm_nn(&q, &r);
         for j in 0..10 {
@@ -76,7 +44,7 @@ mod tests {
         let v = test_matrix(200, 6);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(6, 6);
-        let mut scheme = Cgs2Columnwise::new();
+        let mut scheme = make_orthogonalizer(OrthoKind::Cgs2, 6);
         for c in 0..5 {
             scheme
                 .orthogonalize_panel(&mut basis, c..c + 1, &mut r)
@@ -98,7 +66,7 @@ mod tests {
         }
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(3, 3);
-        let mut cgs2 = Cgs2Columnwise::new();
+        let mut cgs2 = make_orthogonalizer(OrthoKind::Cgs2, 3);
         cgs2.orthogonalize_panel(&mut basis, 0..1, &mut r).unwrap();
         cgs2.orthogonalize_panel(&mut basis, 1..2, &mut r).unwrap();
         assert!(cgs2.orthogonalize_panel(&mut basis, 2..3, &mut r).is_err());

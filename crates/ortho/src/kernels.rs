@@ -53,7 +53,6 @@
 //! and return the small replicated factors.
 
 use crate::error::OrthoError;
-use crate::traits::{FallbackEvent, FallbackStage};
 use dense::Matrix;
 use distsim::DistMultiVector;
 use std::ops::Range;
@@ -224,36 +223,6 @@ pub fn bcgs_pip2_fused(
     Ok((t_prev, t_new, applied_shift))
 }
 
-/// The remedy every scheme takes when a plain kernel's Cholesky breaks down
-/// on `cols`: mark the episode in the trace under `instant`, run the shifted
-/// [`bcgs_pip2_fused`] (which succeeds for any numerically full-rank panel;
-/// **2 global reduces**, a breakdown of either pass reported under
-/// `context`), and log a [`FallbackEvent`] for `stage` with the shift the
-/// first pass applied.  Returns `(T_prev, T_new)` with
-/// `V = Q_prev·T_prev + Q_new·T_new`.
-pub(crate) fn shifted_remedy(
-    basis: &mut DistMultiVector,
-    prev: Range<usize>,
-    cols: Range<usize>,
-    stage: FallbackStage,
-    instant: &'static str,
-    context: &'static str,
-    events: &mut Vec<FallbackEvent>,
-) -> Result<(Matrix, Matrix), OrthoError> {
-    trace::instant(
-        "ortho",
-        instant,
-        &[
-            ("start", cols.start as u64),
-            ("cols", (cols.end - cols.start) as u64),
-        ],
-    );
-    let (t_prev, t_new, shift) =
-        bcgs_pip2_fused(basis, prev, cols.clone(), true, context, context)?;
-    events.push(FallbackEvent { stage, cols, shift });
-    Ok((t_prev, t_new))
-}
-
 /// Column-wise classical Gram–Schmidt with reorthogonalization (CGS2),
 /// applied column by column of the panel `new` against every column before
 /// the current one — the orthogonalization of standard GMRES.
@@ -262,17 +231,19 @@ pub(crate) fn shifted_remedy(
 /// stable for numerically full-rank panels but communication-bound
 /// (**3 global reduces per column**).
 ///
-/// Returns the R block with rows `0..new.end` and columns `new`.
+/// Returns `(R_prev_new, R_new_new)`: the R block of columns `new`, rows
+/// `0..new.start` and rows `new`.
 pub fn columnwise_cgs2(
     basis: &mut DistMultiVector,
     new: Range<usize>,
-) -> Result<Matrix, OrthoError> {
+) -> Result<(Matrix, Matrix), OrthoError> {
     let _span = trace::span(
         "ortho",
         "columnwise_cgs2",
         &[("s", (new.end - new.start) as u64)],
     );
-    let mut r = Matrix::zeros(new.end, new.end - new.start);
+    let w = new.end - new.start;
+    let (mut r_prev, mut r_new) = (Matrix::zeros(new.start, w), Matrix::zeros(w, w));
     for c in new.clone() {
         let rcol = c - new.start;
         if c > 0 {
@@ -283,7 +254,11 @@ pub fn columnwise_cgs2(
             let p2 = basis.proj(0..c, c..c + 1);
             basis.update(0..c, c..c + 1, &p2);
             for k in 0..c {
-                r[(k, rcol)] = p1[(k, 0)] + p2[(k, 0)];
+                let rk = p1[(k, 0)] + p2[(k, 0)];
+                match k.checked_sub(new.start) {
+                    Some(i) => r_new[(i, rcol)] = rk,
+                    None => r_prev[(k, rcol)] = rk,
+                }
             }
         }
         let norm = basis.norm2(c);
@@ -294,9 +269,9 @@ pub fn columnwise_cgs2(
             });
         }
         basis.scale_col(c, 1.0 / norm);
-        r[(c, rcol)] = norm;
+        r_new[(rcol, rcol)] = norm;
     }
-    Ok(r)
+    Ok((r_prev, r_new))
 }
 
 #[cfg(test)]
@@ -439,16 +414,16 @@ mod tests {
         let mut b = basis_from(&v);
         cholqr2(&mut b, 0..2).unwrap();
         let before = b.comm().stats().snapshot();
-        let r = columnwise_cgs2(&mut b, 2..6).unwrap();
+        let (r_prev, r_new) = columnwise_cgs2(&mut b, 2..6).unwrap();
         let delta = b.comm().stats().snapshot().since(&before);
         // 4 columns, each: 2 projections + 1 norm = 3 reduces.
         assert_eq!(delta.allreduces, 12);
         assert!(orthogonality_error(&b.local().cols(0..6)) < 1e-13);
-        assert_eq!(r.nrows(), 6);
-        assert_eq!(r.ncols(), 4);
+        assert_eq!((r_prev.nrows(), r_prev.ncols()), (2, 4));
+        assert_eq!((r_new.nrows(), r_new.ncols()), (4, 4));
         // R diagonal entries (the column norms) are positive.
         for c in 0..4 {
-            assert!(r[(2 + c, c)] > 0.0);
+            assert!(r_new[(c, c)] > 0.0);
         }
     }
 

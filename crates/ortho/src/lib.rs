@@ -5,22 +5,29 @@
 //! GMRES"* (IPDPS 2024) and the sketched variants of its follow-up, all
 //! operating on a 1D block-row distributed Krylov basis
 //! ([`distsim::DistMultiVector`]) so that the number of global reductions
-//! each scheme performs is exactly what the paper counts:
+//! each scheme performs is exactly what the paper counts.
 //!
-//! | scheme | global reduces per `s` steps | module |
-//! |---|---|---|
-//! | BCGS2 with CholQR2 (original s-step baseline) | 5 | [`bcgs2`] |
-//! | BCGS-PIP2 (the paper's new one-stage variant) | 2 | [`bcgs_pip2`] |
-//! | **Two-stage** (the paper's contribution) | 1 (+1 per `bs` steps) | [`two_stage`] |
-//! | column-wise CGS2 (standard GMRES) | 3 per step | [`cgs`] |
-//! | Randomized CholQR (sketched, arXiv 2503.16717) | 2 | [`sketched`] |
-//! | Two-stage with sketched first stage | 1 (+1 per `bs` steps) | [`two_stage`] |
+//! Every scheme is a pair: a **first stage** every fresh panel gets, and a
+//! **second stage** — none, a second pass over the same panel, or one
+//! BCGS-PIP deferred over every `bs` columns (Section V, Fig. 5).  One
+//! engine ([`two_stage`]) runs every pair; [`OrthoKind`] names the seven:
 //!
-//! The low-level building blocks (CholQR, CholQR2, BCGS, BCGS-PIP,
-//! column-wise CGS2) live in [`kernels`]; each higher-level scheme
-//! implements the [`BlockOrthogonalizer`] trait so the `ssgmres`
-//! solver can switch between them with a configuration enum
-//! ([`OrthoKind`]).
+//! | kind | first stage | second stage | global reduces per panel |
+//! |---|---|---|---|
+//! | [`Cgs2`](OrthoKind::Cgs2) (standard GMRES) | column CGS2 | none | 3 per column |
+//! | [`Bcgs2CholQr2`](OrthoKind::Bcgs2CholQr2) (original s-step baseline) | BCGS + CholQR2 | per panel: BCGS + CholQR | 5 |
+//! | [`BcgsPip`](OrthoKind::BcgsPip) | BCGS-PIP | none | 1 |
+//! | [`BcgsPip2`](OrthoKind::BcgsPip2) (the paper's one-stage variant) | BCGS-PIP | per panel: BCGS-PIP, fused with the first | 2 |
+//! | [`TwoStage`](OrthoKind::TwoStage) (**the paper's contribution**) | BCGS-PIP | deferred BCGS-PIP every `bs` columns | 1 (+1 per `bs` columns) |
+//! | [`RandCholQr`](OrthoKind::RandCholQr) (arXiv 2503.16717) | sketch | per panel: BCGS-PIP | 2 |
+//! | [`TwoStageSketched`](OrthoKind::TwoStageSketched) | sketch | deferred BCGS-PIP every `bs` columns | 1 (+1 per `bs` columns) |
+//!
+//! [`OrthoKind::reduce_schedule`] lists each reduce with its words.  The
+//! kernels the stages call (CholQR, CholQR2, BCGS, BCGS-PIP, the fused
+//! BCGS-PIP2, column-wise CGS2) live in [`kernels`], the sketch in
+//! [`sketched`]; the `ssgmres` solver builds a scheme per restart cycle
+//! with [`make_orthogonalizer`] and drives it through the
+//! [`BlockOrthogonalizer`] trait.
 //!
 //! ## R-factor convention
 //!
@@ -32,26 +39,21 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bcgs2;
-pub mod bcgs_pip2;
-pub mod cgs;
+mod bcgs2;
+mod bcgs_pip2;
+mod cgs;
 pub mod error;
 pub mod kernels;
 pub mod sketched;
 pub mod traits;
 pub mod two_stage;
 
-pub use bcgs2::Bcgs2;
-pub use bcgs_pip2::{BcgsPip, BcgsPip2};
-pub use cgs::Cgs2Columnwise;
 pub use error::OrthoError;
 pub use kernels::{bcgs, bcgs_pip, cholqr, cholqr2, columnwise_cgs2};
-pub use sketched::RandCholQr;
 pub use traits::{
     distinct_fallback_episodes, fold_factored, make_orthogonalizer, BlockOrthogonalizer,
     FallbackEvent, FallbackStage, OrthoKind,
 };
-pub use two_stage::{FirstStage, TwoStage};
 
 /// Feed an owned dense matrix through `scheme` on a serial communicator,
 /// returning `(Q, R)`.

@@ -5,72 +5,43 @@
 //! The CholQR-family kernels obtain a panel's triangular factor from the
 //! Cholesky factorization of its Gram matrix, which squares the panel's
 //! condition number: they break down (and take the shifted remedial path)
-//! once `κ(panel)` exceeds `~1/√ε`.  The sketched kernels instead draw the
-//! factor from a **Householder QR of the sketched panel** `S·W` — a small
-//! replicated `c×s` matrix obtained with one allreduce
+//! once `κ(panel)` exceeds `~1/√ε`.  The sketched first stage instead draws
+//! the factor from a **Householder QR of the sketched panel** `S·W` — a
+//! small replicated `c×s` matrix obtained with one allreduce
 //! ([`DistMultiVector::sketch`]); the inter-panel projection coefficients
 //! come from a *local* sketch-space least squares against the replicated
 //! `S·Q` (randomized Gram–Schmidt), so pre-conditioning a panel costs one
 //! reduce of just the sketch words.  QR of the sketch is backward stable
-//! regardless of
-//! `κ(panel)`, so `V·R_s⁻¹` is `O(1)`-conditioned whenever the panel is
-//! numerically full rank — the sketched schemes keep going at `κ` where
-//! shifted CholQR is already falling back, at identical reduce counts.
+//! regardless of `κ(panel)`, so `V·R_s⁻¹` is `O(1)`-conditioned whenever
+//! the panel is numerically full rank — the sketched schemes keep going at
+//! `κ` where shifted CholQR is already falling back, at identical reduce
+//! counts.
 //!
-//! `SketchState` owns the realized operator and the replicated sketch
+//! [`SketchState`] owns the realized operator and the replicated sketch
 //! `S·Q` of the stored basis, maintained *locally* through the same linear
 //! updates the basis itself undergoes (sketching is linear), so no extra
-//! communication is ever needed.  Two schemes build on it:
-//!
-//! * [`RandCholQr`] — a one-stage [`BlockOrthogonalizer`]: sketched
-//!   pre-conditioning (1 sketch reduce) + one BCGS-PIP polish (1 reduce),
-//!   i.e. the same 2 reduces per panel as BCGS-PIP2 with `O(ε)` final
-//!   orthogonality far beyond the CholQR crossover;
-//! * the two-stage scheme's `FirstStage::Sketched`
-//!   ([`TwoStage::with_sketched_first_stage`]) — stage 1 becomes the
-//!   sketched pre-conditioning at the same 1 reduce per panel.
+//! communication is ever needed.  Two kinds run it as their first stage:
+//! [`OrthoKind::RandCholQr`] follows it with one BCGS-PIP polish per panel
+//! (2 reduces per panel, like BCGS-PIP2, with `O(ε)` orthogonality far
+//! beyond the CholQR crossover), [`OrthoKind::TwoStageSketched`] with the
+//! deferred second stage.
 //!
 //! When the *sketched* panel is numerically rank deficient (the panel
 //! truly lost full rank — duplicated Krylov directions, `κ ≳ 1/ε`), the
-//! schemes take the same shifted-CholQR remedial path as the unsketched
-//! family and record a [`FallbackEvent`] tagged
-//! [`FallbackStage::SketchPrecondition`], so episode accounting stays
-//! honest across families.
+//! stage takes the same shifted-CholQR remedy as the unsketched family and
+//! records a [`FallbackEvent`](crate::FallbackEvent) tagged
+//! [`FallbackStage::SketchPrecondition`](crate::FallbackStage::SketchPrecondition),
+//! so episode accounting stays honest across families.
 //!
-//! [`TwoStage::with_sketched_first_stage`]: crate::two_stage::TwoStage::with_sketched_first_stage
-//! [`DistMultiVector::sketch`]: distsim::DistMultiVector::sketch
+//! [`OrthoKind::RandCholQr`]: crate::OrthoKind::RandCholQr
+//! [`OrthoKind::TwoStageSketched`]: crate::OrthoKind::TwoStageSketched
 
 use crate::error::OrthoError;
-use crate::kernels::{bcgs_pip, shifted_remedy};
-use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage};
 use dense::Matrix;
 use distsim::{DistMultiVector, SketchConfig, SketchOp};
 use std::ops::Range;
 
-/// Outcome of one sketched panel pre-conditioning step.
-pub(crate) enum PreprocessOutcome {
-    /// The panel was sketch-preconditioned in place: the basis columns now
-    /// hold `V̂ = (V − Q·P1)·R_s⁻¹` and the caller owns the factors.
-    Factored {
-        /// Sketch-space least-squares projection coefficients
-        /// `P1 = argmin ‖S·V − S·Q_prev·P1‖` (the coefficients actually
-        /// applied to the basis, so `V = Q_prev·P1 + V̂·R_s` holds exactly).
-        p1: Matrix,
-        /// Triangular factor of the sketched projected panel (positive
-        /// diagonal); `R[new, new]` contribution of the pre-conditioning.
-        r_s: Matrix,
-    },
-    /// The sketched panel is numerically rank deficient; the basis was
-    /// **not** modified.  The caller must take a remedial path and then
-    /// re-establish the panel's sketch via [`SketchState::refresh_block`]
-    /// with `sv` (the sketch of the raw panel) as the base.
-    RankDeficient {
-        /// Sketch `S·V` of the raw panel (already paid for — reuse it).
-        sv: Matrix,
-    },
-}
-
-/// Replicated sketching state shared by the sketched schemes: the realized
+/// Replicated sketching state of the sketched first stage: the realized
 /// operator and `S·Q` for every stored basis column (see module docs).
 #[derive(Debug)]
 pub(crate) struct SketchState {
@@ -86,17 +57,13 @@ impl SketchState {
         Self { op, sq }
     }
 
-    /// Copy of the stored sketch block `S·Q[:, cols]`.
-    pub(crate) fn block(&self, cols: Range<usize>) -> Matrix {
-        self.sq.cols_owned(cols)
-    }
-
     /// Sketch-precondition the panel `new` against `prev` with **one
     /// global reduce** (the sketch itself): obtain `S·V`, solve the small
     /// replicated least-squares problem `P1 = argmin ‖S·V − S·Q_prev·P1‖`
     /// locally, form `S·W = S·V − S·Q_prev·P1`, factor it with Householder
     /// QR, and — if the panel is numerically full rank — apply `W·R_s⁻¹`
-    /// to the basis and record the panel's sketch.
+    /// to the basis and record the panel's sketch.  Returns `(P1, R_s)`,
+    /// with `V = Q_prev·P1 + V̂·R_s` and `R_s` of positive diagonal.
     ///
     /// The projection coefficients **must** come from the sketch-space
     /// least squares, not the full-space Gram `Q_prevᵀ·V`: pre-conditioned
@@ -108,13 +75,18 @@ impl SketchState {
     /// residual is orthogonal to `range(S·Q_prev)` *by construction*, which
     /// keeps `S·[Q, V̂]` orthonormal and hence `κ([Q, V̂]) = O(1)`
     /// regardless of `κ(V)` (Balabanov & Grigori, randomized GS).
-    /// See [`PreprocessOutcome`].
+    ///
+    /// A sketched factor with a numerically zero diagonal — the panel lost
+    /// full rank even under the sketch's bounded distortion — is refused as
+    /// a breakdown at that pivot: the basis is left as it was, and the
+    /// stored sketch of `new` holds `S·V` of the raw panel, the base the
+    /// remedy's update is mirrored from ([`Self::refresh_block`]).
     pub(crate) fn preprocess(
         &mut self,
         basis: &mut DistMultiVector,
         prev: Range<usize>,
         new: Range<usize>,
-    ) -> PreprocessOutcome {
+    ) -> Result<(Matrix, Matrix), OrthoError> {
         let s = new.end - new.start;
         let k = prev.end - prev.start;
         let sv = basis.sketch(&self.op, new.clone());
@@ -157,12 +129,15 @@ impl SketchState {
                 }
             }
         }
-        // Rank screen on the sketched factor: a numerically zero diagonal
-        // means the projected panel lost full rank even under the sketch's
-        // bounded distortion — no triangular solve can repair that.
+        // Rank screen on the sketched factor: no triangular solve can
+        // repair a numerically zero diagonal.
         let tol = 32.0 * f64::EPSILON * r_s.max_abs();
-        if (0..s).any(|i| r_s[(i, i)] <= tol) {
-            return PreprocessOutcome::RankDeficient { sv };
+        if let Some(pivot) = (0..s).position(|i| r_s[(i, i)] <= tol) {
+            self.store(new, &sv);
+            return Err(OrthoError::CholeskyBreakdown {
+                context: "sketched panel QR",
+                pivot,
+            });
         }
         if !prev.is_empty() {
             basis.update(prev, new.clone(), &p1);
@@ -174,148 +149,52 @@ impl SketchState {
             let mut w = sw.cols_mut(0..s);
             dense::trsm_right_upper(&mut w, &r_s);
         }
-        for (jj, col) in new.enumerate() {
-            self.sq.col_mut(col).copy_from_slice(sw.col(jj));
-        }
-        PreprocessOutcome::Factored { p1, r_s }
+        self.store(new, &sw);
+        Ok((p1, r_s))
     }
 
     /// Re-derive the sketch of the basis columns `cols` after they were
-    /// rewritten as `Q_new = (base_vectors − Q_prev·T_prev)·T_new⁻¹` (the
-    /// update every BCGS-PIP / shifted pass applies), where `base` is the
-    /// sketch of the columns' previous contents.  Local and replicated.
-    pub(crate) fn refresh_block(
-        &mut self,
-        base: &Matrix,
-        prev: Range<usize>,
-        cols: Range<usize>,
-        t_prev: &Matrix,
-        t_new: &Matrix,
-    ) {
+    /// rewritten as `Q_new = (stored − Q_prev·T_prev)·T_new⁻¹` (the update
+    /// every BCGS-PIP / shifted pass applies), from the sketch of their
+    /// previous contents.  Local and replicated.
+    pub(crate) fn refresh_block(&mut self, cols: Range<usize>, t_prev: &Matrix, t_new: &Matrix) {
         let w = cols.end - cols.start;
-        let mut block = base.clone();
-        if !prev.is_empty() {
+        let mut block = self.sq.cols_owned(cols.clone());
+        if cols.start > 0 {
             let mut b = block.cols_mut(0..w);
-            dense::gemm_nn_minus(&mut b, &self.sq.cols(prev), t_prev);
+            dense::gemm_nn_minus(&mut b, &self.sq.cols(0..cols.start), t_prev);
         }
         {
             let mut b = block.cols_mut(0..w);
             dense::trsm_right_upper(&mut b, t_new);
         }
+        self.store(cols, &block);
+    }
+
+    /// Record `block` as the sketch of the stored columns `cols`.
+    fn store(&mut self, cols: Range<usize>, block: &Matrix) {
         for (jj, col) in cols.enumerate() {
             self.sq.col_mut(col).copy_from_slice(block.col(jj));
         }
     }
 }
 
-/// Randomized CholQR: sketched pre-conditioning + one CholQR polish,
-/// **2 reduces per panel** (see module docs).
-#[derive(Debug)]
-pub struct RandCholQr {
-    config: SketchConfig,
-    total_cols: usize,
-    /// Lazily realized at the first panel (needs the basis row dimension).
-    state: Option<SketchState>,
-    events: Vec<FallbackEvent>,
-}
-
-impl RandCholQr {
-    /// Create the scheme for a basis of `total_cols` columns.
-    pub fn new(config: SketchConfig, total_cols: usize) -> Self {
-        Self {
-            config,
-            total_cols,
-            state: None,
-            events: Vec::new(),
-        }
-    }
-}
-
-impl BlockOrthogonalizer for RandCholQr {
-    fn orthogonalize_panel(
-        &mut self,
-        basis: &mut DistMultiVector,
-        new: Range<usize>,
-        r: &mut Matrix,
-    ) -> Result<(), OrthoError> {
-        let prev = 0..new.start;
-        let total_cols = self.total_cols;
-        let config = self.config;
-        let state = self
-            .state
-            .get_or_insert_with(|| SketchState::new(&config, basis.global_rows(), total_cols));
-        let _span = trace::span(
-            "ortho",
-            "sketched_panel",
-            &[
-                ("start", new.start as u64),
-                ("cols", (new.end - new.start) as u64),
-            ],
-        );
-        match state.preprocess(basis, prev.clone(), new.clone()) {
-            PreprocessOutcome::Factored { p1, r_s } => {
-                let base = state.block(new.clone());
-                match bcgs_pip(basis, prev.clone(), new.clone()) {
-                    Ok((p2, r2)) => {
-                        let r_prev = crate::bcgs_pip2::p2_times_r_plus_p1(&p2, &r_s, &p1);
-                        let r_new = dense::tri_matmul_upper(&r2, &r_s);
-                        crate::bcgs_pip2::write_block(r, 0, new.clone(), &r_prev, &r_new);
-                        state.refresh_block(&base, prev, new, &p2, &r2);
-                    }
-                    Err(OrthoError::CholeskyBreakdown { .. }) => {
-                        // The polish found the preconditioned panel still
-                        // indefinite (borderline rank): shifted remedy on
-                        // the preconditioned columns, composed with R_s.
-                        let (t_prev, t_new) = shifted_remedy(
-                            basis,
-                            prev.clone(),
-                            new.clone(),
-                            FallbackStage::SketchPrecondition,
-                            "fallback_sketch",
-                            "sketched panel (shifted fallback)",
-                            &mut self.events,
-                        )?;
-                        let r_prev = crate::bcgs_pip2::p2_times_r_plus_p1(&t_prev, &r_s, &p1);
-                        let r_new = dense::tri_matmul_upper(&t_new, &r_s);
-                        crate::bcgs_pip2::write_block(r, 0, new.clone(), &r_prev, &r_new);
-                        state.refresh_block(&base, prev, new, &t_prev, &t_new);
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-            PreprocessOutcome::RankDeficient { sv } => {
-                // The raw panel lost full rank under the sketch: same
-                // shifted remedy the unsketched family uses, on the raw
-                // columns.  Errors propagate — reported, never silent.
-                let (t_prev, t_new) = shifted_remedy(
-                    basis,
-                    prev.clone(),
-                    new.clone(),
-                    FallbackStage::SketchPrecondition,
-                    "fallback_sketch",
-                    "sketched panel (shifted fallback)",
-                    &mut self.events,
-                )?;
-                crate::bcgs_pip2::write_block(r, 0, new.clone(), &t_prev, &t_new);
-                state.refresh_block(&sv, prev, new, &t_prev, &t_new);
-            }
-        }
-        Ok(())
-    }
-
-    fn fallback_events(&self) -> &[FallbackEvent] {
-        &self.events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_stage::Scheme;
+    use crate::{BlockOrthogonalizer, FallbackStage, OrthoKind};
     use dense::orthogonality_error;
     use distsim::SerialComm;
 
-    fn run(v: &Matrix, panel: usize, config: SketchConfig) -> (Matrix, Matrix, RandCholQr) {
-        let mut scheme = RandCholQr::new(config, v.ncols());
+    fn rand_cholqr(config: SketchConfig, total_cols: usize) -> Scheme {
+        let mut scheme = Scheme::new(OrthoKind::RandCholQr, total_cols);
+        scheme.sketch_config = config;
+        scheme
+    }
+
+    fn run(v: &Matrix, panel: usize, config: SketchConfig) -> (Matrix, Matrix, Scheme) {
+        let mut scheme = rand_cholqr(config, v.ncols());
         let (q, r) = crate::orthogonalize_with(&mut scheme, v, panel).unwrap();
         (q, r, scheme)
     }
@@ -354,7 +233,7 @@ mod tests {
         let v = test_matrix(300, 8);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(8, 8);
-        let mut scheme = RandCholQr::new(SketchConfig::default(), 8);
+        let mut scheme = rand_cholqr(SketchConfig::default(), 8);
         scheme
             .orthogonalize_panel(&mut basis, 0..4, &mut r)
             .unwrap();
@@ -394,7 +273,7 @@ mod tests {
         }
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(6, 6);
-        let mut scheme = RandCholQr::new(SketchConfig::default(), 6);
+        let mut scheme = rand_cholqr(SketchConfig::default(), 6);
         scheme
             .orthogonalize_panel(&mut basis, 0..3, &mut r)
             .unwrap();

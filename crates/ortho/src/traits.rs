@@ -1,8 +1,7 @@
 //! The [`BlockOrthogonalizer`] trait and the scheme selector.
 
-use crate::bcgs2::Bcgs2;
 use crate::error::OrthoError;
-use crate::two_stage::flush_due;
+use crate::two_stage::{flush_due, First, Scheme, Second};
 use dense::Matrix;
 use distsim::{DistMultiVector, SketchConfig, SKETCH_NNZ_PER_ROW};
 use std::ops::Range;
@@ -143,9 +142,7 @@ pub trait BlockOrthogonalizer {
     /// It may run before the last panel: every column submitted so far is
     /// then final, and later panels continue behind them as in a fresh
     /// stretch of the same cycle.
-    fn finish(&mut self, _basis: &mut DistMultiVector, _r: &mut Matrix) -> Result<(), OrthoError> {
-        Ok(())
-    }
+    fn finish(&mut self, basis: &mut DistMultiVector, r: &mut Matrix) -> Result<(), OrthoError>;
 
     /// Hand over the stored columns the scheme factored but has not
     /// normalized (R factor and [`stored_basis_coeffs`] already final),
@@ -161,9 +158,7 @@ pub trait BlockOrthogonalizer {
     ///
     /// [`stored_basis_coeffs`]: BlockOrthogonalizer::stored_basis_coeffs
     /// [`finish`]: BlockOrthogonalizer::finish
-    fn take_factored_panel(&mut self) -> Option<Range<usize>> {
-        None
-    }
+    fn take_factored_panel(&mut self) -> Option<Range<usize>>;
 
     /// For column `c` of the basis, the representation of the vector column
     /// `c` held while it was pending (submitted, not yet final): in the
@@ -173,27 +168,21 @@ pub trait BlockOrthogonalizer {
     /// whatever this holds; the caller records which columns those are.
     /// `None` means identity coefficients throughout — true for every
     /// one-stage scheme.
-    fn stored_basis_coeffs(&self) -> Option<&Matrix> {
-        None
-    }
+    fn stored_basis_coeffs(&self) -> Option<&Matrix>;
 
     /// Number of leading basis columns whose orthogonalization (and R
     /// factor) is already final — the stored columns of a factored panel
     /// included, although only `finish` normalizes them.  `None` means
     /// every column submitted so far is final — true for one-stage schemes;
     /// delayed schemes return the boundary of the last completed big panel.
-    fn finalized_cols(&self) -> Option<usize> {
-        None
-    }
+    fn finalized_cols(&self) -> Option<usize>;
 
     /// The remedial (shifted-CholQR) episodes the scheme has taken since
     /// construction (the solver builds a fresh scheme per restart cycle),
     /// with per-stage detail: which stage, which panel, and the shift
     /// magnitude that was needed.  Empty for schemes without a fallback
     /// path.
-    fn fallback_events(&self) -> &[FallbackEvent] {
-        &[]
-    }
+    fn fallback_events(&self) -> &[FallbackEvent];
 
     /// Number of *distinct* breakdown episodes since construction:
     /// remedial passes the same ill-conditioned panel forced in more than
@@ -258,12 +247,16 @@ impl OrthoKind {
     /// `for_block_width(1)` is the identity for every kind.
     pub fn for_block_width(&self, block_width: usize) -> OrthoKind {
         assert!(block_width >= 1, "block width must be at least 1");
+        let scale = |big_panel: usize| {
+            assert!(big_panel >= 1, "big panel size must be at least 1");
+            big_panel * block_width
+        };
         match *self {
             OrthoKind::TwoStage { big_panel } => OrthoKind::TwoStage {
-                big_panel: big_panel * block_width,
+                big_panel: scale(big_panel),
             },
             OrthoKind::TwoStageSketched { big_panel } => OrthoKind::TwoStageSketched {
-                big_panel: big_panel * block_width,
+                big_panel: scale(big_panel),
             },
             other => other,
         }
@@ -291,9 +284,9 @@ impl OrthoKind {
     /// columns and width `w`: BCGS projection `p·w`, CholQR `w²`, BCGS-PIP
     /// `(p + w)·w`, sketch `rows·nnz·w`, a CGS2 column norm `1`.
     pub fn reduce_schedule(&self, m: usize, s: usize, k: usize) -> Vec<usize> {
-        let kind = self.for_block_width(k);
-        let (panels, panel_width) = match kind {
-            OrthoKind::Cgs2 => (k * m, 1),
+        let (first, second) = self.for_block_width(k).stages();
+        let (panels, panel_width) = match first {
+            First::Cgs2 => (k * m, 1),
             _ => (m / s, k * s),
         };
         let sketch_per_col =
@@ -303,44 +296,25 @@ impl OrthoKind {
         for j in 0..=panels {
             let width = if j == 0 { k } else { panel_width };
             let (bcgs, cholqr, pip) = (prev * width, width * width, (prev + width) * width);
-            let sketch = sketch_per_col * width;
-            let big_panel = match kind {
-                OrthoKind::Cgs2 => {
-                    words.extend([bcgs, bcgs, 1]);
-                    None
-                }
-                // BCGS + CholQR2 + BCGS + CholQR (Fig. 2b).
-                OrthoKind::Bcgs2CholQr2 => {
-                    words.extend([bcgs, cholqr, cholqr, bcgs, cholqr]);
-                    None
-                }
-                OrthoKind::BcgsPip2 => {
-                    words.extend([pip, pip]);
-                    None
-                }
-                OrthoKind::BcgsPip => {
-                    words.push(pip);
-                    None
-                }
-                OrthoKind::RandCholQr => {
-                    words.extend([sketch, pip]);
-                    None
-                }
-                OrthoKind::TwoStage { big_panel } => {
-                    words.push(pip);
-                    Some(big_panel)
-                }
-                OrthoKind::TwoStageSketched { big_panel } => {
-                    words.push(sketch);
-                    Some(big_panel)
-                }
-            };
+            match first {
+                First::Cgs2 => words.extend([bcgs, bcgs, 1]),
+                First::BcgsCholQr2 => words.extend([bcgs, cholqr, cholqr]),
+                First::Pip => words.push(pip),
+                First::Sketch => words.push(sketch_per_col * width),
+            }
             prev += width;
-            if let Some(threshold) = big_panel {
-                let pending = prev - big_start;
-                if flush_due(pending, threshold, j == panels) {
-                    words.push(prev * pending);
-                    big_start = prev;
+            match second {
+                Second::None => {}
+                Second::PerPanel if first == First::BcgsCholQr2 => {
+                    words.extend([bcgs, cholqr]);
+                }
+                Second::PerPanel => words.push(pip),
+                Second::Deferred(threshold) => {
+                    let pending = prev - big_start;
+                    if flush_due(pending, threshold, j == panels) {
+                        words.push(prev * pending);
+                        big_start = prev;
+                    }
                 }
             }
             if j == 0 {
@@ -364,26 +338,14 @@ impl OrthoKind {
     }
 }
 
-/// Construct the orthogonalizer for `kind`; the sketched kinds are built
-/// with the default [`SketchConfig`].
+/// Construct the orthogonalizer for `kind`: its (first stage, second
+/// stage) pair, run by the one engine of [`crate::two_stage`]; the sketched
+/// kinds draw the default [`SketchConfig`].
 ///
 /// `total_cols` is the total number of basis columns of a restart cycle
-/// (`m + 1`); delayed schemes need it to size their bookkeeping.
+/// (`m + 1`); a deferred second stage needs it to size its bookkeeping.
 pub fn make_orthogonalizer(kind: OrthoKind, total_cols: usize) -> Box<dyn BlockOrthogonalizer> {
-    let sketch = SketchConfig::default();
-    match kind {
-        OrthoKind::Bcgs2CholQr2 => Box::new(Bcgs2::new()),
-        OrthoKind::BcgsPip2 => Box::new(crate::bcgs_pip2::BcgsPip2::new()),
-        OrthoKind::BcgsPip => Box::new(crate::bcgs_pip2::BcgsPip::new()),
-        OrthoKind::TwoStage { big_panel } => {
-            Box::new(crate::two_stage::TwoStage::new(big_panel, total_cols))
-        }
-        OrthoKind::Cgs2 => Box::new(crate::cgs::Cgs2Columnwise::new()),
-        OrthoKind::RandCholQr => Box::new(crate::sketched::RandCholQr::new(sketch, total_cols)),
-        OrthoKind::TwoStageSketched { big_panel } => Box::new(
-            crate::two_stage::TwoStage::with_sketched_first_stage(big_panel, total_cols, sketch),
-        ),
-    }
+    Box::new(Scheme::new(kind, total_cols))
 }
 
 #[cfg(test)]

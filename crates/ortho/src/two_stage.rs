@@ -1,152 +1,251 @@
-//! The two-stage block orthogonalization scheme (Section V, Fig. 5).
+//! The one orthogonalizer: every scheme is a first stage and a second stage
+//! (Section V, Fig. 5).
 //!
-//! The first stage runs once per panel of `s` freshly generated Krylov
-//! vectors: a single BCGS-PIP against *all* stored columns — the fully
-//! orthogonalized previous big panels `Q_{1:ℓ-1}` and the merely
-//! pre-processed panels `Q̂_{ℓ:j-1}` of the current big panel.  Its job is
-//! not full orthogonality but keeping the accumulated basis well
-//! conditioned, so that the matrix-powers kernel can keep extending it.
-//! **1 global reduce per panel.**
+//! The **first stage** runs once per panel of freshly generated Krylov
+//! vectors, against every stored column: column-wise CGS2, BCGS + CholQR2,
+//! BCGS-PIP, or the sketch pre-conditioning of [`crate::sketched`].  The
+//! **second stage** is nothing, a second pass over the same panel right
+//! away, or — the paper's scheme — one BCGS-PIP over every `bs`
+//! pre-processed columns, deferred.  [`OrthoKind`] names the seven pairs
+//! the paper and its sketch follow-up (arXiv 2503.16717) compare; the
+//! crate docs tabulate them.
 //!
-//! The second stage runs once per *big panel* of `bs` columns
-//! (`s ≤ bs ≤ m`): one BCGS-PIP of the whole pre-processed big panel against
-//! the fully orthogonalized prefix, followed by the R-factor update of
-//! Fig. 5 lines 18–19.  **1 additional global reduce per `bs` columns**, and
-//! all its local BLAS-3 work runs on blocks of `bs` columns instead of `s`,
-//! which is where the data-reuse gain comes from.  When the big panel
-//! violates condition (9) the stage falls back to the shifted
-//! [`bcgs_pip2_fused`](crate::kernels::bcgs_pip2_fused), whose
-//! re-orthogonalization fuses the vector update with the next inner
-//! products ([`DistMultiVector::update_and_gram`]) — 2 reduces and one
-//! fewer pass over the `n×bs` panel than the unfused remedy.
-//!
-//! With `bs = s` the scheme degenerates to one-stage BCGS-PIP2; with
+//! In the two-stage pairs the first stage's job is not full orthogonality
+//! but keeping the accumulated basis well conditioned, so that the
+//! matrix-powers kernel can keep extending it: **1 global reduce per
+//! panel**.  The deferred stage orthogonalizes the whole pre-processed big
+//! panel against the final prefix and updates `R` (Fig. 5 lines 18–19):
+//! **1 more reduce per `bs` columns**, with all its local BLAS-3 work on
+//! blocks of `bs` columns, which is where the data-reuse gain comes from.
+//! With `bs = s` the scheme does BCGS-PIP2's work in two calls (its bits
+//! differ from the fused kernel [`OrthoKind::BcgsPip2`] runs); with
 //! `bs = m` it reaches the paper's best configuration.
 //!
-//! **The cycle's last big panel is factored, not normalized.**  Still one
-//! reduce per big panel, but the flush the end of the cycle triggers (the
-//! last panel fills the basis) stops after the reduce, the Cholesky
+//! **Shifted remedy.**  The stages of the two-stage and sketched pairs take
+//! the shifted [`bcgs_pip2_fused`] (2 reduces; it succeeds on any
+//! numerically full-rank panel) when their plain kernel refuses a panel,
+//! and log a [`FallbackEvent`]; the one-stage baselines and BCGS2 report
+//! the breakdown instead, as in the paper.  Before a plain PIP first stage
+//! gives up on a panel while a big panel is pending, it runs the second
+//! stage *now* and takes the same raw panel again against the orthonormal
+//! columns (the **early flush**): the pre-processed columns lose a little
+//! orthonormality with every panel, and monomial panels — `k·s` wide in a
+//! block cycle, `s` wide late in a long big panel — amplify that loss until
+//! the Pythagorean Gram goes indefinite although the panel is well inside
+//! the Cholesky bound.  One extra reduce, and the cycle keeps its Krylov
+//! space.
+//!
+//! **The cycle's last big panel is factored, not normalized.**  The flush
+//! the end of the cycle triggers stops after the reduce, the Cholesky
 //! factorization and the `R` / coefficient / sketch updates: no panel
 //! reads its columns, so it skips the update and the `n × bs` TRSM that
 //! turn the stored `Q̂_bp` into `Q_bp = (Q̂_bp − Q_prev·T_prev)·T_bp⁻¹`.
-//! It only records the panel as pending; the relation
-//! `Q̂_bp = Q_prev·T_prev + Q_bp·T_bp` is already in
+//! The relation `Q̂_bp = Q_prev·T_prev + Q_bp·T_bp` is already in
 //! [`stored_basis_coeffs`](BlockOrthogonalizer::stored_basis_coeffs).
-//! [`finish`](BlockOrthogonalizer::finish) normalizes a pending panel
-//! first, with those same two calls, so a standalone run ends with the
-//! bits of an eager flush; the solver takes the panel instead
+//! [`finish`](BlockOrthogonalizer::finish) normalizes a pending panel with
+//! those two calls, so a standalone run ends with the bits of an eager
+//! flush; the solver takes the panel instead
 //! ([`take_factored_panel`](BlockOrthogonalizer::take_factored_panel))
 //! and folds `T_bp` into the projected solution
-//! ([`fold_factored`](crate::fold_factored)) — a triangular solve on
-//! `(m+1)·k` rows.  Every other flush (the `bs` threshold with panels
-//! behind it, the early flush, a flush `finish` runs) and the shifted
-//! remedy normalize as they go.
-//!
-//! **Early flush (every block width).**  The first stage's Pythagorean Gram
-//! `VᵀV − PᵀP` is only as good as the orthonormality of the stored columns
-//! it projects against, and the pre-processed columns of the pending big
-//! panel lose a little of it with every panel.  Monomial panels — `k·s`
-//! wide in a block cycle, `s` wide late in a long single-vector big panel —
-//! amplify that loss until the Gram matrix goes indefinite, although the
-//! panel itself is well inside the Cholesky bound; whether it does is then
-//! decided by how an all-reduce rounds.  When the plain first stage refuses
-//! a panel and a big panel is pending, the scheme therefore runs the second
-//! stage on it *now* and takes the same raw panel again against the
-//! orthonormal columns, before it resorts to the shifted remedy: one extra
-//! reduce, and the cycle keeps its Krylov space.
-//!
-//! The second stage may also run before the last panel at the caller's
-//! request: [`finish`](BlockOrthogonalizer::finish) flushes whatever is
-//! pending, and later panels start a new big panel behind it (the solver
-//! does this when its stage-1 residual estimate says the cycle is about to
-//! converge).
+//! ([`fold_factored`](crate::fold_factored)).  Every other flush and the
+//! shifted remedy normalize as they go.  `finish` may also run before the
+//! last panel: it flushes whatever is pending, and later panels start a new
+//! big panel behind it (the solver does this when its stage-1 residual
+//! estimate says the cycle is about to converge).
 
 use crate::error::OrthoError;
-use crate::kernels::{bcgs_pip, pip_factors, shifted_remedy};
-use crate::sketched::{PreprocessOutcome, SketchState};
-use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage};
+use crate::kernels::{
+    bcgs, bcgs_pip, bcgs_pip2_fused, cholqr, cholqr2, columnwise_cgs2, pip_factors,
+};
+use crate::sketched::SketchState;
+use crate::traits::{BlockOrthogonalizer, FallbackEvent, FallbackStage, OrthoKind};
 use dense::Matrix;
 use distsim::{DistMultiVector, SketchConfig};
 use std::ops::Range;
 
-/// Which kernel the two-stage scheme uses for its per-panel first stage.
+/// What every fresh panel gets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FirstStage {
-    /// Plain BCGS-PIP pre-processing (the paper's scheme): the panel factor
-    /// comes from the Cholesky factorization of the panel's Gram matrix.
+pub(crate) enum First {
+    /// Column-wise CGS2: two projections and a norm per column.
+    Cgs2,
+    /// A BCGS projection, then CholQR2 (Fig. 2b's first pass).
+    BcgsCholQr2,
+    /// BCGS-PIP (Fig. 4a).
     Pip,
-    /// Sketch-preconditioned pre-processing (see [`crate::sketched`]): the
-    /// panel factor comes from a Householder QR of the sketched panel, so
-    /// the stage survives panel condition numbers far beyond the CholQR
-    /// crossover at the same 1 reduce per panel.
-    Sketched(SketchConfig),
+    /// Sketch pre-conditioning ([`SketchState::preprocess`]).
+    Sketch,
 }
 
-/// The two-stage block orthogonalizer.
+/// What follows the first stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Second {
+    /// Nothing: the first stage's columns are final.
+    None,
+    /// A second pass over the panel right away: BCGS + CholQR behind
+    /// BCGS + CholQR2, BCGS-PIP otherwise.  Behind a PIP first stage both
+    /// passes run as the fused two-sync [`bcgs_pip2_fused`].
+    PerPanel,
+    /// BCGS-PIP over the pending columns once `bs` of them accumulate, and
+    /// at the end of the cycle.
+    Deferred(usize),
+}
+
+impl OrthoKind {
+    /// The scheme as its (first stage, second stage) pair.
+    pub(crate) fn stages(self) -> (First, Second) {
+        match self {
+            OrthoKind::Cgs2 => (First::Cgs2, Second::None),
+            OrthoKind::Bcgs2CholQr2 => (First::BcgsCholQr2, Second::PerPanel),
+            OrthoKind::BcgsPip => (First::Pip, Second::None),
+            OrthoKind::BcgsPip2 => (First::Pip, Second::PerPanel),
+            OrthoKind::TwoStage { big_panel } => (First::Pip, Second::Deferred(big_panel)),
+            OrthoKind::RandCholQr => (First::Sketch, Second::PerPanel),
+            OrthoKind::TwoStageSketched { big_panel } => {
+                (First::Sketch, Second::Deferred(big_panel))
+            }
+        }
+    }
+}
+
+/// The flush policy: the second stage runs once the `accumulated`
+/// pre-processed columns reach the `threshold` (`bs`, scaled by the block
+/// width), and on whatever is pending when the cycle ends.  The one
+/// definition both [`Scheme`] and [`OrthoKind::reduce_schedule`] call, so
+/// the schedule cannot list big panels the scheme does not run.
+pub(crate) fn flush_due(accumulated: usize, threshold: usize, end_of_cycle: bool) -> bool {
+    accumulated >= threshold || end_of_cycle
+}
+
+/// A scheme built from its two stages (see the module docs).
 #[derive(Debug)]
-pub struct TwoStage {
-    /// Second-stage block size `bs` in columns.
-    big_panel: usize,
+pub(crate) struct Scheme {
+    first: First,
+    second: Second,
     /// Total number of basis columns (`m + 1`), used to size bookkeeping.
     total_cols: usize,
-    /// First column of the current (not yet fully orthogonalized) big panel.
+    /// First column that is not final: the start of the pending big panel.
+    /// Without a deferred stage every submitted column is final.
     big_start: usize,
-    /// End (exclusive) of the columns pre-processed so far.
+    /// End (exclusive) of the columns submitted so far.
     processed_end: usize,
-    /// Representation in the final basis of the vector each column held
-    /// while pending: the identity until the column's big panel is flushed,
-    /// then the stage-2 T factor.
-    coeffs: Matrix,
-    /// Shifted-CholQR fallbacks taken (either stage) since construction or
-    /// the last reset, with the stage, panel, and shift magnitude of each.
-    events: Vec<FallbackEvent>,
-    /// First-stage kernel selector.
-    first_stage: FirstStage,
-    /// Sketching state, realized lazily at the first panel when
-    /// `first_stage` is [`FirstStage::Sketched`].
-    sketch_state: Option<SketchState>,
+    /// With a deferred stage, the representation in the final basis of the
+    /// vector each column held while pending: the identity until the
+    /// column's big panel is flushed, then the stage-2 T factor.
+    coeffs: Option<Matrix>,
     /// The cycle's last big panel, factored but not yet normalized (see the
     /// module docs); `coeffs` holds its relation to the final basis.
     factored: Option<Range<usize>>,
+    /// Shifted-CholQR fallbacks taken (either stage) since construction,
+    /// with the stage, panel, and shift magnitude of each.
+    events: Vec<FallbackEvent>,
+    /// The sketch a [`First::Sketch`] stage draws, realized at the first
+    /// panel (it needs the basis row dimension).
+    pub(crate) sketch_config: SketchConfig,
+    sketch: Option<SketchState>,
 }
 
-impl TwoStage {
-    /// Create a two-stage orthogonalizer with second step size `big_panel`
-    /// (the paper's `bs`) for a basis of `total_cols` columns.
-    pub fn new(big_panel: usize, total_cols: usize) -> Self {
-        assert!(big_panel >= 1, "big panel size must be at least 1");
+impl Scheme {
+    /// The scheme `kind` names, for a basis of `total_cols` columns.
+    pub(crate) fn new(kind: OrthoKind, total_cols: usize) -> Self {
+        let (first, second) = kind.stages();
         Self {
-            big_panel,
+            first,
+            second,
             total_cols,
             big_start: 0,
             processed_end: 0,
-            coeffs: Matrix::identity(total_cols),
-            events: Vec::new(),
-            first_stage: FirstStage::Pip,
-            sketch_state: None,
+            coeffs: matches!(second, Second::Deferred(_)).then(|| Matrix::identity(total_cols)),
             factored: None,
+            events: Vec::new(),
+            sketch_config: SketchConfig::default(),
+            sketch: None,
         }
     }
 
-    /// [`TwoStage::new`] with the sketch-preconditioned first stage: same
-    /// reduce schedule (1 per panel + 1 per big panel), with the per-panel
-    /// conditioning fix coming from a backward-stable QR of the sketched
-    /// panel instead of a Gram Cholesky.
-    pub fn with_sketched_first_stage(
-        big_panel: usize,
-        total_cols: usize,
-        sketch: SketchConfig,
-    ) -> Self {
-        let mut scheme = Self::new(big_panel, total_cols);
-        scheme.first_stage = FirstStage::Sketched(sketch);
-        scheme
+    /// The first stage on `new`: `(T_prev, T_new)` with
+    /// `V = Q_prev·T_prev + Q̂_new·T_new`, and whether the shifted remedy
+    /// produced them.
+    fn first_stage(
+        &mut self,
+        basis: &mut DistMultiVector,
+        r: &mut Matrix,
+        new: Range<usize>,
+    ) -> Result<((Matrix, Matrix), bool), OrthoError> {
+        let prev = 0..new.start;
+        let plain = match self.first {
+            First::Cgs2 => columnwise_cgs2(basis, new.clone()),
+            First::BcgsCholQr2 => {
+                // Fig. 2b, j = 1: the first panel has nothing to project on.
+                let p = if prev.is_empty() {
+                    Matrix::zeros(0, new.len())
+                } else {
+                    bcgs(basis, prev, new.clone())
+                };
+                cholqr2(basis, new.clone()).map(|r_new| (p, r_new))
+            }
+            First::Pip => {
+                let mut plain = bcgs_pip(basis, prev.clone(), new.clone());
+                if plain.is_err() && self.big_start < new.start {
+                    // Early flush (see the module docs): the refused panel
+                    // is untouched, so it can be taken again as it is.
+                    trace::instant("ortho", "early_flush", &span_args(&new));
+                    self.flush(basis, r, false)?;
+                    plain = bcgs_pip(basis, prev, new.clone());
+                }
+                plain
+            }
+            First::Sketch => {
+                let (config, cols) = (self.sketch_config, self.total_cols);
+                self.sketch
+                    .get_or_insert_with(|| SketchState::new(&config, basis.global_rows(), cols))
+                    .preprocess(basis, prev, new.clone())
+            }
+        };
+        let remedied = plain.is_err();
+        let factors = self.or_remedy(plain, basis, new.clone(), false)?;
+        if remedied {
+            self.follow_sketch(new, &factors);
+        }
+        Ok((factors, remedied))
     }
 
-    /// Run the second stage on the columns `big_start..processed_end`
-    /// (if any) and update `R` and the coefficient bookkeeping.  With
-    /// `factor_only`, a panel the plain kernel factors is not normalized:
-    /// the flush records it as `factored` instead.
-    fn flush_big_panel(
+    /// The per-panel second stage: a second pass over `new`, composed with
+    /// the first stage's `(P1, R1)` into
+    /// `V = Q_prev·(P2·R1 + P1) + Q_new·(R2·R1)`.  Fig. 2b line 14 writes
+    /// BCGS2's update as `R ← T + R`, dropping the product with `R1` because
+    /// the correction is already O(ε); the exact update keeps `V = Q·R` to
+    /// working precision whatever the panel's conditioning.
+    fn second_pass(
+        &mut self,
+        basis: &mut DistMultiVector,
+        new: Range<usize>,
+        (p1, r1): (Matrix, Matrix),
+    ) -> Result<(Matrix, Matrix), OrthoError> {
+        let prev = 0..new.start;
+        let (p2, r2) = match self.first {
+            First::BcgsCholQr2 if prev.is_empty() => return Ok((p1, r1)),
+            First::BcgsCholQr2 => {
+                let p2 = bcgs(basis, prev, new.clone());
+                (p2, cholqr(basis, new)?)
+            }
+            _ => {
+                let plain = bcgs_pip(basis, prev, new.clone());
+                let factors = self.or_remedy(plain, basis, new.clone(), true)?;
+                self.follow_sketch(new, &factors);
+                factors
+            }
+        };
+        Ok((
+            dense::gemm_nn(&p2, &r1).add(&p1),
+            dense::tri_matmul_upper(&r2, &r1),
+        ))
+    }
+
+    /// The deferred second stage on the pending columns
+    /// `big_start..processed_end` (if any), with the `R` and coefficient
+    /// updates.  With `factor_only`, a panel the plain kernel factors is
+    /// not normalized: the flush records it as `factored` instead.
+    fn flush(
         &mut self,
         basis: &mut DistMultiVector,
         r: &mut Matrix,
@@ -156,20 +255,8 @@ impl TwoStage {
         if bp.is_empty() {
             return Ok(());
         }
-        let _span = trace::span(
-            "ortho",
-            "stage2_flush",
-            &[
-                ("start", bp.start as u64),
-                ("cols", (bp.end - bp.start) as u64),
-            ],
-        );
+        let _span = trace::span("ortho", "stage2_flush", &span_args(&bp));
         let prev = 0..bp.start;
-        // Second-stage BCGS-PIP of the pre-processed big panel.  If the big
-        // panel violates condition (9) of the paper (its condition number
-        // exceeds ~1/sqrt(eps)), fall back to a shifted-CholQR first pass
-        // followed by a re-orthogonalization pass — the remedy of Fukaya et
-        // al. cited in the paper's related work — and compose the factors.
         // Only a plain factorization is deferred: the remedy's second pass
         // reads the columns its first pass normalized.
         let plain = if factor_only {
@@ -177,28 +264,10 @@ impl TwoStage {
         } else {
             bcgs_pip(basis, prev.clone(), bp.clone())
         };
-        let factored = plain.is_ok() && factor_only;
-        let (t_prev, t_bp) = match plain {
-            Ok(factors) => factors,
-            Err(OrthoError::CholeskyBreakdown { .. }) => shifted_remedy(
-                basis,
-                prev.clone(),
-                bp.clone(),
-                FallbackStage::BigPanelFlush,
-                "fallback_stage2",
-                "two-stage second stage (shifted fallback)",
-                &mut self.events,
-            )?,
-            Err(other) => return Err(other),
-        };
-        // The flush rewrote the stored big-panel columns as
-        // Q_bp = (Q̂_bp − Q_prev·T_prev)·T_bp⁻¹ (a factor-only flush leaves
-        // that to `finish` or the caller); mirror the update on the
-        // replicated sketch so later sketched panels project correctly.
-        if let Some(state) = &mut self.sketch_state {
-            let base = state.block(bp.clone());
-            state.refresh_block(&base, prev.clone(), bp.clone(), &t_prev, &t_bp);
-        }
+        let factored = factor_only && plain.is_ok();
+        let factors = self.or_remedy(plain, basis, bp.clone(), true)?;
+        self.follow_sketch(bp.clone(), &factors);
+        let (t_prev, t_bp) = factors;
         // R updates (Fig. 5 lines 18-19):
         //   R[prev, bp] += T_prev · R[bp, bp]
         //   R[bp, bp]    = T_bp  · R[bp, bp]
@@ -218,18 +287,18 @@ impl TwoStage {
                 r[(row, col)] = new_diag[(ii, jj)];
             }
         }
-        // Bookkeeping: stored columns of this big panel were the
-        // pre-processed Q̂; in the final basis they read
-        // Q̂_bp = Q_prev·T_prev + Q_bp·T_bp.
+        // Stored columns of this big panel were the pre-processed Q̂; in the
+        // final basis they read Q̂_bp = Q_prev·T_prev + Q_bp·T_bp.
+        let coeffs = (self.coeffs.as_mut()).expect("only a deferred stage has pending columns");
         for (jj, col) in bp.clone().enumerate() {
             for i in 0..self.total_cols {
-                self.coeffs[(i, col)] = 0.0;
+                coeffs[(i, col)] = 0.0;
             }
             for (ii, row) in prev.clone().enumerate() {
-                self.coeffs[(row, col)] = t_prev[(ii, jj)];
+                coeffs[(row, col)] = t_prev[(ii, jj)];
             }
             for (ii, row) in bp.clone().enumerate() {
-                self.coeffs[(row, col)] = t_bp[(ii, jj)];
+                coeffs[(row, col)] = t_bp[(ii, jj)];
             }
         }
         self.big_start = self.processed_end;
@@ -238,17 +307,69 @@ impl TwoStage {
         }
         Ok(())
     }
+
+    /// The shifted remedy the first (or `second`) stage of this scheme
+    /// takes when its plain kernel refuses a panel: the fallback tag and
+    /// the context a failure of the remedy reports.  `None`: the scheme
+    /// reports the refusal.
+    fn remedy(&self, second: bool) -> Option<(FallbackStage, &'static str)> {
+        use FallbackStage::*;
+        match (self.first, self.second, second) {
+            (First::Sketch, Second::PerPanel, _) => {
+                Some((SketchPrecondition, "sketched panel (shifted fallback)"))
+            }
+            (First::Pip, Second::Deferred(_), false) => Some((
+                PanelPreprocess,
+                "two-stage first stage (panel pre-processing)",
+            )),
+            (First::Sketch, Second::Deferred(_), false) => {
+                Some((SketchPrecondition, "two-stage sketched first stage"))
+            }
+            (_, Second::Deferred(_), true) => {
+                Some((BigPanelFlush, "two-stage second stage (shifted fallback)"))
+            }
+            _ => None,
+        }
+    }
+
+    /// `plain` if it factored `cols`; else the stage's shifted remedy
+    /// ([`Scheme::remedy`]) on the untouched columns, logged as a
+    /// [`FallbackEvent`] with the shift its first pass applied.
+    fn or_remedy(
+        &mut self,
+        plain: Result<(Matrix, Matrix), OrthoError>,
+        basis: &mut DistMultiVector,
+        cols: Range<usize>,
+        second: bool,
+    ) -> Result<(Matrix, Matrix), OrthoError> {
+        let (Err(_), Some((stage, context))) = (&plain, self.remedy(second)) else {
+            return plain;
+        };
+        let instant = if second {
+            "fallback_stage2"
+        } else {
+            "fallback_stage1"
+        };
+        trace::instant("ortho", instant, &span_args(&cols));
+        let prev = 0..cols.start;
+        let (t_prev, t_new, shift) =
+            bcgs_pip2_fused(basis, prev, cols.clone(), true, context, context)?;
+        self.events.push(FallbackEvent { stage, cols, shift });
+        Ok((t_prev, t_new))
+    }
+
+    /// Mirror on the replicated sketch (if any) the update a pass applied
+    /// to the stored columns `cols`: `(stored − Q_prev·T_prev)·T_cols⁻¹`.
+    fn follow_sketch(&mut self, cols: Range<usize>, (t_prev, t_cols): &(Matrix, Matrix)) {
+        if let Some(state) = &mut self.sketch {
+            state.refresh_block(cols, t_prev, t_cols);
+        }
+    }
 }
 
-/// The flush policy: the second stage runs once the `accumulated`
-/// pre-processed columns reach the `threshold` (`bs`, scaled by the block
-/// width), and on whatever is pending when the cycle ends.  The one
-/// definition both [`TwoStage`] and [`OrthoKind::reduce_schedule`] call, so
-/// the schedule cannot list big panels the scheme does not run.
-///
-/// [`OrthoKind::reduce_schedule`]: crate::OrthoKind::reduce_schedule
-pub(crate) fn flush_due(accumulated: usize, threshold: usize, end_of_cycle: bool) -> bool {
-    accumulated >= threshold || end_of_cycle
+/// Trace arguments of a column range.
+fn span_args(cols: &Range<usize>) -> [(&'static str, u64); 2] {
+    [("start", cols.start as u64), ("cols", cols.len() as u64)]
 }
 
 /// Copy the sub-block `R[rows, cols]` into an owned matrix.
@@ -262,7 +383,20 @@ fn extract_block(r: &Matrix, rows: Range<usize>, cols: Range<usize>) -> Matrix {
     out
 }
 
-impl BlockOrthogonalizer for TwoStage {
+/// Write a panel's factors into the replicated `R`:
+/// `R[.., new] = [T_prev; T_new]`.
+fn write_block(r: &mut Matrix, new: Range<usize>, t_prev: &Matrix, t_new: &Matrix) {
+    for (jj, col) in new.clone().enumerate() {
+        for i in 0..new.start {
+            r[(i, col)] = t_prev[(i, jj)];
+        }
+        for i in 0..new.len() {
+            r[(new.start + i, col)] = t_new[(i, jj)];
+        }
+    }
+}
+
+impl BlockOrthogonalizer for Scheme {
     fn orthogonalize_panel(
         &mut self,
         basis: &mut DistMultiVector,
@@ -271,112 +405,54 @@ impl BlockOrthogonalizer for TwoStage {
     ) -> Result<(), OrthoError> {
         assert_eq!(
             new.start, self.processed_end,
-            "two-stage: panels must be supplied in order without gaps"
+            "panels must be supplied in order without gaps"
         );
-        // First stage: pre-process the panel against everything stored so
-        // far (fully orthogonalized prefix + pre-processed current big
-        // panel) with a single BCGS-PIP.  If the raw panel violates the
-        // O(1/sqrt(eps)) conditioning bound (condition (5) of the paper) —
-        // which the matrix-powers kernel can produce on hard matrices — fall
-        // back to the same shifted-CholQR remedy the second stage uses,
-        // spending the extra reduces only on the offending panel.
-        let prev = 0..new.start;
-        let stage1_span = trace::span(
-            "ortho",
-            "stage1_panel",
-            &[
-                ("start", new.start as u64),
-                ("cols", (new.end - new.start) as u64),
-            ],
-        );
-        match self.first_stage {
-            FirstStage::Pip => {
-                let mut plain = bcgs_pip(basis, prev.clone(), new.clone());
-                if matches!(plain, Err(OrthoError::CholeskyBreakdown { .. }))
-                    && self.big_start < new.start
-                {
-                    // Early flush (see the module docs): the refused panel
-                    // is untouched, so it can be taken again as it is.
-                    trace::instant(
-                        "ortho",
-                        "early_flush",
-                        &[
-                            ("start", new.start as u64),
-                            ("cols", (new.end - new.start) as u64),
-                        ],
-                    );
-                    self.flush_big_panel(basis, r, false)?;
-                    plain = bcgs_pip(basis, prev.clone(), new.clone());
-                }
-                let (p, r_new) = match plain {
-                    Ok(factors) => factors,
-                    Err(OrthoError::CholeskyBreakdown { .. }) => shifted_remedy(
-                        basis,
-                        prev.clone(),
-                        new.clone(),
-                        FallbackStage::PanelPreprocess,
-                        "fallback_stage1",
-                        "two-stage first stage (panel pre-processing)",
-                        &mut self.events,
-                    )?,
-                    Err(other) => return Err(other),
-                };
-                crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p, &r_new);
+        let stage1_span = trace::span("ortho", "stage1_panel", &span_args(&new));
+        let (t_prev, t_new) = match self.second {
+            Second::PerPanel if self.first == First::Pip => {
+                let (t_prev, t_new, _) = bcgs_pip2_fused(
+                    basis,
+                    0..new.start,
+                    new.clone(),
+                    false,
+                    "BCGS-PIP2 (first pass)",
+                    "BCGS-PIP2 (reorthogonalization)",
+                )?;
+                (t_prev, t_new)
             }
-            FirstStage::Sketched(config) => {
-                let total_cols = self.total_cols;
-                let state = self.sketch_state.get_or_insert_with(|| {
-                    SketchState::new(&config, basis.global_rows(), total_cols)
-                });
-                match state.preprocess(basis, prev.clone(), new.clone()) {
-                    PreprocessOutcome::Factored { p1, r_s } => {
-                        crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p1, &r_s);
-                    }
-                    PreprocessOutcome::RankDeficient { sv } => {
-                        // The raw panel lost full rank even under the
-                        // sketch's bounded distortion: take the shifted
-                        // remedial path on the raw columns and tag the
-                        // episode with the sketch stage.
-                        let (p, r_new) = shifted_remedy(
-                            basis,
-                            prev.clone(),
-                            new.clone(),
-                            FallbackStage::SketchPrecondition,
-                            "fallback_stage1",
-                            "two-stage sketched first stage",
-                            &mut self.events,
-                        )?;
-                        state.refresh_block(&sv, prev.clone(), new.clone(), &p, &r_new);
-                        crate::bcgs_pip2::write_block(r, prev.start, new.clone(), &p, &r_new);
-                    }
-                }
-            }
-        }
+            Second::PerPanel => match self.first_stage(basis, r, new.clone())? {
+                (factors, false) => self.second_pass(basis, new.clone(), factors)?,
+                // A remedied panel is already orthonormal.
+                (factors, true) => factors,
+            },
+            _ => self.first_stage(basis, r, new.clone())?.0,
+        };
+        write_block(r, new.clone(), &t_prev, &t_new);
         self.processed_end = new.end;
         // Close the first-stage span before a possible big-panel flush, so
         // stage-2 time is not attributed to the panel that triggered it.
         drop(stage1_span);
-        let end_of_cycle = self.processed_end >= self.total_cols;
-        if flush_due(
-            self.processed_end - self.big_start,
-            self.big_panel,
-            end_of_cycle,
-        ) {
+        let Second::Deferred(bs) = self.second else {
+            self.big_start = new.end;
+            return Ok(());
+        };
+        let end_of_cycle = new.end >= self.total_cols;
+        if flush_due(new.end - self.big_start, bs, end_of_cycle) {
             // No panel reads the columns of the cycle's last flush: leave
             // their normalization to `finish`, or to a caller that takes it.
-            self.flush_big_panel(basis, r, end_of_cycle)?;
+            self.flush(basis, r, end_of_cycle)?;
         }
         Ok(())
     }
 
     fn finish(&mut self, basis: &mut DistMultiVector, r: &mut Matrix) -> Result<(), OrthoError> {
-        if let Some(bp) = self.factored.take() {
-            let t_prev = extract_block(&self.coeffs, 0..bp.start, bp.clone());
-            let t_bp = extract_block(&self.coeffs, bp.clone(), bp.clone());
+        if let (Some(bp), Some(coeffs)) = (self.factored.take(), &self.coeffs) {
+            let t_prev = extract_block(coeffs, 0..bp.start, bp.clone());
+            let t_bp = extract_block(coeffs, bp.clone(), bp.clone());
             basis.update(0..bp.start, bp.clone(), &t_prev);
             basis.scale_right(bp, &t_bp);
         }
-        self.flush_big_panel(basis, r, false)
+        self.flush(basis, r, false)
     }
 
     fn take_factored_panel(&mut self) -> Option<Range<usize>> {
@@ -384,11 +460,11 @@ impl BlockOrthogonalizer for TwoStage {
     }
 
     fn stored_basis_coeffs(&self) -> Option<&Matrix> {
-        Some(&self.coeffs)
+        self.coeffs.as_ref()
     }
 
     fn finalized_cols(&self) -> Option<usize> {
-        Some(self.big_start)
+        self.coeffs.as_ref().map(|_| self.big_start)
     }
 
     fn fallback_events(&self) -> &[FallbackEvent] {
@@ -409,13 +485,21 @@ mod tests {
         })
     }
 
-    fn run_scheme(mut scheme: TwoStage, v: &Matrix, panel: usize) -> (Matrix, Matrix, TwoStage) {
+    fn run_scheme(mut scheme: Scheme, v: &Matrix, panel: usize) -> (Matrix, Matrix, Scheme) {
         let (q, r) = crate::orthogonalize_with(&mut scheme, v, panel).unwrap();
         (q, r, scheme)
     }
 
-    fn run(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, TwoStage) {
-        run_scheme(TwoStage::new(bs, v.ncols()), v, panel)
+    fn two_stage(bs: usize, total_cols: usize) -> Scheme {
+        Scheme::new(OrthoKind::TwoStage { big_panel: bs }, total_cols)
+    }
+
+    fn sketched(bs: usize, total_cols: usize) -> Scheme {
+        Scheme::new(OrthoKind::TwoStageSketched { big_panel: bs }, total_cols)
+    }
+
+    fn run(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, Scheme) {
+        run_scheme(two_stage(bs, v.ncols()), v, panel)
     }
 
     #[test]
@@ -442,7 +526,7 @@ mod tests {
         let v = test_matrix(500, 20);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(20, 20);
-        let mut scheme = TwoStage::new(20, 20);
+        let mut scheme = two_stage(20, 20);
         let before = basis.comm().stats().snapshot();
         for p in 0..4 {
             scheme
@@ -460,7 +544,7 @@ mod tests {
         let v = test_matrix(300, 10);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(10, 10);
-        let mut scheme = TwoStage::new(5, 10);
+        let mut scheme = two_stage(5, 10);
         let before = basis.comm().stats().snapshot();
         scheme
             .orthogonalize_panel(&mut basis, 0..5, &mut r)
@@ -490,7 +574,7 @@ mod tests {
         let v = testmat::glued_matrix(&spec, 11);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(16, 16);
-        let mut scheme = TwoStage::new(16, 16);
+        let mut scheme = two_stage(16, 16);
         for p in 0..4 {
             scheme
                 .orthogonalize_panel(&mut basis, p * 4..(p + 1) * 4, &mut r)
@@ -512,7 +596,7 @@ mod tests {
         let v = test_matrix(300, 12);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(12, 12);
-        let mut scheme = TwoStage::new(12, 12);
+        let mut scheme = two_stage(12, 12);
         scheme
             .orthogonalize_panel(&mut basis, 0..4, &mut r)
             .unwrap();
@@ -546,23 +630,21 @@ mod tests {
         let v = test_matrix(400, 10);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r0 = Matrix::zeros(10, 10);
-        let mut pre = crate::bcgs_pip2::BcgsPip2::new();
-        pre.orthogonalize_panel(&mut basis, 0..4, &mut r0).unwrap();
+        Scheme::new(OrthoKind::BcgsPip2, 10)
+            .orthogonalize_panel(&mut basis, 0..4, &mut r0)
+            .unwrap();
         let stored = basis.local().clone(); // columns 4..10 still raw
         let before = basis.comm().stats().snapshot();
-        let mut events = Vec::new();
-        let (t_prev, t_bp) = shifted_remedy(
-            &mut basis,
-            0..4,
-            4..10,
-            FallbackStage::BigPanelFlush,
-            "fallback_stage2",
-            "test",
-            &mut events,
-        )
-        .unwrap();
+        let mut scheme = two_stage(10, 10);
+        let refused = Err(OrthoError::CholeskyBreakdown {
+            context: "test",
+            pivot: 0,
+        });
+        let (t_prev, t_bp) = scheme.or_remedy(refused, &mut basis, 4..10, true).unwrap();
+        let events = scheme.fallback_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].cols, 4..10);
+        assert_eq!(events[0].stage, FallbackStage::BigPanelFlush);
         let delta = basis.comm().stats().snapshot().since(&before);
         assert_eq!(delta.allreduces, 2, "shifted fallback must stay 2 reduces");
         assert!(dense::orthogonality_error(&basis.local().cols(0..10)) < 1e-12);
@@ -589,7 +671,7 @@ mod tests {
         let v = testmat::logscaled_matrix(400, 8, 1e10, 7);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(8, 8);
-        let mut scheme = TwoStage::new(8, 8);
+        let mut scheme = two_stage(8, 8);
         scheme
             .orthogonalize_panel(&mut basis, 0..8, &mut r)
             .unwrap();
@@ -615,13 +697,8 @@ mod tests {
         assert!(orthogonality_error(&basis.local().cols(0..8)) < 1e-12);
     }
 
-    fn run_sketched(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, TwoStage) {
-        let sketch = distsim::SketchConfig::default();
-        run_scheme(
-            TwoStage::with_sketched_first_stage(bs, v.ncols(), sketch),
-            v,
-            panel,
-        )
+    fn run_sketched(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, Scheme) {
+        run_scheme(sketched(bs, v.ncols()), v, panel)
     }
 
     #[test]
@@ -650,8 +727,7 @@ mod tests {
         let v = test_matrix(500, 20);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(20, 20);
-        let mut scheme =
-            TwoStage::with_sketched_first_stage(20, 20, distsim::SketchConfig::default());
+        let mut scheme = sketched(20, 20);
         let before = basis.comm().stats().snapshot();
         for p in 0..4 {
             scheme
@@ -696,8 +772,7 @@ mod tests {
         let v = test_matrix(300, 13);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(13, 13);
-        let mut scheme =
-            TwoStage::with_sketched_first_stage(13, 13, distsim::SketchConfig::default());
+        let mut scheme = sketched(13, 13);
         for p in 0..3 {
             scheme
                 .orthogonalize_panel(&mut basis, p * 4..(p + 1) * 4, &mut r)
@@ -723,7 +798,7 @@ mod tests {
         let v = test_matrix(100, 8);
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(8, 8);
-        let mut scheme = TwoStage::new(8, 8);
+        let mut scheme = two_stage(8, 8);
         scheme
             .orthogonalize_panel(&mut basis, 4..8, &mut r)
             .unwrap();
@@ -767,7 +842,7 @@ mod tests {
 
     /// Submit `panels` of `v` to `scheme`, stopping short of `finish`.
     fn submit(
-        scheme: &mut TwoStage,
+        scheme: &mut Scheme,
         v: &Matrix,
         panels: &[Range<usize>],
     ) -> (DistMultiVector, Matrix) {
@@ -798,26 +873,28 @@ mod tests {
         // other; its stored columns are far from orthonormal, which gives
         // the fold a `T_prev` of weight.
         let (s, m) = (5, 42);
-        let sketched = FirstStage::Sketched(SketchConfig::default());
         for k in [1, 4] {
             let total = k * (m + 1);
             let v = testmat::random_dense(400, total, 17 + k as u64);
             let panels = cycle_panels(k, s, m);
-            for (bs, first) in [s, 20, m]
+            for (bs, plain) in [s, 20, m]
                 .into_iter()
-                .flat_map(|bs| [(bs, FirstStage::Pip), (bs, sketched)])
+                .flat_map(|bs| [(bs, true), (bs, false)])
             {
-                let tag = format!("k = {k}, bs = {bs}, {first:?}");
-                let make = |cols| TwoStage {
-                    first_stage: first,
-                    ..TwoStage::new(bs * k, cols)
+                let tag = format!("k = {k}, bs = {bs}, plain first stage: {plain}");
+                let make = |cols| {
+                    if plain {
+                        two_stage(bs * k, cols)
+                    } else {
+                        sketched(bs * k, cols)
+                    }
                 };
                 let mut by_finish = make(total);
                 let (mut q_finish, mut r_finish) = submit(&mut by_finish, &v, &panels);
                 assert!(by_finish.factored.is_some(), "{tag}: nothing deferred");
                 assert_eq!(by_finish.finalized_cols(), Some(total), "{tag}");
                 by_finish.finish(&mut q_finish, &mut r_finish).unwrap();
-                if first == FirstStage::Pip {
+                if plain {
                     let mut eager = make(total + 1);
                     let (mut q, mut r) = submit(&mut eager, &v, &panels);
                     assert!(eager.take_factored_panel().is_none(), "{tag}");
@@ -878,7 +955,7 @@ mod tests {
             (false, 5..) => lower[(i - half, j - 5)],
             _ => 0.0,
         });
-        let mut scheme = TwoStage::new(8, total);
+        let mut scheme = two_stage(8, total);
         let (mut basis, mut r) = submit(&mut scheme, &v, &[0..1, 1..5]);
         let bad = testmat::logscaled_matrix(half, 4, 1e10, 3);
         for j in 0..4 {

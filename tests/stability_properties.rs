@@ -327,8 +327,10 @@ proptest! {
             let v0 = testmat::random_unit_vector(a.nrows(), seed);
             mv.local_mut().col_mut(0).copy_from_slice(&v0);
             let mut r = Matrix::zeros(m + 1, m + 1);
-            let mut ts = blockortho::TwoStage::new(m + 1, m + 1);
-            use blockortho::BlockOrthogonalizer;
+            let mut ts = blockortho::make_orthogonalizer(
+                blockortho::OrthoKind::TwoStage { big_panel: m + 1 },
+                m + 1,
+            );
             ts.orthogonalize_panel(&mut mv, 0..1, &mut r).expect("column 0");
             let mut cols = 1usize;
             while cols < m + 1 {
