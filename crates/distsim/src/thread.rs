@@ -9,11 +9,17 @@
 //! result.  Point-to-point messages go through FIFO mailboxes, one queue
 //! per (sender, receiver) pair, which is exactly the ordering guarantee the
 //! halo exchange of [`DistCsr`](crate::DistCsr) needs.
+//!
+//! A rank that fails ends the run: a rank thread that unwinds marks the
+//! group failed and wakes every waiter, each peer blocked in a collective
+//! or a receive (or entering one later) unwinds in turn, and [`run_ranks`]
+//! re-raises the panic of the rank that failed first.
 
 use crate::comm::{default_recv_timeout, CommError, Communicator};
 use crate::stats::CommStats;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which collective a rank is participating in; used to assert that every
@@ -57,6 +63,16 @@ pub(crate) struct Shared {
     coll: Mutex<CollState>,
     coll_cvar: Condvar,
     mailboxes: Vec<Mailbox>,
+    /// The first rank whose thread unwound, or [`NO_FAILURE`].
+    failed: AtomicUsize,
+}
+
+const NO_FAILURE: usize = usize::MAX;
+
+/// Lock `m`, whatever a panicking holder left in it: after a failure the
+/// state is only read to find that out.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -78,7 +94,32 @@ impl Shared {
                     cvar: Condvar::new(),
                 })
                 .collect(),
+            failed: AtomicUsize::new(NO_FAILURE),
         }
+    }
+
+    /// Mark the group failed by `rank` (the first caller wins) and wake
+    /// every waiter.  Each notify is issued under its mutex, so a waiter
+    /// either sees the mark before it waits or is woken from the wait.
+    fn fail(&self, rank: usize) {
+        let _ = (self.failed).compare_exchange(NO_FAILURE, rank, Ordering::SeqCst, Ordering::SeqCst);
+        let _coll = lock(&self.coll);
+        self.coll_cvar.notify_all();
+        for mailbox in &self.mailboxes {
+            let _queues = lock(&mailbox.queues);
+            mailbox.cvar.notify_all();
+        }
+    }
+
+    /// Unwind `rank` if a peer has failed; called with the waited-on mutex
+    /// held, released before the panic.
+    fn check_peers<'a, T>(&self, rank: usize, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let failed = self.failed.load(Ordering::SeqCst);
+        if failed != NO_FAILURE {
+            drop(guard);
+            panic!("rank {rank}: abandoned because rank {failed} failed");
+        }
+        guard
     }
 
     /// Combine the contributions of a finished round in rank order.
@@ -112,10 +153,10 @@ impl Shared {
     /// Execute one collective for `rank`; blocks until every rank of the
     /// group has participated, then writes the combined result into `out`.
     fn collective(&self, rank: usize, kind: CollKind, contribution: &[f64], out: &mut [f64]) {
-        let mut st = self.coll.lock().expect("collective state poisoned");
+        let mut st = self.check_peers(rank, lock(&self.coll));
         // Wait for every rank to have picked up the previous round's result.
         while st.departed != 0 {
-            st = self.coll_cvar.wait(st).expect("collective state poisoned");
+            st = self.check_peers(rank, self.wait(st));
         }
         if st.arrived == 0 {
             st.kind = Some(kind);
@@ -138,7 +179,7 @@ impl Shared {
             self.coll_cvar.notify_all();
         } else {
             while st.round == my_round {
-                st = self.coll_cvar.wait(st).expect("collective state poisoned");
+                st = self.check_peers(rank, self.wait(st));
             }
         }
         out.copy_from_slice(&st.result[..out.len()]);
@@ -148,9 +189,13 @@ impl Shared {
         }
     }
 
+    fn wait<'a>(&self, st: MutexGuard<'a, CollState>) -> MutexGuard<'a, CollState> {
+        (self.coll_cvar.wait(st)).unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn post(&self, from: usize, to: usize, data: Vec<f64>) {
         let mailbox = &self.mailboxes[to];
-        let mut queues = mailbox.queues.lock().expect("mailbox poisoned");
+        let mut queues = lock(&mailbox.queues);
         queues[from].push_back(data);
         mailbox.cvar.notify_all();
     }
@@ -165,8 +210,9 @@ impl Shared {
     ) -> Result<Vec<f64>, CommError> {
         let deadline = Instant::now() + timeout;
         let mailbox = &self.mailboxes[me];
-        let mut queues = mailbox.queues.lock().expect("mailbox poisoned");
+        let mut queues = lock(&mailbox.queues);
         loop {
+            queues = self.check_peers(me, queues);
             if let Some(msg) = queues[from].pop_front() {
                 return Ok(msg);
             }
@@ -178,10 +224,8 @@ impl Shared {
                     waited: timeout,
                 });
             }
-            let (guard, _) = mailbox
-                .cvar
-                .wait_timeout(queues, deadline - now)
-                .expect("mailbox poisoned");
+            let (guard, _) = (mailbox.cvar.wait_timeout(queues, deadline - now))
+                .unwrap_or_else(PoisonError::into_inner);
             queues = guard;
         }
     }
@@ -299,8 +343,9 @@ impl Communicator for ThreadComm {
 /// results in rank order.
 ///
 /// The closure may capture references to the caller's data (the group runs
-/// inside `std::thread::scope`).  A panic on any rank propagates to the
-/// caller after the scope unwinds.
+/// inside `std::thread::scope`).  A panic on any rank ends the run: its
+/// peers unwind out of their next or current wait (see the module docs),
+/// and the first failing rank's panic is re-raised to the caller.
 pub fn run_ranks<T, F>(nranks: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -314,19 +359,39 @@ where
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 scope.spawn(move || {
+                    let _failure = FailOnUnwind(&shared, rank);
                     if trace::enabled() {
                         trace::set_thread_label(&format!("rank {rank}"));
                     }
-                    let comm: Arc<dyn Communicator> = Arc::new(ThreadComm::new(rank, shared));
+                    let comm: Arc<dyn Communicator> =
+                        Arc::new(ThreadComm::new(rank, Arc::clone(&shared)));
                     f(comm)
                 })
             })
             .collect();
-        handles
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let failed = shared.failed.load(Ordering::SeqCst);
+        if failed != NO_FAILURE {
+            if let Err(panic) = joined.swap_remove(failed) {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        joined
             .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
+            .map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
             .collect()
     })
+}
+
+/// Marks the group failed when its rank thread unwinds past it.
+struct FailOnUnwind<'a>(&'a Shared, usize);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail(self.1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -503,7 +568,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
+    fn a_failing_rank_ends_the_run_with_its_message() {
+        // The last rank fails before a collective, inside one (its
+        // contribution has the wrong length, so the combine asserts), or in
+        // a halo receive that times out; its peers are blocked in the
+        // collective or in a receive from it.  Each run must end at once
+        // with the failing rank's message, not hang.
+        for nranks in [2usize, 3, 4] {
+            let bad = nranks - 1;
+            let cases: [(&str, String); 3] = [
+                ("before", format!("rank {bad} fails before the collective")),
+                ("inside", "allreduce_sum: buffer length mismatch".into()),
+                ("halo", format!("rank {bad}: recv from rank 0 timed out")),
+            ];
+            for (point, expected) in cases {
+                let started = Instant::now();
+                let outcome = std::panic::catch_unwind(|| {
+                    run_ranks(nranks, |comm| {
+                        let me = comm.rank();
+                        match (point, me == bad) {
+                            ("before", true) => panic!("rank {me} fails before the collective"),
+                            ("inside", true) => {
+                                std::thread::sleep(Duration::from_millis(50));
+                                comm.allreduce_sum(&mut [1.0, 2.0]);
+                            }
+                            ("halo", true) => {
+                                let timeout = Duration::from_millis(100);
+                                if let Err(e) = comm.recv_timeout(0, timeout) {
+                                    panic!("{e}");
+                                }
+                            }
+                            ("halo", false) => {
+                                comm.recv(bad);
+                            }
+                            _ => comm.allreduce_sum(&mut [1.0]),
+                        }
+                    })
+                });
+                let elapsed = started.elapsed();
+                let tag = format!("{nranks} ranks, {point}");
+                let panic = outcome.expect_err(&format!("{tag}: the run succeeded"));
+                let msg = (panic.downcast_ref::<String>().map(String::as_str))
+                    .or(panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("");
+                assert!(msg.contains(&expected), "{tag}: panicked with {msg:?}");
+                assert!(elapsed < Duration::from_secs(1), "{tag}: took {elapsed:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
     fn rank_panic_propagates() {
         run_ranks(2, |comm| {
             if comm.rank() == 1 {
