@@ -17,12 +17,11 @@
 //! | `faults` | Robustness — seeded fault-injection campaign: detection/recovery grid, guard overhead, silent-SDC headline (`BENCH_faults.json`) |
 //! | `robustness` | Robustness — fixed vs. self-rescuing step policy on the hard matrices (`BENCH_robustness.json`) |
 //! | `sketch` | Extension — κ × s × scheme stability sweep of the sketched orthogonalization family (`BENCH_sketch.json`) |
-//! | `batched` | Extension — block right-hand sides: k = 1 equivalence, flat reduce count across widths, four-RHS block amortization (`BENCH_batched.json`) |
 //!
 //! Every binary opens with [`cli::begin`]: it accepts `--trace <out.json>`
 //! and then writes a Chrome trace-event timeline of the run (open at
 //! <https://ui.perfetto.dev>), and rejects arguments it does not know.  The
-//! six JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
+//! five JSON-writing binaries read `BENCH_QUICK` through [`quick`] and
 //! write their artifact through [`trace::JsonWriter`] and [`emit`]; the
 //! rows of an artifact are a [`Table`] written by [`Table::write_json`].
 //!

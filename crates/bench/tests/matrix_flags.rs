@@ -219,9 +219,8 @@ fn table04_accepts_the_matrix_flag() {
 }
 
 /// Every binary, and whether it takes `--matrix`.
-const ALL_BINARIES: [(&str, &str, bool); 13] = [
+const ALL_BINARIES: [(&str, &str, bool); 12] = [
     ("basis_compare", env!("CARGO_BIN_EXE_basis_compare"), true),
-    ("batched", env!("CARGO_BIN_EXE_batched"), false),
     ("faults", env!("CARGO_BIN_EXE_faults"), true),
     ("fig06", env!("CARGO_BIN_EXE_fig06"), false),
     ("fig07", env!("CARGO_BIN_EXE_fig07"), false),
@@ -321,14 +320,7 @@ fn non_square_and_empty_matrix_files_are_rejected_before_any_work() {
 #[test]
 fn committed_bench_artifacts_are_valid_json() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in [
-        "basis",
-        "batched",
-        "faults",
-        "kernels",
-        "robustness",
-        "sketch",
-    ] {
+    for name in ["basis", "faults", "kernels", "robustness", "sketch"] {
         let path = root.join(format!("BENCH_{name}.json"));
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));

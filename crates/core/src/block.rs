@@ -80,7 +80,7 @@
 //!
 //! **Early flush.**  A monomial panel grows fast — a `k·s`-wide one
 //! fastest — and the two-stage scheme's first stage projects it against
-//! columns that are only pre-processed.  [`blockortho::TwoStage`] therefore
+//! columns that are only pre-processed.  [`blockortho::two_stage`] therefore
 //! answers a refused first-stage panel by completing the second stage on
 //! the pending big panel and taking the panel again, instead of ending
 //! the cycle on a breakdown that rounding — and with it the rank count —
@@ -1156,6 +1156,7 @@ mod tests {
             "per-batch reduce count must not scale with k"
         );
         assert_eq!(r1.comm_ortho.allreduces, r4.comm_ortho.allreduces);
+        assert_eq!(r4.iterations, 4 * r1.iterations, "k columns per block step");
         // The payload axis is what scales instead.
         assert!(
             r4.comm_ortho.allreduce_words > 3 * r1.comm_ortho.allreduce_words,

@@ -128,24 +128,6 @@ pub struct CommStatsSnapshot {
 }
 
 impl CommStatsSnapshot {
-    /// Mean `f64` words carried per all-reduce (`0.0` when no all-reduce
-    /// happened).
-    ///
-    /// This is the **block amortization** headline metric of the batched
-    /// solver: a k-wide block solve performs the *same number* of
-    /// all-reduces per cycle as a single-RHS solve while each reduce
-    /// carries a k-scaled payload, so words-per-call grows ≈ k-fold while
-    /// `allreduces` stays flat — one synchronization serves k right-hand
-    /// sides.  `bench --bin batched` and the block-equivalence battery pin
-    /// both axes.
-    pub fn allreduce_words_per_call(&self) -> f64 {
-        if self.allreduces == 0 {
-            0.0
-        } else {
-            self.allreduce_words as f64 / self.allreduces as f64
-        }
-    }
-
     /// The operations performed between `earlier` and this snapshot.
     pub fn since(&self, earlier: &CommStatsSnapshot) -> CommStatsSnapshot {
         CommStatsSnapshot {
@@ -225,26 +207,6 @@ mod tests {
         let before = CommStatsSnapshot::default();
         assert_eq!(s.since(&before), s);
         assert_eq!(before.merge(&s), s);
-    }
-
-    #[test]
-    fn words_per_call_tracks_block_width() {
-        let stats = CommStats::new();
-        assert_eq!(stats.snapshot().allreduce_words_per_call(), 0.0);
-        // Same reduce count, k-scaled payloads: the per-call mean is the
-        // axis that moves under block batching.
-        stats.record_allreduce(10);
-        stats.record_allreduce(10);
-        assert_eq!(stats.snapshot().allreduce_words_per_call(), 10.0);
-        let wide = CommStats::new();
-        wide.record_allreduce(40);
-        wide.record_allreduce(40);
-        let (a, b) = (stats.snapshot(), wide.snapshot());
-        assert_eq!(a.allreduces, b.allreduces);
-        assert_eq!(
-            b.allreduce_words_per_call(),
-            4.0 * a.allreduce_words_per_call()
-        );
     }
 
     #[test]

@@ -102,7 +102,8 @@ impl Shared {
     /// every waiter.  Each notify is issued under its mutex, so a waiter
     /// either sees the mark before it waits or is woken from the wait.
     fn fail(&self, rank: usize) {
-        let _ = (self.failed).compare_exchange(NO_FAILURE, rank, Ordering::SeqCst, Ordering::SeqCst);
+        let _ =
+            (self.failed).compare_exchange(NO_FAILURE, rank, Ordering::SeqCst, Ordering::SeqCst);
         let _coll = lock(&self.coll);
         self.coll_cvar.notify_all();
         for mailbox in &self.mailboxes {

@@ -7,16 +7,16 @@
 //! reference (a "pass" is one read or read+write sweep of the panel;
 //! `prev`-block reads are accounted inside their kernels):
 //!
-//! | kernel | reduces | panel passes |
-//! |---|---|---|
-//! | [`cholqr`] | 1 | 2 (Gram read + TRSM) |
-//! | [`cholqr2`] | 2 | 4 |
-//! | [`bcgs`] | 1 | 2 (proj read + update) |
-//! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) |
-//! | its factoring half (the two-stage scheme's end-of-cycle flush) | 1 | 1 (fused proj+Gram read; the update and TRSM wait for `finish`, and the solver folds them away) |
-//! | [`bcgs_pip2_fused`] | 2 | 5 (vs 6 for two `bcgs_pip` calls) |
-//! | [`columnwise_cgs2`] | 3·s | O(s) column sweeps |
-//! | sketched pre-conditioning (`ortho::sketched`) | 1 (sketch slots only) | 3 (sketch read, update, TRSM) |
+//! | kernel | reduces | panel passes | the stage that runs it |
+//! |---|---|---|---|
+//! | [`cholqr`] | 1 | 2 (Gram read + TRSM) | BCGS2's per-panel second stage |
+//! | [`cholqr2`] | 2 | 4 | BCGS2's first stage |
+//! | [`bcgs`] | 1 | 2 (proj read + update) | both stages of BCGS2 |
+//! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) | the PIP first stage, the deferred second stage, the sketch's per-panel polish |
+//! | its factoring half | 1 | 1 (fused proj+Gram read; the update and TRSM wait for `finish`, and the solver folds them away) | the deferred stage's end-of-cycle flush |
+//! | [`bcgs_pip2_fused`] | 2 | 5 (vs 6 for two `bcgs_pip` calls) | BCGS-PIP2's two stages, fused; the shifted remedy |
+//! | [`columnwise_cgs2`] | 3·s | O(s) column sweeps | the CGS2 first stage |
+//! | sketch pre-conditioning ([`crate::sketched`]) | 1 (sketch slots only) | 3 (sketch read, update, TRSM) | the sketch first stage |
 //!
 //! **Block panel widths.**  Every kernel takes an arbitrary column range,
 //! so a block (multi-RHS) solve with `k` right-hand sides simply submits
@@ -32,7 +32,7 @@
 //! | [`bcgs`] | 1 | p·k·s |
 //! | [`bcgs_pip`] | 1 | (p + k·s)·k·s |
 //! | [`bcgs_pip2_fused`] | 2 | (p + k·s)·k·s each |
-//! | sketched pre-conditioning | 1 | rows·nnz·k·s sketch slots |
+//! | sketch pre-conditioning | 1 | rows·nnz·k·s sketch slots |
 //!
 //! [`OrthoKind::reduce_schedule`](crate::OrthoKind::reduce_schedule) lists
 //! these reduces once per scheme, as the words each carries, and

@@ -116,7 +116,8 @@ pub fn fold_factored(coeffs: &Matrix, factored: Range<usize>, y: &mut Matrix) {
 /// `0..new.start` and fill `R[0..new.end, new]` such that the QR relation
 /// `W = Q·R` of the generated Krylov matrix is preserved.
 ///
-/// Delayed schemes (the two-stage algorithm) may postpone part of the work;
+/// A scheme with a deferred second stage (the two-stage algorithm)
+/// postpones part of the work;
 /// [`finish`](BlockOrthogonalizer::finish) must complete it — unless the
 /// caller first takes a factored panel through
 /// [`take_factored_panel`](BlockOrthogonalizer::take_factored_panel), in
@@ -134,7 +135,8 @@ pub trait BlockOrthogonalizer {
         r: &mut Matrix,
     ) -> Result<(), OrthoError>;
 
-    /// Complete any delayed orthogonalization (no-op for one-stage schemes):
+    /// Complete any deferred orthogonalization (a no-op without a deferred
+    /// second stage):
     /// afterwards every submitted column of `basis` is orthonormal.  A
     /// factored panel nobody took is normalized first, with the
     /// `update` + `scale_right` pair its flush would have run.
@@ -149,12 +151,12 @@ pub trait BlockOrthogonalizer {
     /// leaving them unnormalized for good: a later [`finish`] no longer
     /// touches them.  Column `c` of the returned range holds
     /// `Q̂[:, c] = Q·coeffs[:, c]` in the final basis `Q`, with `coeffs`
-    /// from [`stored_basis_coeffs`].  The two-stage scheme records one when
+    /// from [`stored_basis_coeffs`].  A deferred stage records one when
     /// the cycle's last panel triggers its final flush, which no later
     /// panel reads; a caller that only forms `Q·y` folds the relation into
     /// `y` ([`fold_factored`]) instead of paying the `n × bs` update and
-    /// TRSM.  `None` — nothing to hand over — for every other scheme and
-    /// flush.
+    /// TRSM.  `None` — nothing to hand over — after any other flush, and
+    /// always without a deferred stage.
     ///
     /// [`stored_basis_coeffs`]: BlockOrthogonalizer::stored_basis_coeffs
     /// [`finish`]: BlockOrthogonalizer::finish
@@ -167,14 +169,15 @@ pub trait BlockOrthogonalizer {
     /// was already final when the matrix-powers kernel read it is `e_c`
     /// whatever this holds; the caller records which columns those are.
     /// `None` means identity coefficients throughout — true for every
-    /// one-stage scheme.
+    /// kind without a deferred second stage.
     fn stored_basis_coeffs(&self) -> Option<&Matrix>;
 
     /// Number of leading basis columns whose orthogonalization (and R
     /// factor) is already final — the stored columns of a factored panel
     /// included, although only `finish` normalizes them.  `None` means
-    /// every column submitted so far is final — true for one-stage schemes;
-    /// delayed schemes return the boundary of the last completed big panel.
+    /// every column submitted so far is final — true without a deferred
+    /// second stage; with one, the boundary of the last completed big
+    /// panel.
     fn finalized_cols(&self) -> Option<usize>;
 
     /// The remedial (shifted-CholQR) episodes the scheme has taken since
@@ -218,15 +221,15 @@ pub enum OrthoKind {
     /// orthogonalization of standard GMRES ("GMRES + CGS2" in Table III).
     Cgs2,
     /// Randomized CholQR (arXiv 2503.16717): sketch-precondition each
-    /// panel (factor the sketched panel, apply `R⁻¹`), then one CholQR
+    /// panel (factor the sketched panel, apply `R⁻¹`), then one BCGS-PIP
     /// polish.  2 reduces per panel like [`BcgsPip2`](Self::BcgsPip2), but
     /// the panel factor comes from a backward-stable QR of the small
     /// sketch instead of a κ²-squaring Gram Cholesky.
     RandCholQr,
-    /// The two-stage scheme with the sketched first stage
-    /// (`FirstStage::Sketched`): same 1 reduce per panel + 1 per big
-    /// panel, with the first-stage conditioning fix coming from the
-    /// sketch instead of a Gram Cholesky.
+    /// The first stage of [`RandCholQr`](Self::RandCholQr) before the
+    /// deferred second stage of [`TwoStage`](Self::TwoStage): the same 1
+    /// reduce per panel + 1 per big panel, with the first-stage
+    /// conditioning fix coming from the sketch instead of a Gram Cholesky.
     TwoStageSketched {
         /// Second-stage block size `bs` in columns (`s ≤ bs ≤ m`).
         big_panel: usize,
@@ -244,7 +247,9 @@ impl OrthoKind {
     /// accumulated columns, so a k-wide block run flushes every
     /// `big_panel · k` columns (the same number of *block steps*).  Kinds
     /// without a column-width threshold are returned unchanged, and
-    /// `for_block_width(1)` is the identity for every kind.
+    /// `for_block_width(1)` is the identity for every kind.  A zero block
+    /// width or a zero `big_panel` panics here, the one place a big panel
+    /// is checked.
     pub fn for_block_width(&self, block_width: usize) -> OrthoKind {
         assert!(block_width >= 1, "block width must be at least 1");
         let scale = |big_panel: usize| {
@@ -273,10 +278,9 @@ impl OrthoKind {
     /// scheme, and its reduces are not listed.  Each later panel carries
     /// `k·s` columns (`m / s` of them, integer division); column-wise CGS2
     /// takes the `k·m` generated columns one at a time whatever `s` is.
-    /// The two-stage kinds close a big panel where the flush predicate
-    /// [`TwoStage`](crate::TwoStage) itself calls says so, and the sketched
-    /// reduces carry the slots of the operator [`make_orthogonalizer`]
-    /// builds (`SketchConfig::default()`, [`SKETCH_NNZ_PER_ROW`] samples per
+    /// The two-stage kinds close a big panel where the flush predicate the
+    /// scheme itself calls says so, and the sketched reduces carry the
+    /// slots of the operator [`make_orthogonalizer`] builds (`SketchConfig::default()`, [`SKETCH_NNZ_PER_ROW`] samples per
     /// row, over the `k·(m + 1)` basis columns).
     ///
     /// For every panel-blocked scheme the count is independent of `k`; the

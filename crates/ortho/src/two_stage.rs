@@ -228,6 +228,8 @@ impl Scheme {
                 let p2 = bcgs(basis, prev, new.clone());
                 (p2, cholqr(basis, new)?)
             }
+            // The sketch's BCGS-PIP polish, the one other per-panel pair
+            // (PIP behind PIP runs fused).
             _ => {
                 let plain = bcgs_pip(basis, prev, new.clone());
                 let factors = self.or_remedy(plain, basis, new.clone(), true)?;
@@ -409,6 +411,8 @@ impl BlockOrthogonalizer for Scheme {
         );
         let stage1_span = trace::span("ortho", "stage1_panel", &span_args(&new));
         let (t_prev, t_new) = match self.second {
+            // BCGS-PIP2: both passes in the fused two-sync kernel, 5 panel
+            // passes where a PIP pass and a second one would take 6.
             Second::PerPanel if self.first == First::Pip => {
                 let (t_prev, t_new, _) = bcgs_pip2_fused(
                     basis,

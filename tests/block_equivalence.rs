@@ -374,3 +374,34 @@ fn assert_wide_block_schedule_is_rank_count_invariant(a: &Csr, bs: &[Vec<f64>]) 
         }
     }
 }
+
+#[test]
+fn four_rhs_block_solve_shares_one_reduce_bill() {
+    // Reduces are paid per block, not per right-hand side: four systems
+    // solved as one block cost 19 all-reduces where four independent
+    // solves cost 110 together.
+    let a = laplace2d_9pt(24, 24);
+    let solver = SStepGmres::new(GmresConfig {
+        restart: 20,
+        step_size: 5,
+        tol: 1e-8,
+        ortho: OrthoKind::TwoStage { big_panel: 20 },
+        ..GmresConfig::default()
+    });
+    let bs: Vec<Vec<f64>> = (0..4).map(|j| rhs_for(&a, j)).collect();
+    let individual: usize = (bs.iter())
+        .map(|b| {
+            let (_, r) = solver.solve_serial(&a, b);
+            assert!(r.converged, "{:?}", r.breakdown);
+            r.comm_total.allreduces
+        })
+        .sum();
+    let (_, joint) = solver.solve_block_serial(&a, &bs);
+    assert!(
+        joint.col_converged.iter().all(|&c| c),
+        "{:?}",
+        joint.breakdown
+    );
+    assert_eq!(joint.comm_total.allreduces, 19, "one block solve");
+    assert_eq!(individual, 110, "four independent solves");
+}
