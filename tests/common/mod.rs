@@ -1,6 +1,8 @@
 //! Helpers shared by the integration-test binaries (`mod common;` in each).
 #![allow(dead_code)] // every binary uses a subset
 
+pub mod bits;
+
 use sparse::Csr;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
