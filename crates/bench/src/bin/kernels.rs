@@ -1,7 +1,8 @@
 //! Kernel baseline benchmark: times the four hot BLAS-3 kernels (blocked
 //! vs. retained naive formulations), the fused update+Gram pass, Gram and
-//! TRSM at the wide stage-2 flush shapes, the `lap2d_k4` Gram, projection
-//! and update shapes on every SIMD level the host has, the SpMV on the two
+//! TRSM at the wide stage-2 flush shapes, the `lap2d_k4` Gram and the
+//! stage-1 projection and update shapes of `lap2d_k4`, standard GMRES and
+//! an `s = 5` panel on every SIMD level the host has, the SpMV on the two
 //! benchmark
 //! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
 //! asserted bit-identical), and one s-step GMRES iteration
@@ -291,15 +292,19 @@ fn bench_flush_shape(rows: &mut Vec<Row>, n: usize, s: usize, reps: usize) {
     );
 }
 
-/// The `lap2d_k4` shapes on every SIMD level this host has: the stage-2
-/// Gram of the 14 400×240 flush panel, and the stage-1 projection
-/// (`gemm_tn`) and update (`gemm_nn_minus`) at their widest, a 20-column
-/// panel (5 steps × 4 right-hand sides) against the 224 columns before it.
+/// The stage-1 shapes on every SIMD level this host has: the projection
+/// (`gemm_tn`) and update (`gemm_nn_minus`) of an `s`-column panel against
+/// the `k` columns before it — `lap2d_k4`'s widest (s = 20: 5 steps × 4
+/// right-hand sides, against 224 columns), standard GMRES's last column on
+/// `lap2d_t1` (s = 1 against 30) and an `s = 5` panel's widest there
+/// (against 60), whose ragged columns take `dot4` and the one-column
+/// update — plus the stage-2 Gram of `lap2d_k4`'s 14 400×240 flush panel.
 /// The update's coefficients are free of zeros, like the solver's
-/// projections, so it takes the streaming kernel throughout.  Each row's
+/// projections, so it takes the streaming kernels throughout.  Each row's
 /// variant is its level and its baseline the level below, so an AVX-512
-/// row reads as its speedup over AVX2.  `gemm_nn_minus` has no AVX-512
-/// body, so its `avx512` row runs the AVX2 one and reads about 1.0.
+/// row reads as its speedup over AVX2.  `gemm_nn_minus`, `dot4` and the
+/// ragged tiles have no AVX-512 body, so those `avx512` rows run the AVX2
+/// one and read about 1.0.
 fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
     let levels: Vec<SimdLevel> = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512]
         .into_iter()
@@ -310,33 +315,6 @@ fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
             available
         })
         .collect();
-    let (n, flush, s, k) = (14_400, 240, 20, 224);
-    let flush_panel = panel(n, flush, 1);
-    let v = panel(n, s, 1);
-    let q = panel(n, k, 2);
-    let p = Matrix::from_fn(k, s, |i, j| ((i + 2 * j) % 5) as f64 * 0.1 - 0.25);
-    let (nf, kf, sf) = (n as f64, k as f64, s as f64);
-    let gram = Cost {
-        kernel: "gram",
-        n,
-        s: flush,
-        k: 0,
-        flops: nf * flush as f64 * (flush as f64 + 1.0),
-        bytes: (8 * n * flush) as u64,
-    };
-    let tn = Cost {
-        kernel: "gemm_tn",
-        n,
-        s,
-        k,
-        flops: 2.0 * nf * kf * sf,
-        bytes: (8 * n * (k + s)) as u64,
-    };
-    let upd = Cost {
-        kernel: "gemm_nn_minus",
-        bytes: (8 * n * (k + 2 * s)) as u64,
-        ..tn
-    };
     let mut per_level = |cost: Cost, input: &Matrix, call: &dyn Fn(&mut Matrix)| {
         let secs = time_alternated(input, reps, levels.len(), &|i, w| {
             dense::set_simd_override(Some(levels[i]));
@@ -349,15 +327,42 @@ fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
             below = Some((level.label(), t));
         }
     };
-    per_level(gram, &flush_panel, &|w| {
+    let (n, flush) = (14_400, 240);
+    let gram = Cost {
+        kernel: "gram",
+        n,
+        s: flush,
+        k: 0,
+        flops: n as f64 * flush as f64 * (flush as f64 + 1.0),
+        bytes: (8 * n * flush) as u64,
+    };
+    per_level(gram, &panel(n, flush, 1), &|w| {
         drop(black_box(dense::gram(&w.view())))
     });
-    per_level(tn, &v, &|w| {
-        drop(black_box(dense::gemm_tn(&q.view(), &w.view())))
-    });
-    per_level(upd, &v, &|w| {
-        dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p)
-    });
+    for (n, s, k) in [(14_400, 20, 224), (25_600, 1, 30), (25_600, 5, 60)] {
+        let v = panel(n, s, 1);
+        let q = panel(n, k, 2);
+        let p = Matrix::from_fn(k, s, |i, j| ((i + 2 * j) % 5) as f64 * 0.1 - 0.25);
+        let tn = Cost {
+            kernel: "gemm_tn",
+            n,
+            s,
+            k,
+            flops: 2.0 * n as f64 * k as f64 * s as f64,
+            bytes: (8 * n * (k + s)) as u64,
+        };
+        let upd = Cost {
+            kernel: "gemm_nn_minus",
+            bytes: (8 * n * (k + 2 * s)) as u64,
+            ..tn
+        };
+        per_level(tn, &v, &|w| {
+            drop(black_box(dense::gemm_tn(&q.view(), &w.view())))
+        });
+        per_level(upd, &v, &|w| {
+            dense::gemm_nn_minus(&mut w.view_mut(), &q.view(), &p)
+        });
+    }
 }
 
 /// SpMV on one operator: the reference `Csr::spmv` against the
@@ -482,7 +487,7 @@ fn main() {
         eprintln!("benchmarking {n}x{s} flush panels ...");
         bench_flush_shape(&mut rows, n, s, reps);
     }
-    eprintln!("benchmarking the lap2d_k4 shapes on every SIMD level ...");
+    eprintln!("benchmarking the stage-1 shapes on every SIMD level ...");
     bench_backends(&mut rows, reps);
     // The benchmark's two operators at their `geer_t1`/`lap2d_t1` sizes.
     eprintln!("benchmarking SpMV ...");

@@ -228,6 +228,9 @@ struct Solve<'a> {
     agg_relres_history: Vec<f64>,
     consecutive_breakdowns: usize,
     no_progress_cycles: usize,
+    /// Why columns left the block before the first cycle (their initial
+    /// residual norm was not finite), `None` when none did.
+    retired: Option<String>,
 
     // Reusable buffers; `basis`/`r_factor` are re-sized at the top of a
     // cycle when deflation has narrowed the active block.
@@ -342,6 +345,7 @@ impl<'a> Solve<'a> {
             agg_relres_history: Vec::new(),
             consecutive_breakdowns: 0,
             no_progress_cycles: 0,
+            retired: None,
             basis,
             r_factor,
             z: vec![0.0; nloc],
@@ -356,7 +360,30 @@ impl<'a> Solve<'a> {
             Some(t) => t.clone(),
             None => solve.r0_norms.iter().map(|&r0| config.tol * r0).collect(),
         };
+        solve.retire_nonfinite_references();
         solve
+    }
+
+    /// A column whose initial residual norm is not finite — an infinite
+    /// entry in `b`, squares that overflow, a NaN initial guess — has no
+    /// reference to converge against (`tol·∞ = ∞` would read as met).  It
+    /// leaves the block unconverged before the first cycle, and the
+    /// breakdown names it ahead of any later one; the other columns solve
+    /// on.
+    fn retire_nonfinite_references(&mut self) {
+        let r0 = &self.r0_norms;
+        let (bad, usable): (Vec<usize>, Vec<usize>) =
+            self.active.iter().partition(|&&j| !r0[j].is_finite());
+        if !bad.is_empty() {
+            let named: Vec<String> = (bad.iter())
+                .map(|&j| format!("column {j} has initial residual norm {}", r0[j]))
+                .collect();
+            self.retired = Some(format!(
+                "{}: no finite convergence reference",
+                named.join(", ")
+            ));
+        }
+        self.active = usable;
     }
 
     /// The restart loop.
@@ -467,6 +494,12 @@ impl<'a> Solve<'a> {
             report.faults_unrecovered = c.unrecovered;
         }
         report.converged = converged;
+        if let Some(retired) = self.retired {
+            report.breakdown = Some(match report.breakdown {
+                Some(later) => format!("{retired}; then {later}"),
+                None => retired,
+            });
+        }
         report.final_relres = (self.gammas.iter().zip(&self.r0_norms))
             .map(|(&g, &r0)| if r0 == 0.0 { 0.0 } else { g / r0 })
             .collect();

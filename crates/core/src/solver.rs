@@ -478,6 +478,47 @@ mod tests {
     }
 
     #[test]
+    fn an_infinite_or_overflowing_rhs_is_never_reported_as_converged() {
+        // ‖r₀‖ = ∞ would make the relative target tol·∞ = ∞, which every
+        // residual meets.  A column without a finite reference must end
+        // unconverged, with a breakdown that names it.
+        let a = laplace2d_9pt(12, 12);
+        let n = a.nrows();
+        let good = rhs_for_ones(&a);
+        let mut inf = good.clone();
+        inf[7] = f64::INFINITY;
+        let huge = vec![1e300; n]; // its squared norm overflows
+        for ortho in [
+            OrthoKind::Cgs2,
+            OrthoKind::BcgsPip2,
+            OrthoKind::TwoStage { big_panel: 20 },
+        ] {
+            let solver = SStepGmres::new(GmresConfig {
+                restart: 20,
+                step_size: 5,
+                tol: 1e-8,
+                ortho,
+                ..GmresConfig::default()
+            });
+            for bad in [&inf, &huge] {
+                let (x, r) = solver.solve_serial(&a, bad);
+                assert!(!r.converged && !r.col_converged[0], "{ortho:?}: {r:?}");
+                assert_eq!(r.iterations, 0, "{ortho:?}");
+                assert!(x.iter().all(|&v| v == 0.0), "{ortho:?}");
+                let msg = r.breakdown.as_deref().unwrap_or_default();
+                assert!(msg.contains("column 0"), "{ortho:?}: {msg}");
+
+                // In a block of two, the good column still solves.
+                let (_, r) = solver.solve_block_serial(&a, &[good.clone(), bad.clone()]);
+                assert!(!r.converged, "{ortho:?}: {r:?}");
+                assert_eq!(r.col_converged, vec![true, false], "{ortho:?}");
+                let msg = r.breakdown.as_deref().unwrap_or_default();
+                assert!(msg.starts_with("column 1 has initial residual"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
     fn iteration_cap_is_respected() {
         let a = laplace2d_5pt(30, 30);
         let b = rhs_for_ones(&a);

@@ -50,8 +50,21 @@
 //! `0.0 + s` into the output, on AVX2 and on AVX-512 alike, so the two
 //! levels return the same bits
 //! (`crates/dense/tests/simd_kernel_props.rs`,
-//! `avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels`).  Ragged
-//! entries take the `dot` path on every level.
+//! `avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels`).
+//!
+//! **Ragged tiles** (the narrow shapes: a single column in standard
+//! GMRES's CGS2, the fifth column of an `s = 5` panel) stay at tile rate
+//! with the bits of the per-entry `dot`.  Where four full `A` columns
+//! meet a ragged `B` tile, [`crate::simd::dot4`] forms the four entries
+//! of each `B` column in one sweep, each bit for bit the `dot` of its
+//! pair; a product commutes, so the mirrored case (a ragged `A` tile
+//! against four full `B` columns) runs the same kernel with the roles
+//! swapped.  Only a tile ragged on both sides (at most 3×3) takes `dot`
+//! per entry.  On the update side every ragged column — and the TRSM's
+//! ragged last tile — streams through [`crate::simd::update_run1`], which
+//! keeps sixteen rows of the column in registers across a run of up to
+//! 16 nonzero coefficients; the entries and their bits are those of the
+//! per-column axpy sweep they replace.
 //! The element-update kernels ([`gemm_nn_minus`], [`gemm_nn_plus`],
 //! [`trsm_right_upper`], the update half of the fused kernel) take one
 //! fused multiply-add per nonzero coefficient per element, in ascending
@@ -67,6 +80,7 @@
 
 use crate::matrix::{MatView, MatViewMut, Matrix};
 use crate::simd;
+use std::ops::Range;
 
 /// Register-tile width: each inner loop produces a `TILE×TILE` block of the
 /// output in scalar accumulators.
@@ -111,8 +125,11 @@ impl SliceCols<'_> {
 /// where `A`/`B` are column-major with leading dimension `n` and `out` is
 /// `lda_out`-major (column-major with `lda_out` rows).
 ///
-/// The full `4×4` tile is specialized with 16 explicit scalar accumulators;
-/// ragged edges take a generic two-way-unrolled path.
+/// The full `4×4` tile is specialized with 16 explicit scalar accumulators.
+/// A ragged tile with four full columns on one side takes [`simd::dot4`]
+/// per column of the other side; a tile ragged on both sides (at most 3×3
+/// entries) takes [`simd::dot`] per entry.  Either way an entry has the
+/// bits of the `dot` of its two column segments.
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
 fn tn_tile(
@@ -149,6 +166,26 @@ fn tn_tile(
         for jj in 0..TILE {
             for ii in 0..TILE {
                 out[(oj0 + jj) * lda_out + oi0 + ii] += tile[jj * TILE + ii];
+            }
+        }
+    } else if iw == TILE {
+        // Four full `A` columns against each ragged `B` column.
+        let a_segs: [&[f64]; TILE] = std::array::from_fn(|ii| a.seg(i0 + ii, r0, r1));
+        for jj in 0..jw {
+            let col = simd::dot4(&a_segs, b.seg(j0 + jj, r0, r1));
+            let out_col = &mut out[(oj0 + jj) * lda_out + oi0..][..TILE];
+            for (o, d) in out_col.iter_mut().zip(col) {
+                *o += d;
+            }
+        }
+    } else if jw == TILE {
+        // The mirror image: each ragged `A` column against four full `B`
+        // columns (`dot(b, a)` has the bits of `dot(a, b)`).
+        let b_segs: [&[f64]; TILE] = std::array::from_fn(|jj| b.seg(j0 + jj, r0, r1));
+        for ii in 0..iw {
+            let row = simd::dot4(&b_segs, a.seg(i0 + ii, r0, r1));
+            for (jj, d) in row.into_iter().enumerate() {
+                out[(oj0 + jj) * lda_out + oi0 + ii] += d;
             }
         }
     } else {
@@ -227,7 +264,7 @@ fn tn_tile8x4(
 /// wholly above the diagonal.  It runs `A` pair by `A` pair, so the pair's
 /// eight column segments stay in L1 while the `B` tiles stream past.  A
 /// second pass, column tile by column tile, takes what is left: the 4×4
-/// tile, the symmetric diagonal tile or, when ragged, the `dot` path.
+/// tile, the symmetric diagonal tile or, when ragged, `dot4`/`dot`.
 /// Every entry is computed by exactly one tile, so the visiting order
 /// does not change its bits.
 #[inline]
@@ -361,11 +398,45 @@ pub fn gemm_tn(a: &MatView<'_>, b: &MatView<'_>) -> Matrix {
 /// 0.029–0.031 s with this cap (best of 15, four alternated runs).
 const RUN: usize = 16;
 
-/// Per-column axpy sweep of `V[r0..r1, jb..jb+jw] −= Q[r0..r1, kb..kend]·R`
-/// with the naive zero skip, in increasing-`k` order: the path for ragged
-/// tiles and for `k` steps whose coefficients contain a zero.  `v` holds
-/// `V`'s columns from `jb` on (column `jb` at offset 0, leading dimension
-/// `n`).
+/// `vj −= Σ_k coef(k)·Q[r0..r1, k]` over `ks` in increasing order, zero
+/// coefficients skipped: the nonzero steps go in runs of at most [`RUN`]
+/// through [`simd::update_run1`], which keeps `vj` in registers across a
+/// run.  Per element that is the naive sweep, one fused multiply-add per
+/// nonzero coefficient in ascending `k`.
+#[inline]
+fn update_col(
+    vj: &mut [f64],
+    q: SliceCols,
+    r0: usize,
+    r1: usize,
+    ks: Range<usize>,
+    coef: impl Fn(usize) -> f64,
+) {
+    let mut c = [0.0f64; RUN];
+    let mut qs: [&[f64]; RUN] = [&[]; RUN];
+    let mut run = 0;
+    for kk in ks {
+        let alpha = coef(kk);
+        if alpha == 0.0 {
+            continue;
+        }
+        c[run] = alpha;
+        qs[run] = q.seg(kk, r0, r1);
+        run += 1;
+        if run == RUN {
+            simd::update_run1(vj, &qs, &c);
+            run = 0;
+        }
+    }
+    if run > 0 {
+        simd::update_run1(vj, &qs[..run], &c[..run]);
+    }
+}
+
+/// Column-by-column update `V[r0..r1, jb..jb+jw] −= Q[r0..r1, kb..kend]·R`
+/// through [`update_col`]: the path for ragged tiles and for `k` steps
+/// whose coefficients contain a zero.  `v` holds `V`'s columns from `jb`
+/// on (column `jb` at offset 0, leading dimension `n`).
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
 fn update_cols_generic(
@@ -382,12 +453,7 @@ fn update_cols_generic(
 ) {
     for jj in 0..jw {
         let vj = &mut v[jj * n + r0..jj * n + r1];
-        for kk in kb..kend {
-            let alpha = r[(kk, jb + jj)];
-            if alpha != 0.0 {
-                simd::axpy_minus(alpha, q.seg(kk, r0, r1), vj);
-            }
-        }
+        update_col(vj, q, r0, r1, kb..kend, |kk| r[(kk, jb + jj)]);
     }
 }
 
@@ -402,8 +468,8 @@ fn update_cols_generic(
 /// multiplied) to stay bitwise-faithful to the naive sweep: `x − 0.0·q`
 /// can flip a `-0.0` and poisons `V` when `q` is Inf/NaN.  So a `k` step
 /// with a zero among its four coefficients ends the run and takes the
-/// skipping column sweep.  Per element the steps still run in ascending
-/// `k`, whichever path each takes.
+/// column-by-column update, which leaves the zero out.  Per element the
+/// steps still run in ascending `k`, whichever path each takes.
 #[inline]
 #[allow(clippy::too_many_arguments)] // leaf kernel: scalars beat a params struct here
 fn update_tile(
@@ -448,11 +514,11 @@ fn update_tile(
 
 /// Update one row block of `V ← V − Q·R`, `RUN` columns of `Q` at a time:
 /// each chunk (`ROW_BLOCK × RUN` doubles, 32 KiB) stays in L1 while every
-/// full column tile of `V` takes it through [`update_tile`] and a ragged
-/// last tile through the column sweep.  Against one tile at a time over
-/// the whole `k` range this cut the widest `lap2d_k4` stage-1 update
-/// (n = 14 400, s = 20, k = 224) from 5.6–8.6 ms to 4.6–6.6 ms on one lane
-/// (best of 15, four alternated runs).
+/// full column tile of `V` takes it through [`update_tile`] and each
+/// column of a ragged last tile through [`update_col`].  Against one tile
+/// at a time over the whole `k` range this cut the widest `lap2d_k4`
+/// stage-1 update (n = 14 400, s = 20, k = 224) from 5.6–8.6 ms to
+/// 4.6–6.6 ms on one lane (best of 15, four alternated runs).
 ///
 /// `v` is the whole `n`-row column-major panel.  Per element the updates
 /// run over `k` in index order, one fused multiply-add each, so the result
@@ -527,10 +593,11 @@ fn update_panel(v: &mut MatViewMut<'_>, q: &MatView<'_>, r: &Matrix) {
 /// kernel as [`gemm_nn_minus`] (eight rows of its four columns stay in
 /// registers while up to 16 finished columns stream past, so the finished
 /// columns are read once per tile, not once per column), then solves
-/// its own `TILE×TILE` triangle by axpy and scale.  At the flush widths of
-/// the two-stage scheme (`s = 60…240`, a panel of 123–491 KB) this is what
+/// its own `TILE×TILE` triangle column by column, through the one-column
+/// update and a scale.  At the flush widths of the two-stage scheme
+/// (`s = 60…240`, a panel of 123–491 KB) this is what
 /// keeps the solve from running at axpy rate out of L2.  A ragged last
-/// tile takes the plain column sweep.
+/// tile updates each column through the one-column streaming kernel.
 ///
 /// Per element the operations are "subtract `r_ij·q_i` for ascending `i`,
 /// one fused multiply-add each, zero `r_ij` skipped, then scale", so
@@ -571,12 +638,7 @@ pub fn trsm_right_upper(v: &mut MatViewMut<'_>, r: &Matrix) {
                 let (done, rest) = data.split_at_mut(j * n);
                 let done = SliceCols { data: done, n };
                 let vj = &mut rest[rb..re];
-                for i in solved_from..j {
-                    let alpha = r[(i, j)];
-                    if alpha != 0.0 {
-                        simd::axpy_minus(alpha, done.seg(i, rb, re), vj);
-                    }
-                }
+                update_col(vj, done, rb, re, solved_from..j, |i| r[(i, j)]);
                 simd::scal(1.0 / r[(j, j)], vj);
             }
             jb += TILE;
@@ -637,6 +699,45 @@ pub fn fused_update_proj_gram(
         }
     }
     (c, g)
+}
+
+/// Fused `V ← V − Q·P` **plus** `C = QᵀV` of the *updated* panel, in one
+/// pass over the tall operands: per [`ROW_BLOCK`], the update of the row
+/// panel and then its projection while it is still in cache.
+///
+/// This is the reorthogonalization step of column-wise CGS2: the first
+/// pass's update fused with the second pass's projection, so a column
+/// costs three sweeps of `Q` instead of four.  Rows are independent and
+/// each entry of `C` is accumulated over the row blocks in the same order,
+/// so `V` and `C` are bit for bit [`gemm_nn_minus`] followed by
+/// [`gemm_tn`].
+pub fn fused_update_proj(v: &mut MatViewMut<'_>, q: &MatView<'_>, p: &Matrix) -> Matrix {
+    let n = v.nrows();
+    let s = v.ncols();
+    let k = q.ncols();
+    assert_eq!(q.nrows(), n, "fused_update_proj: row mismatch");
+    assert_eq!(p.nrows(), k, "fused_update_proj: inner dim mismatch");
+    assert_eq!(p.ncols(), s, "fused_update_proj: col mismatch");
+    if k == 0 || s == 0 {
+        return Matrix::zeros(k, s);
+    }
+    let _span = trace::span(
+        "blas3",
+        "fused_update_proj",
+        &[("n", n as u64), ("k", k as u64)],
+    );
+    let q_cols = SliceCols { data: q.data(), n };
+    let vdata = v.data_mut();
+    let c = accumulate_rows(n, k * s, |c| {
+        let mut rb = 0;
+        while rb < n {
+            let re = (rb + ROW_BLOCK).min(n);
+            update_row_block(vdata, q_cols, p, n, rb, re);
+            tn_row_block(q_cols, SliceCols { data: vdata, n }, rb, re, k, s, c, false);
+            rb = re;
+        }
+    });
+    Matrix::from_col_major(k, s, c)
 }
 
 /// Serial reference Gram matrix (the pre-blocking dot-product formulation);
@@ -1007,6 +1108,32 @@ mod tests {
             let g_ref = gram(&v_ref.view());
             assert_close(&c, &c_ref, 1e-10 * (n as f64));
             assert_close(&g, &g_ref, 1e-10 * (n as f64));
+        }
+    }
+
+    #[test]
+    fn fused_update_proj_is_bitwise_the_separate_kernels() {
+        for (n, k, s) in [
+            (300, 3, 1),
+            (1_027, 21, 1),
+            (600, 9, 5),
+            (0, 2, 1),
+            (50, 0, 1),
+        ] {
+            let q = test_panel(n, k);
+            let p = Matrix::from_fn(k, s, |i, j| {
+                if (i + j) % 4 == 1 {
+                    0.0
+                } else {
+                    (i as f64 - j as f64) * 0.15 + 0.05
+                }
+            });
+            let mut v = test_panel(n, s);
+            let mut v_ref = v.clone();
+            let c = fused_update_proj(&mut v.view_mut(), &q.view(), &p);
+            gemm_nn_minus(&mut v_ref.view_mut(), &q.view(), &p);
+            assert_eq!(v, v_ref, "fused update must equal separate update");
+            assert_eq!(c, gemm_tn(&q.view(), &v_ref.view()), "projection bits");
         }
     }
 

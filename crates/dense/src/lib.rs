@@ -44,7 +44,7 @@ pub mod tri;
 
 pub use blas1::{axpy, dot, nrm2, scal};
 pub use blas3::{
-    fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_tn, gram,
+    fused_update_proj, fused_update_proj_gram, gemm_nn, gemm_nn_minus, gemm_nn_plus, gemm_tn, gram,
     naive_gemm_nn_minus, naive_gemm_tn, naive_gram, naive_trsm_right_upper, trsm_right_upper,
     ROW_BLOCK, TILE,
 };

@@ -20,7 +20,7 @@
 //! The kernels fall into two classes, matching the guarantees the blocked
 //! BLAS-3 layer makes against its `naive_*` oracles:
 //!
-//! * **Bitwise-faithful** — [`update_run`], [`axpy_minus`], [`scal`]:
+//! * **Bitwise-faithful** — [`update_run`], [`update_run1`], [`scal`]:
 //!   these implement the `V ← V − Q·R` / TRSM element updates.  Per
 //!   element, each nonzero coefficient `c` costs one fused multiply-add
 //!   `v ← v − c·q`, rounded once, in ascending-`k` order (`_mm256_fnmadd_pd`
@@ -33,9 +33,14 @@
 //!   `|δ| ≤ u`, that the stability analyses of the block schemes assume.
 //!   `crates/dense/tests/simd_kernel_props.rs`
 //!   (`update_class_is_bitwise_identical_across_backends`,
-//!   `streaming_update_is_bitwise_across_backends_and_naive`) pins it.
+//!   `streaming_update_is_bitwise_across_backends_and_naive`) pins it, and
+//!   `crates/dense/tests/ragged_kernel_props.rs` pins [`update_run1`].
+//!   A NaN result's sign and payload are not part of the contract: where a
+//!   NaN coefficient meets a NaN in the data they follow the operand order
+//!   of the instruction.
 //! * **Tolerance-pinned** — [`tn_tile4x4`], [`tn_tile8x4`], [`sym_tile4`],
-//!   [`dot`]: the Gram/projection accumulations are pinned to the oracles
+//!   [`dot`], and [`dot4`], which is bitwise [`dot`]: the Gram/projection
+//!   accumulations are pinned to the oracles
 //!   within `1e-10·n`, so the vector paths may use FMA and four parallel
 //!   lane accumulators.  Results differ from the scalar path by the usual
 //!   reassociation rounding (an ulp envelope of a few `ulp·√n`), but are
@@ -48,6 +53,8 @@
 //!   `+0.0`; the AVX-512 tile only carries two such chains per 512-bit
 //!   register (`crates/dense/tests/simd_kernel_props.rs`,
 //!   `avx512_matches_avx2_bitwise_on_tiles_and_blocked_kernels`, pins it).
+//!   [`dot4`] runs four [`dot`] chains side by side and returns their bits
+//!   exactly (`crates/dense/tests/ragged_kernel_props.rs`).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -324,6 +331,28 @@ fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     s0 + s1
 }
 
+/// `[dot(a[0], b), …, dot(a[3], b)]`: four columns against one, each
+/// entry bit for bit the [`dot`] of that pair on the same backend (the
+/// ragged-tile path where four full columns meet one; tolerance-pinned
+/// like [`dot`]).  The AVX2 body runs the four [`dot`] chains side by
+/// side, so `b` is read once for all four; a product is commutative, so
+/// `dot(x, y)` and `dot(y, x)` give the same bits and the caller may put
+/// the single column on either side.
+#[inline]
+pub fn dot4(a: &[&[f64]; 4], b: &[f64]) -> [f64; 4] {
+    assert!(
+        a.iter().all(|col| col.len() == b.len()),
+        "dot4: length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; all five
+        // columns have the same length (asserted above).
+        return unsafe { avx2::dot4(a, b) };
+    }
+    a.map(|col| dot_scalar(col, b))
+}
+
 /// `v[j] ← v[j] − Σ_k c[k][j]·q[k]` for four resident columns of `V`
 /// against a run of streamed columns of `Q` (bitwise-faithful).
 ///
@@ -363,19 +392,33 @@ pub fn update_run(v: &mut [&mut [f64]; 4], q: &[&[f64]], c: &[[f64; 4]]) {
     }
 }
 
-/// `y ← y − alpha·x` (bitwise-faithful: one fused multiply-add per
-/// element).
+/// `v ← v − Σ_k c[k]·q[k]` for one resident column of `V` against a run of
+/// streamed columns of `Q` (bitwise-faithful): the one-column
+/// [`update_run`].
+///
+/// The AVX2 path holds sixteen rows of `v` in registers for the whole run,
+/// one `_mm256_fnmadd_pd` per four rows per `k` step, in ascending `k`; the
+/// last `len % 16` rows take the scalar sweep.  Per element that is the
+/// scalar sweep — one `f64::mul_add` per coefficient in ascending `k` — so
+/// every backend returns its bits.
+/// Every coefficient must be nonzero: a zero is left out of the run.
 #[inline]
-pub fn axpy_minus(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy_minus: length mismatch");
+pub fn update_run1(v: &mut [f64], q: &[&[f64]], c: &[f64]) {
+    let len = v.len();
+    assert!(
+        c.len() == q.len() && q.iter().all(|col| col.len() == len),
+        "update_run1: shape mismatch"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: AVX2+FMA presence was verified by `simd_level`; the two
-        // columns have the same length (asserted above).
-        unsafe { avx2::axpy_minus(alpha, x, y) };
+        // SAFETY: AVX2+FMA presence was verified by `simd_level`; the
+        // shapes were asserted above.
+        unsafe { avx2::update_run1(v, q, c) };
         return;
     }
-    axpy_minus_scalar(alpha, x, y);
+    for (qk, &ck) in q.iter().zip(c) {
+        axpy_minus_scalar(ck, qk, v);
+    }
 }
 
 /// The scalar element update every bitwise-faithful kernel reproduces:
@@ -544,6 +587,43 @@ mod avx2 {
         s
     }
 
+    /// Four [`dot`] chains side by side: per column the same two 4-lane
+    /// accumulators over 8-row steps, `hsum4(acc0 + acc1)` and the scalar
+    /// tail, with each 8-row step of `b` loaded once for all four.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be present and every `a` column as long as `b`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot4(a: &[&[f64]; 4], b: &[f64]) -> [f64; 4] {
+        let len = b.len();
+        let body = len & !7;
+        let pa = a.map(<[f64]>::as_ptr);
+        let pb = b.as_ptr();
+        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        let mut r = 0;
+        while r < body {
+            // SAFETY: r + 8 <= body <= len, the length of every column.
+            let (b0, b1) = unsafe { (_mm256_loadu_pd(pb.add(r)), _mm256_loadu_pd(pb.add(r + 4))) };
+            for (acc_i, &p) in acc.iter_mut().zip(&pa) {
+                // SAFETY: as for the `b` loads.
+                let (x0, x1) =
+                    unsafe { (_mm256_loadu_pd(p.add(r)), _mm256_loadu_pd(p.add(r + 4))) };
+                acc_i[0] = _mm256_fmadd_pd(x0, b0, acc_i[0]);
+                acc_i[1] = _mm256_fmadd_pd(x1, b1, acc_i[1]);
+            }
+            r += 8;
+        }
+        let mut out = [0.0f64; 4];
+        for ((o, acc_i), col) in out.iter_mut().zip(&acc).zip(a) {
+            let mut s = hsum4(_mm256_add_pd(acc_i[0], acc_i[1]));
+            for rr in body..len {
+                s += col[rr] * b[rr];
+            }
+            *o = s;
+        }
+        out
+    }
+
     /// The streaming update: eight rows of the four `V` columns stay in
     /// registers (two `__m256d` each) across the whole run of `Q` columns,
     /// one `_mm256_fnmadd_pd` per column per `k` step in ascending `k`; the
@@ -598,27 +678,43 @@ mod avx2 {
         }
     }
 
-    /// Bitwise-faithful `y ← y − alpha·x`, one `_mm256_fnmadd_pd` per four
-    /// elements.
+    /// The one-column streaming update: sixteen rows of `v` stay in four
+    /// registers across the whole run of `Q` columns, one
+    /// `_mm256_fnmadd_pd` per register per `k` step in ascending `k`; the
+    /// last `len % 16` rows take the scalar sweep.
     ///
     /// # Safety
-    /// AVX2+FMA must be present and `x`, `y` of equal length.
+    /// AVX2+FMA must be present; every `q` column holds `v.len()` elements
+    /// and `c.len() == q.len()`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_minus(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let len = y.len();
-        let body = len & !3;
-        let va = _mm256_set1_pd(alpha);
-        let px = x.as_ptr();
-        let py = y.as_mut_ptr();
+    pub unsafe fn update_run1(v: &mut [f64], q: &[&[f64]], c: &[f64]) {
+        let len = v.len();
+        let pv = v.as_mut_ptr();
         let mut r = 0;
-        while r < body {
-            // SAFETY: r + 4 <= body <= len, the length of both columns.
-            let (xr, yr) = unsafe { (_mm256_loadu_pd(px.add(r)), _mm256_loadu_pd(py.add(r))) };
-            // SAFETY: as for the loads.
-            unsafe { _mm256_storeu_pd(py.add(r), _mm256_fnmadd_pd(va, xr, yr)) };
-            r += 4;
+        while r + 16 <= len {
+            let mut acc = [_mm256_setzero_pd(); 4];
+            for (i, a) in acc.iter_mut().enumerate() {
+                // SAFETY: r + 16 <= len, the length of `v`.
+                *a = unsafe { _mm256_loadu_pd(pv.add(r + 4 * i)) };
+            }
+            for (qk, &ck) in q.iter().zip(c) {
+                let ck = _mm256_set1_pd(ck);
+                let pq = qk.as_ptr();
+                for (i, a) in acc.iter_mut().enumerate() {
+                    // SAFETY: r + 16 <= len, the length of every `q` column.
+                    let x = unsafe { _mm256_loadu_pd(pq.add(r + 4 * i)) };
+                    *a = _mm256_fnmadd_pd(ck, x, *a);
+                }
+            }
+            for (i, a) in acc.iter().enumerate() {
+                // SAFETY: as for the loads above.
+                unsafe { _mm256_storeu_pd(pv.add(r + 4 * i), *a) };
+            }
+            r += 16;
         }
-        super::axpy_minus_scalar(alpha, &x[body..], &mut y[body..]);
+        for (qk, &ck) in q.iter().zip(c) {
+            super::axpy_minus_scalar(ck, &qk[r..], &mut v[r..]);
+        }
     }
 
     /// Bitwise-faithful `y ← d·y`.
@@ -768,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn update_and_axpy_are_bitwise_across_backends() {
+    fn update_and_scal_are_bitwise_across_backends() {
         let _guard = override_lock();
         for n in [1usize, 3, 4, 7, 8, 9, 63, 257] {
             let q: Vec<Vec<f64>> = (0..5).map(|s| col(n, s + 9)).collect();
@@ -788,16 +884,13 @@ mod tests {
             run(&mut v_simd);
             assert_eq!(v_scalar, v_simd, "update_run must be bitwise stable");
 
-            let x = col(n, 77);
             let mut y_scalar = col(n, 78);
             let mut y_simd = y_scalar.clone();
             set_simd_override(Some(SimdLevel::Scalar));
-            axpy_minus(0.825, &x, &mut y_scalar);
             scal(1.0 / 3.0, &mut y_scalar);
             set_simd_override(None);
-            axpy_minus(0.825, &x, &mut y_simd);
             scal(1.0 / 3.0, &mut y_simd);
-            assert_eq!(y_scalar, y_simd, "axpy/scal must be bitwise stable");
+            assert_eq!(y_scalar, y_simd, "scal must be bitwise stable");
         }
     }
 

@@ -172,6 +172,28 @@ impl DistMultiVector {
         dense::gemm_nn_minus(&mut v, &q, p);
     }
 
+    /// Fused BCGS update **and** re-projection: applies
+    /// `W = V_new − Q_prev·P` in place and returns `Q_prevᵀ·W` with a
+    /// **single global reduce** of `k·s` words, the reduce [`proj`] makes.
+    ///
+    /// Column-wise CGS2 runs its first update and its reorthogonalization
+    /// projection through this call, so `Q_prev` is swept once for both.
+    /// Locally the pass is [`dense::fused_update_proj`], bit for bit
+    /// [`update`] followed by [`proj`].
+    ///
+    /// [`proj`]: Self::proj
+    /// [`update`]: Self::update
+    pub fn update_and_proj(&mut self, prev: Range<usize>, new: Range<usize>, p: &Matrix) -> Matrix {
+        assert!(prev.end <= new.start, "prev must precede new");
+        let s = new.end - new.start;
+        let (head, mut tail) = self.local.split_at_col(new.start);
+        let q = head.cols(prev);
+        let mut v = tail.cols_mut(0..s);
+        let mut c = dense::fused_update_proj(&mut v, &q, p);
+        self.comm.allreduce_sum(c.data_mut());
+        c
+    }
+
     /// Fused BCGS update **and** re-projection inner products: applies
     /// `W = V_new − Q_prev·P` in place and returns
     /// `(C, G) = (Q_prevᵀ·W, Wᵀ·W)` with a **single global reduce** of
@@ -381,6 +403,20 @@ mod tests {
                 assert!((g[(i, j)] - g_ref[(i, j)]).abs() < 1e-12 * g_ref.max_abs().max(1.0));
             }
         }
+    }
+
+    #[test]
+    fn update_and_proj_is_one_reduce_and_bitwise_update_then_proj() {
+        let mut fused = DistMultiVector::from_matrix(SerialComm::new(), test_matrix(300, 7));
+        let mut separate = fused.clone();
+        let p = Matrix::from_fn(6, 1, |i, _| 0.3 - 0.1 * i as f64);
+        let before = fused.comm().stats().snapshot();
+        let c = fused.update_and_proj(0..6, 6..7, &p);
+        let delta = fused.comm().stats().snapshot().since(&before);
+        assert_eq!((delta.allreduces, delta.allreduce_words), (1, 6));
+        separate.update(0..6, 6..7, &p);
+        assert_eq!(c, separate.proj(0..6, 6..7));
+        assert_eq!(fused.local(), separate.local());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`bcgs_pip`] | 1 | 3 (fused proj+Gram read, update, TRSM) | the PIP first stage, the deferred second stage, the sketch's per-panel polish |
 //! | its factoring half | 1 | 1 (fused proj+Gram read; the update and TRSM wait for `finish`, and the solver folds them away) | the deferred stage's end-of-cycle flush |
 //! | [`bcgs_pip2_fused`] | 2 | 5 (vs 6 for two `bcgs_pip` calls) | BCGS-PIP2's two stages, fused; the shifted remedy |
-//! | [`columnwise_cgs2`] | 3·s | O(s) column sweeps | the CGS2 first stage |
+//! | [`columnwise_cgs2`] | 3·s | 3 sweeps of the previous columns per column (proj, fused update + re-proj, update) | the CGS2 first stage |
 //! | sketch pre-conditioning ([`crate::sketched`]) | 1 (sketch slots only) | 3 (sketch read, update, TRSM) | the sketch first stage |
 //!
 //! **Block panel widths.**  Every kernel takes an arbitrary column range,
@@ -229,7 +229,10 @@ pub fn bcgs_pip2_fused(
 ///
 /// This is the "BLAS-1/BLAS-2, `O(s)` synchronizations" kernel class:
 /// stable for numerically full-rank panels but communication-bound
-/// (**3 global reduces per column**).
+/// (**3 global reduces per column**).  A column sweeps the previous
+/// columns three times: the projection, the first update fused with the
+/// reorthogonalization's projection
+/// ([`DistMultiVector::update_and_proj`]), and the second update.
 ///
 /// Returns `(R_prev_new, R_new_new)`: the R block of columns `new`, rows
 /// `0..new.start` and rows `new`.
@@ -247,11 +250,10 @@ pub fn columnwise_cgs2(
     for c in new.clone() {
         let rcol = c - new.start;
         if c > 0 {
-            // First projection pass.
+            // First projection pass; its update shares a sweep of the
+            // previous columns with the reorthogonalization's projection.
             let p1 = basis.proj(0..c, c..c + 1);
-            basis.update(0..c, c..c + 1, &p1);
-            // Reorthogonalization pass.
-            let p2 = basis.proj(0..c, c..c + 1);
+            let p2 = basis.update_and_proj(0..c, c..c + 1, &p1);
             basis.update(0..c, c..c + 1, &p2);
             for k in 0..c {
                 let rk = p1[(k, 0)] + p2[(k, 0)];

@@ -25,8 +25,8 @@
 //! the shifted [`bcgs_pip2_fused`] (2 reduces; it succeeds on any
 //! numerically full-rank panel) when their plain kernel refuses a panel,
 //! and log a [`FallbackEvent`]; the one-stage baselines and BCGS2 report
-//! the breakdown instead, as in the paper.  Before a plain PIP first stage
-//! gives up on a panel while a big panel is pending, it runs the second
+//! the breakdown instead, as in the paper.  Before a plain PIP or sketch
+//! first stage gives up on a panel while a big panel is pending, it runs the second
 //! stage *now* and takes the same raw panel again against the orthonormal
 //! columns (the **early flush**): the pre-processed columns lose a little
 //! orthonormality with every panel, and monomial panels — `k·s` wide in a
@@ -171,9 +171,33 @@ impl Scheme {
         r: &mut Matrix,
         new: Range<usize>,
     ) -> Result<((Matrix, Matrix), bool), OrthoError> {
+        let mut plain = self.plain_first_stage(basis, new.clone());
+        if plain.is_err() && self.big_start < new.start {
+            // Early flush (see the module docs): the refused panel is
+            // untouched, so it can be taken again as it is.
+            trace::instant("ortho", "early_flush", &span_args(&new));
+            self.flush(basis, r, false)?;
+            plain = self.plain_first_stage(basis, new.clone());
+        }
+        let remedied = plain.is_err();
+        let factors = self.or_remedy(plain, basis, new.clone(), false)?;
+        if remedied {
+            self.follow_sketch(new, &factors);
+        }
+        Ok((factors, remedied))
+    }
+
+    /// The first stage's plain kernel on `new`.  The two stages that run
+    /// ahead of a deferred second stage, PIP and the sketch, leave a panel
+    /// they refuse untouched.
+    fn plain_first_stage(
+        &mut self,
+        basis: &mut DistMultiVector,
+        new: Range<usize>,
+    ) -> Result<(Matrix, Matrix), OrthoError> {
         let prev = 0..new.start;
-        let plain = match self.first {
-            First::Cgs2 => columnwise_cgs2(basis, new.clone()),
+        match self.first {
+            First::Cgs2 => columnwise_cgs2(basis, new),
             First::BcgsCholQr2 => {
                 // Fig. 2b, j = 1: the first panel has nothing to project on.
                 let p = if prev.is_empty() {
@@ -181,32 +205,16 @@ impl Scheme {
                 } else {
                     bcgs(basis, prev, new.clone())
                 };
-                cholqr2(basis, new.clone()).map(|r_new| (p, r_new))
+                cholqr2(basis, new).map(|r_new| (p, r_new))
             }
-            First::Pip => {
-                let mut plain = bcgs_pip(basis, prev.clone(), new.clone());
-                if plain.is_err() && self.big_start < new.start {
-                    // Early flush (see the module docs): the refused panel
-                    // is untouched, so it can be taken again as it is.
-                    trace::instant("ortho", "early_flush", &span_args(&new));
-                    self.flush(basis, r, false)?;
-                    plain = bcgs_pip(basis, prev, new.clone());
-                }
-                plain
-            }
+            First::Pip => bcgs_pip(basis, prev, new),
             First::Sketch => {
                 let (config, cols) = (self.sketch_config, self.total_cols);
                 self.sketch
                     .get_or_insert_with(|| SketchState::new(&config, basis.global_rows(), cols))
-                    .preprocess(basis, prev, new.clone())
+                    .preprocess(basis, prev, new)
             }
-        };
-        let remedied = plain.is_err();
-        let factors = self.or_remedy(plain, basis, new.clone(), false)?;
-        if remedied {
-            self.follow_sketch(new, &factors);
         }
-        Ok((factors, remedied))
     }
 
     /// The per-panel second stage: a second pass over `new`, composed with
@@ -504,6 +512,33 @@ mod tests {
 
     fn run(v: &Matrix, panel: usize, bs: usize) -> (Matrix, Matrix, Scheme) {
         run_scheme(two_stage(bs, v.ncols()), v, panel)
+    }
+
+    #[test]
+    fn sketched_first_stage_flushes_early_before_its_remedy() {
+        // Panel 4..8 repeats column 1 of the pending big panel 0..4.  The
+        // sketch refuses it; the pending columns are only sketch-
+        // orthonormal, so the remedy needs them flushed first, as the PIP
+        // first stage does.
+        let mut v = testmat::random_dense(400, 8, 3);
+        for i in 0..400 {
+            let x = v[(i, 1)];
+            v[(i, 6)] = x;
+        }
+        let mut scheme = sketched(10, 8);
+        let (q, r) = crate::orthogonalize_with(&mut scheme, &v, 4).unwrap();
+        let stages: Vec<_> = scheme
+            .events
+            .iter()
+            .map(|e| (e.stage, e.cols.clone()))
+            .collect();
+        assert_eq!(stages, [(FallbackStage::SketchPrecondition, 4..8)]);
+        let back = dense::gemm_nn(&q, &r);
+        for j in 0..8 {
+            for i in 0..400 {
+                assert!((back[(i, j)] - v[(i, j)]).abs() < 1e-10 * v.max_abs());
+            }
+        }
     }
 
     #[test]

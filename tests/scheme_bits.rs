@@ -18,137 +18,15 @@
 //! have a binary of their own; every test sets the same level.  A change
 //! that is meant to keep the arithmetic leaves every hash as it is.
 
-use blockortho::{make_orthogonalizer, BlockOrthogonalizer, OrthoError, OrthoKind};
+mod common;
+
+use common::bits::{check, panels, run_panels, Bits};
 use dense::{Matrix, SimdLevel};
-use distsim::{CommStatsSnapshot, DistMultiVector, SerialComm};
 use sparse::laplace2d_9pt;
 use ssgmres::{GmresConfig, SStepGmres};
-use std::ops::Range;
-
-const KINDS: [OrthoKind; 7] = [
-    OrthoKind::Cgs2,
-    OrthoKind::Bcgs2CholQr2,
-    OrthoKind::BcgsPip,
-    OrthoKind::BcgsPip2,
-    OrthoKind::TwoStage { big_panel: 10 },
-    OrthoKind::RandCholQr,
-    OrthoKind::TwoStageSketched { big_panel: 10 },
-];
-
-/// FNV-1a over 64-bit words: stable across platforms and toolchains.
-struct Bits(u64);
-
-impl Bits {
-    fn new() -> Self {
-        Bits(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn floats(&mut self, xs: &[f64]) {
-        self.word(xs.len() as u64);
-        xs.iter().for_each(|x| self.word(x.to_bits()));
-    }
-
-    fn matrix(&mut self, m: &Matrix) {
-        self.word(m.nrows() as u64);
-        self.floats(m.data());
-    }
-
-    fn text(&mut self, s: &str) {
-        self.word(s.len() as u64);
-        s.bytes().for_each(|b| self.word(b as u64));
-    }
-
-    fn stats(&mut self, s: &CommStatsSnapshot) {
-        self.word(s.allreduces as u64);
-        self.word(s.allreduce_words as u64);
-    }
-
-    fn scheme(&mut self, scheme: &dyn BlockOrthogonalizer) {
-        for e in scheme.fallback_events() {
-            self.text(&format!("{:?}", e.stage));
-            self.word(e.cols.start as u64);
-            self.word(e.cols.end as u64);
-            self.word(e.shift.to_bits());
-        }
-        self.word(scheme.fallback_count() as u64);
-        match scheme.finalized_cols() {
-            Some(c) => self.word(c as u64 + 1),
-            None => self.word(0),
-        }
-        match scheme.stored_basis_coeffs() {
-            Some(c) => self.matrix(c),
-            None => self.word(0),
-        }
-    }
-}
-
-/// Consecutive column ranges of the given widths, from column 0.
-fn panels(widths: &[usize]) -> Vec<Range<usize>> {
-    let mut start = 0;
-    (widths.iter())
-        .map(|w| {
-            start += w;
-            start - w..start
-        })
-        .collect()
-}
 
 fn scalar() {
     dense::set_simd_override(Some(SimdLevel::Scalar));
-}
-
-/// Feed `v` to a fresh `kind` scheme panel by panel, then `finish`; hash
-/// the state after the last panel and after `finish`, or the error.
-fn run_panels(kind: OrthoKind, v: &Matrix, panels: &[Range<usize>]) -> u64 {
-    let mut h = Bits::new();
-    let mut scheme = make_orthogonalizer(kind, v.ncols());
-    let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-    let mut r = Matrix::zeros(v.ncols(), v.ncols());
-    let mut outcome: Result<(), OrthoError> = Ok(());
-    for panel in panels {
-        outcome = scheme.orthogonalize_panel(&mut basis, panel.clone(), &mut r);
-        if outcome.is_err() {
-            break;
-        }
-    }
-    if outcome.is_ok() {
-        h.matrix(basis.local());
-        h.matrix(&r);
-        h.scheme(scheme.as_ref());
-        outcome = scheme.finish(&mut basis, &mut r);
-    }
-    match outcome {
-        Ok(()) => {
-            h.matrix(basis.local());
-            h.matrix(&r);
-            h.scheme(scheme.as_ref());
-        }
-        Err(e) => h.text(&format!("{e:?}")),
-    }
-    h.stats(&basis.comm().stats().snapshot());
-    h.0
-}
-
-fn check(what: &str, expected: [u64; 7], got: impl Fn(OrthoKind) -> u64) {
-    let got: Vec<u64> = KINDS.iter().map(|&kind| got(kind)).collect();
-    let table: Vec<String> = KINDS
-        .iter()
-        .zip(&got)
-        .map(|(kind, h)| format!("{kind:?}: {h:#018x}"))
-        .collect();
-    assert_eq!(
-        got,
-        expected,
-        "{what}: the bits of some kind moved\n{}",
-        table.join("\n")
-    );
 }
 
 #[test]
@@ -272,7 +150,7 @@ fn ill_conditioned_panels_keep_their_outcome() {
                 0x6ff2b404b090ca5b,
                 0xc8d86fcdfeccef09,
                 0xf9eae84a683c4042,
-                0x2a12e3ef3837c7e0,
+                0xb98f302189f002b6,
             ],
         ),
         (
@@ -286,7 +164,7 @@ fn ill_conditioned_panels_keep_their_outcome() {
                 0xe503cf50febca3c5,
                 0xf8696165b2067fd3,
                 0x016ef2b2be7117b0,
-                0x7117cdbe115da74d,
+                0x10878e78cb2bab34,
             ],
         ),
     ];
@@ -321,10 +199,7 @@ fn one_serial_solve_keeps_its_bits() {
             });
             let (x, result) = solver.solve_serial(&a, &b);
             let mut h = Bits::new();
-            h.floats(&x);
-            h.word(result.iterations as u64);
-            h.word(result.converged as u64);
-            h.stats(&result.comm_total);
+            h.solve(&x, &result);
             h.0
         },
     );

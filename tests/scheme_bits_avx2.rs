@@ -158,7 +158,7 @@ fn ill_conditioned_panels_keep_their_outcome() {
                 0xd6d68bca4ff7f43a,
                 0xc8d86fcdfeccef09,
                 0x6a324ffd49daffde,
-                0x2a12e3ef3837c7e0,
+                0x78cb49ddf6c883c9,
             ],
         ),
         (
@@ -172,7 +172,7 @@ fn ill_conditioned_panels_keep_their_outcome() {
                 0x56ce262ad5d6183c,
                 0x39efb2dca441959d,
                 0xb4e153b04b44be08,
-                0x7117cdbe115da74d,
+                0xa3adb0bca62e708d,
             ],
         ),
     ];
