@@ -26,9 +26,9 @@
 //! numerically full-rank panel) when their plain kernel refuses a panel,
 //! and log a [`FallbackEvent`]; the one-stage baselines and BCGS2 report
 //! the breakdown instead, as in the paper.  Before a plain PIP or sketch
-//! first stage gives up on a panel while a big panel is pending, it runs the second
-//! stage *now* and takes the same raw panel again against the orthonormal
-//! columns (the **early flush**): the pre-processed columns lose a little
+//! first stage gives up on a panel while a big panel is pending, it runs
+//! the second stage *now* and takes the same raw panel again against the
+//! orthonormal columns (the **early flush**): the pre-processed columns lose a little
 //! orthonormality with every panel, and monomial panels — `k·s` wide in a
 //! block cycle, `s` wide late in a long big panel — amplify that loss until
 //! the Pythagorean Gram goes indefinite although the panel is well inside
