@@ -3,9 +3,10 @@
 //! TRSM at the wide stage-2 flush shapes, the `lap2d_k4` Gram and the
 //! stage-1 projection and update shapes of `lap2d_k4`, standard GMRES and
 //! an `s = 5` panel on every SIMD level the host has, the SpMV on the two
-//! benchmark
-//! operators (reference `Csr::spmv` vs. the `SlicedCsr` operator format,
-//! asserted bit-identical), and one s-step GMRES iteration
+//! benchmark operators (reference `Csr::spmv` vs. the `SlicedCsr` operator
+//! format, asserted bit-identical), the block product `DistCsr::spmm` at
+//! one and four columns, the assembly of the ML_Geer surrogate
+//! (`DistCsr::from_global`), and one s-step GMRES iteration
 //! across panel shapes, then writes `BENCH_kernels.json` — the perf
 //! trajectory every later PR is measured against.  Every kernel runs on
 //! the calling thread, as it does inside each simulated rank.
@@ -365,18 +366,36 @@ fn bench_backends(rows: &mut Vec<Row>, reps: usize) {
     }
 }
 
+/// Doubles per row of the buffer swept before every timed sparse product:
+/// the 61 columns of a `lap2d_t1` cycle's basis (restart 60 plus the
+/// residual).
+const BASIS_COLS: usize = 61;
+
+/// Read and write every entry of `basis`, as the orthogonalization does
+/// between two panels, so that a timed product finds the caches the way a
+/// solve leaves them rather than the way the previous product did.
+fn sweep_basis(basis: &mut [f64]) {
+    for v in basis.iter_mut() {
+        *v += 1.0;
+    }
+    black_box(basis);
+}
+
 /// SpMV on one operator: the reference `Csr::spmv` against the
 /// slice-interleaved `SlicedCsr::spmv` `DistCsr` runs.  Bytes
 /// are the benchmark's model (`sparse.spmv_gbs`): 12 B per nonzero (value +
 /// 32-bit index) and 16 B per row (row pointer + output).  The two
-/// products alternate inside every repetition.  Their outputs must agree
-/// bit for bit; no timing is asserted.
+/// products alternate inside every repetition, each behind a sweep of a
+/// basis-sized buffer.  Their outputs must agree bit for bit; no timing is
+/// asserted.
 fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: usize) {
     let (n, nnz) = (a.nrows(), a.nnz());
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let (mut y_csr, mut y_sliced) = (vec![0.0; n], vec![0.0; n]);
-    let sliced = sparse::SlicedCsr::from_csr(a.clone());
+    let sliced = sparse::SlicedCsr::from_csr(&a);
+    let mut basis = vec![0.0; n * BASIS_COLS];
     let [csr_s, sliced_s] = best_alternated(reps, 2, |i| {
+        sweep_basis(&mut basis);
         let t0 = Instant::now();
         match i {
             0 => a.spmv(black_box(&x), &mut y_csr),
@@ -410,6 +429,64 @@ fn bench_spmv(rows: &mut Vec<Row>, kernel: &'static str, a: sparse::Csr, reps: u
             cost.bytes as f64 / secs * 1e-9
         );
     }
+}
+
+/// The block product `DistCsr::spmm` the matrix-powers kernel runs per
+/// block step, on one rank, at one and at four columns (alternated, each
+/// behind a basis sweep).  The four-column row's speedup is against four
+/// one-column products.  Bytes: 12 B per nonzero, 8 B per row pointer and
+/// 8 B per output entry.
+fn bench_spmm(rows: &mut Vec<Row>, a: &sparse::Csr, reps: usize) {
+    const WIDTHS: [usize; 2] = [1, 4];
+    let (n, nnz) = (a.nrows(), a.nnz());
+    let part = sparse::block_row_partition(n, 1);
+    let dist = distsim::DistCsr::from_global(distsim::SerialComm::new(), a, &part);
+    let x: Vec<f64> = (0..4 * n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut y = vec![0.0; 4 * n];
+    let mut basis = vec![0.0; n * BASIS_COLS];
+    let secs = best_alternated(reps, WIDTHS.len(), |i| {
+        let k = WIDTHS[i];
+        sweep_basis(&mut basis);
+        let t0 = Instant::now();
+        dist.spmm(k, black_box(&x[..k * n]), &mut y[..k * n], None);
+        t0.elapsed().as_secs_f64()
+    });
+    for (&k, &t) in WIDTHS.iter().zip(&secs) {
+        let cost = Cost {
+            kernel: "spmm_laplace2d_9pt",
+            n,
+            s: 0,
+            k,
+            flops: 2.0 * (k * nnz) as f64,
+            bytes: (12 * nnz + 8 * n + 8 * k * n) as u64,
+        };
+        let baseline = (k > 1).then_some(("k1_per_column", k as f64 * secs[0]));
+        rows.push(cost.row("sliced", t, baseline));
+        eprintln!("  spmm k={k}: {:.0} us", t * 1e6);
+    }
+}
+
+/// `DistCsr::from_global` of a replicated operator on one rank: the
+/// assembly `setup_s` pays on `geer_t1`.  Bytes: the operator it writes,
+/// 12 B per nonzero and 8 B per row pointer.
+fn bench_assembly(rows: &mut Vec<Row>, kernel: &'static str, a: &sparse::Csr, reps: usize) {
+    let (n, nnz) = (a.nrows(), a.nnz());
+    let part = sparse::block_row_partition(n, 1);
+    let secs = time_best(reps, || {
+        let dist = distsim::DistCsr::from_global(distsim::SerialComm::new(), a, &part);
+        assert_eq!(dist.local_matrix().nnz(), nnz);
+        black_box(dist);
+    });
+    let cost = Cost {
+        kernel,
+        n,
+        s: 0,
+        k: 0,
+        flops: 0.0,
+        bytes: (12 * nnz + 8 * (n + 1)) as u64,
+    };
+    rows.push(cost.row("from_global", secs, None));
+    eprintln!("  {kernel}: {:.1} ms", secs * 1e3);
 }
 
 /// Time one s-step GMRES iteration (basis vector) end to end: a bounded
@@ -493,13 +570,17 @@ fn main() {
     eprintln!("benchmarking SpMV ...");
     let geer = sparse::suitelike::spec_by_name("ML_Geer").expect("ML_Geer is in the set");
     let geer = sparse::suitesparse_surrogate(geer, Some(40_000), 1);
-    bench_spmv(&mut rows, "spmv_ml_geer", geer, 10 * reps);
+    bench_spmv(&mut rows, "spmv_ml_geer", geer.clone(), 10 * reps);
     bench_spmv(
         &mut rows,
         "spmv_laplace2d_9pt",
         sparse::laplace2d_9pt(160, 160),
         10 * reps,
     );
+    // The `lap2d_k4` operator, at the block widths of its solves.
+    bench_spmm(&mut rows, &sparse::laplace2d_9pt(120, 120), 10 * reps);
+    eprintln!("benchmarking assembly ...");
+    bench_assembly(&mut rows, "assemble_ml_geer", &geer, reps);
     eprintln!("benchmarking one s-step GMRES iteration ...");
     bench_gmres_iteration(&mut rows, quick);
 

@@ -21,9 +21,11 @@
 //! scale, so every reduce must do more work.  The block loop pushes that
 //! one axis further: the Krylov basis is built for a **block** `B` of `k`
 //! columns (the structure of `bgmres`/`bfgmres` in phist), interleaved so
-//! block step `t` occupies basis columns `t·k .. (t+1)·k`.  Each MPK panel
-//! then carries `k·s` columns through the *unchanged* [`blockortho`]
-//! schemes and fused `proj_and_gram`/`update_and_gram` kernels — the
+//! block step `t` occupies basis columns `t·k .. (t+1)·k`.  A block step is
+//! one [`DistCsr::spmm`]: one pass over `A` and one halo message per peer
+//! for all `k` columns.  Each MPK panel then carries `k·s` columns through
+//! the *unchanged* [`blockortho`] schemes and fused
+//! `proj_and_gram`/`update_and_gram` kernels — the
 //! per-cycle reduce **count** is independent of `k` (panel cadence is
 //! preserved by [`blockortho::OrthoKind::for_block_width`]) while each
 //! reduce carries the k-scaled payload.  Reduces are paid per *batch*, not
@@ -236,8 +238,8 @@ struct Solve<'a> {
     // cycle when deflation has narrowed the active block.
     basis: DistMultiVector,
     r_factor: Matrix,
-    z: Vec<f64>, // preconditioned vector
-    w: Vec<f64>, // A·x of a residual
+    /// A block of preconditioned vectors.
+    z: Vec<f64>,
 }
 
 /// State of one restart cycle.
@@ -348,8 +350,7 @@ impl<'a> Solve<'a> {
             retired: None,
             basis,
             r_factor,
-            z: vec![0.0; nloc],
-            w: vec![0.0; nloc],
+            z: Vec::new(),
         };
         // r₀ with the initial guess `x`: outside any cycle, so it tags
         // itself.
@@ -360,30 +361,61 @@ impl<'a> Solve<'a> {
             Some(t) => t.clone(),
             None => solve.r0_norms.iter().map(|&r0| config.tol * r0).collect(),
         };
-        solve.retire_nonfinite_references();
+        solve.retire_unusable_references();
         solve
     }
 
-    /// A column whose initial residual norm is not finite — an infinite
-    /// entry in `b`, squares that overflow, a NaN initial guess — has no
-    /// reference to converge against (`tol·∞ = ∞` would read as met).  It
-    /// leaves the block unconverged before the first cycle, and the
-    /// breakdown names it ahead of any later one; the other columns solve
+    /// Columns whose initial residual norm gives no reference to converge
+    /// against leave the block unconverged before the first cycle, and the
+    /// breakdown names them ahead of any later one; the other columns solve
     /// on.
-    fn retire_nonfinite_references(&mut self) {
+    ///
+    /// - A norm that is not finite — an infinite entry in `b`, squares that
+    ///   overflow, a NaN initial guess: `tol·∞ = ∞` would read as met.
+    /// - A norm of exactly 0 over a residual with nonzero entries — squares
+    ///   that underflow: `0 ≤ tol·0` would read as met.  One sum-all-reduce
+    ///   of each zero-norm column's count of nonzero entries tells it from
+    ///   a truly zero residual, which converges at once as before.  Solves
+    ///   without a zero-norm column make no such reduce.
+    fn retire_unusable_references(&mut self) {
         let r0 = &self.r0_norms;
-        let (bad, usable): (Vec<usize>, Vec<usize>) =
-            self.active.iter().partition(|&&j| !r0[j].is_finite());
-        if !bad.is_empty() {
-            let named: Vec<String> = (bad.iter())
+        let mut notes = Vec::new();
+        let nonfinite: Vec<usize> = (self.active.iter().copied())
+            .filter(|&j| !r0[j].is_finite())
+            .collect();
+        if !nonfinite.is_empty() {
+            let named: Vec<String> = (nonfinite.iter())
                 .map(|&j| format!("column {j} has initial residual norm {}", r0[j]))
                 .collect();
-            self.retired = Some(format!(
+            notes.push(format!(
                 "{}: no finite convergence reference",
                 named.join(", ")
             ));
         }
-        self.active = usable;
+        let zero: Vec<usize> = (self.active.iter().copied())
+            .filter(|&j| r0[j] == 0.0)
+            .collect();
+        let mut underflowing = Vec::new();
+        if !zero.is_empty() {
+            let mut nonzeros: Vec<f64> = (zero.iter())
+                .map(|&j| self.residuals[j].iter().filter(|&&v| v != 0.0).count() as f64)
+                .collect();
+            self.a.comm().allreduce_sum(&mut nonzeros);
+            underflowing = (zero.iter().zip(&nonzeros))
+                .filter(|&(_, &count)| count > 0.0)
+                .map(|(&j, _)| j)
+                .collect();
+        }
+        for &j in &underflowing {
+            notes.push(format!(
+                "column {j}: initial residual norm underflows; rescale the right-hand side"
+            ));
+        }
+        if !notes.is_empty() {
+            self.retired = Some(notes.join("; "));
+        }
+        self.active
+            .retain(|j| !nonfinite.contains(j) && !underflowing.contains(j));
     }
 
     /// The restart loop.
@@ -545,12 +577,36 @@ impl<'a> Solve<'a> {
     /// (one reduce of `active.len()` words).  Over a guarded communicator a
     /// corrupted or lost halo frame poisons a residual with NaN, so the
     /// norm guard downstream trips.
+    ///
+    /// The block's one product lands in basis columns `ka..2·ka`: residuals
+    /// are refreshed before the first cycle and after the update, when the
+    /// basis holds nothing the solve still reads, and the next cycle
+    /// overwrites it.
     fn refresh_residuals(&mut self) {
-        for &j in &self.active {
-            self.a.spmv(self.x.col(j), &mut self.w);
-            self.report.spmv_count += 1;
-            let b = self.b.col(j).iter();
-            self.residuals[j] = b.zip(&self.w).map(|(bi, axi)| bi - axi).collect();
+        let ka = self.active.len();
+        if ka > 0 {
+            let basis = self.basis.local_mut();
+            let x = self.x.as_view();
+            let (j0, j1) = (self.active[0], self.active[ka - 1]);
+            let split = j1 - j0 + 1 != ka;
+            if split {
+                // Deflation split the active columns: gather them first.
+                for (p, &j) in self.active.iter().enumerate() {
+                    basis.col_mut(p).copy_from_slice(x.col(j));
+                }
+            }
+            let (gathered, mut ax) = basis.split_at_col(ka);
+            let xs = if split {
+                gathered.data()
+            } else {
+                x.cols(j0..j1 + 1).data()
+            };
+            self.a.spmm(ka, xs, ax.cols_mut(0..ka).data_mut(), None);
+            self.report.spmv_count += ka;
+            for (p, &j) in self.active.iter().enumerate() {
+                let b = self.b.col(j).iter();
+                self.residuals[j] = b.zip(ax.col(p)).map(|(bi, axi)| bi - axi).collect();
+            }
         }
         let fresh = block_norms(&self.residuals, &self.active, self.a.comm().as_ref());
         for (&j, norm) in self.active.iter().zip(fresh) {
@@ -631,28 +687,26 @@ impl<'a> Solve<'a> {
         self.phase(cy, Phase::Mpk, &span_args, |s, cy| {
             let finalized = cy.finalized();
             for t in 0..sb {
-                for q in 0..ka {
-                    let input = cy.cols - ka + t * ka + q;
-                    if t == 0 {
-                        // The panel-start block had already been handed to
-                        // the orthogonalizer.
-                        cy.hess.mark_submitted_input(input, finalized);
-                    }
-                    // The product lands in its basis column.
-                    let (done, mut rest) = s.basis.local_mut().split_at_col(input + ka);
-                    let (u, w) = (done.col(input), rest.col_mut(0));
-                    s.precond.apply(u, &mut s.z);
-                    s.report.precond_count += 1;
-                    s.a.spmv(&s.z, w);
-                    s.report.spmv_count += 1;
-                    // Shifts apply per block step, not per column.
-                    let theta = basis::shift(&s.current_basis, input / ka);
-                    if theta != 0.0 {
-                        for (wi, ui) in w.iter_mut().zip(u) {
-                            *wi -= theta * ui;
-                        }
+                // The block step's inputs are the `ka` columns before its
+                // outputs.
+                let input = cy.cols - ka + t * ka;
+                if t == 0 {
+                    // The panel-start block had already been handed to the
+                    // orthogonalizer.
+                    for q in 0..ka {
+                        cy.hess.mark_submitted_input(input + q, finalized);
                     }
                 }
+                // One product for the block step, straight into its basis
+                // columns, with the step's shift folded into the row write.
+                let (done, mut rest) = s.basis.local_mut().split_at_col(input + ka);
+                let u = done.cols(input..input + ka).data();
+                let z = s.precond.apply_block(u, ka, &mut s.z);
+                s.report.precond_count += ka;
+                let theta = basis::shift(&s.current_basis, input / ka);
+                let shift = (theta != 0.0).then_some((theta, u));
+                s.a.spmm(ka, z, rest.cols_mut(0..ka).data_mut(), shift);
+                s.report.spmv_count += ka;
             }
             s.report.iterations += sb * ka;
         });
@@ -757,7 +811,7 @@ impl<'a> Solve<'a> {
             // would be unrecoverable — skip the update and let the
             // breakdown verdict shrink the step instead.
             if y.data().iter().all(|v| v.is_finite()) {
-                let (nloc, ka) = (s.z.len(), cy.ka);
+                let (nloc, ka) = (s.a.local_rows(), cy.ka);
                 // Q·Y for all active columns in one row-panel-blocked pass
                 // over the basis.
                 let mut qy = vec![0.0; nloc * ka];
@@ -766,10 +820,11 @@ impl<'a> Solve<'a> {
                     &s.basis.local_cols(0..k_use),
                     y,
                 );
+                let z = s.precond.apply_block(&qy, ka, &mut s.z);
+                s.report.precond_count += ka;
                 for (p, &j) in s.active.iter().enumerate() {
-                    s.precond.apply(&qy[p * nloc..(p + 1) * nloc], &mut s.z);
-                    s.report.precond_count += 1;
-                    for (xi, zi) in s.x.col_mut(j).iter_mut().zip(&s.z) {
+                    let zp = &z[p * nloc..(p + 1) * nloc];
+                    for (xi, zi) in s.x.col_mut(j).iter_mut().zip(zp) {
                         *xi += zi;
                     }
                 }

@@ -15,6 +15,21 @@ use sparse::{greedy_coloring, Coloring, Csr};
 pub trait Preconditioner: Send + Sync {
     /// `out = M⁻¹·input` (both are local blocks of global vectors).
     fn apply(&self, input: &[f64], out: &mut [f64]);
+
+    /// `M⁻¹` applied to each of the `k` columns of `input` (column-major,
+    /// local blocks one after another).  The result lies in `out`, or is
+    /// `input` itself for a preconditioner that leaves vectors as they
+    /// are.  The default applies [`apply`](Self::apply) column by column.
+    fn apply_block<'a>(&self, input: &'a [f64], k: usize, out: &'a mut Vec<f64>) -> &'a [f64] {
+        assert!(k >= 1, "apply_block needs at least one column");
+        let n = input.len() / k;
+        out.resize(input.len(), 0.0);
+        for q in 0..k {
+            let col = q * n..(q + 1) * n;
+            self.apply(&input[col.clone()], &mut out[col]);
+        }
+        out
+    }
 }
 
 /// The identity preconditioner (unpreconditioned GMRES).
@@ -24,6 +39,11 @@ pub struct Identity;
 impl Preconditioner for Identity {
     fn apply(&self, input: &[f64], out: &mut [f64]) {
         out.copy_from_slice(input);
+    }
+
+    /// The input itself: no copy.
+    fn apply_block<'a>(&self, input: &'a [f64], _k: usize, _out: &'a mut Vec<f64>) -> &'a [f64] {
+        input
     }
 }
 
@@ -128,6 +148,23 @@ mod tests {
         let mut y = vec![0.0; 3];
         p.apply(&x, &mut y);
         assert_eq!(x, y);
+        let mut unused = Vec::new();
+        assert!(std::ptr::eq(p.apply_block(&x, 1, &mut unused), &x[..]));
+        assert!(unused.is_empty(), "no copy is made");
+    }
+
+    #[test]
+    fn apply_block_is_apply_per_column() {
+        let a = laplace2d_5pt(6, 6);
+        let gs = MulticolorGaussSeidel::new(&a, 2);
+        let block: Vec<f64> = (0..3 * 36).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+        let mut out = Vec::new();
+        let z = gs.apply_block(&block, 3, &mut out).to_vec();
+        for (q, col) in block.chunks(36).enumerate() {
+            let mut one = vec![0.0; 36];
+            gs.apply(col, &mut one);
+            assert_eq!(z[q * 36..(q + 1) * 36], one[..], "column {q}");
+        }
     }
 
     #[test]

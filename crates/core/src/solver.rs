@@ -519,6 +519,59 @@ mod tests {
     }
 
     #[test]
+    fn an_underflowing_rhs_is_never_reported_as_converged() {
+        // Every square of 1e-310 underflows, so ‖b‖ reads 0 although b ≠ 0:
+        // `0 ≤ tol·0` would end the solve before it starts, with x = 0.
+        let a = laplace2d_9pt(12, 12);
+        let n = a.nrows();
+        let good = rhs_for_ones(&a);
+        let tiny = vec![1e-310; n];
+        let solver = SStepGmres::new(GmresConfig::default());
+        let (x, r) = solver.solve_serial(&a, &tiny);
+        assert!(!r.converged && !r.col_converged[0], "{r:?}");
+        assert_eq!(r.iterations, 0);
+        assert!(x.iter().all(|&v| v == 0.0));
+        let msg = r.breakdown.as_deref().unwrap_or_default();
+        assert_eq!(
+            msg,
+            "column 0: initial residual norm underflows; rescale the right-hand side"
+        );
+
+        // In a block of two, the good column still solves.
+        let (_, r) = solver.solve_block_serial(&a, &[good.clone(), tiny.clone()]);
+        assert!(!r.converged, "{r:?}");
+        assert_eq!(r.col_converged, vec![true, false]);
+        let msg = r.breakdown.as_deref().unwrap_or_default();
+        assert!(
+            msg.starts_with("column 1: initial residual norm underflows"),
+            "{msg}"
+        );
+
+        // On two ranks where the tiny entries all sit on rank 1, rank 0's
+        // count is 0 and the sum-reduce still retires the column there too.
+        let part = block_row_partition(n, 2);
+        let mut b = vec![0.0; n];
+        b[n - 3] = 1e-310;
+        let verdicts = distsim::run_ranks(2, |comm| {
+            let (lo, hi) = part.range(comm.rank());
+            let dist = DistCsr::from_global(comm, &a, &part);
+            let mut x = vec![0.0; hi - lo];
+            let r = solver.solve(&dist, &Identity, &b[lo..hi], &mut x);
+            (r.converged, r.breakdown)
+        });
+        for (converged, breakdown) in verdicts {
+            assert!(!converged);
+            assert!(breakdown.unwrap_or_default().contains("underflows"));
+        }
+
+        // A truly zero right-hand side still converges at once, after the
+        // one count reduce.
+        let (_, r) = solver.solve_serial(&a, &vec![0.0; n]);
+        assert!(r.converged && r.breakdown.is_none(), "{r:?}");
+        assert_eq!(r.comm_total.allreduces, 2, "the norm and the count");
+    }
+
+    #[test]
     fn iteration_cap_is_respected() {
         let a = laplace2d_5pt(30, 30);
         let b = rhs_for_ones(&a);

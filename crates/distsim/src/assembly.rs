@@ -1,6 +1,6 @@
 //! Streamed per-rank matrix assembly: the halo-exchange planner and the
-//! local-block normalization shared by every [`DistCsr`](crate::DistCsr)
-//! constructor.
+//! two passes that turn a rank's rows into its operator, shared by every
+//! [`DistCsr`](crate::DistCsr) constructor.
 //!
 //! The replicated construction path (`DistCsr::from_global`) needs the full
 //! matrix on every rank — `O(nnz)` per rank — which is the top scaling
@@ -20,14 +20,22 @@
 //!    that is the send plan, and because every list is sorted the send
 //!    order matches the receiver's ghost order by construction.
 //!
-//! `normalize_local_block` then remaps the local block's columns to the
-//! `[owned | ghost]` layout.  Both steps are deterministic and independent
-//! of how the rows were produced, so a streamed matrix is **bitwise
-//! identical** to a replicated one (`tests/assembly_properties.rs` pins
-//! this, including SpMV results and `CommStats` counts).
+//! The rows are read twice.  `scan_rows` (pass 1) counts the entries and
+//! collects the ghost list; on a rank that owns every column it only asks
+//! [`RowSource::row_len`], so a generator produces no value in it.  After
+//! the plan, `sliced_local_block` (pass 2) hands the rows to
+//! [`SlicedCsr::from_rows`] with the `[owned | ghost]` column map, which
+//! puts each row in normal form (sorted, duplicates summed in order, as
+//! `Csr::from_triplets` would) and writes it in slice order into arrays of
+//! the counted size.  No intermediate `Csr` and no `usize` column array is
+//! built.  Both passes are deterministic and independent of how the rows
+//! were produced, so a streamed matrix is **bitwise identical** to a
+//! replicated one (`tests/assembly_properties.rs` pins this, including SpMV
+//! results and `CommStats` counts).
 
 use crate::comm::Communicator;
-use sparse::{Csr, RowPartition};
+use sparse::{RowPartition, RowSource, SlicedCsr};
+use std::ops::Range;
 
 /// Ghost values to receive from one peer: they land in
 /// `ghost[start..start + len]`.
@@ -183,81 +191,64 @@ pub fn plan_halo_exchange(
     }
 }
 
-/// Extract the sorted, duplicate-free list of non-owned global columns the
-/// local block references — the rank's ghost list.
-pub(crate) fn local_ghosts(local: &Csr, lo: usize, hi: usize) -> Vec<usize> {
-    let mut ghosts: Vec<usize> = local
-        .colind()
-        .iter()
-        .copied()
-        .filter(|c| !(lo..hi).contains(c))
-        .collect();
+/// Pass 1 of the assembly: the number of entries rows `rows` of `source`
+/// emit, and their ghost list — the sorted, duplicate-free columns outside
+/// `owned` they reference.  When `owned` spans every column there can be
+/// no ghost, and the count is [`RowSource::row_len`]'s alone.
+pub(crate) fn scan_rows<S: RowSource + ?Sized>(
+    source: &S,
+    rows: Range<usize>,
+    owned: Range<usize>,
+) -> (usize, Vec<usize>) {
+    if owned == (0..source.ncols()) {
+        return (rows.map(|i| source.row_len(i)).sum(), Vec::new());
+    }
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+    let mut ghosts = Vec::new();
+    // Sorted and unique up to here: the list is merged down whenever it
+    // doubles, so it stays halo-sized.
+    let mut unique = 0;
+    let mut nnz = 0;
+    for i in rows {
+        cols.clear();
+        vals.clear();
+        source.emit_row(i, &mut cols, &mut vals);
+        nnz += cols.len();
+        ghosts.extend(cols.iter().filter(|c| !owned.contains(c)));
+        if ghosts.len() > 2 * unique + 1024 {
+            ghosts.sort_unstable();
+            ghosts.dedup();
+            unique = ghosts.len();
+        }
+    }
     ghosts.sort_unstable();
     ghosts.dedup();
-    ghosts
+    (nnz, ghosts)
 }
 
-/// Remap a local row block from global column indices to the
-/// `[owned | ghost]` layout (`0..nloc` owned, then ghosts in
-/// `ghost_globals` order), re-sorting each row by its new column index and
-/// summing any duplicate entries — the exact normalization
-/// `Csr::from_triplets` applies on the replicated path, so the two paths
-/// produce identical storage (and therefore bitwise-identical SpMV sums).
-pub(crate) fn normalize_local_block(local: Csr, lo: usize, ghost_globals: &[usize]) -> Csr {
-    let (nloc, _global_cols, rowptr, mut colind, mut vals) = local.into_raw();
-    let hi = lo + nloc;
-    for c in colind.iter_mut() {
-        *c = if (lo..hi).contains(c) {
-            *c - lo
+/// Pass 2 of the assembly: rows `rows` of `source` as the rank's operator,
+/// global column `c` stored as `c − owned.start` when the rank owns it and
+/// as `owned.len()` plus its position in `ghosts` otherwise.  `nnz` is
+/// [`scan_rows`]'s count.
+pub(crate) fn sliced_local_block<S: RowSource + ?Sized>(
+    source: &S,
+    rows: Range<usize>,
+    owned: Range<usize>,
+    nnz: usize,
+    ghosts: &[usize],
+) -> SlicedCsr {
+    let nloc = owned.len();
+    let map = |c: usize| {
+        let local = if owned.contains(&c) {
+            c - owned.start
         } else {
-            nloc + ghost_globals
-                .binary_search(c)
+            nloc + ghosts
+                .binary_search(&c)
                 .expect("ghost column missing from halo list")
         };
-    }
-    // Per-row stable sort by the remapped column, merging duplicates.
-    // Generators, `Csr::from_triplets` and `assemble_rows` deliver sorted
-    // unique rows, and the remap keeps them so unless a ghost column
-    // precedes an owned one: such a row is already its own normal form and
-    // only moves down over what earlier rows merged away.
-    let mut out_rowptr = vec![0usize; nloc + 1];
-    let mut write = 0usize;
-    let mut row_buf: Vec<(usize, f64)> = Vec::new();
-    for i in 0..nloc {
-        let (start, end) = (rowptr[i], rowptr[i + 1]);
-        if colind[start..end].windows(2).all(|w| w[0] < w[1]) {
-            if write != start {
-                colind.copy_within(start..end, write);
-                vals.copy_within(start..end, write);
-            }
-            write += end - start;
-        } else {
-            row_buf.clear();
-            row_buf.extend(
-                colind[start..end]
-                    .iter()
-                    .copied()
-                    .zip(vals[start..end].iter().copied()),
-            );
-            row_buf.sort_by_key(|&(c, _)| c);
-            let mut k = 0;
-            while k < row_buf.len() {
-                let col = row_buf[k].0;
-                let mut acc = 0.0;
-                while k < row_buf.len() && row_buf[k].0 == col {
-                    acc += row_buf[k].1;
-                    k += 1;
-                }
-                colind[write] = col;
-                vals[write] = acc;
-                write += 1;
-            }
-        }
-        out_rowptr[i + 1] = write;
-    }
-    colind.truncate(write);
-    vals.truncate(write);
-    Csr::from_raw(nloc, nloc + ghost_globals.len(), out_rowptr, colind, vals)
+        local as u32
+    };
+    SlicedCsr::from_rows(source, rows, nloc + ghosts.len(), nnz, map)
 }
 
 #[cfg(test)]
@@ -265,7 +256,7 @@ mod tests {
     use super::*;
     use crate::serial::SerialComm;
     use crate::thread::run_ranks;
-    use sparse::{block_row_partition, laplace2d_5pt, Triplet};
+    use sparse::{block_row_partition, laplace2d_5pt, Csr, Triplet};
 
     #[test]
     fn serial_plan_is_empty() {
@@ -286,8 +277,7 @@ mod tests {
         let part = block_row_partition(a.nrows(), 3);
         let plans = run_ranks(3, |comm| {
             let (lo, hi) = part.range(comm.rank());
-            let local = a.row_block(lo, hi);
-            let ghosts = local_ghosts(&local, lo, hi);
+            let (_, ghosts) = scan_rows(&a, lo..hi, lo..hi);
             let plan = plan_halo_exchange(comm.as_ref(), &part, ghosts);
             (
                 plan.recv_words(),
@@ -307,6 +297,16 @@ mod tests {
         assert_eq!(recv_total, send_total);
     }
 
+    /// Both passes over a local block (global rows `lo..`, global columns),
+    /// as `DistCsr::from_partitioned` runs them: the block in row form and
+    /// its ghost list.
+    fn assemble_block(local: &Csr, lo: usize) -> (Csr, Vec<usize>) {
+        let (rows, owned) = (0..local.nrows(), lo..lo + local.nrows());
+        let (nnz, ghosts) = scan_rows(local, rows.clone(), owned.clone());
+        let sliced = sliced_local_block(local, rows, owned, nnz, &ghosts);
+        (sliced.to_csr(), ghosts)
+    }
+
     #[test]
     fn normalize_sorts_rows_and_sums_duplicates() {
         // A 2-row local block (global rows 2..4 of a 6-column matrix) with
@@ -318,9 +318,8 @@ mod tests {
             vec![5, 2, 0, 3, 3],
             vec![1.0, 2.0, 4.0, 8.0, 16.0],
         );
-        let ghosts = local_ghosts(&local, 2, 4);
+        let (norm, ghosts) = assemble_block(&local, 2);
         assert_eq!(ghosts, vec![0, 5]);
-        let norm = normalize_local_block(local, 2, &ghosts);
         assert_eq!(norm.nrows(), 2);
         assert_eq!(norm.ncols(), 4); // 2 owned + 2 ghost columns
         let (c0, v0) = norm.row(0);
@@ -367,9 +366,8 @@ mod tests {
         let a = laplace2d_5pt(5, 5);
         let (lo, hi) = (10, 15);
         let local = a.row_block(lo, hi);
-        let ghosts = local_ghosts(&local, lo, hi);
-        let replicated = from_triplets_remap(&local, lo, &ghosts);
-        assert_eq!(normalize_local_block(local, lo, &ghosts), replicated);
+        let (streamed, ghosts) = assemble_block(&local, lo);
+        assert_eq!(streamed, from_triplets_remap(&local, lo, &ghosts));
     }
 
     #[test]
@@ -386,11 +384,9 @@ mod tests {
             vec![4, 6, 9, 1, 5, 10, 6, 6, 7, 5, 7, 11],
             (1..=12).map(f64::from).collect(),
         );
-        let ghosts = local_ghosts(&local, 4, 8);
+        let (norm, ghosts) = assemble_block(&local, 4);
         assert_eq!(ghosts, vec![1, 9, 10, 11]);
-        let replicated = from_triplets_remap(&local, 4, &ghosts);
-        let norm = normalize_local_block(local, 4, &ghosts);
-        assert_eq!(norm, replicated);
+        assert_eq!(norm, from_triplets_remap(&local, 4, &ghosts));
         assert_eq!(norm.row(0), (&[0, 2, 5][..], &[1.0, 2.0, 3.0][..]));
         assert_eq!(norm.row(1), (&[1, 4, 6][..], &[5.0, 4.0, 6.0][..]));
         assert_eq!(norm.row(2), (&[2, 3][..], &[15.0, 9.0][..]));

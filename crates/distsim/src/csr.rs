@@ -17,25 +17,32 @@
 //! [`DistCsr::from_global`] remains as a thin wrapper that streams the rows
 //! of a replicated matrix through the same path, so every replicated call
 //! site exercises the streamed code and the two constructions are bitwise
-//! identical.  [`DistCsr::spmv`] executes the plan with point-to-point
-//! messages (counted in [`CommStats`](crate::CommStats)) and then runs the
-//! purely local SpMV.
+//! identical.  Every constructor reads its rows in the two passes of
+//! [`crate::assembly`] and writes them straight into the operator format:
+//! no intermediate `Csr` is built on any path.  [`DistCsr::spmv`] executes
+//! the plan with point-to-point messages (counted in
+//! [`CommStats`](crate::CommStats)) and then runs the purely local SpMV.
+//! [`DistCsr::spmm`] does the same for a block of `k` vectors: one halo
+//! message per peer carrying all `k` columns' ghosts, then one pass of the
+//! local product over the block.  That is the matrix-powers step of a
+//! block of right-hand sides.
 //!
 //! The normalized local block is held in one form only, the
 //! slice-interleaved [`SlicedCsr`] with 32-bit column indices (12 bytes per
 //! nonzero instead of CSR's 16, four rows in flight per stream); its
 //! product is bit for bit `Csr::spmv`'s, so nothing downstream can tell.
 
-use crate::assembly::{local_ghosts, normalize_local_block, plan_halo_exchange, HaloPlan};
+use crate::assembly::{plan_halo_exchange, scan_rows, sliced_local_block, HaloPlan};
 use crate::comm::Communicator;
 use sparse::{Csr, RowPartition, RowSource, SlicedCsr};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Buffers of the halo exchange, sized by the first product and reused by
 /// every later one.
 #[derive(Debug, Default)]
 struct HaloScratch {
-    /// `x` extended by the ghost values: `[owned | ghost]`.
+    /// Each column of `x` extended by its ghost values: `[owned | ghost]`.
     x_ext: Vec<f64>,
     /// The owned values one peer needs, packed for sending.
     payload: Vec<f64>,
@@ -57,9 +64,8 @@ pub struct DistCsr {
 
 impl DistCsr {
     /// Build the distributed matrix from this rank's **local row block**
-    /// (rows `part.range(comm.rank())`, columns still global) — the
-    /// lowest-level streamed constructor; the other constructors produce
-    /// the block and delegate here.
+    /// (rows `part.range(comm.rank())`, columns still global), e.g. from
+    /// `sparse::mm::read_matrix_market_row_block`.
     ///
     /// Collective: every rank must call it (the halo plan is negotiated
     /// with two halo-sized all-gathers; see [`crate::assembly`]).  Rows
@@ -71,45 +77,19 @@ impl DistCsr {
         local_block: Csr,
     ) -> Self {
         assert_eq!(
-            part.nranks(),
-            comm.size(),
-            "partition has {} ranks but the communicator has {}",
-            part.nranks(),
-            comm.size()
-        );
-        let n = part.nrows();
-        let rank = comm.rank();
-        let (lo, hi) = part.range(rank);
-        assert_eq!(
-            local_block.nrows(),
-            hi - lo,
-            "rank {rank} owns rows {lo}..{hi} but the local block has {} rows",
-            local_block.nrows()
-        );
-        assert_eq!(
             local_block.ncols(),
-            n,
-            "the local block must carry global column indices (ncols = {n})"
+            part.nrows(),
+            "the local block must carry global column indices (ncols = {})",
+            part.nrows()
         );
-        let ghosts = local_ghosts(&local_block, lo, hi);
-        let plan = plan_halo_exchange(comm.as_ref(), part, ghosts);
-        let local =
-            SlicedCsr::from_csr(normalize_local_block(local_block, lo, plan.ghost_globals()));
-        Self {
-            comm,
-            global_rows: n,
-            row_offset: lo,
-            local,
-            plan,
-            scratch: Mutex::default(),
-        }
+        let rows = 0..local_block.nrows();
+        Self::assemble(comm, part, &local_block, rows)
     }
 
     /// Build the distributed matrix by streaming this rank's rows from a
     /// [`RowSource`] — a stencil/surrogate generator or any operator that
-    /// can produce rows on demand.  The local block is assembled with
-    /// [`sparse::rows::assemble_rows`] (two passes: count, then fill into
-    /// exactly-sized arrays); the global matrix is never materialized
+    /// can produce rows on demand.  The rows are read in the two passes of
+    /// [`crate::assembly`]; the global matrix is never materialized
     /// anywhere.
     pub fn from_row_source<S: RowSource>(
         comm: Arc<dyn Communicator>,
@@ -124,8 +104,45 @@ impl DistCsr {
             "1D block-row distribution needs a square operator"
         );
         let (lo, hi) = part.range(comm.rank());
-        let local = sparse::rows::assemble_rows(source, lo..hi);
-        Self::from_partitioned(comm, part, local)
+        Self::assemble(comm, part, source, lo..hi)
+    }
+
+    /// The one assembly path: rows `rows` of `source` are this rank's block
+    /// (global rows `part.range(comm.rank())`, global columns).  Pass 1
+    /// counts them and finds the ghosts, the plan is negotiated, pass 2
+    /// lays them out.
+    fn assemble<S: RowSource + ?Sized>(
+        comm: Arc<dyn Communicator>,
+        part: &RowPartition,
+        source: &S,
+        rows: Range<usize>,
+    ) -> Self {
+        assert_eq!(
+            part.nranks(),
+            comm.size(),
+            "partition has {} ranks but the communicator has {}",
+            part.nranks(),
+            comm.size()
+        );
+        let rank = comm.rank();
+        let (lo, hi) = part.range(rank);
+        assert_eq!(
+            rows.len(),
+            hi - lo,
+            "rank {rank} owns rows {lo}..{hi} but the local block has {} rows",
+            rows.len()
+        );
+        let (nnz, ghosts) = scan_rows(source, rows.clone(), lo..hi);
+        let plan = plan_halo_exchange(comm.as_ref(), part, ghosts);
+        let local = sliced_local_block(source, rows, lo..hi, nnz, plan.ghost_globals());
+        Self {
+            comm,
+            global_rows: part.nrows(),
+            row_offset: lo,
+            local,
+            plan,
+            scratch: Mutex::default(),
+        }
     }
 
     /// Build the distributed matrix from the replicated global matrix `a`
@@ -182,12 +199,31 @@ impl DistCsr {
     /// a [`GuardedComm`](crate::GuardedComm) writes off poisons its ghost
     /// values with NaN, which the next Gram reduce sees as a breakdown.
     pub fn spmv(&self, x_local: &[f64], y_local: &mut [f64]) {
+        self.spmm(1, x_local, y_local, None);
+    }
+
+    /// Distributed `Y = A·X` for a block of `k` vectors, or
+    /// `Y = A·X − θ·U` with `shift = Some((θ, U))`: `x_local`, `y_local`
+    /// and `U` are the `nloc × k` local blocks, column-major.  Column `j` is
+    /// bit for bit [`spmv`](Self::spmv) of column `j` (then `y −= θ·u`); see
+    /// [`SlicedCsr::spmm`].  The halo exchange sends one message per peer
+    /// carrying the `k` columns' values one after the other, so `k`
+    /// products cost the messages of one and the words of `k`.  A message
+    /// a [`GuardedComm`](crate::GuardedComm) writes off poisons the ghosts
+    /// of every column it carried.
+    pub fn spmm(
+        &self,
+        k: usize,
+        x_local: &[f64],
+        y_local: &mut [f64],
+        shift: Option<(f64, &[f64])>,
+    ) {
         let nloc = self.local.nrows();
-        assert_eq!(x_local.len(), nloc, "spmv: x length mismatch");
-        assert_eq!(y_local.len(), nloc, "spmv: y length mismatch");
+        assert_eq!(x_local.len(), k * nloc, "spmm: x length mismatch");
+        assert_eq!(y_local.len(), k * nloc, "spmm: y length mismatch");
         if self.comm.size() == 1 {
             let _span = trace::span("spmv", "local", &[("rows", nloc as u64)]);
-            self.local.spmv(x_local, y_local);
+            self.local.spmm(k, x_local, y_local, shift);
             return;
         }
         let comm = self.comm.as_ref();
@@ -202,12 +238,18 @@ impl DistCsr {
             );
             for block in &self.plan.send {
                 payload.clear();
-                payload.extend(block.local_indices.iter().map(|&i| x_local[i]));
+                for q in 0..k {
+                    let x = &x_local[q * nloc..(q + 1) * nloc];
+                    payload.extend(block.local_indices.iter().map(|&i| x[i]));
+                }
                 comm.send(block.peer, payload);
             }
         }
-        x_ext.resize(self.local.ncols(), 0.0);
-        x_ext[..nloc].copy_from_slice(x_local);
+        let ncols = self.local.ncols();
+        x_ext.resize(k * ncols, 0.0);
+        for q in 0..k {
+            x_ext[q * ncols..q * ncols + nloc].copy_from_slice(&x_local[q * nloc..(q + 1) * nloc]);
+        }
         {
             let _span = trace::span(
                 "spmv",
@@ -215,15 +257,21 @@ impl DistCsr {
                 &[("peers", self.plan.recv.len() as u64)],
             );
             for block in &self.plan.recv {
-                let ghosts = &mut x_ext[nloc + block.start..nloc + block.start + block.len];
-                match comm.recv_halo(block.peer, block.len) {
-                    Some(data) => ghosts.copy_from_slice(&data),
-                    None => ghosts.fill(f64::NAN),
+                let data = comm.recv_halo(block.peer, k * block.len);
+                for q in 0..k {
+                    let at = q * ncols + nloc + block.start;
+                    let ghosts = &mut x_ext[at..at + block.len];
+                    match &data {
+                        Some(data) => {
+                            ghosts.copy_from_slice(&data[q * block.len..(q + 1) * block.len])
+                        }
+                        None => ghosts.fill(f64::NAN),
+                    }
                 }
             }
         }
         let _span = trace::span("spmv", "local", &[("rows", nloc as u64)]);
-        self.local.spmv(x_ext, y_local);
+        self.local.spmm(k, x_ext, y_local, shift);
     }
 }
 

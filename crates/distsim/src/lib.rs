@@ -29,7 +29,9 @@
 //!   many global reductions it performs;
 //! * [`DistCsr`] — a 1D block-row distributed CSR matrix whose SpMV does
 //!   the neighborhood (halo) exchange with point-to-point messages, as the
-//!   paper's MPI runs do.  Construction is **streamed**
+//!   paper's MPI runs do, and whose block product `spmm` serves all `k`
+//!   columns of a block step with one message per peer and one pass over
+//!   the operator.  Construction is **streamed**
 //!   ([`DistCsr::from_row_source`] / [`DistCsr::from_partitioned`]): each
 //!   rank materializes only its own row block — `O(nnz/P + halo)` peak
 //!   memory — and the exchange plan is negotiated by the [`assembly`]

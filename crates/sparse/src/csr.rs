@@ -122,14 +122,6 @@ impl Csr {
         }
     }
 
-    /// Decompose the matrix into its raw arrays
-    /// `(nrows, ncols, rowptr, colind, vals)` without copying — the inverse
-    /// of [`Csr::from_raw`], used by consumers that transform the storage
-    /// in place (e.g. the distributed assembly's column remap).
-    pub fn into_raw(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
-        (self.nrows, self.ncols, self.rowptr, self.colind, self.vals)
-    }
-
     /// The `n × n` identity matrix in CSR form.
     pub fn identity(n: usize) -> Self {
         Self {

@@ -7,9 +7,10 @@
 //!   its one-row-at-a-time [`csr::Csr::spmv`] is the reference product;
 //! * [`sliced::SlicedCsr`] — the same nonzeros re-laid for the product
 //!   (slices of four rows interleaved, `u32` column indices): the operator
-//!   format `distsim::DistCsr` holds, whose `spmv` — the only sparse kernel
-//!   the s-step matrix-powers kernel needs — returns the bits of
-//!   `Csr::spmv` (`tests/sliced_spmv_props.rs`);
+//!   format `distsim::DistCsr` holds, built straight from a row source in
+//!   one pass, whose `spmv` and block `spmm` — the sparse kernels of the
+//!   s-step matrix-powers kernel — return the bits of `Csr::spmv` per
+//!   column (`tests/sliced_spmv_props.rs`);
 //! * [`stencil`] — generators for the model problems of the evaluation
 //!   section: 2D Laplace on 5-point and 9-point stencils, 3D Laplace on a
 //!   7-point stencil, and a 3-dof 3D elasticity-like operator;

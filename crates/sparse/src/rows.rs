@@ -13,6 +13,15 @@
 //! duplicates** — the invariant [`Csr`] itself maintains — so that a matrix
 //! assembled row-by-row ([`assemble`]) is bitwise identical to one built
 //! from the equivalent triplet set.
+//!
+//! Every consumer reads a source in two passes, counting and then filling
+//! exactly-sized arrays.  [`RowSource::row_len`] is the counting pass: a
+//! source that knows its row lengths (a [`Csr`], the stencils, the
+//! SuiteSparse surrogates) answers it without generating a value, so the
+//! generator runs once per entry, in the filling pass.  The two consumers
+//! are [`assemble_rows`] (a [`Csr`]) and
+//! [`SlicedCsr::from_rows`](crate::SlicedCsr::from_rows) (the operator
+//! format of the distributed product, built straight from the rows).
 
 use crate::csr::Csr;
 
@@ -34,6 +43,15 @@ pub trait RowSource {
     /// Append the `(column, value)` entries of row `i` to `cols`/`vals`
     /// (sorted by column, no duplicates).
     fn emit_row(&self, i: usize, cols: &mut Vec<usize>, vals: &mut Vec<f64>);
+
+    /// The number of entries [`emit_row`](Self::emit_row) appends for row
+    /// `i`.  The default emits the row and counts it; sources that know the
+    /// length without generating the values override it.
+    fn row_len(&self, i: usize) -> usize {
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        self.emit_row(i, &mut cols, &mut vals);
+        cols.len()
+    }
 }
 
 impl<S: RowSource + ?Sized> RowSource for &S {
@@ -45,6 +63,9 @@ impl<S: RowSource + ?Sized> RowSource for &S {
     }
     fn emit_row(&self, i: usize, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
         (**self).emit_row(i, cols, vals)
+    }
+    fn row_len(&self, i: usize) -> usize {
+        (**self).row_len(i)
     }
 }
 
@@ -62,6 +83,9 @@ impl RowSource for Csr {
         cols.extend_from_slice(c);
         vals.extend_from_slice(v);
     }
+    fn row_len(&self, i: usize) -> usize {
+        self.rowptr()[i + 1] - self.rowptr()[i]
+    }
 }
 
 /// Assemble the full matrix from a row source in two passes (count, then
@@ -75,10 +99,8 @@ pub fn assemble<S: RowSource>(source: &S) -> Csr {
 }
 
 /// Assemble the row block `rows` of a row source (columns stay global) in
-/// two passes — count, then fill into exactly-sized arrays.  This is the
-/// per-rank assembly step of the streamed distributed construction
-/// (`distsim::DistCsr::from_row_source`); [`assemble`] is the full-range
-/// special case.
+/// two passes — count through [`RowSource::row_len`], then fill into
+/// exactly-sized arrays.  [`assemble`] is the full-range case.
 pub fn assemble_rows<S: RowSource>(source: &S, rows: std::ops::Range<usize>) -> Csr {
     assert!(
         rows.end <= source.nrows(),
@@ -90,28 +112,19 @@ pub fn assemble_rows<S: RowSource>(source: &S, rows: std::ops::Range<usize>) -> 
     let nloc = rows.end - rows.start;
     let mut rowptr = Vec::with_capacity(nloc + 1);
     rowptr.push(0usize);
-    let mut scratch_c = Vec::new();
-    let mut scratch_v = Vec::new();
     // Counting pass.
     let mut nnz = 0usize;
     for i in rows.clone() {
-        scratch_c.clear();
-        scratch_v.clear();
-        source.emit_row(i, &mut scratch_c, &mut scratch_v);
-        nnz += scratch_c.len();
+        nnz += source.row_len(i);
         rowptr.push(nnz);
     }
     // Filling pass into exact allocations.
     let mut cols = Vec::with_capacity(nnz);
     let mut vals = Vec::with_capacity(nnz);
-    for i in rows {
+    for (i, &end) in rows.zip(&rowptr[1..]) {
         source.emit_row(i, &mut cols, &mut vals);
+        assert_eq!(cols.len(), end, "row {i}: row_len disagrees with emit_row");
     }
-    assert_eq!(
-        cols.len(),
-        nnz,
-        "row source emitted different entry counts on the two passes"
-    );
     Csr::from_raw(nloc, source.ncols(), rowptr, cols, vals)
 }
 
@@ -146,6 +159,60 @@ mod tests {
         assert_eq!(assemble(&a), a);
         // Through a reference too (the blanket impl).
         assert_eq!(assemble(&&a), a);
+    }
+
+    #[test]
+    fn row_len_is_the_emitted_length_for_every_source() {
+        use crate::stencil::{
+            Elasticity3dRows, Laplace2d5ptRows, Laplace2d9ptRows, Laplace3d7ptRows,
+        };
+        use crate::suitelike::{spec_by_name, SuiteLikeRows};
+        let geer = spec_by_name("ML_Geer").unwrap();
+        let ecology = spec_by_name("ecology2").unwrap();
+        let ragged = Csr::from_triplets(
+            5,
+            5,
+            &[(0, 4), (0, 1), (2, 2), (4, 0), (4, 3), (4, 0)].map(|(row, col)| Triplet {
+                row,
+                col,
+                val: 1.0,
+            }),
+        );
+        let sources: Vec<(&str, Box<dyn RowSource>)> = vec![
+            ("5pt", Box::new(Laplace2d5ptRows { nx: 7, ny: 5 })),
+            ("9pt", Box::new(Laplace2d9ptRows { nx: 6, ny: 4 })),
+            (
+                "7pt",
+                Box::new(Laplace3d7ptRows {
+                    nx: 4,
+                    ny: 3,
+                    nz: 3,
+                }),
+            ),
+            (
+                "elasticity",
+                Box::new(Elasticity3dRows {
+                    nx: 3,
+                    ny: 2,
+                    nz: 2,
+                }),
+            ),
+            ("ML_Geer", Box::new(SuiteLikeRows::new(geer, Some(300), 3))),
+            (
+                "ecology2",
+                Box::new(SuiteLikeRows::new(ecology, Some(97), 3)),
+            ),
+            ("csr", Box::new(ragged)),
+        ];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for (name, source) in &sources {
+            for i in 0..source.nrows() {
+                cols.clear();
+                vals.clear();
+                source.emit_row(i, &mut cols, &mut vals);
+                assert_eq!(source.row_len(i), cols.len(), "{name} row {i}");
+            }
+        }
     }
 
     #[test]

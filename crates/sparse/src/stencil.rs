@@ -62,6 +62,16 @@ impl RowSource for Laplace2d5ptRows {
             push(row + nx, -1.0);
         }
     }
+    fn row_len(&self, row: usize) -> usize {
+        let (i, j) = (row % self.nx, row / self.nx);
+        1 + neighbours(i, self.nx) + neighbours(j, self.ny)
+    }
+}
+
+/// Grid neighbours of coordinate `i` along an axis of `n` points: 0, 1 or
+/// 2 (what a stencil row loses at a Dirichlet boundary).
+fn neighbours(i: usize, n: usize) -> usize {
+    usize::from(i > 0) + usize::from(i + 1 < n)
 }
 
 /// 2D Laplace operator on a 5-point stencil over an `nx × ny` grid
@@ -105,6 +115,10 @@ impl RowSource for Laplace2d9ptRows {
                 vals.push(if di == 0 && dj == 0 { 8.0 } else { -1.0 });
             }
         }
+    }
+    fn row_len(&self, row: usize) -> usize {
+        let (i, j) = (row % self.nx, row / self.nx);
+        (1 + neighbours(i, self.nx)) * (1 + neighbours(j, self.ny))
     }
 }
 
@@ -165,6 +179,11 @@ impl RowSource for Laplace3d7ptRows {
         if k + 1 < nz {
             push(row + nx * ny, -1.0);
         }
+    }
+    fn row_len(&self, row: usize) -> usize {
+        let (nx, ny) = (self.nx, self.ny);
+        let (i, j, k) = (row % nx, (row / nx) % ny, row / (nx * ny));
+        1 + neighbours(i, nx) + neighbours(j, ny) + neighbours(k, self.nz)
     }
 }
 
@@ -242,6 +261,12 @@ impl RowSource for Elasticity3dRows {
         if k + 1 < nz {
             push(row + 3 * nx * ny, -1.0);
         }
+    }
+    fn row_len(&self, row: usize) -> usize {
+        let (nx, ny) = (self.nx, self.ny);
+        let node = row / 3;
+        let (i, j, k) = (node % nx, (node / nx) % ny, node / (nx * ny));
+        3 + neighbours(i, nx) + neighbours(j, ny) + neighbours(k, self.nz)
     }
 }
 

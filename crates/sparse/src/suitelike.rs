@@ -216,6 +216,11 @@ impl RowSource for SuiteLikeRows {
         vals.insert(diag_at, diag);
         debug_assert!(cols[below..].windows(2).all(|w| w[0] < w[1]));
     }
+    /// The in-range offsets plus the diagonal; no RNG is drawn.
+    fn row_len(&self, i: usize) -> usize {
+        let in_range = |&&d: &&i64| (0..self.n as i64).contains(&(i as i64 + d));
+        1 + self.offsets.iter().filter(in_range).count()
+    }
 }
 
 /// Generate a surrogate for `spec`, optionally overriding the dimension

@@ -10,11 +10,16 @@
 //!   to end, and the paper's closed forms (Table II) agree with its length;
 //! * the SpMV halo exchange of the 9-point Laplacian moves the stencil's
 //!   literal terms (`2·nx` ghost words from 2 neighbours per interior rank),
-//!   in the negotiated halo plan and in what `CommStats` records per SpMV.
+//!   in the negotiated halo plan and in what `CommStats` records per SpMV;
+//! * a `k`-wide block product (`DistCsr::spmm`, one per block step of the
+//!   matrix-powers kernel) sends one message per peer carrying `k·ghosts`
+//!   words, alone and over a whole block solve.
 
 use blockortho::{make_orthogonalizer, OrthoKind};
+use dense::Matrix;
 use distsim::{run_ranks, CommStatsSnapshot, DistCsr, DistMultiVector, SerialComm};
 use sparse::{block_row_partition, Laplace2d9ptRows};
+use ssgmres::{GmresConfig, Identity, SStepGmres};
 
 /// Reduce count of one cycle: the length of the schedule.
 fn reduces(kind: OrthoKind, m: usize, s: usize, k: usize) -> usize {
@@ -333,4 +338,68 @@ fn spmv_halo_volume_and_neighbors_match_problem_spec() {
     }
     // Conservation: every imported ghost word was sent by its owner.
     assert_eq!(recv_total, sent_total);
+}
+
+#[test]
+fn block_spmm_halo_is_one_message_per_peer_of_k_columns_of_ghosts() {
+    // The k-wide closed forms on the layout of the test above: per block
+    // product, messages = peers and words = k·ghosts (k·2·nx on an interior
+    // rank, k·nx on an edge rank).
+    let nx = 40;
+    let nranks = 4;
+    let rows = Laplace2d9ptRows { nx, ny: nx };
+    let part = block_row_partition(nx * nx, nranks);
+    for k in [1usize, 2, 4, 7] {
+        let measured = run_ranks(nranks, |comm| {
+            let (lo, hi) = part.range(comm.rank());
+            let dist = DistCsr::from_row_source(comm.clone(), &part, &rows);
+            let x = vec![1.0; k * (hi - lo)];
+            let mut y = vec![0.0; k * (hi - lo)];
+            let before = comm.stats().snapshot();
+            dist.spmm(k, &x, &mut y, None);
+            let delta = comm.stats().snapshot().since(&before);
+            (dist.halo_plan().recv_neighbors(), delta)
+        });
+        for (rank, (peers, delta)) in measured.iter().enumerate() {
+            let interior = rank > 0 && rank < nranks - 1;
+            let ghosts = if interior { 2 * nx } else { nx };
+            assert_eq!(delta.p2p_messages, *peers, "k = {k}, rank {rank}");
+            assert_eq!(delta.p2p_words, k * ghosts, "k = {k}, rank {rank}");
+            assert_eq!(delta.allreduces, 0, "k = {k}, rank {rank}");
+        }
+    }
+}
+
+#[test]
+fn a_block_solve_sends_one_halo_message_per_peer_per_block_step() {
+    // k = 3 right-hand sides on 2 ranks, full cycles and no deflation
+    // (tolerance out of reach): every product is a block product of all
+    // three columns — the MPK's block steps and the residual refreshes —
+    // so messages = spmv_count / k per peer and words = spmv_count·ghosts.
+    let nx = 24;
+    let k = 3;
+    let rows = Laplace2d9ptRows { nx, ny: nx };
+    let part = block_row_partition(nx * nx, 2);
+    let solver = SStepGmres::new(GmresConfig {
+        restart: 20,
+        step_size: 5,
+        tol: 1e-30,
+        max_restarts: 2,
+        ..GmresConfig::default()
+    });
+    let results = run_ranks(2, |comm| {
+        let (lo, hi) = part.range(comm.rank());
+        let dist = DistCsr::from_row_source(comm, &part, &rows);
+        let b = Matrix::from_fn(hi - lo, k, |i, j| ((lo + i) * (j + 2) % 7) as f64 - 3.0);
+        let mut x = Matrix::zeros(hi - lo, k);
+        let r = solver.solve_block(&dist, &Identity, &b, &mut x);
+        (dist.halo_plan().send_words(), r)
+    });
+    for (rank, (ghosts, r)) in results.iter().enumerate() {
+        assert_eq!(r.restarts, 2, "rank {rank}");
+        assert!(r.deflation_order.is_empty(), "rank {rank}");
+        assert_eq!(r.spmv_count % k, 0, "rank {rank}");
+        assert_eq!(r.comm_total.p2p_messages, r.spmv_count / k, "rank {rank}");
+        assert_eq!(r.comm_total.p2p_words, r.spmv_count * ghosts, "rank {rank}");
+    }
 }
