@@ -32,7 +32,7 @@ fn main() {
     ]);
     for spec in SUITE_SPARSE_SET {
         let a0 = suitesparse_surrogate(spec, n_override, 11);
-        let (a, _, _) = scale_rows_cols_by_max(&a0);
+        let a = scale_rows_cols_by_max(&a0);
         let n = a.nrows();
         let comm = SerialComm::new();
         let mut basis = DistMultiVector::from_matrix(comm, Matrix::zeros(n, m + 1));

@@ -28,6 +28,19 @@
 //!
 //! With `BENCH_SCALING_CHECK=1` the binary exits non-zero if the fused
 //! pass is slower than the separate sweeps on any shape.
+//!
+//! Reading `BENCH_kernels.json`: the header records the detected `simd`
+//! level.  The 25 600×60 and 14 400×240 rows are the stage-2 flush shapes
+//! of `lap2d_t1` and `lap2d_k4` (Gram and TRSM only).  A row whose
+//! `variant` is a SIMD level times a stage-1 shape under that level's cap
+//! (`dense::set_simd_override`): kernels with no AVX-512 body run their
+//! AVX2 body at both levels, so such an `avx512` row reads about 1.0 and
+//! shows a row's run-to-run spread.  The `spmm_laplace2d_9pt` row at
+//! `k = 4` is measured against four one-column products, and
+//! `assemble_ml_geer` is the assembly half of `geer_t1`'s `setup_s`.  A
+//! shared host moves single rows by tens of percent between runs, so judge
+//! a kernel change by alternating the parent's binary and the change's,
+//! and compare rows of the same run.
 
 use bench::Table;
 use dense::{Matrix, SimdLevel};

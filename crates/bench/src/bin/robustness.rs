@@ -214,7 +214,7 @@ fn main() {
             if let Some(spec) = SUITE_SPARSE_SET.iter().find(|s| s.name == "atmosmodl") {
                 eprintln!("suitelike surrogate atmosmodl ...");
                 let raw = suitesparse_surrogate(spec, Some(1_200), 9);
-                let (a, _, _) = scale_rows_cols_by_max(&raw);
+                let a = scale_rows_cols_by_max(&raw);
                 let ba = a.spmv_alloc(&vec![1.0; a.nrows()]);
                 for s in [5, 10] {
                     run_cell(&mut rows, "atmosmodl", &a, &ba, s, 60, 30_000);

@@ -49,7 +49,7 @@ fn workloads(args: &bench::cli::Args) -> Vec<(String, Csr)> {
     ] {
         let spec = SUITE_SPARSE_SET.iter().find(|s| s.name == name).unwrap();
         let raw = suitesparse_surrogate(spec, Some(small_n), 5);
-        let (scaled, _, _) = scale_rows_cols_by_max(&raw);
+        let scaled = scale_rows_cols_by_max(&raw);
         out.push((spec.name.to_string(), scaled));
     }
     out

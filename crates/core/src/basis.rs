@@ -7,6 +7,31 @@
 //! (empty = monomial), and [`shift`] reads the per-column shift `θ_k` off it
 //! so the Hessenberg recovery can account for it (`A·u_k = w_{k+1} +
 //! θ_k·u_k`).
+//!
+//! The monomial basis is fine at the paper's `s = 5`, but its condition
+//! number grows like the power iteration's: beyond `s ≈ 6` it degrades
+//! exponentially, first as remedial fallbacks of the orthogonalizer
+//! (`SolveResult::ortho_fallbacks`), then as Cholesky breakdowns.  An
+//! empty Newton shift list is bitwise the monomial basis
+//! (`tests/solver_cross_crate.rs::zero_shift_newton_is_bitwise_identical_to_monomial`),
+//! and harvesting shifts reads only the replicated Hessenberg matrix, so a
+//! basis changes no communication count for the same iterations.
+//!
+//! Every solve records the shifts each cycle used
+//! ([`crate::SolveResult::shifts`]) and its most recent harvest, used or
+//! not ([`crate::SolveResult::last_harvest`]).  Replaying the first through
+//! [`BasisStrategy::Scheduled`] reproduces the solve bitwise
+//! (`adaptive_solve_matches_scheduled_replay_bitwise`).  The second makes a
+//! **warm-up shift oracle**: where even one monomial panel at the target
+//! `s` collapses (the 9-point Laplacian at `s = 16`), one cheap adaptive
+//! cycle at `s = 4` harvests shifts, and a solve with
+//! `Newton { shifts }` at the target `s` converges
+//! (`warmup_shift_oracle_rescues_step_sizes_the_monomial_basis_cannot_run`;
+//! both in `tests/solver_cross_crate.rs`).  The oracle needs a spread
+//! spectrum: on elasticity3d the clustered Ritz values dedupe to a handful
+//! of shifts, and the step controller of [`crate::control`] is the rescue
+//! instead.  `bench --bin basis_compare` sweeps the three bases over `s`
+//! into `BENCH_basis.json`.
 
 /// The shift `θ_k` applied when generating basis column `k+1` from column
 /// `k`: the shift list cycled over the columns, `0` for the monomial basis

@@ -41,6 +41,22 @@
 //! `solve_block` agree bit for bit, histories and both
 //! [`CommStatsSnapshot`] ledgers included.
 //!
+//! **The replicated work** is written for the block width too.  Every
+//! convergence check and every cycle end solves the band Hessenberg
+//! problem for all `k` right-hand sides with one Householder QR whose
+//! reflectors have length `k + 1` ([`dense::band_hessenberg_lsq`],
+//! `O(j²·k)` for `j` recovered columns), not a dense QR per right-hand
+//! side.  The solution update forms `Q·Y` for all active columns in one
+//! row-panel-blocked pass over the basis ([`dense::gemm_nn_plus`]).  The
+//! residual-norm reduce is one reduce of the active columns' squared
+//! norms at every width.  What batching buys is pinned twice.  With the
+//! tolerance floored, the `k = 4` all-reduce count per cycle equals the
+//! `k = 1` count while the words grow with `k` (this module's
+//! `reduce_count_per_cycle_is_independent_of_block_width`).  Four
+//! right-hand sides solved as one block pay 19 all-reduces where four
+//! separate solves pay 110
+//! (`tests/block_equivalence.rs::four_rhs_block_solve_shares_one_reduce_bill`).
+//!
 //! **Deflation.**  Convergence is tracked per column ("On the backward
 //! stability of s-step GMRES", arXiv 2409.03079, motivates the per-column
 //! residual bookkeeping).  A column whose true residual meets its target
@@ -231,7 +247,7 @@ struct Solve<'a> {
     consecutive_breakdowns: usize,
     no_progress_cycles: usize,
     /// Why columns left the block before the first cycle (their initial
-    /// residual norm was not finite), `None` when none did.
+    /// residual norm was not finite or underflowed), `None` when none did.
     retired: Option<String>,
 
     // Reusable buffers; `basis`/`r_factor` are re-sized at the top of a
@@ -413,6 +429,11 @@ impl<'a> Solve<'a> {
         }
         if !notes.is_empty() {
             self.retired = Some(notes.join("; "));
+        }
+        // A retired column has no reference to be relative to, so its
+        // final relative residual reads NaN.
+        for &j in nonfinite.iter().chain(&underflowing) {
+            self.r0_norms[j] = f64::NAN;
         }
         self.active
             .retain(|j| !nonfinite.contains(j) && !underflowing.contains(j));
@@ -1011,10 +1032,10 @@ impl<'a> Solve<'a> {
 
     /// Once an Auto rescue is active, keep the most recent harvested Newton
     /// shifts in effect for strategies that would otherwise re-run the
-    /// basis that broke (the automated form of the README's warm-up shift
-    /// oracle).  Adaptive re-harvests on its own and Scheduled must replay
-    /// verbatim, so both are left alone; non-Auto policies never activate a
-    /// rescue.
+    /// basis that broke (the automated form of the warm-up shift oracle of
+    /// [`crate::basis`]).  Adaptive re-harvests on its own and Scheduled
+    /// must replay verbatim, so both are left alone; non-Auto policies never
+    /// activate a rescue.
     fn keep_rescue_shifts(&mut self) {
         let fixed_basis = matches!(
             self.config.basis,

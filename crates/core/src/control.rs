@@ -6,7 +6,7 @@
 //! GMRES" (arXiv 2409.03079) shows the attainable accuracy is governed by
 //! the per-cycle basis conditioning.  Both mean an ill-conditioned panel is
 //! a **runtime signal to react to**, not a configuration error.  This
-//! module automates the README's manual warm-up shift-oracle pattern:
+//! module automates the manual warm-up shift oracle of [`crate::basis`]:
 //!
 //! * every restart cycle produces a [`CycleHealth`] report built entirely
 //!   from *replicated* data (the recovered R factor's diagonal, the
@@ -25,6 +25,22 @@
 //!   suite proves Auto's decisions cost nothing: an Auto solve replayed
 //!   through `Scheduled` steps + `Scheduled` shifts is bitwise identical,
 //!   communication counts included.
+//!
+//! `tests/controller_equivalence.rs` holds those three pins
+//! (`fixed_is_the_default_policy_and_replays_through_scheduled`,
+//! `auto_with_all_healthy_signals_is_bitwise_identical_to_fixed`,
+//! `auto_rescue_replays_bitwise_through_scheduled_steps_and_shifts`), so at
+//! equal realized step sizes Auto's reduce and word counts are exactly a
+//! controller-less solve's.  `tests/breakdown_scenarios.rs` feeds engineered
+//! near-rank-deficient panels (duplicated Krylov directions, `κ ≈ 1/ε`,
+//! zero columns, the `s = restart` edge) through every orthogonalization
+//! kind: each one succeeds to its documented orthogonality or reports an
+//! error or a fallback, never silently.  Auto's decisions are the same on
+//! every rank of a distributed run
+//! (`auto_decisions_agree_across_ranks_and_rescue_across_rank_counts`).
+//! The `robustness` binary runs the rescue end to end and records it in
+//! `BENCH_robustness.json`: elasticity3d at a requested `s = 12`, where
+//! `Fixed` breaks down, converges under `Auto` with no oracle.
 
 use blockortho::FallbackEvent;
 use dense::Matrix;

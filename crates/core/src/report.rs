@@ -23,7 +23,22 @@
 //!   [`trace::thread_category_ns`]`("comm")` across the cycle.
 //!
 //! [`SolveResult::write_json`] zips the two by index into one `cycles`
-//! array.
+//! array: the whole-solve scalars, then per cycle its step, `<label>_ns`
+//! per phase, `total_ns`, `sync_ns`, shifts, ortho all-reduces and words,
+//! κ, fallbacks, verdict and fault counts (non-finite floats as `null`).
+//!
+//! The tests tie each measurement back to the solve or its all-reduce
+//! schedule (in `tests/trace_observability.rs` unless another file is
+//! named):
+//!
+//! | check | test |
+//! |---|---|
+//! | tracing changes no bit and no count | `toggling_tracing_keeps_{serial,distributed}_solves_bitwise_identical`, `spans_balance_on_serial_and_rank_sweeps` |
+//! | one timeline lane per rank, with halo `send` spans | `chrome_timeline_validates_and_has_one_lane_per_rank` |
+//! | one cycle's measured reduce words equal `OrthoKind::reduce_schedule` | `tests/comm_volume_validation.rs::measured_cycle_reduce_words_match_the_analytic_volumes` |
+//! | the phase buckets sum to the cycle's wall time | `cycle_timings_partition_every_cycle` |
+//! | `sync_ns ≤ total_ns`, and a solve's summed `sync_ns` is at most the trace's `comm` span time | `sync_time_is_zero_untraced_and_attributed_per_rank_when_traced` |
+//! | the JSON report validates and joins both records | `tests/cycle_report.rs::json_report_joins_both_records_cycle_by_cycle` |
 
 use crate::control::CycleVerdict;
 use crate::solver::SolveResult;

@@ -80,8 +80,10 @@ pub struct SolveResult {
     pub iterations: usize,
     /// Number of restart cycles performed.
     pub restarts: usize,
-    /// Final true relative residual `‖b_j − A·x_j‖ / ‖r₀_j‖` per column
-    /// (`0.0` for an identically zero right-hand side).
+    /// Final true relative residual `‖b_j − A·x_j‖ / ‖r₀_j‖` per column:
+    /// `0.0` for an identically zero right-hand side, NaN for a column
+    /// retired before the first cycle because its initial residual norm is
+    /// not finite or underflows to 0 (see [`SolveResult::breakdown`]).
     pub final_relres: Vec<f64>,
     /// Breakdown diagnostic, if an orthogonalization breakdown occurred.
     pub breakdown: Option<String>,
@@ -529,6 +531,7 @@ mod tests {
         let solver = SStepGmres::new(GmresConfig::default());
         let (x, r) = solver.solve_serial(&a, &tiny);
         assert!(!r.converged && !r.col_converged[0], "{r:?}");
+        assert!(r.final_relres[0].is_nan(), "{:?}", r.final_relres);
         assert_eq!(r.iterations, 0);
         assert!(x.iter().all(|&v| v == 0.0));
         let msg = r.breakdown.as_deref().unwrap_or_default();
@@ -541,6 +544,8 @@ mod tests {
         let (_, r) = solver.solve_block_serial(&a, &[good.clone(), tiny.clone()]);
         assert!(!r.converged, "{r:?}");
         assert_eq!(r.col_converged, vec![true, false]);
+        assert!(r.final_relres[0].is_finite(), "{:?}", r.final_relres);
+        assert!(r.final_relres[1].is_nan(), "{:?}", r.final_relres);
         let msg = r.breakdown.as_deref().unwrap_or_default();
         assert!(
             msg.starts_with("column 1: initial residual norm underflows"),
@@ -568,6 +573,7 @@ mod tests {
         // one count reduce.
         let (_, r) = solver.solve_serial(&a, &vec![0.0; n]);
         assert!(r.converged && r.breakdown.is_none(), "{r:?}");
+        assert_eq!(r.final_relres, vec![0.0]);
         assert_eq!(r.comm_total.allreduces, 2, "the norm and the count");
     }
 
@@ -592,7 +598,7 @@ mod tests {
         // Row/column scaled Laplacian (non-symmetric, as in the paper's
         // SuiteSparse experiments).
         let a0 = laplace2d_5pt(18, 18);
-        let (a, _, _) = sparse::scale_rows_cols_by_max(&a0);
+        let a = sparse::scale_rows_cols_by_max(&a0);
         let b = rhs_for_ones(&a);
         let solver = SStepGmres::new(GmresConfig {
             restart: 40,

@@ -22,7 +22,23 @@
 //! | [`RandCholQr`](OrthoKind::RandCholQr) (arXiv 2503.16717) | sketch | per panel: BCGS-PIP | 2 |
 //! | [`TwoStageSketched`](OrthoKind::TwoStageSketched) | sketch | deferred BCGS-PIP every `bs` columns | 1 (+1 per `bs` columns) |
 //!
-//! [`OrthoKind::reduce_schedule`] lists each reduce with its words.  The
+//! A kind without a deferred stage refuses a panel it cannot factor, as in
+//! the paper: BCGS2 (the block orthogonalization of the original s-step
+//! GMRES in Trilinos, Fig. 2) and BCGS-PIP(2) report the Cholesky
+//! breakdown, column CGS2 a column of zero norm.  BCGS-PIP forms the Gram
+//! matrix of the projected panel through the block Pythagorean identity,
+//! so one reduce projects and normalizes; alone it loses orthogonality
+//! like `ε·κ²` (bound (6)), and its second pass restores `O(ε)` under
+//! condition (5).  On the first panel of a cycle, with nothing to project
+//! against, BCGS-PIP2 is CholQR2.
+//!
+//! For a block of `k` right-hand sides a panel carries `k·s` columns and
+//! [`OrthoKind::for_block_width`] keeps the big-panel cadence, so every
+//! panel scheme's reduce count per cycle is its `k = 1` count; only the
+//! words grow (column CGS2 pays its 3 reduces per column, `3·k` per block
+//! step).  [`OrthoKind::reduce_schedule`] lists each reduce with its words,
+//! and `tests/comm_volume_validation.rs` at the repository root checks it
+//! against measured counters and the paper's closed forms.  The
 //! kernels the stages call (CholQR, CholQR2, BCGS, BCGS-PIP, the fused
 //! BCGS-PIP2, column-wise CGS2) live in [`kernels`], the sketch in
 //! [`sketched`]; the `ssgmres` solver builds a scheme per restart cycle
@@ -39,9 +55,6 @@
 
 #![forbid(unsafe_code)]
 
-mod bcgs2;
-mod bcgs_pip2;
-mod cgs;
 pub mod error;
 pub mod kernels;
 pub mod sketched;

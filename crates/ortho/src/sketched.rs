@@ -33,6 +33,16 @@
 //! [`FallbackStage::SketchPrecondition`](crate::FallbackStage::SketchPrecondition),
 //! so episode accounting stays honest across families.
 //!
+//! The solver builds the sketched kinds with the default [`SketchConfig`]
+//! (8 sketch rows per basis column, a fixed seed), so every run rebuilds
+//! the same operator.  At the
+//! solver level the sketched first stage composes with the `Auto` step
+//! controller: on a 9-point Laplacian's monomial basis at `s = 10` the
+//! plain two-stage scheme's fallback episodes make `Auto` halve the step,
+//! while either sketched kind holds the full `s` with no rescue
+//! (`tests/breakdown_scenarios.rs::auto_with_sketched_ortho_holds_full_step_where_plain_two_stage_halves`).
+//! `bench --bin sketch` sweeps κ × `s` × kind into `BENCH_sketch.json`.
+//!
 //! [`OrthoKind::RandCholQr`]: crate::OrthoKind::RandCholQr
 //! [`OrthoKind::TwoStageSketched`]: crate::OrthoKind::TwoStageSketched
 

@@ -487,6 +487,7 @@ impl BlockOrthogonalizer for Scheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{make_orthogonalizer, orthogonalize_matrix};
     use dense::orthogonality_error;
     use distsim::SerialComm;
 
@@ -1017,5 +1018,211 @@ mod tests {
         let flushed = basis.local().clone();
         scheme.finish(&mut basis, &mut r).unwrap();
         assert_bits("finish after a remedied flush", basis.local(), &flushed);
+    }
+
+    // ----- the kinds without a deferred stage --------------------------------
+
+    /// The inputs the per-kind checks were tuned on.
+    fn bcgs2_input(n: usize, c: usize) -> Matrix {
+        Matrix::from_fn(n, c, |i, j| {
+            ((i * 11 + j * 5) % 17) as f64 * 0.13 - 1.0
+                + if (i + 2 * j) % 7 == 0 { 1.7 } else { 0.0 }
+        })
+    }
+
+    fn pip_input(n: usize, c: usize) -> Matrix {
+        Matrix::from_fn(n, c, |i, j| {
+            ((i * 13 + j * 7) % 19) as f64 * 0.11 - 0.9 + if (i + j) % 5 == 0 { 2.0 } else { 0.0 }
+        })
+    }
+
+    fn cgs_input(n: usize, c: usize) -> Matrix {
+        Matrix::from_fn(n, c, |i, j| {
+            ((i * 29 + j * 3) % 23) as f64 * 0.09 - 1.0 + if i % (j + 3) == 1 { 2.2 } else { 0.0 }
+        })
+    }
+
+    /// One kind's row of the table test below.
+    struct KindCase {
+        kind: OrthoKind,
+        input: fn(usize, usize) -> Matrix,
+        /// Rows and columns of the input.
+        shape: (usize, usize),
+        /// Panel width.
+        s: usize,
+        /// Bound on the orthogonality error.
+        orth: f64,
+        /// Bound on the reconstruction error, relative to `max|V|`.
+        recon: f64,
+        /// Reduces on the first panel, then on every later panel.
+        reduces: (usize, usize),
+    }
+
+    #[test]
+    fn each_kind_keeps_its_bounds_and_reduces_per_panel() {
+        let rows = [
+            // The first panel is CholQR2 alone.
+            KindCase {
+                kind: OrthoKind::Bcgs2CholQr2,
+                input: bcgs2_input,
+                shape: (500, 15),
+                s: 5,
+                orth: 1e-13,
+                recon: 1e-11,
+                reduces: (2, 5),
+            },
+            KindCase {
+                kind: OrthoKind::BcgsPip2,
+                input: pip_input,
+                shape: (600, 12),
+                s: 4,
+                orth: 1e-13,
+                recon: 1e-11,
+                reduces: (2, 2),
+            },
+            // Standard GMRES: one column per panel; the first has nothing
+            // to project against and takes its norm alone.
+            KindCase {
+                kind: OrthoKind::Cgs2,
+                input: cgs_input,
+                shape: (400, 10),
+                s: 1,
+                orth: 1e-13,
+                recon: 1e-11,
+                reduces: (1, 3),
+            },
+        ];
+        for KindCase {
+            kind,
+            input,
+            shape: (n, c),
+            s,
+            orth,
+            recon,
+            reduces: (first, later),
+        } in rows
+        {
+            let v = input(n, c);
+            let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+            let mut r = Matrix::zeros(c, c);
+            let mut scheme = make_orthogonalizer(kind, c);
+            let mut reduces = Vec::new();
+            for start in (0..c).step_by(s) {
+                let before = basis.comm().stats().snapshot();
+                scheme
+                    .orthogonalize_panel(&mut basis, start..(start + s).min(c), &mut r)
+                    .unwrap();
+                reduces.push(basis.comm().stats().snapshot().since(&before).allreduces);
+            }
+            scheme.finish(&mut basis, &mut r).unwrap();
+            assert_eq!(reduces[0], first, "{kind:?}: first panel");
+            assert!(
+                reduces[1..].iter().all(|&x| x == later),
+                "{kind:?}: {later} reduces per later panel, not {reduces:?}"
+            );
+            let q = basis.local();
+            let err = orthogonality_error(&q.view());
+            assert!(err < orth, "{kind:?}: orthogonality error {err}");
+            let back = dense::gemm_nn(q, &r);
+            for j in 0..c {
+                for i in 0..n {
+                    assert!(
+                        (back[(i, j)] - v[(i, j)]).abs() < recon * v.max_abs(),
+                        "{kind:?}: QR does not reconstruct V at ({i},{j})"
+                    );
+                }
+                // R is upper triangular with positive diagonal.
+                assert!(r[(j, j)] > 0.0, "{kind:?}");
+                assert!((j + 1..c).all(|i| r[(i, j)] == 0.0), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn handles_moderately_ill_conditioned_panels() {
+        // kappa ~ 1e6 < 1/sqrt(eps): condition (1) holds, so BCGS2 with
+        // CholQR2 must deliver O(eps) orthogonality.
+        let v = testmat::logscaled_matrix(400, 10, 1e6, 5);
+        let (q, _) = orthogonalize_matrix(OrthoKind::Bcgs2CholQr2, &v, 5).unwrap();
+        let err = orthogonality_error(&q.view());
+        assert!(err < 1e-12, "{err}");
+    }
+
+    #[test]
+    fn single_pip_is_less_orthogonal_but_reconstructs() {
+        // On a moderately conditioned input the single-pass PIP has
+        // orthogonality error ~ eps * kappa^2 (bound (6)), visibly worse than
+        // PIP2 but still a valid factorization.
+        let v = testmat::logscaled_matrix(500, 10, 1e5, 3);
+        let (q1, r1) = orthogonalize_matrix(OrthoKind::BcgsPip, &v, 5).unwrap();
+        let (q2, _) = orthogonalize_matrix(OrthoKind::BcgsPip2, &v, 5).unwrap();
+        let e1 = orthogonality_error(&q1.view());
+        let e2 = orthogonality_error(&q2.view());
+        assert!(e2 < 1e-13, "PIP2 error {e2}");
+        assert!(
+            e1 > e2,
+            "single PIP ({e1}) should be no better than PIP2 ({e2})"
+        );
+        assert!(e1 < 1e-4, "but still bounded by eps*kappa^2");
+        let back = dense::gemm_nn(&q1, &r1);
+        for j in 0..10 {
+            for i in 0..500 {
+                assert!((back[(i, j)] - v[(i, j)]).abs() < 1e-9 * v.max_abs());
+            }
+        }
+    }
+
+    #[test]
+    fn first_panel_equals_cholqr2() {
+        // With no previous block, BCGS-PIP2 must coincide with CholQR2
+        // (the paper notes this explicitly).
+        let v = pip_input(250, 5);
+        let mut basis_a = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+        let mut r_a = Matrix::zeros(5, 5);
+        make_orthogonalizer(OrthoKind::BcgsPip2, 5)
+            .orthogonalize_panel(&mut basis_a, 0..5, &mut r_a)
+            .unwrap();
+        let mut basis_b = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+        let r_b = crate::kernels::cholqr2(&mut basis_b, 0..5).unwrap();
+        for j in 0..5 {
+            for i in 0..=j {
+                assert!((r_a[(i, j)] - r_b[(i, j)]).abs() < 1e-11 * r_b.max_abs());
+            }
+            for i in 0..250 {
+                assert!((basis_a.local()[(i, j)] - basis_b.local()[(i, j)]).abs() < 1e-11);
+            }
+        }
+    }
+
+    #[test]
+    fn breakdown_is_reported_not_hidden() {
+        let mut v = pip_input(200, 6);
+        for i in 0..200 {
+            let x = v[(i, 0)];
+            v[(i, 5)] = 2.0 * x; // linearly dependent on an earlier column
+        }
+        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+        let mut r = Matrix::zeros(6, 6);
+        let mut scheme = make_orthogonalizer(OrthoKind::BcgsPip2, 6);
+        scheme
+            .orthogonalize_panel(&mut basis, 0..3, &mut r)
+            .unwrap();
+        assert!(scheme
+            .orthogonalize_panel(&mut basis, 3..6, &mut r)
+            .is_err());
+    }
+
+    #[test]
+    fn zero_column_is_a_breakdown() {
+        let mut v = cgs_input(100, 3);
+        for i in 0..100 {
+            v[(i, 2)] = 0.0;
+        }
+        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
+        let mut r = Matrix::zeros(3, 3);
+        let mut cgs2 = make_orthogonalizer(OrthoKind::Cgs2, 3);
+        cgs2.orthogonalize_panel(&mut basis, 0..1, &mut r).unwrap();
+        cgs2.orthogonalize_panel(&mut basis, 1..2, &mut r).unwrap();
+        assert!(cgs2.orthogonalize_panel(&mut basis, 2..3, &mut r).is_err());
     }
 }

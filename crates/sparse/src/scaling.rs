@@ -9,12 +9,11 @@
 use crate::csr::Csr;
 
 /// Scale the columns of `a` by the reciprocal of their maximum absolute
-/// entry, then the rows likewise.  Returns the scaled matrix together with
-/// the column and row scaling factors that were applied (useful for
-/// un-scaling solutions).
+/// entry, then the rows of the column-scaled matrix likewise, and return
+/// the scaled matrix.
 ///
 /// Columns or rows whose maximum entry is zero are left unscaled.
-pub fn scale_rows_cols_by_max(a: &Csr) -> (Csr, Vec<f64>, Vec<f64>) {
+pub fn scale_rows_cols_by_max(a: &Csr) -> Csr {
     let nrows = a.nrows();
     let ncols = a.ncols();
     // Column maxima.
@@ -32,31 +31,22 @@ pub fn scale_rows_cols_by_max(a: &Csr) -> (Csr, Vec<f64>, Vec<f64>) {
     // Apply column scaling, then compute row maxima of the column-scaled
     // matrix and apply row scaling.
     let mut scaled = a.clone();
-    {
-        let rowptr = scaled.rowptr().to_vec();
-        let colind = scaled.colind().to_vec();
-        let vals = scaled.vals_mut();
-        for i in 0..nrows {
-            for p in rowptr[i]..rowptr[i + 1] {
-                vals[p] *= col_scale[colind[p]];
-            }
+    let rowptr = scaled.rowptr().to_vec();
+    let colind = scaled.colind().to_vec();
+    let vals = scaled.vals_mut();
+    for i in 0..nrows {
+        let row = rowptr[i]..rowptr[i + 1];
+        for p in row.clone() {
+            vals[p] *= col_scale[colind[p]];
+        }
+        let row_vals = &mut vals[row];
+        let m = row_vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        let s = if m > 0.0 { 1.0 / m } else { 1.0 };
+        for v in row_vals {
+            *v *= s;
         }
     }
-    let mut row_scale = vec![1.0f64; nrows];
-    {
-        let rowptr = scaled.rowptr().to_vec();
-        let vals = scaled.vals_mut();
-        for i in 0..nrows {
-            let row_vals = &mut vals[rowptr[i]..rowptr[i + 1]];
-            let m = row_vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-            let s = if m > 0.0 { 1.0 / m } else { 1.0 };
-            row_scale[i] = s;
-            for v in row_vals {
-                *v *= s;
-            }
-        }
-    }
-    (scaled, row_scale, col_scale)
+    scaled
 }
 
 #[cfg(test)]
@@ -68,7 +58,7 @@ mod tests {
     #[test]
     fn scaled_matrix_has_unit_row_maxima() {
         let a = laplace2d_5pt(6, 6);
-        let (s, _, _) = scale_rows_cols_by_max(&a);
+        let s = scale_rows_cols_by_max(&a);
         for i in 0..s.nrows() {
             let (_, vals) = s.row(i);
             let m = vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
@@ -109,7 +99,7 @@ mod tests {
             ],
         );
         assert!(a.is_symmetric(0.0));
-        let (s, _, _) = scale_rows_cols_by_max(&a);
+        let s = scale_rows_cols_by_max(&a);
         assert!(!s.is_symmetric(1e-14));
     }
 
@@ -136,14 +126,14 @@ mod tests {
                 },
             ],
         );
-        let (s, row_scale, col_scale) = scale_rows_cols_by_max(&a);
-        // Check S[i][j] == row_scale[i] * A[i][j] * col_scale[j].
+        let s = scale_rows_cols_by_max(&a);
+        // Check S[i][j] == (A[i][j] * col_scale[j]) * row_scale[i].
+        let (row_scale, col_scale) = max_scale_factors(&a);
         let ad = a.to_dense();
         let sd = s.to_dense();
         for i in 0..2 {
             for j in 0..2 {
-                let expect = row_scale[i] * ad[(i, j)] * col_scale[j];
-                assert!((sd[(i, j)] - expect).abs() < 1e-15);
+                assert_eq!(sd[(i, j)], ad[(i, j)] * col_scale[j] * row_scale[i]);
             }
         }
     }
@@ -159,9 +149,26 @@ mod tests {
                 val: 5.0,
             }],
         );
-        let (s, row_scale, col_scale) = scale_rows_cols_by_max(&a);
+        let s = scale_rows_cols_by_max(&a);
+        let (row_scale, col_scale) = max_scale_factors(&a);
         assert_eq!(s.to_dense()[(0, 0)], 1.0);
         assert_eq!(row_scale[1], 1.0);
         assert_eq!(col_scale[2], 1.0);
+        assert_eq!(s.nnz(), 1);
+    }
+
+    /// The factors the scaling applies, worked out on the dense matrix:
+    /// the column maxima first, then the row maxima of the column-scaled
+    /// matrix; `(row, col)`.
+    fn max_scale_factors(a: &Csr) -> (Vec<f64>, Vec<f64>) {
+        let d = a.to_dense();
+        let inv = |m: f64| if m > 0.0 { 1.0 / m } else { 1.0 };
+        let col: Vec<f64> = (0..a.ncols())
+            .map(|j| inv((0..a.nrows()).fold(0.0, |m: f64, i| m.max(d[(i, j)].abs()))))
+            .collect();
+        let row = (0..a.nrows())
+            .map(|i| inv((0..a.ncols()).fold(0.0, |m: f64, j| m.max((d[(i, j)] * col[j]).abs()))))
+            .collect();
+        (row, col)
     }
 }

@@ -32,6 +32,22 @@
 //! ([`std::time::Instant`]), so spans from different threads (simulated
 //! ranks) share a comparable timeline.
 //!
+//! The workspace records these span categories:
+//!
+//! | category | instrumented layer |
+//! |---|---|
+//! | `blas3` | `dense` gram / `gemm_tn` / `gemm_nn_minus` / `trsm` / fused update+Gram |
+//! | `comm` | every collective and point-to-point send/receive, per rank |
+//! | `spmv` | distributed SpMV: local compute, halo pack/send, halo wait |
+//! | `mv` | the fused `proj_and_gram` / `update_and_gram` multivector kernels |
+//! | `ortho` | both two-stage stages, the CholQR variants, shifted-CholQR fallback instants |
+//! | `solver` | the cycle and one span per phase, named by `ssgmres::Phase::label`; step-shrink and `converge_flush` instants |
+//! | `fault`, `guard` | instants: each injected fault, each guard detection |
+//!
+//! Every `bench` binary takes `--trace <out.json>` and writes the Chrome
+//! timeline of its run, one lane per thread (the solver, or each simulated
+//! rank), for <https://ui.perfetto.dev>.
+//!
 //! ```
 //! trace::set_enabled(true);
 //! {

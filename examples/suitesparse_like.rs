@@ -85,7 +85,7 @@ fn main() {
         for path in &args {
             match read_matrix_market(std::path::Path::new(path)) {
                 Ok(raw) => {
-                    let (a, _, _) = scale_rows_cols_by_max(&raw);
+                    let a = scale_rows_cols_by_max(&raw);
                     solve_all(path, &a);
                 }
                 Err(e) => eprintln!("could not read {path}: {e}"),
@@ -97,7 +97,7 @@ fn main() {
     let n = 8_000;
     for spec in SUITE_SPARSE_SET.iter().take(5) {
         let raw = suitesparse_surrogate(spec, Some(n), 7);
-        let (a, _, _) = scale_rows_cols_by_max(&raw);
+        let a = scale_rows_cols_by_max(&raw);
         solve_all(
             &format!("{} (surrogate, {})", spec.name, spec.description),
             &a,

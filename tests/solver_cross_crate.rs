@@ -108,7 +108,7 @@ fn scaled_suitesparse_surrogates_converge_with_two_stage() {
     // The paper's SuiteSparse experiments: row/column scaled, non-symmetric.
     for spec in SUITE_SPARSE_SET.iter().take(3) {
         let raw = suitesparse_surrogate(spec, Some(2_000), 9);
-        let (a, _, _) = scale_rows_cols_by_max(&raw);
+        let a = scale_rows_cols_by_max(&raw);
         let b = rhs_ones(&a);
         let solver = SStepGmres::new(GmresConfig {
             restart: 60,
@@ -169,7 +169,7 @@ fn adaptive_solve_matches_scheduled_replay_bitwise() {
     // BasisStrategy::Scheduled reproduces the solve bitwise (solution,
     // residual history, communication counts).
     let a0 = laplace2d_5pt(20, 20);
-    let (a, _, _) = scale_rows_cols_by_max(&a0);
+    let a = scale_rows_cols_by_max(&a0);
     let b = rhs_ones(&a);
     let config = GmresConfig {
         restart: 24,
