@@ -1,15 +1,10 @@
-//! Column-wise orthogonalization for standard GMRES: the pair
-//! (column CGS2, none) of [`OrthoKind::Cgs2`].
-//!
-//! Standard GMRES orthogonalizes one new basis vector per iteration.  The
-//! paper's baseline ("GMRES + CGS2" in Table III) uses classical
-//! Gram–Schmidt with reorthogonalization: two projection passes and one
-//! normalization, i.e. **3 global reduces per iteration** regardless of the
-//! iteration index.  A column of zero norm is refused.
+//! Per-kind checks of [`OrthoKind::Cgs2`] (standard GMRES, one column per
+//! panel): orthogonality and reconstruction bounds, and reduces per
+//! iteration.  The refused zero column is next to the engine's tests in
+//! `two_stage.rs`.
 //!
 //! [`OrthoKind::Cgs2`]: crate::OrthoKind::Cgs2
 
-#[cfg(test)]
 mod tests {
     use crate::{make_orthogonalizer, BlockOrthogonalizer, OrthoKind};
     use dense::{orthogonality_error, Matrix};
@@ -37,6 +32,11 @@ mod tests {
                 assert!((back[(i, j)] - v[(i, j)]).abs() < 1e-11 * v.max_abs());
             }
         }
+        // R is upper triangular with positive diagonal.
+        for j in 0..10 {
+            assert!(r[(j, j)] > 0.0);
+            assert!((j + 1..10).all(|i| r[(i, j)] == 0.0));
+        }
     }
 
     #[test]
@@ -45,30 +45,15 @@ mod tests {
         let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
         let mut r = Matrix::zeros(6, 6);
         let mut scheme = make_orthogonalizer(OrthoKind::Cgs2, 6);
-        for c in 0..5 {
+        for c in 0..6 {
+            let before = basis.comm().stats().snapshot();
             scheme
                 .orthogonalize_panel(&mut basis, c..c + 1, &mut r)
                 .unwrap();
+            let delta = basis.comm().stats().snapshot().since(&before);
+            // The first column has nothing to project against and takes its
+            // norm alone.
+            assert_eq!(delta.allreduces, if c == 0 { 1 } else { 3 }, "column {c}");
         }
-        let before = basis.comm().stats().snapshot();
-        scheme
-            .orthogonalize_panel(&mut basis, 5..6, &mut r)
-            .unwrap();
-        let delta = basis.comm().stats().snapshot().since(&before);
-        assert_eq!(delta.allreduces, 3);
-    }
-
-    #[test]
-    fn zero_column_is_a_breakdown() {
-        let mut v = test_matrix(100, 3);
-        for i in 0..100 {
-            v[(i, 2)] = 0.0;
-        }
-        let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-        let mut r = Matrix::zeros(3, 3);
-        let mut cgs2 = make_orthogonalizer(OrthoKind::Cgs2, 3);
-        cgs2.orthogonalize_panel(&mut basis, 0..1, &mut r).unwrap();
-        cgs2.orthogonalize_panel(&mut basis, 1..2, &mut r).unwrap();
-        assert!(cgs2.orthogonalize_panel(&mut basis, 2..3, &mut r).is_err());
     }
 }

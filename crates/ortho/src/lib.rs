@@ -55,6 +55,12 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod bcgs2;
+#[cfg(test)]
+mod bcgs_pip2;
+#[cfg(test)]
+mod cgs;
 pub mod error;
 pub mod kernels;
 pub mod sketched;

@@ -1022,14 +1022,7 @@ mod tests {
 
     // ----- the kinds without a deferred stage --------------------------------
 
-    /// The inputs the per-kind checks were tuned on.
-    fn bcgs2_input(n: usize, c: usize) -> Matrix {
-        Matrix::from_fn(n, c, |i, j| {
-            ((i * 11 + j * 5) % 17) as f64 * 0.13 - 1.0
-                + if (i + 2 * j) % 7 == 0 { 1.7 } else { 0.0 }
-        })
-    }
-
+    /// The inputs the kind-specific cases were tuned on.
     fn pip_input(n: usize, c: usize) -> Matrix {
         Matrix::from_fn(n, c, |i, j| {
             ((i * 13 + j * 7) % 19) as f64 * 0.11 - 0.9 + if (i + j) % 5 == 0 { 2.0 } else { 0.0 }
@@ -1040,102 +1033,6 @@ mod tests {
         Matrix::from_fn(n, c, |i, j| {
             ((i * 29 + j * 3) % 23) as f64 * 0.09 - 1.0 + if i % (j + 3) == 1 { 2.2 } else { 0.0 }
         })
-    }
-
-    /// One kind's row of the table test below.
-    struct KindCase {
-        kind: OrthoKind,
-        input: fn(usize, usize) -> Matrix,
-        /// Rows and columns of the input.
-        shape: (usize, usize),
-        /// Panel width.
-        s: usize,
-        /// Bound on the orthogonality error.
-        orth: f64,
-        /// Bound on the reconstruction error, relative to `max|V|`.
-        recon: f64,
-        /// Reduces on the first panel, then on every later panel.
-        reduces: (usize, usize),
-    }
-
-    #[test]
-    fn each_kind_keeps_its_bounds_and_reduces_per_panel() {
-        let rows = [
-            // The first panel is CholQR2 alone.
-            KindCase {
-                kind: OrthoKind::Bcgs2CholQr2,
-                input: bcgs2_input,
-                shape: (500, 15),
-                s: 5,
-                orth: 1e-13,
-                recon: 1e-11,
-                reduces: (2, 5),
-            },
-            KindCase {
-                kind: OrthoKind::BcgsPip2,
-                input: pip_input,
-                shape: (600, 12),
-                s: 4,
-                orth: 1e-13,
-                recon: 1e-11,
-                reduces: (2, 2),
-            },
-            // Standard GMRES: one column per panel; the first has nothing
-            // to project against and takes its norm alone.
-            KindCase {
-                kind: OrthoKind::Cgs2,
-                input: cgs_input,
-                shape: (400, 10),
-                s: 1,
-                orth: 1e-13,
-                recon: 1e-11,
-                reduces: (1, 3),
-            },
-        ];
-        for KindCase {
-            kind,
-            input,
-            shape: (n, c),
-            s,
-            orth,
-            recon,
-            reduces: (first, later),
-        } in rows
-        {
-            let v = input(n, c);
-            let mut basis = DistMultiVector::from_matrix(SerialComm::new(), v.clone());
-            let mut r = Matrix::zeros(c, c);
-            let mut scheme = make_orthogonalizer(kind, c);
-            let mut reduces = Vec::new();
-            for start in (0..c).step_by(s) {
-                let before = basis.comm().stats().snapshot();
-                scheme
-                    .orthogonalize_panel(&mut basis, start..(start + s).min(c), &mut r)
-                    .unwrap();
-                reduces.push(basis.comm().stats().snapshot().since(&before).allreduces);
-            }
-            scheme.finish(&mut basis, &mut r).unwrap();
-            assert_eq!(reduces[0], first, "{kind:?}: first panel");
-            assert!(
-                reduces[1..].iter().all(|&x| x == later),
-                "{kind:?}: {later} reduces per later panel, not {reduces:?}"
-            );
-            let q = basis.local();
-            let err = orthogonality_error(&q.view());
-            assert!(err < orth, "{kind:?}: orthogonality error {err}");
-            let back = dense::gemm_nn(q, &r);
-            for j in 0..c {
-                for i in 0..n {
-                    assert!(
-                        (back[(i, j)] - v[(i, j)]).abs() < recon * v.max_abs(),
-                        "{kind:?}: QR does not reconstruct V at ({i},{j})"
-                    );
-                }
-                // R is upper triangular with positive diagonal.
-                assert!(r[(j, j)] > 0.0, "{kind:?}");
-                assert!((j + 1..c).all(|i| r[(i, j)] == 0.0), "{kind:?}");
-            }
-        }
     }
 
     #[test]
